@@ -10,7 +10,10 @@ Three parts:
   reference cannot finish a full round in bench time) — must be >= 5x
   the scalar events/sec;
 * a full-size sustain run: several 10%% churn rounds at n=1e5 with
-  batch-routed lookup checks.
+  batch-routed lookup checks; each round also times
+  ``Network.snapshot()`` separately (``events_per_sec`` still counts
+  leave/join/repair only), and the last snapshot must equal the
+  search-only oracle in ``tests/snapshot_oracle.py``.
 
 Each gated run appends a trajectory entry to
 ``benchmarks/results/BENCH_churn.json`` so churn throughput is tracked
@@ -19,6 +22,7 @@ across PRs.  ``ci.sh`` runs the gates as a smoke via ``-k bulk``.
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -37,6 +41,9 @@ from repro.overlay import (
     refresh_peer,
     sample_cohort_ids,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from snapshot_oracle import assert_snapshot_matches  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_churn.json"
@@ -137,16 +144,23 @@ def test_bulk_churn_sustains_hundred_k():
 
     rounds = 3
     events = 0
-    start = time.perf_counter()
+    seconds = 0.0
+    snapshot_seconds = []
     for _ in range(rounds):
+        start = time.perf_counter()
         events += _bulk_churn_round(net, dist, CHURN_FRACTION, rng)
-    seconds = time.perf_counter() - start
+        seconds += time.perf_counter() - start
+        start = time.perf_counter()
+        snap = net.snapshot()
+        snapshot_seconds.append(time.perf_counter() - start)
+    assert_snapshot_matches(net, snap)
 
     stats = measure_network(net, 2000, rng)
     final_repair = bulk_repair(net, rng, distribution=dist)
     print(
         f"\nhundred-k sustain: {rounds} rounds of {CHURN_FRACTION:.0%} churn "
         f"({events} events) in {seconds:.1f}s ({events / seconds:,.0f} events/s), "
+        f"snapshot {sum(snapshot_seconds) / rounds:.3f}s/round, "
         f"lookup success {stats.success_rate:.3f}, mean hops {stats.mean_hops:.2f}"
     )
     assert net.n == N_SUSTAIN
@@ -162,6 +176,7 @@ def test_bulk_churn_sustains_hundred_k():
             "events": events,
             "seconds": round(seconds, 2),
             "events_per_sec": round(events / seconds, 1),
+            "snapshot_seconds": [round(t, 4) for t in snapshot_seconds],
             "mean_hops": round(stats.mean_hops, 2),
             "stale_purged": final_repair.stale_purged,
         }

@@ -25,7 +25,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== construction throughput smoke (scalar vs bulk, >=5x gate + 1e6 build) =="
   python -m pytest benchmarks/bench_construction.py -q -s -k bulk
 
-  echo "== churn throughput smoke (scalar vs bulk engine, >=5x gate + 1e5 sustain) =="
+  echo "== churn throughput smoke (scalar vs bulk engine, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
   python -m pytest benchmarks/bench_churn.py -q -s -k bulk
 
   echo "== baseline comparator smoke (scalar vs batch frontier, >=5x aggregate gate) =="

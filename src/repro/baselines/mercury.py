@@ -38,6 +38,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, greedy_value_route
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
+from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.routing import RouteResult
 from repro.core.theory import default_out_degree
@@ -184,13 +185,12 @@ class MercuryOverlay(BaselineOverlay):
             ok = targets != rows
             accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
             need = self.k - row_counts(accepted, n)
-        indptr, flat = split_rows(accepted, n)
-        self.long_links = np.split(flat, indptr[1:-1])
+        self._set_links(*split_rows(accepted, n))
 
     def _build_links_scalar(self, rng: np.random.Generator) -> None:
         """Per-peer reference loop: one estimator and draw loop per peer."""
         n = self.n
-        links: list[np.ndarray] = []
+        keys: list[int] = []
         for u in range(n):
             # Each peer estimates the population CDF from its own sample —
             # estimates differ across peers, as in the deployed system.
@@ -207,20 +207,19 @@ class MercuryOverlay(BaselineOverlay):
                 target = successor_index(self.ids, value)
                 if target != u:
                     chosen.add(target)
-            links.append(np.asarray(sorted(chosen), dtype=np.int64))
-        self.long_links = links
+            keys.extend(u * n + target for target in sorted(chosen))
+        self._set_links(*split_rows(np.asarray(keys, dtype=np.int64), n))
+
+    def _set_links(self, indptr: np.ndarray, flat: np.ndarray) -> None:
+        """Keep the flat link rows; ``long_links`` views them per peer."""
+        self._long_flat = flat
+        self.long_links = LongLinkRows.from_indptr(indptr, flat)
 
     def _build_frontier(self):
         """CSR (ring neighbours first, then links) + circular value metric."""
-        n = self.n
-        counts = np.fromiter(
-            (len(links) for links in self.long_links), dtype=np.int64, count=n
+        csr = csr_from_flat_links(
+            self.n, True, self.long_links.lengths(), self._long_flat
         )
-        flat = (
-            np.concatenate(self.long_links) if counts.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        csr = csr_from_flat_links(n, True, counts, flat)
         return csr, GreedyValueMetric(self.ids, self.space)
 
     @property
@@ -245,6 +244,4 @@ class MercuryOverlay(BaselineOverlay):
 
     def table_sizes(self) -> np.ndarray:
         """Long links plus the two ring neighbours."""
-        return np.asarray(
-            [len(links) + 2 for links in self.long_links], dtype=np.int64
-        )
+        return self.long_links.lengths() + 2

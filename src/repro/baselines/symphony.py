@@ -22,6 +22,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, greedy_value_route
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
+from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import ClockwiseMetric, GreedyValueMetric
 from repro.core.routing import RouteResult
 from repro.keyspace import RingSpace, nearest_index, successor_indices
@@ -94,8 +95,8 @@ class SymphonyOverlay(BaselineOverlay):
             ok = targets != rows
             accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
             need = self.k - row_counts(accepted, n)
-        indptr, flat = split_rows(accepted, n)
-        self.long_links = np.split(flat, indptr[1:-1])
+        indptr, self._long_flat = split_rows(accepted, n)
+        self.long_links = LongLinkRows.from_indptr(indptr, self._long_flat)
 
     def _build_frontier(self):
         """CSR (ring neighbours first, then links) + value-space metric.
@@ -105,15 +106,9 @@ class SymphonyOverlay(BaselineOverlay):
         the clockwise-only remaining distance — both with Symphony's
         nearest-peer ownership rule.
         """
-        n = self.n
-        counts = np.fromiter(
-            (len(links) for links in self.long_links), dtype=np.int64, count=n
+        csr = csr_from_flat_links(
+            self.n, True, self.long_links.lengths(), self._long_flat
         )
-        flat = (
-            np.concatenate(self.long_links) if counts.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        csr = csr_from_flat_links(n, True, counts, flat)
         if self.bidirectional:
             metric = GreedyValueMetric(self.ids, self.space)
         else:
@@ -143,9 +138,7 @@ class SymphonyOverlay(BaselineOverlay):
 
     def table_sizes(self) -> np.ndarray:
         """Long links plus the two ring neighbours."""
-        return np.asarray(
-            [len(links) + 2 for links in self.long_links], dtype=np.int64
-        )
+        return self.long_links.lengths() + 2
 
     @staticmethod
     def expected_hops(n: int, k: int) -> float:

@@ -37,7 +37,13 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.graph import SmallWorldGraph
 
-__all__ = ["CSRAdjacency", "build_csr", "csr_from_flat_links", "segment_offsets"]
+__all__ = [
+    "CSRAdjacency",
+    "build_csr",
+    "csr_from_flat_links",
+    "neighbor_counts",
+    "segment_offsets",
+]
 
 
 @dataclass(frozen=True)
@@ -117,20 +123,30 @@ def _neighbor_blocks(n: int, is_ring: bool) -> tuple[np.ndarray, np.ndarray]:
     Reproduces :meth:`SmallWorldGraph.neighbor_indices` for every peer at
     once, preserving its (left, right) emission order.
     """
+    counts = neighbor_counts(n, is_ring)
     if n <= 1:
-        return np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), counts
     ar = np.arange(n, dtype=np.int64)
     if is_ring:
         if n == 2:
             # left == right collapses to a single neighbour.
-            return np.array([1, 0], dtype=np.int64), np.ones(2, dtype=np.int64)
+            return np.array([1, 0], dtype=np.int64), counts
         flat = np.stack([(ar - 1) % n, (ar + 1) % n], axis=1).reshape(-1)
-        return flat, np.full(n, 2, dtype=np.int64)
+        return flat, counts
     middle = np.stack([ar[1:-1] - 1, ar[1:-1] + 1], axis=1).reshape(-1)
     flat = np.concatenate([[1], middle, [n - 2]]).astype(np.int64)
+    return flat, counts
+
+
+def neighbor_counts(n: int, is_ring: bool) -> np.ndarray:
+    """Return each peer's ring/interval neighbour count (the CSR row prefix)."""
+    if n <= 1:
+        return np.zeros(n, dtype=np.int64)
+    if is_ring:
+        return np.full(n, 1 if n == 2 else 2, dtype=np.int64)
     counts = np.full(n, 2, dtype=np.int64)
     counts[0] = counts[-1] = 1
-    return flat, counts
+    return counts
 
 
 def build_csr(graph: "SmallWorldGraph") -> CSRAdjacency:
@@ -140,11 +156,8 @@ def build_csr(graph: "SmallWorldGraph") -> CSRAdjacency:
     cached :attr:`SmallWorldGraph.adjacency` property instead.
     """
     n = graph.n
-    long_counts = np.fromiter(
-        (len(links) for links in graph.long_links), dtype=np.int64, count=n
-    )
-    total_long = int(long_counts.sum())
-    if total_long:
+    long_counts = graph.long_degrees()
+    if long_counts.sum():
         long_flat = np.concatenate(
             [np.asarray(links, dtype=np.int64) for links in graph.long_links]
         )
@@ -162,7 +175,9 @@ def csr_from_flat_links(
     (:mod:`repro.core.bulk_construction`): peer ``i``'s long links are
     ``long_flat[cum(long_counts)[i] : cum(long_counts)[i+1]]``, and the
     implicit ring/interval neighbours are synthesised in place — no
-    ragged per-node arrays are ever materialised.
+    ragged per-node arrays are ever materialised.  Long links are placed
+    through the ``is_long`` mask itself (every slot not holding a
+    neighbour), so the only edge-length arrays are the outputs.
 
     Args:
         n: number of peers.
@@ -171,19 +186,12 @@ def csr_from_flat_links(
         long_flat: ``(E_long,)`` concatenated long-link targets.
     """
     nbr_flat, nbr_counts = _neighbor_blocks(n, is_ring)
-    long_counts = np.asarray(long_counts, dtype=np.int64)
-    long_flat = np.asarray(long_flat, dtype=np.int64)
-    degrees = nbr_counts + long_counts
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    is_long = np.zeros(len(indices), dtype=bool)
-
+    np.cumsum(nbr_counts + np.asarray(long_counts, dtype=np.int64), out=indptr[1:])
+    is_long = np.ones(int(indptr[-1]), dtype=bool)
     nbr_slots = np.repeat(indptr[:-1], nbr_counts) + segment_offsets(nbr_counts)
-    long_slots = (
-        np.repeat(indptr[:-1] + nbr_counts, long_counts) + segment_offsets(long_counts)
-    )
+    is_long[nbr_slots] = False
+    indices = np.empty(len(is_long), dtype=np.int64)
     indices[nbr_slots] = nbr_flat
-    indices[long_slots] = long_flat
-    is_long[long_slots] = True
+    indices[is_long] = long_flat
     return CSRAdjacency(indptr=indptr, indices=indices, is_long=is_long)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.bulk_construction import bulk_exact_links, bulk_links, symmetrize_flat
-from repro.core.graph import SmallWorldGraph
+from repro.core.graph import LongLinkRows, SmallWorldGraph
 from repro.core.links import make_sampler
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution
@@ -224,12 +224,12 @@ def _maybe_snapshot(graph: SmallWorldGraph, config: GraphConfig) -> SmallWorldGr
     return graph
 
 
-def _symmetrize(long_links: list[np.ndarray], n: int) -> list[np.ndarray]:
+def _symmetrize(long_links: list[np.ndarray], n: int) -> LongLinkRows:
     """Install the reverse of every long link (deduplicated, self-free).
 
     Vectorized CSR transpose-merge: concatenate the edge list with its
-    transpose, key-sort, unique, and split back into rows — no per-edge
-    Python loop, so ``bidirectional=True`` stays cheap at scale.
+    transpose, key-sort and unique into flat rows, viewed per peer — no
+    per-edge Python loop, so ``bidirectional=True`` stays cheap at scale.
     """
     counts = np.fromiter((len(links) for links in long_links), dtype=np.int64, count=n)
     sources = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -239,8 +239,7 @@ def _symmetrize(long_links: list[np.ndarray], n: int) -> list[np.ndarray]:
         )
     else:
         targets = np.empty(0, dtype=np.int64)
-    indptr, flat = symmetrize_flat(sources, targets, n)
-    return np.split(flat, indptr[1:-1])
+    return LongLinkRows.from_indptr(*symmetrize_flat(sources, targets, n))
 
 
 def build_uniform_model(

@@ -14,6 +14,7 @@ normalised identifiers coincide with the raw ones.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -25,7 +26,70 @@ from repro.keyspace import IntervalSpace, KeySpace, nearest_index
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.adjacency import CSRAdjacency
 
-__all__ = ["SmallWorldGraph"]
+__all__ = ["LongLinkRows", "SmallWorldGraph"]
+
+
+class LongLinkRows:
+    """Per-peer long-link rows as read-only views into one flat array.
+
+    Row ``i`` is ``values[starts[i]:ends[i]]``, sliced on demand, so a
+    graph of ``n`` peers never holds ``n`` row arrays (at 10^6 peers
+    those alone cost seconds and hundreds of megabytes).  Supports
+    ``len``, int and negative indexing, slicing (which returns a list of
+    rows), iteration and pickling.  Rows are read-only: the graph they
+    belong to is an immutable snapshot.
+    """
+
+    def __init__(self, values: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        values = values.view()
+        values.flags.writeable = False
+        self._values = values
+        self._starts = np.asarray(starts, dtype=np.int64)
+        self._ends = np.asarray(ends, dtype=np.int64)
+
+    @classmethod
+    def from_indptr(cls, indptr: np.ndarray, flat: np.ndarray) -> "LongLinkRows":
+        """Rows ``flat[indptr[i]:indptr[i + 1]]``."""
+        indptr = np.asarray(indptr, dtype=np.int64)
+        return cls(flat, indptr[:-1], indptr[1:])
+
+    @classmethod
+    def from_csr(cls, csr: "CSRAdjacency", is_ring: bool) -> "LongLinkRows":
+        """The long links of ``csr``: each row minus its leading neighbours."""
+        from repro.core.adjacency import neighbor_counts
+
+        starts = csr.indptr[:-1] + neighbor_counts(csr.n, is_ring)
+        return cls(csr.indices, starts, csr.indptr[1:])
+
+    def lengths(self) -> np.ndarray:
+        """Per-row link counts, as an int64 array."""
+        return self._ends - self._starts
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} out of range for {n} peers")
+        return self._values[self._starts[i] : self._ends[i]]
+
+    def __iter__(self):
+        values = self._values
+        for start, end in zip(self._starts.tolist(), self._ends.tolist()):
+            yield values[start:end]
+
+    def __reduce__(self):
+        # Rebuild through __init__ so unpickled rows stay read-only.
+        return type(self), (self._values, self._starts, self._ends)
+
+    def __repr__(self) -> str:
+        return f"LongLinkRows(n={len(self)}, links={int(self.lengths().sum())})"
 
 
 @dataclass
@@ -38,7 +102,9 @@ class SmallWorldGraph:
             to ``ids`` for the uniform model and for the *naive* baseline
             (which deliberately ignores the skew).
         long_links: ``long_links[i]`` holds the indices of peer ``i``'s
-            long-range neighbours.
+            long-range neighbours — a list of arrays, or
+            :class:`LongLinkRows` views for graphs built from flat rows
+            or loaded from a snapshot.
         space: key-space geometry (interval or ring).
         normalize: the CDF used to map raw keys into normalised space;
             identity for the uniform/naive models.
@@ -49,7 +115,7 @@ class SmallWorldGraph:
 
     ids: np.ndarray
     normalized_ids: np.ndarray
-    long_links: list[np.ndarray]
+    long_links: list[np.ndarray] | LongLinkRows
     space: KeySpace = field(default_factory=IntervalSpace)
     normalize: Callable[[float], float] = float
     model: str = "uniform"
@@ -83,28 +149,28 @@ class SmallWorldGraph:
 
         This is the bulk construction engine's entry point
         (:mod:`repro.core.bulk_construction`): peer ``i``'s long links
-        are ``long_flat[long_indptr[i]:long_indptr[i+1]]``.  The per-peer
-        ``long_links`` arrays become zero-copy views into ``long_flat``,
-        and the CSR adjacency cache is populated directly from the flat
-        rows, so the graph is born with its edge arrays ready instead of
-        re-deriving them from per-node arrays on first use.
+        are ``long_flat[long_indptr[i]:long_indptr[i+1]]``.  The CSR
+        adjacency cache is populated directly from the flat rows, so the
+        graph is born with its edge arrays ready, and ``long_links`` is a
+        :class:`LongLinkRows` view of the CSR's long edges — no per-peer
+        arrays, and ``long_flat`` is not retained.
         """
-        long_indptr = np.asarray(long_indptr, dtype=np.int64)
-        long_flat = np.asarray(long_flat, dtype=np.int64)
+        from repro.core.adjacency import csr_from_flat_links
+
+        space = space or IntervalSpace()
+        csr = csr_from_flat_links(
+            len(ids), space.is_ring, np.diff(long_indptr), long_flat
+        )
         graph = cls(
             ids=ids,
             normalized_ids=normalized_ids,
-            long_links=np.split(long_flat, long_indptr[1:-1]),
-            space=space or IntervalSpace(),
+            long_links=LongLinkRows.from_csr(csr, space.is_ring),
+            space=space,
             normalize=normalize,
             model=model,
             cutoff_mass=cutoff_mass,
         )
-        from repro.core.adjacency import csr_from_flat_links
-
-        graph.__dict__["_adjacency"] = csr_from_flat_links(
-            graph.n, graph.space.is_ring, np.diff(long_indptr), long_flat
-        )
+        graph.__dict__["_adjacency"] = csr
         return graph
 
     # ------------------------------------------------------------------
@@ -166,6 +232,13 @@ class SmallWorldGraph:
         """Return the per-peer total outdegree (neighbour + long links)."""
         return self.adjacency.out_degrees()
 
+    def long_degrees(self) -> np.ndarray:
+        """Return the per-peer number of long links, as an int64 array."""
+        rows = self.long_links
+        if isinstance(rows, LongLinkRows):
+            return rows.lengths()
+        return np.fromiter((len(links) for links in rows), dtype=np.int64, count=self.n)
+
     # ------------------------------------------------------------------
     # key handling
     # ------------------------------------------------------------------
@@ -203,7 +276,7 @@ class SmallWorldGraph:
 
     def total_long_links(self) -> int:
         """Return the total number of long-range edges in the graph."""
-        return int(sum(len(links) for links in self.long_links))
+        return int(self.long_degrees().sum())
 
     def to_networkx(self):
         """Export to a :class:`networkx.DiGraph` (requires networkx).

@@ -27,8 +27,8 @@ and repairs advance in vectorized rounds over the array engine of
 
 :func:`bulk_repair`
     one vectorized maintenance round: purge the free-list's stale rows,
-    detect every dangling link of the selected peers with a single
-    :func:`repro.keyspace.membership_mask` sweep, and redraw
+    detect every dangling link of the selected peers in one pass of the
+    network's hint-first link resolver, and redraw
     replacements (or, with ``refresh=True``, rebuild the selected rows
     from scratch — the batch form of
     :func:`repro.overlay.maintenance.refresh_peer`).
@@ -190,7 +190,8 @@ def _write_member_rows(
     """Install per-member link sets (sorted ``row*n+col`` keys) into the slab.
 
     Returns the per-member link counts.  One lane-masked fill — the row
-    contents end up sorted by target identifier.
+    contents end up sorted by target identifier, and every link's hint
+    is its target's current slab row.
     """
     n = len(live_ids)
     counts = np.bincount(keys // n, minlength=m) if len(keys) else np.zeros(
@@ -198,10 +199,14 @@ def _write_member_rows(
     )
     network._ensure_width(int(counts.max(initial=0)))
     width = network._link_tg.shape[1]
-    block = np.full((m, width), np.nan)
     lane = np.arange(width)[None, :] < counts[:, None]
-    block[lane] = live_ids[keys % n]
+    cols = keys % n
+    block = np.full((m, width), np.nan)
+    block[lane] = live_ids[cols]
     network._link_tg[slots] = block
+    hints = np.full((m, width), -1, dtype=np.int32)
+    hints[lane] = network._slot_at[cols]
+    network._link_hint[slots] = hints
     network._link_cnt[slots] = counts
     return counts
 
@@ -441,19 +446,13 @@ def bulk_repair(
     )
     c = np.full(m, cutoff if cutoff is not None else 1.0 / n)
 
-    counts = network._link_cnt[slots]
-    width = network._link_tg.shape[1]
-    lane = np.arange(width)[None, :] < counts[:, None]
-    targets = network._link_tg[slots][lane]
-    rows_local = np.repeat(np.arange(m, dtype=np.int64), counts)
-    alive = membership_mask(live, targets)
-    report.dangling_dropped = int((~alive).sum())
+    cols, alive = network._resolve_rows(slots)
+    report.dangling_dropped = int(len(alive) - np.count_nonzero(alive))
     if refresh:
         seeds = np.empty(0, dtype=np.int64)
     else:
-        kept_rows = rows_local[alive]
-        kept_cols = np.searchsorted(live, targets[alive])
-        seeds = np.unique(kept_rows * n + kept_cols)
+        rows_local = np.repeat(np.arange(m, dtype=np.int64), network._link_cnt[slots])
+        seeds = np.unique(rows_local[alive] * n + cols[alive])
 
     accepted, rounds = _resolve_links(
         live, network.space, rng, chosen, k,

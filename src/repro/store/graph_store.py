@@ -3,11 +3,16 @@
 :func:`save_graph` writes the graph's identifier vectors and its full
 CSR edge set; :func:`load_graph` maps them back read-only without
 rebuilding anything — the CSR arrays come straight off disk, the
-per-peer ``long_links`` rows are a lazy sequence of slices into the
+per-peer ``long_links`` rows are a lazy
+:class:`~repro.core.graph.LongLinkRows` sequence of slices into the
 mapped ``indices`` array, and the identifier memmaps are reattached to
 the dataclass after construction (``__post_init__``'s ``np.asarray``
 would otherwise strip the ``np.memmap`` subclass and lose the
 file-backing metadata the zero-copy parallel path serves workers from).
+A load checks the row pointers and identifiers in O(n) vectorized
+passes (plus the CSR's own O(E) target range check) and raises
+:class:`~repro.store.format.StoreError` on a corrupt or hand-edited
+snapshot instead of routing wrong.
 
 Routing on a loaded graph is bit-identical to routing on the original:
 ``route_many(metric="key")`` consumes only ``ids``/``space``/CSR, all
@@ -24,10 +29,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.adjacency import CSRAdjacency, _neighbor_blocks
-from repro.core.graph import SmallWorldGraph
+from repro.core.adjacency import CSRAdjacency, neighbor_counts
+from repro.core.graph import LongLinkRows, SmallWorldGraph
 from repro.keyspace import IntervalSpace, RingSpace
-from repro.store.format import open_arrays, read_manifest, write_snapshot
+from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
 
 __all__ = ["save_graph", "load_graph"]
 
@@ -36,42 +41,30 @@ _SPACES = {"interval": IntervalSpace, "ring": RingSpace}
 
 def space_from_name(name: str):
     """Rebuild a key-space geometry from its persisted ``name`` tag."""
-    from repro.store.format import StoreError
-
     cls = _SPACES.get(name)
     if cls is None:
         raise StoreError(f"unknown key-space name {name!r} in snapshot")
     return cls()
 
 
-class _LazyLongRows:
-    """``long_links`` as lazy slices over the mapped CSR arrays.
+def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> None:
+    """Reject row pointers or identifiers a router would silently misread.
 
-    A loaded graph must not materialise one array per peer (at 1e7+
-    peers that alone would cost seconds and gigabytes); this sequence
-    slices the read-only ``indices`` memmap on demand, skipping each
-    row's leading ring/interval neighbours.
+    Every row must start with its ring/interval neighbours (the lazy
+    ``long_links`` rows skip exactly that many slots), so a row shorter
+    than its neighbour count is as corrupt as a decreasing pointer.
     """
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, is_ring: bool):
-        n = len(indptr) - 1
-        _, nbr_counts = _neighbor_blocks(n, is_ring)
-        self._starts = np.asarray(indptr[:-1]) + nbr_counts
-        self._ends = np.asarray(indptr[1:])
-        self._indices = indices
-
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def __getitem__(self, i):
-        return self._indices[self._starts[i] : self._ends[i]]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"_LazyLongRows(n={len(self)})"
+    if len(indptr) != len(ids) + 1:
+        raise StoreError("indptr must have one entry per peer plus one")
+    if indptr[0] != 0:
+        raise StoreError("indptr[0] must be 0")
+    degrees = np.diff(indptr)
+    if np.any(degrees < 0):
+        raise StoreError("indptr must be non-decreasing")
+    if np.any(degrees < neighbor_counts(len(ids), is_ring)):
+        raise StoreError("a row is shorter than its ring/interval neighbour count")
+    if not np.all(np.diff(ids) > 0):
+        raise StoreError("ids must be strictly increasing")
 
 
 def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:
@@ -86,7 +79,6 @@ def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:
             geometries.
     """
     from repro import telemetry
-    from repro.store.format import StoreError
 
     if graph.space.name not in _SPACES:
         raise StoreError(
@@ -129,7 +121,8 @@ def load_graph(
             routing is needed (not persisted; defaults to identity).
 
     Raises:
-        StoreError: missing/corrupt snapshot or version/kind mismatch.
+        StoreError: missing/corrupt snapshot, version/kind mismatch, or
+            row pointers/identifiers that violate the CSR invariants.
     """
     from repro import telemetry
 
@@ -138,15 +131,19 @@ def load_graph(
         payload = manifest["payload"]
         arrays = open_arrays(path, manifest)
     space = space_from_name(payload["space"])
-    csr = CSRAdjacency(
-        indptr=arrays["indptr"],
-        indices=arrays["indices"],
-        is_long=arrays["is_long"],
-    )
+    _check_graph_arrays(arrays["ids"], arrays["indptr"], space.is_ring)
+    try:
+        csr = CSRAdjacency(
+            indptr=arrays["indptr"],
+            indices=arrays["indices"],
+            is_long=arrays["is_long"],
+        )
+    except ValueError as exc:
+        raise StoreError(f"corrupt edge arrays: {exc}") from exc
     graph = SmallWorldGraph(
         ids=arrays["ids"],
         normalized_ids=arrays["normalized_ids"],
-        long_links=_LazyLongRows(arrays["indptr"], arrays["indices"], space.is_ring),
+        long_links=LongLinkRows.from_csr(csr, space.is_ring),
         space=space,
         normalize=normalize,
         model=payload["model"],

@@ -1,9 +1,12 @@
 """Unit tests for the SmallWorldGraph data structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import GraphConfig, SmallWorldGraph, build_uniform_model
+from repro.core.graph import LongLinkRows
 from repro.keyspace import IntervalSpace, RingSpace
 
 
@@ -149,3 +152,49 @@ class TestBuiltGraphInvariants:
 
     def test_ids_sorted(self, uniform_graph):
         assert np.all(np.diff(uniform_graph.ids) >= 0)
+
+
+class TestLongLinkRows:
+    """The lazy per-peer view every flat-built or loaded graph exposes."""
+
+    @pytest.fixture
+    def rows(self):
+        return LongLinkRows.from_indptr(
+            np.array([0, 2, 2, 5]), np.array([4, 7, 1, 2, 3], dtype=np.int64)
+        )
+
+    def test_len_lengths_and_indexing(self, rows):
+        assert len(rows) == 3
+        np.testing.assert_array_equal(rows.lengths(), [2, 0, 3])
+        assert rows[0].tolist() == [4, 7]
+        assert rows[np.int64(1)].tolist() == []
+        assert rows[-1].tolist() == [1, 2, 3]
+        with pytest.raises(IndexError):
+            rows[3]
+        with pytest.raises(IndexError):
+            rows[-4]
+
+    def test_slicing_returns_a_list_of_rows(self, rows):
+        sliced = rows[::2]
+        assert isinstance(sliced, list)
+        assert [r.tolist() for r in sliced] == [[4, 7], [1, 2, 3]]
+        assert [r.tolist() for r in rows] == [[4, 7], [], [1, 2, 3]]
+
+    def test_rows_are_read_only_views(self, rows):
+        with pytest.raises(ValueError):
+            rows[0][0] = 9
+
+    def test_pickle_round_trip_stays_read_only(self, rows):
+        back = pickle.loads(pickle.dumps(rows))
+        assert [r.tolist() for r in back] == [r.tolist() for r in rows]
+        with pytest.raises(ValueError):
+            back[2][0] = 9
+
+    @pytest.mark.parametrize("space", [IntervalSpace(), RingSpace()])
+    def test_flat_built_graph_rows_skip_neighbours(self, space, rng):
+        graph = build_uniform_model(200, rng, GraphConfig(out_degree=5, space=space))
+        assert isinstance(graph.long_links, LongLinkRows)
+        csr = graph.adjacency
+        for i in (0, 1, 100, 199):
+            np.testing.assert_array_equal(graph.long_links[i], csr.row(i)[csr.row_is_long(i)])
+        assert graph.total_long_links() == int(csr.is_long.sum())

@@ -224,3 +224,45 @@ class TestCorruption:
         np.save(path / "arrays" / "ids.npy", np.zeros(3))
         with pytest.raises(StoreError, match="manifest"):
             load_graph(path)
+
+
+class TestHandEditedGraph:
+    """A snapshot whose CSR or ids were edited in place must not load."""
+
+    @staticmethod
+    def _edit(tmp_path, key, edit):
+        graph = build_uniform_model(
+            256, np.random.default_rng(8), GraphConfig(out_degree=4)
+        )
+        path = tmp_path / "edited"
+        save_graph(graph, path)
+        target = path / "arrays" / f"{key}.npy"
+        array = np.load(target)
+        edit(array)
+        np.save(target, array)
+        return path
+
+    def test_indptr_must_start_at_zero(self, tmp_path):
+        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(0, 1))
+        with pytest.raises(StoreError, match=r"indptr\[0\]"):
+            load_graph(path)
+
+    def test_indptr_must_not_decrease(self, tmp_path):
+        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(10, a[12]))
+        with pytest.raises(StoreError, match="non-decreasing"):
+            load_graph(path)
+
+    def test_row_must_hold_its_neighbours(self, tmp_path):
+        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(10, a[11] - 1))
+        with pytest.raises(StoreError, match="neighbour count"):
+            load_graph(path)
+
+    def test_ids_must_strictly_increase(self, tmp_path):
+        path = self._edit(tmp_path, "ids", lambda a: a.__setitem__(7, a[6]))
+        with pytest.raises(StoreError, match="strictly increasing"):
+            load_graph(path)
+
+    def test_edge_target_out_of_range(self, tmp_path):
+        path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, 10**6))
+        with pytest.raises(StoreError, match="out of range"):
+            load_graph(path)
