@@ -40,7 +40,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== telemetry smoke (<=5% enabled overhead + shard-merge bit-identity) =="
   python -m pytest benchmarks/bench_telemetry.py -q -s
 
-  echo "== kernel smoke (ragged-vs-padded parity + >=1.5x gate on skewed degrees) =="
+  echo "== kernel smoke (scalar-reference parity on 3 graphs + skewed/uniform ns per candidate <=2x) =="
   python -m pytest benchmarks/bench_kernel.py -q -s
 
   echo "== serving smoke (stream-vs-batch parity + sustained-throughput gate at 1e6) =="

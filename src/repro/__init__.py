@@ -46,9 +46,10 @@ around that fact in three layers:
 2. **Batch routing** (:mod:`repro.core.batch_routing`):
    :func:`route_many` advances *all* active walks one hop per numpy
    step — frontier arrays of current node, distance and hop counters,
-   with per-row ``argmin`` over a padded candidate block reproducing the
-   scalar router's scan order exactly.  ~17x the scalar routes/sec at
-   10k peers (``benchmarks/bench_routing_throughput.py``).
+   with a per-walk first minimum over one flat, segmented candidate
+   vector reproducing the scalar router's scan order exactly.  ~17x the
+   scalar routes/sec at 10k peers
+   (``benchmarks/bench_routing_throughput.py``).
 3. **Bulk sampling** (:func:`sample_batch` / :func:`sample_routes`):
    experiments draw whole workloads at once and aggregate column-wise;
    the scalar :func:`greedy_route` remains the readable reference

@@ -256,7 +256,6 @@ def route_many_overlay(
     target_keys: np.ndarray,
     max_hops: int | None = None,
     record_paths: bool = False,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Batch-route ``(source, key)`` pairs over any baseline overlay.
 
@@ -271,9 +270,6 @@ def route_many_overlay(
         target_keys: float array of lookup keys, aligned with ``sources``.
         max_hops: per-route hop budget; defaults to ``overlay.n``.
         record_paths: also record every walk's visited-node list.
-        kernel: frontier round layout — ``"auto"`` (default),
-            ``"ragged"`` or ``"padded"``; see
-            :mod:`repro.core.metric_routing`.
 
     Raises:
         ValueError: on mismatched inputs or out-of-range sources/keys.
@@ -281,7 +277,7 @@ def route_many_overlay(
     csr, metric = overlay._frontier()
     return frontier_route_many(
         csr, metric, sources, target_keys,
-        max_hops=max_hops, record_paths=record_paths, kernel=kernel,
+        max_hops=max_hops, record_paths=record_paths,
     )
 
 

@@ -16,14 +16,13 @@ that kernel to a :class:`~repro.core.graph.SmallWorldGraph`'s cached CSR
 with the paper's symmetric greedy key/normalized metric:
 
 1. gather every active walk's out-edges from the graph's cached CSR
-   adjacency (:mod:`repro.core.adjacency`) into a dense
-   ``(walks, max_degree)`` candidate block, padding short rows with
-   ``+inf`` distance;
-2. mask dead peers (liveness) the same way;
-3. ``argmin`` per row picks the best candidate — first occurrence on
-   ties, which together with the CSR row-order contract (neighbours
-   before long links, scan order preserved) reproduces the scalar
-   router's candidate scan exactly;
+   adjacency (:mod:`repro.core.adjacency`) into one flat candidate
+   vector, segmented per walk;
+2. drop dead peers (liveness) from that vector;
+3. a segmented minimum picks each walk's best candidate — first
+   occurrence on ties, which together with the CSR row-order contract
+   (neighbours before long links, scan order preserved) reproduces the
+   scalar router's candidate scan exactly;
 4. walks whose best candidate is not strictly closer stop as
    ``"stuck"``; walks that land on their owner stop as ``"arrived"``;
    the rest carry on until ``max_hops``.
@@ -117,7 +116,6 @@ def route_many(
     max_hops: int | None = None,
     record_paths: bool = False,
     workers: int | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Route every ``(source, target_key)`` pair greedily, in lock-step.
 
@@ -142,10 +140,6 @@ def route_many(
             ``--workers`` flag / ``REPRO_WORKERS``), which is serial
             unless explicitly raised.  Small batches stay serial even
             with workers configured (dispatch overhead would dominate).
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` or ``"padded"``; bit-identical outcomes, see
-            :mod:`repro.core.metric_routing`.
 
     Raises:
         ValueError: on mismatched inputs, an invalid metric, an
@@ -166,7 +160,6 @@ def route_many(
             max_hops=max_hops,
             record_paths=record_paths,
             workers=workers,
-            kernel=kernel,
         )
     return frontier_route_many(
         graph.adjacency,
@@ -176,7 +169,6 @@ def route_many(
         alive=alive,
         max_hops=max_hops,
         record_paths=record_paths,
-        kernel=kernel,
     )
 
 
@@ -359,7 +351,6 @@ def sample_batch(
     max_hops: int | None = None,
     record_paths: bool = False,
     workers: int | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Draw ``n_routes`` random live source/target pairs and batch-route them.
 
@@ -385,7 +376,6 @@ def sample_batch(
         record_paths: record visited-node lists (see :func:`route_many`).
         workers: worker-process sharding, as in :func:`route_many` (the
             workload draw itself always happens here, in one rng state).
-        kernel: frontier round layout, as in :func:`route_many`.
 
     Raises:
         ValueError: for an unknown ``targets`` mode or no live peers.
@@ -423,5 +413,4 @@ def sample_batch(
         max_hops=max_hops,
         record_paths=record_paths,
         workers=workers,
-        kernel=kernel,
     )

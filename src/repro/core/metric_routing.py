@@ -11,43 +11,31 @@ This module generalises the frontier scheme: the kernel
 masks, hop budgets, candidate gathering from a :class:`CSRAdjacency`,
 liveness masking, arrival/stuck/budget accounting, optional path
 recording — while the *routing rule* is a declarative
-:class:`RoutingMetric` object that scores candidate blocks.  Each step:
+:class:`RoutingMetric` object that scores candidates.  Each step:
 
 1. gather every active walk's out-edges;
 2. ask the metric for per-candidate scores (``inf`` = ineligible);
-3. move each walk to its ``argmin`` candidate when the score beats the
-   walk's move threshold — the current greedy distance for *greedy*
-   metrics (``metric.greedy``), or unconditionally-if-eligible for
-   rule-based metrics (Pastry's prefix rule, P-Grid's trie rule);
+3. move each walk to its first minimum-score candidate when the score
+   beats the walk's move threshold — the current greedy distance for
+   *greedy* metrics (``metric.greedy``), or unconditionally-if-eligible
+   for rule-based metrics (Pastry's prefix rule, P-Grid's trie rule);
 4. walks that land on their key's owner stop as ``"arrived"``; walks
    with no move stop as ``"stuck"`` (unless the metric's
    ``terminal_owner_hop`` grants the Chord-style final hop onto an
    owner candidate).
 
-Two interchangeable gather/score layouts implement step 1–3, selected
-per frontier with ``kernel=``:
-
-* ``"ragged"`` — the **segmented flat-CSR kernel**: every
-  active walk's adjacency row is gathered into one concatenated
-  candidate vector (no padding, no masking), scored flat through
-  :meth:`RoutingMetric.candidate_scores_flat`, and resolved per walk
-  with segmented reductions (``np.minimum.reduceat`` plus a flat
-  first-occurrence tie-break that reproduces the padded kernel's
-  first-best-lane choice exactly; degree-uniform frontiers take an
-  exact-width 2-d ``argmin`` instead).  Cost per round is proportional
-  to the frontier's *total* degree, so one hub row no longer inflates
-  the whole cohort.
-* ``"padded"`` — the original dense ``(walks, max_degree)`` lane-matrix
-  layout through :meth:`RoutingMetric.candidate_scores` (exactly as
-  :func:`repro.core.batch_routing.route_many` always did).  Kept as the
-  semantic reference and escape hatch; both kernels are gated
-  bit-identical on every outcome column including recorded paths.
-* ``"auto"`` (the default) — chooses per round: the ragged layout when
-  real candidates fill less than half the dense lane matrix (skewed
-  degrees, where padding waste dominates), the padded layout when the
-  frontier is near-degree-uniform (where row broadcasts beat the flat
-  layout's explicit gathers).  Because the two layouts are
-  bit-identical, the choice is purely a throughput heuristic.
+Steps 1–3 run on a **segmented flat-CSR layout**: every active walk's
+adjacency row is gathered into one concatenated candidate vector (no
+padding, no masking), scored flat through
+:meth:`RoutingMetric.candidate_scores`, and resolved per walk with
+segmented reductions (``np.minimum.reduceat`` plus a flat
+first-occurrence tie-break; degree-uniform rounds take an exact-width
+2-d ``argmin`` instead).  Per-walk operands are expanded to the flat
+layout with ``np.repeat(x, counts)`` — a contiguous copy, cheaper than
+gathering through a per-candidate walk index — so the cost of a round
+is proportional to the frontier's *total* degree and one hub row never
+inflates the whole cohort.  The first-minimum rule over CSR row order
+is exactly the scalar routers' "first strict improvement" scan.
 
 The shipped metric families cover every baseline routing rule the paper
 compares against:
@@ -85,6 +73,7 @@ from repro.core.adjacency import CSRAdjacency
 from repro.core.routing import RouteResult
 from repro.keyspace import (
     RingSpace,
+    check_unit_keys,
     digit_rows,
     morton_rows,
     nearest_indices,
@@ -119,19 +108,18 @@ REASON_MAX_HOPS = 2
 _REASON_LABELS = np.array(["arrived", "stuck", "max_hops"])
 
 #: Score reserved for rule-based metrics' primary (always-take) moves;
-#: any finite fallback score is worse, ``inf`` marks ineligible lanes.
+#: any finite fallback score is worse, ``inf`` marks ineligible candidates.
 _PRIMARY_SCORE = -1e9
 
 #: Shared immutable empty retirement cohort (never written through).
 _EMPTY_SLOTS = np.empty(0, dtype=np.int64)
 
-#: ``kernel="auto"`` rounds take the flat segmented layout when real
-#: candidates fill less than this fraction of the dense lane matrix.
-#: Above it, degrees are near-uniform enough that the padded layout's
-#: row broadcasts beat the flat layout's explicit per-candidate gathers
-#: (measured breakeven ~0.65 on the Pastry comparator; 0.5 keeps a
-#: margin on either side).
-_AUTO_FILL_CUTOFF = 0.5
+
+def _check_sources(sources: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` naming the first source outside ``[0, n)``."""
+    if len(sources) and (sources.min() < 0 or sources.max() >= n):
+        bad = sources[(sources < 0) | (sources >= n)][0]
+        raise ValueError(f"source index {bad} out of range for {n} peers")
 
 
 @dataclass
@@ -157,8 +145,8 @@ class BatchRouteResult:
         rounds: frontier rounds the batch took (0 when unknown, e.g.
             results assembled outside :func:`frontier_route_many`).
         candidates_seen: real candidates gathered across those rounds.
-        padded_slots_seen: dense ``frontier × max_degree`` slots the
-            padded layout would have paid for the same rounds.  The
+        padded_slots_seen: dense ``frontier × max_degree`` slots a
+            lane-matrix layout would pay for the same rounds.  The
             three stats are per-route-order-independent totals, so the
             sharded dispatcher sums them across shards without breaking
             the bit-identity contract.
@@ -248,32 +236,30 @@ class PreparedTargets:
 class Segments:
     """Per-walk segment layout of one flat candidate vector.
 
-    The ragged kernel concatenates every frontier walk's (live) adjacency
-    row into one flat vector; ``Segments`` describes how that vector
+    The kernel concatenates every frontier walk's (live) adjacency row
+    into one flat vector; ``Segments`` describes how that vector
     partitions back into walks.  Segment ``i`` holds walk ``i``'s
-    candidates at flat positions ``starts[i] : starts[i] + counts[i]``.
-    Every segment is non-empty — walks with no (live) candidates are
-    filtered out before scoring and retire as stuck without ever
-    reaching the metric.
+    candidates at flat positions ``starts[i] : starts[i] + counts[i]``,
+    so ``np.repeat(x, counts)`` expands a per-walk array ``x`` to one
+    value per candidate.  Every segment is non-empty — walks with no
+    (live) candidates are filtered out before scoring and retire as
+    stuck without ever reaching the metric.
 
     Attributes:
         starts: ``(w,)`` flat offset of each walk's first candidate.
         counts: ``(w,)`` number of candidates per walk (all ``>= 1``).
-        rows: ``(total,)`` walk-row index of each flat candidate — the
-            inverse map, ``rows[starts[i]:starts[i]+counts[i]] == i``.
     """
 
     starts: np.ndarray
     counts: np.ndarray
-    rows: np.ndarray
 
 
 class RoutingMetric(ABC):
     """Declarative routing rule consumed by :func:`frontier_route_many`.
 
     A metric binds one overlay's geometry (peer coordinates, digit
-    strings, zone boxes, per-edge tags) and scores candidate blocks for
-    the kernel.  Two regimes:
+    strings, zone boxes, per-edge tags) and scores flat candidate
+    vectors for the kernel.  Two regimes:
 
     * ``greedy = True`` — scores are distances-to-target; the kernel
       moves a walk only when the best candidate *strictly improves* the
@@ -307,71 +293,27 @@ class RoutingMetric(ABC):
         self,
         candidates: np.ndarray,
         slots: np.ndarray,
-        usable: np.ndarray,
-        state: PreparedTargets,
-        walks: np.ndarray,
-        current: np.ndarray,
-    ) -> np.ndarray:
-        """Score a ``(walks, lanes)`` candidate block; ``inf`` = ineligible.
-
-        The kernel masks unusable lanes to ``inf`` itself after this
-        call, so metrics may return raw scores for padded/dead lanes;
-        rule-based metrics still consult ``usable`` where eligibility
-        feeds into their own rule tiers.
-
-        Args:
-            candidates: ``(w, L)`` candidate node indices (padded lanes
-                hold garbage — they are masked off in ``usable``).
-            slots: ``(w, L)`` positions of each candidate's edge in the
-                CSR arrays (for per-edge tag lookups).
-            usable: ``(w, L)`` bool — lane is a real, live edge.
-            state: the batch's :class:`PreparedTargets`.
-            walks: ``(w,)`` route indices of the active frontier.
-            current: ``(w,)`` current node of each frontier walk.
-        """
-
-    def candidate_scores_flat(
-        self,
-        candidates: np.ndarray,
-        slots: np.ndarray,
         segments: Segments,
         state: PreparedTargets,
         walks: np.ndarray,
         current: np.ndarray,
     ) -> np.ndarray:
-        """Score one flat candidate vector for the ragged kernel.
+        """Score one flat candidate vector; ``inf`` = ineligible.
 
-        Unlike :meth:`candidate_scores` there is no ``usable`` mask: the
-        kernel pre-filters the flat vector to real, live edges, so every
-        element is scorable (``inf`` still marks rule-ineligibility).
-        Scores must be bitwise-identical to the padded path's scores for
-        the same edges — the shipped metrics achieve this by running the
-        same elementwise expressions over the flat layout.
-
-        This default adapter re-pads the flat vector into a dense block
-        and delegates to :meth:`candidate_scores`, so third-party metrics
-        written against the padded contract work under either kernel.
+        The kernel pre-filters the vector to real, live edges, so every
+        element is scorable; ``inf`` marks rule-ineligibility only.
+        Per-walk operands expand to one value per candidate with
+        ``np.repeat(x, segments.counts)``.
 
         Args:
             candidates: ``(total,)`` candidate node indices.
-            slots: ``(total,)`` CSR edge positions of the candidates.
+            slots: ``(total,)`` CSR edge positions of the candidates
+                (for per-edge tag lookups).
             segments: the per-walk :class:`Segments` layout.
+            state: the batch's :class:`PreparedTargets`.
             walks: ``(w,)`` route indices of the scored sub-frontier.
             current: ``(w,)`` current node of each scored walk.
         """
-        counts = segments.counts
-        w = len(counts)
-        width = int(counts.max())
-        lanes = np.arange(width)
-        valid = lanes[None, :] < counts[:, None]
-        pad_candidates = np.zeros((w, width), dtype=candidates.dtype)
-        pad_candidates[valid] = candidates
-        pad_slots = np.zeros((w, width), dtype=np.asarray(slots).dtype)
-        pad_slots[valid] = slots
-        scores = self.candidate_scores(
-            pad_candidates, pad_slots, valid, state, walks, current
-        )
-        return np.asarray(scores, dtype=float)[valid]
 
     @staticmethod
     def _no_alive(alive: np.ndarray | None) -> None:
@@ -400,6 +342,7 @@ class GreedyValueMetric(RoutingMetric):
         self.transform = transform
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
+        target_keys = check_unit_keys(target_keys)
         targets = (
             self.transform(target_keys) if self.transform is not None else target_keys
         )
@@ -417,14 +360,10 @@ class GreedyValueMetric(RoutingMetric):
     def initial_scores(self, nodes, state):
         return self.space.pairwise_distances(self.positions[nodes], state.targets)
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
         return self.space.pairwise_distances(
-            self.positions[candidates], state.targets[walks][:, None]
-        )
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        return self.space.pairwise_distances(
-            self.positions[candidates], state.targets[walks][segments.rows]
+            self.positions[candidates],
+            np.repeat(state.targets[walks], segments.counts),
         )
 
 
@@ -464,6 +403,7 @@ class ClockwiseMetric(RoutingMetric):
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
+        target_keys = check_unit_keys(target_keys)
         targets = (
             self.transform(target_keys) if self.transform is not None else target_keys
         )
@@ -477,12 +417,10 @@ class ClockwiseMetric(RoutingMetric):
     def initial_scores(self, nodes, state):
         return (state.targets - self.positions[nodes]) % 1.0
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
-        return (state.targets[walks][:, None] - self.positions[candidates]) % 1.0
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
         return (
-            state.targets[walks][segments.rows] - self.positions[candidates]
+            np.repeat(state.targets[walks], segments.counts)
+            - self.positions[candidates]
         ) % 1.0
 
 
@@ -499,7 +437,11 @@ class PrefixDigitMetric(RoutingMetric):
        ``distance - cpl`` (distance < 1 makes it lexicographic).
 
     The candidate-cpl block is only computed for walks without a primary
-    edge (the common case resolves on tag comparisons alone).
+    edge (the common case resolves on tag comparisons alone).  Each
+    edge's ``(tag_level, tag_digit)`` pair is fused into one int32 code
+    at construction (``level * base + digit``, ``-1`` for leaf edges),
+    so the primary-edge test is one gather and one compare per
+    candidate; the two tag arrays stay the persisted form.
 
     Args:
         positions: sorted peer coordinates on the unit ring.
@@ -529,6 +471,10 @@ class PrefixDigitMetric(RoutingMetric):
         self.depth = self.digits.shape[1]
         self.transform = transform
         self._space = RingSpace()
+        level = self.tag_level.astype(np.int64)
+        digit = self.tag_digit.astype(np.int64)
+        table = (level >= 0) & (level < self.depth) & (digit >= 0) & (digit < base)
+        self._tag_code = np.where(table, level * base + digit, -1).astype(np.int32)
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
@@ -548,75 +494,42 @@ class PrefixDigitMetric(RoutingMetric):
         neq = self.digits[current] != key_digits
         return np.where(neq.any(axis=1), neq.argmax(axis=1), self.depth)
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
+        counts = segments.counts
         key_digits = state.extra[walks]
         cpl_cur = self._cpl_current(current, key_digits)
         wanted_digit = key_digits[
             np.arange(len(walks)), np.minimum(cpl_cur, self.depth - 1)
         ]
-        primary = (
-            usable
-            & (cpl_cur[:, None] < self.depth)
-            & (self.tag_level[slots] == cpl_cur[:, None])
-            & (self.tag_digit[slots] == wanted_digit[:, None])
-        )
-        scores = np.where(primary, _PRIMARY_SCORE, np.inf)
-        # Fallback scan only for walks the primary rule cannot serve —
-        # the expensive per-candidate cpl block stays off the hot path.
-        need = ~primary.any(axis=1)
-        if need.any():
-            rows = np.flatnonzero(need)
-            cand = candidates[rows]
-            cur_dist = self._space.pairwise_distances(
-                self.positions[current[rows]], state.targets[walks][rows]
-            )
-            cand_dist = self._space.pairwise_distances(
-                self.positions[cand], state.targets[walks][rows][:, None]
-            )
-            neq = self.digits[cand] != key_digits[rows][:, None, :]
-            cand_l = np.where(neq.any(axis=2), neq.argmax(axis=2), self.depth)
-            eligible = (
-                usable[rows]
-                & (cand_dist < cur_dist[:, None])
-                & (cand_l >= cpl_cur[rows][:, None])
-            )
-            scores[rows] = np.where(eligible, cand_dist - cand_l, np.inf)
-        return scores
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        key_digits = state.extra[walks]
-        cpl_cur = self._cpl_current(current, key_digits)
-        wanted_digit = key_digits[
-            np.arange(len(walks)), np.minimum(cpl_cur, self.depth - 1)
-        ]
-        rows = segments.rows
-        primary = (
-            (cpl_cur[rows] < self.depth)
-            & (self.tag_level[slots] == cpl_cur[rows])
-            & (self.tag_digit[slots] == wanted_digit[rows])
-        )
+        # The tag code of each walk's primary edge; -2 (carried by no
+        # edge) once the walk's peer matches every digit of the key.
+        wanted = np.where(
+            cpl_cur < self.depth, cpl_cur * self.base + wanted_digit, -2
+        ).astype(np.int32)
+        primary = self._tag_code[slots] == np.repeat(wanted, counts)
         scores = np.where(primary, _PRIMARY_SCORE, np.inf)
         # Fallback scan only for the walks the primary rule cannot serve,
-        # selected flat: a segmented any over the primary hits, expanded
-        # back through ``rows`` to pick those walks' candidates.
+        # selected flat: a segmented any over the primary hits, with
+        # those walks' operands repeated out to their candidates.
         need = ~np.bitwise_or.reduceat(primary, segments.starts)
         if need.any():
-            sel = need[rows]
-            rsel = rows[sel]
+            sel = np.repeat(need, counts)
+            per = counts[need]
             cand = candidates[sel]
-            targets_sel = state.targets[walks[rsel]]
-            # The current-peer distance is evaluated per selected
-            # candidate (same operands as the padded kernel's per-row
-            # value, so bitwise-equal) — never for the whole frontier.
-            cur_dist = self._space.pairwise_distances(
-                self.positions[current[rsel]], targets_sel
+            walk_targets = state.targets[walks[need]]
+            targets_sel = np.repeat(walk_targets, per)
+            cur_dist = np.repeat(
+                self._space.pairwise_distances(
+                    self.positions[current[need]], walk_targets
+                ),
+                per,
             )
             cand_dist = self._space.pairwise_distances(
                 self.positions[cand], targets_sel
             )
-            neq = self.digits[cand] != key_digits[rsel]
+            neq = self.digits[cand] != np.repeat(key_digits[need], per, axis=0)
             cand_l = np.where(neq.any(axis=1), neq.argmax(axis=1), self.depth)
-            eligible = (cand_dist < cur_dist) & (cand_l >= cpl_cur[rsel])
+            eligible = (cand_dist < cur_dist) & (cand_l >= np.repeat(cpl_cur[need], per))
             scores[sel] = np.where(eligible, cand_dist - cand_l, np.inf)
         return scores
 
@@ -671,33 +584,19 @@ class TrieMetric(RoutingMetric):
         key_bits = digit_rows(targets, 2, self.max_depth).astype(self.bits.dtype)
         return PreparedTargets(owners=owners, targets=targets, extra=key_bits)
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
+        counts = segments.counts
         key_bits = state.extra[walks]
         # Padding bits (-1) never match a key bit, so the argmax trick
         # caps each cpl at the peer's own path length automatically.
         neq = self.bits[current] != key_bits
         cpl = np.where(neq.any(axis=1), neq.argmax(axis=1), self.max_depth)
-        primary = (
-            usable
-            & (self.tag_level[slots] == cpl[:, None])
-            & (self.tag_rank[slots] == 0)
-        )
+        tag_level = self.tag_level[slots]
+        primary = (tag_level == np.repeat(cpl, counts)) & (self.tag_rank[slots] == 0)
         want = np.where(
             state.targets[walks] > self.positions[current], current + 1, current - 1
         )
-        fallback = usable & (self.tag_level[slots] == -1) & (candidates == want[:, None])
-        return np.where(primary, _PRIMARY_SCORE, np.where(fallback, 0.0, np.inf))
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        key_bits = state.extra[walks]
-        neq = self.bits[current] != key_bits
-        cpl = np.where(neq.any(axis=1), neq.argmax(axis=1), self.max_depth)
-        rows = segments.rows
-        primary = (self.tag_level[slots] == cpl[rows]) & (self.tag_rank[slots] == 0)
-        want = np.where(
-            state.targets[walks] > self.positions[current], current + 1, current - 1
-        )
-        fallback = (self.tag_level[slots] == -1) & (candidates == want[rows])
+        fallback = (tag_level == -1) & (candidates == np.repeat(want, counts))
         return np.where(primary, _PRIMARY_SCORE, np.where(fallback, 0.0, np.inf))
 
 
@@ -706,12 +605,12 @@ def torus_points(target_keys: np.ndarray, dims: int) -> np.ndarray:
 
     ``dims == 1`` is the identity embedding (the raw key as the single
     coordinate); higher dimensions use the locality-preserving Morton
-    spread (:func:`repro.keyspace.morton_rows`).
+    spread (:func:`repro.keyspace.morton_rows`).  Both reject NaN keys
+    and keys outside ``[0, 1)``.
     """
-    keys = np.asarray(target_keys, dtype=float)
     if dims == 1:
-        return keys[:, None]
-    return morton_rows(keys, dims)
+        return check_unit_keys(target_keys)[:, None]
+    return morton_rows(target_keys, dims)
 
 
 def torus_zone_lookup(
@@ -790,7 +689,7 @@ class TorusZoneMetric(RoutingMetric):
         return PreparedTargets(owners=owners, targets=points)
 
     def _zone_distances(self, points: np.ndarray, zones: np.ndarray) -> np.ndarray:
-        """L1 torus distance from each point to each zone box.
+        """L1 torus distance from each point to its aligned zone box.
 
         Mirrors the scalar :meth:`CANOverlay._axis_distance` expression
         per dimension, accumulated in dimension order.
@@ -798,7 +697,6 @@ class TorusZoneMetric(RoutingMetric):
         total = np.zeros(zones.shape)
         for k in range(self.dims):
             x = points[:, k]
-            x = x[:, None] if zones.ndim == 2 else x
             lo = self.lo[zones, k]
             hi = self.hi[zones, k]
             inside = (lo <= x) & (x < hi)
@@ -813,14 +711,9 @@ class TorusZoneMetric(RoutingMetric):
     def initial_scores(self, nodes, state):
         return self._zone_distances(state.targets, nodes)
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
-        return self._zone_distances(state.targets[walks], candidates)
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        # _zone_distances broadcasts per-dimension; flat 1-d zones take
-        # the same elementwise expressions without the lane axis.
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
         return self._zone_distances(
-            state.targets[walks][segments.rows], candidates
+            np.repeat(state.targets[walks], segments.counts, axis=0), candidates
         )
 
 
@@ -838,10 +731,7 @@ class LatticeMetric(RoutingMetric):
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
-        targets = np.asarray(target_keys, dtype=float)
-        if len(targets) and np.any((targets < 0.0) | (targets >= 1.0)):
-            bad = targets[(targets < 0.0) | (targets >= 1.0)][0]
-            raise ValueError(f"key {bad!r} outside [0, 1)")
+        targets = check_unit_keys(target_keys)
         owners = (targets * self.n).astype(np.int64) % self.n
         return PreparedTargets(owners=owners, targets=owners)
 
@@ -852,11 +742,10 @@ class LatticeMetric(RoutingMetric):
     def initial_scores(self, nodes, state):
         return self._index_distance(nodes, state.owners)
 
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
-        return self._index_distance(candidates, state.owners[walks][:, None])
-
-    def candidate_scores_flat(self, candidates, slots, segments, state, walks, current):
-        return self._index_distance(candidates, state.owners[walks][segments.rows])
+    def candidate_scores(self, candidates, slots, segments, state, walks, current):
+        return self._index_distance(
+            candidates, np.repeat(state.owners[walks], segments.counts)
+        )
 
 
 class StreamFrontier:
@@ -885,15 +774,10 @@ class StreamFrontier:
     no slot has been released (a reused slot would splice two walks'
     paths together), which the batch driver satisfies by construction.
 
-    ``kernel`` selects the round layout — ``"auto"`` (the default)
-    picks per round: the segmented flat-CSR layout when the round is
-    padding-heavy (fill below :data:`_AUTO_FILL_CUTOFF`), the dense
-    lane matrix when degrees are near-uniform and broadcasting beats
-    gathering.  ``"ragged"`` / ``"padded"`` force one layout; see the
-    module docstring.  All three produce bit-identical walk outcomes;
-    the frontier tracks :attr:`candidates_seen` /
+    Rounds run on the segmented flat-CSR layout (see the module
+    docstring); the frontier tracks :attr:`candidates_seen` /
     :attr:`padded_slots_seen` so :attr:`fill_ratio` reports how much
-    padding the ragged layout avoids.
+    padding a dense ``(walks, max_degree)`` lane matrix would have paid.
     """
 
     def __init__(
@@ -904,40 +788,34 @@ class StreamFrontier:
         max_hops: int | None = None,
         record_paths: bool = False,
         capacity: int = 1024,
-        kernel: str = "auto",
     ):
-        if kernel not in ("auto", "ragged", "padded"):
-            raise ValueError(
-                f"unknown frontier kernel {kernel!r}; "
-                "expected 'auto', 'ragged' or 'padded'"
-            )
         self.csr = csr
         self.metric = metric
         self.alive = None if alive is None else np.asarray(alive, dtype=bool)
         self.max_hops = csr.n if max_hops is None else max_hops
         self.record_paths = record_paths
-        self.kernel = kernel
         self.rounds = 0
         self.active_count = 0
         #: Real (pre-liveness) candidates gathered across all rounds, and
-        #: the dense ``frontier × max_degree`` slot count the padded
-        #: layout pays for the same rounds — the padding-waste observables.
+        #: the dense ``frontier × max_degree`` slot count a lane-matrix
+        #: layout would pay for the same rounds — the padding observables.
         self.candidates_seen = 0
         self.padded_slots_seen = 0
-        #: What the most recent round did: which kernel scored it and how
-        #: many real candidates / padded slots it gathered.  Read by the
-        #: per-round trace and by the flight recorder's replay driver.
+        #: What the most recent round did — ``"ragged"`` when it scored
+        #: candidates, ``"stuck"`` when no walk had any, ``"none"`` when
+        #: every walk ran out of hops — and how many real candidates /
+        #: dense slots it gathered.  Read by the per-round trace and by
+        #: the flight recorder's replay loop.
         self.last_round_kernel = "none"
         self.last_round_candidates = 0
         self.last_round_padded_slots = 0
         # Reused per-round scratch: one growable arange buffer serves as
-        # both the lane ramp and the flat-position ramp (its contents are
-        # never mutated, so multiple live views stay valid across growth),
-        # int32-narrowed when every index this frontier produces fits.
-        self._idx_dtype = (
-            np.int32 if (csr.n < 2**31 and csr.n_edges < 2**31) else np.int64
-        )
-        self._ramp_buf = np.empty(0, dtype=self._idx_dtype)
+        # both the row ramp and the flat-position ramp (its contents are
+        # never mutated, so multiple live views stay valid across growth).
+        # Its int64 dtype is deliberate: numpy casts narrower fancy
+        # indices to intp on every gather, which costs more than a
+        # narrower copy saves.
+        self._ramp_buf = np.empty(0, dtype=np.int64)
         self._retired_buf = np.empty(0, dtype=np.int64)
         cap = max(int(capacity), 1)
         self.current = np.zeros(cap, dtype=np.int64)
@@ -966,7 +844,7 @@ class StreamFrontier:
 
     @property
     def fill_ratio(self) -> float:
-        """Real-candidate fraction of the padded layout's slot budget.
+        """Real-candidate fraction of a dense lane matrix's slot budget.
 
         ``candidates_seen / padded_slots_seen`` over every round stepped
         so far; 1.0 means the frontier was degree-uniform (padding-free)
@@ -980,7 +858,7 @@ class StreamFrontier:
         """A ``[0, n)`` arange view from the reused scratch buffer."""
         if len(self._ramp_buf) < n:
             self._ramp_buf = np.arange(
-                max(n, 2 * len(self._ramp_buf), 1024), dtype=self._idx_dtype
+                max(n, 2 * len(self._ramp_buf), 1024), dtype=np.int64
             )
         return self._ramp_buf[:n]
 
@@ -1092,11 +970,7 @@ class StreamFrontier:
             raise ValueError(
                 f"prepared targets hold {len(owners)} owners for {m} walks"
             )
-        if m and (sources.min() < 0 or sources.max() >= self.csr.n):
-            bad = sources[(sources < 0) | (sources >= self.csr.n)][0]
-            raise ValueError(
-                f"source index {bad} out of range for {self.csr.n} peers"
-            )
+        _check_sources(sources, self.csr.n)
         if self.alive is not None and m and not self.alive[sources].all():
             bad = sources[~self.alive[sources]][0]
             raise ValueError(f"source peer {bad} is not alive")
@@ -1187,8 +1061,20 @@ class StreamFrontier:
         return out
 
     def _advance(self, frontier: np.ndarray) -> list[np.ndarray]:
-        """Move one frontier cohort; return the cohorts retired by it."""
-        indptr = self.csr.indptr
+        """Move one frontier cohort; return the cohorts retired by it.
+
+        The frontier's adjacency rows are concatenated into one flat
+        candidate vector (cost proportional to the *total* degree, not
+        ``frontier × max_degree``), scored through
+        :meth:`RoutingMetric.candidate_scores`, and resolved per walk
+        with segmented reductions.  Each walk picks the *first*
+        candidate attaining its minimum score: the segment minimum comes
+        from ``np.minimum.reduceat`` and the choice is the first flat
+        position attaining it (an exact-width 2-d argmin when the live
+        frontier is degree-uniform, where reduceat loses to one
+        reshape).
+        """
+        indptr, indices, is_long = self.csr.indptr, self.csr.indices, self.csr.is_long
         if self._state is None:
             self._state = PreparedTargets(
                 owners=self.owners, targets=self._targets, extra=self._extra
@@ -1197,135 +1083,21 @@ class StreamFrontier:
         starts = indptr[cur]
         degrees = indptr[cur + 1] - starts
         max_degree = int(degrees.max())
-        n_candidates = int(degrees.sum())
+        total = int(degrees.sum())
         padded_slots = frontier.size * max_degree
-        self.candidates_seen += n_candidates
+        self.candidates_seen += total
         self.padded_slots_seen += padded_slots
-        self.last_round_candidates = n_candidates
+        self.last_round_candidates = total
         self.last_round_padded_slots = padded_slots
         if telemetry.enabled():
-            telemetry.count("routing.frontier.candidates", n_candidates)
+            telemetry.count("routing.frontier.candidates", total)
             telemetry.count("routing.frontier.padded_slots", padded_slots)
         if max_degree == 0:
             self.last_round_kernel = "stuck"
             self.reason_codes[frontier] = REASON_STUCK
             self.active[frontier] = False
             return [frontier]
-        if self.kernel == "ragged" or (
-            self.kernel == "auto"
-            and n_candidates < _AUTO_FILL_CUTOFF * padded_slots
-        ):
-            self.last_round_kernel = "ragged"
-            return self._advance_ragged(frontier, cur, starts, degrees)
-        self.last_round_kernel = "padded"
-        return self._advance_padded(frontier, cur, starts, degrees, max_degree)
-
-    def _advance_padded(
-        self,
-        frontier: np.ndarray,
-        cur: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-        max_degree: int,
-    ) -> list[np.ndarray]:
-        """Dense ``(frontier, max_degree)`` lane-matrix round.
-
-        The original kernel layout, kept as the semantic reference and
-        escape hatch; the ragged kernel reproduces its outcomes bit for
-        bit.
-        """
-        indices, is_long = self.csr.indices, self.csr.is_long
-        retired: list[np.ndarray] = []
-        lanes = self._ramp(max_degree)
-        uniform = int(degrees.min()) == max_degree
-        if uniform:
-            # Degree-uniform frontier: every lane is real, so skip the
-            # validity mask and the np.where slot clamp entirely.
-            slots = starts[:, None] + lanes[None, :]
-            valid = np.broadcast_to(np.True_, slots.shape)
-        else:
-            valid = lanes[None, :] < degrees[:, None]
-            slots = np.where(valid, starts[:, None] + lanes[None, :], 0)
-        candidates = indices[slots]
-        usable = valid
-        all_usable = uniform
-        if self.alive is not None:
-            usable = usable & self.alive[candidates]
-            all_usable = False
-
-        scores = self.metric.candidate_scores(
-            candidates, slots, usable, self._state, frontier, cur
-        )
-        if all_usable:
-            # Masking against an all-True block is the identity; just
-            # guarantee the float dtype the comparisons below rely on.
-            scores = np.asarray(scores, dtype=float)
-        else:
-            scores = np.where(usable, scores, np.inf)
-
-        rows = self._ramp(frontier.size)
-        best_lane = np.argmin(scores, axis=1)
-        improves = scores[rows, best_lane] < self.current_score[frontier]
-
-        if self.metric.terminal_owner_hop and not improves.all():
-            # Chord's final hop: a walk with no improving candidate may
-            # still step onto a candidate that IS its key's owner.
-            owner_mask = usable & (candidates == self.owners[frontier][:, None])
-            terminal = ~improves & owner_mask.any(axis=1)
-            if terminal.any():
-                best_lane = np.where(terminal, owner_mask.argmax(axis=1), best_lane)
-                improves = improves | terminal
-
-        stuck = frontier[~improves]
-        if stuck.size:
-            self.reason_codes[stuck] = REASON_STUCK
-            self.active[stuck] = False
-            retired.append(stuck)
-
-        movers = frontier[improves]
-        if movers.size:
-            move_rows = rows[improves]
-            move_lanes = best_lane[improves]
-            chosen = candidates[move_rows, move_lanes]
-            chosen_long = is_long[slots[move_rows, move_lanes]]
-            self.current[movers] = chosen
-            if self.metric.greedy:
-                self.current_score[movers] = scores[move_rows, move_lanes]
-            self.hops[movers] += 1
-            self.neighbor_hops[movers] += ~chosen_long
-            self.long_hops[movers] += chosen_long
-            if self.record_paths:
-                self._step_walks.append(movers)
-                self._step_nodes.append(chosen)
-            arrived = chosen == self.owners[movers]
-            if arrived.any():
-                done = movers[arrived]
-                self.success[done] = True
-                self.active[done] = False
-                retired.append(done)
-        return retired
-
-    def _advance_ragged(
-        self,
-        frontier: np.ndarray,
-        cur: np.ndarray,
-        starts: np.ndarray,
-        degrees: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Segmented flat-CSR round: gather flat, score flat, reduceat.
-
-        The frontier's adjacency rows are concatenated into one flat
-        candidate vector (cost proportional to the *total* degree, not
-        ``frontier × max_degree``), scored through
-        :meth:`RoutingMetric.candidate_scores_flat`, and resolved per
-        walk with segmented reductions.  The per-walk argmin reproduces
-        the padded kernel's first-best-lane tie-break exactly: the
-        segment minimum comes from ``np.minimum.reduceat``, and the
-        chosen position is the first flat index attaining it (an
-        exact-width 2-d argmin when the live frontier is degree-uniform,
-        where reduceat loses to one reshape).
-        """
-        indices, is_long = self.csr.indices, self.csr.is_long
+        self.last_round_kernel = "ragged"
         retired: list[np.ndarray] = []
         w = frontier.size
         # Walks with no candidates at all never reach the metric: they
@@ -1339,15 +1111,11 @@ class StreamFrontier:
             sub = None
             counts = degrees
             row_starts = starts
-        nseg = len(counts)
         seg_starts = np.cumsum(counts) - counts
-        total = int(degrees.sum())
-        rows = np.repeat(self._ramp(nseg), counts)
         flat_ramp = self._ramp(total)
         # Flat position j in segment i maps to CSR slot
         # row_starts[i] + (j - seg_starts[i]); one repeat + the ramp.
-        base = (row_starts - seg_starts).astype(self._idx_dtype, copy=False)
-        slots = np.repeat(base, counts) + flat_ramp
+        slots = np.repeat(row_starts - seg_starts, counts) + flat_ramp
         candidates = indices[slots]
 
         if self.alive is not None:
@@ -1368,9 +1136,7 @@ class StreamFrontier:
                     self.reason_codes[frontier] = REASON_STUCK
                     self.active[frontier] = False
                     return [frontier]
-                nseg = len(counts)
                 seg_starts = np.cumsum(counts) - counts
-                rows = np.repeat(self._ramp(nseg), counts)
                 flat_ramp = self._ramp(total)
 
         if sub is None:
@@ -1380,44 +1146,57 @@ class StreamFrontier:
             walks_sub = frontier[sub]
             cur_sub = cur[sub]
 
-        segments = Segments(starts=seg_starts, counts=counts, rows=rows)
+        segments = Segments(starts=seg_starts, counts=counts)
         scores = np.asarray(
-            self.metric.candidate_scores_flat(
+            self.metric.candidate_scores(
                 candidates, slots, segments, self._state, walks_sub, cur_sub
             ),
             dtype=float,
         )
 
+        nseg = len(counts)
         width = int(counts[0])
         if int(counts.min()) == int(counts.max()):
             # Degree-uniform live frontier: exact-width batch, resolved
-            # with a plain 2-d argmin (first-min, same as padded).
+            # with a plain 2-d argmin (first minimum per row).
             block = scores.reshape(nseg, width)
             lane = np.argmin(block, axis=1)
             best = block[self._ramp(nseg), lane]
             choice = seg_starts + lane
         else:
             best = np.minimum.reduceat(scores, seg_starts)
-            # First flat position attaining the segment minimum — the
-            # padded kernel's first-best-lane choice.  Bitwise equality
-            # is exact because `best` is one of the segment's elements.
-            at_min = scores == best[rows]
-            choice = np.minimum.reduceat(
-                np.where(at_min, flat_ramp, total), seg_starts
-            )
+            # Flat positions attaining their segment's minimum (bitwise
+            # equality is exact because `best` is one of the segment's
+            # elements).  Without ties that is one position per segment;
+            # otherwise keep each segment's first.
+            at_min = scores == np.repeat(best, counts)
+            choice = np.flatnonzero(at_min)
+            if len(choice) != nseg:
+                choice = np.minimum.reduceat(
+                    np.where(at_min, flat_ramp, total), seg_starts
+                )
         improves_sub = best < self.current_score[walks_sub]
 
         if self.metric.terminal_owner_hop and not improves_sub.all():
-            # Chord's final hop, as a flat segmented any + first-hit.
-            owner_hit = candidates == self.owners[walks_sub][rows]
-            has_owner = np.bitwise_or.reduceat(owner_hit, seg_starts)
-            terminal = ~improves_sub & has_owner
-            if terminal.any():
-                first_owner = np.minimum.reduceat(
-                    np.where(owner_hit, flat_ramp, total), seg_starts
-                )
-                choice = np.where(terminal, first_owner, choice)
-                improves_sub = improves_sub | terminal
+            # Chord's final hop: a walk with no improving candidate steps
+            # onto its first candidate that IS its key's owner, if any.
+            # Only those walks' segments are scanned.
+            lost = np.flatnonzero(~improves_sub)
+            lost_counts = counts[lost]
+            lost_starts = np.cumsum(lost_counts) - lost_counts
+            lost_total = int(lost_counts.sum())
+            lost_ramp = self._ramp(lost_total)
+            flat = np.repeat(seg_starts[lost] - lost_starts, lost_counts) + lost_ramp
+            owner_hit = candidates[flat] == np.repeat(
+                self.owners[walks_sub[lost]], lost_counts
+            )
+            first = np.minimum.reduceat(
+                np.where(owner_hit, lost_ramp, lost_total), lost_starts
+            )
+            has_owner = first < lost_total
+            terminal = lost[has_owner]
+            choice[terminal] = flat[first[has_owner]]
+            improves_sub[terminal] = True
 
         if sub is None:
             improves = improves_sub
@@ -1474,7 +1253,6 @@ def frontier_route_many(
     max_hops: int | None = None,
     record_paths: bool = False,
     prepared: PreparedTargets | None = None,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Route every ``(source, target_key)`` pair over ``csr`` under ``metric``.
 
@@ -1504,11 +1282,6 @@ def frontier_route_many(
             once in the parent process — where the metric's key
             transform / embedding callables live — and ships each worker
             its slice, so workers never need those callables.
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` (force segmented flat-CSR) or ``"padded"``
-            (force dense lane matrices); bit-identical outcomes, see
-            the module docstring.
 
     Raises:
         ValueError: on mismatched inputs, an out-of-range or dead source
@@ -1523,9 +1296,7 @@ def frontier_route_many(
         raise ValueError(
             f"got {len(sources)} sources but {len(target_keys)} target keys"
         )
-    if len(sources) and (sources.min() < 0 or sources.max() >= n):
-        bad = sources[(sources < 0) | (sources >= n)][0]
-        raise ValueError(f"source index {bad} out of range for {n} peers")
+    _check_sources(sources, n)
     if alive is not None:
         alive = np.asarray(alive, dtype=bool)
         if not alive[sources].all():
@@ -1548,7 +1319,7 @@ def frontier_route_many(
 
     frontier = StreamFrontier(
         csr, metric, alive=alive, max_hops=max_hops,
-        record_paths=record_paths, capacity=n_routes, kernel=kernel,
+        record_paths=record_paths, capacity=n_routes,
     )
     # A fresh frontier allocates slots sequentially, so slot i IS route
     # i and the resident columns double as the result columns.
@@ -1610,8 +1381,8 @@ def _record_batch_telemetry(
     Per batch: walk/round counters, the full REASON-code histogram
     (zeros included — the stable-schema contract downstream dashboards
     rely on), the hop-count P² estimator, a per-metric-family batch
-    timer, the frontier fill-ratio gauge (real candidates over the
-    padded layout's slot budget), and one ``routing.batch`` trace event.
+    timer, the frontier fill-ratio gauge (real candidates over a dense
+    lane matrix's slot budget), and one ``routing.batch`` trace event.
     """
     registry = telemetry.get_registry()
     family = _metric_family(metric)

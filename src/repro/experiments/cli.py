@@ -213,10 +213,6 @@ def _add_serving_args(p: argparse.ArgumentParser) -> None:
         "--workers", type=_positive_int, default=None, metavar="N",
         help="route admitted micro-batches over N worker processes",
     )
-    p.add_argument(
-        "--kernel", choices=("auto", "ragged", "padded"), default="auto",
-        help="frontier round layout (bit-identical outcomes)",
-    )
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
@@ -374,7 +370,6 @@ def _serving_setup(args: argparse.Namespace):
             admit_per_round=args.batch,
             cache_capacity=args.cache,
             workers=args.workers,
-            kernel=args.kernel,
         ),
     )
     return engine, demand, rng

@@ -10,6 +10,7 @@ from repro.keyspace.base import KeySpace
 from repro.keyspace.ids import (
     binary_digits,
     bit_string,
+    check_unit_keys,
     common_prefix_length,
     digit_rows,
     digits,
@@ -43,6 +44,7 @@ __all__ = [
     "binary_digits",
     "digits",
     "digit_rows",
+    "check_unit_keys",
     "from_digits",
     "bit_string",
     "common_prefix_length",

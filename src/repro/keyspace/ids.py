@@ -25,6 +25,7 @@ __all__ = [
     "binary_digits",
     "digits",
     "digit_rows",
+    "check_unit_keys",
     "from_digits",
     "bit_string",
     "common_prefix_length",
@@ -82,6 +83,22 @@ def digits(x: float, base: int, depth: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def check_unit_keys(keys) -> np.ndarray:
+    """Return ``keys`` as a float array after checking ``0 <= key < 1``.
+
+    The test is written so that NaN fails it (every comparison with NaN
+    is False), unlike the ``(keys < 0) | (keys >= 1)`` form.
+
+    Raises:
+        ValueError: naming the first key that is NaN or outside ``[0, 1)``.
+    """
+    keys = np.asarray(keys, dtype=float)
+    bad = ~((keys >= 0.0) & (keys < 1.0))
+    if bad.any():
+        raise ValueError(f"key {keys[bad][0]!r} outside [0, 1)")
+    return keys
+
+
 def digit_rows(keys, base: int, depth: int) -> np.ndarray:
     """Vectorised :func:`digits` over an array of keys.
 
@@ -96,10 +113,9 @@ def digit_rows(keys, base: int, depth: int) -> np.ndarray:
         depth: number of digits per key.
 
     Raises:
-        ValueError: on out-of-range keys, ``base < 2`` or a depth that
-            exceeds float precision (the same rules as :func:`digits`).
+        ValueError: on NaN or out-of-range keys, ``base < 2`` or a depth
+            that exceeds float precision (the same rules as :func:`digits`).
     """
-    keys = np.asarray(keys, dtype=float)
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if depth < 0:
@@ -110,9 +126,7 @@ def digit_rows(keys, base: int, depth: int) -> np.ndarray:
             f"depth {depth} in base {base} exceeds float precision "
             f"({bits_needed} > {MAX_BITS} bits)"
         )
-    if len(keys) and np.any((keys < 0.0) | (keys >= 1.0)):
-        bad = keys[(keys < 0.0) | (keys >= 1.0)][0]
-        raise ValueError(f"identifier {bad!r} outside [0, 1)")
+    keys = check_unit_keys(keys)
     out = np.empty((len(keys), depth), dtype=np.int32)
     frac = keys.copy()
     for level in range(depth):

@@ -148,15 +148,12 @@ class SloPolicy:
             only when a cache is configured).
         reason_chi2_max: budgeted chi-square distance of the window's
             retirement-reason mix from the baseline window.
-        fill_ratio_min: minimum frontier fill ratio (padding-waste
-            watchdog; only meaningful on padded/auto kernels).
     """
 
     hop_inflation_max: float | None = 3.0
     latency_p99_ms_max: float | None = None
     cache_hit_min: float | None = None
     reason_chi2_max: float | None = 0.25
-    fill_ratio_min: float | None = None
 
 
 @dataclass
@@ -173,7 +170,7 @@ class SloVerdict:
 def _burn(observed: float, budget: float, invert: bool = False) -> float:
     """Burn rate of an objective: >1 means over budget.
 
-    ``invert=True`` for floor objectives (cache hit-rate, fill ratio)
+    ``invert=True`` for floor objectives (cache hit-rate)
     where *lower* observed is worse.
     """
     if invert:
@@ -205,5 +202,4 @@ def evaluate_slo(policy: SloPolicy, stats: dict) -> list[SloVerdict]:
     add("cache_hit_rate", stats.get("cache_hit_rate"), policy.cache_hit_min,
         invert=True)
     add("reason_chi2", stats.get("reason_chi2"), policy.reason_chi2_max)
-    add("fill_ratio", stats.get("fill_ratio"), policy.fill_ratio_min, invert=True)
     return verdicts

@@ -7,8 +7,8 @@ because the hash never looks at tickets, batching, or worker count, the
 
 The recorder costs the serving hot path one vectorized hash per admitted
 micro-batch plus an append per sampled query.  Per-round detail
-(admission → cache consult → each frontier round with its kernel choice
-and candidate count → retirement reason) is reconstructed at export time
+(admission → cache consult → each frontier round with its candidate
+count → retirement reason) is reconstructed at export time
 by replaying each sampled query through a private single-walk
 :class:`~repro.core.metric_routing.StreamFrontier` — the kernel's
 bit-identity contract guarantees the replay takes exactly the hops the
@@ -124,15 +124,14 @@ class FlightRecorder:
         """Re-route one query through a private single-walk frontier.
 
         Bit-identical to the live walk by the kernel contract; records
-        the node each round left from, the kernel that scored it, and
-        its candidate count.
+        the node each round left from and its candidate count.
         """
         from repro.core.metric_routing import StreamFrontier
 
         engine = self.engine
         frontier = StreamFrontier(
             engine.csr, engine.metric, max_hops=engine.max_hops,
-            capacity=1, kernel=engine.config.kernel,
+            capacity=1,
         )
         prepared = engine.metric.prepare(np.asarray([key], dtype=float))
         frontier.admit(np.asarray([source], dtype=np.int64), prepared)
@@ -145,7 +144,6 @@ class FlightRecorder:
                 {
                     "round": frontier.rounds,
                     "node": at_node,
-                    "kernel": frontier.last_round_kernel,
                     "candidates": frontier.last_round_candidates,
                     "moved": int(frontier.hops[0]) > hops_before,
                 }
@@ -266,7 +264,7 @@ class FlightRecorder:
             for i, rnd in enumerate(trace.rounds):
                 events.append(
                     {
-                        "name": f"round {rnd['round']} ({rnd['kernel']})",
+                        "name": f"round {rnd['round']}",
                         "cat": "frontier",
                         "ph": "X",
                         "ts": start_us + (i + 1) * slot,
@@ -276,7 +274,6 @@ class FlightRecorder:
                         "args": {
                             "node": rnd["node"],
                             "candidates": rnd["candidates"],
-                            "kernel": rnd["kernel"],
                             "moved": rnd["moved"],
                         },
                     }

@@ -43,6 +43,7 @@ from repro.core.metric_routing import (
     RoutingMetric,
     TorusZoneMetric,
     TrieMetric,
+    _check_sources,
     frontier_route_many,
 )
 from repro.parallel.arena_cache import lease_arena
@@ -184,7 +185,7 @@ def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"
     """
     (
         arena, alive_arena, kind, params, sources, keys,
-        owners, targets, extra, max_hops, record_paths, kernel, tel_on,
+        owners, targets, extra, max_hops, record_paths, tel_on,
     ) = job
 
     def run() -> BatchRouteResult:
@@ -200,11 +201,11 @@ def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"
             arena_arrays(alive_arena)["alive"] if alive_arena is not None else None
         )
         # Each shard's StreamFrontier owns its flat gather scratch, so
-        # the ragged kernel's buffers are per-worker by construction.
+        # the kernel's buffers are per-worker by construction.
         return frontier_route_many(
             csr, metric, sources, keys,
             alive=alive, max_hops=max_hops, record_paths=record_paths,
-            prepared=prepared, kernel=kernel,
+            prepared=prepared,
         )
 
     if not tel_on:
@@ -279,7 +280,6 @@ def frontier_route_many_parallel(
     workers: int | None = None,
     executor: ShardedExecutor | None = None,
     reuse_arena: bool = True,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Sharded :func:`repro.core.metric_routing.frontier_route_many`.
 
@@ -304,9 +304,6 @@ def frontier_route_many_parallel(
             over the same graph skip the republish; ``False`` restores
             the publish-per-call lifecycle (each call creates and
             unlinks its own arena).
-        kernel: frontier round layout, applied per shard —
-            ``"auto"`` (default), ``"ragged"`` or ``"padded"``; see
-            :mod:`repro.core.metric_routing`.
 
     Raises:
         ValueError: on mismatched inputs or an out-of-range/dead source.
@@ -328,7 +325,6 @@ def frontier_route_many_parallel(
         return frontier_route_many(
             csr, metric, sources, target_keys,
             alive=alive, max_hops=max_hops, record_paths=record_paths,
-            kernel=kernel,
         )
     if sources.ndim != 1 or target_keys.ndim != 1:
         raise ValueError("sources and target_keys must be one-dimensional")
@@ -336,9 +332,7 @@ def frontier_route_many_parallel(
         raise ValueError(
             f"got {len(sources)} sources but {len(target_keys)} target keys"
         )
-    if sources.min() < 0 or sources.max() >= csr.n:
-        bad = sources[(sources < 0) | (sources >= csr.n)][0]
-        raise ValueError(f"source index {bad} out of range for {csr.n} peers")
+    _check_sources(sources, csr.n)
     if alive is not None:
         alive = np.asarray(alive, dtype=bool)
         if not alive[sources].all():
@@ -379,7 +373,7 @@ def frontier_route_many_parallel(
                 sources[lo:hi], target_keys[lo:hi],
                 owners[lo:hi], targets[lo:hi],
                 None if extra is None else extra[lo:hi],
-                max_hops, record_paths, kernel, tel_on,
+                max_hops, record_paths, tel_on,
             )
             for lo, hi in bounds
         ]
@@ -406,7 +400,6 @@ def route_many_parallel(
     workers: int | None = None,
     executor: ShardedExecutor | None = None,
     reuse_arena: bool = True,
-    kernel: str = "auto",
 ) -> BatchRouteResult:
     """Sharded :func:`repro.core.route_many` over a small-world graph.
 
@@ -415,8 +408,7 @@ def route_many_parallel(
     to pin an executor or to bypass the batch-size heuristic.
 
     Args and raises as :func:`repro.core.route_many`, plus
-    ``reuse_arena`` / ``kernel`` as in
-    :func:`frontier_route_many_parallel`.
+    ``reuse_arena`` as in :func:`frontier_route_many_parallel`.
     """
     from repro.core.batch_routing import _graph_metric
 
@@ -431,7 +423,6 @@ def route_many_parallel(
         workers=workers,
         executor=executor,
         reuse_arena=reuse_arena,
-        kernel=kernel,
     )
 
 
@@ -444,7 +435,6 @@ def measure_overlay_batch_parallel(
     workers: int | None = None,
     executor: ShardedExecutor | None = None,
     reuse_arena: bool = True,
-    kernel: str = "auto",
 ):
     """Sharded :func:`repro.baselines.measure_overlay_batch`.
 
@@ -469,7 +459,6 @@ def measure_overlay_batch_parallel(
         frontier_route_many_parallel(
             csr, metric, sources, keys,
             workers=workers, executor=executor, reuse_arena=reuse_arena,
-            kernel=kernel,
         )
     )
 

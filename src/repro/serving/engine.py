@@ -41,7 +41,9 @@ from repro.core.metric_routing import (
     REASON_ARRIVED,
     GreedyValueMetric,
     StreamFrontier,
+    _check_sources,
 )
+from repro.keyspace import check_unit_keys
 from repro.serving.cache import RouteCache
 from repro.telemetry import P2Quantile
 
@@ -66,11 +68,6 @@ class ServeConfig:
         workers: ``None``/``1`` serves from the resident stream;
             ``> 1`` routes each admitted micro-batch through the
             sharded parallel kernel.
-        kernel: frontier round layout — ``"auto"`` (the default; picks
-            flat-segmented or dense per round by fill ratio),
-            ``"ragged"`` (force segmented flat-CSR) or ``"padded"``
-            (force dense lane matrices); bit-identical outcomes, see
-            :mod:`repro.core.metric_routing`.
     """
 
     admit_per_round: int = 4096
@@ -78,7 +75,6 @@ class ServeConfig:
     max_hops: int | None = None
     cache_capacity: int = 0
     workers: int | None = None
-    kernel: str = "auto"
 
     def __post_init__(self):
         if self.admit_per_round < 1:
@@ -93,11 +89,6 @@ class ServeConfig:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.kernel not in ("auto", "ragged", "padded"):
-            raise ValueError(
-                f"unknown frontier kernel {self.kernel!r}; "
-                "expected 'auto', 'ragged' or 'padded'"
-            )
 
 
 @dataclass
@@ -319,7 +310,7 @@ class ServingEngine:
         self._frontier = (
             StreamFrontier(
                 self.csr, self.metric, max_hops=self.max_hops,
-                capacity=self.config.max_active, kernel=self.config.kernel,
+                capacity=self.config.max_active,
             )
             if self._serial
             else None
@@ -373,12 +364,20 @@ class ServingEngine:
         """Enqueue a chunk of lookups; returns their tickets.
 
         Tickets are dense submission sequence numbers — the row index
-        of each query in :meth:`results`.
+        of each query in :meth:`results`.  The whole chunk is checked
+        before it gets tickets or queue rows, so a rejected chunk leaves
+        no trace and never poisons the micro-batch it would have joined.
+
+        Raises:
+            ValueError: on misaligned inputs, a key that is NaN or
+                outside ``[0, 1)``, or a source outside ``[0, n)``.
         """
         sources = np.asarray(sources, dtype=np.int64)
         keys = np.asarray(keys, dtype=float)
         if sources.ndim != 1 or keys.ndim != 1 or len(sources) != len(keys):
             raise ValueError("sources and keys must be aligned 1-d arrays")
+        check_unit_keys(keys)
+        _check_sources(sources, self.csr.n)
         m = len(keys)
         tickets = np.arange(self._next_ticket, self._next_ticket + m, dtype=np.int64)
         self._next_ticket += m
@@ -498,7 +497,6 @@ class ServingEngine:
             batch = frontier_route_many_parallel(
                 self.csr, self.metric, sources, keys,
                 max_hops=self.max_hops, workers=self.workers,
-                kernel=self.config.kernel,
             )
             # Shard-summed round/fill stats so parallel mode reports the
             # same observables the resident frontier keeps live.
@@ -627,13 +625,9 @@ class ServingEngine:
             workers=1 if self._serial else int(self.workers),
             rounds=self.rounds,
             extras=(
-                {
-                    "kernel": self.config.kernel,
-                    "frontier_fill_ratio": self._frontier.fill_ratio,
-                }
+                {"frontier_fill_ratio": self._frontier.fill_ratio}
                 if self._frontier is not None
                 else {
-                    "kernel": self.config.kernel,
                     "frontier_fill_ratio": (
                         self._candidates_seen / self._padded_slots_seen
                         if self._padded_slots_seen

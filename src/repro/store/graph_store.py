@@ -47,6 +47,23 @@ def space_from_name(name: str):
     return cls()
 
 
+def check_indptr(indptr: np.ndarray, n: int) -> np.ndarray:
+    """Reject CSR row pointers a router would silently misread.
+
+    Shared by :func:`load_graph` and :func:`repro.store.load_overlay`:
+    ``n + 1`` entries, starting at 0, never decreasing.  Returns the
+    row degrees.
+    """
+    if len(indptr) != n + 1:
+        raise StoreError("indptr must have one entry per peer plus one")
+    if indptr[0] != 0:
+        raise StoreError("indptr[0] must be 0")
+    degrees = np.diff(indptr)
+    if np.any(degrees < 0):
+        raise StoreError("indptr must be non-decreasing")
+    return degrees
+
+
 def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> None:
     """Reject row pointers or identifiers a router would silently misread.
 
@@ -54,13 +71,7 @@ def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> N
     ``long_links`` rows skip exactly that many slots), so a row shorter
     than its neighbour count is as corrupt as a decreasing pointer.
     """
-    if len(indptr) != len(ids) + 1:
-        raise StoreError("indptr must have one entry per peer plus one")
-    if indptr[0] != 0:
-        raise StoreError("indptr[0] must be 0")
-    degrees = np.diff(indptr)
-    if np.any(degrees < 0):
-        raise StoreError("indptr must be non-decreasing")
+    degrees = check_indptr(indptr, len(ids))
     if np.any(degrees < neighbor_counts(len(ids), is_ring)):
         raise StoreError("a row is shorter than its ring/interval neighbour count")
     if not np.all(np.diff(ids) > 0):

@@ -38,7 +38,7 @@ from repro.core.metric_routing import (
 )
 from repro.core.routing import RouteResult
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
-from repro.store.graph_store import space_from_name
+from repro.store.graph_store import check_indptr, space_from_name
 
 __all__ = ["save_overlay", "load_overlay", "LoadedOverlay"]
 
@@ -277,7 +277,8 @@ def load_overlay(path: str | os.PathLike) -> LoadedOverlay:
     All arrays are read-only memmaps; nothing is rebuilt or copied.
 
     Raises:
-        StoreError: missing/corrupt snapshot or version/kind mismatch.
+        StoreError: missing/corrupt snapshot, version/kind mismatch, or
+            row pointers/edge targets that violate the CSR invariants.
     """
     from repro import telemetry
 
@@ -285,11 +286,15 @@ def load_overlay(path: str | os.PathLike) -> LoadedOverlay:
         manifest = read_manifest(path, kind="overlay")
         payload = manifest["payload"]
         arrays = open_arrays(path, manifest)
-    csr = CSRAdjacency(
-        indptr=arrays["indptr"],
-        indices=arrays["indices"],
-        is_long=arrays["is_long"],
-    )
+    check_indptr(arrays["indptr"], int(payload["n"]))
+    try:
+        csr = CSRAdjacency(
+            indptr=arrays["indptr"],
+            indices=arrays["indices"],
+            is_long=arrays["is_long"],
+        )
+    except ValueError as exc:
+        raise StoreError(f"corrupt edge arrays: {exc}") from exc
     spec = payload["metric"]
     metric_arrays = {
         key[len("metric_"):]: array

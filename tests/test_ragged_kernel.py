@@ -1,8 +1,11 @@
-"""Bit-identity suite for the ragged (segmented flat-CSR) frontier kernel.
+"""The segmented flat-CSR frontier kernel against a per-walk oracle.
 
-The ragged kernel must reproduce the padded lane-matrix kernel's
-outcomes *bitwise* — success, hops, neighbour/long split, reasons,
-owners, and full recorded paths — across:
+``frontier_oracle.py`` routes one walk at a time in plain Python: it
+scores the walk's CSR row with the metric's ``candidate_scores``, scans
+the row in order keeping only strict improvements, then applies the
+move threshold and Chord's terminal owner hop.  The kernel must retire
+every walk exactly as that loop does — success, hops, neighbour/long
+split, reasons, owners and full recorded paths — across:
 
 * all six shipped metric families (greedy-value, clockwise/Chord with
   its terminal owner hop, prefix-digit/Pastry, trie/P-Grid,
@@ -10,18 +13,20 @@ owners, and full recorded paths — across:
 * skew-degree adversaries: a hub row with degree far above the median,
   zero-out-degree rows mixed into a live frontier, liveness masks that
   kill every candidate of some walks;
+* exact ties, in both the exact-width and the segmented reduction: a
+  ring neighbour that is also a long link must be taken as the
+  neighbour hop, because it comes first in the row;
 * streaming admission — walks joining a resident frontier in staggered
-  micro-batches;
-* the default ``candidate_scores_flat`` adapter, so padded-only
-  third-party metrics keep working under the ragged kernel.
+  micro-batches.
 
-Plus the plumbing: kernel validation, the ``"auto"`` per-round layout
-dispatch, scratch-buffer fill-ratio accounting, the telemetry
-counters/gauge, and serving-engine parity.
+Plus the accounting: fill ratio, the candidate / dense-slot counters,
+the telemetry gauge and the per-round observables the benchmark tracer
+reads.
 """
 
 import numpy as np
 import pytest
+from frontier_oracle import assert_batch_matches, batch_accounting, oracle_batch
 
 from repro import telemetry
 from repro.baselines import (
@@ -37,14 +42,13 @@ from repro.baselines import (
 from repro.core import build_uniform_model, route_many
 from repro.core.adjacency import CSRAdjacency, csr_from_flat_links
 from repro.core.metric_routing import (
+    ClockwiseMetric,
     GreedyValueMetric,
-    RoutingMetric,
     StreamFrontier,
     frontier_route_many,
 )
 from repro.distributions import PowerLaw
 from repro.keyspace import RingSpace
-from repro.serving import ServeConfig, ServingEngine
 
 
 def _uniform_ids(n, seed):
@@ -80,33 +84,19 @@ def _make_family(name, ids, rng):
     raise KeyError(name)
 
 
-def _assert_batches_identical(padded, ragged):
-    for col in (
-        "success", "hops", "neighbor_hops", "long_hops",
-        "reason_codes", "owners",
-    ):
-        assert np.array_equal(getattr(padded, col), getattr(ragged, col)), col
-    if padded.paths is not None or ragged.paths is not None:
-        assert padded.paths == ragged.paths
+def _check_overlay(overlay, sources, keys):
+    batch = route_many_overlay(overlay, sources, keys, record_paths=True)
+    csr, metric = overlay._frontier()
+    assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
+    return batch
 
 
-def _route_both_kernels(overlay, sources, keys):
-    padded = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="padded"
-    )
-    ragged = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="ragged"
-    )
-    _assert_batches_identical(padded, ragged)
-    auto = route_many_overlay(
-        overlay, sources, keys, record_paths=True, kernel="auto"
-    )
-    _assert_batches_identical(padded, auto)
-    return ragged
+def _ring_csr(long_counts, long_flat, n):
+    return csr_from_flat_links(n, True, np.asarray(long_counts), np.asarray(long_flat))
 
 
 class TestSixFamilyParity:
-    """Padded vs ragged, bitwise, for every family × key regime."""
+    """Kernel vs oracle, bitwise, for every family × key regime."""
 
     @pytest.mark.parametrize("name", SIX_FAMILIES)
     def test_uniform_population(self, name, rng):
@@ -114,7 +104,7 @@ class TestSixFamilyParity:
         sources, keys = sample_overlay_lookups(
             overlay, 200, np.random.default_rng(3), targets="uniform"
         )
-        _route_both_kernels(overlay, sources, keys)
+        _check_overlay(overlay, sources, keys)
 
     @pytest.mark.parametrize("name", SIX_FAMILIES)
     def test_skewed_population(self, name, rng):
@@ -122,7 +112,7 @@ class TestSixFamilyParity:
         sources, keys = sample_overlay_lookups(
             overlay, 200, np.random.default_rng(4), targets="uniform"
         )
-        _route_both_kernels(overlay, sources, keys)
+        _check_overlay(overlay, sources, keys)
 
     @pytest.mark.parametrize("name", ["chord", "pastry", "pgrid", "symphony"])
     def test_peer_id_keys(self, name, rng):
@@ -132,7 +122,7 @@ class TestSixFamilyParity:
             overlay, 200, np.random.default_rng(5),
             targets="peers", target_ids=overlay.ids,
         )
-        _route_both_kernels(overlay, sources, keys)
+        _check_overlay(overlay, sources, keys)
 
 
 class TestSkewDegreeParity:
@@ -144,7 +134,7 @@ class TestSkewDegreeParity:
         long_counts = rng.integers(0, 4, size=n)
         long_counts[0] = hub_links
         long_flat = rng.integers(0, n, size=int(long_counts.sum()))
-        csr = csr_from_flat_links(n, True, long_counts, long_flat)
+        csr = _ring_csr(long_counts, long_flat, n)
         ids = _uniform_ids(n, seed)
         return csr, GreedyValueMetric(ids, RingSpace()), ids
 
@@ -156,14 +146,9 @@ class TestSkewDegreeParity:
             rng.random(300) < 0.5, 0, rng.integers(0, csr.n, size=300)
         ).astype(np.int64)
         keys = rng.random(300)
-        padded = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="padded"
-        )
-        ragged = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
-        assert padded.success.any()
+        batch = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+        assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
+        assert batch.success.any()
 
     def test_hub_fill_ratio_below_one(self):
         csr, metric, ids = self._hub_graph()
@@ -193,16 +178,11 @@ class TestSkewDegreeParity:
         metric = GreedyValueMetric(ids, RingSpace())
         sources = np.arange(n, dtype=np.int64)  # every row, empty ones included
         keys = rng.random(n)
-        padded = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="padded"
-        )
-        ragged = frontier_route_many(
-            csr, metric, sources, keys, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
+        batch = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+        assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
         # The empty rows really were part of the live frontier.
         empty = degrees[sources] == 0
-        assert (padded.reasons[empty & ~padded.success] == "stuck").all()
+        assert (batch.reasons[empty & ~batch.success] == "stuck").all()
 
     @pytest.mark.parametrize("kill", ["some", "all"])
     def test_alive_masks(self, kill, rng):
@@ -217,19 +197,86 @@ class TestSkewDegreeParity:
         else:
             alive[:] = False  # every candidate dead: only sources survive
         alive[sources] = True
-        padded = route_many(
-            graph, sources, keys, alive=alive, record_paths=True, kernel="padded"
+        batch = route_many(graph, sources, keys, alive=alive, record_paths=True)
+        metric = GreedyValueMetric(graph.ids, graph.space)
+        assert_batch_matches(
+            batch, oracle_batch(graph.adjacency, metric, sources, keys, alive=alive)
         )
-        ragged = route_many(
-            graph, sources, keys, alive=alive, record_paths=True, kernel="ragged"
-        )
-        _assert_batches_identical(padded, ragged)
         if kill == "all":
-            assert (ragged.reasons[~ragged.success] == "stuck").all()
+            assert (batch.reasons[~batch.success] == "stuck").all()
+
+
+class TestExactTies:
+    """First minimum in row order decides ties in both reductions."""
+
+    N = 12
+
+    def _duplicate_link_graph(self, extra_on_other_rows):
+        """Node 0's ring successor (node 1) is also its first long link.
+
+        With ``extra_on_other_rows`` every other row carries two long
+        links instead of one, so a round holding node 0's walk and any
+        other walk is not degree-uniform.
+        """
+        n = self.N
+        long_counts = np.full(n, 2 if extra_on_other_rows else 1)
+        long_counts[0] = 1
+        rows = [[1]] + [
+            [(i + 5) % n] * int(long_counts[i]) for i in range(1, n)
+        ]
+        csr = _ring_csr(long_counts, np.concatenate(rows), n)
+        metric = GreedyValueMetric(np.arange(n) / n, RingSpace())
+        return csr, metric
+
+    def _route(self, csr, metric, sources, keys):
+        batch = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+        assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
+        return batch
+
+    def test_exact_width_round_takes_the_neighbour_hop(self):
+        csr, metric = self._duplicate_link_graph(extra_on_other_rows=False)
+        sources = np.asarray([0, 3], dtype=np.int64)  # both rows have degree 3
+        batch = self._route(csr, metric, sources, np.asarray([1 / 12, 4 / 12]))
+        assert (batch.hops[0], batch.neighbor_hops[0], batch.long_hops[0]) == (1, 1, 0)
+
+    def test_segmented_round_takes_the_neighbour_hop(self):
+        csr, metric = self._duplicate_link_graph(extra_on_other_rows=True)
+        sources = np.asarray([0, 3], dtype=np.int64)  # degrees 3 and 4
+        batch = self._route(csr, metric, sources, np.asarray([1 / 12, 4 / 12]))
+        assert (batch.hops[0], batch.neighbor_hops[0], batch.long_hops[0]) == (1, 1, 0)
+
+
+class TestTerminalOwnerHop:
+    def test_only_onto_an_owner_candidate(self):
+        """A stalled Chord-rule walk hops only when its owner is a candidate."""
+        rng = np.random.default_rng(37)
+        n = 64
+        # Random rows without ring neighbours: a stalled walk's successor
+        # owner is often out of reach, and sometimes one hop away.
+        degrees = rng.integers(1, 4, size=n)
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        csr = CSRAdjacency(
+            indptr=indptr,
+            indices=rng.integers(0, n, size=int(indptr[-1])).astype(np.int64),
+            is_long=rng.random(int(indptr[-1])) < 0.5,
+        )
+        positions = np.sort(rng.random(n))
+        sources = rng.integers(0, n, size=200).astype(np.int64)
+        keys = rng.random(len(sources))
+        routed = {}
+        for terminal in (True, False):
+            metric = ClockwiseMetric(
+                positions, owner_rule="successor", terminal_owner_hop=terminal
+            )
+            batch = frontier_route_many(csr, metric, sources, keys, record_paths=True)
+            assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
+            routed[terminal] = batch
+        assert (routed[True].success & ~routed[False].success).any()
+        assert (routed[True].reasons == "stuck").any()
 
 
 class TestStreamingAdmission:
-    """Staggered admit/step interleavings match between kernels."""
+    """Staggered admit/step interleavings retire as the oracle does."""
 
     def test_staggered_admission_parity(self, rng):
         graph = build_uniform_model(n=512, rng=rng)
@@ -239,125 +286,24 @@ class TestStreamingAdmission:
         keys = wrng.random(600)
         chunks = np.array_split(np.arange(600), 7)
 
-        outcomes = {}
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(
-                graph.adjacency, metric, capacity=64, kernel=kernel
-            )
-            slots = np.empty(600, dtype=np.int64)
-            for chunk in chunks:
-                slots[chunk] = frontier.admit(
-                    sources[chunk], metric.prepare(keys[chunk])
-                )
-                frontier.step()  # interleave rounds between admissions
-            while frontier.active_count:
-                frontier.step()
-            outcomes[kernel] = {
-                col: getattr(frontier, col)[slots].copy()
-                for col in (
-                    "success", "hops", "neighbor_hops", "long_hops",
-                    "reason_codes", "owners",
-                )
-            }
-        for col, expect in outcomes["padded"].items():
-            assert np.array_equal(expect, outcomes["ragged"][col]), col
-
-
-class _PaddedOnlyMetric(RoutingMetric):
-    """A third-party-style metric that only implements the padded API."""
-
-    def __init__(self, inner: GreedyValueMetric):
-        self.inner = inner
-
-    def prepare(self, target_keys, alive=None):
-        return self.inner.prepare(target_keys, alive)
-
-    def initial_scores(self, nodes, state):
-        return self.inner.initial_scores(nodes, state)
-
-    def candidate_scores(self, candidates, slots, usable, state, walks, current):
-        return self.inner.candidate_scores(
-            candidates, slots, usable, state, walks, current
-        )
-
-
-class TestDefaultAdapter:
-    def test_padded_only_metric_routes_under_ragged(self, rng):
-        graph = build_uniform_model(n=256, rng=rng)
-        metric = _PaddedOnlyMetric(GreedyValueMetric(graph.ids, graph.space))
-        wrng = np.random.default_rng(61)
-        sources = wrng.integers(0, graph.n, size=200)
-        keys = wrng.random(200)
-        padded = frontier_route_many(
-            graph.adjacency, metric, sources, keys,
-            record_paths=True, kernel="padded",
-        )
-        ragged = frontier_route_many(
-            graph.adjacency, metric, sources, keys,
-            record_paths=True, kernel="ragged",
-        )
-        _assert_batches_identical(padded, ragged)
+        frontier = StreamFrontier(graph.adjacency, metric, capacity=64)
+        slots = np.empty(600, dtype=np.int64)
+        for chunk in chunks:
+            slots[chunk] = frontier.admit(sources[chunk], metric.prepare(keys[chunk]))
+            frontier.step()  # interleave rounds between admissions
+        while frontier.active_count:
+            frontier.step()
+        walks = oracle_batch(graph.adjacency, metric, sources, keys)
+        for col, attr in (
+            ("owners", "owner"), ("hops", "hops"), ("neighbor_hops", "neighbor_hops"),
+            ("long_hops", "long_hops"), ("reason_codes", "reason"),
+            ("success", "success"),
+        ):
+            expect = [getattr(w, attr) for w in walks]
+            np.testing.assert_array_equal(getattr(frontier, col)[slots], expect, col)
 
 
 class TestKernelPlumbing:
-    def test_unknown_kernel_rejected(self, rng):
-        graph = build_uniform_model(n=64, rng=rng)
-        metric = GreedyValueMetric(graph.ids, graph.space)
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            StreamFrontier(graph.adjacency, metric, kernel="jagged")
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            frontier_route_many(
-                graph.adjacency, metric, [0], [0.5], kernel="dense"
-            )
-        with pytest.raises(ValueError, match="unknown frontier kernel"):
-            ServeConfig(kernel="sparse")
-
-    def test_auto_dispatch_picks_layout_by_fill(self, rng, monkeypatch):
-        """auto routes dense rounds padded and padding-heavy rounds ragged."""
-        calls = {"ragged": 0, "padded": 0}
-        orig_ragged = StreamFrontier._advance_ragged
-        orig_padded = StreamFrontier._advance_padded
-
-        def spy_ragged(self, *args):
-            calls["ragged"] += 1
-            return orig_ragged(self, *args)
-
-        def spy_padded(self, *args):
-            calls["padded"] += 1
-            return orig_padded(self, *args)
-
-        monkeypatch.setattr(StreamFrontier, "_advance_ragged", spy_ragged)
-        monkeypatch.setattr(StreamFrontier, "_advance_padded", spy_padded)
-
-        def drive(csr, metric, sources, keys):
-            frontier = StreamFrontier(
-                csr, metric, capacity=len(sources), kernel="auto"
-            )
-            frontier.admit(sources, metric.prepare(keys))
-            while frontier.active_count:
-                frontier.step()
-
-        # Degree-uniform lattice: fill is 1.0 every round -> all padded.
-        overlay = WattsStrogatzOverlay(128, k=2, p=0.0, rng=rng)
-        csr, metric = overlay._frontier()
-        wrng = np.random.default_rng(71)
-        drive(csr, metric, wrng.integers(0, 128, size=100), wrng.random(100))
-        assert calls["padded"] > 0 and calls["ragged"] == 0
-
-        # One 180-degree hub among degree ~4 rows: any round containing
-        # the hub is overwhelmingly padding -> the ragged layout runs.
-        calls["ragged"] = calls["padded"] = 0
-        hrng = np.random.default_rng(72)
-        long_counts = hrng.integers(0, 4, size=256)
-        long_counts[0] = 180
-        long_flat = hrng.integers(0, 256, size=int(long_counts.sum()))
-        hub_csr = csr_from_flat_links(256, True, long_counts, long_flat)
-        hub_metric = GreedyValueMetric(_uniform_ids(256, 72), RingSpace())
-        sources = np.zeros(200, dtype=np.int64)
-        sources[100:] = hrng.integers(0, 256, size=100)
-        drive(hub_csr, hub_metric, sources, hrng.random(200))
-        assert calls["ragged"] > 0
-
     def test_uniform_degree_frontier_is_padding_free(self, rng):
         """An unrewired WS ring is degree-uniform: fill ratio exactly 1."""
         overlay = WattsStrogatzOverlay(128, k=2, p=0.0, rng=rng)
@@ -365,13 +311,12 @@ class TestKernelPlumbing:
         wrng = np.random.default_rng(81)
         sources = wrng.integers(0, 128, size=100)
         keys = wrng.random(100)
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(csr, metric, capacity=100, kernel=kernel)
-            frontier.admit(sources, metric.prepare(keys))
-            while frontier.active_count:
-                frontier.step()
-            assert frontier.fill_ratio == 1.0
-        _route_both_kernels(overlay, sources, keys)
+        frontier = StreamFrontier(csr, metric, capacity=100)
+        frontier.admit(sources, metric.prepare(keys))
+        while frontier.active_count:
+            frontier.step()
+        assert frontier.fill_ratio == 1.0
+        _check_overlay(overlay, sources, keys)
 
     def test_telemetry_counters_and_fill_gauge(self, rng):
         graph = build_uniform_model(n=256, rng=rng)
@@ -390,50 +335,53 @@ class TestKernelPlumbing:
         finally:
             telemetry.disable()
 
-    def test_counters_kernel_independent(self, rng):
-        """Both kernels see the same frontier, so the stats must agree."""
-        graph = build_uniform_model(n=256, rng=rng)
-        metric = GreedyValueMetric(graph.ids, graph.space)
-        wrng = np.random.default_rng(92)
-        sources = wrng.integers(0, graph.n, size=300)
-        keys = wrng.random(300)
-        stats = {}
-        for kernel in ("padded", "ragged"):
-            frontier = StreamFrontier(
-                graph.adjacency, metric, capacity=300, kernel=kernel
-            )
-            frontier.admit(sources, metric.prepare(keys))
+    @pytest.mark.parametrize("hub", [False, True])
+    def test_counters_match_oracle(self, hub):
+        """Rounds, candidates and dense slots follow from the walks alone."""
+        rng = np.random.default_rng(92)
+        n = 200
+        long_counts = rng.integers(0, 5, size=n)
+        if hub:
+            long_counts[7] = 150
+        csr = _ring_csr(long_counts, rng.integers(0, n, size=int(long_counts.sum())), n)
+        metric = GreedyValueMetric(_uniform_ids(n, 92), RingSpace())
+        sources = rng.integers(0, n, size=300)
+        keys = rng.random(300)
+        alive = rng.random(n) > 0.2
+        alive[sources] = True
+        batch = frontier_route_many(csr, metric, sources, keys, alive=alive, max_hops=6)
+        walks = oracle_batch(csr, metric, sources, keys, alive=alive, max_hops=6)
+        assert_batch_matches(batch, walks)
+        assert (batch.reasons == "max_hops").any()
+        assert (batch.rounds, batch.candidates_seen, batch.padded_slots_seen) == (
+            batch_accounting(walks)
+        )
+
+    def test_round_observables(self):
+        """Scored rounds say "ragged"; edgeless and spent rounds say why not."""
+        n = 8
+        indptr = np.asarray([0, 2, 4, 4, 4, 6, 8, 10, 12], dtype=np.int64)
+        indices = np.asarray([1, 7, 2, 0, 5, 3, 6, 4, 7, 5, 0, 6], dtype=np.int64)
+        csr = CSRAdjacency(indptr=indptr, indices=indices, is_long=np.zeros(12, bool))
+        metric = GreedyValueMetric(np.arange(n) / n, RingSpace())
+
+        def labels(sources, keys, max_hops=None):
+            frontier = StreamFrontier(csr, metric, max_hops=max_hops)
+            frontier.admit(np.asarray(sources), metric.prepare(np.asarray(keys)))
+            seen = []
             while frontier.active_count:
                 frontier.step()
-            stats[kernel] = (frontier.candidates_seen, frontier.padded_slots_seen)
-        assert stats["padded"] == stats["ragged"]
+                seen.append(
+                    (frontier.last_round_kernel, frontier.last_round_candidates,
+                     frontier.last_round_padded_slots)
+                )
+            return seen
 
-
-class TestServingKernelParity:
-    def test_engine_outcomes_identical_across_kernels(self, rng):
-        graph = build_uniform_model(n=512, rng=rng)
-        wrng = np.random.default_rng(101)
-        sources = wrng.integers(0, graph.n, size=2000)
-        keys = graph.ids[wrng.integers(0, graph.n, size=2000)]
-        results = {}
-        for kernel in ("padded", "ragged", "auto"):
-            engine = ServingEngine(
-                graph,
-                ServeConfig(admit_per_round=128, max_active=256, kernel=kernel),
-            )
-            engine.submit(sources, keys)
-            engine.drain()
-            res = engine.results()
-            results[kernel] = res
-            report = engine.report()
-            assert report.extras["kernel"] == kernel
-            assert 0.0 < report.extras["frontier_fill_ratio"] <= 1.0
-        for other in ("ragged", "auto"):
-            for col in (
-                "owners", "hops", "neighbor_hops", "long_hops",
-                "success", "reason_codes",
-            ):
-                assert np.array_equal(
-                    getattr(results["padded"], col),
-                    getattr(results[other], col),
-                ), f"{other}:{col}"
+        # Two walks on rows of degree 2: one scored round, 4 candidates.
+        assert labels([0, 4], [1 / n, 3 / n]) == [("ragged", 4, 4)]
+        # Both walks sit on edgeless rows 2 and 3.
+        assert labels([2, 3], [0.0, 0.5]) == [("stuck", 0, 0)]
+        # A spent budget retires the walk before any gather.
+        assert labels([0], [0.5], max_hops=0) == [("none", 0, 0)]
+        # Mixed degrees 2 and 0: scored, with 2 of 4 dense slots real.
+        assert labels([0, 2], [1 / n, 0.5]) == [("ragged", 2, 4)]

@@ -266,3 +266,35 @@ class TestHandEditedGraph:
         path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, 10**6))
         with pytest.raises(StoreError, match="out of range"):
             load_graph(path)
+
+
+class TestHandEditedOverlay:
+    """An overlay snapshot with an edited CSR must not load either."""
+
+    @staticmethod
+    def _edit(tmp_path, key, edit):
+        ids = np.sort(np.random.default_rng(9).random(2000))
+        overlay = SymphonyOverlay(ids, np.random.default_rng(9), k=4)
+        path = tmp_path / "edited"
+        save_overlay(overlay, path)
+        target = path / "arrays" / f"{key}.npy"
+        array = np.load(target)
+        edit(array)
+        np.save(target, array)
+        return path
+
+    def test_indptr_must_start_at_zero(self, tmp_path):
+        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(0, 1))
+        with pytest.raises(StoreError, match=r"indptr\[0\]"):
+            load_overlay(path)
+
+    def test_indptr_must_not_decrease(self, tmp_path):
+        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(10, a[12]))
+        with pytest.raises(StoreError, match="non-decreasing"):
+            load_overlay(path)
+
+    @pytest.mark.parametrize("target", [10**6, -3])
+    def test_edge_target_out_of_range(self, tmp_path, target):
+        path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, target))
+        with pytest.raises(StoreError, match="out of range"):
+            load_overlay(path)
