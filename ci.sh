@@ -18,6 +18,11 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+# perfbench/ sits outside testpaths; its unit tests run the workloads at
+# tiny scale, traced and untraced, against this checkout's src/.
+echo "== perfbench unit tests =="
+python -m pytest perfbench -q
+
 if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== routing throughput smoke (scalar vs batch, >=5x gate) =="
   python -m pytest benchmarks/bench_routing_throughput.py -q -s

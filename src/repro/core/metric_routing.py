@@ -831,9 +831,14 @@ class StreamFrontier:
         self._targets: np.ndarray | None = None
         self._extra: np.ndarray | None = None
         self._state: PreparedTargets | None = None
-        self._free: list[int] = []
+        # Released slots wait on a LIFO stack, ``_free[:_n_free]``, and
+        # ``_is_free`` flags them so a slot cannot be released twice.
+        # Both are allocated on the first release, which the drain-once
+        # frontiers of ``frontier_route_many`` never make.
+        self._free: np.ndarray | None = None
+        self._is_free: np.ndarray | None = None
+        self._n_free = 0
         self._next_slot = 0
-        self._released = False
         self._step_walks: list[np.ndarray] = []
         self._step_nodes: list[np.ndarray] = []
 
@@ -887,13 +892,20 @@ class StreamFrontier:
             grown = np.zeros((cap,) + self._extra.shape[1:], dtype=self._extra.dtype)
             grown[:old] = self._extra
             self._extra = grown
+        if self._free is not None:
+            self._free = np.concatenate((self._free, np.empty(cap - old, dtype=np.int64)))
+            self._is_free = np.concatenate((self._is_free, np.zeros(cap - old, dtype=bool)))
         self._state = None  # rebound lazily against the grown arrays
 
     def _alloc(self, m: int) -> np.ndarray:
         slots = np.empty(m, dtype=np.int64)
-        reused = min(m, len(self._free))
-        for i in range(reused):
-            slots[i] = self._free.pop()
+        reused = min(m, self._n_free)
+        if reused:
+            # Most recently released first, as a popped list would give.
+            top = self._n_free - reused
+            slots[:reused] = self._free[top : self._n_free][::-1]
+            self._is_free[slots[:reused]] = False
+            self._n_free = top
         fresh = m - reused
         if fresh:
             if self._next_slot + fresh > self.capacity:
@@ -909,17 +921,33 @@ class StreamFrontier:
 
         Raises:
             ValueError: when path recording is on (a reused slot would
-                splice two walks' paths) or a slot is still active.
+                splice two walks' paths), or a slot is still active,
+                already free, repeated within ``slots`` or was never
+                allocated.  Nothing changes then.
         """
+        slots = np.asarray(slots, dtype=np.int64)
         if len(slots) == 0:
             return
         if self.record_paths:
             raise ValueError("cannot release slots while recording paths")
+        ordered = np.sort(slots)
+        if ordered[0] < 0 or ordered[-1] >= self._next_slot:
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"slot {bad} was never allocated")
+        repeated = ordered[1:] == ordered[:-1]
+        if repeated.any():
+            raise ValueError(f"slot {ordered[1:][repeated][0]} is released twice")
         if self.active[slots].any():
             raise ValueError("cannot release slots that are still active")
-        self._released = True
+        if self._free is None:
+            self._free = np.empty(self.capacity, dtype=np.int64)
+            self._is_free = np.zeros(self.capacity, dtype=bool)
+        elif self._is_free[slots].any():
+            raise ValueError(f"slot {slots[self._is_free[slots]][0]} is already free")
         self.tickets[slots] = -1
-        self._free.extend(int(s) for s in slots)
+        self._is_free[slots] = True
+        self._free[self._n_free : self._n_free + len(slots)] = slots
+        self._n_free += len(slots)
 
     # ------------------------------------------------------------------
     # admission
@@ -974,7 +1002,7 @@ class StreamFrontier:
         if self.alive is not None and m and not self.alive[sources].all():
             bad = sources[~self.alive[sources]][0]
             raise ValueError(f"source peer {bad} is not alive")
-        if self.record_paths and self._released:
+        if self.record_paths and self._free is not None:
             raise ValueError("cannot admit into released slots while recording paths")
         slots = self._alloc(m)
         targets = np.asarray(prepared.targets)

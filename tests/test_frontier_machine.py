@@ -1,8 +1,9 @@
 """Resident-frontier interleavings retire every walk as the oracle does.
 
 A hypothesis state machine drives one :class:`StreamFrontier` through
-admissions (including ones that force the slot arrays to grow), rounds
-and releases of retired slots, on small random CSRs that mix
+admissions (including ones that force the slot arrays to grow), rounds,
+releases of retired slots and releases it must reject (a slot already
+free, never allocated or repeated in the call), on small random CSRs that mix
 degree-uniform rows, a hub row, edgeless rows and a row whose ring
 successor is also one of its long links (an exact tie that decides
 between a neighbour and a long hop), optionally under a liveness mask
@@ -10,10 +11,12 @@ that kills every candidate of one row.  After every rule, each retired
 walk's owner, hops, neighbour/long split and reason must equal the
 per-walk oracle's (``frontier_oracle.py``), and each walk still in
 flight must sit on the node the oracle's path reaches after the same
-number of hops.
+number of hops.  Admissions must reuse released slots last in, first
+out, before they take fresh ones.
 """
 
 import numpy as np
+import pytest
 from frontier_oracle import oracle_walk
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -101,6 +104,8 @@ class FrontierMachine(RuleBasedStateMachine):
         self.expect = {}  # occupied slot -> the oracle's outcome for its walk
         self.active: set[int] = set()
         self.retired: set[int] = set()
+        self.free_stack: list[int] = []  # released slots, most recent last
+        self.allocated = 0  # slots [0, allocated) have been handed out
 
     def _admit(self, m, seed):
         rng = np.random.default_rng(seed)
@@ -109,6 +114,10 @@ class FrontierMachine(RuleBasedStateMachine):
         masked = self.alive is not None and isinstance(self.metric, GreedyValueMetric)
         state = self.metric.prepare(keys, self.alive if masked else None)
         slots = self.frontier.admit(sources, state)
+        reused = [self.free_stack.pop() for _ in range(min(m, len(self.free_stack)))]
+        fresh = list(range(self.allocated, self.allocated + m - len(reused)))
+        assert slots.tolist() == reused + fresh
+        self.allocated += len(fresh)
         for i, slot in enumerate(slots.tolist()):
             assert slot not in self.expect, "admission reused an occupied slot"
             self.expect[slot] = oracle_walk(
@@ -140,9 +149,30 @@ class FrontierMachine(RuleBasedStateMachine):
     def release(self, k):
         slots = sorted(self.retired)[:k]
         self.frontier.release(np.asarray(slots, dtype=np.int64))
+        self.free_stack.extend(slots)
         for slot in slots:
             self.retired.discard(slot)
             del self.expect[slot]
+
+    def _rejected(self, slots, match):
+        with pytest.raises(ValueError, match=match):
+            self.frontier.release(np.asarray(slots, dtype=np.int64))
+
+    @precondition(lambda self: self.free_stack)
+    @rule(data=st.data())
+    def release_rejects_a_free_slot(self, data):
+        self._rejected([data.draw(st.sampled_from(self.free_stack))], "already free")
+
+    @rule(offset=st.integers(0, 3), negative=st.booleans())
+    def release_rejects_an_unallocated_slot(self, offset, negative):
+        slot = -1 - offset if negative else self.allocated + offset
+        self._rejected([slot], "never allocated")
+
+    @precondition(lambda self: self.retired)
+    @rule(data=st.data())
+    def release_rejects_a_repeated_slot(self, data):
+        slot = data.draw(st.sampled_from(sorted(self.retired)))
+        self._rejected([slot, slot], "released twice")
 
     @invariant()
     def walks_follow_the_oracle(self):

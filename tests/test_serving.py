@@ -133,6 +133,58 @@ class TestRouteCache:
         with pytest.raises(ValueError):
             RouteCache(0)
 
+    @staticmethod
+    def _holding_three():
+        cache = RouteCache(4)
+        cache.insert(np.array([0.1, 0.2, 0.3]), np.array([1, 2, 3]))
+        return cache
+
+    @staticmethod
+    def _unchanged(cache):
+        assert len(cache) == 3 and cache.evictions == 0
+        owners, hit = cache.lookup(np.array([0.1, 0.2, 0.3]))
+        assert hit.all() and owners.tolist() == [1, 2, 3]
+
+    def test_insert_rejects_nan_keys(self):
+        cache = self._holding_three()
+        with pytest.raises(ValueError, match="outside"):
+            cache.insert(np.array([np.nan, np.nan]), np.array([4, 5]))
+        self._unchanged(cache)
+
+    def test_insert_rejects_misaligned_owners(self):
+        cache = self._holding_three()
+        with pytest.raises(ValueError, match="owners"):
+            cache.insert(np.array([0.4, 0.5, 0.6]), np.array([4, 5]))
+        with pytest.raises(ValueError, match="owners"):
+            cache.insert(np.array([0.4]), np.array([4, 5]))
+        self._unchanged(cache)
+
+    @pytest.mark.parametrize("key", [1.5, -0.25, 1.0])
+    def test_insert_rejects_keys_outside_unit_interval(self, key):
+        cache = self._holding_three()
+        with pytest.raises(ValueError, match="outside"):
+            cache.insert(np.array([0.4, key]), np.array([4, 5]))
+        self._unchanged(cache)
+
+    @pytest.mark.parametrize("key", [np.nan, 1.5, -0.25])
+    def test_lookup_rejects_bad_keys(self, key):
+        cache = self._holding_three()
+        with pytest.raises(ValueError, match="outside"):
+            cache.lookup(np.array([0.1, key]))
+        assert cache.hits == 0 and cache.misses == 0
+        self._unchanged(cache)
+
+    def test_rejects_keys_that_are_not_1d(self):
+        cache = self._holding_three()
+        keys = np.array([[0.1, 0.2], [0.3, 0.4]])
+        with pytest.raises(ValueError, match="1-d"):
+            cache.lookup(keys)
+        with pytest.raises(ValueError, match="1-d"):
+            cache.insert(keys, np.array([[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="1-d"):
+            cache.lookup(np.float64(0.1))
+        self._unchanged(cache)
+
 
 class TestStreamFrontier:
     def test_staggered_admission_matches_batch(self, graph):
@@ -192,6 +244,47 @@ class TestStreamFrontier:
         if plain.active[slots].any():
             with pytest.raises(ValueError, match="still active"):
                 plain.release(slots)
+
+    @staticmethod
+    def _drained(graph, n=6):
+        """A frontier whose first ``n`` walks (slots ``0..n-1``) retired."""
+        metric = _graph_metric(graph, "key")
+        frontier = StreamFrontier(graph.adjacency, metric, capacity=64)
+        sources, keys = _workload(graph, n, seed=5)
+        slots = frontier.admit(sources, metric.prepare(keys))
+        while frontier.active_count:
+            frontier.step()
+
+        def admit(m):
+            return frontier.admit(sources[:m], metric.prepare(keys[:m])).tolist()
+
+        return frontier, slots, admit
+
+    def test_release_reuses_slots_last_in_first_out(self, graph):
+        frontier, slots, admit = self._drained(graph)
+        frontier.release(slots[[1, 4, 2]])
+        assert admit(4) == [2, 4, 1, 6]
+
+    def test_release_rejects_a_slot_already_free(self, graph):
+        frontier, slots, admit = self._drained(graph)
+        frontier.release(slots[:1])
+        with pytest.raises(ValueError, match="already free"):
+            frontier.release(slots[:1])
+        # Freed once, reused once: the second walk gets a fresh slot.
+        assert admit(2) == [0, 6]
+
+    def test_release_rejects_a_slot_never_allocated(self, graph):
+        frontier, _, admit = self._drained(graph)
+        for bad in (6, 63, -1):
+            with pytest.raises(ValueError, match="never allocated"):
+                frontier.release(np.array([bad]))
+        assert admit(2) == [6, 7]
+
+    def test_release_rejects_a_slot_repeated_in_one_call(self, graph):
+        frontier, slots, admit = self._drained(graph)
+        with pytest.raises(ValueError, match="released twice"):
+            frontier.release(slots[[3, 1, 3]])
+        assert admit(1) == [6]  # nothing was freed
 
     def test_tickets_travel_with_walks(self, graph):
         metric = _graph_metric(graph, "key")
