@@ -5,8 +5,9 @@ Three parts:
 * the E9 robustness tables and damage kernels (as before, now including
   the E9c live-churn table);
 * the bulk live-overlay engine's churn-throughput gate — one 10%%
-  leave/join/repair round at n=1e5 on the array engine, against a
-  scaled scalar-engine workload on the *same* population (the scalar
+  leave/join/repair round at n=1e5 on :class:`Network`, against a
+  scaled per-peer workload on the *same* population held by the
+  dict-of-lists oracle in ``tests/overlay_oracle.py`` (the per-peer
   reference cannot finish a full round in bench time) — must be >= 5x
   the scalar events/sec;
 * a full-size sustain run: several 10%% churn rounds at n=1e5 with
@@ -43,6 +44,7 @@ from repro.overlay import (
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from overlay_oracle import OracleNetwork  # noqa: E402
 from snapshot_oracle import assert_snapshot_matches  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -61,7 +63,7 @@ def _record_trajectory(entry: dict) -> None:
     TRAJECTORY.write_text(json.dumps(history, indent=2) + "\n")
 
 
-def _scalar_churn_events(net: Network, dist, n_events: int, rng) -> None:
+def _scalar_churn_events(net: OracleNetwork, dist, n_events: int, rng) -> None:
     """Run ``n_events`` churn events (half leaves, half joins + refresh)
     through the per-peer reference protocols."""
     half = n_events // 2
@@ -92,14 +94,14 @@ def test_bulk_churn_speedup_over_scalar():
     dist = Uniform()
     graph = build_uniform_model(n=N_SUSTAIN, rng=np.random.default_rng(1))
 
-    scalar_net = Network.from_graph(graph, engine="scalar")
+    scalar_net = OracleNetwork.from_graph(graph)
     rng = np.random.default_rng(2)
     start = time.perf_counter()
     _scalar_churn_events(scalar_net, dist, SCALAR_EVENTS, rng)
     scalar_seconds = time.perf_counter() - start
     scalar_eps = SCALAR_EVENTS / scalar_seconds
 
-    bulk_net = Network.from_graph(graph, engine="array")
+    bulk_net = Network.from_graph(graph)
     rng = np.random.default_rng(3)
     start = time.perf_counter()
     bulk_events = _bulk_churn_round(bulk_net, dist, CHURN_FRACTION, rng)
@@ -114,7 +116,7 @@ def test_bulk_churn_speedup_over_scalar():
         f"speedup {speedup:.1f}x"
     )
 
-    # Both engines must leave a healthy population before speed counts.
+    # Both sides must leave a healthy population before speed counts.
     assert scalar_net.n == N_SUSTAIN
     assert bulk_net.n == N_SUSTAIN
     # Dangling links stay bounded by one round's orphans (each departure

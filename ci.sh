@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI entrypoint: tier-1 test suite + routing-throughput smoke.
+# CI entrypoint: tier-1 test suite + examples + throughput smokes.
 #
-# Usage: ./ci.sh            # lint (if ruff is available) + tests + smoke
-#        ./ci.sh --no-smoke # tests only
+# Usage: ./ci.sh            # lint (if ruff is available) + tests + examples + smoke
+#        ./ci.sh --no-smoke # tests and examples only
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,6 +23,12 @@ python -m pytest -x -q
 echo "== perfbench unit tests =="
 python -m pytest perfbench -q
 
+echo "== examples =="
+for example in examples/*.py; do
+  echo "-- $example"
+  python "$example" >/dev/null
+done
+
 if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== routing throughput smoke (scalar vs batch, >=5x gate) =="
   python -m pytest benchmarks/bench_routing_throughput.py -q -s
@@ -30,7 +36,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== construction throughput smoke (scalar vs bulk, >=5x gate + 1e6 build) =="
   python -m pytest benchmarks/bench_construction.py -q -s -k bulk
 
-  echo "== churn throughput smoke (scalar vs bulk engine, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
+  echo "== churn throughput smoke (scalar oracle vs bulk, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
   python -m pytest benchmarks/bench_churn.py -q -s -k bulk
 
   echo "== baseline comparator smoke (scalar vs batch frontier, >=5x aggregate gate) =="

@@ -79,7 +79,6 @@ from repro.core import (
     expected_hops_bound,
     greedy_route,
     lookahead_route,
-    lookahead_route_many,
     partition_hops_bound,
     partition_index,
     route_many,
@@ -119,7 +118,6 @@ __all__ = [
     "greedy_route",
     "lookahead_route",
     "route_many",
-    "lookahead_route_many",
     "sample_batch",
     "sample_routes",
     "advance_stats",

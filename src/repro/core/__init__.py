@@ -20,7 +20,6 @@ Public surface:
 from repro.core.adjacency import CSRAdjacency, build_csr, csr_from_flat_links
 from repro.core.batch_routing import (
     BatchRouteResult,
-    lookahead_route_many,
     route_many,
     sample_batch,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "greedy_route",
     "lookahead_route",
     "route_many",
-    "lookahead_route_many",
     "sample_batch",
     "sample_routes",
     "partition_index",

@@ -44,15 +44,12 @@ from repro.core.metric_routing import (
     REASON_STUCK,
     BatchRouteResult,
     GreedyValueMetric,
-    _assemble_paths,
     frontier_route_many,
 )
-from repro.keyspace import nearest_indices
 
 __all__ = [
     "BatchRouteResult",
     "route_many",
-    "lookahead_route_many",
     "sample_batch",
     "REASON_ARRIVED",
     "REASON_STUCK",
@@ -76,22 +73,6 @@ def _positions_and_targets(
         )
         return graph.normalized_ids, tpos
     raise ValueError(f"unknown metric {metric!r}; choose 'key' or 'normalized'")
-
-
-def _owners_under_metric(
-    graph: SmallWorldGraph,
-    positions: np.ndarray,
-    target_pos: np.ndarray,
-    alive: np.ndarray | None,
-) -> np.ndarray:
-    """Vectorised owner resolution, restricted to live peers when masked."""
-    if alive is None:
-        return nearest_indices(positions, target_pos, graph.space)
-    live = np.flatnonzero(alive)
-    if len(live) == 0:
-        raise ValueError("cannot route in a network with no live peers")
-    local = nearest_indices(positions[live], target_pos, graph.space)
-    return live[local].astype(np.int64)
 
 
 def _graph_metric(graph: SmallWorldGraph, metric: str) -> GreedyValueMetric:
@@ -143,7 +124,8 @@ def route_many(
 
     Raises:
         ValueError: on mismatched inputs, an invalid metric, an
-            out-of-range or dead source peer, or no live peers.
+            out-of-range or dead source peer, a negative ``max_hops``, or
+            no live peers.
     """
     sources = np.asarray(sources, dtype=np.int64)
     from repro.parallel.autotune import should_parallelize
@@ -169,175 +151,6 @@ def route_many(
         alive=alive,
         max_hops=max_hops,
         record_paths=record_paths,
-    )
-
-
-def lookahead_route_many(
-    graph: SmallWorldGraph,
-    sources: np.ndarray,
-    target_keys: np.ndarray,
-    metric: str = "key",
-    max_hops: int | None = None,
-    record_paths: bool = False,
-) -> BatchRouteResult:
-    """Batch neighbour-of-neighbour routing, hop-for-hop equal to the scalar.
-
-    The frontier scheme of :func:`route_many` extended one level: each
-    step gathers every active walk's candidates *and* each candidate's
-    own out-row into a dense ``(walks, degree, degree)`` block, scores
-    every candidate by ``(min(d_j, best two-step), d_j)`` exactly as
-    :func:`repro.core.routing.lookahead_route` does, and picks the first
-    lexicographic minimum in CSR row order — reproducing the scalar
-    router's candidate scan (neighbours before long links, first strict
-    improvement wins).  Walks with no candidate strictly improving the
-    two-step prospect stop as ``"stuck"``.
-
-    Args:
-        graph: the overlay to route on.
-        sources: int array of originating peers.
-        target_keys: float array of lookup keys, aligned with ``sources``.
-        metric: ``"key"`` or ``"normalized"``.
-        max_hops: per-route hop budget; defaults to ``n``.
-        record_paths: also record every walk's visited-node list.
-
-    Raises:
-        ValueError: on mismatched inputs, an invalid metric, or an
-            out-of-range source peer.
-    """
-    n = graph.n
-    sources = np.asarray(sources, dtype=np.int64)
-    target_keys = np.asarray(target_keys, dtype=float)
-    if sources.ndim != 1 or target_keys.ndim != 1:
-        raise ValueError("sources and target_keys must be one-dimensional")
-    if len(sources) != len(target_keys):
-        raise ValueError(
-            f"got {len(sources)} sources but {len(target_keys)} target keys"
-        )
-    if len(sources) and (sources.min() < 0 or sources.max() >= n):
-        bad = sources[(sources < 0) | (sources >= n)][0]
-        raise ValueError(f"source index {bad} out of range for {n} peers")
-    if max_hops is None:
-        max_hops = n
-
-    n_routes = len(sources)
-    positions, target_pos = _positions_and_targets(graph, target_keys, metric)
-    owners = _owners_under_metric(graph, positions, target_pos, alive=None)
-
-    csr = graph.adjacency
-    indptr, indices, is_long = csr.indptr, csr.indices, csr.is_long
-    space = graph.space
-
-    current = sources.copy()
-    current_dist = space.pairwise_distances(positions[current], target_pos)
-    hops = np.zeros(n_routes, dtype=np.int64)
-    neighbor_hops = np.zeros(n_routes, dtype=np.int64)
-    long_hops = np.zeros(n_routes, dtype=np.int64)
-    reason_codes = np.full(n_routes, REASON_ARRIVED, dtype=np.int8)
-    success = current == owners
-    active = ~success
-    step_walks: list[np.ndarray] = []
-    step_nodes: list[np.ndarray] = []
-
-    while True:
-        frontier = np.flatnonzero(active)
-        if frontier.size == 0:
-            break
-        exhausted = hops[frontier] >= max_hops
-        if exhausted.any():
-            spent = frontier[exhausted]
-            reason_codes[spent] = REASON_MAX_HOPS
-            active[spent] = False
-            frontier = frontier[~exhausted]
-            if frontier.size == 0:
-                break
-
-        cur = current[frontier]
-        cur_dist = current_dist[frontier]
-        starts = indptr[cur]
-        degrees = indptr[cur + 1] - starts
-        max_degree = int(degrees.max())
-        if max_degree == 0:
-            reason_codes[frontier] = REASON_STUCK
-            active[frontier] = False
-            break
-        lanes = np.arange(max_degree, dtype=np.int64)
-        valid = lanes[None, :] < degrees[:, None]
-        slots = np.where(valid, starts[:, None] + lanes[None, :], 0)
-        candidates = indices[slots]
-        cand_dist = space.pairwise_distances(
-            positions[candidates], target_pos[frontier][:, None]
-        )
-        # "Never step away from the target" — unless the candidate IS
-        # the owner (the scalar router's explicit exception).
-        eligible = valid & (
-            (cand_dist < cur_dist[:, None]) | (candidates == owners[frontier][:, None])
-        )
-
-        # Second level: each *eligible* candidate's own out-row, scored
-        # by the best distance any of its links reaches.  Only a handful
-        # of lanes survive the eligibility cut, so the gather runs over
-        # the compressed (pair, degree) block, not (walk, degree, degree).
-        two_step = cand_dist.copy()  # ineligible lanes keep the d_j default
-        el_rows, el_lanes = np.nonzero(eligible)
-        if el_rows.size:
-            cand_el = candidates[el_rows, el_lanes]
-            starts2 = indptr[cand_el]
-            deg2 = indptr[cand_el + 1] - starts2
-            max_deg2 = int(deg2.max())
-            if max_deg2 > 0:
-                lanes2 = np.arange(max_deg2, dtype=np.int64)
-                valid2 = lanes2[None, :] < deg2[:, None]
-                slots2 = np.where(valid2, starts2[:, None] + lanes2[None, :], 0)
-                two_dist = space.pairwise_distances(
-                    positions[indices[slots2]],
-                    target_pos[frontier][el_rows][:, None],
-                )
-                best_two = np.where(valid2, two_dist, np.inf).min(axis=1)
-                two_step[el_rows, el_lanes] = np.where(
-                    deg2 > 0, best_two, cand_dist[el_rows, el_lanes]  # default=d_j
-                )
-
-        d_e = np.where(eligible, cand_dist, np.inf)
-        score_m = np.where(eligible, np.minimum(cand_dist, two_step), np.inf)
-        best_m = score_m.min(axis=1)
-        tie = np.where(score_m == best_m[:, None], d_e, np.inf)
-        rows = np.arange(frontier.size)
-        best_lane = np.argmin(tie, axis=1)
-        improves = best_m < cur_dist
-
-        stuck = frontier[~improves]
-        if stuck.size:
-            reason_codes[stuck] = REASON_STUCK
-            active[stuck] = False
-
-        movers = frontier[improves]
-        if movers.size:
-            move_rows = rows[improves]
-            chosen = candidates[move_rows, best_lane[improves]]
-            chosen_long = is_long[slots[move_rows, best_lane[improves]]]
-            current[movers] = chosen
-            current_dist[movers] = cand_dist[move_rows, best_lane[improves]]
-            hops[movers] += 1
-            neighbor_hops[movers] += ~chosen_long
-            long_hops[movers] += chosen_long
-            if record_paths:
-                step_walks.append(movers)
-                step_nodes.append(chosen)
-            arrived = chosen == owners[movers]
-            success[movers[arrived]] = True
-            active[movers[arrived]] = False
-
-    paths = _assemble_paths(sources, step_walks, step_nodes) if record_paths else None
-    return BatchRouteResult(
-        success=success,
-        hops=hops,
-        neighbor_hops=neighbor_hops,
-        long_hops=long_hops,
-        reason_codes=reason_codes,
-        sources=sources,
-        target_keys=target_keys,
-        owners=owners,
-        paths=paths,
     )
 
 

@@ -789,6 +789,8 @@ class StreamFrontier:
         record_paths: bool = False,
         capacity: int = 1024,
     ):
+        if max_hops is not None and max_hops < 0:
+            raise ValueError(f"max_hops must be >= 0, got {max_hops}")
         self.csr = csr
         self.metric = metric
         self.alive = None if alive is None else np.asarray(alive, dtype=bool)
@@ -1313,7 +1315,8 @@ def frontier_route_many(
 
     Raises:
         ValueError: on mismatched inputs, an out-of-range or dead source
-            peer, or metric-specific target validation failures.
+            peer, a negative ``max_hops``, or metric-specific target
+            validation failures.
     """
     n = csr.n
     sources = np.asarray(sources, dtype=np.int64)

@@ -187,10 +187,6 @@ def lookahead_route(
     step still traverses a single edge, so hop counts are comparable with
     :func:`greedy_route`; the experiments use this as the "extension"
     ablation showing the constant-factor improvement lookahead buys.
-
-    This is the scalar reference for the batch engine's
-    :func:`repro.core.batch_routing.lookahead_route_many`, which must
-    match it hop for hop.
     """
     n = graph.n
     if not 0 <= source < n:

@@ -41,6 +41,13 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _nonnegative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+    return number
+
+
 def _add_telemetry_flag(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--telemetry",
@@ -206,12 +213,8 @@ def _add_serving_args(p: argparse.ArgumentParser) -> None:
         help="admission micro-batch width (queries per frontier round)",
     )
     p.add_argument(
-        "--cache", type=int, default=4096, metavar="C",
+        "--cache", type=_nonnegative_int, default=4096, metavar="C",
         help="hot-key route-cache capacity (0 disables the cache)",
-    )
-    p.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="route admitted micro-batches over N worker processes",
     )
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -227,7 +230,7 @@ def _add_monitor_args(p: argparse.ArgumentParser) -> None:
         help="monitor ticket-window width (deterministic series cadence)",
     )
     p.add_argument(
-        "--trace-sample", type=int, default=0, metavar="N",
+        "--trace-sample", type=_nonnegative_int, default=0, metavar="N",
         help=(
             "flight-record 1 in N queries (deterministic hash sampling); "
             "0 disables the recorder"
@@ -366,11 +369,7 @@ def _serving_setup(args: argparse.Namespace):
     )
     engine = ServingEngine(
         graph,
-        ServeConfig(
-            admit_per_round=args.batch,
-            cache_capacity=args.cache,
-            workers=args.workers,
-        ),
+        ServeConfig(admit_per_round=args.batch, cache_capacity=args.cache),
     )
     return engine, demand, rng
 
@@ -464,7 +463,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         while engine.completed < target:
-            if submitted < target and len(engine._queue) < chunk:
+            if submitted < target and engine.pending < chunk:
                 m = min(chunk, target - submitted)
                 _, sources, keys = demand.draw(m, rng)
                 engine.submit(sources, keys)

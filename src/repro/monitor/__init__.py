@@ -9,7 +9,8 @@ Four pieces (see each module's docstring):
 
 * **time series** (:mod:`~repro.monitor.series`) — fixed-capacity ring
   series in two banks: deterministic per-ticket-window statistics
-  (bit-identical for any worker count) and wall-clock cadence samples;
+  (bit-identical for one stream and serving configuration) and
+  wall-clock cadence samples;
 * **anomaly + SLO** (:mod:`~repro.monitor.anomaly`) — EWMA z-score
   flags per series, chi-square histogram drift, and burn rates against
   a declarative :class:`SloPolicy` (hop inflation vs. the log²n paper

@@ -7,8 +7,9 @@ per pump.  It maintains two series banks:
 * the **deterministic bank** — one sample per completed *ticket window*
   ``[k·W, (k+1)·W)``, computed from the engine's ticket-ordered outcome
   columns the moment every ticket in the window has completed.  Because
-  those columns are identical for any worker count (the serving
-  determinism contract), so is every sample in this bank, bit for bit.
+  those columns are a pure function of the stream and the serving
+  configuration (the serving determinism contract), so is every sample
+  in this bank, bit for bit.
   Window statistics: routed mean hops, success rate, cache hit-rate,
   stuck rate, hop inflation vs. the paper baseline, and the chi-square
   drift of the retirement-reason mix against the first window.
@@ -255,9 +256,11 @@ class Monitor:
                 telemetry.count("monitor.alerts")
         # Wall-clock-dependent SLO inputs ride along for burn rates but
         # never enter the deterministic bank.
-        self.last_window_stats = {**stats, "latency_p99_ms": self._latency_p99_ms()}
-        if self.engine._frontier is not None:
-            self.last_window_stats["fill_ratio"] = self.engine._frontier.fill_ratio
+        self.last_window_stats = {
+            **stats,
+            "latency_p99_ms": self._latency_p99_ms(),
+            "fill_ratio": self.engine._frontier.fill_ratio,
+        }
         self.last_slo = evaluate_slo(self.config.slo, self.last_window_stats)
         if telemetry.enabled():
             for stat_key, value in stats.items():
@@ -281,10 +284,7 @@ class Monitor:
         self.wall_bank.append("wall.pending", float(engine.pending))
         self.wall_bank.append("wall.in_flight", float(engine.in_flight))
         self.wall_bank.append("wall.latency_p99_ms", self._latency_p99_ms())
-        if engine._frontier is not None:
-            self.wall_bank.append(
-                "wall.fill_ratio", engine._frontier.fill_ratio
-            )
+        self.wall_bank.append("wall.fill_ratio", engine._frontier.fill_ratio)
         if telemetry.enabled():
             telemetry.gauge_set("monitor.wall.pending", float(engine.pending))
             telemetry.gauge_set("monitor.wall.in_flight", float(engine.in_flight))

@@ -2,8 +2,8 @@
 
 Sampling is a deterministic splitmix-style hash of each query's
 ``(source, key)`` pair — 1-in-``sample_rate`` queries are traced, and
-because the hash never looks at tickets, batching, or worker count, the
-*same* queries are sampled however the stream is sharded.
+because the hash never looks at tickets or batching, the *same* queries
+are sampled however the stream is micro-batched.
 
 The recorder costs the serving hot path one vectorized hash per admitted
 micro-batch plus an append per sampled query.  Per-round detail
@@ -49,8 +49,8 @@ def sample_mask(sources, keys, sample_rate: int) -> np.ndarray:
     """Deterministic 1-in-``sample_rate`` mask over ``(source, key)`` pairs.
 
     Hashes each source id mixed with the raw float64 bits of its key;
-    depends only on the query itself, never on submission order, micro-
-    batching, or worker count.
+    depends only on the query itself, never on submission order or
+    micro-batching.
     """
     if sample_rate < 1:
         raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")

@@ -8,9 +8,10 @@ instruments.
 
 Two banks live in :class:`repro.monitor.Monitor`: the **deterministic**
 bank, fed once per completed ticket window from outcome columns (values
-bit-identical for any worker count), and the **wall** bank, sampled on a
-wall-clock cadence from the live registry (dashboard-only, explicitly
-outside the determinism contract — like timers).
+bit-identical for one stream and serving configuration), and the
+**wall** bank, sampled on a wall-clock cadence from the live registry
+(dashboard-only, explicitly outside the determinism contract — like
+timers).
 """
 
 from __future__ import annotations

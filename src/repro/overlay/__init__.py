@@ -4,10 +4,13 @@ The dynamic counterpart of the snapshot graphs in :mod:`repro.core`,
 implementing the network-construction and maintenance protocols sketched
 in Section 4.2 of the paper plus the failure-injection tooling used by
 the robustness experiments.  :class:`Network` stores the live population
-array-backed by default (:mod:`repro.overlay.network`), and whole
+in one array-backed slab (:mod:`repro.overlay.network`), and whole
 cohorts of joins/leaves/repairs advance in vectorized rounds through
-:mod:`repro.overlay.bulk_dynamics`; the scalar per-peer protocols are
-kept as the reference implementations behind ``Network(engine="scalar")``.
+:mod:`repro.overlay.bulk_dynamics`.  The per-peer protocols
+(:func:`join_known_f`, :func:`join_adaptive`, :func:`refresh_peer`,
+:func:`bootstrap_network`) run on the same :class:`Network`; the
+dict-of-lists reference network the tests hold it to lives in
+``tests/overlay_oracle.py``.
 """
 
 from repro.overlay.bulk_dynamics import (
@@ -36,14 +39,12 @@ from repro.overlay.network import (
     LinkRowView,
     LookupResult,
     Network,
-    PeerState,
     PeerView,
 )
 from repro.overlay.stats import LookupStats, measure_network, summarize_lookups
 
 __all__ = [
     "Network",
-    "PeerState",
     "PeerView",
     "LinkRowView",
     "LookupResult",

@@ -6,7 +6,7 @@ overlay still processed churn one peer at a time: every joiner drew its
 so churn experiments stalled three orders of magnitude below the sizes
 the static builders reach.  This module is the dynamic counterpart of
 :mod:`repro.core.bulk_construction`: whole *cohorts* of joins, leaves
-and repairs advance in vectorized rounds over the array engine of
+and repairs advance in vectorized rounds over the slab of
 :class:`repro.overlay.Network`.
 
 :func:`bulk_join`
@@ -23,7 +23,7 @@ and repairs advance in vectorized rounds over the array engine of
 :func:`bulk_leave`
     remove a cohort with one masked splice; departed rows park on the
     slab free-list, links *to* the departed dangle until repair —
-    identical failure semantics to scalar :meth:`Network.remove_peer`.
+    identical failure semantics to :meth:`Network.remove_peer`.
 
 :func:`bulk_repair`
     one vectorized maintenance round: purge the free-list's stale rows,
@@ -39,12 +39,11 @@ and repairs advance in vectorized rounds over the array engine of
     (each joiner's budget is ``log2`` of the population as of its
     cohort) at bulk speed.
 
-The scalar protocols remain the reference implementations: on a
-``Network(engine="scalar")`` the cohort entry points fall back to the
-per-peer protocol loops, and the equivalence suite in
-``tests/test_bulk_dynamics.py`` holds the two engines statistically
-indistinguishable (KS on degree and link-mass distributions, dangling
-accounting, ring integrity).
+The per-peer protocols remain the reference: the equivalence suite in
+``tests/test_bulk_dynamics.py`` holds these cohort passes statistically
+indistinguishable from per-peer joins and churn on the dict-of-lists
+oracle in ``tests/overlay_oracle.py`` (KS on degree and link-mass
+distributions, dangling accounting, ring integrity).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
 from repro.estimation import uniform_id_sample
 from repro.keyspace import membership_mask, nearest_indices
-from repro.overlay.join import join_known_f
 from repro.overlay.network import Network
 
 __all__ = [
@@ -237,9 +235,6 @@ def bulk_join(
     arrival schedule (as :func:`bulk_bootstrap` does to match the scalar
     protocol's "``log2 N`` as of my own join" degree profile).
 
-    On a scalar-engine network this falls back to per-peer
-    :func:`repro.overlay.join.join_known_f` calls (the reference path).
-
     Args:
         network: the live overlay.
         ids: cohort identifiers; distinct, in ``[0, 1)``, not yet live.
@@ -272,17 +267,6 @@ def bulk_join(
         out_degree, np.full(m, default_out_degree(post_n), dtype=float), m, "out_degree"
     )[order].astype(np.int64)
     c = _per_member(cutoff, np.full(m, 1.0 / post_n), m, "cutoff")[order]
-    if network.engine == "scalar":
-        inverse = np.argsort(order, kind="stable")
-        for i, peer_id in enumerate(ids.tolist()):
-            receipt = join_known_f(
-                network, distribution, rng,
-                peer_id=peer_id,
-                out_degree=int(k[inverse[i]]),
-                cutoff=float(c[inverse[i]]),
-            )
-            report.links_installed += len(receipt.long_links)
-        return report
     if membership_mask(network.ids_array(), cohort).any():
         raise ValueError("cohort contains identifiers that are already live")
 
@@ -311,9 +295,6 @@ def bulk_join(
 def bulk_leave(network: Network, ids: np.ndarray) -> BulkReport:
     """Depart a whole cohort silently (links to it dangle until repair).
 
-    On a scalar-engine network this falls back to per-peer
-    :meth:`Network.remove_peer` calls.
-
     Raises:
         KeyError: if any identifier is not live.
         ValueError: for duplicate identifiers in the cohort.
@@ -325,10 +306,6 @@ def bulk_leave(network: Network, ids: np.ndarray) -> BulkReport:
     leaving = np.sort(ids)
     if np.any(np.diff(leaving) == 0):
         raise ValueError("cohort contains duplicate identifiers")
-    if network.engine == "scalar":
-        for peer_id in ids.tolist():
-            network.remove_peer(peer_id)
-        return report
     present = membership_mask(network.ids_array(), leaving)
     if not present.all():
         missing = float(leaving[~present][0])
@@ -385,7 +362,7 @@ def bulk_repair(
     which convention each row uses.
 
     Args:
-        network: a live overlay on the array engine.
+        network: the live overlay.
         rng: random source.
         distribution: the true ``f`` when globally known.
         fraction: fraction of live peers processed, in ``(0, 1]``.
@@ -399,15 +376,9 @@ def bulk_repair(
             or ``"routed"`` (price new links in routed hops).
 
     Raises:
-        ValueError: on a scalar-engine network (use
-            :func:`repro.overlay.maintenance.maintenance_round`), for a
-            fraction outside ``(0, 1]``, or an unknown cost model.
+        ValueError: for a fraction outside ``(0, 1]`` or an unknown cost
+            model.
     """
-    if network.engine != "array":
-        raise ValueError(
-            "bulk_repair requires Network(engine='array'); the scalar "
-            "reference path is maintenance_round/refresh_peer"
-        )
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if cost_model not in ("ownership", "routed"):
@@ -535,7 +506,7 @@ def bulk_bootstrap(
     cutoff: float | None = None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
 ) -> Network:
-    """Grow an array-engine network from empty to ``n`` peers in doubling cohorts.
+    """Grow a network from empty to ``n`` peers in doubling cohorts.
 
     The bulk counterpart of :func:`repro.overlay.join.bootstrap_network`
     (``protocol="known"``): cohort sizes double (1, 1, 2, 4, ...), and
@@ -550,7 +521,7 @@ def bulk_bootstrap(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    network = Network(space=space, engine="array")
+    network = Network(space=space)
     while network.n < n:
         m = min(max(1, network.n), n - network.n)
         cohort = sample_cohort_ids(network, distribution, m, rng)

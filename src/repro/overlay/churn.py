@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import telemetry
+from repro.core.batch_routing import route_many
 from repro.core.graph import SmallWorldGraph
 from repro.distributions import Distribution
 from repro.overlay.bulk_dynamics import (
@@ -28,8 +30,6 @@ from repro.overlay.bulk_dynamics import (
     bulk_repair,
     sample_cohort_ids,
 )
-from repro.overlay.join import join_known_f
-from repro.overlay.maintenance import maintenance_round
 from repro.overlay.network import Network
 
 __all__ = ["drop_long_links", "kill_peers", "ChurnConfig", "ChurnEpoch", "run_churn"]
@@ -104,12 +104,11 @@ class ChurnConfig:
         maintenance_fraction: fraction of peers refreshed per epoch
             (0 disables maintenance — the decay baseline).
         lookups_per_epoch: lookups measured after each epoch.
-        repair_cost_model: how bulk-engine repairs are priced —
+        repair_cost_model: how repairs are priced —
             ``"ownership"`` (free resolution, ``maintenance_hops`` stays
             0) or ``"routed"`` (new links charged routed hops, the
-            scalar path's convention; see
-            :func:`repro.overlay.bulk_dynamics.bulk_repair`).  The
-            scalar engine always prices in routed hops.
+            per-peer protocols' convention; see
+            :func:`repro.overlay.bulk_dynamics.bulk_repair`).
     """
 
     epochs: int = 10
@@ -147,87 +146,26 @@ def run_churn(
     ``maintenance_fraction`` of peers refresh their links, and
     ``lookups_per_epoch`` random lookups are measured.
 
-    On an array-engine network each epoch runs on the bulk engine —
+    Each epoch runs on the bulk engine —
     :func:`~repro.overlay.bulk_dynamics.bulk_leave` /
     :func:`~repro.overlay.bulk_dynamics.bulk_join` /
     :func:`~repro.overlay.bulk_dynamics.bulk_repair` cohort passes, with
     the epoch's lookups batch-routed over a :meth:`Network.snapshot`
     through :func:`repro.core.route_many` (hop-for-hop identical to
-    scalar :meth:`Network.route`).  Link resolution then costs no routed
-    hops, so ``maintenance_hops`` is 0 on this path under the default
+    :meth:`Network.route`).  Link resolution then costs no routed hops,
+    so ``maintenance_hops`` is 0 under the default
     ``repair_cost_model="ownership"``; configure ``"routed"`` to price
-    repairs in the scalar convention.  The scalar engine keeps the
-    per-peer reference loop.
+    repairs in routed hops.
 
     ``workers`` shards the per-epoch lookup phase over worker processes
-    (:mod:`repro.parallel`; array engine only, bit-identical results —
-    the churn/repair cohort passes themselves stay in-process).
+    (:mod:`repro.parallel`; bit-identical results — the churn/repair
+    cohort passes themselves stay in-process).
 
     Raises:
         ValueError: if the network starts empty.
     """
     if network.n == 0:
         raise ValueError("cannot churn an empty network")
-    if network.engine == "array":
-        return _run_churn_bulk(network, distribution, config, rng, workers=workers)
-    history = []
-    for epoch in range(config.epochs):
-        ids = network.ids_array()
-        n_leave = min(int(round(config.leave_fraction * len(ids))), len(ids) - 2)
-        if n_leave > 0:
-            leavers = rng.choice(len(ids), size=n_leave, replace=False)
-            for idx in leavers:
-                network.remove_peer(float(ids[idx]))
-        n_join = int(round(config.join_fraction * network.n))
-        for _ in range(n_join):
-            peer_id = float(distribution.sample(1, rng)[0])
-            while peer_id in network:
-                peer_id = float(distribution.sample(1, rng)[0])
-            join_known_f(network, distribution, rng, peer_id=peer_id)
-        maintenance_hops = 0
-        if config.maintenance_fraction > 0.0 and network.n > 1:
-            report = maintenance_round(
-                network, rng, distribution=distribution,
-                fraction=config.maintenance_fraction,
-            )
-            maintenance_hops = report.lookup_hops
-        hops = []
-        successes = 0
-        reasons: dict[str, int] = {}
-        for _ in range(config.lookups_per_epoch):
-            source = network.random_peer(rng)
-            target = network.random_peer(rng)
-            result = network.route(source, target)
-            hops.append(result.hops)
-            if result.success:
-                successes += 1
-            else:
-                reasons[result.reason] = reasons.get(result.reason, 0) + 1
-        history.append(
-            ChurnEpoch(
-                epoch=epoch,
-                n_peers=network.n,
-                mean_hops=float(np.mean(hops)) if hops else float("nan"),
-                success_rate=successes / max(1, config.lookups_per_epoch),
-                dangling_links=network.dangling_link_count(),
-                maintenance_hops=maintenance_hops,
-                failed_reasons=reasons,
-            )
-        )
-    return history
-
-
-def _run_churn_bulk(
-    network: Network,
-    distribution: Distribution,
-    config: ChurnConfig,
-    rng: np.random.Generator,
-    workers: int | None = None,
-) -> list[ChurnEpoch]:
-    """Array-engine epoch loop of :func:`run_churn`: cohorts, not peers."""
-    from repro import telemetry
-    from repro.core.batch_routing import route_many
-
     history = []
     baseline_degrees: np.ndarray | None = None
     for epoch in range(config.epochs):

@@ -196,12 +196,10 @@ def bootstrap_network(
     protocol: str = "known",
     sample_size: int = 64,
     estimator_factory=None,
-    engine: str = "array",
 ) -> tuple[Network, list[JoinReceipt]]:
     """Grow a network from empty to ``n`` peers via successive joins.
 
-    Joins are per-peer regardless of engine — this is the scalar
-    reference construction; see
+    Joins are per-peer — this is the reference construction; see
     :func:`repro.overlay.bulk_dynamics.bulk_bootstrap` for the
     cohort-at-a-time engine.
 
@@ -214,7 +212,6 @@ def bootstrap_network(
             (peers estimate ``f``; the very first peer joins trivially).
         sample_size: adaptive-protocol gossip budget per joiner.
         estimator_factory: adaptive-protocol estimator override.
-        engine: storage engine for the built :class:`Network`.
 
     Returns:
         The built network and the per-join receipts.
@@ -226,7 +223,7 @@ def bootstrap_network(
         raise ValueError(f"n must be >= 1, got {n}")
     if protocol not in ("known", "adaptive"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    network = Network(space=space, engine=engine)
+    network = Network(space=space)
     receipts = []
     for i in range(n):
         if protocol == "known" or i == 0:

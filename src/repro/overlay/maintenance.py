@@ -22,6 +22,7 @@ from repro.core.links import harmonic_target_positions
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
 from repro.estimation import uniform_id_sample
+from repro.overlay.bulk_dynamics import bulk_repair
 from repro.overlay.network import Network
 
 __all__ = ["MaintenanceReport", "refresh_peer", "maintenance_round"]
@@ -130,77 +131,45 @@ def maintenance_round(
 ) -> MaintenanceReport:
     """Refresh a random fraction of peers (one simulated gossip epoch).
 
-    On an array-engine network the round runs vectorized through
+    The round runs vectorized through
     :func:`repro.overlay.bulk_dynamics.bulk_repair` (``refresh=True``):
-    whole-cohort redraw rounds instead of per-peer loops, link targets
-    resolved by ownership search instead of routed lookups (so
-    ``lookup_hops`` is 0 under the default ``cost_model="ownership"``;
-    pass ``cost_model="routed"`` to price installed links in the scalar
-    path's routed-hop convention — see :func:`bulk_repair`), and — when
-    estimating — one shared estimate per round rather than one per peer.
-    The scalar engine keeps the per-peer reference loop below, which
-    always prices link resolution in routed hops.
+    whole-cohort redraw rounds instead of per-peer :func:`refresh_peer`
+    calls, link targets resolved by ownership search instead of routed
+    lookups (so ``lookup_hops`` is 0 under the default
+    ``cost_model="ownership"``; pass ``cost_model="routed"`` to price
+    installed links in routed hops, as :func:`refresh_peer` does — see
+    :func:`bulk_repair`), and — when estimating — one shared estimate per
+    round rather than one per peer.
 
     Args:
         network: the live overlay.
         rng: random source.
         distribution: true ``f`` or ``None`` for estimate-based refresh.
         fraction: fraction of peers refreshed this round, in ``(0, 1]``.
-        sample_size, estimator_factory, out_degree, cutoff: forwarded to
+        sample_size, estimator_factory, out_degree, cutoff: as in
             :func:`refresh_peer`.
-        cost_model: repair-cost convention on the array engine
-            (``"ownership"`` or ``"routed"``); ignored by the scalar
-            engine, which is inherently routed.
+        cost_model: repair-cost convention, ``"ownership"`` or
+            ``"routed"``.
 
     Raises:
         ValueError: for a fraction outside ``(0, 1]`` or an unknown
             cost model.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if cost_model not in ("ownership", "routed"):
-        raise ValueError(f"unknown cost model {cost_model!r}")
-    if network.engine == "array":
-        from repro.overlay.bulk_dynamics import bulk_repair
-
-        bulk = bulk_repair(
-            network,
-            rng,
-            distribution=distribution,
-            fraction=fraction,
-            refresh=True,
-            out_degree=out_degree,
-            cutoff=cutoff,
-            sample_size=sample_size,
-            estimator_factory=estimator_factory,
-            cost_model=cost_model,
-        )
-        return MaintenanceReport(
-            peers_refreshed=bulk.peers,
-            links_installed=bulk.links_installed,
-            dangling_repaired=bulk.dangling_dropped,
-            lookup_hops=bulk.lookup_hops,
-        )
-    ids = network.ids_array()
-    n_refresh = max(1, int(round(fraction * len(ids)))) if len(ids) else 0
-    chosen = rng.choice(len(ids), size=n_refresh, replace=False) if n_refresh else []
-    total = MaintenanceReport()
-    for idx in chosen:
-        peer_id = float(ids[idx])
-        if peer_id not in network:  # departed mid-round
-            continue
-        report = refresh_peer(
-            network,
-            peer_id,
-            rng,
-            distribution=distribution,
-            sample_size=sample_size,
-            estimator_factory=estimator_factory,
-            out_degree=out_degree,
-            cutoff=cutoff,
-        )
-        total.peers_refreshed += report.peers_refreshed
-        total.links_installed += report.links_installed
-        total.dangling_repaired += report.dangling_repaired
-        total.lookup_hops += report.lookup_hops
-    return total
+    bulk = bulk_repair(
+        network,
+        rng,
+        distribution=distribution,
+        fraction=fraction,
+        refresh=True,
+        out_degree=out_degree,
+        cutoff=cutoff,
+        sample_size=sample_size,
+        estimator_factory=estimator_factory,
+        cost_model=cost_model,
+    )
+    return MaintenanceReport(
+        peers_refreshed=bulk.peers,
+        links_installed=bulk.links_installed,
+        dangling_repaired=bulk.dangling_dropped,
+        lookup_hops=bulk.lookup_hops,
+    )

@@ -10,25 +10,19 @@ links"), and each peer owns an explicit set of long-range links that may
 Peers are addressed by identifier (a float in ``[0, 1)``), not by index:
 indices are meaningless in a population that changes.
 
-Two storage engines back the same API:
-
-``engine="array"`` (the default)
-    the sorted identifier vector is a numpy array and every peer's long
-    links live in one row of a shared *slab* — a 2-d float array of link
-    targets plus a per-row count, with departed peers' rows recycled
-    through a free-list (the mutable sibling of the CSR layout in
-    :mod:`repro.core.adjacency`).  This is the layout the bulk engine
-    (:mod:`repro.overlay.bulk_dynamics`) operates on with whole-cohort
-    numpy passes, and it makes population-wide queries
-    (:meth:`dangling_link_count`, :meth:`mean_long_degree`,
-    :meth:`snapshot`) single vectorized sweeps.
-
-``engine="scalar"``
-    the original dict-of-:class:`PeerState` interior, kept verbatim as
-    the readable reference implementation.  Both engines expose peers
-    through :meth:`peer`, so every scalar protocol (joins, refresh,
-    scalar routing) runs unchanged on either; equivalence tests drive
-    the same operation sequence through both and compare states.
+The sorted identifier vector is a numpy array and every peer's long
+links live in one row of a shared *slab* — a 2-d float array of link
+targets plus a per-row count, with departed peers' rows recycled
+through a free-list (the mutable sibling of the CSR layout in
+:mod:`repro.core.adjacency`).  The bulk engine
+(:mod:`repro.overlay.bulk_dynamics`) operates on this layout with
+whole-cohort numpy passes, and it makes population-wide queries
+(:meth:`dangling_link_count`, :meth:`mean_long_degree`,
+:meth:`snapshot`) single vectorized sweeps.  The per-peer protocols
+(joins, refresh, scalar routing) reach a peer's links through
+:meth:`peer`, whose :class:`PeerView` writes through to the slab.  The
+readable dict-of-lists reference the tests hold this class to, operation
+by operation, lives beside them in ``tests/overlay_oracle.py``.
 
 A freed slab row deliberately keeps the departed peer's stale link
 targets until the next repair round
@@ -36,7 +30,7 @@ targets until the next repair round
 departure is an O(1) splice, cleanup is batched — or until the row is
 recycled for a joiner, which clears it first.
 
-**Slab-row hints.**  Next to each link's target id the array slab keeps
+**Slab-row hints.**  Next to each link's target id the slab keeps
 an ``int32`` *hint*: the slab row the target occupied when the link was
 written (:meth:`Network.from_graph` and the bulk engine's row writes
 know it; writes through :class:`PeerView`/:class:`LinkRowView` store
@@ -63,38 +57,28 @@ change.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.keyspace import IntervalSpace, KeySpace, membership_mask, nearest_index
+from repro.keyspace import (
+    IntervalSpace,
+    KeySpace,
+    check_unit_keys,
+    membership_mask,
+    nearest_index,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graph import SmallWorldGraph
 
-__all__ = ["PeerState", "PeerView", "LinkRowView", "LookupResult", "Network"]
+__all__ = ["PeerView", "LinkRowView", "LookupResult", "Network"]
 
 #: Initial slab geometry: rows (peers) and columns (links per peer) both
 #: grow by doubling, so repeated joins are amortised O(1) per peer.
 _MIN_SLOTS = 16
 _MIN_WIDTH = 4
-
-
-@dataclass
-class PeerState:
-    """Mutable routing state of one live peer (scalar engine).
-
-    Attributes:
-        peer_id: the peer's identifier.
-        long_links: identifiers of long-range neighbours.  A link whose
-            target has departed is *dangling*: routing skips it and
-            maintenance replaces it.
-    """
-
-    peer_id: float
-    long_links: list[float] = field(default_factory=list)
 
 
 class LinkRowView:
@@ -103,7 +87,7 @@ class LinkRowView:
     Supports the list operations the join/maintenance protocols use
     (``append``, ``extend``, ``clear``, iteration, ``len``, ``in``,
     indexing) and writes through to the owning network's slab row, so
-    scalar protocols are oblivious to the storage engine.
+    per-peer protocols treat it like a plain list.
     """
 
     __slots__ = ("_net", "_slot")
@@ -154,11 +138,11 @@ class LinkRowView:
 
 
 class PeerView:
-    """Peer handle over the array engine, API-compatible with :class:`PeerState`.
+    """Handle on one live peer: its ``peer_id`` and its ``long_links``.
 
     ``long_links`` reads and writes the peer's slab row; assigning a list
-    to it replaces the whole row, exactly like rebinding
-    ``PeerState.long_links``.
+    to it replaces the whole row.  A link whose target has departed is
+    *dangling*: routing skips it and maintenance replaces it.
     """
 
     __slots__ = ("_net", "_slot")
@@ -207,41 +191,29 @@ class Network:
     Args:
         space: key-space geometry; the interval matches the paper's
             proofs, the ring matches deployed DHT practice.
-        engine: ``"array"`` (default, slab-backed, bulk-operable) or
-            ``"scalar"`` (dict-of-PeerState reference implementation).
 
     The sorted peer list gives every peer its immediate neighbours "for
     free" (they are maintained by the join/leave splice, exactly as the
     paper's join protocol prescribes), so only long links carry state.
-
-    Raises:
-        ValueError: for an unknown engine.
     """
 
-    def __init__(self, space: KeySpace | None = None, engine: str = "array"):
-        if engine not in ("array", "scalar"):
-            raise ValueError(f"unknown engine {engine!r}; choose 'array' or 'scalar'")
+    def __init__(self, space: KeySpace | None = None):
         self.space = space or IntervalSpace()
-        self.engine = engine
-        if engine == "scalar":
-            self._sorted_ids: list[float] = []
-            self._peers: dict[float, PeerState] = {}
-        else:
-            self._ids = np.empty(0, dtype=float)
-            self._slot_at = np.empty(0, dtype=np.int64)  # sorted pos -> slab row
-            self._slot_of: dict[float, int] = {}  # id -> slab row
-            self._slot_id = np.empty(0, dtype=float)  # slab row -> occupying id
-            self._link_tg = np.empty((0, 0), dtype=float)  # slab link targets
-            self._link_hint = np.empty((0, 0), dtype=np.int32)  # targets' rows
-            self._link_cnt = np.empty(0, dtype=np.int64)  # slab per-row counts
-            self._free_slots: list[int] = []
-            self._slots_used = 0
+        self._ids = np.empty(0, dtype=float)
+        self._slot_at = np.empty(0, dtype=np.int64)  # sorted pos -> slab row
+        self._slot_of: dict[float, int] = {}  # id -> slab row
+        self._slot_id = np.empty(0, dtype=float)  # slab row -> occupying id
+        self._link_tg = np.empty((0, 0), dtype=float)  # slab link targets
+        self._link_hint = np.empty((0, 0), dtype=np.int32)  # targets' rows
+        self._link_cnt = np.empty(0, dtype=np.int64)  # slab per-row counts
+        self._free_slots: list[int] = []
+        self._slots_used = 0
 
     # ------------------------------------------------------------------
     # construction from snapshots
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: "SmallWorldGraph", engine: str = "array") -> "Network":
+    def from_graph(cls, graph: "SmallWorldGraph") -> "Network":
         """Build a live network from a static snapshot in one vectorized load.
 
         Peer identifiers become the live population; every index-valued
@@ -260,15 +232,7 @@ class Network:
             raise ValueError("snapshot identifiers must lie in [0, 1)")
         if np.any(np.diff(ids) <= 0):
             raise ValueError("snapshot identifiers must be sorted and distinct")
-        net = cls(space=graph.space, engine=engine)
-        if engine == "scalar":
-            for peer_id in ids.tolist():
-                net.add_peer(peer_id)
-            for i, links in enumerate(graph.long_links):
-                net._peers[float(ids[i])].long_links = [
-                    float(ids[int(j)]) for j in links
-                ]
-            return net
+        net = cls(space=graph.space)
         n = len(ids)
         csr = graph.adjacency
         counts = graph.long_degrees()
@@ -309,27 +273,15 @@ class Network:
         if n == 0:
             raise ValueError("cannot snapshot an empty network")
         ids = self.ids_array().copy()
-        if self.engine == "scalar":
-            counts = np.zeros(n, dtype=np.int64)
-            cols: list[int] = []
-            for i, peer_id in enumerate(self._sorted_ids):
-                for target in self._peers[peer_id].long_links:
-                    if target in self._peers:
-                        cols.append(int(np.searchsorted(ids, target)))
-                        counts[i] += 1
-            flat = np.asarray(cols, dtype=np.int64)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-        else:
-            pos, live = self._resolve_rows(self._slot_at)
-            flat = pos[live]
-            # Live links before each row's first lane give the row pointers.
-            lanes = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(self._link_cnt[self._slot_at], out=lanes[1:])
-            live_before = np.zeros(len(live) + 1, dtype=np.int64)
-            np.cumsum(live, out=live_before[1:])
-            del pos, live
-            indptr = live_before[lanes]
+        pos, live = self._resolve_rows(self._slot_at)
+        flat = pos[live]
+        # Live links before each row's first lane give the row pointers.
+        lanes = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._link_cnt[self._slot_at], out=lanes[1:])
+        live_before = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum(live, out=live_before[1:])
+        del pos, live
+        indptr = live_before[lanes]
         return SmallWorldGraph.from_flat_links(
             ids, ids.copy(), indptr, flat, space=self.space, model="live"
         )
@@ -340,40 +292,32 @@ class Network:
     @property
     def n(self) -> int:
         """Number of live peers."""
-        if self.engine == "scalar":
-            return len(self._sorted_ids)
         return len(self._ids)
 
     def __len__(self) -> int:
         return self.n
 
     def __contains__(self, peer_id: float) -> bool:
-        if self.engine == "scalar":
-            return peer_id in self._peers
         return peer_id in self._slot_of
 
     def ids_array(self) -> np.ndarray:
         """Return the live identifiers as a sorted numpy array.
 
-        On the array engine this is the live sorted vector itself —
-        treat it as read-only; mutations replace the vector wholesale,
-        so held references behave as snapshots.
+        This is the live sorted vector itself — treat it as read-only;
+        mutations replace the vector wholesale, so held references behave
+        as snapshots.
         """
-        if self.engine == "scalar":
-            return np.asarray(self._sorted_ids, dtype=float)
         return self._ids
 
-    def peer(self, peer_id: float) -> PeerState | PeerView:
+    def peer(self, peer_id: float) -> PeerView:
         """Return the state of a live peer.
 
         Raises:
             KeyError: if the peer is not live.
         """
-        if self.engine == "scalar":
-            return self._peers[peer_id]
         return PeerView(self, self._slot_of[peer_id])
 
-    def add_peer(self, peer_id: float) -> PeerState | PeerView:
+    def add_peer(self, peer_id: float) -> PeerView:
         """Insert a peer into the population (low-level splice).
 
         Raises:
@@ -384,11 +328,6 @@ class Network:
         peer_id = float(peer_id)
         if peer_id in self:
             raise ValueError(f"peer {peer_id!r} already present")
-        if self.engine == "scalar":
-            bisect.insort(self._sorted_ids, peer_id)
-            state = PeerState(peer_id=peer_id)
-            self._peers[peer_id] = state
-            return state
         slot = self._alloc_slots(np.asarray([peer_id]))[0]
         pos = int(np.searchsorted(self._ids, peer_id))
         self._ids = np.insert(self._ids, pos, peer_id)
@@ -399,22 +338,15 @@ class Network:
     def remove_peer(self, peer_id: float) -> None:
         """Remove a peer (it departs without notice; links to it dangle).
 
-        On the array engine the departed peer's slab row goes onto the
-        free-list with its link targets still in place — the next repair
-        round (:func:`~repro.overlay.bulk_dynamics.bulk_repair`) purges
-        them, or row recycling clears them first.  They are invisible to
-        every population query either way.
+        The departed peer's slab row goes onto the free-list with its
+        link targets still in place — the next repair round
+        (:func:`~repro.overlay.bulk_dynamics.bulk_repair`) purges them,
+        or row recycling clears them first.  They are invisible to every
+        population query either way.
 
         Raises:
             KeyError: if the peer is not live.
         """
-        if self.engine == "scalar":
-            if peer_id not in self._peers:
-                raise KeyError(f"peer {peer_id!r} not present")
-            idx = bisect.bisect_left(self._sorted_ids, peer_id)
-            del self._sorted_ids[idx]
-            del self._peers[peer_id]
-            return
         peer_id = float(peer_id)
         slot = self._slot_of.pop(peer_id, None)
         if slot is None:
@@ -425,7 +357,7 @@ class Network:
         self._free_slots.append(int(slot))
 
     # ------------------------------------------------------------------
-    # bulk splices (array engine; validated entry points live in
+    # bulk splices (validated entry points live in
     # repro.overlay.bulk_dynamics)
     # ------------------------------------------------------------------
     def _bulk_insert(self, cohort: np.ndarray) -> np.ndarray:
@@ -456,7 +388,7 @@ class Network:
             del self._slot_of[peer_id]
 
     # ------------------------------------------------------------------
-    # slab management (array engine)
+    # slab management
     # ------------------------------------------------------------------
     def _ensure_width(self, width: int) -> None:
         """Grow the slab's link columns to hold ``width`` targets per row."""
@@ -596,12 +528,8 @@ class Network:
         n = self.n
         if n <= 1:
             return ()
-        if self.engine == "scalar":
-            ids = self._sorted_ids
-            idx = bisect.bisect_left(ids, peer_id)
-        else:
-            ids = self._ids
-            idx = int(np.searchsorted(ids, peer_id))
+        ids = self._ids
+        idx = int(np.searchsorted(ids, peer_id))
         if self.space.is_ring:
             left = float(ids[(idx - 1) % n])
             right = float(ids[(idx + 1) % n])
@@ -617,11 +545,13 @@ class Network:
         """Return the live peer closest to ``key``.
 
         Raises:
-            ValueError: on an empty network.
+            ValueError: on an empty network, or for a key that is NaN or
+                outside ``[0, 1)``.
         """
         if self.n == 0:
             raise ValueError("network has no peers")
-        ids = self.ids_array()
+        check_unit_keys(key)
+        ids = self._ids
         return float(ids[nearest_index(ids, key, self.space)])
 
     def random_peer(self, rng: np.random.Generator) -> float:
@@ -636,8 +566,6 @@ class Network:
 
     def _long_targets(self, peer_id: float) -> list[float]:
         """Return one live peer's long-link targets as plain floats."""
-        if self.engine == "scalar":
-            return self._peers[peer_id].long_links
         slot = self._slot_of[peer_id]
         return self._link_tg[slot, : self._link_cnt[slot]].tolist()
 
@@ -647,13 +575,6 @@ class Network:
         Only live peers' links are counted: a departed peer's own stale
         row (lingering on the free-list until repair) is invisible here.
         """
-        if self.engine == "scalar":
-            return sum(
-                1
-                for state in self._peers.values()
-                for target in state.long_links
-                if target not in self._peers
-            )
         _, live = self._resolve_rows(self._slot_at)
         return int(len(live) - np.count_nonzero(live))
 
@@ -661,8 +582,6 @@ class Network:
         """Return the mean number of (live or dangling) long links per peer."""
         if self.n == 0:
             return 0.0
-        if self.engine == "scalar":
-            return sum(len(s.long_links) for s in self._peers.values()) / self.n
         return float(self._link_cnt[self._slot_at].mean())
 
     # ------------------------------------------------------------------
@@ -675,12 +594,12 @@ class Network:
 
         Dangling long links are skipped (and counted); ring neighbours
         are always live by construction, so the walk reaches the owner
-        unless the hop budget runs out.  Both engines route identically;
-        batch measurement goes through :meth:`snapshot` plus
-        :func:`repro.core.route_many` instead.
+        unless the hop budget runs out.  Batch measurement goes through
+        :meth:`snapshot` plus :func:`repro.core.route_many` instead.
 
         Raises:
             KeyError: if the source peer is not live.
+            ValueError: for a key that is NaN or outside ``[0, 1)``.
         """
         if source_id not in self:
             raise KeyError(f"source peer {source_id!r} not present")
@@ -731,4 +650,4 @@ class Network:
         )
 
     def __repr__(self) -> str:
-        return f"Network(n={self.n}, space={self.space.name!r}, engine={self.engine!r})"
+        return f"Network(n={self.n}, space={self.space.name!r})"

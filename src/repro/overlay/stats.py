@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.overlay.network import LookupResult, Network
+from repro.core.batch_routing import route_many
+from repro.overlay.network import Network
 
 __all__ = ["LookupStats", "summarize_lookups", "measure_network"]
 
@@ -105,11 +106,10 @@ def measure_network(
 ) -> LookupStats:
     """Run random lookups over a live network and summarise them.
 
-    On an array-engine network the lookups are batch-routed over a
-    :meth:`Network.snapshot` through :func:`repro.core.route_many`
-    (hop-for-hop identical to scalar :meth:`Network.route`, which the
-    scalar engine still uses below), so measurement scales with the
-    batch router rather than the Python-loop walk.
+    The lookups are batch-routed over a :meth:`Network.snapshot` through
+    :func:`repro.core.route_many` (hop-for-hop identical to
+    :meth:`Network.route`), so measurement scales with the batch router
+    rather than the Python-loop walk.
 
     Args:
         network: the overlay to measure.
@@ -118,7 +118,7 @@ def measure_network(
         targets: ``"peers"`` looks up existing peer identifiers;
             ``"uniform"`` looks up fresh uniform keys.
         workers: shard the batch-routed lookup phase over worker
-            processes (array engine only; bit-identical results — see
+            processes (bit-identical results — see
             :func:`repro.core.route_many`).
 
     Raises:
@@ -128,22 +128,14 @@ def measure_network(
         raise ValueError(f"unknown targets mode {targets!r}")
     if network.n == 0:
         raise ValueError("cannot measure an empty network")
-    # Both engines consume the same rng stream in the same order — all
-    # sources first, then all keys — so a seed names one workload, not
-    # one workload per engine.
+    # All sources first, then all keys: the per-lookup reference loop in
+    # the tests draws the same stream, so a seed names one workload.
     ids = network.ids_array()
     sources = rng.integers(len(ids), size=n_lookups)
     if targets == "peers":
         keys = ids[rng.integers(len(ids), size=n_lookups)]
     else:
         keys = rng.random(n_lookups)
-    if network.engine == "array":
-        from repro.core.batch_routing import route_many
-
-        return summarize_lookups(
-            route_many(network.snapshot(), sources, keys, workers=workers)
-        )
-    results: list[LookupResult] = [
-        network.route(float(ids[s]), float(k)) for s, k in zip(sources, keys)
-    ]
-    return summarize_lookups(results)
+    return summarize_lookups(
+        route_many(network.snapshot(), sources, keys, workers=workers)
+    )

@@ -10,7 +10,8 @@ The layer that turns the repository's batch routers into a *server*:
   :class:`repro.core.metric_routing.StreamFrontier`: micro-batches of
   the query stream join the live frontier continuously, retired walks
   stream into p50/p99/p999 latency + hops SLO quantiles, and per-query
-  outcomes stay bit-identical across worker counts and to batch replay.
+  outcomes are a pure function of the stream and the engine's
+  configuration, with owners and routed hops equal to batch replay.
 """
 
 from repro.serving.cache import RouteCache

@@ -5,8 +5,8 @@ lookups; once a key's owner is resolved there is no reason to walk the
 overlay for it again while the population is stable.  The serving
 engine consults and fills this cache *at admission time* — before any
 routing happens — so hit/miss/eviction accounting depends only on the
-admission order of the query stream, never on worker count or frontier
-interleaving (the admission-determinism contract the tests pin).
+admission order of the query stream, never on frontier interleaving
+(the admission-determinism contract the tests pin).
 
 The cache is an exact LRU held in three aligned arrays: the resident
 keys in sorted order, their owners, and the stamp of each key's last

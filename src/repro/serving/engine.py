@@ -10,22 +10,17 @@ join and leave continuously, the frontier never drains between batches
 quantiles (p50/p99/p999 latency and hops via
 :class:`repro.telemetry.P2Quantile`).
 
-Two admission modes share one per-query contract:
-
-* ``workers in (None, 1)`` — the resident stream: one
-  :class:`StreamFrontier` holds every in-flight walk; admission
-  backpressure is ``max_active``.
-* ``workers > 1`` — sharded admission: each admitted miss micro-batch
-  routes to completion through
-  :func:`repro.parallel.frontier_route_many_parallel`.
-
-Because walks are independent and the hot-key cache
-(:class:`repro.serving.cache.RouteCache`) is consulted *and filled at
-admission time*, per-query outcomes — owner, hops, success, reason,
-cache flag — are identical across modes and worker counts, and
-identical to replaying the whole stream as one
-:func:`repro.core.route_many` batch.  Latency and throughput are
-wall-clock and deliberately outside that determinism contract.
+One :class:`StreamFrontier` holds every in-flight walk; admission
+backpressure is ``max_active``.  Because walks are independent and the
+hot-key cache (:class:`repro.serving.cache.RouteCache`) is consulted
+*and filled at admission time*, per-query outcomes — owner, hops,
+success, reason, cache flag — are a pure function of the query stream
+and the :class:`ServeConfig`, never of which walks share the frontier.
+Owners, and the hops of every routed (non-cached) query, equal those of
+replaying the whole stream as one :func:`repro.core.route_many` batch;
+which repeats hit the cache depends on where the micro-batches split
+the stream.  Latency and throughput are wall-clock and deliberately
+outside that determinism contract.
 """
 
 from __future__ import annotations
@@ -60,21 +55,18 @@ class ServeConfig:
     Attributes:
         admit_per_round: micro-batch width — how many pending queries
             at most join the frontier per pump.
-        max_active: resident-frontier backpressure bound (serial mode);
-            admission stalls while this many walks are in flight.
-        max_hops: per-walk hop budget; defaults to the graph size.
+        max_active: resident-frontier backpressure bound; admission
+            stalls while this many walks are in flight.
+        max_hops: per-walk hop budget, ``>= 0``; defaults to the graph
+            size.
         cache_capacity: hot-key route-cache entries; ``0`` disables the
             cache entirely.
-        workers: ``None``/``1`` serves from the resident stream;
-            ``> 1`` routes each admitted micro-batch through the
-            sharded parallel kernel.
     """
 
     admit_per_round: int = 4096
     max_active: int = 32_768
     max_hops: int | None = None
     cache_capacity: int = 0
-    workers: int | None = None
 
     def __post_init__(self):
         if self.admit_per_round < 1:
@@ -83,12 +75,12 @@ class ServeConfig:
             )
         if self.max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {self.max_active}")
+        if self.max_hops is not None and self.max_hops < 0:
+            raise ValueError(f"max_hops must be >= 0, got {self.max_hops}")
         if self.cache_capacity < 0:
             raise ValueError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -128,7 +120,6 @@ class ServeReport:
     latency_p999_ms: float
     reasons: dict[str, int]
     cache: dict[str, int | float] | None
-    workers: int
     rounds: int = 0
     extras: dict = field(default_factory=dict)
 
@@ -163,7 +154,6 @@ class ServeReport:
                     f"evictions {self.cache['evictions']})",
                 )
             )
-        rows.append(("workers", f"{self.workers}"))
         width = max(len(label) for label, _ in rows)
         lines = ["serving report", "-" * 14]
         lines += [f"{label:<{width}}  {value}" for label, value in rows]
@@ -300,20 +290,14 @@ class ServingEngine:
             if self.config.cache_capacity
             else None
         )
-        self.workers = self.config.workers
-        self._serial = self.workers is None or self.workers <= 1
         self._clock = clock if clock is not None else time.perf_counter
         self._queue = _RingBuffer()
         self._log = _ResultLog()
         self._next_ticket = 0
         self.completed = 0
-        self._frontier = (
-            StreamFrontier(
-                self.csr, self.metric, max_hops=self.max_hops,
-                capacity=self.config.max_active,
-            )
-            if self._serial
-            else None
+        self._frontier = StreamFrontier(
+            self.csr, self.metric, max_hops=self.max_hops,
+            capacity=self.config.max_active,
         )
         self._latency_q = P2Quantile(SLO_PROBS)
         self._hops_q = P2Quantile(SLO_PROBS)
@@ -322,10 +306,6 @@ class ServingEngine:
         self._routed_total = 0
         self._busy_seconds = 0.0
         self.rounds = 0
-        # Parallel-mode counterparts of the resident frontier's
-        # candidates_seen / padded_slots_seen (shard-summed per batch).
-        self._candidates_seen = 0
-        self._padded_slots_seen = 0
         # Observability hooks (repro.monitor): both default to None so
         # the un-monitored hot path pays one attribute check per pump /
         # admit and nothing else.
@@ -357,8 +337,8 @@ class ServingEngine:
 
     @property
     def in_flight(self) -> int:
-        """Walks currently resident in the frontier (serial mode)."""
-        return self._frontier.active_count if self._frontier is not None else 0
+        """Walks currently resident in the frontier."""
+        return self._frontier.active_count
 
     def submit(self, sources: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Enqueue a chunk of lookups; returns their tickets.
@@ -400,15 +380,13 @@ class ServingEngine:
     def pump(self) -> int:
         """One admission round; returns how many queries completed.
 
-        Serial mode admits one micro-batch into the resident frontier
-        and advances every in-flight walk one hop.  Parallel mode admits
-        one micro-batch and routes it to completion through the sharded
-        kernel.
+        Admits one micro-batch into the resident frontier and advances
+        every in-flight walk one hop.
         """
         started = self._clock()
         before = self.completed
         self._admit()
-        if self._frontier is not None and self._frontier.active_count:
+        if self._frontier.active_count:
             self.rounds += 1
             telemetry.count("serving.rounds")
             retired = self._frontier.step()
@@ -455,9 +433,10 @@ class ServingEngine:
         return self.report(seconds=self._clock() - started, n_queries=n_queries)
 
     def _admit(self) -> int:
-        room = self.config.admit_per_round
-        if self._frontier is not None:
-            room = min(room, self.config.max_active - self._frontier.active_count)
+        room = min(
+            self.config.admit_per_round,
+            self.config.max_active - self._frontier.active_count,
+        )
         if room <= 0 or len(self._queue) == 0:
             return 0
         sources, keys, tickets = self._queue.pop(room)
@@ -483,36 +462,13 @@ class ServingEngine:
         prepared = self.metric.prepare(keys)
         if self.cache is not None:
             # Filled at admission time — before any routing — so cache
-            # accounting depends only on stream order, never on worker
-            # count or frontier interleaving.
+            # accounting depends only on the admission order, never on
+            # frontier interleaving.
             self.cache.insert(keys, prepared.owners)
-        if self._frontier is not None:
-            slots = self._frontier.admit(sources, prepared, tickets=tickets)
-            done = slots[~self._frontier.active[slots]]
-            if done.size:
-                self._retire(done)
-        else:
-            from repro.parallel import frontier_route_many_parallel
-
-            batch = frontier_route_many_parallel(
-                self.csr, self.metric, sources, keys,
-                max_hops=self.max_hops, workers=self.workers,
-            )
-            # Shard-summed round/fill stats so parallel mode reports the
-            # same observables the resident frontier keeps live.
-            self.rounds += batch.rounds
-            self._candidates_seen += batch.candidates_seen
-            self._padded_slots_seen += batch.padded_slots_seen
-            self._finish(
-                tickets,
-                owners=batch.owners,
-                hops=batch.hops,
-                neighbor_hops=batch.neighbor_hops,
-                long_hops=batch.long_hops,
-                success=batch.success,
-                reason_codes=batch.reason_codes,
-                cache_hit=False,
-            )
+        slots = self._frontier.admit(sources, prepared, tickets=tickets)
+        done = slots[~self._frontier.active[slots]]
+        if done.size:
+            self._retire(done)
         return len(tickets)
 
     def _retire(self, slots: np.ndarray) -> None:
@@ -622,17 +578,6 @@ class ServingEngine:
             latency_p999_ms=self._latency_q.quantile(0.999) * 1e3,
             reasons=reasons,
             cache=self.cache.stats() if self.cache is not None else None,
-            workers=1 if self._serial else int(self.workers),
             rounds=self.rounds,
-            extras=(
-                {"frontier_fill_ratio": self._frontier.fill_ratio}
-                if self._frontier is not None
-                else {
-                    "frontier_fill_ratio": (
-                        self._candidates_seen / self._padded_slots_seen
-                        if self._padded_slots_seen
-                        else 1.0
-                    ),
-                }
-            ),
+            extras={"frontier_fill_ratio": self._frontier.fill_ratio},
         )

@@ -150,6 +150,13 @@ class TestHopForHopParity:
         assert np.array_equal(batch.reasons, [r.reason for r in scalar])
         assert (batch.reasons == "max_hops").any()
 
+    def test_rejects_negative_hop_budget(self):
+        overlay = ChordOverlay(_uniform_ids(64, 57))
+        with pytest.raises(ValueError, match="max_hops"):
+            route_many_overlay(
+                overlay, np.asarray([0, 1]), np.asarray([0.25, 0.5]), max_hops=-3
+            )
+
     def test_rejects_bad_sources(self, rng):
         overlay = ChordOverlay(_uniform_ids(64, 56))
         with pytest.raises(ValueError):

@@ -84,6 +84,13 @@ class TestScalarEquivalence:
             )
             assert (batch.hops <= budget).all()
 
+    def test_negative_hop_budget_rejected(self, rng):
+        graph = build_uniform_model(n=512, rng=rng)
+        sources = rng.integers(graph.n, size=50)
+        keys = rng.random(50)
+        with pytest.raises(ValueError, match="max_hops"):
+            route_many(graph, sources, keys, max_hops=-3)
+
     def test_degenerate_graphs(self, rng):
         for graph in (
             build_uniform_model(n=1, rng=rng),

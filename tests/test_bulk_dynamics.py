@@ -1,15 +1,16 @@
 """Equivalence and property suite for the bulk live-overlay engine.
 
 Locks the array-backed :class:`Network` and
-:mod:`repro.overlay.bulk_dynamics` down against the scalar reference
-engine:
+:mod:`repro.overlay.bulk_dynamics` down against the dict-of-lists
+reference network in ``tests/overlay_oracle.py``:
 
-* *exact* parity — the scalar protocols (joins, refresh, scalar routing)
-  driven through both engines with the same seed must leave identical
-  state, and batch-routing a snapshot must match live scalar routing
-  hop for hop;
-* *statistical* parity — bulk cohort bootstrap vs per-peer scalar
-  bootstrap at n=2048, uniform and skewed, compared by KS on degree and
+* *exact* parity — a hypothesis state machine applies every per-peer
+  operation (joins, leaves, re-joins, link writes, refresh) to a
+  :class:`Network` and to the oracle with identically seeded generators
+  and demands identical state, snapshots and routes after each one, and
+  batch-routing a snapshot must match live scalar routing hop for hop;
+* *statistical* parity — bulk cohort bootstrap vs per-peer bootstrap of
+  the oracle at n=2048, uniform and skewed, compared by KS on degree and
   link-mass distributions;
 * *invariants* — successor-ring integrity under interleaved join/leave
   storms, dangling accounting, free-list hygiene, and the regression
@@ -18,7 +19,17 @@ engine:
 """
 
 import numpy as np
+import overlay_oracle as oracle
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.analysis import ks_two_sample
 from repro.core import build_uniform_model, route_many
@@ -35,6 +46,7 @@ from repro.overlay import (
     join_known_f,
     maintenance_round,
     measure_network,
+    refresh_peer,
     run_churn,
     sample_cohort_ids,
 )
@@ -59,13 +71,134 @@ def links_of(net, peer_id):
     return [float(t) for t in links]
 
 
-class TestEngineExactParity:
-    """The same scalar-protocol op sequence leaves both engines identical."""
+class OverlayParityMachine(RuleBasedStateMachine):
+    """Every per-peer operation leaves :class:`Network` equal to the oracle.
 
-    def _drive(self, engine, seed=7):
+    Each rule applies one operation to both networks, each drawing from
+    its own generator seeded identically, so any divergence in state or
+    in random draws shows up in the invariant after that rule.
+    """
+
+    @initialize(
+        n=st.integers(4, 40),
+        ring=st.booleans(),
+        skewed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def build(self, n, ring, skewed, seed):
+        space = RingSpace() if ring else None
+        self.dist = PowerLaw(alpha=1.5, shift=1e-2) if skewed else Uniform()
+        self.nets = (Network(space=space), oracle.OracleNetwork(space=space))
+        self.rngs = (np.random.default_rng(seed), np.random.default_rng(seed))
+        self.departed: list[float] = []
+        self.checks = 0
+        for i in range(n):
+            self.join(seed + i)
+
+    def _both(self, op):
+        """``op(net, rng)`` on the array network and on the oracle."""
+        return tuple(op(net, rng) for net, rng in zip(self.nets, self.rngs))
+
+    def _live(self) -> list[float]:
+        return self.nets[0].ids_array().tolist()
+
+    @rule(seed=st.integers(0, 2**16))
+    def join(self, seed):
+        draw = np.random.default_rng(seed)
+        peer_id = float(self.dist.sample(1, draw)[0])
+        while peer_id in self.nets[1]:
+            peer_id = float(self.dist.sample(1, draw)[0])
+        got, want = self._both(
+            lambda net, rng: join_known_f(net, self.dist, rng, peer_id=peer_id)
+        )
+        assert got == want
+
+    @precondition(lambda self: self.nets[1].n > 2)
+    @rule(data=st.data())
+    def leave(self, data):
+        peer_id = data.draw(st.sampled_from(self._live()))
+        self._both(lambda net, rng: net.remove_peer(peer_id))
+        self.departed.append(peer_id)
+
+    @precondition(lambda self: self.nets[1].n > 2)
+    @rule(data=st.data(), relink=st.booleans())
+    def leave_and_rejoin(self, data, relink):
+        peer_id = data.draw(st.sampled_from(self._live()))
+
+        def op(net, rng):
+            net.remove_peer(peer_id)
+            if relink:
+                return join_known_f(net, self.dist, rng, peer_id=peer_id)
+            net.add_peer(peer_id)
+            return None
+
+        got, want = self._both(op)
+        assert got == want
+
+    @rule(data=st.data(), assign=st.booleans())
+    def write_links(self, data, assign):
+        peer_id = data.draw(st.sampled_from(self._live()))
+        pool = st.sampled_from(self._live() + self.departed)
+        targets = data.draw(st.lists(pool, max_size=6))
+
+        def op(net, rng):
+            state = net.peer(peer_id)
+            if assign:
+                state.long_links = targets
+            else:
+                for target in targets:
+                    state.long_links.append(target)
+
+        self._both(op)
+
+    @rule(data=st.data(), estimate=st.booleans())
+    def refresh(self, data, estimate):
+        peer_id = data.draw(st.sampled_from(self._live()))
+        dist = None if estimate else self.dist
+        got, want = self._both(
+            lambda net, rng: refresh_peer(
+                net, peer_id, rng, distribution=dist, sample_size=16
+            )
+        )
+        assert got == want
+
+    @invariant()
+    def networks_agree(self):
+        net, ref = self.nets
+        assert np.array_equal(net.ids_array(), ref.ids_array())
+        for peer_id in ref.ids_array().tolist():
+            assert links_of(net, peer_id) == links_of(ref, peer_id), peer_id
+        assert net.dangling_link_count() == ref.dangling_link_count()
+        assert net.mean_long_degree() == ref.mean_long_degree()
+        got, want = net.snapshot().adjacency, ref.snapshot().adjacency
+        for column in ("indptr", "indices", "is_long"):
+            assert np.array_equal(getattr(got, column), getattr(want, column))
+        probe = np.random.default_rng(self.checks)
+        self.checks += 1
+        for _ in range(4):
+            source = net.random_peer(probe)
+            key = float(probe.random())
+            a = net.route(source, key)
+            b = ref.route(source, key)
+            assert (
+                a.success, a.hops, a.long_hops, a.path, a.owner_id,
+                a.dangling_links_seen,
+            ) == (
+                b.success, b.hops, b.long_hops, b.path, b.owner_id,
+                b.dangling_links_seen,
+            )
+
+
+TestOverlayParityMachine = OverlayParityMachine.TestCase
+TestOverlayParityMachine.settings = settings(max_examples=30, stateful_step_count=20)
+
+
+class TestEngineExactParity:
+    """A fixed 150-join/25-leave sequence leaves both networks identical."""
+
+    def _drive(self, net, seed=7):
         dist = PowerLaw(alpha=1.5, shift=1e-2)
         rng = np.random.default_rng(seed)
-        net = Network(engine=engine)
         for _ in range(150):
             peer_id = float(dist.sample(1, rng)[0])
             while peer_id in net:
@@ -77,23 +210,24 @@ class TestEngineExactParity:
         return net
 
     def test_identical_state_after_same_ops(self):
-        array_net = self._drive("array")
-        scalar_net = self._drive("scalar")
-        assert np.array_equal(array_net.ids_array(), scalar_net.ids_array())
-        for peer_id in scalar_net.ids_array().tolist():
-            assert links_of(array_net, peer_id) == links_of(scalar_net, peer_id)
-        assert array_net.dangling_link_count() == scalar_net.dangling_link_count()
-        assert array_net.mean_long_degree() == scalar_net.mean_long_degree()
+        array_net = self._drive(Network())
+        ref_net = self._drive(oracle.OracleNetwork())
+        assert np.array_equal(array_net.ids_array(), ref_net.ids_array())
+        for peer_id in ref_net.ids_array().tolist():
+            assert links_of(array_net, peer_id) == links_of(ref_net, peer_id)
+        assert array_net.dangling_link_count() == ref_net.dangling_link_count()
+        assert array_net.dangling_link_count() > 0
+        assert array_net.mean_long_degree() == ref_net.mean_long_degree()
 
     def test_identical_routes_after_same_ops(self):
-        array_net = self._drive("array")
-        scalar_net = self._drive("scalar")
+        array_net = self._drive(Network())
+        ref_net = self._drive(oracle.OracleNetwork())
         rng = np.random.default_rng(9)
         for _ in range(40):
             source = array_net.random_peer(rng)
             key = float(rng.random())
             a = array_net.route(source, key)
-            s = scalar_net.route(source, key)
+            s = ref_net.route(source, key)
             assert (a.success, a.hops, a.long_hops, a.path, a.owner_id) == (
                 s.success, s.hops, s.long_hops, s.path, s.owner_id
             )
@@ -138,15 +272,6 @@ class TestBulkJoin:
                 assert target in net
                 assert abs(target - peer_id) >= cutoff
 
-    def test_scalar_engine_fallback_is_reference_join(self):
-        dist = Uniform()
-        net = Network(engine="scalar")
-        rng = np.random.default_rng(4)
-        seed_ids = dist.sample(64, rng)
-        bulk_join(net, seed_ids, dist, rng)
-        assert net.n == 64
-        assert isinstance(net.peer(float(seed_ids[0])).long_links, list)
-
     def test_rejects_bad_cohorts(self, rng):
         net = bulk_bootstrap(Uniform(), 32, rng)
         live = float(net.ids_array()[0])
@@ -185,16 +310,14 @@ class TestBulkLeave:
 
 
 class TestStatisticalEquivalence:
-    """Satellite: KS-level bulk↔scalar parity at n=2048, uniform and skewed."""
+    """KS-level bulk↔per-peer parity at n=2048, uniform and skewed."""
 
     @pytest.mark.parametrize(
         "dist", [Uniform(), PowerLaw(alpha=1.5, shift=1e-3)], ids=["uniform", "skewed"]
     )
     def test_bootstrap_degree_and_mass_distributions(self, dist):
         n = 2048
-        scalar_net, _ = bootstrap_network(
-            dist, n, np.random.default_rng(11), engine="scalar"
-        )
+        scalar_net = oracle.bootstrap_network(dist, n, np.random.default_rng(11))
         bulk_net = bulk_bootstrap(dist, n, np.random.default_rng(12))
         ks_deg = ks_two_sample(degrees_of(scalar_net), degrees_of(bulk_net))
         assert ks_deg.p_value > 0.01, (ks_deg.statistic, ks_deg.p_value)
@@ -208,18 +331,18 @@ class TestStatisticalEquivalence:
         assert ks_mass.p_value > 0.01, (ks_mass.statistic, ks_mass.p_value)
 
     def test_churned_networks_stay_equivalent(self):
-        """After identical churn schedules, engines stay statistically close."""
+        """After identical churn schedules, the two stay statistically close."""
         dist = Uniform()
         config = ChurnConfig(epochs=3, lookups_per_epoch=20)
-        scalar_net, _ = bootstrap_network(
-            dist, 512, np.random.default_rng(21), engine="scalar"
-        )
+        scalar_net = oracle.bootstrap_network(dist, 512, np.random.default_rng(21))
         bulk_net = bulk_bootstrap(dist, 512, np.random.default_rng(22))
-        run_churn(scalar_net, dist, config, np.random.default_rng(23))
+        oracle.run_churn(scalar_net, dist, config, np.random.default_rng(23))
         run_churn(bulk_net, dist, config, np.random.default_rng(24))
         ks = ks_two_sample(degrees_of(scalar_net), degrees_of(bulk_net))
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
-        hops_s = measure_network(scalar_net, 300, np.random.default_rng(25)).mean_hops
+        hops_s = oracle.measure_network(
+            scalar_net, 300, np.random.default_rng(25)
+        ).mean_hops
         hops_b = measure_network(bulk_net, 300, np.random.default_rng(26)).mean_hops
         assert abs(hops_s - hops_b) < 0.25 * max(hops_s, hops_b)
 
@@ -311,11 +434,6 @@ class TestBulkRepair:
         assert net.dangling_link_count() == 0
         assert report.links_installed > 0
 
-    def test_scalar_engine_raises(self, rng):
-        net, _ = bootstrap_network(Uniform(), 16, rng, engine="scalar")
-        with pytest.raises(ValueError):
-            bulk_repair(net, rng, distribution=Uniform())
-
     def test_maintenance_round_dispatches_to_bulk(self, rng):
         net = bulk_bootstrap(Uniform(), 64, rng)
         report = maintenance_round(net, rng, distribution=Uniform(), fraction=0.5)
@@ -399,17 +517,3 @@ class TestFromGraphAndSnapshot:
         assert np.array_equal(snap.ids, graph.ids)
         for a, b in zip(snap.long_links, graph.long_links):
             assert np.array_equal(np.sort(a), np.sort(np.asarray(b)))
-
-    def test_from_graph_scalar_engine(self, rng):
-        graph = build_uniform_model(n=64, rng=rng)
-        net = Network.from_graph(graph, engine="scalar")
-        assert net.engine == "scalar"
-        assert net.n == 64
-        assert net.dangling_link_count() == 0
-        assert net.mean_long_degree() == pytest.approx(
-            graph.total_long_links() / graph.n
-        )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Network(engine="quantum")

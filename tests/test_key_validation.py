@@ -1,12 +1,12 @@
 """Bad lookups are rejected at the boundary, never routed.
 
 A key must satisfy ``0 <= key < 1``; NaN fails that test too.  Every
-routing metric checks its raw keys before any transform, so a NaN or
-out-of-range key raises instead of "succeeding" at the top peer or
-retiring as ``stuck``.  The serving engine checks a whole submitted
-chunk — keys and sources — before the chunk gets tickets, so one bad
-lookup can no longer take down the valid queries it would have shared
-a micro-batch with.
+routing metric, and the live overlay's ownership resolution, checks its
+raw keys before any transform, so a NaN or out-of-range key raises
+instead of "succeeding" at the top peer or retiring as ``stuck``.  The
+serving engine checks a whole submitted chunk — keys and sources —
+before the chunk gets tickets, so one bad lookup can no longer take
+down the valid queries it would have shared a micro-batch with.
 """
 
 import warnings
@@ -24,6 +24,7 @@ from repro.baselines import (
 )
 from repro.core import build_uniform_model, route_many
 from repro.keyspace import check_unit_keys, digit_rows
+from repro.overlay import Network
 from repro.serving import ServeConfig, ServingEngine
 
 
@@ -54,6 +55,22 @@ class TestRouteMany:
     def test_rejects_bad_key(self, graph, bad):
         with pytest.raises(ValueError, match="outside"):
             route_many(graph, np.asarray([0, 1]), np.asarray([0.5, bad]))
+
+
+class TestLiveNetwork:
+    """The live overlay answered bad keys: NaN "stuck" at the top peer,
+    1.5 and -0.25 "arrived" at the top and bottom peers."""
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_route_rejects_bad_key(self, graph, bad):
+        net = Network.from_graph(graph)
+        with pytest.raises(ValueError, match="outside"):
+            net.route(float(net.ids_array()[0]), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_owner_of_rejects_bad_key(self, graph, bad):
+        with pytest.raises(ValueError, match="outside"):
+            Network.from_graph(graph).owner_of(bad)
 
 
 def _overlay(name, rng):

@@ -46,10 +46,9 @@ def demand(graph):
     )
 
 
-def _monitored_serve(graph, demand, *, workers=None, n_queries=12_000, window=1024):
+def _monitored_serve(graph, demand, *, n_queries=12_000, window=1024):
     engine = ServingEngine(
-        graph,
-        ServeConfig(admit_per_round=512, cache_capacity=256, workers=workers),
+        graph, ServeConfig(admit_per_round=512, cache_capacity=256)
     )
     monitor = Monitor(
         engine,
@@ -203,20 +202,20 @@ def _metric_for(graph):
 
 
 class TestSampleMask:
-    def test_worker_count_independence(self, graph, demand):
-        """The sampled ticket set is identical for 1/2/4 workers."""
-        sampled = {}
-        for workers in (1, 2, 4):
-            engine = ServingEngine(
-                graph,
-                ServeConfig(admit_per_round=512, cache_capacity=256, workers=workers),
-            )
-            recorder = FlightRecorder(engine, sample_rate=16)
-            engine.attach_recorder(recorder)
-            engine.serve(demand, 8192, np.random.default_rng(31))
-            sampled[workers] = sorted(recorder._tickets)
-        assert sampled[1] == sampled[2] == sampled[4]
-        assert len(sampled[1]) > 0
+    @pytest.mark.parametrize("width", [64, 512, 4096])
+    def test_batch_width_independence(self, graph, demand, width):
+        """The recorder hashes at submit, so its sampled tickets are the
+        stream's own 1-in-16 mask whatever the micro-batch width."""
+        engine = ServingEngine(
+            graph, ServeConfig(admit_per_round=width, cache_capacity=256)
+        )
+        recorder = FlightRecorder(engine, sample_rate=16)
+        engine.attach_recorder(recorder)
+        engine.serve(demand, 8192, np.random.default_rng(31))
+        res = engine.results()
+        expected = np.flatnonzero(sample_mask(res.sources, res.keys, 16))
+        assert len(expected) > 0
+        assert sorted(recorder._tickets) == expected.tolist()
 
     def test_sharding_invariance(self):
         """Chunked evaluation concatenates to the whole-array mask."""
@@ -283,23 +282,6 @@ class TestFlightRecorder:
 
 
 class TestMonitorDeterminism:
-    def test_window_series_bit_identical_across_worker_counts(
-        self, graph, demand
-    ):
-        """The deterministic bank is the same, bit for bit, serial vs
-        sharded — the monitor-level restatement of the serving
-        determinism contract."""
-        banks = {}
-        for workers in (None, 2):
-            _, monitor = _monitored_serve(graph, demand, workers=workers)
-            banks[workers] = {
-                name: monitor.bank.series(name).values().copy()
-                for name in WINDOW_SERIES
-            }
-            assert monitor.windows_emitted > 0
-        for name in WINDOW_SERIES:
-            assert np.array_equal(banks[None][name], banks[2][name]), name
-
     def test_windows_emit_only_when_prefix_complete(self, graph, demand):
         engine, monitor = _monitored_serve(graph, demand, n_queries=4096)
         assert monitor.windows_emitted == 4096 // 1024
@@ -318,6 +300,9 @@ class TestMonitorDeterminism:
         class _Engine:
             pass
 
+        class _Frontier:
+            fill_ratio = 1.0
+
         n_windows, w = 24, 256
         rng = np.random.default_rng(5)
         hops = rng.integers(4, 8, size=n_windows * w).astype(np.int64)
@@ -329,7 +314,7 @@ class TestMonitorDeterminism:
         log.reason_codes = np.zeros(n_windows * w, dtype=np.int8)
         engine = _Engine()
         engine._log = log
-        engine._frontier = None
+        engine._frontier = _Frontier()
         engine._latency_q = None
         monitor = Monitor.__new__(Monitor)
         monitor.engine = engine

@@ -76,7 +76,7 @@ class TestRepairCostModel:
     def _damaged_network(self, rng, n=256):
         from repro.overlay import Network, bulk_leave
 
-        net = Network.from_graph(build_uniform_model(n=n, rng=rng), engine="array")
+        net = Network.from_graph(build_uniform_model(n=n, rng=rng))
         leavers = rng.choice(net.ids_array(), size=n // 8, replace=False)
         bulk_leave(net, leavers)
         return net
@@ -128,7 +128,7 @@ class TestRepairCostModel:
     def test_churn_config_plumbs_repair_cost(self, rng):
         from repro.overlay import Network
 
-        net = Network.from_graph(build_uniform_model(n=256, rng=rng), engine="array")
+        net = Network.from_graph(build_uniform_model(n=256, rng=rng))
         history = run_churn(
             net,
             Uniform(),
@@ -279,18 +279,21 @@ class TestStats:
             summarize_lookups([bad])
 
     def test_measure_network_same_seed_same_workload_across_engines(self, rng):
-        # Regression: the scalar engine used to interleave per-lookup
-        # draws, so one seed measured a different workload per engine.
+        # Regression: the per-lookup reference loop used to interleave
+        # its draws, so one seed measured a different workload per side.
+        from overlay_oracle import OracleNetwork
+        from overlay_oracle import measure_network as measure_per_lookup
+
         from repro.overlay import Network
 
         graph = build_uniform_model(n=96, rng=rng)
         array_net = Network.from_graph(graph)
-        scalar_net = Network.from_graph(graph, engine="scalar")
+        scalar_net = OracleNetwork.from_graph(graph)
         for mode in ("peers", "uniform"):
             a = measure_network(
                 array_net, 50, np.random.default_rng(17), targets=mode
             )
-            b = measure_network(
+            b = measure_per_lookup(
                 scalar_net, 50, np.random.default_rng(17), targets=mode
             )
             assert a == b, mode

@@ -1,12 +1,13 @@
 """Unit tests for the live Network overlay.
 
-The ``small_net`` fixture runs every behavioural test on both storage
-engines — the array slab (default) and the scalar dict-of-PeerState
-reference — so the two cannot drift.
+The ``small_net`` fixture runs every behavioural test on both the
+slab-backed :class:`Network` ("array") and the dict-of-lists reference
+in ``tests/overlay_oracle.py`` ("scalar"), so the two cannot drift.
 """
 
 import numpy as np
 import pytest
+from overlay_oracle import OracleNetwork
 
 from repro.keyspace import RingSpace
 from repro.overlay import Network
@@ -14,7 +15,7 @@ from repro.overlay import Network
 
 @pytest.fixture(params=["array", "scalar"])
 def small_net(request):
-    net = Network(engine=request.param)
+    net = Network() if request.param == "array" else OracleNetwork()
     for peer_id in (0.1, 0.3, 0.5, 0.7, 0.9):
         net.add_peer(peer_id)
     return net
@@ -121,3 +122,4 @@ class TestRouting:
     def test_mean_long_degree(self, small_net):
         small_net.peer(0.1).long_links.extend([0.7, 0.9])
         assert small_net.mean_long_degree() == pytest.approx(2 / 5)
+
