@@ -22,6 +22,21 @@ router scans candidates in exactly that order and keeps the *first*
 strict improvement, which matches ``np.argmin``'s first-occurrence
 tie-break over a CSR row.
 
+Long links are stored ascending and distinct: the producers write
+them that way.  :func:`repro.core.bulk_construction.split_rows` splits
+sorted ``row * n + col`` keys (so :func:`~repro.core.bulk_construction.symmetrize_flat`
+rows are sorted too), the scalar samplers in :mod:`repro.core.links`
+return ``np.sort``-ed sets, and the live overlay's
+``bulk_dynamics._write_member_rows`` fills rows in target-id order.  So
+from its third slot on (its *tail*: past the at most two neighbours)
+each row is strictly increasing, and the frontier kernel's greedy
+search round (:mod:`repro.core.metric_routing`) binary-searches it.
+Nothing relies on that blindly: :attr:`CSRAdjacency.tails_sorted` reads
+the order off the arrays, and a CSR without it — a hand-edited snapshot,
+a live peer whose links were appended one at a time through its
+``long_links`` view, a baseline's own row layout — is routed exactly, by
+the linear round that scores every candidate.
+
 Graphs are immutable snapshots (damage/churn helpers always build new
 instances), so the CSR is built lazily once per graph and cached with no
 invalidation protocol; see :attr:`SmallWorldGraph.adjacency`.
@@ -30,6 +45,7 @@ invalidation protocol; see :attr:`SmallWorldGraph.adjacency`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +59,12 @@ __all__ = [
     "csr_from_flat_links",
     "neighbor_counts",
     "segment_offsets",
+    "tails_ascending",
 ]
+
+#: Edges per block of :func:`tails_ascending`'s scan, which bounds its
+#: temporary memory at ~1 MB whatever the edge count.
+_SCAN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,6 +120,15 @@ class CSRAdjacency:
         """Long-link flags aligned with :meth:`row`."""
         return self.is_long[self.indptr[i] : self.indptr[i + 1]]
 
+    @cached_property
+    def tails_sorted(self) -> bool:
+        """Whether every row strictly increases from its third slot on.
+
+        One blocked pass over the arrays (:func:`tails_ascending`), run
+        the first time the frontier kernel asks and cached with the CSR.
+        """
+        return tails_ascending(self.indptr, self.indices)
+
     def __repr__(self) -> str:
         return f"CSRAdjacency(n={self.n}, edges={self.n_edges})"
 
@@ -115,6 +145,26 @@ def segment_offsets(counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+
+
+def tails_ascending(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether every CSR row strictly increases from its third slot on.
+
+    A *drop* — a slot whose target is not above its predecessor's — is
+    allowed only in a row's first three slots, where it compares across
+    rows, between the two neighbours, or between the last neighbour and
+    the first long link.  The scan runs in blocks of :data:`_SCAN_BLOCK`
+    edges, so it never allocates an edge-length temporary.
+    """
+    n_edges = len(indices)
+    for lo in range(1, n_edges, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, n_edges)
+        drops = np.flatnonzero(indices[lo:hi] <= indices[lo - 1 : hi - 1]) + lo
+        if len(drops):
+            rows = np.searchsorted(indptr, drops, side="right") - 1
+            if np.any(drops - indptr[rows] > 2):
+                return False
+    return True
 
 
 def _neighbor_blocks(n: int, is_ring: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -76,16 +76,27 @@ def _positions_and_targets(
 
 
 def _graph_metric(graph: SmallWorldGraph, metric: str) -> GreedyValueMetric:
-    """Bind the paper's greedy rule for ``graph`` under a metric name."""
+    """Bind the paper's greedy rule for ``graph`` under a metric name.
+
+    The rule's :attr:`~GreedyValueMetric.searchable` check depends on the
+    graph alone, so it runs once per graph and metric name and is
+    remembered on the graph, not once per batch.
+    """
     if metric == "key":
-        return GreedyValueMetric(graph.ids, graph.space)
-    if metric == "normalized":
-        return GreedyValueMetric(
+        bound = GreedyValueMetric(graph.ids, graph.space)
+    elif metric == "normalized":
+        bound = GreedyValueMetric(
             graph.normalized_ids,
             graph.space,
             transform=lambda keys: _positions_and_targets(graph, keys, "normalized")[1],
         )
-    raise ValueError(f"unknown metric {metric!r}; choose 'key' or 'normalized'")
+    else:
+        raise ValueError(f"unknown metric {metric!r}; choose 'key' or 'normalized'")
+    checked = graph.__dict__.setdefault("_searchable", {})
+    if metric not in checked:
+        checked[metric] = bound.searchable
+    bound.__dict__["searchable"] = checked[metric]
+    return bound
 
 
 def route_many(

@@ -24,18 +24,38 @@ recording — while the *routing rule* is a declarative
    ``terminal_owner_hop`` grants the Chord-style final hop onto an
    owner candidate).
 
-Steps 1–3 run on a **segmented flat-CSR layout**: every active walk's
-adjacency row is gathered into one concatenated candidate vector (no
-padding, no masking), scored flat through
-:meth:`RoutingMetric.candidate_scores`, and resolved per walk with
-segmented reductions (``np.minimum.reduceat`` plus a flat
-first-occurrence tie-break; degree-uniform rounds take an exact-width
-2-d ``argmin`` instead).  Per-walk operands are expanded to the flat
-layout with ``np.repeat(x, counts)`` — a contiguous copy, cheaper than
-gathering through a per-candidate walk index — so the cost of a round
-is proportional to the frontier's *total* degree and one hub row never
-inflates the whole cohort.  The first-minimum rule over CSR row order
-is exactly the scalar routers' "first strict improvement" scan.
+A round is one of two kinds, and both return exactly the same moves.
+
+* The **linear round** runs steps 1–3 on a *segmented flat-CSR layout*:
+  every active walk's adjacency row is gathered into one concatenated
+  candidate vector (no padding, no masking), scored flat through
+  :meth:`RoutingMetric.candidate_scores`, and resolved per walk with
+  segmented reductions (``np.minimum.reduceat`` plus a flat
+  first-occurrence tie-break; degree-uniform rounds take an exact-width
+  2-d ``argmin`` instead).  Per-walk operands are expanded to the flat
+  layout with ``np.repeat(x, counts)`` — a contiguous copy, cheaper than
+  gathering through a per-candidate walk index — so the cost of a round
+  is proportional to the frontier's *total* degree and one hub row never
+  inflates the whole cohort.  The first-minimum rule over CSR row order
+  is exactly the scalar routers' "first strict improvement" scan.
+* The **search round** serves :class:`GreedyValueMetric` on rows whose
+  long links are sorted (:attr:`CSRAdjacency.tails_sorted`): with peer
+  positions increasing in the peer index, the row's best long link is
+  the key's predecessor or successor among them (or, on the ring, the
+  row's first or last), which a vectorized binary search finds in about
+  ``log2(degree)`` gathers per walk.  The row's ring/interval
+  neighbours are scored as in the linear round, and float ties resolve
+  to the first slot in CSR order, so the move is the linear round's.
+
+:meth:`StreamFrontier._advance` picks the kind per round, from the
+inputs alone: the search round needs the exact greedy metric type with
+:attr:`GreedyValueMetric.searchable` positions, no liveness mask and
+sorted row tails (each checked once per metric or CSR), and a round
+with enough candidates per walk and per search step to outrun the
+linear round's lower fixed cost.  Everything else — other metrics,
+masked routing, unsorted or hand-edited rows, small rounds — is linear.
+Both kinds report ``"ragged"`` as :attr:`StreamFrontier.last_round_kernel`
+and count the frontier's row candidates in ``candidates_seen``.
 
 The shipped metric families cover every baseline routing rule the paper
 compares against:
@@ -63,6 +83,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import time
 
@@ -72,6 +93,7 @@ from repro import telemetry
 from repro.core.adjacency import CSRAdjacency
 from repro.core.routing import RouteResult
 from repro.keyspace import (
+    IntervalSpace,
     RingSpace,
     check_unit_keys,
     digit_rows,
@@ -340,6 +362,20 @@ class GreedyValueMetric(RoutingMetric):
         self.positions = np.asarray(positions, dtype=float)
         self.space = space
         self.transform = transform
+
+    @cached_property
+    def searchable(self) -> bool:
+        """Whether a search round scores exactly what a linear round does.
+
+        True when ``space`` is the interval or the ring (whose distances
+        are monotone on either side of the key) and ``positions``
+        strictly increase with the peer index, so a row sorted by peer
+        index is sorted by position.  Checked once per metric.
+        """
+        p = self.positions
+        return type(self.space) in (IntervalSpace, RingSpace) and bool(
+            np.all(p[1:] > p[:-1])
+        )
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         target_keys = check_unit_keys(target_keys)
@@ -748,6 +784,50 @@ class LatticeMetric(RoutingMetric):
         )
 
 
+#: Candidates a round must hold beyond the search round's per-walk cost
+#: before it searches: ~0.1 ms of extra fixed numpy work, in candidates
+#: of a linear round (see :meth:`StreamFrontier._advance`).
+_SEARCH_MIN_CANDIDATES = 4096
+
+
+def _lower_bound(base: np.ndarray, count: np.ndarray, goes_right, *operands) -> np.ndarray:
+    """Branchless binary search over per-walk slot ranges, all walks at once.
+
+    For each walk, the first slot ``j`` of ``[base, base + count)`` where
+    ``goes_right(j, *operands)`` is False, or ``base + count`` when there
+    is none.  ``goes_right`` maps a slot array (and the per-walk
+    ``operands``, restricted to the same walks) to a bool array and must
+    be True-then-False along every range; every ``count`` must be >= 1.
+    Probes never leave their range.
+
+    A walk needs ``ceil(log2(count))`` steps.  Walks are searched most
+    steps first, so the walks still searching are always a prefix and
+    a hub row's steps are paid by the hub's walks alone.
+    """
+    steps = np.frexp(count - 1)[1]
+    order = None
+    if steps.min() != steps.max():
+        order = np.argsort(-steps.astype(np.int8), kind="stable")
+        steps, base, count = steps[order], base[order], count[order]
+        operands = tuple(op[order] for op in operands)
+    else:
+        base, count = base.copy(), count.copy()
+    # searching[i]: walks with more than i steps, a prefix of the order.
+    searching = len(steps) - np.cumsum(np.bincount(steps))
+    for m in searching[:-1].tolist():
+        half = count[:m] >> 1
+        probe = base[:m] + half
+        ops = tuple(op[:m] for op in operands)
+        base[:m] = np.where(goes_right(probe, *ops), probe, base[:m])
+        count[:m] -= half
+    found = base + goes_right(base, *operands)
+    if order is None:
+        return found
+    out = np.empty_like(found)
+    out[order] = found
+    return out
+
+
 class StreamFrontier:
     """Resident routing frontier: walks join and leave continuously.
 
@@ -774,10 +854,11 @@ class StreamFrontier:
     no slot has been released (a reused slot would splice two walks'
     paths together), which the batch driver satisfies by construction.
 
-    Rounds run on the segmented flat-CSR layout (see the module
-    docstring); the frontier tracks :attr:`candidates_seen` /
-    :attr:`padded_slots_seen` so :attr:`fill_ratio` reports how much
-    padding a dense ``(walks, max_degree)`` lane matrix would have paid.
+    Rounds are linear or search rounds (see the module docstring); the
+    frontier tracks :attr:`candidates_seen` / :attr:`padded_slots_seen`
+    (the rows' candidates either way) so :attr:`fill_ratio` reports how
+    much padding a dense ``(walks, max_degree)`` lane matrix would have
+    paid.
     """
 
     def __init__(
@@ -843,6 +924,7 @@ class StreamFrontier:
         self._next_slot = 0
         self._step_walks: list[np.ndarray] = []
         self._step_nodes: list[np.ndarray] = []
+        self._searchable: bool | None = None
 
     @property
     def capacity(self) -> int:
@@ -1093,18 +1175,20 @@ class StreamFrontier:
     def _advance(self, frontier: np.ndarray) -> list[np.ndarray]:
         """Move one frontier cohort; return the cohorts retired by it.
 
-        The frontier's adjacency rows are concatenated into one flat
-        candidate vector (cost proportional to the *total* degree, not
-        ``frontier × max_degree``), scored through
-        :meth:`RoutingMetric.candidate_scores`, and resolved per walk
-        with segmented reductions.  Each walk picks the *first*
-        candidate attaining its minimum score: the segment minimum comes
-        from ``np.minimum.reduceat`` and the choice is the first flat
-        position attaining it (an exact-width 2-d argmin when the live
-        frontier is degree-uniform, where reduceat loses to one
-        reshape).
+        Either way each walk picks the *first* candidate attaining its
+        minimum score.  A *search round* (:meth:`_search`) serves the
+        round when :meth:`_search_exact` holds and the round is big
+        enough to win.  Otherwise the linear round concatenates the
+        frontier's adjacency rows into one flat candidate vector (cost
+        proportional to the *total* degree, not ``frontier ×
+        max_degree``), scores it through
+        :meth:`RoutingMetric.candidate_scores`, and resolves each walk
+        with segmented reductions: the segment minimum comes from
+        ``np.minimum.reduceat`` and the choice is the first flat position
+        attaining it (an exact-width 2-d argmin when the live frontier is
+        degree-uniform, where reduceat loses to one reshape).
         """
-        indptr, indices, is_long = self.csr.indptr, self.csr.indices, self.csr.is_long
+        indptr, indices = self.csr.indptr, self.csr.indices
         if self._state is None:
             self._state = PreparedTargets(
                 owners=self.owners, targets=self._targets, extra=self._extra
@@ -1128,8 +1212,20 @@ class StreamFrontier:
             self.active[frontier] = False
             return [frontier]
         self.last_round_kernel = "ragged"
-        retired: list[np.ndarray] = []
         w = frontier.size
+        # A linear round gathers every candidate; a search round gathers
+        # about twice per binary-search step per walk, plus a fixed
+        # overhead.  Measured per round (2-CPU x86 host), the two cross
+        # at ~400 walks on degree-20 rows, ~230 walks on a bidirectional
+        # graph's (mean degree 37) and ~2,000-4,000 walks on a hub-heavy
+        # ring of mean degree 8.7, where they stay within 15% of each
+        # other; this rule puts the switch at ~410, ~160 and ~1,500.
+        steps = max(total // w - 3, 1).bit_length()
+        if total >= 2 * steps * w + _SEARCH_MIN_CANDIDATES and self._search_exact():
+            best, slot = self._search(frontier, starts, degrees, max_degree)
+            improves = best < self.current_score[frontier]
+            return self._commit(frontier, improves, slot[improves], best[improves])
+
         # Walks with no candidates at all never reach the metric: they
         # retire as stuck below, and excluding them keeps every reduceat
         # segment non-empty (reduceat misbehaves on empty segments).
@@ -1233,20 +1329,152 @@ class StreamFrontier:
         else:
             improves = np.zeros(w, dtype=bool)
             improves[sub] = improves_sub
+        picked = choice[improves_sub]
+        return self._commit(frontier, improves, slots[picked], scores[picked])
+
+    def _search_exact(self) -> bool:
+        """Whether search rounds pick exactly what linear rounds would.
+
+        They need the plain greedy rule (:class:`GreedyValueMetric`,
+        exact type: a subclass may score differently) with
+        :attr:`~GreedyValueMetric.searchable` positions, no liveness
+        mask, and a CSR whose rows are sorted past the neighbours
+        (:attr:`CSRAdjacency.tails_sorted`).  Decided once per frontier,
+        on its first round big enough to search.
+        """
+        if self._searchable is None:
+            metric = self.metric
+            self._searchable = (
+                self.alive is None
+                and type(metric) is GreedyValueMetric
+                and metric.searchable
+                and self.csr.tails_sorted
+            )
+        return self._searchable
+
+    def _search(
+        self,
+        frontier: np.ndarray,
+        starts: np.ndarray,
+        degrees: np.ndarray,
+        max_degree: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each walk's best candidate, by binary search of its sorted row.
+
+        Returns ``(best, slot)`` per frontier walk: the smallest distance
+        to the key in its row (``inf`` for an empty row) and the first
+        CSR slot attaining it — what scoring the whole row and taking its
+        first minimum would return, float ties included.
+
+        A row's head (its first two slots) is scored as-is.  Its tail is
+        sorted by position (:meth:`_search_exact`), so on each side of
+        the key the distance falls toward the key on the interval, and
+        rises then falls on the ring: the tail's minimum lies at the
+        key's predecessor or successor, or on the ring at the tail's
+        first or last slot.  Equal distances on one side are contiguous
+        and end at that side's best slot, so a tie with the slot before
+        it starts a second binary search for the first slot of the run.
+        """
+        positions, space = self.metric.positions, self.metric.space
+        indices = self.csr.indices
+        targets = self._targets[frontier]
+
+        def dist(slot, keys):
+            return space.pairwise_distances(positions[indices[slot]], keys)
+
+        short = int(degrees.min()) < 3
+        if short:
+            # Gathers past a short row stay in bounds, then read as inf.
+            last = len(indices) - 1
+            slot = np.minimum(starts, last)
+            second = np.minimum(starts + 1, last)
+        else:
+            slot = starts
+            second = starts + 1
+        best = dist(slot, targets)
+        other = dist(second, targets)
+        if short:
+            best[degrees < 1] = np.inf
+            other[degrees < 2] = np.inf
+        take = other < best
+        best = np.where(take, other, best)
+        slot = np.where(take, second, slot)
+        if max_degree < 3:
+            return best, slot
+
+        rows = np.flatnonzero(degrees > 2) if short else None
+        if rows is not None:
+            starts, degrees, keys = starts[rows], degrees[rows], targets[rows]
+        else:
+            keys = targets
+        lo = starts + 2
+        hi = starts + degrees
+        # k: the first tail slot at or past the key.
+        k = _lower_bound(
+            lo, hi - lo, lambda probe, keys: positions[indices[probe]] < keys, keys
+        )
+        # Clamping a missing predecessor or successor onto the other one
+        # repeats a candidate instead of inventing one.
+        pred = np.maximum(k - 1, lo)
+        succ = np.minimum(k, hi - 1)
+        ends = (lo, pred, succ, hi - 1) if space.is_ring else (pred, succ)
+        tail_slot = ends[0]
+        tail_best = dist(tail_slot, keys)
+        # Candidates in slot order and strict '<': ties keep the first.
+        for cand in ends[1:]:
+            score = dist(cand, keys)
+            take = score < tail_best
+            tail_best = np.where(take, score, tail_best)
+            tail_slot = np.where(take, cand, tail_slot)
+        side = np.where(tail_slot < k, lo, k)
+        maybe = np.flatnonzero(tail_slot > side)
+        if maybe.size:
+            tied = dist(tail_slot[maybe] - 1, keys[maybe]) == tail_best[maybe]
+            if tied.any():
+                run = maybe[tied]
+                run_side = side[run]
+                tail_slot[run] = _lower_bound(
+                    run_side,
+                    tail_slot[run] - run_side + 1,
+                    lambda probe, keys, m: dist(probe, keys) > m,
+                    keys[run],
+                    tail_best[run],
+                )
+        # The head comes first in CSR order, so it wins ties.
+        if rows is None:
+            take = tail_best < best
+            return np.where(take, tail_best, best), np.where(take, tail_slot, slot)
+        take = tail_best < best[rows]
+        best[rows[take]] = tail_best[take]
+        slot[rows[take]] = tail_slot[take]
+        return best, slot
+
+    def _commit(
+        self,
+        frontier: np.ndarray,
+        improves: np.ndarray,
+        slot: np.ndarray,
+        score: np.ndarray,
+    ) -> list[np.ndarray]:
+        """Finish a round; return the cohorts it retired.
+
+        ``frontier[improves]`` step over CSR edges ``slot``, whose
+        targets' scores are ``score``; the rest of ``frontier`` is stuck.
+        """
+        retired: list[np.ndarray] = []
         stuck = frontier[~improves]
         if stuck.size:
             self.reason_codes[stuck] = REASON_STUCK
             self.active[stuck] = False
             retired.append(stuck)
 
-        movers = walks_sub[improves_sub]
+        movers = frontier[improves]
         if movers.size:
-            picked = choice[improves_sub]
-            chosen = candidates[picked]
-            chosen_long = is_long[slots[picked]]
+            chosen = self.csr.indices[slot]
+            chosen_long = self.csr.is_long[slot]
             self.current[movers] = chosen
             if self.metric.greedy:
-                self.current_score[movers] = scores[picked]
+                self.current_score[movers] = score
             self.hops[movers] += 1
             self.neighbor_hops[movers] += ~chosen_long
             self.long_hops[movers] += chosen_long

@@ -378,7 +378,8 @@ def _attach_observability(engine, args: argparse.Namespace):
     """Attach monitor, optional recorder, and the scrape endpoint.
 
     Returns ``(monitor, recorder, scrape)``; enables telemetry so the
-    scrape endpoint has a registry to render.
+    scrape endpoint has a registry to render.  The caller turns it off
+    again (:func:`_detach_observability`) once the scrape endpoint stops.
     """
     from repro import telemetry
     from repro.monitor import (
@@ -403,6 +404,16 @@ def _attach_observability(engine, args: argparse.Namespace):
     return monitor, recorder, scrape
 
 
+def _detach_observability(scrape, telemetry_was_on: bool) -> None:
+    """Stop the scrape endpoint and restore the caller's telemetry state."""
+    from repro import telemetry
+
+    if scrape is not None:
+        scrape.stop()
+    if not telemetry_was_on:
+        telemetry.disable()
+
+
 def _export_traces(recorder, args: argparse.Namespace) -> None:
     if recorder is None or args.trace_out is None:
         return
@@ -422,14 +433,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if isinstance(setup, int):
         return setup
     engine, demand, rng = setup
+    from repro import telemetry
+
+    telemetry_was_on = telemetry.enabled()
     monitor = scrape = recorder = None
-    if args.monitor or args.trace_sample:
-        monitor, recorder, scrape = _attach_observability(engine, args)
     try:
+        if args.monitor or args.trace_sample:
+            monitor, recorder, scrape = _attach_observability(engine, args)
         report = engine.serve(demand, args.queries, rng)
     finally:
-        if scrape is not None:
-            scrape.stop()
+        _detach_observability(scrape, telemetry_was_on)
     print()
     print(report.render())
     if monitor is not None:
@@ -455,13 +468,17 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if isinstance(setup, int):
         return setup
     engine, demand, rng = setup
-    monitor, recorder, scrape = _attach_observability(engine, args)
+    from repro import telemetry
+
+    telemetry_was_on = telemetry.enabled()
+    monitor = recorder = scrape = None
     chunk = max(4 * engine.config.admit_per_round, 8192)
     target = args.queries
     submitted = 0
     last_frame = float("-inf")
     started = time.perf_counter()
     try:
+        monitor, recorder, scrape = _attach_observability(engine, args)
         while engine.completed < target:
             if submitted < target and engine.pending < chunk:
                 m = min(chunk, target - submitted)
@@ -477,7 +494,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\n[monitor] interrupted")
     finally:
-        scrape.stop()
+        _detach_observability(scrape, telemetry_was_on)
     print()
     print(
         engine.report(

@@ -91,7 +91,10 @@ def _encode_metric(
     """
     kind = type(metric)
     if kind is GreedyValueMetric:
-        return "greedy", {"space": metric.space}, {"m:positions": metric.positions}
+        # The search-round check runs here, once per metric, and travels
+        # with the job: workers rebuild the metric on every call.
+        params = {"space": metric.space, "searchable": metric.searchable}
+        return "greedy", params, {"m:positions": metric.positions}
     if kind is ClockwiseMetric:
         params = {
             "owner_rule": metric.owner_rule,
@@ -133,7 +136,9 @@ def _rebuild_metric(kind: str, params: dict, arrays: dict) -> RoutingMetric:
     in the parent), so transform/embedding slots are left empty.
     """
     if kind == "greedy":
-        return GreedyValueMetric(arrays["m:positions"], params["space"])
+        metric = GreedyValueMetric(arrays["m:positions"], params["space"])
+        metric.__dict__["searchable"] = params["searchable"]
+        return metric
     if kind == "clockwise":
         return ClockwiseMetric(
             arrays["m:positions"],
@@ -177,6 +182,10 @@ def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"
     the alive arena changes every call and must not invalidate the
     worker's cached attachment of the static one.
 
+    ``tails_sorted`` is the owner's :attr:`CSRAdjacency.tails_sorted`
+    when a search round could use it (``None`` otherwise), seeded into
+    the rebuilt CSR so no worker rescans the edges.
+
     Returns ``(result, delta)``: when the owner had telemetry enabled,
     the shard runs under :func:`repro.telemetry.capture` (worker
     processes never inherit the owner's enabled state across spawn) and
@@ -184,7 +193,7 @@ def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"
     otherwise ``delta`` is ``None``.
     """
     (
-        arena, alive_arena, kind, params, sources, keys,
+        arena, alive_arena, kind, params, tails_sorted, sources, keys,
         owners, targets, extra, max_hops, record_paths, tel_on,
     ) = job
 
@@ -195,6 +204,8 @@ def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"
             indices=arrays["csr:indices"],
             is_long=arrays["csr:is_long"],
         )
+        if tails_sorted is not None:
+            csr.__dict__["tails_sorted"] = tails_sorted
         metric = _rebuild_metric(kind, params, arrays)
         prepared = PreparedTargets(owners=owners, targets=targets, extra=extra)
         alive = (
@@ -341,6 +352,9 @@ def frontier_route_many_parallel(
 
     state = metric.prepare(target_keys, alive)
     kind, params, metric_arrays = _encode_metric(metric)
+    # The row-order check reads every edge: run it once per CSR, here.
+    searchable = kind == "greedy" and alive is None and params["searchable"]
+    tails_sorted = csr.tails_sorted if searchable else None
     owners = np.asarray(state.owners)
     targets = np.asarray(state.targets)
     extra = state.extra
@@ -369,7 +383,7 @@ def frontier_route_many_parallel(
     try:
         jobs = [
             (
-                handle, alive_handle, kind, params,
+                handle, alive_handle, kind, params, tails_sorted,
                 sources[lo:hi], target_keys[lo:hi],
                 owners[lo:hi], targets[lo:hi],
                 None if extra is None else extra[lo:hi],

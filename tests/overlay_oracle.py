@@ -61,6 +61,7 @@ class OracleNetwork:
     def __init__(self, space: KeySpace | None = None):
         self.space = space or IntervalSpace()
         self._sorted_ids: list[float] = []
+        self._ids: np.ndarray | None = None  # ids_array() cache, dropped on every change
         self._peers: dict[float, PeerState] = {}
 
     @classmethod
@@ -118,7 +119,11 @@ class OracleNetwork:
         return peer_id in self._peers
 
     def ids_array(self) -> np.ndarray:
-        return np.asarray(self._sorted_ids, dtype=float)
+        """The sorted ids as a read-only array, rebuilt only after a change."""
+        if self._ids is None:
+            self._ids = np.asarray(self._sorted_ids, dtype=float)
+            self._ids.flags.writeable = False
+        return self._ids
 
     def peer(self, peer_id: float) -> PeerState:
         return self._peers[peer_id]
@@ -130,6 +135,7 @@ class OracleNetwork:
         if peer_id in self:
             raise ValueError(f"peer {peer_id!r} already present")
         bisect.insort(self._sorted_ids, peer_id)
+        self._ids = None
         state = PeerState(peer_id=peer_id)
         self._peers[peer_id] = state
         return state
@@ -139,6 +145,7 @@ class OracleNetwork:
             raise KeyError(f"peer {peer_id!r} not present")
         idx = bisect.bisect_left(self._sorted_ids, peer_id)
         del self._sorted_ids[idx]
+        self._ids = None
         del self._peers[peer_id]
 
     # ------------------------------------------------------------------

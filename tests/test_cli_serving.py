@@ -10,13 +10,6 @@ from repro.experiments.cli import main
 SMALL = ["--n", "2000", "--queries", "5000", "--users", "200", "--seed", "4"]
 
 
-@pytest.fixture(autouse=True)
-def _telemetry_off():
-    # The monitored commands enable telemetry for their scrape endpoint.
-    yield
-    telemetry.disable()
-
-
 @pytest.fixture
 def no_build(monkeypatch):
     """Fail the test if the command gets as far as building a graph."""
@@ -52,6 +45,27 @@ def test_monitor_prints_frames(capsys):
     out = capsys.readouterr().out
     assert "window.hops_mean" in out
     assert "serving report" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", *SMALL, "--monitor"],
+        ["serve", *SMALL, "--trace-sample", "16"],
+        ["monitor", *SMALL, "--no-clear", "--refresh", "60"],
+    ],
+    ids=["serve-monitor", "serve-trace-sample", "monitor"],
+)
+@pytest.mark.parametrize("was_on", [False, True], ids=["off", "on"])
+def test_commands_leave_telemetry_as_they_found_it(argv, was_on, capsys):
+    """The scrape endpoint's telemetry does not outlive the command."""
+    if was_on:
+        telemetry.enable()
+    try:
+        assert main(argv) == 0
+        assert telemetry.enabled() is was_on
+    finally:
+        telemetry.disable()
 
 
 @pytest.mark.parametrize("command", ["serve", "monitor"])

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from frontier_oracle import assert_batch_matches, oracle_batch
 
 from repro.baselines import (
     CANOverlay,
@@ -18,7 +20,8 @@ from repro.baselines import (
     WattsStrogatzOverlay,
     route_many_overlay,
 )
-from repro.core import route_many
+from repro.core import metric_routing, route_many
+from repro.core.metric_routing import GreedyValueMetric
 from repro.core.builder import GraphConfig, build_skewed_model, build_uniform_model
 from repro.distributions import PowerLaw
 from repro.store import (
@@ -158,7 +161,6 @@ class TestOverlayRoundTrip:
             loaded.route(overlay.n + 1, 0.5)
 
     def test_custom_transform_rejected(self, rng, tmp_path):
-        from repro.core.metric_routing import GreedyValueMetric
         from repro.keyspace import RingSpace
 
         overlay = SymphonyOverlay(np.sort(rng.random(64)), rng)
@@ -266,6 +268,29 @@ class TestHandEditedGraph:
         path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, 10**6))
         with pytest.raises(StoreError, match="out of range"):
             load_graph(path)
+
+    def test_unsorted_row_still_routes_exactly(self, tmp_path):
+        """Swapping two long links of one row leaves a loadable snapshot
+        whose rows are no longer sorted.  Its lookups must still equal the
+        per-walk oracle's, with search rounds allowed on every round: the
+        kernel reads row order off the loaded arrays, never assumes it."""
+        graph = build_uniform_model(256, np.random.default_rng(8), GraphConfig(out_degree=4))
+        row = int(np.argmax(graph.long_degrees()[1:-1])) + 1  # two neighbours
+        slot = int(graph.adjacency.indptr[row]) + 2  # its first long link
+        path = self._edit(
+            tmp_path, "indices",
+            lambda a: a.__setitem__([slot, slot + 1], a[[slot + 1, slot]]),
+        )
+        loaded = load_graph(path)
+        csr = loaded.adjacency
+        assert not csr.tails_sorted
+        rng = np.random.default_rng(3)
+        sources = np.full(N_ROUTES, row)
+        keys = rng.random(N_ROUTES)
+        with mock.patch.object(metric_routing, "_SEARCH_MIN_CANDIDATES", -(1 << 62)):
+            batch = route_many(loaded, sources, keys, record_paths=True)
+        metric = GreedyValueMetric(loaded.ids, loaded.space)
+        assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
 
 
 class TestHandEditedOverlay:
