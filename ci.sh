@@ -33,7 +33,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== routing throughput smoke (scalar vs batch, >=5x gate) =="
   python -m pytest benchmarks/bench_routing_throughput.py -q -s
 
-  echo "== construction throughput smoke (scalar vs bulk, >=5x gate + 1e6 build) =="
+  echo "== construction throughput smoke (per-peer scalar oracle vs bulk, >=5x gate + 1e6 build) =="
   python -m pytest benchmarks/bench_construction.py -q -s -k bulk
 
   echo "== churn throughput smoke (scalar oracle vs bulk, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
@@ -51,7 +51,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== telemetry smoke (<=5% enabled overhead + shard-merge bit-identity) =="
   python -m pytest benchmarks/bench_telemetry.py -q -s
 
-  echo "== kernel smoke (scalar-reference parity on 3 graphs + skewed/uniform ns per candidate <=2x) =="
+  echo "== kernel smoke (scalar-reference parity on 3 graphs + skewed/uniform ns per candidate <=2x + search rounds: beat linear on sorted skewed rows, skewed/uniform ns per walk-round <=2x, churn-shaped picks >= linear) =="
   python -m pytest benchmarks/bench_kernel.py -q -s
 
   echo "== serving smoke (stream-vs-batch parity + sustained-throughput gate at 1e6) =="

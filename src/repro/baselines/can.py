@@ -16,11 +16,17 @@ magnitude above every small-world competitor.
 The 1-d key space embeds into the torus via bit de-interleaving
 (:func:`repro.keyspace.morton_spread`), which preserves locality so the
 zone partition genuinely adapts to key skew.
+
+Construction splits every populated zone of a BSP level in one numpy
+round and keeps the split tree as five flat arrays, the form owner
+resolution and :mod:`repro.store` read; it reproduces the literal
+one-insert-at-a-time loop exactly, which ``tests/builder_oracle.py``
+keeps as its test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,19 +83,6 @@ class Zone:
         return left, right
 
 
-@dataclass
-class _BSPNode:
-    """Internal node of the zone binary-space-partition tree."""
-
-    zone_index: int = -1  # leaf: index into the zone list
-    split_dim: int = -1
-    split_at: float = 0.0
-    low: "._BSPNode | None" = None
-    high: "._BSPNode | None" = None
-    bounds_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    bounds_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
 class CANOverlay(BaselineOverlay):
     """A built CAN overlay: one zone per peer.
 
@@ -109,17 +102,10 @@ class CANOverlay(BaselineOverlay):
             levels per lookup.  The default comfortably covers every
             realistic population while staying well inside the 52-bit
             mantissa of the midpoint computation.
-        builder: ``"bulk"`` (default) builds the whole split tree in
-            level-synchronous batch BSP rounds — one numpy step splits
-            every populated leaf per round — producing *exactly* the
-            zones, tree and neighbours of the sequential insertion loop
-            (see :meth:`_build_bulk` for why the orders coincide);
-            ``"scalar"`` keeps the literal one-insert-at-a-time
-            reference loop.
 
     Raises:
-        ValueError: for an empty population, invalid ``dims``, a
-            non-positive ``max_bsp_depth`` or an unknown ``builder``.
+        ValueError: for an empty population, invalid ``dims`` or a
+            non-positive ``max_bsp_depth``.
         RuntimeError: when construction would exceed ``max_bsp_depth``.
     """
 
@@ -130,7 +116,6 @@ class CANOverlay(BaselineOverlay):
         keys,
         dims: int = 2,
         max_bsp_depth: int = 96,
-        builder: str = "bulk",
     ):
         keys = np.asarray(keys, dtype=float)
         if len(keys) == 0:
@@ -139,18 +124,10 @@ class CANOverlay(BaselineOverlay):
             raise ValueError(f"dims must be >= 1, got {dims}")
         if max_bsp_depth < 1:
             raise ValueError(f"max_bsp_depth must be >= 1, got {max_bsp_depth}")
-        if builder not in ("bulk", "scalar"):
-            raise ValueError(f"unknown builder {builder!r}")
         self.dims = dims
         self.max_bsp_depth = max_bsp_depth
-        self.builder = builder
         self.keys = np.sort(keys)
-        self.zones: list[Zone] = []
-        self._root: _BSPNode | None = None
-        if builder == "bulk":
-            self._build_bulk()
-        else:
-            self._build()
+        self.zones, self._bsp = self._build_zones()
         self._compute_neighbors()
 
     # ------------------------------------------------------------------
@@ -161,55 +138,12 @@ class CANOverlay(BaselineOverlay):
             return np.asarray([key])
         return np.asarray(morton_spread(key, self.dims))
 
-    def _build(self) -> None:
-        first = Zone(np.zeros(self.dims), np.ones(self.dims), depth=0)
-        self.zones = [first]
-        self._root = _BSPNode(
-            zone_index=0, bounds_lo=first.lo.copy(), bounds_hi=first.hi.copy()
-        )
-        for key in self.keys[1:]:
-            point = self._point_of(float(key))
-            self._insert(point)
+    def _build_zones(self) -> tuple[list[Zone], tuple]:
+        """Whole-population batch BSP construction.
 
-    def _insert(self, point: np.ndarray) -> None:
-        """Split the zone containing ``point``; the new half joins the list.
-
-        Raises:
-            RuntimeError: when the zone to split is already
-                ``max_bsp_depth`` levels deep (adversarially clustered
-                arrival points; see the class docstring).
-        """
-        node = self._root
-        while node.zone_index < 0:
-            node = node.low if point[node.split_dim] < node.split_at else node.high
-        zone_idx = node.zone_index
-        zone = self.zones[zone_idx]
-        if zone.depth >= self.max_bsp_depth:
-            raise RuntimeError(
-                f"CAN BSP split depth {zone.depth} reached max_bsp_depth="
-                f"{self.max_bsp_depth}: arrival points are clustered tighter "
-                f"than 2^-{self.max_bsp_depth}; spread the key population or "
-                "raise max_bsp_depth"
-            )
-        kept, new = zone.split()
-        dim = zone.depth % self.dims
-        self.zones[zone_idx] = kept
-        new_index = len(self.zones)
-        self.zones.append(new)
-        low_leaf = _BSPNode(
-            zone_index=zone_idx, bounds_lo=kept.lo.copy(), bounds_hi=kept.hi.copy()
-        )
-        high_leaf = _BSPNode(
-            zone_index=new_index, bounds_lo=new.lo.copy(), bounds_hi=new.hi.copy()
-        )
-        node.zone_index = -1
-        node.split_dim = dim
-        node.split_at = float(kept.hi[dim])
-        node.low = low_leaf
-        node.high = high_leaf
-
-    def _build_bulk(self) -> None:
-        """Whole-population batch BSP construction (the default builder).
+        Returns the zone list and the flat ``(split_dim, split_at, low,
+        high, zone)`` BSP arrays (node 0 is the root; see
+        :func:`repro.core.metric_routing.torus_zone_lookup`).
 
         Reproduces the sequential insertion loop *exactly*, not just
         statistically, because CAN's split rule makes insertions in
@@ -225,13 +159,11 @@ class CANOverlay(BaselineOverlay):
         So one round per tree level suffices: lexsort the pending
         arrivals by ``(leaf, insertion order)``, let the first arrival
         in each leaf perform that leaf's split, and descend the rest one
-        level.  All of it is numpy over flat arrays — the Python-object
-        node tree is never materialised (``self._root`` stays ``None``
-        and the flat BSP cache is born populated).
+        level.  All of it is numpy over flat arrays.
 
         Raises:
             RuntimeError: when a split would exceed ``max_bsp_depth``
-                (same condition and diagnostic as the scalar loop).
+                (same condition and diagnostic as the sequential loop).
         """
         n = len(self.keys)
         dims = self.dims
@@ -304,16 +236,15 @@ class CANOverlay(BaselineOverlay):
                 "CAN batch BSP construction failed to converge within "
                 f"max_bsp_depth={self.max_bsp_depth} rounds"
             )
-        self.zones = [
-            Zone(zone_lo[i], zone_hi[i], int(zone_depth[i])) for i in range(n)
-        ]
-        self._bsp_cache = (
+        zones = [Zone(zone_lo[i], zone_hi[i], int(zone_depth[i])) for i in range(n)]
+        bsp = (
             node_split_dim[:nodes_used],
             node_split_at[:nodes_used],
             node_low[:nodes_used],
             node_high[:nodes_used],
             node_zone[:nodes_used],
         )
+        return zones, bsp
 
     def _compute_neighbors(self) -> None:
         """Vectorised face-adjacency over all zone pairs (torus wrap included)."""
@@ -352,41 +283,6 @@ class CANOverlay(BaselineOverlay):
         """
         return torus_points(keys, self.dims)
 
-    def _bsp_arrays(self):
-        """Flatten the zone BSP tree into arrays for vectorised descent."""
-        cache = getattr(self, "_bsp_cache", None)
-        if cache is not None:
-            return cache
-        split_dim: list[int] = []
-        split_at: list[float] = []
-        low: list[int] = []
-        high: list[int] = []
-        zone: list[int] = []
-        stack = [self._root]
-        nodes: list[_BSPNode] = []
-        while stack:
-            node = stack.pop()
-            node._flat_id = len(nodes)
-            nodes.append(node)
-            if node.zone_index < 0:
-                stack.append(node.high)
-                stack.append(node.low)
-        for node in nodes:
-            split_dim.append(node.split_dim)
-            split_at.append(node.split_at)
-            zone.append(node.zone_index)
-            low.append(node.low._flat_id if node.low is not None else -1)
-            high.append(node.high._flat_id if node.high is not None else -1)
-        cache = (
-            np.asarray(split_dim, dtype=np.int64),
-            np.asarray(split_at, dtype=float),
-            np.asarray(low, dtype=np.int64),
-            np.asarray(high, dtype=np.int64),
-            np.asarray(zone, dtype=np.int64),
-        )
-        self._bsp_cache = cache
-        return cache
-
     def _zones_of_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`zone_of_point` over a ``(w, d)`` point block.
 
@@ -396,7 +292,7 @@ class CANOverlay(BaselineOverlay):
         Raises:
             RuntimeError: when the descent exceeds ``max_bsp_depth``.
         """
-        return torus_zone_lookup(points, self._bsp_arrays(), self.max_bsp_depth)
+        return torus_zone_lookup(points, self._bsp, self.max_bsp_depth)
 
     def _build_frontier(self):
         """CSR of face neighbours + the torus-L1 zone-distance metric.
@@ -422,7 +318,7 @@ class CANOverlay(BaselineOverlay):
         lo = np.asarray([zone.lo for zone in self.zones])
         hi = np.asarray([zone.hi for zone in self.zones])
         metric = TorusZoneMetric(
-            lo, hi, bsp=self._bsp_arrays(), max_depth=self.max_bsp_depth
+            lo, hi, bsp=self._bsp, max_depth=self.max_bsp_depth
         )
         return csr, metric
 
@@ -436,14 +332,13 @@ class CANOverlay(BaselineOverlay):
     def zone_of_point(self, point: np.ndarray) -> int:
         """Return the index of the zone containing a torus point.
 
-        Walks the flat BSP arrays (shared by both builders), so the
-        descent works whether or not a Python node tree exists.
+        Walks the flat BSP arrays one level at a time.
 
         Raises:
             RuntimeError: when the descent exceeds ``max_bsp_depth``
                 levels (corrupt split tree; construction caps the depth).
         """
-        split_dim, split_at, low, high, zone = self._bsp_arrays()
+        split_dim, split_at, low, high, zone = self._bsp
         point = np.asarray(point, dtype=float)
         node = 0
         for _ in range(self.max_bsp_depth + 1):

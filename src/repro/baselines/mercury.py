@@ -21,14 +21,14 @@ Concretely, each peer here:
 With ``sample_size → ∞`` this converges to the paper's skewed model
 built with the true CDF (experiment E12 sweeps the budget).
 
-The default ``builder="bulk"`` runs the whole estimate-and-draw protocol
-in whole-population numpy rounds: one ``(n, sample_size)`` gossip draw,
-row-wise empirical CDF/quantile evaluation (reproducing
+The whole estimate-and-draw protocol runs in whole-population numpy
+rounds: one ``(n, sample_size)`` gossip draw, row-wise empirical
+CDF/quantile evaluation (reproducing
 :class:`repro.distributions.Empirical`'s first-occurrence dedup and
 ``(0, 0)``/``(1, 1)`` anchors), and the same retry-round/dedupe scheme
 as :func:`repro.core.bulk_construction.bulk_links` — statistically
-equivalent to the per-peer reference loop kept behind
-``builder="scalar"`` (KS-tested in ``tests/test_baseline_frontier.py``).
+equivalent to the per-peer loop in ``tests/builder_oracle.py``
+(KS-tested in ``tests/test_baseline_frontier.py``).
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.routing import RouteResult
 from repro.core.theory import default_out_degree
-from repro.distributions import Empirical
-from repro.estimation import uniform_id_sample
-from repro.keyspace import RingSpace, nearest_index, successor_index, successor_indices
+from repro.keyspace import RingSpace, nearest_index, successor_indices
 
 __all__ = ["MercuryOverlay"]
 
@@ -114,12 +112,9 @@ class MercuryOverlay(BaselineOverlay):
             recommended budget for log-hop routing).
         sample_size: identifiers each peer samples to build its local
             CDF estimate.
-        builder: ``"bulk"`` (whole-population numpy rounds, the default)
-            or ``"scalar"`` (the per-peer reference loop).
 
     Raises:
-        ValueError: for fewer than 3 peers, a non-positive sample size,
-            or an unknown builder.
+        ValueError: for fewer than 3 peers or a non-positive sample size.
     """
 
     name = "mercury"
@@ -130,25 +125,19 @@ class MercuryOverlay(BaselineOverlay):
         rng: np.random.Generator,
         k: int | None = None,
         sample_size: int = 64,
-        builder: str = "bulk",
     ):
         ids = np.sort(np.asarray(ids, dtype=float))
         if len(ids) < 3:
             raise ValueError("Mercury needs at least 3 peers")
         if sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-        if builder not in ("bulk", "scalar"):
-            raise ValueError(f"unknown builder {builder!r}")
         self.ids = ids
         self.k = k if k is not None else default_out_degree(len(ids))
         self.sample_size = sample_size
         self.space = RingSpace()
-        if builder == "bulk":
-            self._build_links_bulk(rng)
-        else:
-            self._build_links_scalar(rng)
+        self._build_links(rng)
 
-    def _build_links_bulk(self, rng: np.random.Generator) -> None:
+    def _build_links(self, rng: np.random.Generator) -> None:
         """Draw every peer's rank-harmonic links in whole-population rounds.
 
         One gossip-sample matrix, row-wise empirical estimates, then the
@@ -156,8 +145,7 @@ class MercuryOverlay(BaselineOverlay):
         draw all outstanding rank offsets at once, map through each
         drawing peer's own quantile estimate, resolve managers with one
         ``searchsorted``, dedupe on ``row·n + target`` keys, and redraw
-        only the deficit — within the scalar loop's 8-attempts-per-link
-        budget.
+        only the deficit — within a budget of 8 attempts per link.
         """
         n = self.n
         samples = self.ids[rng.integers(0, n, size=(n, self.sample_size))]
@@ -186,29 +174,6 @@ class MercuryOverlay(BaselineOverlay):
             accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
             need = self.k - row_counts(accepted, n)
         self._set_links(*split_rows(accepted, n))
-
-    def _build_links_scalar(self, rng: np.random.Generator) -> None:
-        """Per-peer reference loop: one estimator and draw loop per peer."""
-        n = self.n
-        keys: list[int] = []
-        for u in range(n):
-            # Each peer estimates the population CDF from its own sample —
-            # estimates differ across peers, as in the deployed system.
-            samples = uniform_id_sample(self.ids, self.sample_size, rng)
-            estimate = Empirical(samples)
-            own_rank = float(estimate.cdf(float(self.ids[u])))
-            chosen: set[int] = set()
-            attempts = 0
-            while len(chosen) < self.k and attempts < 8 * max(self.k, 1):
-                attempts += 1
-                rank_offset = float(n ** (rng.random() - 1.0))  # harmonic on [1/N, 1]
-                target_rank = (own_rank + rank_offset) % 1.0
-                value = float(estimate.ppf(target_rank))
-                target = successor_index(self.ids, value)
-                if target != u:
-                    chosen.add(target)
-            keys.extend(u * n + target for target in sorted(chosen))
-        self._set_links(*split_rows(np.asarray(keys, dtype=np.int64), n))
 
     def _set_links(self, indptr: np.ndarray, flat: np.ndarray) -> None:
         """Keep the flat link rows; ``long_links`` views them per peer."""

@@ -13,14 +13,14 @@ On *skewed* raw identifiers the digit trie becomes deep and lopsided:
 tables grow rows and hop counts stretch — the degradation experiment E6
 measures against the paper's skew-adapted model.
 
-The default ``builder="bulk"`` fills the whole routing table in
-``depth`` vectorized passes: peers sharing a digit prefix are contiguous
-in sorted-id order, so every ``(peer, row, digit)`` slot's candidate set
-is a ``searchsorted`` range over integer prefix codes and one
-``rng.integers`` draw fills all ``n·2^b`` slots of a row at once — the
-same whole-population construction style as
-:mod:`repro.core.bulk_construction`, distribution-identical to the
-per-slot reference loop kept behind ``builder="scalar"``.
+The routing table is filled in ``depth`` vectorized passes: peers
+sharing a digit prefix are contiguous in sorted-id order, so every
+``(peer, row, digit)`` slot's candidate set is a ``searchsorted`` range
+over integer prefix codes and one ``rng.integers`` draw fills all
+``n·2^b`` slots of a row at once — the same whole-population
+construction style as :mod:`repro.core.bulk_construction`, and
+distribution-identical to the per-slot loop that ``tests/builder_oracle.py``
+keeps as its test oracle.
 """
 
 from __future__ import annotations
@@ -50,13 +50,10 @@ class PastryOverlay(BaselineOverlay):
         bits_per_digit: ``b``; digits are base ``2^b`` (default 4 → 16).
         leaf_size: total leaf-set size (half on each side).
         hashed: operate in hashed id space (classic deployment).
-        builder: ``"bulk"`` (vectorized row passes, the default) or
-            ``"scalar"`` (the per-slot reference loop).
 
     Raises:
-        ValueError: for fewer than 2 peers, identifiers too densely
-            packed to distinguish within float precision, or an unknown
-            builder.
+        ValueError: for fewer than 2 peers, or identifiers too densely
+            packed to distinguish within float precision.
     """
 
     name = "pastry"
@@ -68,7 +65,6 @@ class PastryOverlay(BaselineOverlay):
         bits_per_digit: int = 4,
         leaf_size: int = 8,
         hashed: bool = False,
-        builder: str = "bulk",
     ):
         ids = np.asarray(ids, dtype=float)
         if len(ids) < 2:
@@ -77,8 +73,6 @@ class PastryOverlay(BaselineOverlay):
             raise ValueError(f"bits_per_digit must be >= 1, got {bits_per_digit}")
         if leaf_size < 2:
             raise ValueError(f"leaf_size must be >= 2, got {leaf_size}")
-        if builder not in ("bulk", "scalar"):
-            raise ValueError(f"unknown builder {builder!r}")
         self.hashed = hashed
         if hashed:
             ids = np.asarray([mix_hash(x) for x in ids])
@@ -94,10 +88,7 @@ class PastryOverlay(BaselineOverlay):
         self._digit_matrix = digit_rows(self.ids, self.base, self.depth)
         self._digits = [tuple(row) for row in self._digit_matrix.tolist()]
         self._build_leaf_sets()
-        if builder == "bulk":
-            self._build_tables_bulk(rng)
-        else:
-            self._build_tables_scalar(rng)
+        self._build_tables(rng)
 
     def _required_depth(self) -> int:
         """Digits needed so all peers have distinct digit strings."""
@@ -127,14 +118,14 @@ class PastryOverlay(BaselineOverlay):
         counts = keep.sum(axis=1)
         self.leaf_sets = np.split(around[keep], np.cumsum(counts)[:-1])
 
-    def _build_tables_bulk(self, rng: np.random.Generator) -> None:
+    def _build_tables(self, rng: np.random.Generator) -> None:
         """Fill every routing-table row in one vectorized pass per level.
 
         Peers sharing the prefix ``own[:l] + (d,)`` occupy a contiguous
         range of the sorted-id order, located by ``searchsorted`` over
         the integer codes of the first ``l + 1`` digits; one broadcast
         ``rng.integers`` draw then picks a uniform candidate for all
-        ``n · base`` slots of the row (the scalar loop's per-slot
+        ``n · base`` slots of the row (a per-slot
         ``rng.integers(len(candidates))``, whole-population at once).
         """
         n, depth, base = self.n, self.depth, self.base
@@ -156,33 +147,6 @@ class PastryOverlay(BaselineOverlay):
             self.table[:, level, :] = entries
             self._row_filled += (entries >= 0).any(axis=1)
             codes = child
-
-    def _build_tables_scalar(self, rng: np.random.Generator) -> None:
-        """Per-slot reference loop: group peers by prefix, fill each slot."""
-        n = self.n
-        # Group peers by digit prefix for O(1) slot filling.
-        by_prefix: dict[tuple[int, ...], list[int]] = {}
-        for i, digs in enumerate(self._digits):
-            for l in range(self.depth + 1):
-                by_prefix.setdefault(digs[:l], []).append(i)
-        # Routing table: table[u][l][d] = peer index or -1.
-        self.table = np.full((n, self.depth, self.base), -1, dtype=np.int32)
-        self._row_filled = np.zeros(n, dtype=np.int64)
-        for u in range(n):
-            own = self._digits[u]
-            for l in range(self.depth):
-                row_used = False
-                for d in range(self.base):
-                    if d == own[l]:
-                        continue
-                    candidates = by_prefix.get(own[:l] + (d,))
-                    if not candidates:
-                        continue
-                    pick = candidates[int(rng.integers(len(candidates)))]
-                    self.table[u, l, d] = pick
-                    row_used = True
-                if row_used:
-                    self._row_filled[u] += 1
 
     def _build_frontier(self):
         """CSR (leaf set first, then table entries) + prefix-digit metric.

@@ -13,13 +13,13 @@ thanks to the randomised references [2]) but costs *more than
 logarithmic routing state* (path lengths grow beyond ``log2 N`` under
 skew).  Experiment E6 measures both effects.
 
-The default ``builder="bulk"`` draws all references in one vectorized
-pass per trie level: members of a complementary subtree occupy a
-contiguous range of the sorted-id order (the subtree *is* a dyadic cell
-of the key space, and trie paths are prefix-free), so every reference is
-a ``searchsorted`` range plus one broadcast ``rng.integers`` draw —
-distribution-identical to the per-peer reference loop kept behind
-``builder="scalar"`` (which also serves ``refs_per_level > 1``).
+References are drawn in one vectorized pass per trie level: members of
+a complementary subtree occupy a contiguous range of the sorted-id order
+(the subtree *is* a dyadic cell of the key space, and trie paths are
+prefix-free), so every reference is a ``searchsorted`` range plus
+broadcast ``rng.integers`` draws — distribution-identical to the
+per-peer ``rng.choice`` loop that ``tests/builder_oracle.py`` keeps as
+its test oracle.
 """
 
 from __future__ import annotations
@@ -45,15 +45,11 @@ class PGridOverlay(BaselineOverlay):
         rng: random source for reference selection.
         refs_per_level: references kept per trie level (default 1; more
             buys robustness at linear state cost).
-        builder: ``"bulk"`` (vectorized level passes, the default) or
-            ``"scalar"`` (the per-peer reference loop).
-            ``refs_per_level > 1`` always takes the scalar path — the
-            without-replacement draw is not vectorized.
 
     Raises:
-        ValueError: for fewer than 2 peers, duplicate identifiers, a
+        ValueError: for fewer than 2 peers, duplicate identifiers, or a
             population needing a trie deeper than float precision
-            allows, or an unknown builder.
+            allows.
     """
 
     name = "pgrid"
@@ -63,7 +59,6 @@ class PGridOverlay(BaselineOverlay):
         ids,
         rng: np.random.Generator,
         refs_per_level: int = 1,
-        builder: str = "bulk",
     ):
         ids = np.sort(np.asarray(ids, dtype=float))
         if len(ids) < 2:
@@ -72,13 +67,10 @@ class PGridOverlay(BaselineOverlay):
             raise ValueError("P-Grid requires distinct identifiers")
         if refs_per_level < 1:
             raise ValueError(f"refs_per_level must be >= 1, got {refs_per_level}")
-        if builder not in ("bulk", "scalar"):
-            raise ValueError(f"unknown builder {builder!r}")
         self.ids = ids
         self.refs_per_level = refs_per_level
         self.paths: list[tuple[int, ...]] = [()] * len(ids)
         self.cells: list[tuple[float, float]] = [(0.0, 1.0)] * len(ids)
-        self._by_prefix: dict[tuple[int, ...], list[int]] = {}
         self._split(np.arange(len(ids)), (), 0.0, 1.0, 0.0, 1.0)
         self._path_lengths = np.asarray([len(p) for p in self.paths], dtype=np.int64)
         self._bit_matrix = np.full(
@@ -86,12 +78,7 @@ class PGridOverlay(BaselineOverlay):
         )
         for i, path in enumerate(self.paths):
             self._bit_matrix[i, : len(path)] = path
-        self._refs: list[list[np.ndarray]] | None = None
-        self._ref_matrix: np.ndarray | None = None
-        if builder == "bulk" and refs_per_level == 1:
-            self._build_refs_bulk(rng)
-        else:
-            self._build_refs_scalar(rng)
+        self.refs = self._build_refs(rng)
         # Leaf cells partition [0, 1); sorted left edges locate owners fast.
         order = np.argsort([c[0] for c in self.cells])
         self._cell_order = order
@@ -119,7 +106,6 @@ class PGridOverlay(BaselineOverlay):
         half absorbs its coverage — empty key regions are owned by the
         nearest populated subtree, so the leaf cells partition ``[0, 1)``.
         """
-        self._by_prefix.setdefault(prefix, []).extend(int(i) for i in members)
         if len(members) == 1:
             idx = int(members[0])
             self.paths[idx] = prefix
@@ -142,20 +128,32 @@ class PGridOverlay(BaselineOverlay):
             self._split(left, prefix + (0,), cover_lo, mid, cell_lo, mid)
             self._split(right, prefix + (1,), mid, cover_hi, mid, cell_hi)
 
-    def _build_refs_bulk(self, rng: np.random.Generator) -> None:
-        """Draw one reference per (peer, level) in vectorized level passes.
+    def _build_refs(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw every peer's references in vectorized level passes.
+
+        Returns the ``(n, depth, refs_per_level)`` reference array: peer
+        ``i``'s level-``l`` references ascending in ``refs[i, l]``,
+        padded with ``-1`` (a level with an empty complement, or beyond
+        the peer's path, holds none).
 
         A level-``l + 1`` complementary subtree is the dyadic key-space
         cell of the complement prefix, and — trie paths being prefix-free
         — its members are exactly the peers whose identifiers fall in
         that cell: a contiguous ``searchsorted`` range of the sorted ids.
-        One broadcast ``rng.integers`` draw picks uniformly within every
-        range, matching the scalar loop's per-level ``rng.choice``.
+        Each range yields ``take = min(refs_per_level, size)`` distinct members
+        by Floyd's algorithm, one broadcast ``rng.integers`` draw per
+        round: round ``t`` draws an offset uniform on
+        ``[0, size - take + t]`` and, when an earlier round already took
+        it, takes ``size - take + t`` instead.  That is a uniform draw
+        without replacement, matching a per-peer
+        ``rng.choice(size, take, replace=False)``; at one reference per
+        level it is a single uniform pick per range.
         """
-        n = self.n
+        n, r = self.n, self.refs_per_level
         max_depth = self._bit_matrix.shape[1]
-        refs = np.full((n, max_depth), -1, dtype=np.int64)
+        refs = np.full((n, max_depth, r), -1, dtype=np.int64)
         codes = np.zeros(n, dtype=np.int64)
+        rank = np.arange(r)
         for level in range(max_depth):
             active = self._path_lengths > level
             if not active.any():
@@ -168,51 +166,18 @@ class PGridOverlay(BaselineOverlay):
             lo = np.searchsorted(self.ids, cell_lo, side="left")
             hi = np.searchsorted(self.ids, cell_hi, side="left")
             sizes = hi - lo
-            picks = lo + rng.integers(0, np.maximum(sizes, 1))
-            refs[active, level] = np.where(sizes > 0, picks, -1)
+            take = np.minimum(sizes, r)
+            picks = np.empty((len(sizes), r), dtype=np.int64)
+            for t in range(r):
+                top = sizes - take + t
+                pick = rng.integers(0, np.maximum(top + 1, 1))
+                taken = (picks[:, :t] == pick[:, None]).any(axis=1)
+                picks[:, t] = np.where(taken, top, pick)
+            kept = rank < take[:, None]
+            picks = np.sort(np.where(kept, picks, sizes[:, None]), axis=1)
+            refs[active, level] = np.where(kept, lo[:, None] + picks, -1)
             codes = codes * 2 + np.where(active, bits, 0)
-        self._ref_matrix = refs
-
-    def _build_refs_scalar(self, rng: np.random.Generator) -> None:
-        """Per-peer reference loop (also the ``refs_per_level > 1`` path)."""
-        refs: list[list[np.ndarray]] = []
-        for i in range(self.n):
-            path = self.paths[i]
-            levels = []
-            for l in range(len(path)):
-                complement = path[:l] + (1 - path[l],)
-                candidates = self._by_prefix.get(complement, [])
-                if candidates:
-                    k = min(self.refs_per_level, len(candidates))
-                    picks = rng.choice(len(candidates), size=k, replace=False)
-                    levels.append(
-                        np.asarray(sorted(candidates[p] for p in picks), dtype=np.int64)
-                    )
-                else:
-                    levels.append(np.empty(0, dtype=np.int64))
-            refs.append(levels)
-        self._refs = refs
-
-    @property
-    def refs(self) -> list[list[np.ndarray]]:
-        """Per-peer, per-level reference lists (the scalar router's view).
-
-        Materialised lazily from the bulk builder's flat matrix; the
-        scalar builder fills it directly.
-        """
-        if self._refs is None:
-            self._refs = [
-                [
-                    (
-                        np.asarray([self._ref_matrix[i, l]], dtype=np.int64)
-                        if self._ref_matrix[i, l] >= 0
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    for l in range(int(self._path_lengths[i]))
-                ]
-                for i in range(self.n)
-            ]
-        return self._refs
+        return refs
 
     def _build_frontier(self):
         """CSR (references first, then index neighbours) + trie metric.
@@ -222,31 +187,14 @@ class PGridOverlay(BaselineOverlay):
         interval ends) are tagged level ``-1`` for the metric's fallback
         rule.  All hops count as long, matching the scalar router.
         """
-        n = self.n
-        if self._ref_matrix is not None:
-            mask = self._ref_matrix >= 0
-            ref_counts = mask.sum(axis=1).astype(np.int64)
-            _, level_idx = np.nonzero(mask)
-            ref_flat = self._ref_matrix[mask]
-            ref_levels = level_idx.astype(np.int32)
-            ref_ranks = np.zeros(len(ref_flat), dtype=np.int32)
-        else:
-            ref_counts = np.asarray(
-                [sum(len(level) for level in levels) for levels in self.refs],
-                dtype=np.int64,
-            )
-            flat: list[int] = []
-            levels_tag: list[int] = []
-            ranks_tag: list[int] = []
-            for levels in self.refs:
-                for level, members in enumerate(levels):
-                    for rank, target in enumerate(members):
-                        flat.append(int(target))
-                        levels_tag.append(level)
-                        ranks_tag.append(rank)
-            ref_flat = np.asarray(flat, dtype=np.int64)
-            ref_levels = np.asarray(levels_tag, dtype=np.int32)
-            ref_ranks = np.asarray(ranks_tag, dtype=np.int32)
+        n, r = self.n, self.refs_per_level
+        refs = self.refs.reshape(n, -1)
+        mask = refs >= 0
+        ref_counts = mask.sum(axis=1).astype(np.int64)
+        _, slot_idx = np.nonzero(mask)  # row-major: (level, rank) order
+        ref_flat = refs[mask]
+        ref_levels = (slot_idx // r).astype(np.int32)
+        ref_ranks = (slot_idx % r).astype(np.int32)
         nbr_pairs = np.stack(
             [np.arange(n, dtype=np.int64) - 1, np.arange(n, dtype=np.int64) + 1],
             axis=1,
@@ -321,8 +269,8 @@ class PGridOverlay(BaselineOverlay):
             peer_path = self.paths[current]
             l = self._cpl(peer_path, key_bits)
             nxt = None
-            if l < len(peer_path) and len(self.refs[current][l]):
-                nxt = int(self.refs[current][l][0])
+            if l < len(peer_path) and self.refs[current, l, 0] >= 0:
+                nxt = int(self.refs[current, l, 0])
             else:
                 # Gap in the trie (empty complement) or key inside our own
                 # prefix cell: step toward the owner in value order.
@@ -341,9 +289,4 @@ class PGridOverlay(BaselineOverlay):
 
     def table_sizes(self) -> np.ndarray:
         """Total references per peer (plus the two value-order neighbours)."""
-        if self._ref_matrix is not None:
-            return (self._ref_matrix >= 0).sum(axis=1).astype(np.int64) + 2
-        return np.asarray(
-            [sum(len(level) for level in levels) + 2 for levels in self.refs],
-            dtype=np.int64,
-        )
+        return (self.refs >= 0).sum(axis=(1, 2)).astype(np.int64) + 2

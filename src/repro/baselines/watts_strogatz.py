@@ -23,30 +23,28 @@ from repro.core.routing import RouteResult
 __all__ = ["WattsStrogatzOverlay"]
 
 #: Retry budget for a rewired edge before it falls back to its lattice
-#: target — shared by both builders (the scalar loop's ``attempts < 16``).
+#: target (the per-edge oracle loop's ``attempts < 16``).
 _REWIRE_ATTEMPTS = 16
 
 
 class WattsStrogatzOverlay(BaselineOverlay):
     """A rewired ring lattice with greedy index-distance routing.
 
-    The default ``builder="bulk"`` draws the whole population's rewiring
-    in vectorized rounds (see :meth:`_bulk_build`); ``builder="scalar"``
-    keeps the per-edge reference loop (KS-equivalence-tested in
-    ``tests/test_baselines_rings.py``).  At ``p == 0`` the two builders
-    produce the identical lattice.
+    The whole population's rewiring is drawn in vectorized rounds (see
+    :meth:`_build_adjacency`); the 1998 per-edge loop it is
+    KS-equivalence-tested against (``tests/test_baselines_rings.py``)
+    lives in ``tests/builder_oracle.py``.  At ``p == 0`` both produce
+    the identical lattice.
 
     Args:
         n: number of nodes (>= 4).
         k: each node links to ``k`` nearest neighbours (even, >= 2).
         p: rewiring probability in ``[0, 1]``.
         rng: random source.
-        builder: ``"bulk"`` (whole-population numpy rounds, the default)
-            or ``"scalar"`` (the sequential reference loop).
 
     Raises:
-        ValueError: for invalid ``n``, odd/negative ``k``, ``p`` outside
-            ``[0, 1]`` or an unknown builder.
+        ValueError: for invalid ``n``, odd/negative ``k`` or ``p``
+            outside ``[0, 1]``.
     """
 
     name = "watts-strogatz"
@@ -57,7 +55,6 @@ class WattsStrogatzOverlay(BaselineOverlay):
         k: int,
         p: float,
         rng: np.random.Generator,
-        builder: str = "bulk",
     ):
         if n < 4:
             raise ValueError(f"need n >= 4, got {n}")
@@ -65,52 +62,25 @@ class WattsStrogatzOverlay(BaselineOverlay):
             raise ValueError(f"k must be even, >= 2 and < n, got {k}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        if builder not in ("bulk", "scalar"):
-            raise ValueError(f"unknown builder {builder!r}")
         self._n = n
         self.k = k
         self.p = p
-        self.builder = builder
-        if builder == "bulk":
-            self.adjacency = self._bulk_build(n, k, p, rng)
-        else:
-            self.adjacency = self._scalar_build(n, k, p, rng)
+        self.adjacency = self._build_adjacency(n, k, p, rng)
 
     @staticmethod
-    def _scalar_build(
-        n: int, k: int, p: float, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        """The 1998 construction as a literal per-edge loop (reference)."""
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u in range(n):
-            for off in range(1, k // 2 + 1):
-                v = (u + off) % n
-                if rng.random() < p:
-                    v = int(rng.integers(n))
-                    attempts = 0
-                    while (v == u or v in adjacency[u]) and attempts < _REWIRE_ATTEMPTS:
-                        v = int(rng.integers(n))
-                        attempts += 1
-                    if v == u or v in adjacency[u]:
-                        v = (u + off) % n  # give up rewiring this edge
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-        return [np.asarray(sorted(neigh), dtype=np.int64) for neigh in adjacency]
-
-    @staticmethod
-    def _bulk_build(
+    def _build_adjacency(
         n: int, k: int, p: float, rng: np.random.Generator
     ) -> list[np.ndarray]:
         """Whole-population rewiring: one mask draw, vectorized retry rounds.
 
-        Statistically equivalent to :meth:`_scalar_build` (KS-tested on
-        hop and degree distributions): every lattice edge ``(u, u+off)``
-        rewires with probability ``p`` to a uniform target, retrying
+        Statistically equivalent to the 1998 per-edge loop (KS-tested on
+        degree and shortcut-length distributions): every lattice edge
+        ``(u, u+off)`` rewires with probability ``p`` to a uniform target, retrying
         self-loops and duplicate undirected pairs up to
         :data:`_REWIRE_ATTEMPTS` rounds before giving the edge back to
         its lattice target.  Within a round the first draw of a
         contested pair wins and the rest redraw — the vectorized
-        counterpart of the scalar loop's sequential duplicate check.
+        counterpart of the per-edge loop's sequential duplicate check.
         Undirected edges are tracked as sorted ``min·n + max`` keys, so
         deduplication and the final per-node expansion are sort/searchsorted
         passes rather than Python ``set`` juggling.
@@ -144,7 +114,7 @@ class WattsStrogatzOverlay(BaselineOverlay):
             taken[ok_idx[first]] = True
             pending = pending[~taken]
         if len(pending):
-            # Give up rewiring these edges, exactly like the scalar loop.
+            # Give up rewiring these edges, exactly like the per-edge loop.
             accepted = np.union1d(accepted, pair_keys(u[pending], lattice[pending]))
 
         lo, hi = accepted // n, accepted % n

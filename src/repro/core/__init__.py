@@ -53,7 +53,6 @@ from repro.core.kleinberg import (
     build_kleinberg_ring,
     build_kleinberg_torus,
 )
-from repro.core.links import ExactSampler, FastSampler, LinkSampler, make_sampler
 from repro.core.partitions import (
     AdvanceStats,
     advance_stats,
@@ -77,10 +76,6 @@ __all__ = [
     "build_skewed_model",
     "build_naive_model",
     "build_from_positions",
-    "LinkSampler",
-    "ExactSampler",
-    "FastSampler",
-    "make_sampler",
     "RouteResult",
     "BatchRouteResult",
     "CSRAdjacency",

@@ -25,7 +25,7 @@ tie-break over a CSR row.
 Long links are stored ascending and distinct: the producers write
 them that way.  :func:`repro.core.bulk_construction.split_rows` splits
 sorted ``row * n + col`` keys (so :func:`~repro.core.bulk_construction.symmetrize_flat`
-rows are sorted too), the scalar samplers in :mod:`repro.core.links`
+rows are sorted too), the per-peer samplers in ``tests/builder_oracle.py``
 return ``np.sort``-ed sets, and the live overlay's
 ``bulk_dynamics._write_member_rows`` fills rows in target-id order.  So
 from its third slot on (its *tail*: past the at most two neighbours)

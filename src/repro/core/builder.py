@@ -15,11 +15,12 @@ Three builders share one code path (:func:`build_from_positions`):
   paper's point is that this graph loses routing efficiency as skew
   grows; experiment E6 measures exactly that.
 
-All three default to the whole-population bulk sampling engine
-(:mod:`repro.core.bulk_construction`), which draws every long link in
-vectorized passes and hands :class:`SmallWorldGraph` its CSR adjacency
-pre-assembled; the scalar ``"fast"``/``"exact"`` samplers remain as
-per-peer reference paths (``GraphConfig(sampler=...)``).
+All three draw every long link in whole-population vectorized passes
+(:mod:`repro.core.bulk_construction`) and hand :class:`SmallWorldGraph`
+its CSR adjacency pre-assembled: the Section 4.2 inverse-CDF draw by
+default, or the exact ``1/d'`` weight vector evaluated in blocked rows
+(``GraphConfig(sampler="exact")``).  The per-peer samplers these are
+tested against live in ``tests/builder_oracle.py``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.bulk_construction import bulk_exact_links, bulk_links, symmetrize_flat
-from repro.core.graph import LongLinkRows, SmallWorldGraph
-from repro.core.links import make_sampler
+from repro.core.graph import SmallWorldGraph
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution
 from repro.keyspace import IntervalSpace, KeySpace
@@ -52,29 +52,23 @@ class GraphConfig:
         out_degree: number of long-range links per peer; ``None`` means
             the paper's ``log2 N``.
         cutoff_mass: minimum normalised distance for long links; ``None``
-            means the paper's ``1/N``.  The harmonic samplers
-            (``"bulk"``/``"fast"``) need a positive cutoff (their ``1/x``
-            draw has no mass otherwise); study the degenerate no-cutoff
-            variant with a tiny positive value (E13 uses ``1e-9``) or
-            ``0.0`` under the ``"exact"``/``"exact-bulk"`` samplers.
+            means the paper's ``1/N``.  The ``"bulk"`` sampler needs a
+            positive cutoff (its ``1/x`` draw has no mass otherwise);
+            study the degenerate no-cutoff variant with a tiny positive
+            value (E13 uses ``1e-9``) or ``0.0`` under ``"exact"``.
         space: interval (paper default) or ring topology.
         sampler: link-sampling engine —
 
-            * ``"bulk"`` (default) — whole-population vectorized
-              inverse-CDF sampling with direct CSR assembly
+            * ``"bulk"`` (default) — the Section 4.2 inverse-CDF draw for
+              the whole population in vectorized retry rounds
               (:func:`repro.core.bulk_construction.bulk_links`);
-              statistically equivalent to ``"fast"`` but orders of
-              magnitude faster at scale;
-            * ``"fast"`` — the scalar per-peer inverse-CDF reference
-              (the literal Section 4.2 construction loop);
-            * ``"exact"`` — scalar full weight vector, ground truth;
-            * ``"exact-bulk"`` — the same ground truth evaluated in
-              blocked rows of the ``n × n`` weight matrix
-              (:func:`repro.core.bulk_construction.bulk_exact_links`),
-              for mid-size populations.
+            * ``"exact"`` — the full ``1/d'`` weight vector, ground
+              truth, evaluated in blocked rows of the ``n × n`` weight
+              matrix (:func:`repro.core.bulk_construction.bulk_exact_links`);
+              ``O(n²)``, for populations up to a few 1e4.
         dedupe: whether long-link sets are kept duplicate-free.
-        max_retries: retry budget — per link for the scalar fast sampler,
-            per whole-population redraw round for the bulk sampler.
+        max_retries: whole-population redraw rounds of the ``"bulk"``
+            sampler before its deterministic fallback scan.
         bidirectional: additionally install every long link in the
             reverse direction (an engineering variant several deployed
             DHTs use; off by default to match the directed model).
@@ -149,7 +143,8 @@ def build_from_positions(
         model: label stored on the graph for reports.
 
     Raises:
-        ValueError: on empty input or mismatched lengths.
+        ValueError: on empty input, mismatched lengths or an unknown
+            sampler.
     """
     config = config or GraphConfig()
     ids = np.asarray(ids, dtype=float)
@@ -164,49 +159,36 @@ def build_from_positions(
     n = len(ids)
     k = config.resolve_out_degree(n)
     cutoff = config.resolve_cutoff(n)
-    if config.sampler in ("bulk", "exact-bulk"):
-        if config.sampler == "bulk":
-            if config.workers is not None:
-                from repro.parallel.dispatch import bulk_links_parallel
+    if config.sampler == "bulk":
+        if config.workers is not None:
+            from repro.parallel.dispatch import bulk_links_parallel
 
-                indptr, flat = bulk_links_parallel(
-                    normalized_ids, k, cutoff, config.space, rng,
-                    dedupe=config.dedupe, max_rounds=config.max_retries,
-                    workers=config.workers,
-                )
-            else:
-                indptr, flat = bulk_links(
-                    normalized_ids, k, cutoff, config.space, rng,
-                    dedupe=config.dedupe, max_rounds=config.max_retries,
-                )
-        else:
-            indptr, flat = bulk_exact_links(
-                normalized_ids, k, cutoff, config.space, rng, dedupe=config.dedupe
+            indptr, flat = bulk_links_parallel(
+                normalized_ids, k, cutoff, config.space, rng,
+                dedupe=config.dedupe, max_rounds=config.max_retries,
+                workers=config.workers,
             )
-        if config.bidirectional:
-            sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            indptr, flat = symmetrize_flat(sources, flat, n)
-        graph = SmallWorldGraph.from_flat_links(
-            ids=ids,
-            normalized_ids=normalized_ids,
-            long_indptr=indptr,
-            long_flat=flat,
-            space=config.space,
-            normalize=normalize,
-            model=model,
-            cutoff_mass=cutoff,
+        else:
+            indptr, flat = bulk_links(
+                normalized_ids, k, cutoff, config.space, rng,
+                dedupe=config.dedupe, max_rounds=config.max_retries,
+            )
+    elif config.sampler == "exact":
+        indptr, flat = bulk_exact_links(
+            normalized_ids, k, cutoff, config.space, rng, dedupe=config.dedupe
         )
-        return _maybe_snapshot(graph, config)
-    sampler = make_sampler(config.sampler, dedupe=config.dedupe, max_retries=config.max_retries)
-    long_links = [
-        sampler.sample(normalized_ids, i, k, cutoff, config.space, rng) for i in range(n)
-    ]
+    else:
+        raise ValueError(
+            f"unknown sampler {config.sampler!r}; choose 'bulk' or 'exact'"
+        )
     if config.bidirectional:
-        long_links = _symmetrize(long_links, n)
-    graph = SmallWorldGraph(
+        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        indptr, flat = symmetrize_flat(sources, flat, n)
+    graph = SmallWorldGraph.from_flat_links(
         ids=ids,
         normalized_ids=normalized_ids,
-        long_links=long_links,
+        long_indptr=indptr,
+        long_flat=flat,
         space=config.space,
         normalize=normalize,
         model=model,
@@ -222,24 +204,6 @@ def _maybe_snapshot(graph: SmallWorldGraph, config: GraphConfig) -> SmallWorldGr
 
         save_graph(graph, config.snapshot)
     return graph
-
-
-def _symmetrize(long_links: list[np.ndarray], n: int) -> LongLinkRows:
-    """Install the reverse of every long link (deduplicated, self-free).
-
-    Vectorized CSR transpose-merge: concatenate the edge list with its
-    transpose, key-sort and unique into flat rows, viewed per peer — no
-    per-edge Python loop, so ``bidirectional=True`` stays cheap at scale.
-    """
-    counts = np.fromiter((len(links) for links in long_links), dtype=np.int64, count=n)
-    sources = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if int(counts.sum()):
-        targets = np.concatenate(
-            [np.asarray(links, dtype=np.int64) for links in long_links]
-        )
-    else:
-        targets = np.empty(0, dtype=np.int64)
-    return LongLinkRows.from_indptr(*symmetrize_flat(sources, targets, n))
 
 
 def build_uniform_model(

@@ -24,8 +24,8 @@ passes:
     positions, validate (no self-links, cutoff respected), dedupe rows
     via ``np.unique`` on ``row·n + target`` keys, and redraw only the
     surviving deficit mask in retry rounds.  A deterministic outward scan
-    (the same last resort as :class:`repro.core.links.FastSampler`)
-    finishes pathological rows.
+    (the same last resort as the per-peer ``FastSampler`` oracle in
+    ``tests/builder_oracle.py``) finishes pathological rows.
 
 :func:`bulk_exact_links`
     the ground-truth ``1/d'`` weight-vector sampler evaluated in blocked
@@ -49,8 +49,7 @@ The kernels rely on :meth:`KeySpace.spans` / :meth:`KeySpace.shift`
 accepting arrays elementwise, which both shipped topologies
 (:class:`~repro.keyspace.interval.IntervalSpace`,
 :class:`~repro.keyspace.ring.RingSpace`) satisfy through plain ufunc
-arithmetic; scalar-only third-party spaces should stick to the scalar
-samplers.
+arithmetic; a third-party space must do the same.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def _side_log_masses(
     """Return ``(left_span, right_span, log_left, log_right)`` arrays.
 
     ``log_* = ln(span/cutoff)`` clamped to 0 when the span does not reach
-    beyond the cutoff — the vectorized form of the scalar samplers'
+    beyond the cutoff — the vectorized form of the per-peer samplers'
     ``math.log(span / cutoff) if span > cutoff else 0.0``.  ``cutoff``
     may be a scalar or an array broadcastable to ``positions`` (the live
     overlay's bulk engine draws for peers that joined under different
@@ -147,9 +146,9 @@ def bulk_harmonic_positions(
 def outward_candidate_indices(idx: int, n: int, is_ring: bool):
     """Yield peer indices by increasing step distance from ``idx``.
 
-    The deterministic last-resort scan order shared by the scalar
-    :meth:`repro.core.links.FastSampler._fallback_scan` and the bulk
-    engine's :func:`_fallback_fill`: right candidate then left candidate
+    The deterministic last-resort scan order shared by the bulk engine's
+    :func:`_fallback_fill` and the per-peer ``FastSampler`` oracle in
+    ``tests/builder_oracle.py``: right candidate then left candidate
     at each step, skipping wrapped indices on the interval (a wrapped
     index is not a real peer offset there).  May yield the same index
     twice on small rings (antipode step); consumers dedupe.
@@ -251,8 +250,8 @@ def bulk_links(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every peer's long-link set in whole-population passes.
 
-    Statistically equivalent to running
-    :meth:`repro.core.links.FastSampler.sample` once per peer (both
+    Statistically equivalent to running the per-peer ``FastSampler``
+    oracle (``tests/builder_oracle.py``) once per peer (both
     realise "draw i.i.d. harmonic targets, keep distinct valid ones,
     redraw the rest"), but with ``O(rounds)`` numpy passes instead of
     ``O(n·k)`` Python iterations.
@@ -268,7 +267,7 @@ def bulk_links(
             and duplicates collapse at the end, matching the literal
             i.i.d. model.
         max_rounds: retry-round budget before the deterministic fallback
-            scan (mirrors the scalar sampler's ``max_retries``).
+            scan (mirrors the per-peer sampler's ``max_retries``).
         rows: optional array of distinct source-row indices to sample
             links for; every other row stays empty.  Targets still range
             over the whole population.  This is the sharding hook of
@@ -319,7 +318,7 @@ def bulk_links(
     # rounds give each link the same random-retry budget as the scalar
     # sampler's max_retries before the deterministic fallback — no early
     # stall exit, which would bias hard rows toward the fallback and
-    # away from the FastSampler distribution.
+    # away from the per-peer sampler's distribution.
     for _ in range(max_rounds):
         active = need > 0
         if not active.any():
@@ -373,7 +372,7 @@ def _fallback_fill(
     """Deterministic outward scan for rows the random rounds left short.
 
     Scalar, but only ever touches the (rare) pathological rows — the
-    bulk analogue of :meth:`FastSampler._fallback_scan`.  With
+    bulk analogue of the per-peer sampler's fallback scan.  With
     ``dedupe=True`` it fills the row's remaining budget with *new*
     distinct targets; with ``dedupe=False`` it mirrors the scalar
     sampler exactly — every exhausted draw lands on the first valid
@@ -425,11 +424,12 @@ def bulk_exact_links(
     * ``dedupe=True`` — exponential race: draw ``E_j ~ Exp(1)`` per
       candidate and keep the ``k`` smallest ``E_j / w_j``, which realises
       weighted sampling *without* replacement (Efraimidis–Spirakis),
-      matching :class:`repro.core.links.ExactSampler`'s sequential
-      ``choice(replace=False)`` in distribution.
+      matching a per-peer sequential ``choice(replace=False)`` (the
+      ``ExactSampler`` oracle in ``tests/builder_oracle.py``) in
+      distribution.
     * ``dedupe=False`` — ``k`` i.i.d. inverse-CDF draws per row through
       one flattened ``searchsorted`` over offset row CDFs, duplicates
-      collapsed, matching ``ExactSampler(dedupe=False)``.
+      collapsed, matching the oracle's ``ExactSampler(dedupe=False)``.
 
     Intended for mid-size ground truth (``n`` up to a few 1e4); memory
     and time are ``O(n · block_size)`` per pass and ``O(n²)`` total.

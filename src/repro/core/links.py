@@ -1,4 +1,4 @@
-"""Long-range link samplers.
+"""The per-peer long-link draw of the Section 4.2 join protocol.
 
 Both models of the paper reduce (Theorem 2, Figure 1) to the same task:
 given peer positions that are ~uniform in *normalised* space, pick each
@@ -7,51 +7,27 @@ long-range neighbour ``v`` of peer ``u`` with probability
     P[v] ∝ 1 / d'(u, v),    subject to d'(u, v) ≥ cutoff  (default 1/N),
 
 where ``d'`` is the normalised distance (raw distance for Model 1, the
-eq. (7) integral for Model 2).  Two interchangeable samplers implement
-this:
+eq. (7) integral for Model 2).  Section 4.2 realises it as a protocol:
+"the peer draws log2 N random values according to h_u and queries for
+these values; the peers that respond are added as long-range
+neighbours".  Static graphs run that draw for the whole population at
+once in :mod:`repro.core.bulk_construction`; the live join and
+maintenance code draws for one peer at a time through
+:func:`harmonic_target_positions`, which delegates to the same kernel so
+the two cannot drift.
 
-:class:`ExactSampler`
-    materialises the full weight vector over all peers — ``O(N)`` per
-    peer, the literal transcription of the model, used as ground truth.
-
-:class:`FastSampler`
-    inverse-transform samples a *distance* from the ``1/x`` density on
-    ``[cutoff, span]`` and links to the peer nearest the resulting
-    position — ``O(log N)`` per link.  This is exactly the network
-    construction protocol of Section 4.2 ("the peer draws log2 N random
-    values according to h_u and queries for these values; the peers that
-    respond are added as long-range neighbours"), so the fast path is not
-    an approximation of the paper but its own recommended realisation.
-    Experiment E7 confirms the two samplers produce statistically
-    indistinguishable graphs.
-
-Both are *scalar reference paths*: production construction goes through
-the whole-population vectorized engine in
-:mod:`repro.core.bulk_construction` (``GraphConfig(sampler="bulk")``,
-the default).  :func:`harmonic_target_positions` — the protocol-level
-helper the live join/maintenance code draws from — delegates to the
-bulk kernel so that path cannot drift; :class:`FastSampler` keeps its
-own *deliberately independent* scalar transcription of the same draw,
-so the bulk↔scalar statistical-equivalence tests compare two separate
-implementations rather than a kernel against itself.
+The per-peer samplers (an ``O(N)``-per-peer exact weight vector and an
+independent scalar transcription of the inverse-CDF draw) are the test
+oracle of the bulk engine and live in ``tests/builder_oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-from repro.keyspace import KeySpace, nearest_index
+from repro.keyspace import KeySpace
 
-__all__ = [
-    "LinkSampler",
-    "ExactSampler",
-    "FastSampler",
-    "make_sampler",
-    "harmonic_target_positions",
-]
+__all__ = ["harmonic_target_positions"]
 
 
 def harmonic_target_positions(
@@ -67,9 +43,9 @@ def harmonic_target_positions(
     peer at normalised position ``position`` draws values "according to
     h_u" — distance ``x`` from the ``1/x`` density on ``[cutoff, span]``,
     side chosen proportionally to each side's available log-mass — and
-    then *queries* for the resulting positions.  The static
-    :class:`FastSampler` applies the same draw and resolves targets
-    directly; live protocols resolve them by routing.
+    then *queries* for the resulting positions.  Static construction
+    applies the same draw and resolves targets directly; live protocols
+    resolve them by routing.
 
     Delegates to the vectorized kernel
     :func:`repro.core.bulk_construction.bulk_harmonic_positions` with a
@@ -95,211 +71,3 @@ def harmonic_target_positions(
     if not valid.all():
         return np.empty(0, dtype=float)
     return targets
-
-
-class LinkSampler(ABC):
-    """Strategy interface: sample one peer's long-range neighbour set."""
-
-    @abstractmethod
-    def sample(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        k: int,
-        cutoff: float,
-        space: KeySpace,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Return up to ``k`` distinct long-link target indices for peer ``idx``.
-
-        Args:
-            positions: sorted normalised peer positions in ``[0, 1)``.
-            idx: index of the linking peer.
-            k: number of long-range links to draw.
-            cutoff: minimum normalised distance (the paper's ``1/N``).
-            space: key-space geometry (interval or ring).
-            rng: random source.
-
-        Fewer than ``k`` indices may be returned when the population
-        cannot support ``k`` distinct valid targets.
-        """
-
-
-class ExactSampler(LinkSampler):
-    """Ground-truth sampler: full ``1/d'`` weight vector over all peers.
-
-    Args:
-        dedupe: draw without replacement (distinct neighbours) when True;
-            i.i.d. draws (the literal model, possibly with duplicate
-            links that are then collapsed) when False.
-    """
-
-    def __init__(self, dedupe: bool = True):
-        self.dedupe = dedupe
-
-    def sample(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        k: int,
-        cutoff: float,
-        space: KeySpace,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        dists = space.distances(positions, float(positions[idx]))
-        weights = np.zeros_like(dists)
-        eligible = dists >= cutoff
-        eligible[idx] = False
-        weights[eligible] = 1.0 / dists[eligible]
-        total = weights.sum()
-        if total <= 0:
-            return np.empty(0, dtype=np.int64)
-        probs = weights / total
-        n_eligible = int(eligible.sum())
-        if self.dedupe:
-            size = min(k, n_eligible)
-            chosen = rng.choice(len(positions), size=size, replace=False, p=probs)
-        else:
-            chosen = np.unique(rng.choice(len(positions), size=k, replace=True, p=probs))
-        return np.sort(chosen).astype(np.int64)
-
-
-class FastSampler(LinkSampler):
-    """Inverse-CDF distance sampler: ``O(log N)`` per link.
-
-    For each link: pick a side (left/right) with probability proportional
-    to the available ``1/x`` mass ``ln(span/cutoff)``, draw a distance
-    ``x = cutoff · (span/cutoff)^U`` (the inverse CDF of the ``1/x``
-    density on ``[cutoff, span]``), and link to the peer nearest the
-    resulting position.  Retries resolve self-links, cutoff violations
-    and duplicates; a deterministic outward scan is the last resort so
-    the sampler degrades gracefully on tiny populations.
-
-    Args:
-        max_retries: random retries per link before the deterministic
-            fallback scan.
-        dedupe: reject duplicate neighbours when True.
-    """
-
-    def __init__(self, max_retries: int = 64, dedupe: bool = True):
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        self.max_retries = max_retries
-        self.dedupe = dedupe
-
-    def sample(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        k: int,
-        cutoff: float,
-        space: KeySpace,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        p = float(positions[idx])
-        left_span, right_span = space.spans(p)
-        log_left = math.log(left_span / cutoff) if left_span > cutoff else 0.0
-        log_right = math.log(right_span / cutoff) if right_span > cutoff else 0.0
-        if log_left <= 0.0 and log_right <= 0.0:
-            return np.empty(0, dtype=np.int64)
-        chosen: set[int] = set()
-        for _ in range(k):
-            target = self._draw_one(
-                positions, idx, p, cutoff, space, rng,
-                log_left, log_right, left_span, right_span, chosen,
-            )
-            if target is not None:
-                chosen.add(target)
-        return np.sort(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
-
-    def _draw_one(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        p: float,
-        cutoff: float,
-        space: KeySpace,
-        rng: np.random.Generator,
-        log_left: float,
-        log_right: float,
-        left_span: float,
-        right_span: float,
-        chosen: set[int],
-    ) -> int | None:
-        """Sample one valid target index, or None when none can be found."""
-        total_log = log_left + log_right
-        for _ in range(self.max_retries):
-            go_left = rng.random() * total_log < log_left
-            span = left_span if go_left else right_span
-            distance = cutoff * (span / cutoff) ** rng.random()
-            target_pos = space.shift(p, -distance if go_left else distance)
-            if not space.is_ring:
-                target_pos = min(max(target_pos, 0.0), np.nextafter(1.0, 0.0))
-            j = nearest_index(positions, target_pos, space)
-            if self._valid(positions, idx, j, p, cutoff, space, chosen):
-                return j
-        return self._fallback_scan(positions, idx, p, cutoff, space, chosen)
-
-    def _valid(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        j: int,
-        p: float,
-        cutoff: float,
-        space: KeySpace,
-        chosen: set[int],
-    ) -> bool:
-        if j == idx:
-            return False
-        if self.dedupe and j in chosen:
-            return False
-        return space.distance(p, float(positions[j])) >= cutoff
-
-    def _fallback_scan(
-        self,
-        positions: np.ndarray,
-        idx: int,
-        p: float,
-        cutoff: float,
-        space: KeySpace,
-        chosen: set[int],
-    ) -> int | None:
-        """Deterministically scan outward from ``idx`` for any valid target.
-
-        Shares the scan order with the bulk engine's fallback via
-        :func:`repro.core.bulk_construction.outward_candidate_indices`,
-        so the two engines' degenerate-population behaviour cannot
-        drift.
-        """
-        from repro.core.bulk_construction import outward_candidate_indices
-
-        for j in outward_candidate_indices(idx, len(positions), space.is_ring):
-            if self._valid(positions, idx, j, p, cutoff, space, chosen):
-                return j
-        return None
-
-
-def make_sampler(kind: str, dedupe: bool = True, max_retries: int = 64) -> LinkSampler:
-    """Return a *scalar* sampler by name (``"fast"`` or ``"exact"``).
-
-    The population-level ``"bulk"`` / ``"exact-bulk"`` engines
-    (:mod:`repro.core.bulk_construction`) have no per-peer strategy
-    object; :func:`repro.core.build_from_positions` dispatches to them
-    directly.
-
-    Raises:
-        ValueError: for an unknown sampler name.
-    """
-    if kind == "fast":
-        return FastSampler(max_retries=max_retries, dedupe=dedupe)
-    if kind == "exact":
-        return ExactSampler(dedupe=dedupe)
-    raise ValueError(
-        f"unknown scalar sampler {kind!r}; choose 'fast' or 'exact' "
-        "('bulk'/'exact-bulk' are population-level and handled by the builder)"
-    )

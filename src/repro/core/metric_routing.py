@@ -886,9 +886,9 @@ class StreamFrontier:
         self.padded_slots_seen = 0
         #: What the most recent round did — ``"ragged"`` when it scored
         #: candidates, ``"stuck"`` when no walk had any, ``"none"`` when
-        #: every walk ran out of hops — and how many real candidates /
-        #: dense slots it gathered.  Read by the per-round trace and by
-        #: the flight recorder's replay loop.
+        #: every walk ran out of hops or none was active — and how many
+        #: real candidates / dense slots it gathered.  Read by the
+        #: per-round trace and by the flight recorder's replay loop.
         self.last_round_kernel = "none"
         self.last_round_candidates = 0
         self.last_round_padded_slots = 0
@@ -1122,14 +1122,14 @@ class StreamFrontier:
         check, candidate gather, metric scoring, argmin move with the
         metric's improve/terminal rules, arrival/stuck retirement.
         """
+        self.last_round_kernel = "none"
+        self.last_round_candidates = 0
+        self.last_round_padded_slots = 0
         frontier = np.flatnonzero(self.active)
         if frontier.size == 0:
             return frontier
         self.rounds += 1
         entered = int(frontier.size)
-        self.last_round_kernel = "none"
-        self.last_round_candidates = 0
-        self.last_round_padded_slots = 0
         retired: list[np.ndarray] = []
         # Budget check first, mirroring the scalar routers' loop heads.
         exhausted = self.hops[frontier] >= self.max_hops

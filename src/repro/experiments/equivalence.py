@@ -11,8 +11,8 @@ consequences:
   statistically indistinguishable (two-sample KS test);
 * hop-count distributions agree within confidence intervals;
 * (ablation) the default bulk inverse-CDF sampler and the exact
-  weight-vector sampler (scalar when quick, blocked-row bulk at full
-  size) generate indistinguishable graphs.
+  weight-vector sampler (evaluated in blocked rows of the weight
+  matrix) generate indistinguishable graphs.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ def run_e7(seed: int = 0, quick: bool = False) -> ResultTable:
     """E7: equivalence of skew-space and normalised-space constructions."""
     rng = np.random.default_rng(seed)
     # Full mode runs at 16k peers: bulk construction makes the paired
-    # builds cheap, and the blocked-row exact-bulk sampler keeps the
-    # ground-truth ablation tractable at this size (the scalar exact
-    # sampler stays on the quick path as the literal reference).
+    # builds cheap, and the blocked-row exact sampler keeps the
+    # ground-truth ablation tractable at this size.
     n = 512 if quick else 16384
     n_routes = 300 if quick else 1500
     dist = PowerLaw(alpha=1.5, shift=1e-3)
@@ -61,9 +60,8 @@ def run_e7(seed: int = 0, quick: bool = False) -> ResultTable:
     mean_gp, lo_gp, hi_gp = bootstrap_mean_ci(hops_gp, rng)
 
     # Ablation: default (bulk) vs exact sampler on the same skewed
-    # population — scalar ground truth when quick, blocked-row bulk
-    # ground truth at full size.
-    exact_cfg = GraphConfig(sampler="exact" if quick else "exact-bulk")
+    # population.
+    exact_cfg = GraphConfig(sampler="exact")
     graph_exact = build_skewed_model(dist, rng=rng, ids=ids, config=exact_cfg)
     ks_samplers = ks_two_sample(
         lengths_g, graph_exact.long_link_lengths(normalized=True)

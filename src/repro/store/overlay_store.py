@@ -35,6 +35,7 @@ from repro.core.metric_routing import (
     TorusZoneMetric,
     TrieMetric,
     frontier_route_many,
+    torus_zone_lookup,
 )
 from repro.core.routing import RouteResult
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
@@ -130,6 +131,40 @@ def _encode_store_metric(
         f"cannot persist {kind.__name__}; the store codec supports the six "
         "shipped RoutingMetric families"
     )
+
+
+def _check_torus(arrays: dict, n: int, max_depth: int) -> None:
+    """Reject CAN zone boxes or BSP arrays that would misroute a lookup.
+
+    Range checks first, so the final check can descend safely: the
+    five BSP arrays share one length, internal nodes' children lie
+    inside them, zone ids lie in ``[-1, n)``, the zone boxes are
+    ``(n, dims)`` and split dims lie in ``[0, dims)``.  Then every
+    zone's centre must descend to that zone.
+    """
+    split_dim, _, low, high, zone = (np.asarray(arrays[key]) for key in _BSP_KEYS)
+    size = len(zone)
+    if size == 0 or any(len(arrays[key]) != size for key in _BSP_KEYS):
+        raise StoreError("the BSP arrays must be non-empty and of equal length")
+    internal = zone < 0
+    for child in (low, high):
+        if np.any((child[internal] < 0) | (child[internal] >= size)):
+            raise StoreError("a BSP child index is out of range")
+    if np.any((zone < -1) | (zone >= n)):
+        raise StoreError("a BSP zone id is out of range")
+    lo, hi = np.asarray(arrays["lo"]), np.asarray(arrays["hi"])
+    if lo.ndim != 2 or lo.shape[0] != n or hi.shape != lo.shape:
+        raise StoreError("zone boxes must have shape (n, dims)")
+    if np.any((split_dim[internal] < 0) | (split_dim[internal] >= lo.shape[1])):
+        raise StoreError("a BSP split dim is out of range")
+    try:
+        owners = torus_zone_lookup(
+            0.5 * (lo + hi), tuple(arrays[key] for key in _BSP_KEYS), max_depth
+        )
+    except RuntimeError as exc:
+        raise StoreError(f"corrupt BSP tree: {exc}") from exc
+    if not np.array_equal(owners, np.arange(n)):
+        raise StoreError("a zone's centre does not resolve to that zone")
 
 
 def _rebuild_store_metric(kind: str, params: dict, arrays: dict) -> RoutingMetric:
@@ -277,8 +312,10 @@ def load_overlay(path: str | os.PathLike) -> LoadedOverlay:
     All arrays are read-only memmaps; nothing is rebuilt or copied.
 
     Raises:
-        StoreError: missing/corrupt snapshot, version/kind mismatch, or
-            row pointers/edge targets that violate the CSR invariants.
+        StoreError: missing/corrupt snapshot, version/kind mismatch,
+            row pointers/edge targets that violate the CSR invariants,
+            or CAN zone/BSP arrays that do not resolve every zone to
+            itself.
     """
     from repro import telemetry
 
@@ -301,6 +338,8 @@ def load_overlay(path: str | os.PathLike) -> LoadedOverlay:
         for key, array in arrays.items()
         if key.startswith("metric_")
     }
+    if spec["kind"] == "torus":
+        _check_torus(metric_arrays, int(payload["n"]), spec["params"]["max_depth"])
     metric = _rebuild_store_metric(spec["kind"], spec["params"], metric_arrays)
     return LoadedOverlay(
         name=payload["overlay"],

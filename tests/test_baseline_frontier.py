@@ -9,9 +9,10 @@ Three layers, mirroring ``tests/test_bulk_dynamics.py``:
   visited path, on uniform and skewed populations.
 * **builder equivalence** — the bulk whole-population builders
   (Mercury's row-wise estimators, Pastry's prefix-range tables,
-  P-Grid's dyadic-cell references) must be statistically
-  indistinguishable from the per-peer scalar reference builders: KS on
-  hop distributions at n = 2048, uniform and skewed.
+  P-Grid's dyadic-cell references, one or several per level) must be
+  statistically indistinguishable from the per-peer loops in
+  ``builder_oracle.py``: KS on hop distributions at n = 2048, uniform
+  and skewed.
 * **contract invariants** — cached frontier identity, vectorized owner
   resolution agreeing with the scalar ``owner_of``, and workload
   determinism between the scalar and batch measurement paths.
@@ -19,6 +20,7 @@ Three layers, mirroring ``tests/test_bulk_dynamics.py``:
 
 import numpy as np
 import pytest
+from builder_oracle import OracleMercury, OraclePastry, OraclePGrid
 
 from repro.analysis import ks_two_sample
 from repro.baselines import (
@@ -127,12 +129,13 @@ class TestHopForHopParity:
         _assert_parity(overlay, seed=10, targets="uniform")
 
     def test_scalar_built_overlays_route_identically(self, rng):
-        """The frontier contract holds for the scalar reference builders too."""
+        """The frontier contract holds for the per-peer oracle builders too."""
         ids = _uniform_ids(160, 54)
         for overlay in (
-            MercuryOverlay(ids, rng, sample_size=32, builder="scalar"),
-            PastryOverlay(ids, rng, builder="scalar"),
-            PGridOverlay(ids, rng, builder="scalar"),
+            OracleMercury(ids, rng, sample_size=32),
+            OraclePastry(ids, rng),
+            OraclePGrid(ids, rng),
+            OraclePGrid(ids, rng, refs_per_level=2),
         ):
             _assert_parity(overlay, seed=11)
 
@@ -186,7 +189,7 @@ class TestHopForHopParity:
 
 
 class TestBuilderEquivalence:
-    """Bulk builders vs scalar reference builders: KS on hop distributions."""
+    """Bulk builders vs the per-peer oracle builders: KS on hop distributions."""
 
     N = 2048
     ROUTES = 1500
@@ -202,9 +205,7 @@ class TestBuilderEquivalence:
     def test_mercury_bulk_matches_scalar(self, ids_factory):
         ids = ids_factory(self.N, 61)
         bulk = MercuryOverlay(ids, np.random.default_rng(1), sample_size=64)
-        scalar = MercuryOverlay(
-            ids, np.random.default_rng(2), sample_size=64, builder="scalar"
-        )
+        scalar = OracleMercury(ids, np.random.default_rng(2), sample_size=64)
         ks = ks_two_sample(self._hops(bulk, 3), self._hops(scalar, 4))
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
 
@@ -212,7 +213,7 @@ class TestBuilderEquivalence:
     def test_pastry_bulk_matches_scalar(self, ids_factory):
         ids = ids_factory(self.N, 62)
         bulk = PastryOverlay(ids, np.random.default_rng(1))
-        scalar = PastryOverlay(ids, np.random.default_rng(2), builder="scalar")
+        scalar = OraclePastry(ids, np.random.default_rng(2))
         ks = ks_two_sample(self._hops(bulk, 3), self._hops(scalar, 4))
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
         # Same deterministic structure: identical fill pattern, only the
@@ -224,23 +225,64 @@ class TestBuilderEquivalence:
     def test_pgrid_bulk_matches_scalar(self, ids_factory):
         ids = ids_factory(self.N, 63)
         bulk = PGridOverlay(ids, np.random.default_rng(1))
-        scalar = PGridOverlay(ids, np.random.default_rng(2), builder="scalar")
+        scalar = OraclePGrid(ids, np.random.default_rng(2))
         ks = ks_two_sample(self._hops(bulk, 3), self._hops(scalar, 4))
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
         # Reference existence is deterministic (only the pick is random).
-        assert [[len(level) for level in levels] for levels in bulk.refs] == [
-            [len(level) for level in levels] for levels in scalar.refs
-        ]
+        assert np.array_equal(bulk.refs >= 0, scalar.refs >= 0)
 
     def test_pgrid_bulk_refs_point_to_complement(self, rng):
         pgrid = PGridOverlay(_skewed_ids(512, 64), rng)
         for i in range(0, pgrid.n, 13):
             path = pgrid.paths[i]
             for level, refs in enumerate(pgrid.refs[i]):
-                for ref in refs:
+                for ref in refs[refs >= 0]:
                     ref_path = pgrid.paths[int(ref)]
                     assert ref_path[:level] == path[:level]
                     assert ref_path[level] == 1 - path[level]
+
+    @pytest.mark.parametrize("ids_factory", [_uniform_ids, _skewed_ids])
+    def test_pgrid_multi_refs_match_scalar(self, ids_factory):
+        ids = ids_factory(self.N, 66)
+        bulk = PGridOverlay(ids, np.random.default_rng(1), refs_per_level=2)
+        scalar = OraclePGrid(ids, np.random.default_rng(2), refs_per_level=2)
+        ks = ks_two_sample(self._hops(bulk, 3), self._hops(scalar, 4))
+        assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
+        assert np.array_equal(bulk.refs >= 0, scalar.refs >= 0)
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_pgrid_multi_refs_fill_their_complement_cell(self, r):
+        """Each (peer, level) holds min(r, subtree size) distinct members of
+        its complement subtree, ascending and packed before the padding."""
+        pgrid = PGridOverlay(_skewed_ids(600, 67), np.random.default_rng(5), r)
+        members: dict[tuple[int, ...], set[int]] = {}
+        for j, path in enumerate(pgrid.paths):
+            for l in range(len(path) + 1):
+                members.setdefault(path[:l], set()).add(j)
+        depth = pgrid.refs.shape[1]
+        for i, path in enumerate(pgrid.paths):
+            for level in range(depth):
+                row = pgrid.refs[i, level]
+                refs = row[row >= 0]
+                cell = (
+                    members.get(path[:level] + (1 - path[level],), set())
+                    if level < len(path) else set()
+                )
+                assert len(refs) == min(r, len(cell)), (i, level)
+                assert np.all(row[len(refs):] == -1)
+                assert np.all(np.diff(refs) > 0)  # ascending, so distinct
+                assert set(refs.tolist()) <= cell
+
+    def test_pgrid_multi_refs_cover_small_cells_uniformly(self):
+        """Draws without replacement: every pair of a 3-member cell is
+        equally likely when two references are kept."""
+        ids = np.asarray([0.1, 0.6, 0.7, 0.8])  # peer 0's level-0 cell: 3 peers
+        counts: dict[tuple[int, ...], int] = {}
+        for seed in range(600):
+            row = PGridOverlay(ids, np.random.default_rng(seed), 2).refs[0, 0]
+            counts[tuple(row.tolist())] = counts.get(tuple(row.tolist()), 0) + 1
+        assert set(counts) == {(1, 2), (1, 3), (2, 3)}
+        assert min(counts.values()) > 150
 
     def test_symphony_k_budget_respected_by_bulk(self, rng):
         symphony = SymphonyOverlay(_uniform_ids(512, 65), rng, k=4)

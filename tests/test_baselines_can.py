@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from builder_oracle import OracleCAN
 
 from repro.baselines import CANOverlay, Zone, measure_overlay
 from repro.distributions import PowerLaw
@@ -139,6 +140,23 @@ class TestBSPDepthCap:
         assert owners.min() >= 0 and owners.max() < can.n
 
 
+def _assert_same_tree(a, b):
+    """Walk two flat BSP trees from the root: same splits, same leaves.
+
+    The batch builder numbers nodes level by level and the insertion
+    tree flattens depth-first, so node ids differ; the trees must not.
+    """
+    (dim_a, at_a, low_a, high_a, zone_a), (dim_b, at_b, low_b, high_b, zone_b) = a, b
+    assert len(zone_a) == len(zone_b)
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        assert zone_a[i] == zone_b[j]
+        if zone_a[i] < 0:
+            assert dim_a[i] == dim_b[j] and at_a[i] == at_b[j]
+            stack += [(low_a[i], low_b[j]), (high_a[i], high_b[j])]
+
+
 class TestBulkBuilder:
     """The batch BSP builder must reproduce the scalar insertion tree exactly."""
 
@@ -146,8 +164,8 @@ class TestBulkBuilder:
     def test_bulk_matches_scalar_exactly(self, rng, dims):
         keys = rng.random(700)
         bulk = CANOverlay(keys, dims=dims)
-        scalar = CANOverlay(keys, dims=dims, builder="scalar")
-        assert bulk.builder == "bulk" and scalar.builder == "scalar"
+        scalar = OracleCAN(keys, dims=dims)
+        _assert_same_tree(bulk.metric.bsp, scalar.metric.bsp)
         for zb, zs in zip(bulk.zones, scalar.zones):
             np.testing.assert_array_equal(zb.lo, zs.lo)
             np.testing.assert_array_equal(zb.hi, zs.hi)
@@ -158,7 +176,7 @@ class TestBulkBuilder:
     def test_bulk_routes_match_scalar(self, rng):
         keys = rng.random(400)
         bulk = CANOverlay(keys, dims=2)
-        scalar = CANOverlay(keys, dims=2, builder="scalar")
+        scalar = OracleCAN(keys, dims=2)
         lookups = rng.random(64)
         for key in lookups:
             rb = bulk.route(0, key)
@@ -169,16 +187,14 @@ class TestBulkBuilder:
     def test_skewed_population_matches(self, rng):
         keys = PowerLaw(2.5).sample(300, rng)
         bulk = CANOverlay(keys, dims=2)
-        scalar = CANOverlay(keys, dims=2, builder="scalar")
+        scalar = OracleCAN(keys, dims=2)
+        _assert_same_tree(bulk.metric.bsp, scalar.metric.bsp)
         for zb, zs in zip(bulk.zones, scalar.zones):
             np.testing.assert_array_equal(zb.lo, zs.lo)
             np.testing.assert_array_equal(zb.hi, zs.hi)
 
-    def test_invalid_builder_rejected(self, rng):
-        with pytest.raises(ValueError, match="builder"):
-            CANOverlay(rng.random(8), dims=2, builder="recursive")
-
     def test_bulk_depth_cap_raises(self):
         keys = np.arange(110.0) * 1e-40
-        with pytest.raises(RuntimeError, match="max_bsp_depth"):
-            CANOverlay(keys, dims=1)  # bulk is the default builder
+        for builder in (CANOverlay, OracleCAN):
+            with pytest.raises(RuntimeError, match="max_bsp_depth"):
+                builder(keys, dims=1)

@@ -77,7 +77,7 @@ class TestTrieConstruction:
         for i in range(0, pgrid.n, 13):
             path = pgrid.paths[i]
             for level, refs in enumerate(pgrid.refs[i]):
-                for ref in refs:
+                for ref in refs[refs >= 0]:
                     ref_path = pgrid.paths[int(ref)]
                     assert ref_path[:level] == path[:level]
                     assert ref_path[level] == 1 - path[level]

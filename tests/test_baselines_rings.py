@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from builder_oracle import OracleWattsStrogatz
 
 from repro.baselines import (
     MercuryOverlay,
@@ -142,12 +143,10 @@ class TestWattsStrogatz:
             WattsStrogatzOverlay(10, k=3, p=0.1, rng=rng)  # odd k
         with pytest.raises(ValueError):
             WattsStrogatzOverlay(10, k=2, p=1.5, rng=rng)
-        with pytest.raises(ValueError):
-            WattsStrogatzOverlay(10, k=2, p=0.1, rng=rng, builder="turbo")
 
 
 class TestWattsStrogatzBulkBuilder:
-    """The vectorized rewiring engine vs the scalar reference loop.
+    """The vectorized rewiring engine vs the per-edge loop in ``builder_oracle.py``.
 
     Equivalence is pinned on *structural* distributions (degrees,
     shortcut ring-distances).  Hop distributions are deliberately not
@@ -158,9 +157,7 @@ class TestWattsStrogatzBulkBuilder:
 
     def test_unrewired_builders_identical(self):
         bulk = WattsStrogatzOverlay(200, k=6, p=0.0, rng=np.random.default_rng(0))
-        scalar = WattsStrogatzOverlay(
-            200, k=6, p=0.0, rng=np.random.default_rng(1), builder="scalar"
-        )
+        scalar = OracleWattsStrogatz(200, k=6, p=0.0, rng=np.random.default_rng(1))
         assert all(
             np.array_equal(a, b) for a, b in zip(bulk.adjacency, scalar.adjacency)
         )
@@ -191,10 +188,7 @@ class TestWattsStrogatzBulkBuilder:
 
         n = 2048
         bulk = WattsStrogatzOverlay(n, k=4, p=0.2, rng=np.random.default_rng(seed))
-        scalar = WattsStrogatzOverlay(
-            n, k=4, p=0.2, rng=np.random.default_rng(seed + 10),
-            builder="scalar",
-        )
+        scalar = OracleWattsStrogatz(n, k=4, p=0.2, rng=np.random.default_rng(seed + 10))
         dks = ks_two_sample(bulk.table_sizes(), scalar.table_sizes())
         assert dks.p_value > 0.01, (dks.statistic, dks.p_value)
         sks = ks_two_sample(

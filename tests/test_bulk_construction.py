@@ -1,18 +1,18 @@
 """Tests for the bulk construction engine (repro.core.bulk_construction).
 
-Covers the kernel itself, bulk↔scalar sampler equivalence (exact
-invariants plus KS-level statistical equivalence at n >= 2e3, E7-style),
-direct CSR assembly, the vectorized symmetrize, and the baseline bulk
-builders that ride on the same primitives.
+Covers the kernel itself, equivalence with the per-peer samplers of
+``builder_oracle.py`` (exact invariants plus KS-level statistical
+equivalence at n >= 2e3, E7-style), direct CSR assembly, the vectorized
+symmetrize, and the baseline bulk builders that ride on the same
+primitives.
 """
 
 import numpy as np
 import pytest
+from builder_oracle import ExactSampler, FastSampler, build_per_peer, make_sampler
 
 from repro.analysis import ks_two_sample
 from repro.core import (
-    ExactSampler,
-    FastSampler,
     GraphConfig,
     SmallWorldGraph,
     build_csr,
@@ -22,7 +22,6 @@ from repro.core import (
     bulk_exact_links,
     bulk_harmonic_positions,
     bulk_links,
-    make_sampler,
     symmetrize_flat,
 )
 from repro.core.links import harmonic_target_positions
@@ -149,15 +148,17 @@ class TestBulkScalarEquivalence:
             else np.sort(dist.sample(n, seed_rng))
         )
 
-        def build(sampler, seed):
-            config = GraphConfig(sampler=sampler)
-            rng = np.random.default_rng(seed)
-            if builder == "uniform":
-                return build_uniform_model(ids=ids, rng=rng, config=config)
-            return build_skewed_model(dist, ids=ids, rng=rng, config=config)
+        rng = np.random.default_rng(1)
+        if builder == "uniform":
+            graph = build_uniform_model(ids=ids, rng=rng)
+            normalized = ids
+        else:
+            graph = build_skewed_model(dist, ids=ids, rng=rng)
+            normalized = dist.cdf(ids)
+        fast = build_per_peer(ids, normalized, np.random.default_rng(2), kind="fast")
 
-        lengths_bulk = self._lengths(build("bulk", 1))
-        lengths_fast = self._lengths(build("fast", 2))
+        lengths_bulk = self._lengths(graph)
+        lengths_fast = self._lengths(fast)
         ks = ks_two_sample(lengths_bulk, lengths_fast)
         assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
         # Same per-peer budget on a healthy population.
@@ -237,9 +238,8 @@ class TestDirectCSRAssembly:
         assert graph.adjacency.n == 8
 
     def test_scalar_path_has_no_precached_adjacency(self, rng):
-        graph = build_uniform_model(
-            n=64, rng=rng, config=GraphConfig(sampler="fast")
-        )
+        ids = np.sort(rng.random(64))
+        graph = build_per_peer(ids, ids.copy(), rng, kind="fast")
         assert "_adjacency" not in graph.__dict__
         assert graph.adjacency.n == 64  # lazy build still works
 
@@ -255,10 +255,11 @@ class TestSymmetrize:
     @pytest.mark.parametrize("sampler", ["bulk", "fast"])
     def test_bidirectional_builder_paths_agree_with_setwise(self, sampler, rng):
         ids = np.sort(rng.random(256))
-        graph = build_from_positions(
-            ids, ids.copy(), rng,
-            config=GraphConfig(sampler=sampler, bidirectional=True),
-        )
+        config = GraphConfig(bidirectional=True)
+        if sampler == "bulk":
+            graph = build_from_positions(ids, ids.copy(), rng, config=config)
+        else:
+            graph = build_per_peer(ids, ids.copy(), rng, config=config, kind=sampler)
         link_sets = [set(l.tolist()) for l in graph.long_links]
         for i, targets in enumerate(link_sets):
             assert i not in targets
@@ -312,6 +313,14 @@ class TestBuilderDispatch:
         with pytest.raises(ValueError):
             build_from_positions(
                 ids, ids.copy(), rng, config=GraphConfig(sampler="quantum")
+            )
+
+    @pytest.mark.parametrize("sampler", ["fast", "exact-bulk"])
+    def test_retired_sampler_names_raise(self, sampler, rng):
+        ids = np.sort(rng.random(32))
+        with pytest.raises(ValueError, match="'bulk' or 'exact'"):
+            build_from_positions(
+                ids, ids.copy(), rng, config=GraphConfig(sampler=sampler)
             )
 
     def test_make_sampler_rejects_bulk(self):

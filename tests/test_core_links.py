@@ -1,9 +1,9 @@
-"""Unit tests for the long-range link samplers."""
+"""Unit tests for the per-peer link samplers and the protocol draw."""
 
 import numpy as np
 import pytest
+from builder_oracle import ExactSampler, FastSampler, make_sampler
 
-from repro.core import ExactSampler, FastSampler, make_sampler
 from repro.core.links import harmonic_target_positions
 from repro.keyspace import IntervalSpace, RingSpace
 

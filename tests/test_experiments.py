@@ -96,6 +96,13 @@ class TestExpectationsQuick:
         assert last["naive"] > 5 * last["model"]  # naive degrades badly
         assert last["pgrid_table"] > first["pgrid_table"]  # state grows
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_e7_ks_distances_stay_small(self, seed):
+        """Both E7 comparisons keep the few-percent KS distance."""
+        (table,) = run_experiment("E7", seed=seed, quick=True)
+        for row in table.rows:
+            assert row["ks_stat"] < 0.08, row
+
     def test_e9_success_stays_perfect_under_link_loss(self):
         loss_table = run_experiment("E9", seed=11, quick=True)[0]
         for row in loss_table.rows:

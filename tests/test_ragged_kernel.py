@@ -385,3 +385,21 @@ class TestKernelPlumbing:
         assert labels([0], [0.5], max_hops=0) == [("none", 0, 0)]
         # Mixed degrees 2 and 0: scored, with 2 of 4 dense slots real.
         assert labels([0, 2], [1 / n, 0.5]) == [("ragged", 2, 4)]
+
+    def test_step_on_a_drained_frontier_resets_the_round_observables(self):
+        """A no-op step reports no round, not the previous round's."""
+        n = 8
+        csr = csr_from_flat_links(n, True, np.zeros(n, dtype=np.int64), np.empty(0, np.int64))
+        metric = GreedyValueMetric(np.arange(n) / n, RingSpace())
+        frontier = StreamFrontier(csr, metric)
+        frontier.admit(np.asarray([0, 4]), metric.prepare(np.asarray([1 / n, 5 / n])))
+        frontier.step()
+        assert frontier.last_round_kernel == "ragged"
+        assert frontier.active_count == 0
+        rounds = frontier.rounds
+        assert frontier.step().size == 0
+        assert (
+            frontier.last_round_kernel, frontier.last_round_candidates,
+            frontier.last_round_padded_slots,
+        ) == ("none", 0, 0)
+        assert frontier.rounds == rounds

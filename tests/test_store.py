@@ -294,12 +294,13 @@ class TestHandEditedGraph:
 
 
 class TestHandEditedOverlay:
-    """An overlay snapshot with an edited CSR must not load either."""
+    """An overlay snapshot with an edited CSR or CAN zone tree must not load."""
 
     @staticmethod
-    def _edit(tmp_path, key, edit):
-        ids = np.sort(np.random.default_rng(9).random(2000))
-        overlay = SymphonyOverlay(ids, np.random.default_rng(9), k=4)
+    def _edit(tmp_path, key, edit, overlay=None):
+        if overlay is None:
+            ids = np.sort(np.random.default_rng(9).random(2000))
+            overlay = SymphonyOverlay(ids, np.random.default_rng(9), k=4)
         path = tmp_path / "edited"
         save_overlay(overlay, path)
         target = path / "arrays" / f"{key}.npy"
@@ -322,4 +323,39 @@ class TestHandEditedOverlay:
     def test_edge_target_out_of_range(self, tmp_path, target):
         path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, target))
         with pytest.raises(StoreError, match="out of range"):
+            load_overlay(path)
+
+    @staticmethod
+    def _can():
+        return CANOverlay(np.random.default_rng(9).random(300), dims=2)
+
+    def test_swapped_zone_ids_raise(self, tmp_path):
+        """Two leaves trading zone ids would send lookups to the wrong owner."""
+
+        def swap(zone):
+            leaves = np.flatnonzero(zone >= 0)
+            zone[leaves[[3, 7]]] = zone[leaves[[7, 3]]]
+
+        path = self._edit(tmp_path, "metric_bsp_zone", swap, self._can())
+        with pytest.raises(StoreError, match="centre"):
+            load_overlay(path)
+
+    @pytest.mark.parametrize(
+        ("key", "value", "match"),
+        [
+            ("metric_bsp_low", 10**6, "child index"),
+            ("metric_bsp_zone", 300, "zone id"),
+            ("metric_bsp_split_dim", 2, "split dim"),
+            ("metric_bsp_split_at", 0.0, "centre"),
+        ],
+    )
+    def test_edited_bsp_entry_raises(self, tmp_path, key, value, match):
+        """One out-of-range entry in the root (internal) or the last
+        node (a leaf) raises instead of misrouting or an IndexError."""
+
+        def edit(array):
+            array[0 if key != "metric_bsp_zone" else -1] = value
+
+        path = self._edit(tmp_path, key, edit, self._can())
+        with pytest.raises(StoreError, match=match):
             load_overlay(path)
