@@ -1,15 +1,15 @@
-"""Scalar-vs-batch comparator throughput — the baseline frontier's gate.
+"""Scalar-oracle-vs-batch comparator throughput — the baseline frontier's gate.
 
 Every comparator overlay (Chord, Pastry, P-Grid, Symphony, Mercury, CAN,
-Watts–Strogatz) now routes whole lookup batches over the shared CSR +
+Watts–Strogatz) routes whole lookup batches over the shared CSR +
 metric frontier kernel (:func:`repro.baselines.route_many_overlay`).
-This bench routes the *same* workload through each overlay's scalar
-reference ``route`` loop and through the batch kernel, verifies the two
-agree route-for-route on the overlapping subset, and gates on the
-aggregate >= 5x comparator-throughput speedup this PR promises (every
-single baseline must clear 1.5x — Pastry's scalar loop is mostly O(1)
-table hops, so its margin is structurally the smallest).  Results append
-to
+This bench routes the *same* workload through each overlay's per-lookup
+loop in ``tests/route_oracle.py`` (run over the overlay's own tables via
+``scalar_twin``) and through the batch kernel, verifies the two agree
+route-for-route on the overlapping subset, and gates on an aggregate
+>= 5x comparator-throughput speedup (every single baseline must clear
+1.5x — Pastry's loop is mostly O(1) table hops, so its margin is
+structurally the smallest).  Results append to
 ``benchmarks/results/BENCH_baselines.json`` so comparator throughput is
 tracked across PRs.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -37,6 +38,9 @@ from repro.baselines import (
     route_many_overlay,
     sample_overlay_lookups,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from route_oracle import scalar_twin  # noqa: E402
 
 N_PEERS = 4096
 N_ROUTES = 1200
@@ -79,18 +83,19 @@ def test_batch_comparator_speedup_over_scalar(rng):
             targets=targets, target_ids=target_ids,
         )
         overlay.to_csr()  # build the frontier once, outside the timed region
+        oracle = scalar_twin(overlay)
         # Warm both engines (allocator, caches) before the timed passes;
         # best-of-3 keeps the tiny (few-ms) timed regions noise-resistant
         # on loaded runners — Pastry's structural ~2.5x margin over the
         # 1.5x floor is the thinnest in this file.
-        overlay.route(int(sources[0]), float(keys[0]))
+        oracle.route(int(sources[0]), float(keys[0]))
         route_many_overlay(overlay, sources[:8], keys[:8])
 
         scalar_seconds = float("inf")
         for _ in range(3):
             start = time.perf_counter()
             scalar = [
-                overlay.route(int(s), float(k))
+                oracle.route(int(s), float(k))
                 for s, k in zip(sources[:SCALAR_SUBSET], keys[:SCALAR_SUBSET])
             ]
             scalar_seconds = min(scalar_seconds, time.perf_counter() - start)

@@ -35,8 +35,8 @@ round, one process, best of 5, the runs alternating:
 Correctness comes before any timing: on a 512-route sample of each
 graph the kernel's outcomes must equal a scalar reference — the
 per-walk oracle in ``tests/frontier_oracle.py`` for the rings (search
-rounds forced on the sorted ones) and the churn graph, and
-``PastryOverlay.route`` for Pastry.  Every measured row appends to
+rounds forced on the sorted ones) and the churn graph, and Pastry's
+per-lookup loop in ``tests/route_oracle.py`` for Pastry.  Every measured row appends to
 ``benchmarks/results/BENCH_kernel.json``.
 """
 
@@ -65,6 +65,7 @@ from repro.keyspace import RingSpace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from frontier_oracle import assert_batch_matches, oracle_batch  # noqa: E402
+from route_oracle import scalar_twin  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_kernel.json"
@@ -151,7 +152,8 @@ def _pastry_workload(rng):
     def check():
         s, k = sources[:N_CHECKED], keys[:N_CHECKED]
         batch = route_many_overlay(overlay, s, k, record_paths=True)
-        scalar = [overlay.route(int(a), float(b)) for a, b in zip(s, k)]
+        oracle = scalar_twin(overlay)
+        scalar = [oracle.route(int(a), float(b)) for a, b in zip(s, k)]
         assert batch.paths == [r.path for r in scalar]
         for col, attr in (
             ("success", "success"), ("hops", "hops"),

@@ -1,22 +1,27 @@
-"""Scalar-vs-batch routing throughput — the batch engine's raison d'être.
+"""Scalar-oracle-vs-batch routing throughput — the batch engine's raison d'être.
 
-Measures routes/sec of the per-lookup reference router
-(:func:`repro.core.greedy_route`) against the vectorized batch engine
-(:func:`repro.core.route_many`) on the *same* source/key workload over a
-10k-peer uniform graph, checks the two agree route-for-route, and gates
-on the >= 5x speedup this PR promises.  Quick single-shot timings (one
-round each) keep the file laptop-fast; run it alone via
+Measures routes/sec of the per-lookup greedy loop
+(``greedy_route`` in ``tests/route_oracle.py``) against the vectorized
+batch engine (:func:`repro.core.route_many`) on the *same* source/key
+workload over a 10k-peer uniform graph, checks the two agree
+route-for-route, and gates on a >= 5x speedup.  Quick single-shot
+timings (one round each) keep the file laptop-fast; run it alone via
 ``python -m pytest benchmarks/bench_routing_throughput.py`` for the smoke
 used by ``ci.sh``.
 """
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import numpy as np
 
-from repro.core import build_uniform_model, greedy_route, route_many
+from repro.core import build_uniform_model, route_many
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from route_oracle import greedy_route  # noqa: E402
 
 N_PEERS = 10_000
 N_ROUTES = 2_000
@@ -71,7 +76,7 @@ def test_batch_routing_kernel(benchmark, rng):
 
 
 def test_scalar_routing_kernel(benchmark, rng):
-    """Kernel: the same workload through the scalar reference router."""
+    """Kernel: the same workload through the per-lookup oracle loop."""
     graph, sources, keys = _workload(rng)
     subset = 200  # scalar is slow; keep the benchmark suite snappy
     results = benchmark.pedantic(

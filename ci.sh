@@ -30,7 +30,7 @@ for example in examples/*.py; do
 done
 
 if [[ "${1:-}" != "--no-smoke" ]]; then
-  echo "== routing throughput smoke (scalar vs batch, >=5x gate) =="
+  echo "== routing throughput smoke (scalar oracle vs batch, >=5x gate) =="
   python -m pytest benchmarks/bench_routing_throughput.py -q -s
 
   echo "== construction throughput smoke (per-peer scalar oracle vs bulk, >=5x gate + 1e6 build) =="
@@ -39,7 +39,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== churn throughput smoke (scalar oracle vs bulk, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
   python -m pytest benchmarks/bench_churn.py -q -s -k bulk
 
-  echo "== baseline comparator smoke (scalar vs batch frontier, >=5x aggregate gate) =="
+  echo "== baseline comparator smoke (scalar oracle vs batch frontier, >=5x aggregate gate) =="
   python -m pytest benchmarks/bench_baselines.py -q -s -k speedup
 
   echo "== parallel engine smoke (2-worker parity + >=1.2x gate where cores allow) =="
@@ -51,7 +51,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== telemetry smoke (<=5% enabled overhead + shard-merge bit-identity) =="
   python -m pytest benchmarks/bench_telemetry.py -q -s
 
-  echo "== kernel smoke (scalar-reference parity on 3 graphs + skewed/uniform ns per candidate <=2x + search rounds: beat linear on sorted skewed rows, skewed/uniform ns per walk-round <=2x, churn-shaped picks >= linear) =="
+  echo "== kernel smoke (scalar-oracle parity on 3 graphs + skewed/uniform ns per candidate <=2x + search rounds: beat linear on sorted skewed rows, skewed/uniform ns per walk-round <=2x, churn-shaped picks >= linear) =="
   python -m pytest benchmarks/bench_kernel.py -q -s
 
   echo "== serving smoke (stream-vs-batch parity + sustained-throughput gate at 1e6) =="

@@ -25,7 +25,7 @@ from repro.baselines import (
     SymphonyOverlay,
     measure_overlay_batch,
 )
-from repro.core import sample_routes
+from repro.core import sample_batch
 from repro.overlay import summarize_lookups
 
 N_PEERS = 1024
@@ -45,12 +45,12 @@ def main() -> None:
     rows = []
 
     model = build_skewed_model(dist, rng=rng, ids=ids)
-    stats = summarize_lookups(sample_routes(model, N_LOOKUPS, rng))
+    stats = summarize_lookups(sample_batch(model, N_LOOKUPS, rng))
     rows.append(("small-world eq.(7)  [this paper]", stats,
                  float(np.mean(model.out_degrees()))))
 
     naive = build_naive_model(dist, rng=rng, ids=ids)
-    stats = summarize_lookups(sample_routes(naive, N_LOOKUPS, rng))
+    stats = summarize_lookups(sample_batch(naive, N_LOOKUPS, rng))
     rows.append(("naive small-world   [no skew fix]", stats,
                  float(np.mean(naive.out_degrees()))))
 

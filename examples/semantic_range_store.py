@@ -19,7 +19,7 @@ Run:  python examples/semantic_range_store.py
 
 import numpy as np
 
-from repro import Empirical, build_skewed_model, greedy_route
+from repro import Empirical, build_skewed_model, route_many
 from repro.loadbalance import sampled_key_placement, storage_loads, summarize_loads
 from repro.workloads import range_queries, zipf_corpus, zipf_point_queries
 
@@ -31,36 +31,31 @@ SEED = 13
 
 
 def serve_point_queries(graph, queries, rng):
-    """Route each query from a random peer; return mean hops."""
-    hops = []
-    for key in queries:
-        source = int(rng.integers(graph.n))
-        result = greedy_route(graph, source, float(key))
-        assert result.success
-        hops.append(result.hops)
-    return float(np.mean(hops))
+    """Route every query from a random peer, in one batch; return mean hops."""
+    sources = rng.integers(graph.n, size=len(queries))
+    batch = route_many(graph, sources, np.asarray(queries, dtype=float))
+    assert batch.success.all()
+    return float(np.mean(batch.hops))
 
 
 def serve_range_queries(graph, ranges, rng):
-    """Route to each range's start, then walk successors across the range.
+    """Route to every range's start in one batch, then walk successors.
 
     Order preservation makes ranges cheap: one lookup plus a sequential
     walk over exactly the peers whose intervals intersect the range.
     """
-    lookup_hops = []
+    sources = rng.integers(graph.n, size=len(ranges))
+    batch = route_many(graph, sources, ranges[:, 0])
+    assert batch.success.all()
     scan_hops = []
-    for lo, hi in ranges:
-        source = int(rng.integers(graph.n))
-        result = greedy_route(graph, source, float(lo))
-        assert result.success
-        lookup_hops.append(result.hops)
-        peer = result.path[-1]
+    for owner, hi in zip(batch.owners, ranges[:, 1]):
+        peer = int(owner)
         walked = 0
         while peer + 1 < graph.n and graph.ids[peer + 1] <= hi:
             peer += 1
             walked += 1
         scan_hops.append(walked)
-    return float(np.mean(lookup_hops)), float(np.mean(scan_hops))
+    return float(np.mean(batch.hops)), float(np.mean(scan_hops))
 
 
 def main() -> None:

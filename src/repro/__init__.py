@@ -47,13 +47,13 @@ around that fact in three layers:
    :func:`route_many` advances *all* active walks one hop per numpy
    step — frontier arrays of current node, distance and hop counters,
    with a per-walk first minimum over one flat, segmented candidate
-   vector reproducing the scalar router's scan order exactly.  ~17x the
-   scalar routes/sec at 10k peers
-   (``benchmarks/bench_routing_throughput.py``).
+   vector, in the rule's candidate scan order.  ~17x the routes/sec of
+   a per-lookup loop at 10k peers
+   (``benchmarks/bench_routing_throughput.py``).  It is the only greedy
+   router: :func:`greedy_route` is a batch of one, and the per-lookup
+   loop the tests pin it against lives in ``tests/route_oracle.py``.
 3. **Bulk sampling** (:func:`sample_batch` / :func:`sample_routes`):
-   experiments draw whole workloads at once and aggregate column-wise;
-   the scalar :func:`greedy_route` remains the readable reference
-   implementation that property tests pin the batch engine against.
+   experiments draw whole workloads at once and aggregate column-wise.
 4. **Sharded multi-core execution** (:mod:`repro.parallel`): route
    batches split into deterministic shards over a persistent worker
    pool that attaches the CSR arrays zero-copy through shared memory —

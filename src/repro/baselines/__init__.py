@@ -11,14 +11,13 @@ small-world baseline).
 All seven expose the CSR + metric frontier contract
 (:meth:`BaselineOverlay.to_csr` / :attr:`BaselineOverlay.metric`), so
 whole comparator workloads batch-route through the shared kernel via
-:func:`route_many_overlay` / :func:`measure_overlay_batch`; the scalar
-``route`` methods remain the hop-for-hop-tested reference engines.
+:func:`route_many_overlay` / :func:`measure_overlay_batch`, and a single
+:meth:`BaselineOverlay.route` is a batch of one.  The per-lookup loops
+the kernel is held to hop for hop live in ``tests/route_oracle.py``.
 """
 
 from repro.baselines.base import (
     BaselineOverlay,
-    greedy_value_route,
-    measure_overlay,
     measure_overlay_batch,
     route_many_overlay,
     sample_overlay_lookups,
@@ -33,11 +32,9 @@ from repro.baselines.watts_strogatz import WattsStrogatzOverlay
 
 __all__ = [
     "BaselineOverlay",
-    "measure_overlay",
     "measure_overlay_batch",
     "route_many_overlay",
     "sample_overlay_lookups",
-    "greedy_value_route",
     "ChordOverlay",
     "PastryOverlay",
     "PGridOverlay",

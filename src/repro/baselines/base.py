@@ -10,29 +10,29 @@ same form the core engine consumes:
 
 * :meth:`BaselineOverlay.to_csr` — the full edge set flattened into a
   :class:`repro.core.adjacency.CSRAdjacency`.  Within each row, edges
-  appear in the overlay's *scalar scan order* (e.g. ring neighbours
+  appear in the overlay's candidate scan order (e.g. ring neighbours
   before long links for Symphony/Mercury, successor before fingers for
   Chord, leaf set before routing-table entries for Pastry), because the
-  batch kernel's first-occurrence ``argmin`` tie-break must reproduce the
-  scalar candidate scan.  ``is_long`` mirrors each scalar router's
+  kernel's first-occurrence ``argmin`` tie-break is the routing rule's
+  first-strict-improvement scan.  ``is_long`` carries each family's
   neighbour/long hop classification.
 * :attr:`BaselineOverlay.metric` — a declarative
   :class:`repro.core.metric_routing.RoutingMetric` (circular /
   clockwise-only / prefix-digit / trie / torus-L1 / lattice) carrying the
-  overlay's geometry, owner rule and any per-edge tags the rule needs.
+  overlay's geometry, owner rule, key check and any per-edge tags the
+  rule needs.
 
-:func:`route_many_overlay` routes whole lookup batches over that pair
-through the shared frontier kernel
-(:func:`repro.core.metric_routing.frontier_route_many`), hop-for-hop
-equivalent to the scalar :meth:`BaselineOverlay.route` loops — which
-remain the semantic reference implementations, pinned by the equivalence
-suite in ``tests/test_baseline_frontier.py``.
+Routing has one path: :func:`route_many_overlay` routes whole lookup
+batches over that pair through the shared frontier kernel
+(:func:`repro.core.metric_routing.frontier_route_many`), and
+:meth:`BaselineOverlay.route` / :meth:`BaselineOverlay.owner_of` are a
+batch of one and the metric's owner rule.  The per-lookup loops the
+kernel is held to live beside the tests, in ``tests/route_oracle.py``.
 
-Measurement helpers: :func:`measure_overlay` (scalar reference path) and
-:func:`measure_overlay_batch` (frontier path) draw identical workloads
-from the same rng state via :func:`sample_overlay_lookups` — one
-vectorized draw per component through :mod:`repro.workloads` — and
-summarise into :class:`repro.overlay.stats.LookupStats`.
+:func:`measure_overlay_batch` draws a workload through
+:func:`sample_overlay_lookups` — one vectorized draw per component
+through :mod:`repro.workloads` — routes it in one batch and summarises
+into :class:`repro.overlay.stats.LookupStats`.
 """
 
 from __future__ import annotations
@@ -54,100 +54,20 @@ from repro.workloads import point_queries
 
 __all__ = [
     "BaselineOverlay",
-    "measure_overlay",
     "measure_overlay_batch",
     "route_many_overlay",
     "sample_overlay_lookups",
-    "greedy_value_route",
     "assemble_rows",
     "hash_keys",
 ]
-
-
-def greedy_value_route(
-    ids: np.ndarray,
-    long_links: list[np.ndarray],
-    space,
-    source: int,
-    key: float,
-    owner: int,
-    max_hops: int | None = None,
-    unidirectional: bool = False,
-) -> RouteResult:
-    """Greedy value-space routing over ring neighbours plus long links.
-
-    The common routing rule shared by Symphony and Mercury: among the two
-    ring neighbours and the peer's long links, move to the peer that most
-    reduces the distance to ``key`` — circular distance by default, or
-    clockwise-only remaining distance when ``unidirectional``.
-
-    Args:
-        ids: sorted peer identifiers.
-        long_links: per-peer arrays of long-link target indices.
-        space: ring geometry providing ``distance``.
-        source: index of the originating peer.
-        key: lookup key.
-        owner: index of the peer that owns ``key`` (the stop condition).
-        max_hops: hop budget; defaults to the population size.
-        unidirectional: measure progress clockwise only.
-    """
-    n = len(ids)
-    if not 0 <= source < n:
-        raise ValueError(f"source index {source} out of range for {n} peers")
-    if max_hops is None:
-        max_hops = n
-
-    def metric(peer: int) -> float:
-        if unidirectional:
-            return (key - float(ids[peer])) % 1.0
-        return space.distance(float(ids[peer]), key)
-
-    current = source
-    current_dist = metric(current)
-    path = [current]
-    neighbor_hops = 0
-    long_hops = 0
-    while current != owner:
-        if len(path) - 1 >= max_hops:
-            return RouteResult(
-                False, len(path) - 1, neighbor_hops, long_hops, path,
-                "max_hops", key, owner,
-            )
-        best = None
-        best_dist = current_dist
-        best_is_long = False
-        for cand in ((current - 1) % n, (current + 1) % n):
-            dist = metric(cand)
-            if dist < best_dist:
-                best, best_dist, best_is_long = cand, dist, False
-        for cand in long_links[current]:
-            cand = int(cand)
-            dist = metric(cand)
-            if dist < best_dist:
-                best, best_dist, best_is_long = cand, dist, True
-        if best is None:
-            return RouteResult(
-                False, len(path) - 1, neighbor_hops, long_hops, path,
-                "stuck", key, owner,
-            )
-        current, current_dist = best, best_dist
-        path.append(current)
-        if best_is_long:
-            long_hops += 1
-        else:
-            neighbor_hops += 1
-    return RouteResult(
-        True, len(path) - 1, neighbor_hops, long_hops, path,
-        "arrived", key, owner,
-    )
 
 
 def hash_keys(keys: np.ndarray) -> np.ndarray:
     """Vectorised :func:`repro.keyspace.mix_hash` over an array of keys.
 
     One scalar mix per key (the hash is integer bit-mixing, not float
-    math), so hashed overlays transform batch workloads with exactly the
-    values their scalar ``route`` computes per lookup.
+    math), so every key hashes to exactly the value
+    :func:`repro.keyspace.mix_hash` gives it.
     """
     keys = np.asarray(keys, dtype=float)
     return np.fromiter((mix_hash(float(k)) for k in keys), dtype=float, count=len(keys))
@@ -160,7 +80,7 @@ def assemble_rows(
 
     Each block contributes ``counts[i]`` entries to peer ``i``'s row;
     within a row the blocks appear in the order given (the overlay's
-    scalar scan order).  Returns the row pointers, the flat edge targets,
+    candidate scan order).  Returns the row pointers, the flat edge targets,
     and — per block — the edge positions its entries landed in, so
     callers can scatter aligned per-edge tag arrays (Pastry's
     ``(level, digit)``, P-Grid's ``(level, rank)``).
@@ -191,10 +111,11 @@ def assemble_rows(
 class BaselineOverlay(ABC):
     """A static overlay snapshot with indexable peers and greedy lookup.
 
-    Subclasses implement the scalar reference :meth:`route` and the
-    frontier contract :meth:`_build_frontier` (see module docstring);
-    the frontier pair is built lazily once and cached — overlays are
-    immutable snapshots.
+    Subclasses implement the frontier contract :meth:`_build_frontier`
+    (see module docstring); the frontier pair is built lazily once and
+    cached — overlays are immutable snapshots.  :meth:`route` and
+    :meth:`owner_of` run on that pair, so every family has one routing
+    rule, one owner rule and one key check.
     """
 
     #: Overlay family name used in experiment tables.
@@ -206,20 +127,42 @@ class BaselineOverlay(ABC):
         """Number of peers."""
 
     @abstractmethod
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Route a lookup for ``key`` from peer index ``source``."""
-
-    @abstractmethod
     def table_sizes(self) -> np.ndarray:
         """Return the per-peer routing-state size (entries kept per peer)."""
+
+    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
+        """Route a lookup for ``key`` from peer index ``source``.
+
+        A batch of one through :func:`route_many_overlay` with its path
+        recorded.  ``target_key`` is the key as given, before any hash.
+
+        Raises:
+            ValueError: for an out-of-range source, a key that is NaN or
+                outside ``[0, 1)``, or a negative ``max_hops``.
+        """
+        batch = route_many_overlay(
+            self,
+            np.asarray([source], dtype=np.int64),
+            np.asarray([key], dtype=float),
+            max_hops=max_hops,
+            record_paths=True,
+        )
+        return batch.to_route_results()[0]
+
+    def owner_of(self, key: float) -> int:
+        """Return the index of the peer that owns ``key``, by the metric's rule.
+
+        Raises:
+            ValueError: for a key that is NaN or outside ``[0, 1)``.
+        """
+        return int(self.metric.prepare(np.asarray([key], dtype=float)).owners[0])
 
     def _build_frontier(self):
         """Return this overlay's ``(CSRAdjacency, RoutingMetric)`` pair.
 
-        The CSR rows follow the scalar router's candidate scan order and
-        the metric encodes its routing rule declaratively — together they
-        make :func:`route_many_overlay` hop-for-hop equivalent to
-        :meth:`route`.
+        The CSR rows follow the family's candidate scan order and the
+        metric encodes its routing rule, owner rule and key check
+        declaratively.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not expose the batch frontier contract"
@@ -261,8 +204,7 @@ def route_many_overlay(
 
     The comparator twin of :func:`repro.core.route_many`: whole lookup
     batches advance through the shared frontier kernel over the overlay's
-    CSR + metric pair, hop-for-hop equivalent to calling
-    :meth:`BaselineOverlay.route` once per pair.
+    CSR + metric pair.
 
     Args:
         overlay: the overlay under test.
@@ -291,9 +233,8 @@ def sample_overlay_lookups(
     """Draw a lookup workload for an overlay in two vectorized rng calls.
 
     All sources come from one ``rng.integers`` draw and all keys from one
-    :func:`repro.workloads.point_queries` (or ``rng.random``) draw — the
-    scalar and batch measurement paths consume identical workloads from
-    identical rng states.
+    :func:`repro.workloads.point_queries` (or ``rng.random``) draw, so a
+    seed names one workload.
 
     Args:
         overlay: the overlay under test.
@@ -317,32 +258,6 @@ def sample_overlay_lookups(
     return sources, np.asarray(keys, dtype=float)
 
 
-def measure_overlay(
-    overlay: BaselineOverlay,
-    n_routes: int,
-    rng: np.random.Generator,
-    targets: str = "peers",
-    target_ids: np.ndarray | None = None,
-) -> LookupStats:
-    """Route ``n_routes`` random lookups through the scalar reference path.
-
-    The workload is drawn vectorized (see :func:`sample_overlay_lookups`)
-    but each lookup walks the overlay's scalar :meth:`route` — this is
-    the reference measurement the batch twin
-    :func:`measure_overlay_batch` is equivalence-tested against.
-
-    Raises:
-        ValueError: for an unknown target mode.
-    """
-    sources, keys = sample_overlay_lookups(
-        overlay, n_routes, rng, targets=targets, target_ids=target_ids
-    )
-    results = [
-        overlay.route(int(source), float(key)) for source, key in zip(sources, keys)
-    ]
-    return summarize_lookups(results)
-
-
 def measure_overlay_batch(
     overlay: BaselineOverlay,
     n_routes: int,
@@ -352,9 +267,9 @@ def measure_overlay_batch(
 ) -> LookupStats:
     """Route ``n_routes`` random lookups over the batch frontier kernel.
 
-    The throughput path for comparator experiments: identical workload
-    semantics to :func:`measure_overlay` (same rng draws, same pairs),
-    routed in one :func:`route_many_overlay` batch.
+    The workload comes from :func:`sample_overlay_lookups` (two
+    vectorized rng draws) and is routed in one
+    :func:`route_many_overlay` batch.
 
     Raises:
         ValueError: for an unknown target mode.

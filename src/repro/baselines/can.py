@@ -32,13 +32,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineOverlay, assemble_rows
 from repro.core.adjacency import CSRAdjacency
-from repro.core.metric_routing import (
-    TorusZoneMetric,
-    torus_points,
-    torus_zone_lookup,
-)
-from repro.core.routing import RouteResult
-from repro.keyspace import morton_spread
+from repro.core.metric_routing import TorusZoneMetric, torus_points
 
 __all__ = ["Zone", "CANOverlay"]
 
@@ -133,11 +127,6 @@ class CANOverlay(BaselineOverlay):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _point_of(self, key: float) -> np.ndarray:
-        if self.dims == 1:
-            return np.asarray([key])
-        return np.asarray(morton_spread(key, self.dims))
-
     def _build_zones(self) -> tuple[list[Zone], tuple]:
         """Whole-population batch BSP construction.
 
@@ -275,7 +264,7 @@ class CANOverlay(BaselineOverlay):
         self.neighbors = neighbors
 
     def _points_of(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_point_of`: keys → ``(w, d)`` torus points.
+        """Embed keys as ``(w, d)`` torus points.
 
         Delegates to :func:`repro.core.metric_routing.torus_points`
         (identity embedding at ``dims == 1``, Morton spread otherwise —
@@ -283,23 +272,11 @@ class CANOverlay(BaselineOverlay):
         """
         return torus_points(keys, self.dims)
 
-    def _zones_of_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`zone_of_point` over a ``(w, d)`` point block.
-
-        Delegates to :func:`repro.core.metric_routing.torus_zone_lookup`
-        over the flat BSP arrays, bounded by ``max_bsp_depth``.
-
-        Raises:
-            RuntimeError: when the descent exceeds ``max_bsp_depth``.
-        """
-        return torus_zone_lookup(points, self._bsp, self.max_bsp_depth)
-
     def _build_frontier(self):
         """CSR of face neighbours + the torus-L1 zone-distance metric.
 
-        Rows keep the stored (ascending) neighbour order of the scalar
-        scan; all hops count as neighbour hops, matching the scalar
-        router's accounting.
+        Rows keep the stored (ascending) neighbour order as the scan
+        order; all hops count as neighbour hops, as CAN counts them.
         """
         n = self.n
         counts = np.fromiter(
@@ -328,90 +305,6 @@ class CANOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return len(self.zones)
-
-    def zone_of_point(self, point: np.ndarray) -> int:
-        """Return the index of the zone containing a torus point.
-
-        Walks the flat BSP arrays one level at a time.
-
-        Raises:
-            RuntimeError: when the descent exceeds ``max_bsp_depth``
-                levels (corrupt split tree; construction caps the depth).
-        """
-        split_dim, split_at, low, high, zone = self._bsp
-        point = np.asarray(point, dtype=float)
-        node = 0
-        for _ in range(self.max_bsp_depth + 1):
-            if zone[node] >= 0:
-                return int(zone[node])
-            node = (
-                int(low[node])
-                if point[split_dim[node]] < split_at[node]
-                else int(high[node])
-            )
-        raise RuntimeError(
-            f"CAN BSP descent exceeded max_bsp_depth={self.max_bsp_depth} "
-            "levels without reaching a leaf; the split tree is corrupt"
-        )
-
-    def owner_of(self, key: float) -> int:
-        """Return the peer (zone) responsible for a 1-d key."""
-        return self.zone_of_point(self._point_of(key))
-
-    @staticmethod
-    def _axis_distance(x: float, lo: float, hi: float) -> float:
-        """Torus distance from coordinate ``x`` to the interval [lo, hi)."""
-        if lo <= x < hi:
-            return 0.0
-        direct = min(abs(x - lo), abs(x - hi))
-        wrapped = min(
-            abs(x - lo + 1.0), abs(x - lo - 1.0), abs(x - hi + 1.0), abs(x - hi - 1.0)
-        )
-        return min(direct, wrapped)
-
-    def _zone_distance(self, point: np.ndarray, zone: Zone) -> float:
-        return float(
-            sum(
-                self._axis_distance(float(point[k]), float(zone.lo[k]), float(zone.hi[k]))
-                for k in range(self.dims)
-            )
-        )
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Greedy zone-to-zone walk toward the key's torus point."""
-        n = self.n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} zones")
-        if max_hops is None:
-            max_hops = n
-        point = self._point_of(key)
-        owner = self.zone_of_point(point)
-        current = source
-        current_dist = self._zone_distance(point, self.zones[current])
-        path = [current]
-        while current != owner:
-            if len(path) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "max_hops", key, owner,
-                )
-            best = None
-            best_dist = current_dist
-            for cand in self.neighbors[current]:
-                cand = int(cand)
-                dist = self._zone_distance(point, self.zones[cand])
-                if dist < best_dist:
-                    best, best_dist = cand, dist
-            if best is None:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "stuck", key, owner,
-                )
-            current, current_dist = best, best_dist
-            path.append(current)
-        return RouteResult(
-            True, len(path) - 1, len(path) - 1, 0, path, "arrived", key, owner
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Per-peer neighbour counts (CAN's entire routing state)."""

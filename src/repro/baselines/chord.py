@@ -26,8 +26,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, hash_keys
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import ClockwiseMetric
-from repro.core.routing import RouteResult
-from repro.keyspace import mix_hash, successor_index, successor_indices
+from repro.keyspace import mix_hash, successor_indices
 
 __all__ = ["ChordOverlay"]
 
@@ -70,15 +69,15 @@ class ChordOverlay(BaselineOverlay):
         self.fingers = successor_indices(self.ids, points.ravel()).reshape(n, self.m)
 
     def _build_frontier(self):
-        """CSR + clockwise metric reproducing the scalar finger rule.
+        """CSR + clockwise metric: Chord's finger rule.
 
         Each row holds the ring successor first, then the fingers in
         table order — minimising the remaining clockwise distance over
         that row is exactly "closest preceding finger" (overshooting
         candidates can never improve), and the metric's terminal owner
         hop covers the one stuck state (key between a peer and its
-        owning successor).  All hops count as long, matching the scalar
-        router's accounting.
+        owning successor).  All hops count as long, as Chord counts
+        them.
         """
         n, m = self.n, self.m
         row = np.empty((n, m + 1), dtype=np.int64)
@@ -101,57 +100,6 @@ class ChordOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def _key(self, key: float) -> float:
-        return mix_hash(key) if self.hashed else key
-
-    def owner_of(self, key: float) -> int:
-        """Return the index of ``successor(key)`` — Chord's owner rule."""
-        return successor_index(self.ids, self._key(key))
-
-    @staticmethod
-    def _cw(a: float, b: float) -> float:
-        return (b - a) % 1.0
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Clockwise greedy lookup via closest-preceding fingers."""
-        n = self.n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} peers")
-        if max_hops is None:
-            max_hops = n
-        key = self._key(key)
-        owner = successor_index(self.ids, key)
-        current = source
-        path = [current]
-        while current != owner:
-            if len(path) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path) - 1, 0, len(path) - 1, path,
-                    "max_hops", key, owner,
-                )
-            remaining = self._cw(float(self.ids[current]), key)
-            successor = (current + 1) % n
-            # If the key lies between us and our successor, the successor owns it.
-            if self._cw(float(self.ids[current]), float(self.ids[successor])) >= remaining:
-                current = successor
-                path.append(current)
-                continue
-            best = successor
-            best_advance = self._cw(float(self.ids[current]), float(self.ids[successor]))
-            for cand in self.fingers[current]:
-                cand = int(cand)
-                if cand == current:
-                    continue
-                advance = self._cw(float(self.ids[current]), float(self.ids[cand]))
-                if best_advance < advance <= remaining:
-                    best = cand
-                    best_advance = advance
-            current = best
-            path.append(current)
-        return RouteResult(
-            True, len(path) - 1, 0, len(path) - 1, path, "arrived", key, owner
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Distinct finger targets plus successor and predecessor."""

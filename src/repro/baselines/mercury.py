@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import BaselineOverlay, greedy_value_route
+from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
 from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import GreedyValueMetric
-from repro.core.routing import RouteResult
 from repro.core.theory import default_out_degree
-from repro.keyspace import RingSpace, nearest_index, successor_indices
+from repro.keyspace import RingSpace, successor_indices
 
 __all__ = ["MercuryOverlay"]
 
@@ -190,22 +189,6 @@ class MercuryOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def owner_of(self, key: float) -> int:
-        """Mercury manages values by the numerically closest peer."""
-        return nearest_index(self.ids, key, self.space)
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Greedy value-space routing (identical rule to Symphony's)."""
-        return greedy_value_route(
-            self.ids,
-            self.long_links,
-            self.space,
-            source,
-            key,
-            self.owner_of(key),
-            max_hops=max_hops,
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Long links plus the two ring neighbours."""

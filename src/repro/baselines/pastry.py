@@ -32,8 +32,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, assemble_rows, hash_keys
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import PrefixDigitMetric
-from repro.core.routing import RouteResult
-from repro.keyspace import RingSpace, digit_rows, digits, mix_hash, nearest_index
+from repro.keyspace import digit_rows, mix_hash
 
 __all__ = ["PastryOverlay"]
 
@@ -80,13 +79,10 @@ class PastryOverlay(BaselineOverlay):
         self.base = 2**bits_per_digit
         self.bits_per_digit = bits_per_digit
         self.leaf_size = leaf_size
-        self.space = RingSpace()
         self.depth = self._required_depth()
         # Whole-population digit expansion (bit-identical to the scalar
-        # repro.keyspace.digits recurrence); tuples kept for the scalar
-        # reference router and prefix analyses.
+        # repro.keyspace.digits recurrence).
         self._digit_matrix = digit_rows(self.ids, self.base, self.depth)
-        self._digits = [tuple(row) for row in self._digit_matrix.tolist()]
         self._build_leaf_sets()
         self._build_tables(rng)
 
@@ -151,11 +147,11 @@ class PastryOverlay(BaselineOverlay):
     def _build_frontier(self):
         """CSR (leaf set first, then table entries) + prefix-digit metric.
 
-        The row order mirrors the scalar fallback's known-peer scan
-        (leafs, then the table in ravel order); each table edge carries
-        its ``(row, digit)`` tag so the metric can recognise the primary
-        prefix-extension edge per lookup.  All hops count as long,
-        matching the scalar router's accounting.
+        The row order is Pastry's known-peer fallback scan (leafs, then
+        the table in ravel order); each table edge carries its
+        ``(row, digit)`` tag so the metric can recognise the primary
+        prefix-extension edge per lookup.  All hops count as long, as
+        Pastry counts them.
         """
         n = self.n
         leaf_counts = np.fromiter(
@@ -190,75 +186,6 @@ class PastryOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def _key(self, key: float) -> float:
-        return mix_hash(key) if self.hashed else key
-
-    def owner_of(self, key: float) -> int:
-        """Pastry's owner: numerically closest peer (ring metric)."""
-        return nearest_index(self.ids, self._key(key), self.space)
-
-    def _cpl(self, u: int, key_digits: tuple[int, ...]) -> int:
-        own = self._digits[u]
-        l = 0
-        for a, b in zip(own, key_digits):
-            if a != b:
-                break
-            l += 1
-        return l
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Pastry lookup: prefix hop when possible, else closer leaf/entry."""
-        n = self.n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} peers")
-        if max_hops is None:
-            max_hops = n
-        key = self._key(key)
-        key_digits = digits(key, self.base, self.depth)
-        owner = nearest_index(self.ids, key, self.space)
-        current = source
-        path = [current]
-        while current != owner:
-            if len(path) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path) - 1, 0, len(path) - 1, path,
-                    "max_hops", key, owner,
-                )
-            nxt = self._next_hop(current, key, key_digits)
-            if nxt is None:
-                return RouteResult(
-                    False, len(path) - 1, 0, len(path) - 1, path,
-                    "stuck", key, owner,
-                )
-            current = nxt
-            path.append(current)
-        return RouteResult(
-            True, len(path) - 1, 0, len(path) - 1, path, "arrived", key, owner
-        )
-
-    def _next_hop(self, current: int, key: float, key_digits: tuple[int, ...]) -> int | None:
-        l = self._cpl(current, key_digits)
-        if l < self.depth:
-            entry = int(self.table[current, l, key_digits[l]])
-            if entry >= 0:
-                return entry
-        # Fallback: anyone known who is strictly better — longer shared
-        # prefix, or same prefix but numerically closer (Pastry's rule).
-        current_dist = self.space.distance(float(self.ids[current]), key)
-        best = None
-        best_rank = (l, -current_dist)
-        known = list(self.leaf_sets[current]) + [
-            int(x) for x in self.table[current].ravel() if x >= 0
-        ]
-        for cand in known:
-            cand_l = self._cpl(cand, key_digits)
-            cand_dist = self.space.distance(float(self.ids[cand]), key)
-            rank = (cand_l, -cand_dist)
-            if cand_dist < current_dist and rank > best_rank:
-                best = cand
-                best_rank = rank
-        return best
 
     def table_sizes(self) -> np.ndarray:
         """Filled routing-table slots plus the leaf set."""

@@ -29,8 +29,6 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, assemble_rows
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import TrieMetric
-from repro.core.routing import RouteResult
-from repro.keyspace import binary_digits
 
 __all__ = ["PGridOverlay"]
 
@@ -185,7 +183,7 @@ class PGridOverlay(BaselineOverlay):
         Reference edges carry their ``(level, rank)`` tag; the two
         value-order neighbour edges (``i - 1``, ``i + 1``; absent at the
         interval ends) are tagged level ``-1`` for the metric's fallback
-        rule.  All hops count as long, matching the scalar router.
+        rule.  All hops count as long, as P-Grid counts them.
         """
         n, r = self.n, self.refs_per_level
         refs = self.refs.reshape(n, -1)
@@ -229,63 +227,9 @@ class PGridOverlay(BaselineOverlay):
     def n(self) -> int:
         return len(self.ids)
 
-    def owner_of(self, key: float) -> int:
-        """Return the peer whose leaf cell contains ``key``."""
-        if not 0.0 <= key < 1.0:
-            raise ValueError(f"key {key!r} outside [0, 1)")
-        pos = int(np.searchsorted(self._cell_lefts, key, side="right")) - 1
-        return int(self._cell_order[max(pos, 0)])
-
     def path_lengths(self) -> np.ndarray:
         """Return per-peer trie path lengths (the routing-state driver)."""
         return self._path_lengths.copy()
-
-    def _cpl(self, path: tuple[int, ...], key_bits: tuple[int, ...]) -> int:
-        l = 0
-        for a, b in zip(path, key_bits):
-            if a != b:
-                break
-            l += 1
-        return l
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Resolve one differing bit per hop; value-order fallback on gaps."""
-        n = self.n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} peers")
-        if max_hops is None:
-            max_hops = n
-        owner = self.owner_of(key)
-        max_depth = max(len(p) for p in self.paths)
-        key_bits = binary_digits(key, max_depth)
-        current = source
-        path_taken = [current]
-        while current != owner:
-            if len(path_taken) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path_taken) - 1, 0, len(path_taken) - 1,
-                    path_taken, "max_hops", key, owner,
-                )
-            peer_path = self.paths[current]
-            l = self._cpl(peer_path, key_bits)
-            nxt = None
-            if l < len(peer_path) and self.refs[current, l, 0] >= 0:
-                nxt = int(self.refs[current, l, 0])
-            else:
-                # Gap in the trie (empty complement) or key inside our own
-                # prefix cell: step toward the owner in value order.
-                nxt = current + 1 if key > float(self.ids[current]) else current - 1
-                if not 0 <= nxt < n:
-                    return RouteResult(
-                        False, len(path_taken) - 1, 0, len(path_taken) - 1,
-                        path_taken, "stuck", key, owner,
-                    )
-            current = nxt
-            path_taken.append(current)
-        return RouteResult(
-            True, len(path_taken) - 1, 0, len(path_taken) - 1,
-            path_taken, "arrived", key, owner,
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Total references per peer (plus the two value-order neighbours)."""

@@ -19,13 +19,12 @@ import math
 
 import numpy as np
 
-from repro.baselines.base import BaselineOverlay, greedy_value_route
+from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
 from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import ClockwiseMetric, GreedyValueMetric
-from repro.core.routing import RouteResult
-from repro.keyspace import RingSpace, nearest_index, successor_indices
+from repro.keyspace import RingSpace, successor_indices
 
 __all__ = ["SymphonyOverlay"]
 
@@ -101,10 +100,10 @@ class SymphonyOverlay(BaselineOverlay):
     def _build_frontier(self):
         """CSR (ring neighbours first, then links) + value-space metric.
 
-        The row order mirrors :func:`greedy_value_route`'s candidate
-        scan, and the metric is the circular distance (bidirectional) or
-        the clockwise-only remaining distance — both with Symphony's
-        nearest-peer ownership rule.
+        Ring neighbours are scanned before long links, and the metric is
+        the circular distance (bidirectional) or the clockwise-only
+        remaining distance — both with Symphony's nearest-peer ownership
+        rule.
         """
         csr = csr_from_flat_links(
             self.n, True, self.long_links.lengths(), self._long_flat
@@ -118,23 +117,6 @@ class SymphonyOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def owner_of(self, key: float) -> int:
-        """Symphony manages keys by the numerically closest peer."""
-        return nearest_index(self.ids, key, self.space)
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Greedy ring routing over neighbours and harmonic links."""
-        return greedy_value_route(
-            self.ids,
-            self.long_links,
-            self.space,
-            source,
-            key,
-            self.owner_of(key),
-            max_hops=max_hops,
-            unidirectional=not self.bidirectional,
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Long links plus the two ring neighbours."""

@@ -18,7 +18,6 @@ from repro.baselines.base import BaselineOverlay, assemble_rows
 from repro.core.adjacency import CSRAdjacency
 from repro.core.bulk_construction import split_rows
 from repro.core.metric_routing import LatticeMetric
-from repro.core.routing import RouteResult
 
 __all__ = ["WattsStrogatzOverlay"]
 
@@ -127,8 +126,8 @@ class WattsStrogatzOverlay(BaselineOverlay):
     def _build_frontier(self):
         """CSR of the (sorted) adjacency lists + the ring-index metric.
 
-        All hops count as neighbour hops, matching the scalar router's
-        accounting (the rewired shortcuts carry no distance semantics).
+        All hops count as neighbour hops (the rewired shortcuts carry
+        no distance semantics).
         """
         n = self._n
         counts = np.fromiter(
@@ -149,52 +148,6 @@ class WattsStrogatzOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return self._n
-
-    def ring_distance(self, a: int, b: int) -> int:
-        """Return the lattice (index) distance between two nodes."""
-        gap = abs(a - b) % self._n
-        return min(gap, self._n - gap)
-
-    def owner_of(self, key: float) -> int:
-        """Map a unit-interval key onto the lattice node it indexes."""
-        if not 0.0 <= key < 1.0:
-            raise ValueError(f"key {key!r} outside [0, 1)")
-        return int(key * self._n) % self._n
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Greedy routing by ring-index distance (no distance-aware links)."""
-        n = self._n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} nodes")
-        if max_hops is None:
-            max_hops = n
-        owner = self.owner_of(key)
-        current = source
-        current_dist = self.ring_distance(current, owner)
-        path = [current]
-        while current != owner:
-            if len(path) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "max_hops", key, owner,
-                )
-            best = None
-            best_dist = current_dist
-            for cand in self.adjacency[current]:
-                cand = int(cand)
-                dist = self.ring_distance(cand, owner)
-                if dist < best_dist:
-                    best, best_dist = cand, dist
-            if best is None:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "stuck", key, owner,
-                )
-            current, current_dist = best, best_dist
-            path.append(current)
-        return RouteResult(
-            True, len(path) - 1, len(path) - 1, 0, path, "arrived", key, owner
-        )
 
     def table_sizes(self) -> np.ndarray:
         """Per-node degree."""

@@ -8,10 +8,11 @@ Public surface:
   to the whole-population bulk construction engine
   (:mod:`repro.core.bulk_construction`: :func:`bulk_links` /
   :func:`bulk_exact_links` with direct-to-CSR assembly);
-* :func:`greedy_route` / :func:`lookahead_route` (scalar reference
-  implementations) and the vectorized batch engine —
-  :func:`route_many` / :func:`sample_batch` over the cached
-  :class:`CSRAdjacency` edge arrays — behind bulk :func:`sample_routes`;
+* the vectorized batch router — :func:`route_many` /
+  :func:`sample_batch` over the cached :class:`CSRAdjacency` edge
+  arrays — behind :func:`greedy_route` (a batch of one) and bulk
+  :func:`sample_routes`, plus the per-lookup neighbour-of-neighbour
+  :func:`lookahead_route`;
 * partition analysis of the Theorem 1 proof internals;
 * the analytic constants of the proofs (:mod:`repro.core.theory`);
 * classic Kleinberg lattices for the Section 2 background experiments.

@@ -3,7 +3,7 @@
 :class:`SmallWorldGraph` stores its edges in the form the paper describes
 them: implicit ring/interval neighbour links plus a ragged per-peer list
 of long-range links.  That shape is convenient for construction but slow
-to traverse — every hop of the scalar router re-materialises neighbour
+to traverse — every hop of a per-lookup loop re-materialises neighbour
 tuples and iterates Python loops over numpy scraps.
 
 This module flattens the whole edge set once into CSR (compressed sparse
@@ -16,11 +16,11 @@ row) arrays:
 
 **Row order contract:** within each row the ring/interval neighbours come
 first, in :meth:`SmallWorldGraph.neighbor_indices` order, followed by the
-long links in their stored order.  The batch router's equivalence with
-:func:`repro.core.routing.greedy_route` depends on this — the scalar
-router scans candidates in exactly that order and keeps the *first*
-strict improvement, which matches ``np.argmin``'s first-occurrence
-tie-break over a CSR row.
+long links in their stored order.  The greedy rule depends on this — it
+scans candidates in exactly that order and keeps the *first* strict
+improvement, which is ``np.argmin``'s first-occurrence tie-break over a
+CSR row (the per-lookup loop in ``tests/route_oracle.py`` scans the same
+order).
 
 Long links are stored ascending and distinct: the producers write
 them that way.  :func:`repro.core.bulk_construction.split_rows` splits

@@ -1,10 +1,9 @@
 """Vectorized batch greedy routing: all lookups advance one hop per step.
 
 Kleinberg-style greedy search is embarrassingly parallel across lookups —
-each walk only ever consults its own current node's out-edges.  The scalar
-:func:`repro.core.routing.greedy_route` is kept as the readable reference
-implementation; this module is the throughput engine every experiment and
-benchmark routes through.
+each walk only ever consults its own current node's out-edges.  This
+module is the one greedy router: every experiment and benchmark routes
+through it, and :func:`repro.core.routing.greedy_route` is a batch of one.
 
 The frontier scheme itself lives in the metric-parameterized kernel
 (:mod:`repro.core.metric_routing`), which routes whole lookup batches
@@ -21,16 +20,16 @@ with the paper's symmetric greedy key/normalized metric:
 2. drop dead peers (liveness) from that vector;
 3. a segmented minimum picks each walk's best candidate — first
    occurrence on ties, which together with the CSR row-order contract
-   (neighbours before long links, scan order preserved) reproduces the
-   scalar router's candidate scan exactly;
+   (neighbours before long links, scan order preserved) is the rule's
+   first-strict-improvement candidate scan;
 4. walks whose best candidate is not strictly closer stop as
    ``"stuck"``; walks that land on their owner stop as ``"arrived"``;
    the rest carry on until ``max_hops``.
 
 Results match :class:`repro.core.routing.RouteResult` semantics
 field-for-field (success, hops, neighbour/long hop split, reason, owner)
-— a property test asserts hop-for-hop equivalence against the scalar
-router across spaces, metrics and liveness masks.
+— the tests assert hop-for-hop equivalence against the per-lookup loop
+in ``tests/route_oracle.py`` across spaces, metrics and liveness masks.
 """
 
 from __future__ import annotations
@@ -111,9 +110,9 @@ def route_many(
 ) -> BatchRouteResult:
     """Route every ``(source, target_key)`` pair greedily, in lock-step.
 
-    Semantically equivalent to calling :func:`repro.core.routing.greedy_route`
-    once per pair, but advancing all walks together one hop per numpy
-    step through :func:`repro.core.metric_routing.frontier_route_many`
+    Hop for hop the per-lookup greedy loop that ``tests/route_oracle.py``
+    keeps as the reference, but advancing all walks together one hop per
+    numpy step through :func:`repro.core.metric_routing.frontier_route_many`
     (see module docstring for the frontier scheme).
 
     Args:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.keyspace import IntervalSpace, KeySpace, nearest_index
+from repro.keyspace import IntervalSpace, KeySpace, check_unit_keys, nearest_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.adjacency import CSRAdjacency
@@ -247,7 +247,11 @@ class SmallWorldGraph:
 
         Ownership is "closest identifier" under the graph's key-space
         metric, with ties resolved toward the lower identifier.
+
+        Raises:
+            ValueError: for a key that is NaN or outside ``[0, 1)``.
         """
+        check_unit_keys(key)
         return nearest_index(self.ids, key, self.space)
 
     def normalized_key(self, key: float) -> float:

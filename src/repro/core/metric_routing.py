@@ -36,8 +36,8 @@ A round is one of two kinds, and both return exactly the same moves.
   layout with ``np.repeat(x, counts)`` — a contiguous copy, cheaper than
   gathering through a per-candidate walk index — so the cost of a round
   is proportional to the frontier's *total* degree and one hub row never
-  inflates the whole cohort.  The first-minimum rule over CSR row order
-  is exactly the scalar routers' "first strict improvement" scan.
+  inflates the whole cohort.  The first minimum over CSR row order is
+  the greedy rule's "first strict improvement" scan.
 * The **search round** serves :class:`GreedyValueMetric` on rows whose
   long links are sorted (:attr:`CSRAdjacency.tails_sorted`): with peer
   positions increasing in the peer index, the row's best long link is
@@ -74,9 +74,11 @@ compares against:
 
 Every metric is constructed by its overlay's
 :meth:`repro.baselines.base.BaselineOverlay._build_frontier` alongside
-the matching CSR (and per-edge tag arrays where the rule needs them),
-and the scalar ``route`` implementations remain the semantic reference:
-the equivalence suite pins the kernel hop-for-hop against each of them.
+the matching CSR (and per-edge tag arrays where the rule needs them).
+This kernel is the only implementation of each rule: a single
+:meth:`~repro.baselines.base.BaselineOverlay.route` or
+:func:`repro.core.greedy_route` is a batch of one.  The per-lookup loops
+it is pinned against hop for hop live in ``tests/route_oracle.py``.
 """
 
 from __future__ import annotations
@@ -519,8 +521,8 @@ class PrefixDigitMetric(RoutingMetric):
         )
         targets = np.asarray(targets, dtype=float)
         owners = nearest_indices(self.positions, targets, self._space)
-        # digit_rows rejects keys outside [0, 1), mirroring the scalar
-        # reference router's repro.keyspace.digits validation.
+        # digit_rows rejects NaN keys and keys outside [0, 1), as
+        # repro.keyspace.digits does.
         key_digits = digit_rows(targets, self.base, self.depth).astype(
             self.digits.dtype
         )
@@ -615,8 +617,8 @@ class TrieMetric(RoutingMetric):
             np.searchsorted(self.cell_lefts, targets, side="right") - 1, 0
         )
         owners = self.cell_order[pos]
-        # digit_rows rejects keys outside [0, 1), mirroring the scalar
-        # reference router's owner_of validation.
+        # digit_rows rejects NaN keys and keys outside [0, 1), so
+        # owners resolved above are never returned for a bad key.
         key_bits = digit_rows(targets, 2, self.max_depth).astype(self.bits.dtype)
         return PreparedTargets(owners=owners, targets=targets, extra=key_bits)
 
@@ -727,8 +729,8 @@ class TorusZoneMetric(RoutingMetric):
     def _zone_distances(self, points: np.ndarray, zones: np.ndarray) -> np.ndarray:
         """L1 torus distance from each point to its aligned zone box.
 
-        Mirrors the scalar :meth:`CANOverlay._axis_distance` expression
-        per dimension, accumulated in dimension order.
+        The per-dimension expression of the scalar ``_axis_distance`` in
+        ``tests/route_oracle.py``, accumulated in dimension order.
         """
         total = np.zeros(zones.shape)
         for k in range(self.dims):
@@ -1131,7 +1133,7 @@ class StreamFrontier:
         self.rounds += 1
         entered = int(frontier.size)
         retired: list[np.ndarray] = []
-        # Budget check first, mirroring the scalar routers' loop heads.
+        # Budget check first, as the per-lookup loops' heads do.
         exhausted = self.hops[frontier] >= self.max_hops
         if exhausted.any():
             spent = frontier[exhausted]
@@ -1517,10 +1519,10 @@ def frontier_route_many(
     The generalisation of :func:`repro.core.batch_routing.route_many`
     (which delegates here): all walks advance together one hop per numpy
     step, with the routing rule supplied declaratively (see module
-    docstring).  Semantically equivalent to the corresponding scalar
-    ``route`` loop run once per pair.  The walk state lives in a
-    :class:`StreamFrontier` admitted once and stepped dry — a continuous
-    serving loop drives the same object with interleaved
+    docstring).  Semantically equivalent to the corresponding per-lookup
+    loop (``tests/route_oracle.py``) run once per pair.  The walk state
+    lives in a :class:`StreamFrontier` admitted once and stepped dry — a
+    continuous serving loop drives the same object with interleaved
     ``admit``/``step``/``release`` calls instead.
 
     Args:

@@ -20,6 +20,13 @@ behaviour (ablation in experiment E5).
 A failure-aware mode (``alive`` mask) supports the churn experiments:
 dead peers are invisible, and success means reaching the key's owner
 *among the surviving peers*.
+
+The rule has one implementation, the frontier kernel behind
+:func:`repro.core.route_many`; :func:`greedy_route` routes one lookup as a
+batch of one through it, and :func:`sample_routes` a sampled batch.  The
+per-lookup loop they are held to lives in ``tests/route_oracle.py``.
+:func:`lookahead_route` (experiment E13's neighbour-of-neighbour router)
+is a different rule and stays a per-lookup loop.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.graph import SmallWorldGraph
-from repro.keyspace import nearest_index
+from repro.keyspace import check_unit_keys, nearest_index
 
 __all__ = ["RouteResult", "greedy_route", "lookahead_route", "sample_routes"]
 
@@ -71,22 +78,6 @@ def _positions_and_target(
     raise ValueError(f"unknown metric {metric!r}; choose 'key' or 'normalized'")
 
 
-def _owner_under_metric(
-    graph: SmallWorldGraph,
-    positions: np.ndarray,
-    target_pos: float,
-    alive: np.ndarray | None,
-) -> int:
-    """Return the owner index, restricted to live peers when a mask is given."""
-    if alive is None:
-        return nearest_index(positions, target_pos, graph.space)
-    live = np.flatnonzero(alive)
-    if len(live) == 0:
-        raise ValueError("cannot route in a network with no live peers")
-    local = nearest_index(positions[live], target_pos, graph.space)
-    return int(live[local])
-
-
 def greedy_route(
     graph: SmallWorldGraph,
     source: int,
@@ -97,6 +88,9 @@ def greedy_route(
 ) -> RouteResult:
     """Route greedily from peer ``source`` toward ``target_key``.
 
+    A batch of one through :func:`repro.core.route_many`, with its path
+    recorded.
+
     Args:
         graph: the overlay to route on.
         source: index of the originating peer (must be live).
@@ -106,68 +100,22 @@ def greedy_route(
         alive: optional boolean liveness mask; dead peers are skipped.
 
     Raises:
-        ValueError: on an invalid source, metric, or a dead source peer.
+        ValueError: on an invalid or dead source, an unknown metric, a
+            key that is NaN or outside ``[0, 1)``, or a negative
+            ``max_hops``.
     """
-    n = graph.n
-    if not 0 <= source < n:
-        raise ValueError(f"source index {source} out of range for {n} peers")
-    if alive is not None and not alive[source]:
-        raise ValueError(f"source peer {source} is not alive")
-    if max_hops is None:
-        max_hops = n
-    positions, target_pos = _positions_and_target(graph, target_key, metric)
-    owner = _owner_under_metric(graph, positions, target_pos, alive)
+    from repro.core.batch_routing import route_many
 
-    current = source
-    current_dist = graph.space.distance(float(positions[current]), target_pos)
-    path = [current]
-    neighbor_hops = 0
-    long_hops = 0
-
-    while current != owner:
-        if len(path) - 1 >= max_hops:
-            return RouteResult(
-                False, len(path) - 1, neighbor_hops, long_hops, path,
-                "max_hops", target_key, owner,
-            )
-        ring_neighbors = graph.neighbor_indices(current)
-        best_idx = -1
-        best_dist = current_dist
-        best_is_long = False
-        for j in ring_neighbors:
-            if alive is not None and not alive[j]:
-                continue
-            dist = graph.space.distance(float(positions[j]), target_pos)
-            if dist < best_dist:
-                best_dist = dist
-                best_idx = j
-                best_is_long = False
-        for j in graph.long_links[current]:
-            j = int(j)
-            if alive is not None and not alive[j]:
-                continue
-            dist = graph.space.distance(float(positions[j]), target_pos)
-            if dist < best_dist:
-                best_dist = dist
-                best_idx = j
-                best_is_long = True
-        if best_idx < 0:
-            return RouteResult(
-                False, len(path) - 1, neighbor_hops, long_hops, path,
-                "stuck", target_key, owner,
-            )
-        current = best_idx
-        current_dist = best_dist
-        path.append(current)
-        if best_is_long:
-            long_hops += 1
-        else:
-            neighbor_hops += 1
-
-    return RouteResult(
-        True, len(path) - 1, neighbor_hops, long_hops, path,
-        "arrived", target_key, owner,
+    batch = route_many(
+        graph,
+        np.asarray([source], dtype=np.int64),
+        np.asarray([target_key], dtype=float),
+        metric=metric,
+        alive=alive,
+        max_hops=max_hops,
+        record_paths=True,
     )
+    return batch.to_route_results()[0]
 
 
 def lookahead_route(
@@ -187,14 +135,19 @@ def lookahead_route(
     step still traverses a single edge, so hop counts are comparable with
     :func:`greedy_route`; the experiments use this as the "extension"
     ablation showing the constant-factor improvement lookahead buys.
+
+    Raises:
+        ValueError: on an out-of-range source, an unknown metric or a
+            key that is NaN or outside ``[0, 1)``.
     """
+    check_unit_keys(target_key)
     n = graph.n
     if not 0 <= source < n:
         raise ValueError(f"source index {source} out of range for {n} peers")
     if max_hops is None:
         max_hops = n
     positions, target_pos = _positions_and_target(graph, target_key, metric)
-    owner = _owner_under_metric(graph, positions, target_pos, alive=None)
+    owner = nearest_index(positions, target_pos, graph.space)
 
     def dist_of(i: int) -> float:
         return graph.space.distance(float(positions[i]), target_pos)

@@ -24,7 +24,7 @@ from repro.core import (
     GraphConfig,
     build_skewed_model,
     lookahead_route,
-    sample_routes,
+    sample_batch,
 )
 from repro.distributions import PowerLaw
 from repro.experiments.report import Column, ResultTable
@@ -34,7 +34,7 @@ __all__ = ["run_e13"]
 
 
 def _measure(graph, n_routes, rng, metric="key"):
-    stats = summarize_lookups(sample_routes(graph, n_routes, rng, metric=metric))
+    stats = summarize_lookups(sample_batch(graph, n_routes, rng, metric=metric))
     return stats
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import build_skewed_model, sample_routes
+from repro.core import build_skewed_model, sample_batch
 from repro.distributions import PowerLaw
 from repro.experiments.report import Column, ResultTable
 from repro.overlay import (
@@ -63,7 +63,7 @@ def run_e10(seed: int = 0, quick: bool = False) -> ResultTable:
     )
 
     offline = build_skewed_model(dist, n=n, rng=rng)
-    offline_stats = summarize_lookups(sample_routes(offline, n_lookups, rng))
+    offline_stats = summarize_lookups(sample_batch(offline, n_lookups, rng))
     table.add_row(
         protocol="offline (Theorem 2)",
         hops=offline_stats.mean_hops,

@@ -32,7 +32,7 @@ from repro.baselines import (
     PGridOverlay,
     measure_overlay_batch,
 )
-from repro.core import build_uniform_model, sample_batch, sample_routes
+from repro.core import build_uniform_model, sample_batch
 from repro.experiments.report import Column, ResultTable
 from repro.overlay import summarize_lookups
 
@@ -47,7 +47,7 @@ def run_e3(seed: int = 0, quick: bool = False) -> list[ResultTable]:
     ids = np.sort(rng.random(n))
 
     graph = build_uniform_model(rng=rng, ids=ids)
-    model_stats = summarize_lookups(sample_routes(graph, n_routes, rng))
+    model_stats = summarize_lookups(sample_batch(graph, n_routes, rng))
     model_table = float(np.mean(graph.out_degrees()))
 
     comparison = ResultTable(

@@ -21,7 +21,7 @@ from repro.core import (
     build_naive_model,
     build_skewed_model,
     build_uniform_model,
-    sample_routes,
+    sample_batch,
 )
 from repro.distributions import PowerLaw
 from repro.experiments.report import Column, ResultTable
@@ -39,9 +39,9 @@ def run_e12(seed: int = 0, quick: bool = False) -> ResultTable:
     ids = np.sort(dist.sample(n, rng))
 
     model = build_skewed_model(dist, rng=rng, ids=ids)
-    model_hops = summarize_lookups(sample_routes(model, n_routes, rng)).mean_hops
+    model_hops = summarize_lookups(sample_batch(model, n_routes, rng)).mean_hops
     naive = build_naive_model(dist, rng=rng, ids=ids)
-    naive_hops = summarize_lookups(sample_routes(naive, n_routes, rng)).mean_hops
+    naive_hops = summarize_lookups(sample_batch(naive, n_routes, rng)).mean_hops
     # Reference penalty: the same unidirectional harmonic machinery on a
     # *uniform* population (Symphony with Mercury's budget).  Mercury's
     # skew handling is perfect when its penalty matches this floor —
@@ -51,7 +51,7 @@ def run_e12(seed: int = 0, quick: bool = False) -> ResultTable:
     symphony = SymphonyOverlay(uniform_ids, rng, k=len(model.long_links[0]))
     floor = (
         measure_overlay_batch(symphony, n_routes, rng, target_ids=symphony.ids).mean_hops
-        / summarize_lookups(sample_routes(uniform_model, n_routes, rng)).mean_hops
+        / summarize_lookups(sample_batch(uniform_model, n_routes, rng)).mean_hops
     )
 
     table = ResultTable(

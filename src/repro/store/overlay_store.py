@@ -6,7 +6,10 @@ pair the batch frontier kernel consumes.  :func:`save_overlay` writes
 exactly that pair (plus the per-peer table sizes and identifiers), and
 :func:`load_overlay` rebuilds a :class:`LoadedOverlay` that routes
 bit-identically to the original through the shared kernel, without
-reconstructing fingers, tries, zones or leaf sets.
+reconstructing fingers, tries, zones or leaf sets.  Native and loaded
+overlays share one ``route`` and one ``owner_of``, both
+:class:`~repro.baselines.base.BaselineOverlay`'s, so a round trip cannot
+change either.
 
 Unlike the worker-side codec in :mod:`repro.parallel.dispatch` (which
 ships score-only metrics because ``prepare`` ran in the parent), this
@@ -34,10 +37,8 @@ from repro.core.metric_routing import (
     RoutingMetric,
     TorusZoneMetric,
     TrieMetric,
-    frontier_route_many,
     torus_zone_lookup,
 )
-from repro.core.routing import RouteResult
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
 from repro.store.graph_store import check_indptr, space_from_name
 
@@ -217,9 +218,9 @@ class LoadedOverlay(BaselineOverlay):
 
     Routes through the shared frontier kernel exactly like
     :func:`repro.baselines.base.route_many_overlay` does for native
-    overlays — the scalar :meth:`route` is a batch of one with path
-    recording, so paths, hops and owners reproduce the original
-    overlay's routing bit for bit.
+    overlays, with :meth:`route` and :meth:`owner_of` inherited from
+    :class:`BaselineOverlay`, so paths, hops and owners reproduce the
+    original overlay's routing bit for bit.
     """
 
     def __init__(
@@ -238,29 +239,6 @@ class LoadedOverlay(BaselineOverlay):
     @property
     def n(self) -> int:
         return self.to_csr().n
-
-    def route(
-        self, source: int, key: float, max_hops: int | None = None
-    ) -> RouteResult:
-        if not 0 <= source < self.n:
-            raise ValueError(
-                f"source index {source} out of range for {self.n} peers"
-            )
-        csr, metric = self._frontier()
-        batch = frontier_route_many(
-            csr,
-            metric,
-            np.asarray([source], dtype=np.int64),
-            np.asarray([key], dtype=float),
-            max_hops=max_hops,
-            record_paths=True,
-        )
-        return batch.to_route_results()[0]
-
-    def owner_of(self, key: float) -> int:
-        """Resolve ``key``'s owner through the persisted metric."""
-        prepared = self.metric.prepare(np.asarray([key], dtype=float))
-        return int(prepared.owners[0])
 
     def table_sizes(self) -> np.ndarray:
         return self._table_sizes

@@ -35,6 +35,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
+from route_oracle import ScalarCAN, ScalarPastry
 
 from repro.baselines import (
     CANOverlay,
@@ -318,6 +319,9 @@ def _symmetrize(long_links: list[np.ndarray], n: int) -> LongLinkRows:
 class OraclePastry(PastryOverlay):
     """Pastry whose routing table is filled one slot at a time."""
 
+    #: Each peer's digit string as a tuple, shared with the route oracle.
+    _digits = ScalarPastry._digits
+
     def _build_tables(self, rng: np.random.Generator) -> None:
         """Per-slot reference loop: group peers by prefix, fill each slot."""
         n = self.n
@@ -423,6 +427,9 @@ class _BSPNode:
 
 class OracleCAN(CANOverlay):
     """CAN built by inserting one arrival point at a time into a node tree."""
+
+    #: One key's scalar torus embedding, shared with the route oracle.
+    _point_of = ScalarCAN._point_of
 
     def _build_zones(self) -> tuple[list[Zone], tuple]:
         """Sequential insertion loop, then the tree flattened to BSP arrays."""

@@ -8,7 +8,7 @@ One walk at a time, one hop per loop iteration:
    segment layout);
 4. scan the row in CSR order and keep a candidate only on *strict*
    improvement of the best score so far — the rule
-   :func:`repro.core.routing.greedy_route` implements;
+   :func:`route_oracle.greedy_route` implements;
 5. move when that best beats the walk's threshold (its current score
    for greedy metrics, ``inf`` for rule-based ones); otherwise take
    Chord's terminal hop onto the first owner candidate when the metric

@@ -1,12 +1,13 @@
 """Equivalence suite for the baseline CSR + metric frontier contract.
 
-Three layers, mirroring ``tests/test_bulk_dynamics.py``:
+Four layers, mirroring ``tests/test_bulk_dynamics.py``:
 
 * **hop-for-hop parity** — for every baseline (and every routing
   variant: hashed, unidirectional, alternate dimensions), the batch
-  frontier kernel must reproduce the scalar ``route`` walk exactly:
-  success, hops, neighbour/long split, owner, reason, and the full
-  visited path, on uniform and skewed populations.
+  frontier kernel and the batch-of-one ``route`` must reproduce the
+  scalar walk of ``route_oracle.py`` exactly: success, hops,
+  neighbour/long split, owner, reason, and the full visited path, on
+  uniform and skewed populations.
 * **builder equivalence** — the bulk whole-population builders
   (Mercury's row-wise estimators, Pastry's prefix-range tables,
   P-Grid's dyadic-cell references, one or several per level) must be
@@ -14,13 +15,16 @@ Three layers, mirroring ``tests/test_bulk_dynamics.py``:
   ``builder_oracle.py``: KS on hop distributions at n = 2048, uniform
   and skewed.
 * **contract invariants** — cached frontier identity, vectorized owner
-  resolution agreeing with the scalar ``owner_of``, and workload
-  determinism between the scalar and batch measurement paths.
+  resolution agreeing with the oracle's owner rule, and workload
+  determinism of the batch measurement path.
+* **key checks** — every public route and owner entry point rejects a
+  NaN, infinite or out-of-range key with ``ValueError``.
 """
 
 import numpy as np
 import pytest
 from builder_oracle import OracleMercury, OraclePastry, OraclePGrid
+from route_oracle import scalar_twin
 
 from repro.analysis import ks_two_sample
 from repro.baselines import (
@@ -31,12 +35,14 @@ from repro.baselines import (
     PGridOverlay,
     SymphonyOverlay,
     WattsStrogatzOverlay,
-    measure_overlay,
     measure_overlay_batch,
     route_many_overlay,
     sample_overlay_lookups,
 )
+from repro.core import build_uniform_model, greedy_route
 from repro.distributions import PowerLaw
+from repro.overlay import summarize_lookups
+from repro.store import load_overlay, save_overlay
 
 
 def _uniform_ids(n, seed):
@@ -83,16 +89,38 @@ ALL_VARIANTS = [
 ]
 
 
-def _assert_parity(overlay, n_routes=150, seed=5, targets="peers", target_ids=None):
-    """Batch result must equal the scalar walk on every column and path."""
+#: Lookups per parity check that also go through the batch-of-one ``route``.
+SINGLE_ROUTES = 40
+
+
+def _assert_route_matches(result, ref, key):
+    """One ``route()`` result equals the oracle's, field for field.
+
+    ``target_key`` is the key looked up: the hashed oracles report the
+    hashed key there, so it is compared with ``key`` instead.
+    """
+    assert (result.success, result.hops, result.neighbor_hops, result.long_hops) == (
+        ref.success, ref.hops, ref.neighbor_hops, ref.long_hops
+    )
+    assert (result.owner, result.reason, result.path) == (ref.owner, ref.reason, ref.path)
+    assert result.target_key == key
+
+
+def _assert_parity(
+    overlay, n_routes=150, seed=5, targets="peers", target_ids=None, max_hops=None
+):
+    """Batch result and ``route()`` must equal the oracle walk, path included."""
     rng = np.random.default_rng(seed)
     if targets == "peers" and target_ids is None:
         target_ids = getattr(overlay, "ids", None)
     sources, keys = sample_overlay_lookups(
         overlay, n_routes, rng, targets=targets, target_ids=target_ids
     )
-    scalar = [overlay.route(int(s), float(k)) for s, k in zip(sources, keys)]
-    batch = route_many_overlay(overlay, sources, keys, record_paths=True)
+    oracle = scalar_twin(overlay)
+    scalar = [oracle.route(int(s), float(k), max_hops) for s, k in zip(sources, keys)]
+    batch = route_many_overlay(
+        overlay, sources, keys, max_hops=max_hops, record_paths=True
+    )
     assert np.array_equal(batch.success, [r.success for r in scalar])
     assert np.array_equal(batch.hops, [r.hops for r in scalar])
     assert np.array_equal(batch.neighbor_hops, [r.neighbor_hops for r in scalar])
@@ -101,6 +129,9 @@ def _assert_parity(overlay, n_routes=150, seed=5, targets="peers", target_ids=No
     assert np.array_equal(batch.reasons, [r.reason for r in scalar])
     for i, result in enumerate(scalar):
         assert batch.paths[i] == result.path
+    for s, k, ref in list(zip(sources, keys, scalar))[:SINGLE_ROUTES]:
+        _assert_route_matches(overlay.route(int(s), float(k), max_hops), ref, float(k))
+    return batch
 
 
 class TestHopForHopParity:
@@ -114,7 +145,7 @@ class TestHopForHopParity:
         overlay = _make(name, _skewed_ids(192, 52), rng)
         _assert_parity(overlay, seed=7)
 
-    @pytest.mark.parametrize("name", ["chord", "pastry", "pgrid", "symphony", "mercury"])
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_uniform_keys_not_peer_ids(self, name, rng):
         """Keys between peers exercise ownership and terminal-hop edges."""
         overlay = _make(name, _uniform_ids(160, 53), rng)
@@ -139,18 +170,11 @@ class TestHopForHopParity:
         ):
             _assert_parity(overlay, seed=11)
 
-    def test_max_hops_budget(self, rng):
-        """Budget exhaustion must match the scalar loop's reason and count."""
+    def test_max_hops_budget(self):
+        """Budget exhaustion must match the oracle loop's reason and count."""
         ids = _skewed_ids(256, 55)
         overlay = ChordOverlay(ids)  # raw skewed ids: long clockwise walks
-        rng2 = np.random.default_rng(12)
-        sources, keys = sample_overlay_lookups(
-            overlay, 100, rng2, target_ids=overlay.ids
-        )
-        scalar = [overlay.route(int(s), float(k), max_hops=5) for s, k in zip(sources, keys)]
-        batch = route_many_overlay(overlay, sources, keys, max_hops=5)
-        assert np.array_equal(batch.hops, [r.hops for r in scalar])
-        assert np.array_equal(batch.reasons, [r.reason for r in scalar])
+        batch = _assert_parity(overlay, n_routes=100, seed=12, max_hops=5)
         assert (batch.reasons == "max_hops").any()
 
     def test_rejects_negative_hop_budget(self):
@@ -159,6 +183,8 @@ class TestHopForHopParity:
             route_many_overlay(
                 overlay, np.asarray([0, 1]), np.asarray([0.25, 0.5]), max_hops=-3
             )
+        with pytest.raises(ValueError, match="max_hops"):
+            overlay.route(0, 0.25, max_hops=-1)
 
     def test_rejects_bad_sources(self, rng):
         overlay = ChordOverlay(_uniform_ids(64, 56))
@@ -169,14 +195,19 @@ class TestHopForHopParity:
 
     @pytest.mark.parametrize("name", ["pastry", "pgrid", "can-2d"])
     def test_rejects_out_of_range_keys_like_scalar(self, name, rng):
-        """Where the scalar route raises on a key outside [0, 1), so must batch."""
+        """Where the oracle loop raises on a key outside [0, 1), so must
+        ``route()`` and the batch."""
         overlay = _make(name, _uniform_ids(64, 57), rng)
         for bad in (-0.5, 1.0):
+            with pytest.raises(ValueError):
+                scalar_twin(overlay).route(0, bad)
             with pytest.raises(ValueError):
                 overlay.route(0, bad)
             with pytest.raises(ValueError):
                 route_many_overlay(overlay, np.asarray([0]), np.asarray([bad]))
         ws = WattsStrogatzOverlay(64, k=2, p=0.1, rng=rng)
+        with pytest.raises(ValueError):
+            scalar_twin(ws).route(0, 1.0)
         with pytest.raises(ValueError):
             ws.route(0, 1.0)
         with pytest.raises(ValueError):
@@ -299,8 +330,10 @@ class TestFrontierContract:
     def test_vectorized_owners_match_scalar(self, name, rng):
         overlay = _make(name, _uniform_ids(160, 72), rng)
         keys = np.random.default_rng(73).random(120)
-        owners = overlay.metric.prepare(keys).owners
-        assert np.array_equal(owners, [overlay.owner_of(float(k)) for k in keys])
+        oracle = scalar_twin(overlay)
+        expected = [oracle.owner_of(float(k)) for k in keys]
+        assert np.array_equal(overlay.metric.prepare(keys).owners, expected)
+        assert [overlay.owner_of(float(k)) for k in keys] == expected
 
     def test_symphony_row_order_neighbors_first(self, rng):
         overlay = SymphonyOverlay(_uniform_ids(64, 74), rng, k=4)
@@ -313,10 +346,15 @@ class TestFrontierContract:
             assert csr.row_is_long(i)[2:].all()
 
     def test_measurement_paths_share_workloads(self, rng):
-        """Same seed => scalar and batch measurement see identical pairs."""
+        """Same seed => the batch measurement sees the drawn pairs, and its
+        summary equals the oracle loop's over them."""
         overlay = ChordOverlay(_uniform_ids(256, 75))
-        scalar_stats = measure_overlay(
+        sources, keys = sample_overlay_lookups(
             overlay, 200, np.random.default_rng(9), target_ids=overlay.ids
+        )
+        oracle = scalar_twin(overlay)
+        scalar_stats = summarize_lookups(
+            [oracle.route(int(s), float(k)) for s, k in zip(sources, keys)]
         )
         batch_stats = measure_overlay_batch(
             overlay, 200, np.random.default_rng(9), target_ids=overlay.ids
@@ -337,3 +375,38 @@ class TestFrontierContract:
         overlay = ChordOverlay(_uniform_ids(64, 77))
         with pytest.raises(ValueError):
             measure_overlay_batch(overlay, 10, rng, targets="nope")
+
+
+BAD_KEYS = [np.nan, np.inf, -np.inf, 1.5, -0.25]
+
+
+def _entry_points(name, rng, tmp_path):
+    """Return the ``(route, owner_of)`` pair of one public entry point."""
+    if name == "greedy_route":
+        graph = build_uniform_model(n=200, rng=rng)
+        return (lambda key: greedy_route(graph, 3, key)), graph.owner_of
+    if name == "ws":
+        overlay = WattsStrogatzOverlay(200, k=4, p=0.2, rng=rng)
+    elif name == "ws-unrewired":
+        overlay = WattsStrogatzOverlay(200, k=4, p=0.0, rng=rng)
+    elif name == "loaded":
+        save_overlay(ChordOverlay(_uniform_ids(200, 58)), tmp_path / "chord")
+        overlay = load_overlay(tmp_path / "chord")
+    else:
+        overlay = _make(name, _uniform_ids(200, 58), rng)
+    return (lambda key: overlay.route(3, key)), overlay.owner_of
+
+
+class TestKeyChecks:
+    """A NaN, infinite or out-of-range key raises; it never "arrives"."""
+
+    @pytest.mark.parametrize("bad", BAD_KEYS)
+    @pytest.mark.parametrize(
+        "name", ALL_VARIANTS + ["ws", "ws-unrewired", "loaded", "greedy_route"]
+    )
+    def test_route_and_owner_reject_bad_keys(self, name, bad, rng, tmp_path):
+        route, owner_of = _entry_points(name, rng, tmp_path)
+        with pytest.raises(ValueError, match="outside"):
+            route(bad)
+        with pytest.raises(ValueError, match="outside"):
+            owner_of(bad)

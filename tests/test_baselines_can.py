@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from builder_oracle import OracleCAN
+from route_oracle import scalar_twin
 
-from repro.baselines import CANOverlay, Zone, measure_overlay
+from repro.baselines import CANOverlay, Zone, measure_overlay_batch
+from repro.core.metric_routing import torus_zone_lookup
 from repro.distributions import PowerLaw
 
 
@@ -40,10 +42,10 @@ class TestConstruction:
 
     def test_every_point_locatable(self, rng):
         can = CANOverlay(rng.random(64), dims=2)
-        for _ in range(50):
-            point = rng.random(2)
-            idx = can.zone_of_point(point)
-            assert can.zones[idx].contains(point)
+        points = rng.random((50, 2))
+        owners = torus_zone_lookup(points, can._bsp, can.max_bsp_depth)
+        for point, idx in zip(points, owners):
+            assert can.zones[int(idx)].contains(point)
 
     def test_neighbors_symmetric(self, rng):
         can = CANOverlay(rng.random(64), dims=2)
@@ -64,7 +66,7 @@ class TestConstruction:
 
     def test_one_dimensional_can(self, rng):
         can = CANOverlay(rng.random(32), dims=1)
-        stats = measure_overlay(can, 50, rng)
+        stats = measure_overlay_batch(can, 50, rng)
         assert stats.success_rate == 1.0
 
     def test_rejects_bad_parameters(self, rng):
@@ -77,15 +79,15 @@ class TestConstruction:
 class TestRouting:
     def test_routes_succeed(self, rng):
         can = CANOverlay(rng.random(128), dims=2)
-        stats = measure_overlay(can, 150, rng)
+        stats = measure_overlay_batch(can, 150, rng)
         assert stats.success_rate == 1.0
 
     def test_hops_polynomial_not_logarithmic(self, rng):
         # CAN hop counts grow like N^(1/d): measurably super-logarithmic.
         small = CANOverlay(rng.random(64), dims=2)
         large = CANOverlay(rng.random(1024), dims=2)
-        small_hops = measure_overlay(small, 150, rng).mean_hops
-        large_hops = measure_overlay(large, 150, rng).mean_hops
+        small_hops = measure_overlay_batch(small, 150, rng).mean_hops
+        large_hops = measure_overlay_batch(large, 150, rng).mean_hops
         # 16x more peers: log2 would add ~4 hops; sqrt multiplies by ~4.
         assert large_hops > small_hops * 2.0
 
@@ -136,7 +138,7 @@ class TestBSPDepthCap:
         deepest = max(zone.depth for zone in can.zones)
         assert deepest < 40  # ~2·log2(n); nowhere near the 96 cap
         # and the vectorised owner descent still resolves everything
-        owners = can._zones_of_points(can._points_of(rng.random(256)))
+        owners = can.metric.prepare(rng.random(256)).owners
         assert owners.min() >= 0 and owners.max() < can.n
 
 
@@ -174,9 +176,11 @@ class TestBulkBuilder:
             np.testing.assert_array_equal(np.sort(np.asarray(nb)), np.sort(np.asarray(ns)))
 
     def test_bulk_routes_match_scalar(self, rng):
+        """The bulk-built overlay's route() walks the per-insertion oracle
+        build exactly as the per-lookup oracle loop does."""
         keys = rng.random(400)
         bulk = CANOverlay(keys, dims=2)
-        scalar = OracleCAN(keys, dims=2)
+        scalar = scalar_twin(OracleCAN(keys, dims=2))
         lookups = rng.random(64)
         for key in lookups:
             rb = bulk.route(0, key)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import ChordOverlay, PastryOverlay, measure_overlay
+from repro.baselines import ChordOverlay, PastryOverlay, measure_overlay_batch
 from repro.distributions import PowerLaw
 
 
@@ -35,12 +35,12 @@ class TestChord:
 
     def test_routes_succeed(self, uniform_ids, rng):
         chord = ChordOverlay(uniform_ids)
-        stats = measure_overlay(chord, 200, rng, target_ids=chord.ids)
+        stats = measure_overlay_batch(chord, 200, rng, target_ids=chord.ids)
         assert stats.success_rate == 1.0
 
     def test_log_hops_on_uniform(self, uniform_ids, rng):
         chord = ChordOverlay(uniform_ids)
-        stats = measure_overlay(chord, 300, rng, target_ids=chord.ids)
+        stats = measure_overlay_batch(chord, 300, rng, target_ids=chord.ids)
         assert stats.mean_hops < math.log2(len(uniform_ids)) * 1.2
 
     def test_table_size_logarithmic(self, uniform_ids):
@@ -48,17 +48,17 @@ class TestChord:
         assert chord.mean_table_size() <= chord.m + 2
 
     def test_skew_degrades_unhashed(self, uniform_ids, skewed_ids, rng):
-        uni_hops = measure_overlay(
+        uni_hops = measure_overlay_batch(
             ChordOverlay(uniform_ids), 150, rng, target_ids=uniform_ids
         ).mean_hops
-        skew_hops = measure_overlay(
+        skew_hops = measure_overlay_batch(
             ChordOverlay(skewed_ids), 150, rng, target_ids=skewed_ids
         ).mean_hops
         assert skew_hops > 3 * uni_hops
 
     def test_hashing_restores_performance(self, skewed_ids, rng):
         hashed = ChordOverlay(skewed_ids, hashed=True)
-        stats = measure_overlay(hashed, 200, rng, target_ids=skewed_ids)
+        stats = measure_overlay_batch(hashed, 200, rng, target_ids=skewed_ids)
         assert stats.success_rate == 1.0
         assert stats.mean_hops < math.log2(len(skewed_ids)) * 1.2
 
@@ -88,12 +88,12 @@ class TestChord:
 class TestPastry:
     def test_routes_succeed(self, uniform_ids, rng):
         pastry = PastryOverlay(uniform_ids, rng)
-        stats = measure_overlay(pastry, 200, rng, target_ids=pastry.ids)
+        stats = measure_overlay_batch(pastry, 200, rng, target_ids=pastry.ids)
         assert stats.success_rate == 1.0
 
     def test_log16_hops_on_uniform(self, uniform_ids, rng):
         pastry = PastryOverlay(uniform_ids, rng)
-        stats = measure_overlay(pastry, 300, rng, target_ids=pastry.ids)
+        stats = measure_overlay_batch(pastry, 300, rng, target_ids=pastry.ids)
         # log_16(512) ~ 2.25; allow generous headroom.
         assert stats.mean_hops < 5.0
 
@@ -107,7 +107,7 @@ class TestPastry:
 
     def test_digit_strings_distinct(self, uniform_ids, rng):
         pastry = PastryOverlay(uniform_ids, rng)
-        assert len({d for d in pastry._digits}) == pastry.n
+        assert len({tuple(d) for d in pastry._digit_matrix.tolist()}) == pastry.n
 
     def test_skew_grows_state(self, uniform_ids, skewed_ids, rng):
         uni = PastryOverlay(uniform_ids, rng)
@@ -117,18 +117,18 @@ class TestPastry:
 
     def test_skew_routes_still_succeed(self, skewed_ids, rng):
         pastry = PastryOverlay(skewed_ids, rng)
-        stats = measure_overlay(pastry, 150, rng, target_ids=pastry.ids)
+        stats = measure_overlay_batch(pastry, 150, rng, target_ids=pastry.ids)
         assert stats.success_rate == 1.0
 
     def test_hashed_mode(self, skewed_ids, rng):
         pastry = PastryOverlay(skewed_ids, rng, hashed=True)
-        stats = measure_overlay(pastry, 150, rng, target_ids=skewed_ids)
+        stats = measure_overlay_batch(pastry, 150, rng, target_ids=skewed_ids)
         assert stats.success_rate == 1.0
 
     def test_custom_base(self, uniform_ids, rng):
         pastry = PastryOverlay(uniform_ids, rng, bits_per_digit=2)
         assert pastry.base == 4
-        stats = measure_overlay(pastry, 100, rng, target_ids=pastry.ids)
+        stats = measure_overlay_batch(pastry, 100, rng, target_ids=pastry.ids)
         assert stats.success_rate == 1.0
 
     def test_rejects_bad_parameters(self, uniform_ids, rng):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import PGridOverlay, measure_overlay
+from repro.baselines import PGridOverlay, measure_overlay_batch
 from repro.distributions import PowerLaw
 
 
@@ -100,17 +100,17 @@ class TestOwnership:
 class TestRouting:
     def test_routes_succeed_uniform(self, uniform_ids, rng):
         pgrid = PGridOverlay(uniform_ids, rng)
-        stats = measure_overlay(pgrid, 200, rng, target_ids=pgrid.ids)
+        stats = measure_overlay_batch(pgrid, 200, rng, target_ids=pgrid.ids)
         assert stats.success_rate == 1.0
 
     def test_routes_succeed_skewed(self, skewed_ids, rng):
         pgrid = PGridOverlay(skewed_ids, rng)
-        stats = measure_overlay(pgrid, 200, rng, target_ids=pgrid.ids)
+        stats = measure_overlay_batch(pgrid, 200, rng, target_ids=pgrid.ids)
         assert stats.success_rate == 1.0
 
     def test_hops_logarithmic_even_under_skew(self, skewed_ids, rng):
         pgrid = PGridOverlay(skewed_ids, rng)
-        stats = measure_overlay(pgrid, 200, rng, target_ids=pgrid.ids)
+        stats = measure_overlay_batch(pgrid, 200, rng, target_ids=pgrid.ids)
         assert stats.mean_hops < 2 * math.log2(len(skewed_ids))
 
     def test_multiple_refs_per_level(self, uniform_ids, rng):

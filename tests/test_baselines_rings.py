@@ -10,7 +10,7 @@ from repro.baselines import (
     MercuryOverlay,
     SymphonyOverlay,
     WattsStrogatzOverlay,
-    measure_overlay,
+    measure_overlay_batch,
 )
 from repro.distributions import PowerLaw
 
@@ -34,15 +34,15 @@ class TestSymphony:
 
     def test_routes_succeed(self, uniform_ids, rng):
         symphony = SymphonyOverlay(uniform_ids, rng, k=4)
-        stats = measure_overlay(symphony, 200, rng, target_ids=symphony.ids)
+        stats = measure_overlay_batch(symphony, 200, rng, target_ids=symphony.ids)
         assert stats.success_rate == 1.0
 
     def test_hops_track_log_squared_over_k(self, uniform_ids, rng):
         n = len(uniform_ids)
-        hops_k2 = measure_overlay(
+        hops_k2 = measure_overlay_batch(
             SymphonyOverlay(uniform_ids, rng, k=2), 250, rng, target_ids=uniform_ids
         ).mean_hops
-        hops_k8 = measure_overlay(
+        hops_k8 = measure_overlay_batch(
             SymphonyOverlay(uniform_ids, rng, k=8), 250, rng, target_ids=uniform_ids
         ).mean_hops
         # More links, fewer hops; ratio should be material (not ~1).
@@ -51,7 +51,7 @@ class TestSymphony:
 
     def test_unidirectional_mode_still_succeeds(self, uniform_ids, rng):
         symphony = SymphonyOverlay(uniform_ids, rng, k=4, bidirectional=False)
-        stats = measure_overlay(symphony, 150, rng, target_ids=symphony.ids)
+        stats = measure_overlay_batch(symphony, 150, rng, target_ids=symphony.ids)
         assert stats.success_rate == 1.0
 
     def test_expected_hops_validation(self):
@@ -68,12 +68,12 @@ class TestSymphony:
 class TestMercury:
     def test_routes_succeed_on_skew(self, skewed_ids, rng):
         mercury = MercuryOverlay(skewed_ids, rng, sample_size=64)
-        stats = measure_overlay(mercury, 200, rng, target_ids=mercury.ids)
+        stats = measure_overlay_batch(mercury, 200, rng, target_ids=mercury.ids)
         assert stats.success_rate == 1.0
 
     def test_log_hops_on_skew(self, skewed_ids, rng):
         mercury = MercuryOverlay(skewed_ids, rng, sample_size=64)
-        stats = measure_overlay(mercury, 250, rng, target_ids=mercury.ids)
+        stats = measure_overlay_batch(mercury, 250, rng, target_ids=mercury.ids)
         # Far better than the naive / unhashed-chord regime (~100+ hops).
         assert stats.mean_hops < 2.5 * math.log2(len(skewed_ids))
 
@@ -82,10 +82,10 @@ class TestMercury:
         rng_b = np.random.default_rng(7)
         tiny = MercuryOverlay(skewed_ids, rng_a, sample_size=4)
         big = MercuryOverlay(skewed_ids, rng_b, sample_size=256)
-        tiny_hops = measure_overlay(
+        tiny_hops = measure_overlay_batch(
             tiny, 250, np.random.default_rng(8), target_ids=tiny.ids
         ).mean_hops
-        big_hops = measure_overlay(
+        big_hops = measure_overlay_batch(
             big, 250, np.random.default_rng(8), target_ids=big.ids
         ).mean_hops
         assert big_hops <= tiny_hops * 1.25
@@ -126,7 +126,7 @@ class TestWattsStrogatz:
     def test_greedy_on_rewired_often_fails_or_slow(self, rng):
         # Kleinberg's lesson: uniform random shortcuts are not navigable.
         ws = WattsStrogatzOverlay(512, k=4, p=0.2, rng=rng)
-        stats = measure_overlay(ws, 150, rng)
+        stats = measure_overlay_batch(ws, 150, rng)
         model_hops = 0.7 * math.log2(512)
         assert stats.success_rate < 1.0 or stats.mean_hops > model_hops
 

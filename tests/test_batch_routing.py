@@ -1,13 +1,16 @@
 """Batch/scalar routing equivalence and batch-API behaviour tests.
 
 The load-bearing guarantee of the batch engine is that it is *the same
-router* as :func:`repro.core.greedy_route`, only vectorized — these tests
-assert field-for-field (and path-for-path) agreement across spaces,
-metrics, liveness masks, hop budgets and degenerate graphs.
+router* as the per-lookup greedy loop in ``route_oracle.py``, only
+vectorized — these tests assert field-for-field (and path-for-path)
+agreement across spaces, metrics, liveness masks, hop budgets and
+degenerate graphs, for whole batches and for :func:`repro.core.greedy_route`,
+which is a batch of one.
 """
 
 import numpy as np
 import pytest
+import route_oracle
 
 from repro.core import (
     GraphConfig,
@@ -23,18 +26,20 @@ from repro.keyspace import RingSpace
 from repro.overlay import kill_peers, summarize_lookups
 
 
+#: Routes per check that also go through the batch-of-one ``greedy_route``.
+SINGLE_ROUTES = 30
+
+
 def _assert_matches_scalar(graph, batch, sources, keys, metric="key", alive=None,
                            max_hops=None):
-    """Every batch route must equal its scalar reference, field for field."""
+    """Every batch route must equal the oracle loop, field for field, and
+    so must ``greedy_route`` on the first :data:`SINGLE_ROUTES`."""
     for i in range(len(batch)):
-        ref = greedy_route(
-            graph,
-            int(sources[i]),
-            float(keys[i]),
-            metric=metric,
-            alive=alive,
-            max_hops=max_hops,
-        )
+        args = (graph, int(sources[i]), float(keys[i]))
+        options = {"metric": metric, "alive": alive, "max_hops": max_hops}
+        ref = route_oracle.greedy_route(*args, **options)
+        if i < SINGLE_ROUTES:
+            assert greedy_route(*args, **options) == ref, i
         assert bool(batch.success[i]) == ref.success, i
         assert int(batch.hops[i]) == ref.hops, i
         assert int(batch.neighbor_hops[i]) == ref.neighbor_hops, i

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import fit_log_slope, ks_two_sample
-from repro.baselines import ChordOverlay, MercuryOverlay, PGridOverlay, measure_overlay
+from repro.baselines import ChordOverlay, MercuryOverlay, PGridOverlay, measure_overlay_batch
 from repro.core import (
     GraphConfig,
     build_naive_model,
@@ -129,7 +129,7 @@ class TestDataOrientedStory:
         model = build_skewed_model(dist, rng=rng, ids=ids)
         chord = ChordOverlay(ids)
         model_hops = np.mean([r.hops for r in sample_routes(model, 200, rng)])
-        chord_hops = measure_overlay(chord, 200, rng, target_ids=ids).mean_hops
+        chord_hops = measure_overlay_batch(chord, 200, rng, target_ids=ids).mean_hops
         assert model_hops * 3 < chord_hops
 
     def test_mercury_and_pgrid_also_survive_skew(self):
@@ -140,7 +140,7 @@ class TestDataOrientedStory:
             MercuryOverlay(ids, rng, sample_size=64),
             PGridOverlay(ids, rng),
         ):
-            stats = measure_overlay(overlay, 150, rng, target_ids=overlay.ids)
+            stats = measure_overlay_batch(overlay, 150, rng, target_ids=overlay.ids)
             assert stats.success_rate == 1.0
             assert stats.mean_hops < 3 * math.log2(len(ids))
 

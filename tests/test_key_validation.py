@@ -1,9 +1,10 @@
 """Bad lookups are rejected at the boundary, never routed.
 
 A key must satisfy ``0 <= key < 1``; NaN fails that test too.  Every
-routing metric, and the live overlay's ownership resolution, checks its
-raw keys before any transform, so a NaN or out-of-range key raises
-instead of "succeeding" at the top peer or retiring as ``stuck``.  The
+routing metric, the live overlay's ownership resolution and the graph's
+scalar entry points (``owner_of``, ``lookahead_route``) check their raw
+keys before any transform, so a NaN or out-of-range key raises instead
+of "succeeding" at the top peer or retiring as ``stuck``.  The
 serving engine checks a whole submitted chunk — keys and sources —
 before the chunk gets tickets, so one bad lookup can no longer take
 down the valid queries it would have shared a micro-batch with.
@@ -22,7 +23,7 @@ from repro.baselines import (
     WattsStrogatzOverlay,
     route_many_overlay,
 )
-from repro.core import build_uniform_model, route_many
+from repro.core import build_uniform_model, lookahead_route, route_many
 from repro.keyspace import check_unit_keys, digit_rows
 from repro.overlay import Network
 from repro.serving import ServeConfig, ServingEngine
@@ -55,6 +56,23 @@ class TestRouteMany:
     def test_rejects_bad_key(self, graph, bad):
         with pytest.raises(ValueError, match="outside"):
             route_many(graph, np.asarray([0, 1]), np.asarray([0.5, bad]))
+
+
+class TestGraphEntryPoints:
+    """The graph's scalar entry points answered bad keys: for NaN,
+    ``owner_of`` named the top peer and ``lookahead_route`` went
+    ``stuck``; 1.5 and -0.25 "arrived" at the top and bottom peers."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+    def test_owner_of_rejects_bad_key(self, graph, bad):
+        with pytest.raises(ValueError, match="outside"):
+            graph.owner_of(bad)
+
+    @pytest.mark.parametrize("metric", ["key", "normalized"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.25])
+    def test_lookahead_route_rejects_bad_key(self, graph, bad, metric):
+        with pytest.raises(ValueError, match="outside"):
+            lookahead_route(graph, 3, bad, metric=metric)
 
 
 class TestLiveNetwork:

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from frontier_oracle import assert_batch_matches, oracle_batch
+from route_oracle import scalar_twin
 
 from repro.baselines import (
     CANOverlay,
@@ -148,15 +149,18 @@ class TestOverlayRoundTrip:
             )
 
     def test_scalar_route_and_owner(self, rng, tmp_path):
+        """A loaded overlay's single route and owner equal the original
+        overlay's per-lookup loop and owner rule."""
         overlay = ChordOverlay(np.sort(rng.random(N)))
         save_overlay(overlay, tmp_path / "chord")
         loaded = load_overlay(tmp_path / "chord")
+        oracle = scalar_twin(overlay)
         for key in (0.05, 0.42, 0.97):
-            a = overlay.route(7, key)
+            a = oracle.route(7, key)
             b = loaded.route(7, key)
             assert list(a.path) == list(b.path)
             assert a.success == b.success
-            assert overlay.owner_of(key) == loaded.owner_of(key)
+            assert oracle.owner_of(key) == loaded.owner_of(key)
         with pytest.raises(ValueError):
             loaded.route(overlay.n + 1, 0.5)
 
