@@ -33,7 +33,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== routing throughput smoke (scalar oracle vs batch, >=5x gate) =="
   python -m pytest benchmarks/bench_routing_throughput.py -q -s
 
-  echo "== construction throughput smoke (per-peer scalar oracle vs bulk, >=5x gate + 1e6 build) =="
+  echo "== construction throughput smoke (per-peer scalar oracle vs bulk, >=5x gate + 1e6 bidirectional build <= 9.5 CPU-s) =="
   python -m pytest benchmarks/bench_construction.py -q -s -k bulk
 
   echo "== churn throughput smoke (scalar oracle vs bulk, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="

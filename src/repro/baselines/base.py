@@ -48,7 +48,7 @@ from repro.core.metric_routing import (
     frontier_route_many,
 )
 from repro.core.routing import RouteResult
-from repro.keyspace import mix_hash
+from repro.keyspace import mix_hash_array
 from repro.overlay.stats import LookupStats, summarize_lookups
 from repro.workloads import point_queries
 
@@ -65,12 +65,15 @@ __all__ = [
 def hash_keys(keys: np.ndarray) -> np.ndarray:
     """Vectorised :func:`repro.keyspace.mix_hash` over an array of keys.
 
-    One scalar mix per key (the hash is integer bit-mixing, not float
-    math), so every key hashes to exactly the value
-    :func:`repro.keyspace.mix_hash` gives it.
+    The hashed overlays' key transform (:func:`repro.keyspace.mix_hash_array`):
+    every key hashes to exactly the value :func:`repro.keyspace.mix_hash`
+    gives it.  The store recognises this function object when it saves
+    an overlay's metric.
+
+    Raises:
+        ValueError: for keys outside ``[0, 1)``.
     """
-    keys = np.asarray(keys, dtype=float)
-    return np.fromiter((mix_hash(float(k)) for k in keys), dtype=float, count=len(keys))
+    return mix_hash_array(keys)
 
 
 def assemble_rows(

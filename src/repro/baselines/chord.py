@@ -26,7 +26,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, hash_keys
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import ClockwiseMetric
-from repro.keyspace import mix_hash, successor_indices
+from repro.keyspace import mix_hash_array, successor_indices
 
 __all__ = ["ChordOverlay"]
 
@@ -51,7 +51,7 @@ class ChordOverlay(BaselineOverlay):
             raise ValueError("Chord needs at least 2 peers")
         self.hashed = hashed
         if hashed:
-            ids = np.asarray([mix_hash(x) for x in ids])
+            ids = mix_hash_array(ids)
         self.ids = np.sort(ids)
         self.m = max(1, math.ceil(math.log2(len(self.ids))))
         self._build_fingers()

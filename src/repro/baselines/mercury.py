@@ -37,11 +37,11 @@ import numpy as np
 
 from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
-from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
+from repro.core.bulk_construction import PairAccumulator
 from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.theory import default_out_degree
-from repro.keyspace import RingSpace, successor_indices
+from repro.keyspace import RingSpace, bucket_index, successor_indices
 
 __all__ = ["MercuryOverlay"]
 
@@ -142,8 +142,10 @@ class MercuryOverlay(BaselineOverlay):
         One gossip-sample matrix, row-wise empirical estimates, then the
         :func:`repro.core.bulk_construction.bulk_links` retry scheme:
         draw all outstanding rank offsets at once, map through each
-        drawing peer's own quantile estimate, resolve managers with one
-        ``searchsorted``, dedupe on ``row·n + target`` keys, and redraw
+        drawing peer's own quantile estimate, resolve managers in one
+        search (through a bucket index where the ids are even enough),
+        keep rows distinct in a
+        :class:`~repro.core.bulk_construction.PairAccumulator`, and redraw
         only the deficit — within a budget of 8 attempts per link.
         """
         n = self.n
@@ -155,7 +157,8 @@ class MercuryOverlay(BaselineOverlay):
         budget = 8 * max(self.k, 1)
         need = np.full(n, self.k, dtype=np.int64)
         attempts = np.zeros(n, dtype=np.int64)
-        accepted = np.empty(0, dtype=np.int64)
+        index = bucket_index(self.ids)
+        links = PairAccumulator(n, n)
         while True:
             draws = np.minimum(need, budget - attempts)
             active = draws > 0
@@ -168,11 +171,11 @@ class MercuryOverlay(BaselineOverlay):
             values = np.clip(
                 estimates.ppf(rows, target_ranks), 0.0, np.nextafter(1.0, 0.0)
             )
-            targets = successor_indices(self.ids, values)
+            targets = successor_indices(self.ids, values, index=index)
             ok = targets != rows
-            accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
-            need = self.k - row_counts(accepted, n)
-        self._set_links(*split_rows(accepted, n))
+            links.add(rows[ok], targets[ok])
+            need = self.k - links.counts
+        self._set_links(*links.split())
 
     def _set_links(self, indptr: np.ndarray, flat: np.ndarray) -> None:
         """Keep the flat link rows; ``long_links`` views them per peer."""

@@ -32,7 +32,7 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay, assemble_rows, hash_keys
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import PrefixDigitMetric
-from repro.keyspace import digit_rows, mix_hash
+from repro.keyspace import digit_rows, mix_hash_array
 
 __all__ = ["PastryOverlay"]
 
@@ -74,7 +74,7 @@ class PastryOverlay(BaselineOverlay):
             raise ValueError(f"leaf_size must be >= 2, got {leaf_size}")
         self.hashed = hashed
         if hashed:
-            ids = np.asarray([mix_hash(x) for x in ids])
+            ids = mix_hash_array(ids)
         self.ids = np.sort(ids)
         self.base = 2**bits_per_digit
         self.bits_per_digit = bits_per_digit

@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
-from repro.core.bulk_construction import merge_row_pairs, row_counts, split_rows
+from repro.core.bulk_construction import PairAccumulator
 from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import ClockwiseMetric, GreedyValueMetric
-from repro.keyspace import RingSpace, successor_indices
+from repro.keyspace import RingSpace, bucket_index, successor_indices
 
 __all__ = ["SymphonyOverlay"]
 
@@ -69,16 +69,19 @@ class SymphonyOverlay(BaselineOverlay):
 
         Same primitives as :func:`repro.core.bulk_construction.bulk_links`:
         draw all outstanding spans at once (``x = N^(q-1)`` lands in
-        ``[1/N, 1]``), resolve successors with one ``searchsorted``,
-        dedupe rows on ``row·n + target`` keys, and redraw only the
-        deficit — within the scalar builder's 8-attempts-per-link budget.
+        ``[1/N, 1]``), resolve successors in one search (through a
+        bucket index where the ids are even enough), keep rows distinct
+        in a :class:`~repro.core.bulk_construction.PairAccumulator`, and
+        redraw only the deficit — within the scalar builder's
+        8-attempts-per-link budget.
         """
         n = self.n
         budget = 8 * max(self.k, 1)  # the scalar builder's attempts cap
         all_rows = np.arange(n, dtype=np.int64)
         need = np.full(n, self.k, dtype=np.int64)
         attempts = np.zeros(n, dtype=np.int64)
-        accepted = np.empty(0, dtype=np.int64)
+        index = bucket_index(self.ids)
+        links = PairAccumulator(n, n)
         while True:
             # Never draw past the per-peer cap, exactly as the scalar
             # loop stopped at its attempts counter.
@@ -90,11 +93,11 @@ class SymphonyOverlay(BaselineOverlay):
             rows = np.repeat(all_rows[active], draws[active])
             spans = n ** (rng.random(len(rows)) - 1.0)
             points = (self.ids[rows] + spans) % 1.0
-            targets = successor_indices(self.ids, points)
+            targets = successor_indices(self.ids, points, index=index)
             ok = targets != rows
-            accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
-            need = self.k - row_counts(accepted, n)
-        indptr, self._long_flat = split_rows(accepted, n)
+            links.add(rows[ok], targets[ok])
+            need = self.k - links.counts
+        indptr, self._long_flat = links.split()
         self.long_links = LongLinkRows.from_indptr(indptr, self._long_flat)
 
     def _build_frontier(self):

@@ -23,11 +23,17 @@ CSR row (the per-lookup loop in ``tests/route_oracle.py`` scans the same
 order).
 
 Long links are stored ascending and distinct: the producers write
-them that way.  :func:`repro.core.bulk_construction.split_rows` splits
-sorted ``row * n + col`` keys (so :func:`~repro.core.bulk_construction.symmetrize_flat`
-rows are sorted too), the per-peer samplers in ``tests/builder_oracle.py``
-return ``np.sort``-ed sets, and the live overlay's
-``bulk_dynamics._write_member_rows`` fills rows in target-id order.  So
+them that way.  :meth:`repro.core.bulk_construction.PairAccumulator.split`
+(behind :func:`~repro.core.bulk_construction.bulk_links`,
+:func:`~repro.core.bulk_construction.bulk_exact_links` and the Symphony
+and Mercury builders) and :func:`~repro.core.bulk_construction.split_rows`
+(behind :func:`~repro.core.bulk_construction.symmetrize_flat`) both cut
+sorted distinct ``row * n + col`` keys into rows; the sharded
+:func:`repro.parallel.bulk_links_parallel` concatenates ``bulk_links``
+blocks whose rows are disjoint; the per-peer samplers in
+``tests/builder_oracle.py`` return ``np.sort``-ed sets; and the live
+overlay's ``bulk_dynamics._write_member_rows`` fills rows in target-id
+order from the sorted keys of ``_resolve_links``'s accumulator.  So
 from its third slot on (its *tail*: past the at most two neighbours)
 each row is strictly increasing, and the frontier kernel's greedy
 search round (:mod:`repro.core.metric_routing`) binary-searches it.

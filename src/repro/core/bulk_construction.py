@@ -18,14 +18,18 @@ passes:
     drift.
 
 :func:`bulk_links`
-    the full Section 4.2 construction for *all* peers at once: draw all
-    outstanding link distances in one kernel call, resolve targets with
-    one :func:`repro.keyspace.nearest_indices` pass over the sorted
-    positions, validate (no self-links, cutoff respected), dedupe rows
-    via ``np.unique`` on ``row·n + target`` keys, and redraw only the
-    surviving deficit mask in retry rounds.  A deterministic outward scan
-    (the same last resort as the per-peer ``FastSampler`` oracle in
-    ``tests/builder_oracle.py``) finishes pathological rows.
+    the full Section 4.2 construction for *all* peers at once: draw the
+    uniforms of every outstanding link, place and resolve the targets in
+    cache-sized blocks (:func:`repro.keyspace.nearest_indices` over the
+    sorted positions), validate (no self-links, cutoff respected), keep
+    each row's distinct targets in a :class:`PairAccumulator`, and
+    redraw only the surviving deficit in retry rounds.  The target
+    search goes through a :class:`repro.keyspace.BucketIndex` built once
+    per call: normalised positions hold about one peer per bucket, so a
+    drawn target's lower bound is its bucket's offset plus a step or
+    two.  A deterministic outward scan (the same last resort as the
+    per-peer ``FastSampler`` oracle in ``tests/builder_oracle.py``)
+    finishes pathological rows.
 
 :func:`bulk_exact_links`
     the ground-truth ``1/d'`` weight-vector sampler evaluated in blocked
@@ -34,16 +38,25 @@ passes:
     replacement, so mid-size populations get an exact reference graph
     without ``n`` Python-level ``rng.choice`` calls.
 
-:func:`symmetrize_flat` / :func:`merge_row_pairs` / :func:`row_counts` /
-:func:`split_rows`
-    flat CSR-style row utilities shared with the builder's
-    ``bidirectional`` option and the baseline overlays (Chord/Symphony
-    bulk builders ride on the same primitives).
+:class:`PairAccumulator`
+    the one set of distinct ``row * n + col`` keys behind every retry
+    loop: :func:`bulk_links`, :func:`bulk_exact_links`, the Symphony and
+    Mercury builders and the live overlay's ``_resolve_links``.  A round
+    sorts and dedupes only its own batch, drops pairs already held by
+    searching the held runs for that batch, and updates per-row counts;
+    the runs merge once at the end.
+
+:func:`symmetrize_flat` / :func:`split_rows`
+    the builder's ``bidirectional`` option — one key concatenation, one
+    in-place sort, one dedupe — and the split of sorted keys into flat
+    CSR rows, with row bounds found by ``searchsorted``.
 
 All functions speak *flat* ragged rows — ``(indptr, flat_targets)``
 pairs — so :meth:`repro.core.graph.SmallWorldGraph.from_flat_links` can
 assemble the final CSR adjacency directly instead of re-deriving it from
-per-node arrays.
+per-node arrays.  The loops these replaced (a full merge and recount of
+the accepted set every round) live on in ``tests/builder_oracle.py``,
+which the tests hold the outputs to, array for array.
 
 The kernels rely on :meth:`KeySpace.spans` / :meth:`KeySpace.shift`
 accepting arrays elementwise, which both shipped topologies
@@ -59,17 +72,21 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.keyspace import KeySpace, nearest_indices
+from repro.keyspace import KeySpace, bucket_index, nearest_indices
 
 __all__ = [
     "bulk_harmonic_positions",
     "bulk_links",
     "bulk_exact_links",
+    "PairAccumulator",
     "symmetrize_flat",
-    "merge_row_pairs",
-    "row_counts",
     "split_rows",
 ]
+
+
+#: Draws resolved per block of a :func:`bulk_links` round, so a block's
+#: temporaries stay in a core's L2 cache (512 KB per float64 array).
+_DRAW_BLOCK = 1 << 16
 
 
 def _side_log_masses(
@@ -175,13 +192,34 @@ def _draw_targets(
 
     Split out so :func:`bulk_links` can precompute the per-peer spans and
     log-masses once and gather them per retry round instead of
-    recomputing logs over every repeated entry.
+    recomputing logs over every repeated entry.  Draws every entry's
+    side uniform, then every entry's distance uniform.
     """
+    side = rng.random(pos.shape)
+    return _place_targets(
+        pos, left, right, log_left, log_right, cutoff, space, side,
+        rng.random(pos.shape),
+    )
+
+
+def _place_targets(
+    pos: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    log_left: np.ndarray,
+    log_right: np.ndarray,
+    cutoff: float,
+    space: KeySpace,
+    side: np.ndarray,
+    stretch: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_draw_targets` with its uniforms given: ``side`` picks each
+    entry's side, ``stretch`` its distance ``cutoff · (span/cutoff)^U``."""
     total = log_left + log_right
     valid = total > 0.0
-    go_left = rng.random(pos.shape) * total < log_left
+    go_left = side * total < log_left
     span = np.where(go_left, left, right)
-    distance = cutoff * (span / cutoff) ** rng.random(pos.shape)
+    distance = cutoff * (span / cutoff) ** stretch
     targets = space.shift(pos, np.where(go_left, -distance, distance))
     if not space.is_ring:
         targets = np.clip(targets, 0.0, np.nextafter(1.0, 0.0))
@@ -200,42 +238,106 @@ def _dedupe_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort-and-diff dedupe of an arbitrary key array."""
-    return _dedupe_sorted(np.sort(keys))
+def _row_bounds(keys: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """Where each of ``rows`` rows starts in sorted ``row * n + col`` keys."""
+    return np.searchsorted(keys, np.arange(rows + 1, dtype=np.int64) * n)
 
 
-def merge_row_pairs(
-    accepted: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int
-) -> np.ndarray:
-    """Merge new ``(row, col)`` pairs into a sorted, distinct key set.
-
-    Keys are ``row * n + col`` (int64; safe for ``n`` up to ~3e9 edges'
-    worth of key space).  Returns the union, sorted ascending — which is
-    exactly per-row-ascending order when split back into rows.
-
-    Only the *new* batch is quicksorted; the union is then two sorted
-    runs, which the stable sort (timsort) merges in ``O(E)`` — so late
-    retry rounds with tiny deficits don't pay a full re-sort of the
-    accumulated edge set.
-    """
-    keys = np.sort(rows.astype(np.int64) * n + cols.astype(np.int64))
-    if len(accepted) == 0:
-        return _dedupe_sorted(keys)
-    return _dedupe_sorted(np.sort(np.concatenate([accepted, keys]), kind="stable"))
-
-
-def row_counts(keys: np.ndarray, n: int) -> np.ndarray:
-    """Per-row pair counts of a ``row * n + col`` key array."""
-    return np.bincount(keys // n, minlength=n)
+def _split_at(keys: np.ndarray, indptr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, cols)`` of sorted keys whose row bounds are ``indptr``."""
+    starts = np.repeat(
+        np.arange(len(indptr) - 1, dtype=np.int64) * n, np.diff(indptr)
+    )
+    return indptr, np.subtract(keys, starts, out=starts)
 
 
 def split_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split sorted distinct keys into flat CSR rows ``(indptr, cols)``."""
-    counts = row_counts(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, (keys % n).astype(np.int64)
+    """Split sorted distinct keys into flat CSR rows ``(indptr, cols)``.
+
+    Row bounds come from one ``searchsorted`` of the row starts
+    ``r * n``, and each column is its key minus its row start, so no
+    int64 ``//`` or ``%`` pass runs over the keys.
+    """
+    return _split_at(keys, _row_bounds(keys, n, n), n)
+
+
+class PairAccumulator:
+    """Distinct ``(row, col)`` pairs gathered over retry rounds.
+
+    Pairs are held as ``row * n + col`` int64 keys in sorted, pairwise
+    disjoint runs.  :meth:`add` sorts and dedupes only the new batch,
+    drops the keys some run already holds by searching the runs for the
+    batch's keys (never the other way round), appends what is left as a
+    new run and adds it to :attr:`counts` — so a late round with a small
+    deficit costs what its batch costs, not a re-sort and recount of
+    every pair held.  :meth:`keys` merges the runs once.
+
+    Args:
+        rows: number of rows; row indices run over ``range(rows)``.
+        n: column range; ``row * n + col`` must fit in int64.
+        seed: sorted distinct keys held from the start (a repair's kept
+            links).
+
+    Attributes:
+        counts: ``(rows,)`` int64, the distinct pairs held per row.
+    """
+
+    def __init__(self, rows: int, n: int, seed: np.ndarray | None = None):
+        self.n = n
+        self._runs: list[np.ndarray] = []
+        if seed is not None and len(seed):
+            seed = np.asarray(seed, dtype=np.int64)
+            self._runs.append(seed)
+            self.counts = np.diff(_row_bounds(seed, rows, n))
+        else:
+            self.counts = np.zeros(rows, dtype=np.int64)
+
+    def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Hold every pair of ``(rows, cols)`` not held yet.
+
+        ``rows`` must be non-decreasing, as the ``np.repeat`` of ascending
+        row indices that every retry loop draws from is: sorting the keys
+        then keeps each key aligned with its row, which is how the
+        counts are taken without dividing keys by ``n``.
+
+        Raises:
+            ValueError: if ``rows`` decreases anywhere.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) > 1 and np.any(rows[1:] < rows[:-1]):
+            raise ValueError("rows must be non-decreasing")
+        keys = rows * self.n
+        keys += cols
+        keys.sort()
+        if len(keys) > 1:
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys, rows = keys[fresh], rows[fresh]
+        for run in self._runs:
+            if not len(keys):
+                break
+            at = np.searchsorted(run, keys)
+            np.minimum(at, len(run) - 1, out=at)
+            held = run[at] == keys
+            if held.any():
+                keys, rows = keys[~held], rows[~held]
+        if len(keys):
+            self._runs.append(keys)
+            self.counts += np.bincount(rows, minlength=len(self.counts))
+
+    def keys(self) -> np.ndarray:
+        """Every held key, ascending (merges the runs into one)."""
+        if len(self._runs) > 1:
+            # Disjoint sorted runs: timsort merges them in about one pass.
+            self._runs = [np.sort(np.concatenate(self._runs), kind="stable")]
+        return self._runs[0] if self._runs else np.empty(0, dtype=np.int64)
+
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The held pairs as flat CSR rows ``(indptr, cols)``, rows ascending."""
+        indptr = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=indptr[1:])
+        return _split_at(self.keys(), indptr, self.n)
 
 
 def bulk_links(
@@ -308,9 +410,9 @@ def bulk_links(
         row_mask = np.zeros(n, dtype=bool)
         row_mask[rows] = True
         has_mass = has_mass & row_mask
-    all_rows = np.arange(n, dtype=np.int64)
     need = np.where(has_mass, k, 0).astype(np.int64)
-    accepted = np.empty(0, dtype=np.int64)  # sorted distinct row*n+col keys
+    index = bucket_index(positions)
+    links = PairAccumulator(n, n)
     tel_on = telemetry.enabled()
     started = time.perf_counter() if tel_on else 0.0
     rounds_used = 0
@@ -319,32 +421,58 @@ def bulk_links(
     # sampler's max_retries before the deterministic fallback — no early
     # stall exit, which would bias hard rows toward the fallback and
     # away from the per-peer sampler's distribution.
+    block_rows = max(1, _DRAW_BLOCK // k)  # need <= k, so <= _DRAW_BLOCK draws
     for _ in range(max_rounds):
-        active = need > 0
-        if not active.any():
+        active = np.flatnonzero(need)
+        if not len(active):
             break
         rounds_used += 1
-        draw_rows = np.repeat(all_rows[active], need[active])
-        drawn, valid = _draw_targets(
-            positions[draw_rows], left[draw_rows], right[draw_rows],
-            log_left[draw_rows], log_right[draw_rows], cutoff, space, rng,
-        )
-        j = nearest_indices(positions, drawn, space)
-        ok = (
-            valid
-            & (j != draw_rows)
-            & (space.pairwise_distances(positions[j], positions[draw_rows]) >= cutoff)
-        )
-        accepted = merge_row_pairs(accepted, draw_rows[ok], j[ok], n)
+        per_row = need[active]
+        ends = np.cumsum(per_row)
+        draws = int(ends[-1])
+        # The round's side uniforms, then its distance uniforms, exactly
+        # as one _draw_targets call over all its draws would take them.
+        side = rng.random(draws)
+        stretch = rng.random(draws)
+        # The valid draws, packed block after block.  Preallocated whole
+        # so the blocks leave no trail of freed mid-size heap chunks
+        # resident after the build.
+        ok_rows = np.empty(draws, dtype=np.int64)
+        ok_cols = np.empty(draws, dtype=np.int64)
+        kept = 0
+        for lo in range(0, len(active), block_rows):
+            hi = min(lo + block_rows, len(active))
+            rows_b, reps = active[lo:hi], per_row[lo:hi]
+            d0, d1 = int(ends[lo] - reps[0]), int(ends[hi - 1])
+            draw_rows = np.repeat(rows_b, reps)
+            pos = np.repeat(positions[rows_b], reps)
+            drawn, valid = _place_targets(
+                pos, np.repeat(left[rows_b], reps), np.repeat(right[rows_b], reps),
+                np.repeat(log_left[rows_b], reps), np.repeat(log_right[rows_b], reps),
+                cutoff, space, side[d0:d1], stretch[d0:d1],
+            )
+            j = nearest_indices(positions, drawn, space, index=index)
+            ok = (
+                valid
+                & (j != draw_rows)
+                & (space.pairwise_distances(np.take(positions, j), pos) >= cutoff)
+            )
+            m = int(np.count_nonzero(ok))
+            ok_rows[kept : kept + m] = draw_rows[ok]
+            ok_cols[kept : kept + m] = j[ok]
+            kept += m
+        del side, stretch  # free before the accumulator sorts the round
+        ok_rows = ok_rows[:kept]
+        links.add(ok_rows, ok_cols[:kept])
         if dedupe:
-            need = np.where(has_mass, k - row_counts(accepted, n), 0)
+            need = np.where(has_mass, k - links.counts, 0)
         else:
             # Every *valid* draw (duplicates included) spends budget; the
             # duplicate targets then collapse, as in the literal model.
-            need = need - np.bincount(draw_rows[ok], minlength=n)
+            need = need - np.bincount(ok_rows, minlength=n)
     fallback_rows = int(np.count_nonzero(need > 0))
     if need.any():
-        accepted = _fallback_fill(positions, cutoff, space, need, accepted, dedupe)
+        _fallback_fill(positions, cutoff, space, need, links, dedupe)
     if tel_on:
         registry = telemetry.get_registry()
         registry.timer("construction.bulk_links").observe(
@@ -358,7 +486,7 @@ def bulk_links(
             rounds=rounds_used,
             fallback_rows=fallback_rows,
         )
-    return split_rows(accepted, n)
+    return links.split()
 
 
 def _fallback_fill(
@@ -366,9 +494,9 @@ def _fallback_fill(
     cutoff: float,
     space: KeySpace,
     need: np.ndarray,
-    accepted: np.ndarray,
+    links: PairAccumulator,
     dedupe: bool,
-) -> np.ndarray:
+) -> None:
     """Deterministic outward scan for rows the random rounds left short.
 
     Scalar, but only ever touches the (rare) pathological rows — the
@@ -377,9 +505,10 @@ def _fallback_fill(
     distinct targets; with ``dedupe=False`` it mirrors the scalar
     sampler exactly — every exhausted draw lands on the first valid
     target, so the row gains at most that one (possibly already-held)
-    neighbour.
+    neighbour.  The targets found are added to ``links``.
     """
     n = len(positions)
+    accepted = links.keys()
     extra: list[int] = []
     for i in np.nonzero(need > 0)[0]:
         i = int(i)
@@ -399,11 +528,9 @@ def _fallback_fill(
                 extra.append(key)
                 if len(mine) >= want:
                     break
-    if not extra:
-        return accepted
-    return _sorted_unique(
-        np.concatenate([accepted, np.asarray(extra, dtype=np.int64)])
-    )
+    if extra:
+        keys = np.asarray(extra, dtype=np.int64)
+        links.add(keys // n, keys % n)
 
 
 def bulk_exact_links(
@@ -447,7 +574,7 @@ def bulk_exact_links(
     if n <= 1 or k == 0:
         return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    accepted = np.empty(0, dtype=np.int64)
+    links = PairAccumulator(n, n)
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         block = np.arange(start, stop, dtype=np.int64)
@@ -481,8 +608,8 @@ def bulk_exact_links(
             idx = np.searchsorted(flat_cdf, queries, side="right")
             cols = (idx % n).astype(np.int64)
             rows = np.repeat(block[live], k)
-        accepted = merge_row_pairs(accepted, rows, cols, n)
-    return split_rows(accepted, n)
+        links.add(rows, cols)
+    return links.split()
 
 
 def symmetrize_flat(
@@ -491,8 +618,10 @@ def symmetrize_flat(
     """Install the reverse of every edge, dropping self-links and duplicates.
 
     The CSR transpose-merge behind ``GraphConfig(bidirectional=True)``:
-    concatenate the edge list with its transpose, key-sort, and unique —
-    no per-edge Python ``set`` loop.
+    one array holds the edge keys ``row·n + col`` followed by the
+    transposed keys ``col·n + row``; one in-place sort and one dedupe
+    leave every row sorted and distinct — no per-edge Python ``set``
+    loop.
 
     Args:
         rows: edge source indices (flat).
@@ -502,8 +631,16 @@ def symmetrize_flat(
     Returns:
         ``(indptr, flat_targets)`` with every row sorted and distinct.
     """
-    all_rows = np.concatenate([rows, cols]).astype(np.int64)
-    all_cols = np.concatenate([cols, rows]).astype(np.int64)
-    keep = all_rows != all_cols
-    keys = _sorted_unique(all_rows[keep] * n + all_cols[keep])
-    return split_rows(keys, n)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    loops = rows == cols
+    if loops.any():
+        rows, cols = rows[~loops], cols[~loops]
+    m = len(rows)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(rows, n, out=keys[:m])
+    keys[:m] += cols
+    np.multiply(cols, n, out=keys[m:])
+    keys[m:] += rows
+    keys.sort()
+    return split_rows(_dedupe_sorted(keys), n)

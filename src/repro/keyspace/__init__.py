@@ -16,13 +16,18 @@ from repro.keyspace.ids import (
     digits,
     from_digits,
     mix_hash,
+    mix_hash_array,
     morton_collapse,
     morton_rows,
     morton_spread,
+    splitmix64,
 )
 from repro.keyspace.interval import IntervalSpace
 from repro.keyspace.ring import RingSpace
 from repro.keyspace.search import (
+    BucketIndex,
+    bucket_index,
+    lower_bounds,
     membership_mask,
     nearest_index,
     nearest_indices,
@@ -35,6 +40,9 @@ __all__ = [
     "KeySpace",
     "IntervalSpace",
     "RingSpace",
+    "BucketIndex",
+    "bucket_index",
+    "lower_bounds",
     "nearest_index",
     "nearest_indices",
     "successor_index",
@@ -49,6 +57,8 @@ __all__ = [
     "bit_string",
     "common_prefix_length",
     "mix_hash",
+    "mix_hash_array",
+    "splitmix64",
     "morton_spread",
     "morton_rows",
     "morton_collapse",

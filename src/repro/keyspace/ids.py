@@ -7,8 +7,9 @@ Structured overlays interpret identifiers in ``[0, 1)`` in different ways:
 * **Pastry** uses base-``2^b`` digit strings and prefix matching.
 * **Classic DHT deployments** hash keys with SHA-1 to uniformise them;
   we substitute a deterministic splitmix64-style mixer
-  (:func:`mix_hash`) that has the same uniformising effect without
-  cryptographic machinery (see DESIGN.md, "Simulation substitutions").
+  (:func:`mix_hash_array`, one key at a time :func:`mix_hash`) that has
+  the same uniformising effect without cryptographic machinery (see
+  DESIGN.md, "Simulation substitutions").
 * **CAN** maps the 1-d key space into a d-dimensional torus; the
   locality-preserving choice is bit de-interleaving (inverse Morton /
   Z-order), provided by :func:`morton_spread` / :func:`morton_collapse`.
@@ -30,6 +31,8 @@ __all__ = [
     "bit_string",
     "common_prefix_length",
     "mix_hash",
+    "mix_hash_array",
+    "splitmix64",
     "morton_spread",
     "morton_rows",
     "morton_collapse",
@@ -170,26 +173,54 @@ def common_prefix_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return n
 
 
-def _splitmix64(z: int) -> int:
-    """One round of the splitmix64 mixing function (public-domain constants)."""
-    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+_U64 = np.uint64
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
 
 
-def mix_hash(x: float) -> float:
-    """Deterministically map ``x`` in ``[0, 1)`` to a ~uniform value in ``[0, 1)``.
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a uint64 array (public-domain constants).
+
+    Wrapping uint64 arithmetic, one numpy pass per step; the one
+    implementation behind :func:`mix_hash` and the flight recorder's
+    sampling hash.
+    """
+    z = np.asarray(z, dtype=_U64) + _GOLDEN
+    z = (z ^ (z >> _U64(30))) * _MIX1
+    z = (z ^ (z >> _U64(27))) * _MIX2
+    return z ^ (z >> _U64(31))
+
+
+def mix_hash_array(keys) -> np.ndarray:
+    """Deterministically map keys in ``[0, 1)`` to ~uniform values in ``[0, 1)``.
 
     Stands in for the SHA-1 hashing that classic DHTs apply to keys: it
     destroys ordering/locality and uniformises arbitrary input skew, which
     is exactly the property the experiments need when comparing "hashed"
-    and "order-preserving" regimes.
+    and "order-preserving" regimes.  Each key's integer part of
+    ``x·2^53`` goes through :func:`splitmix64`, and the top 53 bits of
+    that, over ``2^53``, are the hash.
+
+    Raises:
+        ValueError: if any key lies outside ``[0, 1)`` (NaN included).
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"identifier {x!r} outside [0, 1)")
-    z = _splitmix64(int(x * (1 << 53)))
-    return (z >> 11) / float(1 << 53)
+    keys = np.asarray(keys, dtype=float)
+    inside = (keys >= 0.0) & (keys < 1.0)
+    if not inside.all():
+        bad = float(keys[~inside].flat[0])
+        raise ValueError(f"identifier {bad!r} outside [0, 1)")
+    z = splitmix64((keys * float(1 << 53)).astype(_U64))
+    return (z >> _U64(11)).astype(float) / float(1 << 53)
+
+
+def mix_hash(x: float) -> float:
+    """:func:`mix_hash_array` of one key.
+
+    Raises:
+        ValueError: if ``x`` lies outside ``[0, 1)``.
+    """
+    return float(mix_hash_array(np.array([x], dtype=float))[0])
 
 
 def morton_spread(x: float, dims: int, bits_per_dim: int = 16) -> tuple[float, ...]:

@@ -29,20 +29,11 @@ import os
 
 import numpy as np
 
+from repro.keyspace import splitmix64
+
 __all__ = ["FlightRecorder", "LookupTrace", "sample_mask"]
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (wrapping uint64 arithmetic)."""
-    z = (x + _GOLDEN).astype(_U64)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
 
 
 def sample_mask(sources, keys, sample_rate: int) -> np.ndarray:
@@ -56,7 +47,7 @@ def sample_mask(sources, keys, sample_rate: int) -> np.ndarray:
         raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
     sources = np.asarray(sources, dtype=np.int64).astype(_U64)
     key_bits = np.ascontiguousarray(np.asarray(keys, dtype=np.float64)).view(_U64)
-    h = _mix64(sources ^ _mix64(key_bits))
+    h = splitmix64(sources ^ splitmix64(key_bits))
     return (h % _U64(sample_rate)) == 0
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core.bulk_construction import bulk_harmonic_positions, merge_row_pairs
+from repro.core.bulk_construction import PairAccumulator, bulk_harmonic_positions
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
 from repro.estimation import uniform_id_sample
@@ -137,16 +137,14 @@ def _resolve_links(
     right = np.broadcast_to(np.asarray(right, dtype=float), p_norm.shape)
     has_mass = (left > cutoff) | (right > cutoff)
 
-    accepted = np.asarray(seed_keys, dtype=np.int64)
-    have = np.bincount(accepted // n, minlength=m) if len(accepted) else np.zeros(
-        m, dtype=np.int64
-    )
+    links = PairAccumulator(m, n, seed=seed_keys)
+    have = links.counts
     # A member without harmonic mass beyond the cutoff keeps what it has
     # (the scalar protocols bail out on the first empty draw).
     target = np.where(has_mass, np.maximum(want, have), have)
     rounds = 0
     for _ in range(max_rounds):
-        need = target - have
+        need = target - links.counts
         active = need > 0
         if not active.any():
             break
@@ -163,9 +161,8 @@ def _resolve_links(
         if space.is_ring:
             mass = np.minimum(mass, 1.0 - mass)
         ok = valid & (owner != member_idx[rows]) & (mass >= cutoff[rows])
-        accepted = merge_row_pairs(accepted, rows[ok], owner[ok], n)
-        have = np.bincount(accepted // n, minlength=m)
-    return accepted, rounds
+        links.add(rows[ok], owner[ok])
+    return links.keys(), rounds
 
 
 def _per_member(value, default: np.ndarray, m: int, name: str) -> np.ndarray:

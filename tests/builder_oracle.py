@@ -20,9 +20,19 @@ their bodies unchanged:
   — routing, the CSR + metric contract, table sizes — is the production
   class's.
 
+* the whole-population round loops as they ran before the construction
+  layer did each build's work once — a full merge (:func:`merge_row_pairs`)
+  and recount (:func:`row_counts`) of the accepted set every round,
+  ``//``-and-``%`` :func:`split_rows`, the multi-pass
+  :func:`symmetrize_flat` and a ``searchsorted`` per target search:
+  :func:`bulk_links`, :func:`bulk_exact_links`, :func:`_resolve_links`
+  and the :class:`RoundsSymphony` and :class:`RoundsMercury` builders.
+  They consume the same draws as the production loops, so the outputs
+  must match array for array (``tests/test_construction_oracle.py``).
+
 Parity tests compare the two sides exactly where the draw order allows
-it (CAN's zones and split tree, Watts–Strogatz at ``p = 0``) and by KS
-tests on link lengths or hop counts elsewhere;
+it (CAN's zones and split tree, Watts–Strogatz at ``p = 0``, the round
+loops) and by KS tests on link lengths or hop counts elsewhere;
 ``benchmarks/bench_construction.py`` gates the bulk engine's speed
 against :func:`build_per_peer`.  Nothing under ``src/`` imports this
 file.
@@ -31,27 +41,42 @@ file.
 from __future__ import annotations
 
 import math
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 from route_oracle import ScalarCAN, ScalarPastry
 
+from repro import telemetry
 from repro.baselines import (
     CANOverlay,
     MercuryOverlay,
     PastryOverlay,
     PGridOverlay,
+    SymphonyOverlay,
     WattsStrogatzOverlay,
 )
 from repro.baselines.can import Zone
+from repro.baselines.mercury import _RowEmpiricals
 from repro.baselines.watts_strogatz import _REWIRE_ATTEMPTS
-from repro.core import GraphConfig, SmallWorldGraph, symmetrize_flat
-from repro.core.bulk_construction import outward_candidate_indices, split_rows
+from repro.core import GraphConfig, SmallWorldGraph
+from repro.core.bulk_construction import (
+    _draw_targets,
+    _side_log_masses,
+    bulk_harmonic_positions,
+    outward_candidate_indices,
+)
 from repro.core.graph import LongLinkRows
 from repro.distributions import Empirical
 from repro.estimation import uniform_id_sample
-from repro.keyspace import KeySpace, nearest_index, successor_index
+from repro.keyspace import (
+    KeySpace,
+    nearest_index,
+    nearest_indices,
+    successor_index,
+    successor_indices,
+)
 
 # ----------------------------------------------------------------------
 # long-link samplers
@@ -534,3 +559,478 @@ class OracleWattsStrogatz(WattsStrogatzOverlay):
                 adjacency[u].add(v)
                 adjacency[v].add(u)
         return [np.asarray(sorted(neigh), dtype=np.int64) for neigh in adjacency]
+
+
+# ----------------------------------------------------------------------
+# round loops that merge and recount every round
+# ----------------------------------------------------------------------
+#
+# The construction layer's flat-row helpers and retry loops as they were
+# before the bucket index, the pair accumulator and the one-sort
+# symmetrize, with their bodies unchanged.
+
+
+def _dedupe_sorted(keys: np.ndarray) -> np.ndarray:
+    """Diff-dedupe an already-sorted key array (avoids ``np.unique``'s
+    hash path, which is several times slower than sort-based paths on
+    large int64 key arrays)."""
+    if len(keys) <= 1:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort-and-diff dedupe of an arbitrary key array."""
+    return _dedupe_sorted(np.sort(keys))
+
+
+def merge_row_pairs(
+    accepted: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int
+) -> np.ndarray:
+    """Merge new ``(row, col)`` pairs into a sorted, distinct key set.
+
+    Keys are ``row * n + col`` (int64; safe for ``n`` up to ~3e9 edges'
+    worth of key space).  Returns the union, sorted ascending — which is
+    exactly per-row-ascending order when split back into rows.
+
+    Only the *new* batch is quicksorted; the union is then two sorted
+    runs, which the stable sort (timsort) merges in ``O(E)`` — so late
+    retry rounds with tiny deficits don't pay a full re-sort of the
+    accumulated edge set.
+    """
+    keys = np.sort(rows.astype(np.int64) * n + cols.astype(np.int64))
+    if len(accepted) == 0:
+        return _dedupe_sorted(keys)
+    return _dedupe_sorted(np.sort(np.concatenate([accepted, keys]), kind="stable"))
+
+
+def row_counts(keys: np.ndarray, n: int) -> np.ndarray:
+    """Per-row pair counts of a ``row * n + col`` key array."""
+    return np.bincount(keys // n, minlength=n)
+
+
+def split_rows(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split sorted distinct keys into flat CSR rows ``(indptr, cols)``."""
+    counts = row_counts(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, (keys % n).astype(np.int64)
+
+
+def bulk_links(
+    positions: np.ndarray,
+    k: int,
+    cutoff: float,
+    space: KeySpace,
+    rng: np.random.Generator,
+    dedupe: bool = True,
+    max_rounds: int = 64,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample every peer's long-link set in whole-population passes.
+
+    Statistically equivalent to running the per-peer ``FastSampler``
+    oracle (``tests/builder_oracle.py``) once per peer (both
+    realise "draw i.i.d. harmonic targets, keep distinct valid ones,
+    redraw the rest"), but with ``O(rounds)`` numpy passes instead of
+    ``O(n·k)`` Python iterations.
+
+    Args:
+        positions: *sorted* normalised peer positions in ``[0, 1)``.
+        k: long links requested per peer.
+        cutoff: minimum normalised link distance (the paper's ``1/N``).
+        space: key-space geometry.
+        rng: random source.
+        dedupe: count only *distinct* targets toward each peer's budget
+            (the default); with ``dedupe=False`` every valid draw counts
+            and duplicates collapse at the end, matching the literal
+            i.i.d. model.
+        max_rounds: retry-round budget before the deterministic fallback
+            scan (mirrors the per-peer sampler's ``max_retries``).
+        rows: optional array of distinct source-row indices to sample
+            links for; every other row stays empty.  Targets still range
+            over the whole population.  This is the sharding hook of
+            :func:`repro.parallel.dispatch.bulk_links_parallel`, which
+            runs one call per contiguous source block.
+
+    Returns:
+        ``(indptr, flat_targets)``: peer ``i``'s links are
+        ``flat_targets[indptr[i]:indptr[i+1]]``, sorted and distinct.
+        Rows may hold fewer than ``k`` targets when the population cannot
+        support them.
+
+    Raises:
+        ValueError: for non-positive ``cutoff``, negative ``k``,
+            unsorted positions or out-of-range ``rows``.
+    """
+    if cutoff <= 0:
+        raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    if np.any(np.diff(positions) < 0):
+        raise ValueError("positions must be sorted")
+    empty = (np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if n <= 1 or k == 0:
+        return empty
+
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError(f"row indices out of range for {n} peers")
+    left, right, log_left, log_right = _side_log_masses(
+        positions, cutoff, space, rows=rows
+    )
+    has_mass = (log_left + log_right) > 0.0
+    if rows is not None:
+        row_mask = np.zeros(n, dtype=bool)
+        row_mask[rows] = True
+        has_mass = has_mass & row_mask
+    all_rows = np.arange(n, dtype=np.int64)
+    need = np.where(has_mass, k, 0).astype(np.int64)
+    accepted = np.empty(0, dtype=np.int64)  # sorted distinct row*n+col keys
+    tel_on = telemetry.enabled()
+    started = time.perf_counter() if tel_on else 0.0
+    rounds_used = 0
+    # Every outstanding link is redrawn once per round, so max_rounds
+    # rounds give each link the same random-retry budget as the scalar
+    # sampler's max_retries before the deterministic fallback — no early
+    # stall exit, which would bias hard rows toward the fallback and
+    # away from the per-peer sampler's distribution.
+    for _ in range(max_rounds):
+        active = need > 0
+        if not active.any():
+            break
+        rounds_used += 1
+        draw_rows = np.repeat(all_rows[active], need[active])
+        drawn, valid = _draw_targets(
+            positions[draw_rows], left[draw_rows], right[draw_rows],
+            log_left[draw_rows], log_right[draw_rows], cutoff, space, rng,
+        )
+        j = nearest_indices(positions, drawn, space)
+        ok = (
+            valid
+            & (j != draw_rows)
+            & (space.pairwise_distances(positions[j], positions[draw_rows]) >= cutoff)
+        )
+        accepted = merge_row_pairs(accepted, draw_rows[ok], j[ok], n)
+        if dedupe:
+            need = np.where(has_mass, k - row_counts(accepted, n), 0)
+        else:
+            # Every *valid* draw (duplicates included) spends budget; the
+            # duplicate targets then collapse, as in the literal model.
+            need = need - np.bincount(draw_rows[ok], minlength=n)
+    fallback_rows = int(np.count_nonzero(need > 0))
+    if need.any():
+        accepted = _fallback_fill(positions, cutoff, space, need, accepted, dedupe)
+    if tel_on:
+        registry = telemetry.get_registry()
+        registry.timer("construction.bulk_links").observe(
+            time.perf_counter() - started
+        )
+        registry.counter("construction.rounds").inc(rounds_used)
+        registry.counter("construction.fallback_rows").inc(fallback_rows)
+        telemetry.trace(
+            "construction.bulk_links",
+            rows=int(len(rows)) if rows is not None else n,
+            rounds=rounds_used,
+            fallback_rows=fallback_rows,
+        )
+    return split_rows(accepted, n)
+
+
+def _fallback_fill(
+    positions: np.ndarray,
+    cutoff: float,
+    space: KeySpace,
+    need: np.ndarray,
+    accepted: np.ndarray,
+    dedupe: bool,
+) -> np.ndarray:
+    """Deterministic outward scan for rows the random rounds left short.
+
+    Scalar, but only ever touches the (rare) pathological rows — the
+    bulk analogue of the per-peer sampler's fallback scan.  With
+    ``dedupe=True`` it fills the row's remaining budget with *new*
+    distinct targets; with ``dedupe=False`` it mirrors the scalar
+    sampler exactly — every exhausted draw lands on the first valid
+    target, so the row gains at most that one (possibly already-held)
+    neighbour.
+    """
+    n = len(positions)
+    extra: list[int] = []
+    for i in np.nonzero(need > 0)[0]:
+        i = int(i)
+        p = float(positions[i])
+        want = int(need[i]) if dedupe else 1
+        mine: set[int] = set()
+        for j in outward_candidate_indices(i, n, space.is_ring):
+            if j in mine:
+                continue
+            key = i * n + j
+            if dedupe:
+                pos_in = np.searchsorted(accepted, key)
+                if pos_in < len(accepted) and accepted[pos_in] == key:
+                    continue
+            if space.distance(p, float(positions[j])) >= cutoff:
+                mine.add(j)
+                extra.append(key)
+                if len(mine) >= want:
+                    break
+    if not extra:
+        return accepted
+    return _sorted_unique(
+        np.concatenate([accepted, np.asarray(extra, dtype=np.int64)])
+    )
+
+
+def bulk_exact_links(
+    positions: np.ndarray,
+    k: int,
+    cutoff: float,
+    space: KeySpace,
+    rng: np.random.Generator,
+    dedupe: bool = True,
+    block_size: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth ``1/d'`` sampling over blocked rows of the weight matrix.
+
+    Evaluates the full ``n × n`` distance/weight matrix ``block_size``
+    rows at a time, then samples each row without a Python-level per-peer
+    ``rng.choice``:
+
+    * ``dedupe=True`` — exponential race: draw ``E_j ~ Exp(1)`` per
+      candidate and keep the ``k`` smallest ``E_j / w_j``, which realises
+      weighted sampling *without* replacement (Efraimidis–Spirakis),
+      matching a per-peer sequential ``choice(replace=False)`` (the
+      ``ExactSampler`` oracle in ``tests/builder_oracle.py``) in
+      distribution.
+    * ``dedupe=False`` — ``k`` i.i.d. inverse-CDF draws per row through
+      one flattened ``searchsorted`` over offset row CDFs, duplicates
+      collapsed, matching the oracle's ``ExactSampler(dedupe=False)``.
+
+    Intended for mid-size ground truth (``n`` up to a few 1e4); memory
+    and time are ``O(n · block_size)`` per pass and ``O(n²)`` total.
+
+    Returns and raises as :func:`bulk_links`.
+    """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    if n <= 1 or k == 0:
+        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+    accepted = np.empty(0, dtype=np.int64)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = np.arange(start, stop, dtype=np.int64)
+        dists = space.pairwise_distances(positions[block][:, None], positions[None, :])
+        weights = np.where(dists >= cutoff, 1.0, 0.0)
+        np.divide(weights, dists, out=weights, where=weights > 0)
+        weights[block - start, block] = 0.0
+        if dedupe:
+            race = np.full(weights.shape, np.inf)
+            np.divide(
+                rng.exponential(size=weights.shape), weights,
+                out=race, where=weights > 0,
+            )
+            take = min(k, n - 1)
+            chosen = np.argpartition(race, take - 1, axis=1)[:, :take]
+            finite = np.isfinite(np.take_along_axis(race, chosen, axis=1))
+            rows = np.repeat(block, take)[finite.ravel()]
+            cols = chosen.ravel()[finite.ravel()]
+        else:
+            cdf = np.cumsum(weights, axis=1)
+            totals = cdf[:, -1]
+            live = totals > 0
+            if not live.any():
+                continue
+            b = int(live.sum())
+            # One flat searchsorted over per-row CDFs offset by row index.
+            flat_cdf = (
+                cdf[live] / totals[live, None] + np.arange(b)[:, None]
+            ).ravel()
+            queries = (rng.random((b, k)) + np.arange(b)[:, None]).ravel()
+            idx = np.searchsorted(flat_cdf, queries, side="right")
+            cols = (idx % n).astype(np.int64)
+            rows = np.repeat(block[live], k)
+        accepted = merge_row_pairs(accepted, rows, cols, n)
+    return split_rows(accepted, n)
+
+
+def symmetrize_flat(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Install the reverse of every edge, dropping self-links and duplicates.
+
+    The CSR transpose-merge behind ``GraphConfig(bidirectional=True)``:
+    concatenate the edge list with its transpose, key-sort, and unique —
+    no per-edge Python ``set`` loop.
+
+    Args:
+        rows: edge source indices (flat).
+        cols: edge target indices, aligned with ``rows``.
+        n: number of peers.
+
+    Returns:
+        ``(indptr, flat_targets)`` with every row sorted and distinct.
+    """
+    all_rows = np.concatenate([rows, cols]).astype(np.int64)
+    all_cols = np.concatenate([cols, rows]).astype(np.int64)
+    keep = all_rows != all_cols
+    keys = _sorted_unique(all_rows[keep] * n + all_cols[keep])
+    return split_rows(keys, n)
+
+
+def _resolve_links(
+    live_ids: np.ndarray,
+    space,
+    rng: np.random.Generator,
+    member_idx: np.ndarray,
+    want: np.ndarray,
+    cdf,
+    ppf,
+    cutoff: np.ndarray,
+    seed_keys: np.ndarray,
+    max_rounds: int,
+) -> tuple[np.ndarray, int]:
+    """Draw harmonic links for ``member_idx`` peers against the live population.
+
+    The vectorized core shared by :func:`bulk_join` and
+    :func:`bulk_repair`: each member draws toward ``want[i]`` *distinct*
+    live targets under its eq. (7) cutoff ``cutoff[i]``, redrawing only
+    its deficit each round (per-member budgets let a cohort reproduce
+    the scalar protocol's "``log2 N`` as of my own join" profile).
+    ``seed_keys`` (sorted, distinct ``local_row * n + col`` keys)
+    pre-populate the accepted set with links the member already holds,
+    so repairs never duplicate a kept link.
+
+    Returns:
+        ``(accepted, rounds)`` — the union of seeds and new links as
+        sorted distinct keys, plus the number of rounds consumed.
+    """
+    n = len(live_ids)
+    m = len(member_idx)
+    p_norm = np.asarray(cdf(live_ids[member_idx]), dtype=float)
+    left, right = space.spans(p_norm)
+    left = np.broadcast_to(np.asarray(left, dtype=float), p_norm.shape)
+    right = np.broadcast_to(np.asarray(right, dtype=float), p_norm.shape)
+    has_mass = (left > cutoff) | (right > cutoff)
+
+    accepted = np.asarray(seed_keys, dtype=np.int64)
+    have = np.bincount(accepted // n, minlength=m) if len(accepted) else np.zeros(
+        m, dtype=np.int64
+    )
+    # A member without harmonic mass beyond the cutoff keeps what it has
+    # (the scalar protocols bail out on the first empty draw).
+    target = np.where(has_mass, np.maximum(want, have), have)
+    rounds = 0
+    for _ in range(max_rounds):
+        need = target - have
+        active = need > 0
+        if not active.any():
+            break
+        rounds += 1
+        rows = np.repeat(np.flatnonzero(active), need[active])
+        drawn, valid = bulk_harmonic_positions(p_norm[rows], cutoff[rows], space, rng)
+        keys = np.clip(
+            np.asarray(ppf(np.clip(drawn, 0.0, 1.0)), dtype=float),
+            0.0,
+            np.nextafter(1.0, 0.0),
+        )
+        owner = nearest_indices(live_ids, keys, space)
+        mass = np.abs(np.asarray(cdf(live_ids[owner]), dtype=float) - p_norm[rows])
+        if space.is_ring:
+            mass = np.minimum(mass, 1.0 - mass)
+        ok = valid & (owner != member_idx[rows]) & (mass >= cutoff[rows])
+        accepted = merge_row_pairs(accepted, rows[ok], owner[ok], n)
+        have = np.bincount(accepted // n, minlength=m)
+    return accepted, rounds
+
+
+class RoundsSymphony(SymphonyOverlay):
+    """Symphony whose link rounds merge and recount every round."""
+
+    def _build_links(self, rng: np.random.Generator) -> None:
+        """Draw every peer's harmonic links in whole-population rounds.
+
+        Same primitives as :func:`repro.core.bulk_construction.bulk_links`:
+        draw all outstanding spans at once (``x = N^(q-1)`` lands in
+        ``[1/N, 1]``), resolve successors with one ``searchsorted``,
+        dedupe rows on ``row·n + target`` keys, and redraw only the
+        deficit — within the scalar builder's 8-attempts-per-link budget.
+        """
+        n = self.n
+        budget = 8 * max(self.k, 1)  # the scalar builder's attempts cap
+        all_rows = np.arange(n, dtype=np.int64)
+        need = np.full(n, self.k, dtype=np.int64)
+        attempts = np.zeros(n, dtype=np.int64)
+        accepted = np.empty(0, dtype=np.int64)
+        while True:
+            # Never draw past the per-peer cap, exactly as the scalar
+            # loop stopped at its attempts counter.
+            draws = np.minimum(need, budget - attempts)
+            active = draws > 0
+            if not active.any():
+                break
+            attempts[active] += draws[active]
+            rows = np.repeat(all_rows[active], draws[active])
+            spans = n ** (rng.random(len(rows)) - 1.0)
+            points = (self.ids[rows] + spans) % 1.0
+            targets = successor_indices(self.ids, points)
+            ok = targets != rows
+            accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
+            need = self.k - row_counts(accepted, n)
+        indptr, self._long_flat = split_rows(accepted, n)
+        self.long_links = LongLinkRows.from_indptr(indptr, self._long_flat)
+
+
+class RoundsMercury(MercuryOverlay):
+    """Mercury whose link rounds merge and recount every round."""
+
+    def _build_links(self, rng: np.random.Generator) -> None:
+        """Draw every peer's rank-harmonic links in whole-population rounds.
+
+        One gossip-sample matrix, row-wise empirical estimates, then the
+        :func:`repro.core.bulk_construction.bulk_links` retry scheme:
+        draw all outstanding rank offsets at once, map through each
+        drawing peer's own quantile estimate, resolve managers with one
+        ``searchsorted``, dedupe on ``row·n + target`` keys, and redraw
+        only the deficit — within a budget of 8 attempts per link.
+        """
+        n = self.n
+        samples = self.ids[rng.integers(0, n, size=(n, self.sample_size))]
+        estimates = _RowEmpiricals(samples)
+        all_rows = np.arange(n, dtype=np.int64)
+        own_rank = estimates.cdf(all_rows, self.ids)
+
+        budget = 8 * max(self.k, 1)
+        need = np.full(n, self.k, dtype=np.int64)
+        attempts = np.zeros(n, dtype=np.int64)
+        accepted = np.empty(0, dtype=np.int64)
+        while True:
+            draws = np.minimum(need, budget - attempts)
+            active = draws > 0
+            if not active.any():
+                break
+            attempts[active] += draws[active]
+            rows = np.repeat(all_rows[active], draws[active])
+            offsets = n ** (rng.random(len(rows)) - 1.0)  # harmonic on [1/N, 1]
+            target_ranks = (own_rank[rows] + offsets) % 1.0
+            values = np.clip(
+                estimates.ppf(rows, target_ranks), 0.0, np.nextafter(1.0, 0.0)
+            )
+            targets = successor_indices(self.ids, values)
+            ok = targets != rows
+            accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
+            need = self.k - row_counts(accepted, n)
+        self._set_links(*split_rows(accepted, n))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.baselines.base import hash_keys
 from repro.keyspace import (
     binary_digits,
     bit_string,
@@ -13,8 +14,10 @@ from repro.keyspace import (
     digits,
     from_digits,
     mix_hash,
+    mix_hash_array,
     morton_collapse,
     morton_spread,
+    splitmix64,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -131,6 +134,52 @@ class TestMixHash:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             mix_hash(1.0)
+
+
+def _reference_splitmix64(z: int) -> int:
+    """splitmix64 in Python integers, the scalar transcription of the mixer."""
+    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
+def _reference_mix_hash(x: float) -> float:
+    return (_reference_splitmix64(int(x * (1 << 53))) >> 11) / float(1 << 53)
+
+
+class TestVectorizedMixHash:
+    EDGES = [0.0, 2.0**-53, 0.5, float(np.nextafter(1.0, 0.0))]
+
+    def test_bit_identical_to_scalar_reference(self):
+        keys = np.concatenate(
+            [self.EDGES, np.random.default_rng(0).random(100_000)]
+        )
+        hashed = mix_hash_array(keys)
+        expected = np.array([_reference_mix_hash(float(x)) for x in keys])
+        assert hashed.dtype == np.float64
+        np.testing.assert_array_equal(hashed, expected)
+        for x in self.EDGES + [0.123, 0.987654321]:
+            assert mix_hash(x) == _reference_mix_hash(x)
+
+    def test_splitmix64_matches_integer_reference(self):
+        z = np.random.default_rng(1).integers(0, 2**63, 2000, dtype=np.uint64) * np.uint64(2)
+        z = np.concatenate([z, np.array([0, 2**64 - 1], dtype=np.uint64)])
+        got = splitmix64(z)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [_reference_splitmix64(int(v)) for v in z]
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-300, 1.5, float("nan")])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            mix_hash_array(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="outside"):
+            hash_keys(np.array([bad]))
+
+    def test_hash_keys_is_the_vectorized_mixer(self):
+        keys = np.random.default_rng(2).random(500)
+        np.testing.assert_array_equal(hash_keys(keys), mix_hash_array(keys))
+        assert hash_keys(np.empty(0)).shape == (0,)
 
 
 class TestMorton:
