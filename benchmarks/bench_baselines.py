@@ -1,8 +1,8 @@
 """Scalar-oracle-vs-batch comparator throughput — the baseline frontier's gate.
 
-Every comparator overlay (Chord, Pastry, P-Grid, Symphony, Mercury, CAN,
-Watts–Strogatz) routes whole lookup batches over the shared CSR +
-metric frontier kernel (:func:`repro.baselines.route_many_overlay`).
+Every comparator overlay (Chord, Pastry, P-Grid, Symphony, Mercury, CAN)
+routes whole lookup batches over the shared CSR + metric frontier
+kernel (:func:`repro.baselines.route_many_overlay`).
 This bench routes the *same* workload through each overlay's per-lookup
 loop in ``tests/route_oracle.py`` (run over the overlay's own tables via
 ``scalar_twin``) and through the batch kernel, verifies the two agree
@@ -33,7 +33,6 @@ from repro.baselines import (
     PastryOverlay,
     PGridOverlay,
     SymphonyOverlay,
-    WattsStrogatzOverlay,
     measure_overlay_batch,
     route_many_overlay,
     sample_overlay_lookups,
@@ -67,7 +66,6 @@ def _overlays(rng):
         ("symphony", SymphonyOverlay(ids, rng, k=4), ids),
         ("mercury", MercuryOverlay(ids, rng, sample_size=64), ids),
         ("can", CANOverlay(can_ids, dims=2), can_ids),
-        ("ws", WattsStrogatzOverlay(N_PEERS, k=4, p=0.2, rng=rng), None),
     ]
 
 
@@ -141,7 +139,7 @@ def test_batch_comparator_speedup_over_scalar(rng):
 
 
 def test_batch_comparator_kernels(benchmark, rng):
-    """Kernel: 1200 batched lookups over each of the seven baselines."""
+    """Kernel: 1200 batched lookups over each of the six baselines."""
     overlays = _overlays(rng)
     for _, overlay, __ in overlays:
         overlay.to_csr()
@@ -160,7 +158,6 @@ def test_batch_comparator_kernels(benchmark, rng):
 
     stats = benchmark.pedantic(run_all, rounds=1, iterations=1)
     # The five DHT-style overlays always arrive; CAN's greedy zone walk
-    # may rarely hit a local minimum, and the WS lattice is deliberately
-    # non-navigable.
+    # may rarely hit a local minimum.
     assert all(s.success_rate == 1.0 for s in stats[:5])
     assert stats[5].success_rate > 0.99

@@ -39,13 +39,13 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   echo "== churn throughput smoke (scalar oracle vs bulk, >=5x gate + 1e5 sustain, timed snapshots vs search oracle) =="
   python -m pytest benchmarks/bench_churn.py -q -s -k bulk
 
-  echo "== baseline comparator smoke (scalar oracle vs batch frontier, >=5x aggregate gate) =="
+  echo "== baseline comparator smoke (scalar oracle vs batch frontier on six comparators, >=5x aggregate gate) =="
   python -m pytest benchmarks/bench_baselines.py -q -s -k speedup
 
   echo "== parallel engine smoke (2-worker parity + >=1.2x gate where cores allow) =="
   python -m pytest benchmarks/bench_parallel.py -q -s -k "parity or smoke"
 
-  echo "== persistent store smoke (round-trip parity + >=100x load gate + arena-cache gate) =="
+  echo "== persistent store smoke (graph round-trip parity + >=100x load gate + arena-cache gate, lifecycles timed in alternating pairs) =="
   python -m pytest benchmarks/bench_store.py -q -s
 
   echo "== telemetry smoke (<=5% enabled overhead + shard-merge bit-identity) =="

@@ -10,12 +10,11 @@ A production-quality reproduction of Girdzijauskas, Datta & Aberer,
   (:mod:`repro.core`);
 * the key-space geometries and an analytic distribution library
   (:mod:`repro.keyspace`, :mod:`repro.distributions`);
-* density estimation for peers that must *learn* the key distribution
-  (:mod:`repro.estimation`);
-* a message-level overlay simulator with join protocols, maintenance and
-  churn (:mod:`repro.overlay`);
+* a message-level overlay simulator with join protocols — known ``f``,
+  or ``f`` estimated from sampled peer ids — maintenance and churn
+  (:mod:`repro.overlay`);
 * faithful baseline DHTs — Chord, Pastry, P-Grid, Symphony, Mercury,
-  CAN, Watts–Strogatz (:mod:`repro.baselines`);
+  CAN (:mod:`repro.baselines`);
 * load-balancing mechanisms and metrics (:mod:`repro.loadbalance`),
   workload generators (:mod:`repro.workloads`), graph analysis
   (:mod:`repro.analysis`) and the full experiment harness
@@ -35,7 +34,7 @@ Performance architecture
 ------------------------
 
 Greedy lookups are embarrassingly parallel, and the hot path is built
-around that fact in three layers:
+around that fact in four layers:
 
 1. **CSR adjacency** (:mod:`repro.core.adjacency`): each graph lazily
    flattens its implicit ring/interval neighbours plus long links into
@@ -57,9 +56,8 @@ around that fact in three layers:
 4. **Sharded multi-core execution** (:mod:`repro.parallel`): route
    batches split into deterministic shards over a persistent worker
    pool that attaches the CSR arrays zero-copy through shared memory —
-   ``route_many(..., workers=N)``, ``GraphConfig(workers=N)`` and the
-   CLI's ``--workers`` flag, bit-identical to serial for any worker
-   count.
+   ``route_many(..., workers=N)`` and the CLI's ``--workers`` flag,
+   bit-identical to serial for any worker count.
 """
 
 from repro.core import (

@@ -6,15 +6,7 @@ from repro.analysis.partition_stats import (
     link_partition_histogram,
     partition_uniformity,
 )
-from repro.analysis.smallworld import (
-    SmallWorldReport,
-    adjacency_sets,
-    clustering_coefficient,
-    mean_shortest_path,
-    small_world_report,
-)
 from repro.analysis.stats_tests import KSResult, bootstrap_mean_ci, ks_two_sample
-from repro.analysis.text_plots import ascii_histogram, ascii_series
 
 __all__ = [
     "LogFit",
@@ -24,14 +16,7 @@ __all__ = [
     "in_degrees",
     "link_partition_histogram",
     "partition_uniformity",
-    "adjacency_sets",
-    "clustering_coefficient",
-    "mean_shortest_path",
-    "SmallWorldReport",
-    "small_world_report",
     "KSResult",
     "ks_two_sample",
     "bootstrap_mean_ci",
-    "ascii_histogram",
-    "ascii_series",
 ]

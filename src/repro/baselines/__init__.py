@@ -4,11 +4,10 @@ Every system named in the paper's Sections 1–2 is implemented behind the
 :class:`BaselineOverlay` interface: Chord and Pastry (the canonical
 logarithmic-style DHTs of Section 3.1), P-Grid (skew-adaptive trie,
 extra state), Symphony (the constant-degree trade-off), Mercury (the
-sampling heuristic Theorem 2 formalises), CAN (no hop guarantee under
-arbitrary partitioning) and Watts–Strogatz (the non-navigable
-small-world baseline).
+sampling heuristic Theorem 2 formalises) and CAN (no hop guarantee
+under arbitrary partitioning).
 
-All seven expose the CSR + metric frontier contract
+All six expose the CSR + metric frontier contract
 (:meth:`BaselineOverlay.to_csr` / :attr:`BaselineOverlay.metric`), so
 whole comparator workloads batch-route through the shared kernel via
 :func:`route_many_overlay` / :func:`measure_overlay_batch`, and a single
@@ -28,7 +27,6 @@ from repro.baselines.mercury import MercuryOverlay
 from repro.baselines.pastry import PastryOverlay
 from repro.baselines.pgrid import PGridOverlay
 from repro.baselines.symphony import SymphonyOverlay
-from repro.baselines.watts_strogatz import WattsStrogatzOverlay
 
 __all__ = [
     "BaselineOverlay",
@@ -42,5 +40,4 @@ __all__ = [
     "MercuryOverlay",
     "CANOverlay",
     "Zone",
-    "WattsStrogatzOverlay",
 ]

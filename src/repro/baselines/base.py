@@ -1,7 +1,7 @@
 """Common interface for baseline overlay networks.
 
 Every comparator the paper references (Chord, Pastry, P-Grid, Symphony,
-Mercury, CAN, Watts–Strogatz) is implemented behind
+Mercury, CAN) is implemented behind
 :class:`BaselineOverlay`, so the experiment harness can measure hops,
 success and routing-state size with one code path.
 
@@ -18,7 +18,7 @@ same form the core engine consumes:
   neighbour/long hop classification.
 * :attr:`BaselineOverlay.metric` — a declarative
   :class:`repro.core.metric_routing.RoutingMetric` (circular /
-  clockwise-only / prefix-digit / trie / torus-L1 / lattice) carrying the
+  clockwise-only / prefix-digit / trie / torus-L1) carrying the
   overlay's geometry, owner rule, key check and any per-edge tags the
   rule needs.
 

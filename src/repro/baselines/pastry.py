@@ -192,11 +192,3 @@ class PastryOverlay(BaselineOverlay):
         filled = (self.table >= 0).sum(axis=(1, 2))
         leaf = np.asarray([len(ls) for ls in self.leaf_sets])
         return (filled + leaf).astype(np.int64)
-
-    def mean_rows(self) -> float:
-        """Mean number of non-empty routing-table rows per peer.
-
-        This is the "more than logarithmic routing state" signal for
-        skewed identifier populations.
-        """
-        return float(np.mean(self._row_filled))

@@ -41,7 +41,6 @@ from repro.core.graph import SmallWorldGraph
 from repro.core.metric_routing import (
     ClockwiseMetric,
     GreedyValueMetric,
-    LatticeMetric,
     PrefixDigitMetric,
     RoutingMetric,
     TorusZoneMetric,
@@ -92,7 +91,6 @@ __all__ = [
     "PrefixDigitMetric",
     "TrieMetric",
     "TorusZoneMetric",
-    "LatticeMetric",
     "frontier_route_many",
     "greedy_route",
     "lookahead_route",

@@ -28,15 +28,14 @@ them that way.  :meth:`repro.core.bulk_construction.PairAccumulator.split`
 :func:`~repro.core.bulk_construction.bulk_exact_links` and the Symphony
 and Mercury builders) and :func:`~repro.core.bulk_construction.split_rows`
 (behind :func:`~repro.core.bulk_construction.symmetrize_flat`) both cut
-sorted distinct ``row * n + col`` keys into rows; the sharded
-:func:`repro.parallel.bulk_links_parallel` concatenates ``bulk_links``
-blocks whose rows are disjoint; the per-peer samplers in
-``tests/builder_oracle.py`` return ``np.sort``-ed sets; and the live
-overlay's ``bulk_dynamics._write_member_rows`` fills rows in target-id
-order from the sorted keys of ``_resolve_links``'s accumulator.  So
-from its third slot on (its *tail*: past the at most two neighbours)
-each row is strictly increasing, and the frontier kernel's greedy
-search round (:mod:`repro.core.metric_routing`) binary-searches it.
+sorted distinct ``row * n + col`` keys into rows; the per-peer
+samplers in ``tests/builder_oracle.py`` return ``np.sort``-ed sets; and
+the live overlay's ``bulk_dynamics._write_member_rows`` fills rows in
+target-id order from the sorted keys of ``_resolve_links``'s
+accumulator.  So from its third slot on (its *tail*: past the at most
+two neighbours) each row is strictly increasing, and the frontier
+kernel's greedy search round (:mod:`repro.core.metric_routing`)
+binary-searches it.
 Nothing relies on that blindly: :attr:`CSRAdjacency.tails_sorted` reads
 the order off the arrays, and a CSR without it — a hand-edited snapshot,
 a live peer whose links were appended one at a time through its

@@ -9,8 +9,7 @@ The frontier scheme itself lives in the metric-parameterized kernel
 (:mod:`repro.core.metric_routing`), which routes whole lookup batches
 over *any* CSR adjacency under a declarative routing rule — the same
 engine the baseline comparators (Chord, Pastry, Symphony, Mercury, CAN,
-P-Grid, Watts–Strogatz) ride through
-:func:`repro.baselines.route_many_overlay`.  :func:`route_many` binds
+P-Grid) ride through :func:`repro.baselines.route_many_overlay`.  :func:`route_many` binds
 that kernel to a :class:`~repro.core.graph.SmallWorldGraph`'s cached CSR
 with the paper's symmetric greedy key/normalized metric:
 

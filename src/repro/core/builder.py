@@ -33,7 +33,7 @@ from repro.core.bulk_construction import bulk_exact_links, bulk_links, symmetriz
 from repro.core.graph import SmallWorldGraph
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution
-from repro.keyspace import IntervalSpace, KeySpace
+from repro.keyspace import IntervalSpace, KeySpace, check_peer_ids
 
 __all__ = [
     "GraphConfig",
@@ -72,16 +72,6 @@ class GraphConfig:
         bidirectional: additionally install every long link in the
             reverse direction (an engineering variant several deployed
             DHTs use; off by default to match the directed model).
-        workers: run the ``"bulk"`` sampler sharded over this many worker
-            processes (:func:`repro.parallel.bulk_links_parallel`).
-            ``None`` (the default) keeps the classic single-pass sampler;
-            any explicit count — including 1 — switches to the sharded
-            sampler, whose output is bit-identical across worker counts
-            for a given rng state (but a different, statistically
-            equivalent sample than the single-pass path).  Construction
-            deliberately ignores the global ``--workers`` default:
-            opting in changes which random graph you get, so it must be
-            explicit.
         snapshot: persist every graph built under this config to the
             given :mod:`repro.store` snapshot directory (written once,
             right after construction); later runs reload it with
@@ -95,7 +85,6 @@ class GraphConfig:
     dedupe: bool = True
     max_retries: int = 64
     bidirectional: bool = False
-    workers: int | None = None
     snapshot: str | None = None
 
     def resolve_out_degree(self, n: int) -> int:
@@ -143,8 +132,9 @@ def build_from_positions(
         model: label stored on the graph for reports.
 
     Raises:
-        ValueError: on empty input, mismatched lengths or an unknown
-            sampler.
+        ValueError: on empty input, mismatched lengths, ids that break
+            :func:`repro.keyspace.check_peer_ids` (a repeat, a NaN or an
+            id outside ``[0, 1)``) or an unknown sampler.
     """
     config = config or GraphConfig()
     ids = np.asarray(ids, dtype=float)
@@ -155,24 +145,16 @@ def build_from_positions(
         raise ValueError("ids and normalized_ids must have the same shape")
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
+    check_peer_ids(ids)
     normalized_ids = normalized_ids[order]
     n = len(ids)
     k = config.resolve_out_degree(n)
     cutoff = config.resolve_cutoff(n)
     if config.sampler == "bulk":
-        if config.workers is not None:
-            from repro.parallel.dispatch import bulk_links_parallel
-
-            indptr, flat = bulk_links_parallel(
-                normalized_ids, k, cutoff, config.space, rng,
-                dedupe=config.dedupe, max_rounds=config.max_retries,
-                workers=config.workers,
-            )
-        else:
-            indptr, flat = bulk_links(
-                normalized_ids, k, cutoff, config.space, rng,
-                dedupe=config.dedupe, max_rounds=config.max_retries,
-            )
+        indptr, flat = bulk_links(
+            normalized_ids, k, cutoff, config.space, rng,
+            dedupe=config.dedupe, max_rounds=config.max_retries,
+        )
     elif config.sampler == "exact":
         indptr, flat = bulk_exact_links(
             normalized_ids, k, cutoff, config.space, rng, dedupe=config.dedupe

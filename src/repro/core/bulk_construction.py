@@ -90,7 +90,7 @@ _DRAW_BLOCK = 1 << 16
 
 
 def _side_log_masses(
-    positions: np.ndarray, cutoff, space: KeySpace, rows: np.ndarray | None = None
+    positions: np.ndarray, cutoff, space: KeySpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Return ``(left_span, right_span, log_left, log_right)`` arrays.
 
@@ -100,24 +100,12 @@ def _side_log_masses(
     may be a scalar or an array broadcastable to ``positions`` (the live
     overlay's bulk engine draws for peers that joined under different
     ``1/N`` regimes in one pass).
-
-    With ``rows``, the log transform — the expensive part — only runs on
-    those entries; the rest stay 0 (i.e. "no mass", which is exactly how
-    :func:`bulk_links` treats rows outside its shard).  Sharded callers
-    thus pay O(shard) instead of O(n) per block for this pass.
     """
     left, right = space.spans(positions)
     left = np.broadcast_to(np.asarray(left, dtype=float), positions.shape)
     right = np.broadcast_to(np.asarray(right, dtype=float), positions.shape)
-    if rows is None:
-        log_left = np.log(np.maximum(left, cutoff) / cutoff)
-        log_right = np.log(np.maximum(right, cutoff) / cutoff)
-    else:
-        cut = np.broadcast_to(np.asarray(cutoff, dtype=float), positions.shape)
-        log_left = np.zeros(positions.shape)
-        log_right = np.zeros(positions.shape)
-        log_left[rows] = np.log(np.maximum(left[rows], cut[rows]) / cut[rows])
-        log_right[rows] = np.log(np.maximum(right[rows], cut[rows]) / cut[rows])
+    log_left = np.log(np.maximum(left, cutoff) / cutoff)
+    log_right = np.log(np.maximum(right, cutoff) / cutoff)
     return left, right, log_left, log_right
 
 
@@ -348,7 +336,6 @@ def bulk_links(
     rng: np.random.Generator,
     dedupe: bool = True,
     max_rounds: int = 64,
-    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every peer's long-link set in whole-population passes.
 
@@ -370,11 +357,6 @@ def bulk_links(
             i.i.d. model.
         max_rounds: retry-round budget before the deterministic fallback
             scan (mirrors the per-peer sampler's ``max_retries``).
-        rows: optional array of distinct source-row indices to sample
-            links for; every other row stays empty.  Targets still range
-            over the whole population.  This is the sharding hook of
-            :func:`repro.parallel.dispatch.bulk_links_parallel`, which
-            runs one call per contiguous source block.
 
     Returns:
         ``(indptr, flat_targets)``: peer ``i``'s links are
@@ -383,8 +365,8 @@ def bulk_links(
         support them.
 
     Raises:
-        ValueError: for non-positive ``cutoff``, negative ``k``,
-            unsorted positions or out-of-range ``rows``.
+        ValueError: for non-positive ``cutoff``, negative ``k`` or
+            unsorted positions.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
@@ -398,18 +380,8 @@ def bulk_links(
     if n <= 1 or k == 0:
         return empty
 
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError(f"row indices out of range for {n} peers")
-    left, right, log_left, log_right = _side_log_masses(
-        positions, cutoff, space, rows=rows
-    )
+    left, right, log_left, log_right = _side_log_masses(positions, cutoff, space)
     has_mass = (log_left + log_right) > 0.0
-    if rows is not None:
-        row_mask = np.zeros(n, dtype=bool)
-        row_mask[rows] = True
-        has_mass = has_mass & row_mask
     need = np.where(has_mass, k, 0).astype(np.int64)
     index = bucket_index(positions)
     links = PairAccumulator(n, n)
@@ -482,7 +454,7 @@ def bulk_links(
         registry.counter("construction.fallback_rows").inc(fallback_rows)
         telemetry.trace(
             "construction.bulk_links",
-            rows=int(len(rows)) if rows is not None else n,
+            rows=n,
             rounds=rounds_used,
             fallback_rows=fallback_rows,
         )

@@ -282,25 +282,6 @@ class SmallWorldGraph:
         """Return the total number of long-range edges in the graph."""
         return int(self.long_degrees().sum())
 
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (requires networkx).
-
-        Node attributes carry the raw and normalised identifiers; edge
-        attribute ``kind`` distinguishes ``"neighbor"`` from ``"long"``
-        edges.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for i in range(self.n):
-            g.add_node(i, id=float(self.ids[i]), normalized=float(self.normalized_ids[i]))
-        for i in range(self.n):
-            for j in self.neighbor_indices(i):
-                g.add_edge(i, j, kind="neighbor")
-            for j in self.long_links[i]:
-                g.add_edge(i, int(j), kind="long")
-        return g
-
     def __repr__(self) -> str:
         return (
             f"SmallWorldGraph(model={self.model!r}, n={self.n}, "

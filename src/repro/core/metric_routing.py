@@ -1,10 +1,10 @@
 """Metric-parameterized batch frontier routing: one kernel, many overlays.
 
-PR 1's batch engine (:mod:`repro.core.batch_routing`) vectorized greedy
+The batch engine (:mod:`repro.core.batch_routing`) vectorized greedy
 key-distance routing over the small-world model's CSR adjacency.  Every
-*comparator* overlay (Chord, Pastry, Symphony, Mercury, CAN, P-Grid,
-Watts–Strogatz), however, kept routing one lookup per Python call — the
-last scalar hot path in the repository.
+*comparator* overlay (Chord, Pastry, Symphony, Mercury, CAN, P-Grid),
+however, kept routing one lookup per Python call — the last scalar hot
+path in the repository.
 
 This module generalises the frontier scheme: the kernel
 (:func:`frontier_route_many`) owns all walk bookkeeping — frontier
@@ -69,8 +69,7 @@ compares against:
 * :class:`TrieMetric` — P-Grid's resolve-one-bit rule with the
   value-order fallback step;
 * :class:`TorusZoneMetric` — CAN's greedy zone walk under torus L1
-  distance;
-* :class:`LatticeMetric` — Watts–Strogatz greedy ring-index distance.
+  distance.
 
 Every metric is constructed by its overlay's
 :meth:`repro.baselines.base.BaselineOverlay._build_frontier` alongside
@@ -114,7 +113,6 @@ __all__ = [
     "PrefixDigitMetric",
     "TrieMetric",
     "TorusZoneMetric",
-    "LatticeMetric",
     "torus_points",
     "torus_zone_lookup",
     "StreamFrontier",
@@ -752,37 +750,6 @@ class TorusZoneMetric(RoutingMetric):
     def candidate_scores(self, candidates, slots, segments, state, walks, current):
         return self._zone_distances(
             np.repeat(state.targets[walks], segments.counts, axis=0), candidates
-        )
-
-
-class LatticeMetric(RoutingMetric):
-    """Watts–Strogatz greedy routing by ring *index* distance.
-
-    Keys map to lattice nodes (``owner = floor(key * n) mod n``) and the
-    distance is the integer circular index gap — computed in int64 so
-    ties are exact, then widened to float for the kernel's ``inf``
-    masking.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def prepare(self, target_keys, alive=None) -> PreparedTargets:
-        self._no_alive(alive)
-        targets = check_unit_keys(target_keys)
-        owners = (targets * self.n).astype(np.int64) % self.n
-        return PreparedTargets(owners=owners, targets=owners)
-
-    def _index_distance(self, a, b):
-        gap = np.abs(a - b) % self.n
-        return np.minimum(gap, self.n - gap).astype(float)
-
-    def initial_scores(self, nodes, state):
-        return self._index_distance(nodes, state.owners)
-
-    def candidate_scores(self, candidates, slots, segments, state, walks, current):
-        return self._index_distance(
-            candidates, np.repeat(state.owners[walks], segments.counts)
         )
 
 

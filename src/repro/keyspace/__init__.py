@@ -10,6 +10,7 @@ from repro.keyspace.base import KeySpace
 from repro.keyspace.ids import (
     binary_digits,
     bit_string,
+    check_peer_ids,
     check_unit_keys,
     common_prefix_length,
     digit_rows,
@@ -53,6 +54,7 @@ __all__ = [
     "digits",
     "digit_rows",
     "check_unit_keys",
+    "check_peer_ids",
     "from_digits",
     "bit_string",
     "common_prefix_length",

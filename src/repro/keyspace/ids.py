@@ -27,6 +27,7 @@ __all__ = [
     "digits",
     "digit_rows",
     "check_unit_keys",
+    "check_peer_ids",
     "from_digits",
     "bit_string",
     "common_prefix_length",
@@ -100,6 +101,24 @@ def check_unit_keys(keys) -> np.ndarray:
     if bad.any():
         raise ValueError(f"key {keys[bad][0]!r} outside [0, 1)")
     return keys
+
+
+def check_peer_ids(ids: np.ndarray) -> None:
+    """Check a sorted peer-id array: strictly increasing, inside ``[0, 1)``.
+
+    The rule both graph boundaries share — :func:`repro.core.build_from_positions`
+    and :func:`repro.store.load_graph`.  A repeated id would make two
+    peers own one key range and strand lookups between them; the strict
+    diff also rejects NaN, which fails every comparison.
+
+    Raises:
+        ValueError: on a repeated, NaN or out-of-order id, or an id
+            outside ``[0, 1)``.
+    """
+    if not np.all(np.diff(ids) > 0):
+        raise ValueError("ids must be strictly increasing")
+    if len(ids) and not (ids[0] >= 0.0 and ids[-1] < 1.0):
+        raise ValueError(f"ids must lie in [0, 1), got {ids[0]!r} .. {ids[-1]!r}")
 
 
 def digit_rows(keys, base: int, depth: int) -> np.ndarray:

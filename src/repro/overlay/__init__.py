@@ -33,6 +33,7 @@ from repro.overlay.join import (
     bootstrap_network,
     join_adaptive,
     join_known_f,
+    uniform_id_sample,
 )
 from repro.overlay.maintenance import MaintenanceReport, maintenance_round, refresh_peer
 from repro.overlay.network import (
@@ -52,6 +53,7 @@ __all__ = [
     "join_known_f",
     "join_adaptive",
     "bootstrap_network",
+    "uniform_id_sample",
     "BulkReport",
     "bulk_join",
     "bulk_leave",

@@ -57,8 +57,8 @@ from repro import telemetry
 from repro.core.bulk_construction import PairAccumulator, bulk_harmonic_positions
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
-from repro.estimation import uniform_id_sample
 from repro.keyspace import membership_mask, nearest_indices
+from repro.overlay.join import uniform_id_sample
 from repro.overlay.network import Network
 
 __all__ = [
@@ -324,7 +324,6 @@ def bulk_repair(
     out_degree: int | None = None,
     cutoff: float | None = None,
     sample_size: int = 64,
-    estimator_factory=None,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     cost_model: str = "ownership",
 ) -> BulkReport:
@@ -340,8 +339,8 @@ def bulk_repair(
 
     Where the scalar maintenance path estimates ``f`` per peer, the bulk
     round fits **one** shared estimate per call when ``distribution`` is
-    ``None`` (one ``sample_size`` gossip sample of live ids through
-    ``estimator_factory`` / :class:`~repro.distributions.Empirical`) —
+    ``None`` (the :class:`~repro.distributions.Empirical` CDF of one
+    ``sample_size`` gossip sample of live ids) —
     one estimator per epoch rather than per peer, which is also how a
     deployment would amortise gossip.
 
@@ -367,7 +366,6 @@ def bulk_repair(
         out_degree: per-peer budget; default ``log2 N``.
         cutoff: eq. (7) minimum mass; default ``1/N``.
         sample_size: gossip budget for the shared estimate.
-        estimator_factory: callable ``samples -> Distribution`` override.
         max_rounds: vectorized redraw budget.
         cost_model: ``"ownership"`` (free resolution, the bulk default)
             or ``"routed"`` (price new links in routed hops).
@@ -401,11 +399,7 @@ def bulk_repair(
 
     live = network.ids_array()
     if distribution is None:
-        samples = uniform_id_sample(live, sample_size, rng)
-        estimate: Distribution = (
-            Empirical(samples) if estimator_factory is None
-            else estimator_factory(samples)
-        )
+        estimate: Distribution = Empirical(uniform_id_sample(live, sample_size, rng))
     else:
         estimate = distribution
     k = np.full(

@@ -27,10 +27,31 @@ import numpy as np
 from repro.core.links import harmonic_target_positions
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
-from repro.estimation import uniform_id_sample
 from repro.overlay.network import Network
 
-__all__ = ["JoinReceipt", "join_known_f", "join_adaptive", "bootstrap_network"]
+__all__ = [
+    "JoinReceipt",
+    "join_known_f",
+    "join_adaptive",
+    "bootstrap_network",
+    "uniform_id_sample",
+]
+
+
+def uniform_id_sample(
+    ids: np.ndarray, n_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Return ``n_samples`` peer identifiers drawn uniformly with replacement.
+
+    Raises:
+        ValueError: on an empty population or negative sample size.
+    """
+    ids = np.asarray(ids, dtype=float)
+    if len(ids) == 0:
+        raise ValueError("cannot sample from an empty population")
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    return ids[rng.integers(0, len(ids), size=n_samples)]
 
 
 @dataclass
@@ -141,7 +162,6 @@ def join_adaptive(
     rng: np.random.Generator,
     peer_id: float | None = None,
     sample_size: int = 64,
-    estimator_factory=None,
     out_degree: int | None = None,
     cutoff: float | None = None,
 ) -> JoinReceipt:
@@ -155,9 +175,8 @@ def join_adaptive(
         peer_id: explicit identifier; default draws one from the
             *estimated* distribution — modelling a load-balancing
             placement mechanism that itself only sees samples.
-        sample_size: number of peer ids sampled (gossip budget).
-        estimator_factory: callable ``samples -> Distribution``; default
-            is the :class:`~repro.distributions.Empirical` CDF.
+        sample_size: number of peer ids sampled (gossip budget); their
+            :class:`~repro.distributions.Empirical` CDF is the estimate.
         out_degree: long links to install; default ``log2 N`` post-join.
         cutoff: eq. (7) minimum mass; default ``1/N`` post-join.
 
@@ -168,11 +187,7 @@ def join_adaptive(
         raise ValueError("adaptive join needs at least one live peer to sample")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    samples = uniform_id_sample(network.ids_array(), sample_size, rng)
-    if estimator_factory is None:
-        estimate: Distribution = Empirical(samples)
-    else:
-        estimate = estimator_factory(samples)
+    estimate = Empirical(uniform_id_sample(network.ids_array(), sample_size, rng))
     if peer_id is None:
         peer_id = float(estimate.sample(1, rng)[0])
         while peer_id in network:
@@ -195,7 +210,6 @@ def bootstrap_network(
     space=None,
     protocol: str = "known",
     sample_size: int = 64,
-    estimator_factory=None,
 ) -> tuple[Network, list[JoinReceipt]]:
     """Grow a network from empty to ``n`` peers via successive joins.
 
@@ -211,7 +225,6 @@ def bootstrap_network(
         protocol: ``"known"`` (every peer knows ``f``) or ``"adaptive"``
             (peers estimate ``f``; the very first peer joins trivially).
         sample_size: adaptive-protocol gossip budget per joiner.
-        estimator_factory: adaptive-protocol estimator override.
 
     Returns:
         The built network and the per-join receipts.
@@ -248,7 +261,6 @@ def bootstrap_network(
                     rng,
                     peer_id=peer_id,
                     sample_size=sample_size,
-                    estimator_factory=estimator_factory,
                 )
             )
     return network, receipts

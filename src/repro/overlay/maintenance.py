@@ -21,8 +21,8 @@ import numpy as np
 from repro.core.links import harmonic_target_positions
 from repro.core.theory import default_out_degree
 from repro.distributions import Distribution, Empirical
-from repro.estimation import uniform_id_sample
 from repro.overlay.bulk_dynamics import bulk_repair
+from repro.overlay.join import uniform_id_sample
 from repro.overlay.network import Network
 
 __all__ = ["MaintenanceReport", "refresh_peer", "maintenance_round"]
@@ -51,7 +51,6 @@ def refresh_peer(
     rng: np.random.Generator,
     distribution: Distribution | None = None,
     sample_size: int = 64,
-    estimator_factory=None,
     out_degree: int | None = None,
     cutoff: float | None = None,
 ) -> MaintenanceReport:
@@ -63,8 +62,8 @@ def refresh_peer(
         rng: random source.
         distribution: the true ``f`` when globally known; ``None`` makes
             the peer estimate it from ``sample_size`` sampled ids.
-        sample_size: gossip budget when estimating.
-        estimator_factory: callable ``samples -> Distribution`` override.
+        sample_size: gossip budget when estimating; the estimate is the
+            samples' :class:`~repro.distributions.Empirical` CDF.
         out_degree: target long-link count; default ``log2 N``.
         cutoff: eq. (7) minimum mass; default ``1/N``.
 
@@ -81,9 +80,8 @@ def refresh_peer(
         state.long_links = []
         return report
     if distribution is None:
-        samples = uniform_id_sample(network.ids_array(), sample_size, rng)
-        estimate: Distribution = (
-            Empirical(samples) if estimator_factory is None else estimator_factory(samples)
+        estimate: Distribution = Empirical(
+            uniform_id_sample(network.ids_array(), sample_size, rng)
         )
     else:
         estimate = distribution
@@ -124,7 +122,6 @@ def maintenance_round(
     distribution: Distribution | None = None,
     fraction: float = 1.0,
     sample_size: int = 64,
-    estimator_factory=None,
     out_degree: int | None = None,
     cutoff: float | None = None,
     cost_model: str = "ownership",
@@ -146,7 +143,7 @@ def maintenance_round(
         rng: random source.
         distribution: true ``f`` or ``None`` for estimate-based refresh.
         fraction: fraction of peers refreshed this round, in ``(0, 1]``.
-        sample_size, estimator_factory, out_degree, cutoff: as in
+        sample_size, out_degree, cutoff: as in
             :func:`refresh_peer`.
         cost_model: repair-cost convention, ``"ownership"`` or
             ``"routed"``.
@@ -164,7 +161,6 @@ def maintenance_round(
         out_degree=out_degree,
         cutoff=cutoff,
         sample_size=sample_size,
-        estimator_factory=estimator_factory,
         cost_model=cost_model,
     )
     return MaintenanceReport(

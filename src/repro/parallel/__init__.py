@@ -1,7 +1,7 @@
 """``repro.parallel`` — sharded multi-core execution over shared-memory CSR.
 
-PRs 1–4 vectorized every hot path; this subsystem spreads those
-vectorized batches across cores.  Four modules:
+Routing is vectorized per batch; this subsystem spreads those route
+batches across cores.  Five modules:
 
 * :mod:`~repro.parallel.shm` — :class:`SharedArena` publishes CSR
   adjacency, id vectors and per-edge tag arrays through
@@ -17,23 +17,18 @@ vectorized batches across cores.  Four modules:
   persistent spawn-safe worker pool with arena lifecycle management and
   a process-wide shared instance per worker count (:func:`get_executor`);
 * :mod:`~repro.parallel.dispatch` — the sharded front-ends
-  (:func:`route_many_parallel`, :func:`frontier_route_many_parallel`,
-  :func:`measure_overlay_batch_parallel`, :func:`bulk_links_parallel`);
-* :mod:`~repro.parallel.autotune` — chunk-size/worker-count heuristics
-  with env (``REPRO_WORKERS``, ``REPRO_PARALLEL_CHUNK``) and config
-  overrides.
+  (:func:`route_many_parallel`, :func:`frontier_route_many_parallel`);
+* :mod:`~repro.parallel.autotune` — chunk-size/worker-count heuristics,
+  with the worker count overridable by ``REPRO_WORKERS``.
 
 Integration points: ``route_many(..., workers=N)``,
-``GraphConfig(workers=N)``, ``measure_network(..., workers=N)``,
-``run_churn(..., workers=N)`` and the experiment CLI's ``--workers``.
+``measure_network(..., workers=N)``, ``run_churn(..., workers=N)`` and
+the CLI's ``--workers`` (``run`` and ``load``).
 
-**Determinism contract.**  Shard boundaries and per-shard rng streams
-depend only on the workload (never the worker count), and merges happen
-in shard order — so every front-end returns bit-identical results for
-any worker count including 1.  Routing front-ends are additionally
-bit-identical to their serial counterparts; the construction front-end
-is a different-but-equivalent sample (see
-:func:`~repro.parallel.dispatch.bulk_links_parallel`).
+**Determinism contract.**  Shard boundaries depend only on the workload
+(never the worker count), and merges happen in shard order — so every
+front-end returns bit-identical results for any worker count including
+1, and bit-identical to its serial counterpart.
 """
 
 from importlib import import_module
@@ -48,9 +43,7 @@ _EXPORTS = {
     "set_default_workers": "autotune",
     "shard_bounds": "autotune",
     "should_parallelize": "autotune",
-    "bulk_links_parallel": "dispatch",
     "frontier_route_many_parallel": "dispatch",
-    "measure_overlay_batch_parallel": "dispatch",
     "route_many_parallel": "dispatch",
     "ShardedExecutor": "executor",
     "get_executor": "executor",

@@ -1,9 +1,9 @@
 """Owner-side arena cache: publish a graph's operand set once, not per call.
 
-Before this cache, every pooled ``route_many(workers=N)`` /
-``measure_overlay_batch_parallel`` call copied the complete static
-operand set — CSR adjacency, coordinate vectors, per-edge tags — into
-fresh shared-memory segments and unlinked them when the call returned.
+Without this cache, every pooled ``route_many(workers=N)`` call copies
+the complete static operand set — CSR adjacency, coordinate vectors,
+per-edge tags — into fresh shared-memory segments and unlinks them when
+the call returns.
 For a service routing many small batches over one big graph, that
 republish dominates dispatch cost.
 

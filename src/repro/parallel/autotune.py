@@ -5,10 +5,9 @@ is a *correctness* property, not a style choice:
 
 * **How many shards does a workload split into?**
   (:func:`shard_bounds` / :func:`chunk_size`) — a pure function of the
-  workload size (plus explicit/env overrides).  Shard boundaries — and,
-  for randomised workloads, the per-shard ``SeedSequence`` streams spawned
-  from them — must **never** depend on the worker count, because the
-  engine promises bit-identical results for any worker count including 1.
+  workload size (plus an explicit chunk).  Shard boundaries must
+  **never** depend on the worker count, because the engine promises
+  bit-identical results for any worker count including 1.
 
 * **How many worker processes execute those shards?**
   (:func:`resolve_workers`) — an explicit argument, the process-global
@@ -28,8 +27,6 @@ import os
 
 __all__ = [
     "ENV_WORKERS",
-    "ENV_CHUNK",
-    "ENV_MIN_ITEMS",
     "set_default_workers",
     "get_default_workers",
     "resolve_workers",
@@ -39,10 +36,8 @@ __all__ = [
     "should_parallelize",
 ]
 
-#: Environment overrides (all optional, all positive integers).
+#: Environment override of the default worker count (a positive integer).
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_CHUNK = "REPRO_PARALLEL_CHUNK"
-ENV_MIN_ITEMS = "REPRO_PARALLEL_MIN_ITEMS"
 
 #: A workload splits into at most this many shards by default — enough to
 #: feed any realistic small worker pool while keeping per-shard batches
@@ -113,20 +108,16 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def min_parallel_items() -> int:
     """Workload size below which implicit parallel dispatch stays serial."""
-    return _env_int(ENV_MIN_ITEMS) or DEFAULT_MIN_ITEMS
+    return DEFAULT_MIN_ITEMS
 
 
 def chunk_size(n_items: int) -> int:
     """Return the shard width for a workload of ``n_items``.
 
-    ``REPRO_PARALLEL_CHUNK`` overrides; otherwise the workload splits
-    into at most :data:`DEFAULT_SHARD_COUNT` shards, never thinner than
-    :data:`MIN_CHUNK`.  Deliberately *not* a function of the worker
-    count — see the module docstring.
+    The workload splits into at most :data:`DEFAULT_SHARD_COUNT` shards,
+    never thinner than :data:`MIN_CHUNK`.  Deliberately *not* a function
+    of the worker count — see the module docstring.
     """
-    override = _env_int(ENV_CHUNK)
-    if override is not None:
-        return override
     return max(MIN_CHUNK, -(-n_items // DEFAULT_SHARD_COUNT))
 
 

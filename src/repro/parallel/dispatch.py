@@ -14,16 +14,10 @@ Every front-end follows the same shape:
 4. **merge in shard order** — so results are bit-identical for any
    worker count including 1.
 
-Routing front-ends (:func:`frontier_route_many_parallel`,
-:func:`route_many_parallel`, :func:`measure_overlay_batch_parallel`) are
-additionally bit-identical to their *serial* counterparts: greedy walks
-are independent per route, so a sharded batch is just the serial batch
-computed in pieces.  The construction front-end
-(:func:`bulk_links_parallel`) shards the long-link sampling rounds by
-source block with per-shard ``SeedSequence``-spawned rng streams — its
-output is a different (statistically equivalent, KS-tested) sample than
-serial :func:`~repro.core.bulk_construction.bulk_links`, but identical
-across worker counts for a given parent rng state.
+Both front-ends (:func:`frontier_route_many_parallel`,
+:func:`route_many_parallel`) are additionally bit-identical to their
+*serial* counterparts: greedy walks are independent per route, so a
+sharded batch is just the serial batch computed in pieces.
 """
 
 from __future__ import annotations
@@ -32,12 +26,10 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.adjacency import CSRAdjacency
-from repro.core.bulk_construction import bulk_links
 from repro.core.metric_routing import (
     BatchRouteResult,
     ClockwiseMetric,
     GreedyValueMetric,
-    LatticeMetric,
     PrefixDigitMetric,
     PreparedTargets,
     RoutingMetric,
@@ -54,8 +46,6 @@ from repro.parallel.shm import ArenaHandle, attach_arena
 __all__ = [
     "frontier_route_many_parallel",
     "route_many_parallel",
-    "measure_overlay_batch_parallel",
-    "bulk_links_parallel",
     "arena_arrays",
 ]
 
@@ -121,11 +111,9 @@ def _encode_metric(
         return "trie", {}, arrays
     if kind is TorusZoneMetric:
         return "torus", {}, {"m:lo": metric.lo, "m:hi": metric.hi}
-    if kind is LatticeMetric:
-        return "lattice", {"n": metric.n}, {}
     raise TypeError(
         f"cannot dispatch {kind.__name__} to worker processes; the parallel "
-        "codec supports the six shipped RoutingMetric families"
+        "codec supports the five shipped RoutingMetric families"
     )
 
 
@@ -164,8 +152,6 @@ def _rebuild_metric(kind: str, params: dict, arrays: dict) -> RoutingMetric:
         )
     if kind == "torus":
         return TorusZoneMetric(arrays["m:lo"], arrays["m:hi"])
-    if kind == "lattice":
-        return LatticeMetric(params["n"])
     raise ValueError(f"unknown metric kind {kind!r}")  # pragma: no cover
 
 
@@ -300,7 +286,7 @@ def frontier_route_many_parallel(
 
     Args:
         csr: the overlay's flattened edge set.
-        metric: the overlay's routing rule (one of the six shipped
+        metric: the overlay's routing rule (one of the five shipped
             families; see :func:`_encode_metric`).
         sources: int array of originating peers.
         target_keys: float array of lookup keys, aligned with ``sources``.
@@ -438,172 +424,3 @@ def route_many_parallel(
         executor=executor,
         reuse_arena=reuse_arena,
     )
-
-
-def measure_overlay_batch_parallel(
-    overlay,
-    n_routes: int,
-    rng: np.random.Generator,
-    targets: str = "peers",
-    target_ids: np.ndarray | None = None,
-    workers: int | None = None,
-    executor: ShardedExecutor | None = None,
-    reuse_arena: bool = True,
-):
-    """Sharded :func:`repro.baselines.measure_overlay_batch`.
-
-    Identical workload semantics (same rng draws, same pairs) and — the
-    routes being independent — identical :class:`LookupStats` to the
-    serial batch path, for every worker count.
-
-    Returns:
-        A :class:`repro.overlay.stats.LookupStats`.
-
-    Raises:
-        ValueError: for an unknown target mode.
-    """
-    from repro.baselines.base import sample_overlay_lookups
-    from repro.overlay.stats import summarize_lookups
-
-    sources, keys = sample_overlay_lookups(
-        overlay, n_routes, rng, targets=targets, target_ids=target_ids
-    )
-    csr, metric = overlay._frontier()
-    return summarize_lookups(
-        frontier_route_many_parallel(
-            csr, metric, sources, keys,
-            workers=workers, executor=executor, reuse_arena=reuse_arena,
-        )
-    )
-
-
-# ----------------------------------------------------------------------
-# construction
-# ----------------------------------------------------------------------
-
-def _bulk_block(
-    positions: np.ndarray,
-    k: int,
-    cutoff: float,
-    space,
-    seed: np.random.SeedSequence,
-    dedupe: bool,
-    max_rounds: int,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one source block's long links; returns (block counts, flat)."""
-    rng = np.random.default_rng(seed)
-    indptr, flat = bulk_links(
-        positions, k, cutoff, space, rng,
-        dedupe=dedupe, max_rounds=max_rounds,
-        rows=np.arange(lo, hi, dtype=np.int64),
-    )
-    return np.diff(indptr)[lo:hi], flat
-
-
-def _bulk_links_shard(job) -> tuple[np.ndarray, np.ndarray, object]:
-    """Worker body: one source block of the sharded link sampler.
-
-    Returns ``(block counts, flat, delta)`` — the metrics delta captures
-    the block's construction telemetry when the owner had telemetry on.
-    """
-    arena, k, cutoff, space, seed, dedupe, max_rounds, lo, hi, tel_on = job
-    if not tel_on:
-        counts, flat = _bulk_block(
-            arena_arrays(arena)["positions"],
-            k, cutoff, space, seed, dedupe, max_rounds, lo, hi,
-        )
-        return counts, flat, None
-    with telemetry.capture() as box:
-        counts, flat = _bulk_block(
-            arena_arrays(arena)["positions"],
-            k, cutoff, space, seed, dedupe, max_rounds, lo, hi,
-        )
-    return counts, flat, box.delta
-
-
-def bulk_links_parallel(
-    positions: np.ndarray,
-    k: int,
-    cutoff: float,
-    space,
-    rng: np.random.Generator,
-    dedupe: bool = True,
-    max_rounds: int = 64,
-    workers: int | None = None,
-    executor: ShardedExecutor | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sharded :func:`repro.core.bulk_construction.bulk_links`.
-
-    The population's source rows split into contiguous blocks
-    (:func:`~repro.parallel.autotune.shard_bounds`); each block runs the
-    full retry-round engine against the whole position vector (published
-    once via shared memory) under its own rng stream spawned from a
-    single ``SeedSequence`` rooted in one draw from ``rng``.  Block
-    results merge by concatenation — rows are disjoint and ordered.
-
-    Determinism: for a given parent rng state the output is bit-identical
-    for every worker count (including 1 — serial executors run the same
-    blocks inline).  It is *not* the same sample serial ``bulk_links``
-    draws (different rng layout); the two are statistically equivalent,
-    which the KS suite in ``tests/test_parallel.py`` pins.
-
-    Args, returns and raises as
-    :func:`~repro.core.bulk_construction.bulk_links`, plus ``workers`` /
-    ``executor`` as in :func:`frontier_route_many_parallel`.
-    """
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    positions = np.ascontiguousarray(np.asarray(positions, dtype=float))
-    n = len(positions)
-    if np.any(np.diff(positions) < 0):
-        raise ValueError("positions must be sorted")
-    if n <= 1 or k == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    bounds = shard_bounds(n)
-    # One entropy draw however many shards/workers run, so the parent rng
-    # advances identically and shard i's stream is spawn-key-stable.
-    root = np.random.SeedSequence(int(rng.integers(np.iinfo(np.int64).max)))
-    seeds = root.spawn(len(bounds))
-
-    ex = executor if executor is not None else get_executor(workers)
-    if ex.workers <= 1 or len(bounds) <= 1:
-        # Inline blocks run in the owner process, so their construction
-        # telemetry lands in the active registry directly.
-        parts = [
-            _bulk_block(
-                positions, k, cutoff, space, seeds[i], dedupe, max_rounds, lo, hi
-            )
-            for i, (lo, hi) in enumerate(bounds)
-        ]
-    else:
-        tel_on = telemetry.enabled()
-        with telemetry.time_block("parallel.publish"):
-            handle = ex.publish({"positions": positions})
-        try:
-            jobs = [
-                (
-                    handle, k, cutoff, space, seeds[i], dedupe, max_rounds,
-                    lo, hi, tel_on,
-                )
-                for i, (lo, hi) in enumerate(bounds)
-            ]
-            shard_parts = ex.map_shards(_bulk_links_shard, jobs)
-        finally:
-            ex.release(handle)
-        parts = [(part_counts, part_flat) for part_counts, part_flat, _ in shard_parts]
-        if tel_on:
-            _fold_shard_deltas([delta for _, _, delta in shard_parts])
-
-    counts = np.concatenate([part_counts for part_counts, _ in parts])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if int(indptr[-1]):
-        flat = np.concatenate([part_flat for _, part_flat in parts])
-    else:
-        flat = np.empty(0, dtype=np.int64)
-    return indptr, flat

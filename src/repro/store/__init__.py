@@ -2,17 +2,14 @@
 
 Building a large overlay is minutes of work; serving lookups over it
 needs none of that work repeated.  This package snapshots built
-topologies — the small-world model graph and every baseline comparator
-— into directories of plain ``.npy`` arrays plus a JSON manifest, and
-loads them back as read-only ``np.memmap`` views: O(header) load time,
-zero rebuild, zero copy, and bit-identical routing through the same
-CSR + metric frontier contract the live objects expose.
+small-world graphs into directories of plain ``.npy`` arrays plus a
+JSON manifest, and loads them back as read-only ``np.memmap`` views:
+O(header) load time, zero rebuild, zero copy, and bit-identical
+routing through the same CSR + metric frontier contract the live
+graph exposes.
 
 * :func:`save_graph` / :func:`load_graph` — :class:`SmallWorldGraph`
   snapshots (identifier vectors + flat CSR edge set).
-* :func:`save_overlay` / :func:`load_overlay` — any
-  :class:`repro.baselines.base.BaselineOverlay` via its
-  ``to_csr()``/``metric`` pair, reloaded as :class:`LoadedOverlay`.
 * :class:`StoreError` — every failure mode (missing, corrupt,
   truncated, version/kind mismatch) surfaces as this one exception.
 
@@ -30,7 +27,6 @@ from repro.store.format import (
     write_snapshot,
 )
 from repro.store.graph_store import load_graph, save_graph
-from repro.store.overlay_store import LoadedOverlay, load_overlay, save_overlay
 
 __all__ = [
     "FORMAT_NAME",
@@ -40,7 +36,4 @@ __all__ = [
     "write_snapshot",
     "save_graph",
     "load_graph",
-    "save_overlay",
-    "load_overlay",
-    "LoadedOverlay",
 ]

@@ -4,9 +4,10 @@ A snapshot is a *directory*:
 
 ``manifest.json``
     Small JSON header — format name, version, snapshot kind
-    (``"graph"`` or ``"overlay"``), a picklable-free ``payload`` of
-    scalars/strings, and the declared ``dtype``/``shape`` of every
-    array so loads can detect corruption before touching data.
+    (``"graph"``; a reader names the kind it loads and refuses any
+    other), a picklable-free ``payload`` of scalars/strings, and the
+    declared ``dtype``/``shape`` of every array so loads can detect
+    corruption before touching data.
 
 ``arrays/<key>.npy``
     One standard ``.npy`` file per array, written with :func:`np.save`
@@ -71,7 +72,7 @@ def write_snapshot(
     Args:
         path: snapshot directory; created if absent, manifest replaced
             if present.
-        kind: snapshot kind tag (``"graph"`` / ``"overlay"``).
+        kind: snapshot kind tag (``"graph"``).
         payload: JSON-serialisable scalars describing the snapshot.
         arrays: name → array; each is saved as ``arrays/<name>.npy``.
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.adjacency import CSRAdjacency, neighbor_counts
 from repro.core.graph import LongLinkRows, SmallWorldGraph
-from repro.keyspace import IntervalSpace, RingSpace
+from repro.keyspace import IntervalSpace, RingSpace, check_peer_ids
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
 
 __all__ = ["save_graph", "load_graph"]
@@ -47,35 +47,29 @@ def space_from_name(name: str):
     return cls()
 
 
-def check_indptr(indptr: np.ndarray, n: int) -> np.ndarray:
-    """Reject CSR row pointers a router would silently misread.
+def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> None:
+    """Reject row pointers or identifiers a router would silently misread.
 
-    Shared by :func:`load_graph` and :func:`repro.store.load_overlay`:
-    ``n + 1`` entries, starting at 0, never decreasing.  Returns the
-    row degrees.
+    The row pointers need ``n + 1`` entries, starting at 0, never
+    decreasing.  Every row must start with its ring/interval neighbours
+    (the lazy ``long_links`` rows skip exactly that many slots), so a
+    row shorter than its neighbour count is as corrupt as a decreasing
+    pointer.  The ids follow the builder's rule
+    (:func:`repro.keyspace.check_peer_ids`).
     """
-    if len(indptr) != n + 1:
+    if len(indptr) != len(ids) + 1:
         raise StoreError("indptr must have one entry per peer plus one")
     if indptr[0] != 0:
         raise StoreError("indptr[0] must be 0")
     degrees = np.diff(indptr)
     if np.any(degrees < 0):
         raise StoreError("indptr must be non-decreasing")
-    return degrees
-
-
-def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> None:
-    """Reject row pointers or identifiers a router would silently misread.
-
-    Every row must start with its ring/interval neighbours (the lazy
-    ``long_links`` rows skip exactly that many slots), so a row shorter
-    than its neighbour count is as corrupt as a decreasing pointer.
-    """
-    degrees = check_indptr(indptr, len(ids))
     if np.any(degrees < neighbor_counts(len(ids), is_ring)):
         raise StoreError("a row is shorter than its ring/interval neighbour count")
-    if not np.all(np.diff(ids) > 0):
-        raise StoreError("ids must be strictly increasing")
+    try:
+        check_peer_ids(ids)
+    except ValueError as exc:
+        raise StoreError(str(exc)) from exc
 
 
 def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:

@@ -1,11 +1,6 @@
 """Workload generation: skewed key corpora and query streams."""
 
-from repro.workloads.keys import (
-    corpus_from_distribution,
-    hotspot_corpus,
-    timestamp_corpus,
-    zipf_corpus,
-)
+from repro.workloads.keys import corpus_from_distribution, zipf_corpus
 from repro.workloads.queries import (
     CumulativePicker,
     cumulative_picks,
@@ -17,8 +12,6 @@ from repro.workloads.queries import (
 __all__ = [
     "corpus_from_distribution",
     "zipf_corpus",
-    "timestamp_corpus",
-    "hotspot_corpus",
     "point_queries",
     "zipf_point_queries",
     "range_queries",

@@ -7,32 +7,16 @@ generators here produce such corpora with controlled skew:
 * :func:`corpus_from_distribution` — i.i.d. keys from any analytic
   distribution;
 * :func:`zipf_corpus` — a dictionary of ordered items with Zipfian item
-  frequencies (document/term identifiers);
-* :func:`timestamp_corpus` — recency-skewed event timestamps mapped to
-  ``[0, 1)`` (newest keys dominate);
-* :func:`hotspot_corpus` — a mixture of a uniform base load and one or
-  more concentrated hot regions.
+  frequencies (document/term identifiers).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions import (
-    Distribution,
-    Mixture,
-    TruncatedExponential,
-    TruncatedNormal,
-    Uniform,
-    zipf_distribution,
-)
+from repro.distributions import Distribution, zipf_distribution
 
-__all__ = [
-    "corpus_from_distribution",
-    "zipf_corpus",
-    "timestamp_corpus",
-    "hotspot_corpus",
-]
+__all__ = ["corpus_from_distribution", "zipf_corpus"]
 
 
 def corpus_from_distribution(
@@ -67,56 +51,3 @@ def zipf_corpus(
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     dist = zipf_distribution(n_items=n_items, exponent=exponent)
     return corpus_from_distribution(dist, n_keys, rng)
-
-
-def timestamp_corpus(
-    n_keys: int, rng: np.random.Generator, recency_rate: float = 8.0
-) -> np.ndarray:
-    """Draw recency-skewed "timestamp" keys on ``[0, 1)``.
-
-    Key ``1 - x`` with ``x ~ TruncExp(recency_rate)``: mass piles up near
-    1.0 ("now"), the classic time-series insertion pattern.
-
-    Raises:
-        ValueError: for negative ``n_keys``.
-    """
-    if n_keys < 0:
-        raise ValueError(f"n_keys must be >= 0, got {n_keys}")
-    ages = TruncatedExponential(rate=recency_rate).sample(n_keys, rng)
-    keys = 1.0 - ages
-    return np.sort(np.clip(keys, 0.0, np.nextafter(1.0, 0.0)))
-
-
-def hotspot_corpus(
-    n_keys: int,
-    rng: np.random.Generator,
-    hotspots: tuple[float, ...] = (0.3, 0.7),
-    hotspot_sigma: float = 0.02,
-    hotspot_weight: float = 0.8,
-) -> np.ndarray:
-    """Draw keys that are mostly concentrated in narrow hot regions.
-
-    Args:
-        n_keys: corpus size.
-        rng: random source.
-        hotspots: centres of the hot regions.
-        hotspot_sigma: width of each hot region.
-        hotspot_weight: total fraction of keys in hot regions (the rest
-            are uniform background).
-
-    Raises:
-        ValueError: for invalid weights or an empty hotspot list.
-    """
-    if not hotspots:
-        raise ValueError("need at least one hotspot")
-    if not 0.0 <= hotspot_weight <= 1.0:
-        raise ValueError(f"hotspot_weight must lie in [0, 1], got {hotspot_weight}")
-    components: list[Distribution] = [Uniform()]
-    weights = [1.0 - hotspot_weight]
-    for centre in hotspots:
-        components.append(TruncatedNormal(mu=centre, sigma=hotspot_sigma))
-        weights.append(hotspot_weight / len(hotspots))
-    if weights[0] == 0.0:
-        components, weights = components[1:], weights[1:]
-    mixture = Mixture(components, weights)
-    return corpus_from_distribution(mixture, n_keys, rng)

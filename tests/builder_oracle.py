@@ -14,9 +14,9 @@ their bodies unchanged:
   :func:`make_sampler` and :func:`build_per_peer`, the per-peer branch
   :func:`repro.core.build_from_positions` used to take;
 * one subclass per comparator that overrides that build method with the
-  per-peer (or per-slot, per-edge, per-insertion) loop:
-  :class:`OraclePastry`, :class:`OraclePGrid`, :class:`OracleMercury`,
-  :class:`OracleCAN` and :class:`OracleWattsStrogatz`.  Everything else
+  per-peer (or per-slot, per-insertion) loop:
+  :class:`OraclePastry`, :class:`OraclePGrid`, :class:`OracleMercury`
+  and :class:`OracleCAN`.  Everything else
   — routing, the CSR + metric contract, table sizes — is the production
   class's.
 
@@ -31,8 +31,7 @@ their bodies unchanged:
   must match array for array (``tests/test_construction_oracle.py``).
 
 Parity tests compare the two sides exactly where the draw order allows
-it (CAN's zones and split tree, Watts–Strogatz at ``p = 0``, the round
-loops) and by KS tests on link lengths or hop counts elsewhere;
+it (CAN's zones and split tree, the round loops) and by KS tests on link lengths or hop counts elsewhere;
 ``benchmarks/bench_construction.py`` gates the bulk engine's speed
 against :func:`build_per_peer`.  Nothing under ``src/`` imports this
 file.
@@ -55,11 +54,9 @@ from repro.baselines import (
     PastryOverlay,
     PGridOverlay,
     SymphonyOverlay,
-    WattsStrogatzOverlay,
 )
 from repro.baselines.can import Zone
 from repro.baselines.mercury import _RowEmpiricals
-from repro.baselines.watts_strogatz import _REWIRE_ATTEMPTS
 from repro.core import GraphConfig, SmallWorldGraph
 from repro.core.bulk_construction import (
     _draw_targets,
@@ -69,7 +66,6 @@ from repro.core.bulk_construction import (
 )
 from repro.core.graph import LongLinkRows
 from repro.distributions import Empirical
-from repro.estimation import uniform_id_sample
 from repro.keyspace import (
     KeySpace,
     nearest_index,
@@ -77,6 +73,7 @@ from repro.keyspace import (
     successor_index,
     successor_indices,
 )
+from repro.overlay import uniform_id_sample
 
 # ----------------------------------------------------------------------
 # long-link samplers
@@ -536,31 +533,6 @@ class OracleCAN(CANOverlay):
         )
 
 
-class OracleWattsStrogatz(WattsStrogatzOverlay):
-    """Watts–Strogatz rewired one lattice edge at a time."""
-
-    @staticmethod
-    def _build_adjacency(
-        n: int, k: int, p: float, rng: np.random.Generator
-    ) -> list[np.ndarray]:
-        """The 1998 construction as a literal per-edge loop (reference)."""
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u in range(n):
-            for off in range(1, k // 2 + 1):
-                v = (u + off) % n
-                if rng.random() < p:
-                    v = int(rng.integers(n))
-                    attempts = 0
-                    while (v == u or v in adjacency[u]) and attempts < _REWIRE_ATTEMPTS:
-                        v = int(rng.integers(n))
-                        attempts += 1
-                    if v == u or v in adjacency[u]:
-                        v = (u + off) % n  # give up rewiring this edge
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-        return [np.asarray(sorted(neigh), dtype=np.int64) for neigh in adjacency]
-
-
 # ----------------------------------------------------------------------
 # round loops that merge and recount every round
 # ----------------------------------------------------------------------
@@ -628,7 +600,6 @@ def bulk_links(
     rng: np.random.Generator,
     dedupe: bool = True,
     max_rounds: int = 64,
-    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every peer's long-link set in whole-population passes.
 
@@ -650,11 +621,6 @@ def bulk_links(
             i.i.d. model.
         max_rounds: retry-round budget before the deterministic fallback
             scan (mirrors the per-peer sampler's ``max_retries``).
-        rows: optional array of distinct source-row indices to sample
-            links for; every other row stays empty.  Targets still range
-            over the whole population.  This is the sharding hook of
-            :func:`repro.parallel.dispatch.bulk_links_parallel`, which
-            runs one call per contiguous source block.
 
     Returns:
         ``(indptr, flat_targets)``: peer ``i``'s links are
@@ -663,8 +629,8 @@ def bulk_links(
         support them.
 
     Raises:
-        ValueError: for non-positive ``cutoff``, negative ``k``,
-            unsorted positions or out-of-range ``rows``.
+        ValueError: for non-positive ``cutoff``, negative ``k`` or
+            unsorted positions.
     """
     if cutoff <= 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
@@ -678,18 +644,8 @@ def bulk_links(
     if n <= 1 or k == 0:
         return empty
 
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= n):
-            raise ValueError(f"row indices out of range for {n} peers")
-    left, right, log_left, log_right = _side_log_masses(
-        positions, cutoff, space, rows=rows
-    )
+    left, right, log_left, log_right = _side_log_masses(positions, cutoff, space)
     has_mass = (log_left + log_right) > 0.0
-    if rows is not None:
-        row_mask = np.zeros(n, dtype=bool)
-        row_mask[rows] = True
-        has_mass = has_mass & row_mask
     all_rows = np.arange(n, dtype=np.int64)
     need = np.where(has_mass, k, 0).astype(np.int64)
     accepted = np.empty(0, dtype=np.int64)  # sorted distinct row*n+col keys
@@ -736,7 +692,7 @@ def bulk_links(
         registry.counter("construction.fallback_rows").inc(fallback_rows)
         telemetry.trace(
             "construction.bulk_links",
-            rows=int(len(rows)) if rows is not None else n,
+            rows=n,
             rounds=rounds_used,
             fallback_rows=fallback_rows,
         )

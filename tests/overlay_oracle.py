@@ -273,7 +273,6 @@ def maintenance_round(
     distribution=None,
     fraction: float = 1.0,
     sample_size: int = 64,
-    estimator_factory=None,
     out_degree: int | None = None,
     cutoff: float | None = None,
 ) -> MaintenanceReport:
@@ -294,7 +293,6 @@ def maintenance_round(
             rng,
             distribution=distribution,
             sample_size=sample_size,
-            estimator_factory=estimator_factory,
             out_degree=out_degree,
             cutoff=cutoff,
         )

@@ -15,11 +15,10 @@ their bodies unchanged:
 * one subclass per comparator whose ``route`` and ``owner_of`` are the
   per-lookup loop and owner rule: :class:`ScalarChord`,
   :class:`ScalarPastry`, :class:`ScalarPGrid`, :class:`ScalarSymphony`,
-  :class:`ScalarMercury`, :class:`ScalarCAN` and
-  :class:`ScalarWattsStrogatz`.  What only these loops read came along:
-  Pastry's per-peer digit tuples and ring geometry, CAN's one-key torus
-  embedding ``_point_of`` (``builder_oracle.OracleCAN`` borrows it) and
-  its per-point BSP descent ``zone_of_point``.
+  :class:`ScalarMercury` and :class:`ScalarCAN`.  What only these loops
+  read came along: Pastry's per-peer digit tuples and ring geometry,
+  CAN's one-key torus embedding ``_point_of`` (``builder_oracle.OracleCAN``
+  borrows it) and its per-point BSP descent ``zone_of_point``.
 
 :func:`scalar_twin` re-classes a built overlay as its oracle subclass over
 the same arrays, so both sides route over one set of tables.  The loops
@@ -44,7 +43,6 @@ from repro.baselines import (
     PastryOverlay,
     PGridOverlay,
     SymphonyOverlay,
-    WattsStrogatzOverlay,
 )
 from repro.baselines.can import Zone
 from repro.core.graph import SmallWorldGraph
@@ -573,56 +571,6 @@ class ScalarCAN(CANOverlay):
         )
 
 
-class ScalarWattsStrogatz(WattsStrogatzOverlay):
-    """Watts–Strogatz greedy ring-index walk, one lookup at a time."""
-
-    def ring_distance(self, a: int, b: int) -> int:
-        """Return the lattice (index) distance between two nodes."""
-        gap = abs(a - b) % self._n
-        return min(gap, self._n - gap)
-
-    def owner_of(self, key: float) -> int:
-        """Map a unit-interval key onto the lattice node it indexes."""
-        if not 0.0 <= key < 1.0:
-            raise ValueError(f"key {key!r} outside [0, 1)")
-        return int(key * self._n) % self._n
-
-    def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
-        """Greedy routing by ring-index distance (no distance-aware links)."""
-        n = self._n
-        if not 0 <= source < n:
-            raise ValueError(f"source index {source} out of range for {n} nodes")
-        if max_hops is None:
-            max_hops = n
-        owner = self.owner_of(key)
-        current = source
-        current_dist = self.ring_distance(current, owner)
-        path = [current]
-        while current != owner:
-            if len(path) - 1 >= max_hops:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "max_hops", key, owner,
-                )
-            best = None
-            best_dist = current_dist
-            for cand in self.adjacency[current]:
-                cand = int(cand)
-                dist = self.ring_distance(cand, owner)
-                if dist < best_dist:
-                    best, best_dist = cand, dist
-            if best is None:
-                return RouteResult(
-                    False, len(path) - 1, len(path) - 1, 0, path,
-                    "stuck", key, owner,
-                )
-            current, current_dist = best, best_dist
-            path.append(current)
-        return RouteResult(
-            True, len(path) - 1, len(path) - 1, 0, path, "arrived", key, owner
-        )
-
-
 _TWINS: dict[type, type] = {
     ChordOverlay: ScalarChord,
     PastryOverlay: ScalarPastry,
@@ -630,7 +578,6 @@ _TWINS: dict[type, type] = {
     SymphonyOverlay: ScalarSymphony,
     MercuryOverlay: ScalarMercury,
     CANOverlay: ScalarCAN,
-    WattsStrogatzOverlay: ScalarWattsStrogatz,
 }
 
 
@@ -644,8 +591,7 @@ def scalar_twin(overlay: BaselineOverlay) -> BaselineOverlay:
     tables the frontier routes; the overlay itself is left untouched.
 
     Raises:
-        TypeError: for an overlay with no scalar loop (a
-            :class:`repro.store.LoadedOverlay` keeps only CSR + metric).
+        TypeError: for an overlay with no scalar loop.
     """
     for cls in type(overlay).__mro__:
         oracle = _TWINS.get(cls)

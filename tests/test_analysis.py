@@ -1,19 +1,16 @@
-"""Unit tests for the analysis package (with networkx cross-checks)."""
+"""Unit tests for the analysis package."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
     bootstrap_mean_ci,
-    clustering_coefficient,
     degree_summary,
     fit_log_slope,
     in_degrees,
     ks_two_sample,
     link_partition_histogram,
-    mean_shortest_path,
     partition_uniformity,
-    small_world_report,
 )
 from repro.core import build_uniform_model
 
@@ -82,33 +79,6 @@ class TestPartitionStats:
         )
         # Cutoff 0.2 forces all links into the top partitions.
         assert partition_uniformity(graph) < 0.75
-
-
-class TestSmallWorldMetrics:
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return build_uniform_model(n=256, rng=np.random.default_rng(17))
-
-    def test_clustering_matches_networkx(self, graph):
-        nx = pytest.importorskip("networkx")
-        ours = clustering_coefficient(graph)
-        undirected = graph.to_networkx().to_undirected()
-        theirs = nx.average_clustering(undirected)
-        assert ours == pytest.approx(theirs, abs=1e-9)
-
-    def test_path_length_close_to_networkx(self, graph):
-        nx = pytest.importorskip("networkx")
-        rng = np.random.default_rng(5)
-        ours = mean_shortest_path(graph, rng, n_sources=256)
-        undirected = graph.to_networkx().to_undirected()
-        theirs = nx.average_shortest_path_length(undirected)
-        assert ours == pytest.approx(theirs, rel=0.02)
-
-    def test_report_fields(self, graph, rng):
-        report = small_world_report(graph, rng)
-        assert report.path_length < 6  # log-ish, not lattice-ish
-        assert report.clustering >= 0.0
-        assert report.random_path_length > 0
 
 
 class TestKS:

@@ -31,6 +31,7 @@ from repro.parallel import (
     lease_arena,
 )
 from repro.parallel import arena_cache as cache_mod
+from repro.parallel import autotune
 from repro.parallel.executor import ShardedExecutor, shutdown_all
 from repro.parallel.shm import _file_spec, array_root
 from repro.store import load_graph, save_graph
@@ -228,8 +229,8 @@ class TestCachedDispatch:
     def test_repeat_route_many_hits_cache(self, loaded_graph, rng, monkeypatch):
         # A 512-route batch sits below the auto-parallel threshold —
         # force pooled dispatch so the lease path actually runs.
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ITEMS", "1")
-        monkeypatch.setenv("REPRO_PARALLEL_CHUNK", "128")
+        monkeypatch.setattr(autotune, "DEFAULT_MIN_ITEMS", 1)
+        monkeypatch.setattr(autotune, "MIN_CHUNK", 128)
         _, loaded = loaded_graph
         sources = rng.integers(0, N, N_ROUTES)
         keys = rng.random(N_ROUTES)

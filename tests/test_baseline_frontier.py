@@ -34,7 +34,6 @@ from repro.baselines import (
     PastryOverlay,
     PGridOverlay,
     SymphonyOverlay,
-    WattsStrogatzOverlay,
     measure_overlay_batch,
     route_many_overlay,
     sample_overlay_lookups,
@@ -42,7 +41,6 @@ from repro.baselines import (
 from repro.core import build_uniform_model, greedy_route
 from repro.distributions import PowerLaw
 from repro.overlay import summarize_lookups
-from repro.store import load_overlay, save_overlay
 
 
 def _uniform_ids(n, seed):
@@ -151,14 +149,6 @@ class TestHopForHopParity:
         overlay = _make(name, _uniform_ids(160, 53), rng)
         _assert_parity(overlay, seed=8, targets="uniform")
 
-    def test_watts_strogatz(self, rng):
-        overlay = WattsStrogatzOverlay(192, k=4, p=0.2, rng=rng)
-        _assert_parity(overlay, seed=9, targets="uniform")
-
-    def test_watts_strogatz_unrewired(self, rng):
-        overlay = WattsStrogatzOverlay(128, k=2, p=0.0, rng=rng)
-        _assert_parity(overlay, seed=10, targets="uniform")
-
     def test_scalar_built_overlays_route_identically(self, rng):
         """The frontier contract holds for the per-peer oracle builders too."""
         ids = _uniform_ids(160, 54)
@@ -205,13 +195,6 @@ class TestHopForHopParity:
                 overlay.route(0, bad)
             with pytest.raises(ValueError):
                 route_many_overlay(overlay, np.asarray([0]), np.asarray([bad]))
-        ws = WattsStrogatzOverlay(64, k=2, p=0.1, rng=rng)
-        with pytest.raises(ValueError):
-            scalar_twin(ws).route(0, 1.0)
-        with pytest.raises(ValueError):
-            ws.route(0, 1.0)
-        with pytest.raises(ValueError):
-            route_many_overlay(ws, np.asarray([0]), np.asarray([1.0]))
 
     def test_pastry_rejects_out_of_range_ids_at_construction(self, rng):
         """The bulk digit expansion keeps the scalar builder's id guard."""
@@ -380,20 +363,12 @@ class TestFrontierContract:
 BAD_KEYS = [np.nan, np.inf, -np.inf, 1.5, -0.25]
 
 
-def _entry_points(name, rng, tmp_path):
+def _entry_points(name, rng):
     """Return the ``(route, owner_of)`` pair of one public entry point."""
     if name == "greedy_route":
         graph = build_uniform_model(n=200, rng=rng)
         return (lambda key: greedy_route(graph, 3, key)), graph.owner_of
-    if name == "ws":
-        overlay = WattsStrogatzOverlay(200, k=4, p=0.2, rng=rng)
-    elif name == "ws-unrewired":
-        overlay = WattsStrogatzOverlay(200, k=4, p=0.0, rng=rng)
-    elif name == "loaded":
-        save_overlay(ChordOverlay(_uniform_ids(200, 58)), tmp_path / "chord")
-        overlay = load_overlay(tmp_path / "chord")
-    else:
-        overlay = _make(name, _uniform_ids(200, 58), rng)
+    overlay = _make(name, _uniform_ids(200, 58), rng)
     return (lambda key: overlay.route(3, key)), overlay.owner_of
 
 
@@ -401,11 +376,9 @@ class TestKeyChecks:
     """A NaN, infinite or out-of-range key raises; it never "arrives"."""
 
     @pytest.mark.parametrize("bad", BAD_KEYS)
-    @pytest.mark.parametrize(
-        "name", ALL_VARIANTS + ["ws", "ws-unrewired", "loaded", "greedy_route"]
-    )
-    def test_route_and_owner_reject_bad_keys(self, name, bad, rng, tmp_path):
-        route, owner_of = _entry_points(name, rng, tmp_path)
+    @pytest.mark.parametrize("name", ALL_VARIANTS + ["greedy_route"])
+    def test_route_and_owner_reject_bad_keys(self, name, bad, rng):
+        route, owner_of = _entry_points(name, rng)
         with pytest.raises(ValueError, match="outside"):
             route(bad)
         with pytest.raises(ValueError, match="outside"):

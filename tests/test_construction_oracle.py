@@ -13,12 +13,8 @@ import numpy as np
 import pytest
 
 import repro.core.bulk_construction as bc
-import repro.parallel.dispatch as dispatch
 from repro.baselines import MercuryOverlay, SymphonyOverlay
 from repro.core import (
-    GraphConfig,
-    SmallWorldGraph,
-    build_from_positions,
     bulk_exact_links,
     bulk_links,
     symmetrize_flat,
@@ -74,19 +70,6 @@ class TestBulkLinks:
         assert bucket_index(positions("skewed", 3000)) is not None
         assert bucket_index(positions("uniform", 3000)) is not None
 
-    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
-    @pytest.mark.parametrize("dedupe", [True, False])
-    def test_row_shards_match_oracle(self, space, dedupe):
-        pos = positions("skewed", 4000)
-        for lo, hi in ((0, 1000), (1000, 2500), (3900, 4000)):
-            shard = np.arange(lo, hi, dtype=np.int64)
-            args = (pos, 12, 1.0 / 4000, space)
-            new = bulk_links(*args, np.random.default_rng(lo), dedupe=dedupe, rows=shard)
-            old = oracle.bulk_links(
-                *args, np.random.default_rng(lo), dedupe=dedupe, rows=shard
-            )
-            assert_same(new, old)
-
     @pytest.mark.parametrize("dedupe", [True, False])
     def test_fallback_population_matches_oracle(self, dedupe, monkeypatch):
         # Two tight clusters and a cutoff wider than either: most draws
@@ -117,32 +100,6 @@ class TestBulkLinks:
             new = bulk_links(*args, np.random.default_rng(9))
             old = oracle.bulk_links(*args, np.random.default_rng(9))
             assert_same(new, old)
-
-    def test_two_worker_build_matches_oracle(self, monkeypatch):
-        # Sharded output is bit-identical for every worker count, so the
-        # oracle's loop run inline over the same shards is the reference.
-        n = 6000
-        ids = np.sort(DIST.sample(n, np.random.default_rng(4)))
-        norm = np.asarray(DIST.cdf(ids), dtype=float)
-        graph = build_from_positions(
-            ids, norm, np.random.default_rng(5), GraphConfig(workers=2)
-        )
-        monkeypatch.setattr(dispatch, "bulk_links", oracle.bulk_links)
-        indptr, flat = dispatch.bulk_links_parallel(
-            norm, graph_k(n), 1.0 / n, IntervalSpace(), np.random.default_rng(5),
-            workers=1,
-        )
-        ref = SmallWorldGraph.from_flat_links(ids, norm, indptr, flat)
-        assert_same(csr_arrays(graph), csr_arrays(ref))
-
-
-def graph_k(n: int) -> int:
-    return GraphConfig().resolve_out_degree(n)
-
-
-def csr_arrays(graph) -> tuple:
-    csr = graph.adjacency
-    return csr.indptr, csr.indices, csr.is_long
 
 
 class TestFlatRows:

@@ -112,15 +112,6 @@ class TestAnalysisHelpers:
         # log2(1024) = 10 links per peer, minus rare shortfalls.
         assert total > 0.9 * 10 * uniform_graph.n
 
-    def test_to_networkx_roundtrip(self):
-        nx = pytest.importorskip("networkx")
-        graph = make_graph()
-        g = graph.to_networkx()
-        assert g.number_of_nodes() == 5
-        kinds = {data["kind"] for *_e, data in g.edges(data=True)}
-        assert kinds == {"neighbor", "long"}
-        assert g.has_edge(0, 3)
-
     def test_repr_mentions_model(self, uniform_graph):
         assert "uniform" in repr(uniform_graph)
 

@@ -39,7 +39,6 @@ from repro.core.metric_routing import (
     REASON_ARRIVED,
     ClockwiseMetric,
     GreedyValueMetric,
-    LatticeMetric,
     StreamFrontier,
 )
 from repro.keyspace import RingSpace
@@ -71,8 +70,6 @@ def _random_csr(n, uniform, rng):
 
 
 def _metric(kind, n, rng):
-    if kind == "lattice":
-        return LatticeMetric(n)  # integer distances: exact ties
     positions = np.sort(rng.random(n))
     if kind == "chord":
         return ClockwiseMetric(positions, owner_rule="successor", terminal_owner_hop=True)
@@ -214,7 +211,7 @@ class FrontierMachine(RuleBasedStateMachine):
 
 @pytest.mark.parametrize("uniform", [False, True], ids=["varied", "uniform"])
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-@pytest.mark.parametrize("kind", ["greedy", "lattice", "chord"])
+@pytest.mark.parametrize("kind", ["greedy", "chord"])
 def test_frontier_machine(kind, masked, uniform):
     machine = type(
         "FrontierMachine", (FrontierMachine,),

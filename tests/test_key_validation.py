@@ -7,7 +7,9 @@ keys before any transform, so a NaN or out-of-range key raises instead
 of "succeeding" at the top peer or retiring as ``stuck``.  The
 serving engine checks a whole submitted chunk — keys and sources —
 before the chunk gets tickets, so one bad lookup can no longer take
-down the valid queries it would have shared a micro-batch with.
+down the valid queries it would have shared a micro-batch with.  Peer
+ids follow one rule at both graph boundaries, the builders and the
+store's loader: sorted, they strictly increase inside ``[0, 1)``.
 """
 
 import warnings
@@ -20,10 +22,16 @@ from repro.baselines import (
     ChordOverlay,
     PastryOverlay,
     PGridOverlay,
-    WattsStrogatzOverlay,
     route_many_overlay,
 )
-from repro.core import build_uniform_model, lookahead_route, route_many
+from repro.core import (
+    build_naive_model,
+    build_skewed_model,
+    build_uniform_model,
+    lookahead_route,
+    route_many,
+)
+from repro.distributions import Uniform
 from repro.keyspace import check_unit_keys, digit_rows
 from repro.overlay import Network
 from repro.serving import ServeConfig, ServingEngine
@@ -49,6 +57,37 @@ class TestCheckUnitKeys:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="outside"):
                 digit_rows(np.asarray([0.3, np.nan]), 16, 4)
+
+
+def _bad_ids(case):
+    ids = np.sort(np.random.default_rng(3).random(200))
+    if case == "nan":
+        ids[50] = np.nan
+    elif case == "repeat":
+        ids[51] = ids[50]
+    else:
+        ids[-1] = 1.5
+    return ids
+
+
+BUILDERS = {
+    "uniform": lambda ids, rng: build_uniform_model(rng=rng, ids=ids),
+    "skewed": lambda ids, rng: build_skewed_model(Uniform(), rng=rng, ids=ids),
+    "naive": lambda ids, rng: build_naive_model(Uniform(), rng=rng, ids=ids),
+}
+
+
+class TestBuildIds:
+    """A NaN or repeated id built a graph whose lookups retired ``stuck``
+    (19 of 2,000 and 55 of 5,000) and whose snapshot did not load; an id
+    of 1.5 built, saved and loaded."""
+
+    @pytest.mark.parametrize("model", sorted(BUILDERS))
+    @pytest.mark.parametrize("case", ["nan", "repeat", "above_one"])
+    def test_rejects_bad_ids(self, model, case):
+        match = r"\[0, 1\)" if case == "above_one" else "strictly increasing"
+        with pytest.raises(ValueError, match=match):
+            BUILDERS[model](_bad_ids(case), np.random.default_rng(4))
 
 
 class TestRouteMany:
@@ -99,14 +138,11 @@ def _overlay(name, rng):
         "pgrid": lambda: PGridOverlay(ids, rng),
         "can-2d": lambda: CANOverlay(ids, dims=2),
         "can-1d": lambda: CANOverlay(ids, dims=1),
-        "ws": lambda: WattsStrogatzOverlay(256, k=2, p=0.1, rng=rng),
     }[name]()
 
 
 class TestOverlayKeys:
-    @pytest.mark.parametrize(
-        "name", ["chord", "pastry", "pgrid", "can-2d", "can-1d", "ws"]
-    )
+    @pytest.mark.parametrize("name", ["chord", "pastry", "pgrid", "can-2d", "can-1d"])
     def test_rejects_nan_key(self, name, rng):
         overlay = _overlay(name, rng)
         with pytest.raises(ValueError, match="outside"):

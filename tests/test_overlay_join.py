@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.distributions import Empirical, PowerLaw, Uniform
-from repro.estimation import HistogramEstimator
 from repro.overlay import (
     Network,
     bootstrap_network,
@@ -61,16 +60,6 @@ class TestAdaptiveJoin:
         receipt = join_adaptive(net, rng, sample_size=32)
         assert receipt.sample_size == 32
         assert receipt.peer_id in net
-
-    def test_join_with_histogram_estimator(self, rng):
-        net, _ = bootstrap_network(PowerLaw(alpha=1.5, shift=1e-2), 64, rng)
-        receipt = join_adaptive(
-            net,
-            rng,
-            sample_size=48,
-            estimator_factory=lambda s: HistogramEstimator(n_bins=16).fit(s),
-        )
-        assert len(receipt.long_links) >= 1
 
     def test_rejects_bad_sample_size(self, rng):
         net, _ = bootstrap_network(Uniform(), 8, rng)

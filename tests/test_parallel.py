@@ -3,14 +3,13 @@
 The load-bearing guarantees pinned here:
 
 * **cross-worker determinism** — every dispatch front-end returns
-  bit-identical results for workers ∈ {1, 2, 4} (and the routing
-  front-ends additionally match their serial counterparts exactly,
-  including hops, paths, reasons and owners), on uniform *and* skewed
-  key populations;
+  bit-identical results for workers ∈ {1, 2, 4} and matches its serial
+  counterpart exactly, including hops, paths, reasons and owners, on
+  uniform *and* skewed key populations;
 * **shared-memory round trips** — arrays survive publish/attach intact
   and the arena lifecycle is safe to close twice;
 * **heuristics** — shard boundaries never depend on the worker count,
-  env/config overrides resolve in the documented precedence.
+  and the worker count resolves in the documented precedence.
 
 Pooled tests share the process-wide executors (:func:`get_executor`), so
 the spawn cost is paid once per worker count for the whole session.
@@ -21,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.stats_tests import ks_two_sample
 from repro.baselines import (
     CANOverlay,
     ChordOverlay,
@@ -29,32 +27,22 @@ from repro.baselines import (
     PastryOverlay,
     PGridOverlay,
     SymphonyOverlay,
-    WattsStrogatzOverlay,
 )
-from repro.baselines.base import (
-    measure_overlay_batch,
-    route_many_overlay,
-    sample_overlay_lookups,
-)
+from repro.baselines.base import route_many_overlay, sample_overlay_lookups
 from repro.core import (
-    GraphConfig,
     build_skewed_model,
     build_uniform_model,
-    bulk_links,
     route_many,
     sample_batch,
 )
 from repro.distributions import PowerLaw
-from repro.keyspace import IntervalSpace, RingSpace
 from repro.overlay import Network, measure_network
 from repro.parallel import (
     ShardedExecutor,
     SharedArena,
     attach_arena,
-    bulk_links_parallel,
     frontier_route_many_parallel,
     get_executor,
-    measure_overlay_batch_parallel,
     resolve_workers,
     route_many_parallel,
     set_default_workers,
@@ -232,10 +220,6 @@ class TestAutotune:
         assert not should_parallelize(1, 100_000)
         assert not should_parallelize(None, 100_000)
 
-    def test_chunk_env_override(self, monkeypatch):
-        monkeypatch.setenv(autotune.ENV_CHUNK, "100")
-        assert shard_bounds(250) == [(0, 100), (100, 200), (200, 250)]
-
 
 # ----------------------------------------------------------------------
 # dispatch: routing determinism across worker counts
@@ -323,7 +307,7 @@ class TestRoutingDeterminism:
 # ----------------------------------------------------------------------
 class TestOverlayDispatch:
     N = 512
-    ROUTES = 2600  # > one chunk when REPRO_PARALLEL_CHUNK is unset
+    ROUTES = 2600  # > one chunk (MIN_CHUNK = 2048)
 
     def _overlays(self):
         ids = np.sort(np.random.default_rng(31).random(self.N))
@@ -337,10 +321,6 @@ class TestOverlayDispatch:
             "pastry": (PastryOverlay(ids, np.random.default_rng(34)), ids),
             "pgrid": (PGridOverlay(ids, np.random.default_rng(35)), ids),
             "can": (CANOverlay(ids, dims=2), None),  # torus metric
-            "ws": (
-                WattsStrogatzOverlay(self.N, k=4, p=0.2, rng=np.random.default_rng(36)),
-                None,
-            ),  # lattice metric
         }
 
     def test_every_metric_family_routes_identically(self):
@@ -356,22 +336,6 @@ class TestOverlayDispatch:
             )
             _results_equal(parallel, serial)
 
-    def test_measure_overlay_batch_parallel_matches_serial(self):
-        ids = np.sort(np.random.default_rng(51).random(self.N))
-        overlay = ChordOverlay(ids)
-        serial = measure_overlay_batch(
-            overlay, self.ROUTES, np.random.default_rng(52), target_ids=ids
-        )
-        for workers in WORKER_COUNTS:
-            parallel = measure_overlay_batch_parallel(
-                overlay,
-                self.ROUTES,
-                np.random.default_rng(52),
-                target_ids=ids,
-                workers=workers,
-            )
-            assert parallel == serial
-
     def test_unknown_metric_family_is_rejected(self, graphs):
         from repro.core.metric_routing import GreedyValueMetric
         from repro.parallel.dispatch import _encode_metric
@@ -382,155 +346,6 @@ class TestOverlayDispatch:
         graph = graphs["uniform"]
         with pytest.raises(TypeError, match="Exotic"):
             _encode_metric(Exotic(graph.ids, graph.space))
-
-
-# ----------------------------------------------------------------------
-# dispatch: sharded bulk construction
-# ----------------------------------------------------------------------
-class TestBulkLinksParallel:
-    def _positions(self, kind: str, n: int = 6000):
-        rng = np.random.default_rng(61)
-        if kind == "uniform":
-            return np.sort(rng.random(n))
-        return np.sort(PowerLaw(alpha=1.8, shift=1e-4).sample(n, rng))
-
-    @pytest.mark.parametrize("kind", ["uniform", "skewed"])
-    @pytest.mark.parametrize("space", [IntervalSpace(), RingSpace()])
-    def test_bit_identical_across_worker_counts(self, kind, space):
-        positions = self._positions(kind)
-        results = {}
-        for workers in WORKER_COUNTS:
-            rng = np.random.default_rng(62)
-            results[workers] = bulk_links_parallel(
-                positions, 12, 1.0 / len(positions), space, rng, workers=workers
-            )
-        indptr1, flat1 = results[1]
-        for workers in WORKER_COUNTS[1:]:
-            assert np.array_equal(results[workers][0], indptr1)
-            assert np.array_equal(results[workers][1], flat1)
-
-    @pytest.mark.parametrize("kind", ["uniform", "skewed"])
-    def test_invariants_and_budget(self, kind):
-        positions = self._positions(kind)
-        n, k = len(positions), 12
-        space = IntervalSpace()
-        cutoff = 1.0 / n
-        indptr, flat = bulk_links_parallel(
-            positions, k, cutoff, space, np.random.default_rng(63), workers=2
-        )
-        counts = np.diff(indptr)
-        assert counts.max() <= k
-        assert (counts == k).mean() > 0.95  # nearly every row fills
-        rows = np.repeat(np.arange(n), counts)
-        assert np.all(flat != rows)  # no self links
-        dists = space.pairwise_distances(positions[flat], positions[rows])
-        assert np.all(dists >= cutoff)
-        # rows sorted and distinct, as bulk_links promises
-        for i in (0, n // 2, n - 1):
-            row = flat[indptr[i] : indptr[i + 1]]
-            assert np.all(np.diff(row) > 0)
-
-    @pytest.mark.parametrize("kind", ["uniform", "skewed"])
-    def test_ks_equivalence_with_serial_sampler(self, kind):
-        """Sharded sampling is a different draw but the same distribution.
-
-        Two probes, both on subsamples sized like the rest of the KS
-        suite (per-row links are not independent draws, so feeding the
-        full edge set to the asymptotic KS p-value would be
-        anti-conservative): link lengths, and batch-routing hops over
-        graphs built from each sampler's link set.
-        """
-        positions = self._positions(kind, n=2048)
-        space = IntervalSpace()
-        cutoff = 1.0 / len(positions)
-        i_par, f_par = bulk_links_parallel(
-            positions, 11, cutoff, space, np.random.default_rng(64), workers=2
-        )
-        i_ser, f_ser = bulk_links(
-            positions, 11, cutoff, space, np.random.default_rng(65)
-        )
-
-        def lengths(indptr, flat):
-            rows = np.repeat(np.arange(len(positions)), np.diff(indptr))
-            return space.pairwise_distances(positions[flat], positions[rows])
-
-        pick = np.random.default_rng(66)
-        ks = ks_two_sample(
-            pick.choice(lengths(i_par, f_par), size=1500, replace=False),
-            pick.choice(lengths(i_ser, f_ser), size=1500, replace=False),
-        )
-        assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
-
-        def hops(indptr, flat, seed):
-            from repro.core import SmallWorldGraph
-
-            graph = SmallWorldGraph.from_flat_links(
-                ids=positions, normalized_ids=positions,
-                long_indptr=indptr, long_flat=flat, space=space,
-            )
-            rng = np.random.default_rng(seed)
-            sources = rng.integers(graph.n, size=1500)
-            return route_many(graph, sources, rng.random(1500)).hops
-
-        ks = ks_two_sample(hops(i_par, f_par, 67), hops(i_ser, f_ser, 68))
-        assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
-
-    def test_trivial_populations(self):
-        space = IntervalSpace()
-        indptr, flat = bulk_links_parallel(
-            np.asarray([0.5]), 3, 0.1, space, np.random.default_rng(0), workers=2
-        )
-        assert np.array_equal(indptr, [0, 0]) and len(flat) == 0
-        with pytest.raises(ValueError):
-            bulk_links_parallel(
-                np.asarray([0.2, 0.1]), 3, 0.1, space, np.random.default_rng(0)
-            )
-
-    def test_graph_config_workers_builds_equivalently(self):
-        """GraphConfig(workers=...) is deterministic across counts and
-        produces a structurally sound graph."""
-        ids = np.sort(np.random.default_rng(66).random(4096))
-        built = {
-            workers: build_uniform_model(
-                rng=np.random.default_rng(67),
-                config=GraphConfig(workers=workers),
-                ids=ids,
-            )
-            for workers in WORKER_COUNTS
-        }
-        reference = built[1]
-        for workers in WORKER_COUNTS[1:]:
-            graph = built[workers]
-            assert np.array_equal(graph.adjacency.indptr, reference.adjacency.indptr)
-            assert np.array_equal(graph.adjacency.indices, reference.adjacency.indices)
-        # and it routes like any healthy small-world graph
-        batch = sample_batch(reference, 1000, np.random.default_rng(68))
-        assert batch.success.all()
-
-
-# ----------------------------------------------------------------------
-# rows= restriction of the serial kernel (the sharding hook itself)
-# ----------------------------------------------------------------------
-class TestBulkLinksRows:
-    def test_rows_fill_only_requested_sources(self):
-        positions = np.sort(np.random.default_rng(71).random(1000))
-        space = IntervalSpace()
-        indptr, flat = bulk_links(
-            positions, 8, 1e-3, space, np.random.default_rng(72),
-            rows=np.arange(100, 200),
-        )
-        counts = np.diff(indptr)
-        assert counts[:100].sum() == 0 and counts[200:].sum() == 0
-        assert counts[100:200].sum() > 0
-        assert flat.min() >= 0 and flat.max() < 1000  # targets range everywhere
-
-    def test_rows_out_of_range_rejected(self):
-        positions = np.sort(np.random.default_rng(73).random(16))
-        with pytest.raises(ValueError, match="out of range"):
-            bulk_links(
-                positions, 2, 1e-2, IntervalSpace(), np.random.default_rng(0),
-                rows=np.asarray([20]),
-            )
 
 
 # ----------------------------------------------------------------------

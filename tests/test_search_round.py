@@ -49,7 +49,6 @@ from repro.core.metric_routing import (
     REASON_ARRIVED,
     ClockwiseMetric,
     GreedyValueMetric,
-    LatticeMetric,
     StreamFrontier,
     frontier_route_many,
 )
@@ -60,7 +59,7 @@ from repro.parallel.executor import ShardedExecutor
 #: Configurations a search round must serve.
 SEARCHED = "sorted"
 #: Configurations that must keep the linear round.
-LINEAR = ("unsorted", "alive", "flat_positions", "lattice", "clockwise", "subclass")
+LINEAR = ("unsorted", "alive", "flat_positions", "clockwise", "subclass")
 
 
 class _Exotic(GreedyValueMetric):
@@ -185,8 +184,6 @@ def _setup(mode, n, ring, layout, rng):
     elif mode == "flat_positions":
         positions = positions.copy()
         positions[n // 2] = positions[n // 2 - 1]
-    if mode == "lattice":
-        return csr, LatticeMetric(n), alive
     if mode == "clockwise":
         chord = ClockwiseMetric(positions, owner_rule="successor", terminal_owner_hop=True)
         return csr, chord, alive

@@ -9,30 +9,12 @@ from unittest import mock
 import numpy as np
 import pytest
 from frontier_oracle import assert_batch_matches, oracle_batch
-from route_oracle import scalar_twin
 
-from repro.baselines import (
-    CANOverlay,
-    ChordOverlay,
-    MercuryOverlay,
-    PastryOverlay,
-    PGridOverlay,
-    SymphonyOverlay,
-    WattsStrogatzOverlay,
-    route_many_overlay,
-)
 from repro.core import metric_routing, route_many
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.builder import GraphConfig, build_skewed_model, build_uniform_model
 from repro.distributions import PowerLaw
-from repro.store import (
-    LoadedOverlay,
-    StoreError,
-    load_graph,
-    load_overlay,
-    save_graph,
-    save_overlay,
-)
+from repro.store import StoreError, load_graph, save_graph, write_snapshot
 
 N = 1024
 N_ROUTES = 300
@@ -46,21 +28,6 @@ def stored_graph(tmp_path_factory):
     path = tmp_path_factory.mktemp("store") / "graph"
     save_graph(graph, path)
     return graph, path, load_graph(path)
-
-
-def _overlay_zoo(rng):
-    ids = np.sort(rng.random(N))
-    return [
-        ChordOverlay(ids),
-        ChordOverlay(ids, hashed=True),
-        SymphonyOverlay(ids, np.random.default_rng(1)),
-        SymphonyOverlay(ids, np.random.default_rng(1), bidirectional=False),
-        PastryOverlay(ids, np.random.default_rng(2), hashed=True),
-        PGridOverlay(ids, np.random.default_rng(3)),
-        MercuryOverlay(ids, np.random.default_rng(4)),
-        CANOverlay(rng.random(N), dims=2),
-        WattsStrogatzOverlay(N, 4, 0.1, np.random.default_rng(5)),
-    ]
 
 
 class TestGraphRoundTrip:
@@ -127,66 +94,22 @@ class TestGraphRoundTrip:
         )
 
 
-class TestOverlayRoundTrip:
-    def test_all_baselines_byte_identical(self, rng, tmp_path):
-        for i, overlay in enumerate(_overlay_zoo(rng)):
-            path = tmp_path / f"ov{i}"
-            save_overlay(overlay, path)
-            loaded = load_overlay(path)
-            assert isinstance(loaded, LoadedOverlay)
-            assert loaded.n == overlay.n
-            sources = rng.integers(0, overlay.n, N_ROUTES)
-            keys = rng.random(N_ROUTES)
-            a = route_many_overlay(overlay, sources, keys, record_paths=True)
-            b = route_many_overlay(loaded, sources, keys, record_paths=True)
-            label = f"{overlay.name}[{i}]"
-            np.testing.assert_array_equal(a.success, b.success, err_msg=label)
-            np.testing.assert_array_equal(a.hops, b.hops, err_msg=label)
-            np.testing.assert_array_equal(a.owners, b.owners, err_msg=label)
-            assert a.paths == b.paths, label
-            np.testing.assert_array_equal(
-                overlay.table_sizes(), loaded.table_sizes(), err_msg=label
-            )
-
-    def test_scalar_route_and_owner(self, rng, tmp_path):
-        """A loaded overlay's single route and owner equal the original
-        overlay's per-lookup loop and owner rule."""
-        overlay = ChordOverlay(np.sort(rng.random(N)))
-        save_overlay(overlay, tmp_path / "chord")
-        loaded = load_overlay(tmp_path / "chord")
-        oracle = scalar_twin(overlay)
-        for key in (0.05, 0.42, 0.97):
-            a = oracle.route(7, key)
-            b = loaded.route(7, key)
-            assert list(a.path) == list(b.path)
-            assert a.success == b.success
-            assert oracle.owner_of(key) == loaded.owner_of(key)
-        with pytest.raises(ValueError):
-            loaded.route(overlay.n + 1, 0.5)
-
-    def test_custom_transform_rejected(self, rng, tmp_path):
-        from repro.keyspace import RingSpace
-
-        overlay = SymphonyOverlay(np.sort(rng.random(64)), rng)
-        overlay._frontier_cache = (
-            overlay.to_csr(),
-            GreedyValueMetric(
-                overlay.ids, RingSpace(), transform=lambda k: k
-            ),
-        )
-        with pytest.raises(StoreError, match="transform"):
-            save_overlay(overlay, tmp_path / "custom")
-
-
 class TestCorruption:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(StoreError, match="manifest"):
             load_graph(tmp_path / "nowhere")
 
-    def test_wrong_kind(self, stored_graph, tmp_path):
-        _, path, _ = stored_graph
-        with pytest.raises(StoreError, match="kind|graph|overlay"):
-            load_overlay(path)
+    def test_wrong_kind(self, tmp_path):
+        """A snapshot of another kind — an overlay snapshot, as earlier
+        versions of the store wrote them — is refused, not misread."""
+        path = tmp_path / "overlay"
+        write_snapshot(
+            path, "overlay",
+            payload={"n": 2, "name": "chord"},
+            arrays={"indptr": np.array([0, 1, 2]), "indices": np.array([1, 0])},
+        )
+        with pytest.raises(StoreError, match="'overlay', expected a 'graph'"):
+            load_graph(path)
 
     def test_version_mismatch(self, stored_graph, tmp_path, rng):
         graph = build_uniform_model(64, rng, GraphConfig(out_degree=2))
@@ -268,6 +191,11 @@ class TestHandEditedGraph:
         with pytest.raises(StoreError, match="strictly increasing"):
             load_graph(path)
 
+    def test_last_id_must_lie_below_one(self, tmp_path):
+        path = self._edit(tmp_path, "ids", lambda a: a.__setitem__(-1, 1.5))
+        with pytest.raises(StoreError, match=r"\[0, 1\)"):
+            load_graph(path)
+
     def test_edge_target_out_of_range(self, tmp_path):
         path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, 10**6))
         with pytest.raises(StoreError, match="out of range"):
@@ -295,71 +223,3 @@ class TestHandEditedGraph:
             batch = route_many(loaded, sources, keys, record_paths=True)
         metric = GreedyValueMetric(loaded.ids, loaded.space)
         assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
-
-
-class TestHandEditedOverlay:
-    """An overlay snapshot with an edited CSR or CAN zone tree must not load."""
-
-    @staticmethod
-    def _edit(tmp_path, key, edit, overlay=None):
-        if overlay is None:
-            ids = np.sort(np.random.default_rng(9).random(2000))
-            overlay = SymphonyOverlay(ids, np.random.default_rng(9), k=4)
-        path = tmp_path / "edited"
-        save_overlay(overlay, path)
-        target = path / "arrays" / f"{key}.npy"
-        array = np.load(target)
-        edit(array)
-        np.save(target, array)
-        return path
-
-    def test_indptr_must_start_at_zero(self, tmp_path):
-        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(0, 1))
-        with pytest.raises(StoreError, match=r"indptr\[0\]"):
-            load_overlay(path)
-
-    def test_indptr_must_not_decrease(self, tmp_path):
-        path = self._edit(tmp_path, "indptr", lambda a: a.__setitem__(10, a[12]))
-        with pytest.raises(StoreError, match="non-decreasing"):
-            load_overlay(path)
-
-    @pytest.mark.parametrize("target", [10**6, -3])
-    def test_edge_target_out_of_range(self, tmp_path, target):
-        path = self._edit(tmp_path, "indices", lambda a: a.__setitem__(3, target))
-        with pytest.raises(StoreError, match="out of range"):
-            load_overlay(path)
-
-    @staticmethod
-    def _can():
-        return CANOverlay(np.random.default_rng(9).random(300), dims=2)
-
-    def test_swapped_zone_ids_raise(self, tmp_path):
-        """Two leaves trading zone ids would send lookups to the wrong owner."""
-
-        def swap(zone):
-            leaves = np.flatnonzero(zone >= 0)
-            zone[leaves[[3, 7]]] = zone[leaves[[7, 3]]]
-
-        path = self._edit(tmp_path, "metric_bsp_zone", swap, self._can())
-        with pytest.raises(StoreError, match="centre"):
-            load_overlay(path)
-
-    @pytest.mark.parametrize(
-        ("key", "value", "match"),
-        [
-            ("metric_bsp_low", 10**6, "child index"),
-            ("metric_bsp_zone", 300, "zone id"),
-            ("metric_bsp_split_dim", 2, "split dim"),
-            ("metric_bsp_split_at", 0.0, "centre"),
-        ],
-    )
-    def test_edited_bsp_entry_raises(self, tmp_path, key, value, match):
-        """One out-of-range entry in the root (internal) or the last
-        node (a leaf) raises instead of misrouting or an IndexError."""
-
-        def edit(array):
-            array[0 if key != "metric_bsp_zone" else -1] = value
-
-        path = self._edit(tmp_path, key, edit, self._can())
-        with pytest.raises(StoreError, match=match):
-            load_overlay(path)

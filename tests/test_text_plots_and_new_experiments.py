@@ -1,61 +1,8 @@
-"""Tests for the ASCII plot helpers and the E13/E14 extensions."""
+"""Tests for the E13/E14 extensions."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import ascii_histogram, ascii_series
 from repro.experiments import run_experiment
-
-
-class TestAsciiHistogram:
-    def test_contains_all_counts(self, rng):
-        values = rng.normal(5, 1, 200)
-        text = ascii_histogram(values, n_bins=8)
-        total = sum(
-            int(line.split(")")[1].split()[0]) for line in text.splitlines()
-        )
-        assert total == 200
-
-    def test_title_rendered(self, rng):
-        text = ascii_histogram(rng.random(10), title="HOPS")
-        assert text.splitlines()[0] == "HOPS"
-
-    def test_peak_bar_has_full_width(self, rng):
-        text = ascii_histogram(rng.random(500), n_bins=5, width=30)
-        assert max(line.count("#") for line in text.splitlines()) == 30
-
-    def test_constant_values_ok(self):
-        text = ascii_histogram([3.0, 3.0, 3.0])
-        assert "3" in text
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ascii_histogram([])
-        with pytest.raises(ValueError):
-            ascii_histogram([1.0], n_bins=0)
-
-
-class TestAsciiSeries:
-    def test_log2_labels(self):
-        text = ascii_series([256, 512], [4.0, 4.5], label_x="N", label_y="hops")
-        assert "2^8.0" in text
-        assert "2^9.0" in text
-
-    def test_plain_labels(self):
-        text = ascii_series([1, 2], [1.0, 2.0], log2_x=False)
-        assert "\n           1 |" in "\n" + text
-
-    def test_bars_proportional(self):
-        text = ascii_series([2, 4], [1.0, 2.0], width=20)
-        lines = text.splitlines()
-        assert lines[-1].count("#") == 20
-        assert lines[-2].count("#") == 10
-
-    def test_rejects_mismatched(self):
-        with pytest.raises(ValueError):
-            ascii_series([1], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            ascii_series([], [])
 
 
 class TestE13Ablations:

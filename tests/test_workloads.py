@@ -8,10 +8,8 @@ from repro.workloads import (
     CumulativePicker,
     corpus_from_distribution,
     cumulative_picks,
-    hotspot_corpus,
     point_queries,
     range_queries,
-    timestamp_corpus,
     zipf_corpus,
     zipf_point_queries,
 )
@@ -33,28 +31,9 @@ class TestCorpora:
         keys = zipf_corpus(5000, rng, n_items=100, exponent=0.0)
         assert np.mean(keys < 0.5) == pytest.approx(0.5, abs=0.05)
 
-    def test_timestamp_corpus_recent_heavy(self, rng):
-        keys = timestamp_corpus(5000, rng, recency_rate=8.0)
-        assert np.mean(keys > 0.8) > 0.6
-
-    def test_hotspot_corpus_concentrates(self, rng):
-        keys = hotspot_corpus(5000, rng, hotspots=(0.3,), hotspot_sigma=0.01,
-                              hotspot_weight=0.9)
-        assert np.mean(np.abs(keys - 0.3) < 0.05) > 0.7
-
-    def test_hotspot_full_weight(self, rng):
-        keys = hotspot_corpus(1000, rng, hotspots=(0.5,), hotspot_weight=1.0)
-        assert np.mean(np.abs(keys - 0.5) < 0.1) > 0.9
-
     def test_rejections(self, rng):
         with pytest.raises(ValueError):
             zipf_corpus(10, rng, n_items=0)
-        with pytest.raises(ValueError):
-            timestamp_corpus(-1, rng)
-        with pytest.raises(ValueError):
-            hotspot_corpus(10, rng, hotspots=())
-        with pytest.raises(ValueError):
-            hotspot_corpus(10, rng, hotspot_weight=1.5)
 
 
 class TestQueries:
