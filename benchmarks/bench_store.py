@@ -8,8 +8,8 @@ Three layers over :mod:`repro.store` and the owner-side arena cache:
   persistence.
 * **load-vs-build gate** (always enforced): memmapping a 1e6-peer
   snapshot back must beat rebuilding the same graph by >= 100x.  The
-  load is O(metadata) — ``np.load(mmap_mode="r")`` maps the CSR without
-  reading it — so the gate holds on any machine with a filesystem.
+  load maps the arrays with ``np.load(mmap_mode="r")`` and reads the
+  ids, the row pointers and every edge target once, for its checks.
 * **repeat-dispatch gate** (``>= 2`` usable CPUs): with the arena cache
   leasing one published arena per graph, repeated pooled dispatch of
   small batches over a 1e5-peer graph must beat the per-call

@@ -127,7 +127,6 @@ class PastryOverlay(BaselineOverlay):
         n, depth, base = self.n, self.depth, self.base
         digit_mat = self._digit_matrix
         self.table = np.full((n, depth, base), -1, dtype=np.int32)
-        self._row_filled = np.zeros(n, dtype=np.int64)
         codes = np.zeros(n, dtype=np.int64)
         all_digits = np.arange(base, dtype=np.int64)
         rows = np.arange(n, dtype=np.int64)
@@ -141,7 +140,6 @@ class PastryOverlay(BaselineOverlay):
             entries = np.where(sizes > 0, picks, -1)
             entries[rows, digit_mat[:, level]] = -1  # own digit: no slot
             self.table[:, level, :] = entries
-            self._row_filled += (entries >= 0).any(axis=1)
             codes = child
 
     def _build_frontier(self):

@@ -94,9 +94,12 @@ class CSRAdjacency:
             raise ValueError("indptr[-1] must equal the number of edges")
         if len(self.indices) != len(self.is_long):
             raise ValueError("indices and is_long must have equal length")
-        if len(self.indices) and (
-            self.indices.min() < 0 or self.indices.max() >= self.n
-        ):
+        if self.indices.dtype.kind not in "iu":
+            raise ValueError(f"edge targets must be integers, got {self.indices.dtype}")
+        # As unsigned, a negative target wraps above every n, so one max
+        # checks both ends in one pass over the edges.
+        targets = self.indices.view(self.indices.dtype.str.replace("i", "u"))
+        if len(targets) and targets.max() >= self.n:
             raise ValueError("edge targets out of range")
 
     @property

@@ -818,10 +818,12 @@ class StreamFrontier:
     driver: admit everything once, step until the frontier drains.
 
     Slot state is exposed column-wise (``current``, ``hops``,
-    ``success``, ``reason_codes``, ...); :meth:`take` gathers one
-    retired cohort's columns.  Path recording is supported only while
-    no slot has been released (a reused slot would splice two walks'
-    paths together), which the batch driver satisfies by construction.
+    ``success``, ``reason_codes``, ``tickets``, ...); a caller reads a
+    retired cohort's outcomes by indexing them with the slots
+    :meth:`step` returned, before :meth:`release`.  Path recording is
+    supported only while no slot has been released (a reused slot would
+    splice two walks' paths together), which the batch driver satisfies
+    by construction.
 
     Rounds are linear or search rounds (see the module docstring); the
     frontier tracks :attr:`candidates_seen` / :attr:`padded_slots_seen`
@@ -857,7 +859,7 @@ class StreamFrontier:
         #: candidates, ``"stuck"`` when no walk had any, ``"none"`` when
         #: every walk ran out of hops or none was active — and how many
         #: real candidates / dense slots it gathered.  Read by the
-        #: per-round trace and by the flight recorder's replay loop.
+        #: per-round telemetry trace and by perfbench's tracer.
         self.last_round_kernel = "none"
         self.last_round_candidates = 0
         self.last_round_padded_slots = 0
@@ -1457,18 +1459,6 @@ class StreamFrontier:
                 self.active[done] = False
                 retired.append(done)
         return retired
-
-    def take(self, slots: np.ndarray) -> dict[str, np.ndarray]:
-        """Gather one retired cohort's outcome columns, slot-aligned."""
-        return {
-            "success": self.success[slots].copy(),
-            "hops": self.hops[slots].copy(),
-            "neighbor_hops": self.neighbor_hops[slots].copy(),
-            "long_hops": self.long_hops[slots].copy(),
-            "reason_codes": self.reason_codes[slots].copy(),
-            "owners": self.owners[slots].copy(),
-            "tickets": self.tickets[slots].copy(),
-        }
 
 
 def frontier_route_many(

@@ -5,15 +5,16 @@ Sampling is a deterministic splitmix-style hash of each query's
 because the hash never looks at tickets or batching, the *same* queries
 are sampled however the stream is micro-batched.
 
-The recorder costs the serving hot path one vectorized hash per admitted
-micro-batch plus an append per sampled query.  Per-round detail
+The recorder costs the serving hot path one vectorized hash per
+submitted chunk plus an append per sampled query.  Per-round detail
 (admission → cache consult → each frontier round with its candidate
-count → retirement reason) is reconstructed at export time
-by replaying each sampled query through a private single-walk
-:class:`~repro.core.metric_routing.StreamFrontier` — the kernel's
-bit-identity contract guarantees the replay takes exactly the hops the
-live walk took, which :meth:`FlightRecorder.traces` verifies against
-the engine's outcome log.  Round-span timestamps inside a lookup are
+count → retirement reason) is reconstructed at export time by replaying
+the sampled routed queries as one
+:func:`~repro.core.metric_routing.frontier_route_many` batch with paths
+recorded — the kernel's bit-identity contract guarantees each replay
+takes exactly the hops its live walk took, which
+:meth:`FlightRecorder.traces` verifies against the engine's outcome
+log.  Round-span timestamps inside a lookup are
 therefore synthetic (evenly spaced across the measured latency); the
 lookup envelope itself uses the real enqueue time and latency.
 
@@ -29,6 +30,12 @@ import os
 
 import numpy as np
 
+from repro.core.metric_routing import (
+    _REASON_LABELS,
+    REASON_ARRIVED,
+    REASON_STUCK,
+    frontier_route_many,
+)
 from repro.keyspace import splitmix64
 
 __all__ = ["FlightRecorder", "LookupTrace", "sample_mask"]
@@ -111,38 +118,46 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # reconstruction
     # ------------------------------------------------------------------
-    def _replay_rounds(self, source: int, key: float) -> list[dict]:
-        """Re-route one query through a private single-walk frontier.
+    def _replay_rounds(self, sources, keys) -> tuple[list[list[dict]], np.ndarray]:
+        """Re-route sampled queries as one batch; return rounds and hops.
 
-        Bit-identical to the live walk by the kernel contract; records
-        the node each round left from and its candidate count.
+        Bit-identical to the live walks by the kernel contract.  Hop j
+        of a walk is its round j + 1, which left ``path[j]`` after
+        scoring that node's whole row.  A walk that stops short of its
+        owner spends one more round at its last node: a ``stuck`` walk
+        scores that node's row and finds nothing closer, and a
+        ``max_hops`` walk is retired before it gathers any candidate.
         """
-        from repro.core.metric_routing import StreamFrontier
-
         engine = self.engine
-        frontier = StreamFrontier(
-            engine.csr, engine.metric, max_hops=engine.max_hops,
-            capacity=1,
+        batch = frontier_route_many(
+            engine.csr, engine.metric, sources, keys,
+            max_hops=engine.max_hops, record_paths=True,
         )
-        prepared = engine.metric.prepare(np.asarray([key], dtype=float))
-        frontier.admit(np.asarray([source], dtype=np.int64), prepared)
-        rounds: list[dict] = []
-        while frontier.active_count:
-            at_node = int(frontier.current[0])
-            hops_before = int(frontier.hops[0])
-            frontier.step()
-            rounds.append(
-                {
-                    "round": frontier.rounds,
-                    "node": at_node,
-                    "candidates": frontier.last_round_candidates,
-                    "moved": int(frontier.hops[0]) > hops_before,
-                }
-            )
-        return rounds
+        indptr = engine.csr.indptr
+        out: list[list[dict]] = []
+        for path, reason in zip(batch.paths, batch.reason_codes.tolist()):
+            nodes = np.asarray(path, dtype=np.int64)
+            degree = (indptr[nodes + 1] - indptr[nodes]).tolist()
+            rounds = [
+                {"round": j + 1, "node": node, "candidates": degree[j], "moved": True}
+                for j, node in enumerate(path[:-1])
+            ]
+            if reason != REASON_ARRIVED:
+                rounds.append(
+                    {
+                        "round": len(path),
+                        "node": path[-1],
+                        "candidates": degree[-1] if reason == REASON_STUCK else 0,
+                        "moved": False,
+                    }
+                )
+            out.append(rounds)
+        return out, batch.hops
 
     def traces(self, verify: bool = True) -> list[LookupTrace]:
         """Reconstruct every sampled lookup that has completed.
+
+        The routed ones are replayed together in one batch.
 
         Args:
             verify: assert each replay's hop count equals the live
@@ -152,42 +167,37 @@ class FlightRecorder:
             RuntimeError: when ``verify`` and a replay disagrees with
                 the engine's outcome log — a determinism violation.
         """
-        from repro.core.metric_routing import _REASON_LABELS
-
-        engine = self.engine
-        log = engine._log
-        out: list[LookupTrace] = []
-        for ticket in self._tickets:
-            if not bool(log.completed[ticket]):
-                continue
-            cache_hit = bool(log.cache_hit[ticket])
-            source = int(log.sources[ticket])
-            key = float(log.keys[ticket])
-            hops = int(log.hops[ticket])
-            rounds = [] if cache_hit else self._replay_rounds(source, key)
-            if verify and not cache_hit:
-                replayed_hops = sum(1 for r in rounds if r["moved"])
-                if replayed_hops != hops:
-                    raise RuntimeError(
-                        f"flight-recorder replay of ticket {ticket} took "
-                        f"{replayed_hops} hops but the live walk took {hops}"
-                    )
-            out.append(
-                LookupTrace(
-                    ticket=ticket,
-                    source=source,
-                    key=key,
-                    owner=int(log.owners[ticket]),
-                    cache_hit=cache_hit,
-                    success=bool(log.success[ticket]),
-                    reason=str(_REASON_LABELS[log.reason_codes[ticket]]),
-                    hops=hops,
-                    latency_seconds=float(log.latency_seconds[ticket]),
-                    t_enqueue=float(log.t_enqueue[ticket]),
-                    rounds=rounds,
+        res = self.engine.results()
+        tickets = np.asarray(self._tickets, dtype=np.int64)
+        tickets = tickets[res.completed[tickets]]
+        routed = tickets[~res.cache_hit[tickets]]
+        replayed: dict[int, list[dict]] = {}
+        if len(routed):
+            rounds, hops = self._replay_rounds(res.sources[routed], res.keys[routed])
+            live = res.hops[routed]
+            if verify and (hops != live).any():
+                i = int(np.argmax(hops != live))
+                raise RuntimeError(
+                    f"flight-recorder replay of ticket {routed[i]} took "
+                    f"{hops[i]} hops but the live walk took {live[i]}"
                 )
+            replayed = dict(zip(routed.tolist(), rounds))
+        return [
+            LookupTrace(
+                ticket=t,
+                source=int(res.sources[t]),
+                key=float(res.keys[t]),
+                owner=int(res.owners[t]),
+                cache_hit=bool(res.cache_hit[t]),
+                success=bool(res.success[t]),
+                reason=str(_REASON_LABELS[res.reason_codes[t]]),
+                hops=int(res.hops[t]),
+                latency_seconds=float(res.latency_seconds[t]),
+                t_enqueue=float(res.t_enqueue[t]),
+                rounds=replayed.get(t, []),
             )
-        return out
+            for t in tickets.tolist()
+        ]
 
     # ------------------------------------------------------------------
     # exports

@@ -6,12 +6,14 @@ The layer that turns the repository's batch routers into a *server*:
   corpus (who asks, what for, from where);
 * :class:`RouteCache` — LRU hot-key → owner memoisation with
   hit/miss/eviction accounting mirrored into :mod:`repro.telemetry`;
-* :class:`ServingEngine` — the ring-buffer admission loop around
-  :class:`repro.core.metric_routing.StreamFrontier`: micro-batches of
-  the query stream join the live frontier continuously, retired walks
-  stream into p50/p99/p999 latency + hops SLO quantiles, and per-query
-  outcomes are a pure function of the stream and the engine's
-  configuration, with owners and routed hops equal to batch replay.
+* :class:`ServingEngine` — the admission loop around
+  :class:`repro.core.metric_routing.StreamFrontier`: queries wait in a
+  ticket-indexed outcome log, micro-batches of the stream join the live
+  frontier continuously in ticket order, retired walks write their
+  outcomes into the same log (the source of the exact p50/p99/p999
+  latency and hops SLO quantiles), and per-query outcomes are a pure
+  function of the stream and the engine's configuration, with owners
+  and routed hops equal to batch replay.
 """
 
 from repro.serving.cache import RouteCache

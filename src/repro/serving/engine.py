@@ -3,12 +3,13 @@
 The batch engines route a workload that exists up front; a *server*
 faces a continuous query stream.  :class:`ServingEngine` turns the
 resident frontier kernel (:class:`repro.core.metric_routing.
-StreamFrontier`) into exactly that: submitted queries wait in a ring
-buffer, each pump admits one micro-batch into the live frontier — walks
-join and leave continuously, the frontier never drains between batches
-— and retired walks report per-query outcomes plus streaming SLO
-quantiles (p50/p99/p999 latency and hops via
-:class:`repro.telemetry.P2Quantile`).
+StreamFrontier`) into exactly that.  Every submitted query gets a ticket
+and a row in one ticket-indexed outcome log.  Submitted queries wait in
+that log, and each pump admits the next tickets in order as one
+micro-batch into the live frontier — walks join and leave continuously,
+the frontier never drains between batches.  Retired walks write their
+outcomes into the same rows, and :meth:`ServingEngine.report` computes
+the SLO quantiles (p50/p99/p999 latency and hops) exactly from them.
 
 One :class:`StreamFrontier` holds every in-flight walk; admission
 backpressure is ``max_active``.  Because walks are independent and the
@@ -40,12 +41,16 @@ from repro.core.metric_routing import (
 )
 from repro.keyspace import check_unit_keys
 from repro.serving.cache import RouteCache
-from repro.telemetry import P2Quantile
 
 __all__ = ["ServeConfig", "ServeReport", "ServeResult", "ServingEngine"]
 
 #: The SLO grid: median, tail, extreme tail.
 SLO_PROBS = (0.5, 0.99, 0.999)
+
+#: The outcome columns a retired walk copies from its frontier slot.
+_WALK_COLUMNS = (
+    "owners", "hops", "neighbor_hops", "long_hops", "success", "reason_codes",
+)
 
 
 @dataclass
@@ -97,6 +102,7 @@ class ServeResult:
     reason_codes: np.ndarray
     cache_hit: np.ndarray
     latency_seconds: np.ndarray
+    t_enqueue: np.ndarray
     completed: np.ndarray
 
     def __len__(self) -> int:
@@ -160,76 +166,15 @@ class ServeReport:
         return "\n".join(lines)
 
 
-class _RingBuffer:
-    """Growable circular buffer of pending ``(source, key, ticket)`` rows."""
-
-    def __init__(self, capacity: int = 1024):
-        cap = max(int(capacity), 2)
-        self._sources = np.empty(cap, dtype=np.int64)
-        self._keys = np.empty(cap, dtype=float)
-        self._tickets = np.empty(cap, dtype=np.int64)
-        self._head = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def capacity(self) -> int:
-        return len(self._keys)
-
-    def _logical(self, arr: np.ndarray) -> np.ndarray:
-        cap = self.capacity
-        idx = (self._head + np.arange(self._size)) % cap
-        return arr[idx]
-
-    def _grow(self, needed: int) -> None:
-        cap = self.capacity
-        new_cap = cap
-        while new_cap < needed:
-            new_cap *= 2
-        for name in ("_sources", "_keys", "_tickets"):
-            arr = getattr(self, name)
-            grown = np.empty(new_cap, dtype=arr.dtype)
-            grown[: self._size] = self._logical(arr)
-            setattr(self, name, grown)
-        self._head = 0
-
-    def push(
-        self, sources: np.ndarray, keys: np.ndarray, tickets: np.ndarray
-    ) -> None:
-        m = len(keys)
-        if self._size + m > self.capacity:
-            self._grow(self._size + m)
-        cap = self.capacity
-        tail = (self._head + self._size) % cap
-        first = min(cap - tail, m)
-        for arr, vals in (
-            (self._sources, sources), (self._keys, keys), (self._tickets, tickets),
-        ):
-            arr[tail : tail + first] = vals[:first]
-            if first < m:
-                arr[: m - first] = vals[first:]
-        self._size += m
-
-    def pop(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = min(m, self._size)
-        cap = self.capacity
-        head = self._head
-        first = min(cap - head, m)
-        out = []
-        for arr in (self._sources, self._keys, self._tickets):
-            if first < m:
-                out.append(np.concatenate([arr[head : head + first], arr[: m - first]]))
-            else:
-                out.append(arr[head : head + m].copy())
-        self._head = (head + m) % cap
-        self._size -= m
-        return out[0], out[1], out[2]
-
-
 class _ResultLog:
-    """Ticket-indexed growable outcome columns."""
+    """Ticket-indexed growable outcome columns.
+
+    The engine's only per-lookup state.  ``submit`` writes a ticket's
+    source, key and enqueue time; the ticket then waits here until
+    admission, and completion writes its outcome into the same row.
+    Every other column holds its fill value until then, and a cache hit
+    keeps the walk columns' fill values as its outcome.
+    """
 
     _SPECS = (
         ("sources", np.int64, 0),
@@ -266,6 +211,13 @@ class _ResultLog:
         self._cap = cap
 
 
+def _quantiles(values: np.ndarray) -> list[float]:
+    """Exact :data:`SLO_PROBS` quantiles of ``values``; zeros when empty."""
+    if len(values) == 0:
+        return [0.0] * len(SLO_PROBS)
+    return np.quantile(values, SLO_PROBS).tolist()
+
+
 class ServingEngine:
     """Serve a continuous lookup stream over one small-world graph.
 
@@ -291,19 +243,16 @@ class ServingEngine:
             else None
         )
         self._clock = clock if clock is not None else time.perf_counter
-        self._queue = _RingBuffer()
         self._log = _ResultLog()
+        # Admission is FIFO by ticket: tickets [_admitted, _next_ticket)
+        # are the pending queries.
         self._next_ticket = 0
+        self._admitted = 0
         self.completed = 0
         self._frontier = StreamFrontier(
             self.csr, self.metric, max_hops=self.max_hops,
             capacity=self.config.max_active,
         )
-        self._latency_q = P2Quantile(SLO_PROBS)
-        self._hops_q = P2Quantile(SLO_PROBS)
-        self._reason_tally = np.zeros(len(_REASON_LABELS), dtype=np.int64)
-        self._routed_hops_total = 0
-        self._routed_total = 0
         self._busy_seconds = 0.0
         self.rounds = 0
         # Observability hooks (repro.monitor): both default to None so
@@ -332,8 +281,8 @@ class ServingEngine:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Queries waiting in the admission ring."""
-        return len(self._queue)
+        """Submitted queries not yet admitted into the frontier."""
+        return self._next_ticket - self._admitted
 
     @property
     def in_flight(self) -> int:
@@ -345,7 +294,7 @@ class ServingEngine:
 
         Tickets are dense submission sequence numbers — the row index
         of each query in :meth:`results`.  The whole chunk is checked
-        before it gets tickets or queue rows, so a rejected chunk leaves
+        before it gets tickets or log rows, so a rejected chunk leaves
         no trace and never poisons the micro-batch it would have joined.
 
         Raises:
@@ -371,7 +320,6 @@ class ServingEngine:
             # the hash depends only on each (source, key) — and the
             # vectorized hash amortizes over the whole chunk.
             self._recorder.observe_admission(tickets, sources, keys)
-        self._queue.push(sources, keys, tickets)
         return tickets
 
     # ------------------------------------------------------------------
@@ -398,9 +346,9 @@ class ServingEngine:
         return self.completed - before
 
     def drain(self) -> int:
-        """Pump until queue and frontier are both empty."""
+        """Pump until no query is pending or in flight."""
         done = 0
-        while len(self._queue) or self.in_flight:
+        while self.pending or self.in_flight:
             done += self.pump()
         return done
 
@@ -413,7 +361,7 @@ class ServingEngine:
     ) -> ServeReport:
         """Serve ``n_queries`` drawn from a demand model; return the SLO report.
 
-        Traffic is drawn chunk by chunk as the admission ring drains —
+        Traffic is drawn chunk by chunk as the pending queries drain —
         the closed-loop equivalent of a client population keeping the
         server saturated.
         """
@@ -424,7 +372,7 @@ class ServingEngine:
         submitted = 0
         started = self._clock()
         while self.completed < target:
-            if submitted < n_queries and len(self._queue) < chunk:
+            if submitted < n_queries and self.pending < chunk:
                 m = min(chunk, n_queries - submitted)
                 _, sources, keys = demand.draw(m, rng)
                 self.submit(sources, keys)
@@ -432,33 +380,28 @@ class ServingEngine:
             self.pump()
         return self.report(seconds=self._clock() - started, n_queries=n_queries)
 
-    def _admit(self) -> int:
-        room = min(
+    def _admit(self) -> None:
+        """Admit the next pending tickets, up to the round's room."""
+        lo = self._admitted
+        m = min(
             self.config.admit_per_round,
             self.config.max_active - self._frontier.active_count,
+            self._next_ticket - lo,
         )
-        if room <= 0 or len(self._queue) == 0:
-            return 0
-        sources, keys, tickets = self._queue.pop(room)
-        telemetry.count("serving.admitted", len(tickets))
+        if m <= 0:
+            return
+        hi = self._admitted = lo + m
+        telemetry.count("serving.admitted", m)
+        sources, keys = self._log.sources[lo:hi], self._log.keys[lo:hi]
+        tickets = np.arange(lo, hi, dtype=np.int64)
         if self.cache is not None:
             owners, hit = self.cache.lookup(keys)
             if hit.any():
-                done = np.flatnonzero(hit)
-                self._finish(
-                    tickets[done],
-                    owners=owners[done],
-                    hops=np.zeros(done.size, dtype=np.int64),
-                    neighbor_hops=np.zeros(done.size, dtype=np.int64),
-                    long_hops=np.zeros(done.size, dtype=np.int64),
-                    success=np.ones(done.size, dtype=bool),
-                    reason_codes=np.full(done.size, REASON_ARRIVED, dtype=np.int8),
-                    cache_hit=True,
-                )
-            miss = ~hit
-            if not miss.any():
-                return len(tickets)
-            sources, keys, tickets = sources[miss], keys[miss], tickets[miss]
+                self._finish_hits(lo, hit, owners)
+                if hit.all():
+                    return
+                miss = ~hit
+                sources, keys, tickets = sources[miss], keys[miss], tickets[miss]
         prepared = self.metric.prepare(keys)
         if self.cache is not None:
             # Filled at admission time — before any routing — so cache
@@ -469,57 +412,39 @@ class ServingEngine:
         done = slots[~self._frontier.active[slots]]
         if done.size:
             self._retire(done)
-        return len(tickets)
+
+    def _finish_hits(self, lo: int, hit: np.ndarray, owners: np.ndarray) -> None:
+        """Complete the cache hits among tickets ``[lo, lo + len(hit))``.
+
+        A hit is stamped at admission, so its latency is its queue wait
+        plus one cache probe.  Only the five columns whose fill values a
+        hit changes are written; its hops and reason keep theirs.
+        """
+        log = self._log
+        span = slice(lo, lo + len(hit))
+        now = self._clock()
+        np.copyto(log.owners[span], owners, where=hit)
+        np.subtract(
+            now, log.t_enqueue[span], out=log.latency_seconds[span], where=hit
+        )
+        log.success[span] |= hit
+        log.cache_hit[span] |= hit
+        log.completed[span] |= hit
+        n_hits = int(np.count_nonzero(hit))
+        self.completed += n_hits
+        telemetry.count("serving.completed", n_hits)
 
     def _retire(self, slots: np.ndarray) -> None:
-        data = self._frontier.take(slots)
-        self._frontier.release(slots)
-        self._finish(
-            data["tickets"],
-            owners=data["owners"],
-            hops=data["hops"],
-            neighbor_hops=data["neighbor_hops"],
-            long_hops=data["long_hops"],
-            success=data["success"],
-            reason_codes=data["reason_codes"],
-            cache_hit=False,
-        )
-
-    def _finish(
-        self, tickets, *, owners, hops, neighbor_hops, long_hops,
-        success, reason_codes, cache_hit,
-    ) -> None:
-        log = self._log
-        now = self._clock()
-        latency = now - log.t_enqueue[tickets]
-        log.owners[tickets] = owners
-        log.hops[tickets] = hops
-        log.neighbor_hops[tickets] = neighbor_hops
-        log.long_hops[tickets] = long_hops
-        log.success[tickets] = success
-        log.reason_codes[tickets] = reason_codes
-        log.cache_hit[tickets] = cache_hit
-        log.latency_seconds[tickets] = latency
+        """Complete the walks in retired frontier ``slots`` and free them."""
+        frontier, log = self._frontier, self._log
+        tickets = frontier.tickets[slots]
+        for name in _WALK_COLUMNS:
+            getattr(log, name)[tickets] = getattr(frontier, name)[slots]
+        frontier.release(slots)
+        log.latency_seconds[tickets] = self._clock() - log.t_enqueue[tickets]
         log.completed[tickets] = True
         self.completed += len(tickets)
-        self._latency_q.observe_batch(latency)
-        if not cache_hit:
-            self._hops_q.observe_batch(hops)
-            self._routed_hops_total += int(np.sum(hops))
-            self._routed_total += len(tickets)
-        self._reason_tally += np.bincount(
-            reason_codes, minlength=len(_REASON_LABELS)
-        )
         telemetry.count("serving.completed", len(tickets))
-        registry = telemetry.active_registry()
-        if registry is not None and (
-            registry.quantiles.get("serving.latency_seconds") is not self._latency_q
-        ):
-            # Publish the engine's own estimators instead of feeding a
-            # second copy of every observation through the registry: one
-            # observe_batch above updates both report() and /metrics.
-            registry.quantiles["serving.latency_seconds"] = self._latency_q
-            registry.quantiles["serving.hops"] = self._hops_q
 
     # ------------------------------------------------------------------
     # results
@@ -529,23 +454,17 @@ class ServingEngine:
         n = self._next_ticket
         log = self._log
         return ServeResult(
-            sources=log.sources[:n],
-            keys=log.keys[:n],
-            owners=log.owners[:n],
-            hops=log.hops[:n],
-            neighbor_hops=log.neighbor_hops[:n],
-            long_hops=log.long_hops[:n],
-            success=log.success[:n],
-            reason_codes=log.reason_codes[:n],
-            cache_hit=log.cache_hit[:n],
-            latency_seconds=log.latency_seconds[:n],
-            completed=log.completed[:n],
+            **{name: getattr(log, name)[:n] for name, _, _ in log._SPECS}
         )
 
     def report(
         self, seconds: float | None = None, n_queries: int | None = None
     ) -> ServeReport:
         """SLO snapshot: throughput, quantiles, reasons, cache stats.
+
+        Every statistic is exact over the completed tickets: hop
+        quantiles and ``mean_hops`` cover the routed (non-cached) ones,
+        latency quantiles, success rate and reasons cover them all.
 
         Args:
             seconds: serving-window wall time; defaults to the summed
@@ -554,29 +473,29 @@ class ServingEngine:
         """
         n = self.completed if n_queries is None else n_queries
         secs = self._busy_seconds if seconds is None else seconds
-        done = self._log.completed[: self._next_ticket]
-        succ = self._log.success[: self._next_ticket][done]
-        reasons = {
-            str(label): int(self._reason_tally[code])
-            for code, label in enumerate(_REASON_LABELS)
-        }
+        res = self.results()
+        done = res.completed
+        hops = res.hops[done & ~res.cache_hit]
+        hops_q = _quantiles(hops)
+        latency_q = _quantiles(res.latency_seconds[done])
+        tally = np.bincount(res.reason_codes[done], minlength=len(_REASON_LABELS))
+        succ = res.success[done]
         return ServeReport(
             n_queries=n,
             seconds=secs,
             lookups_per_sec=n / secs if secs > 0 else 0.0,
             success_rate=float(succ.mean()) if len(succ) else 0.0,
-            mean_hops=(
-                self._routed_hops_total / self._routed_total
-                if self._routed_total
-                else 0.0
-            ),
-            hops_p50=self._hops_q.quantile(0.5),
-            hops_p99=self._hops_q.quantile(0.99),
-            hops_p999=self._hops_q.quantile(0.999),
-            latency_p50_ms=self._latency_q.quantile(0.5) * 1e3,
-            latency_p99_ms=self._latency_q.quantile(0.99) * 1e3,
-            latency_p999_ms=self._latency_q.quantile(0.999) * 1e3,
-            reasons=reasons,
+            # The integer hop total over the routed count.
+            mean_hops=int(hops.sum()) / len(hops) if len(hops) else 0.0,
+            hops_p50=hops_q[0],
+            hops_p99=hops_q[1],
+            hops_p999=hops_q[2],
+            latency_p50_ms=latency_q[0] * 1e3,
+            latency_p99_ms=latency_q[1] * 1e3,
+            latency_p999_ms=latency_q[2] * 1e3,
+            reasons={
+                str(label): int(count) for label, count in zip(_REASON_LABELS, tally)
+            },
             cache=self.cache.stats() if self.cache is not None else None,
             rounds=self.rounds,
             extras={"frontier_fill_ratio": self._frontier.fill_ratio},

@@ -354,11 +354,9 @@ class OraclePastry(PastryOverlay):
                 by_prefix.setdefault(digs[:l], []).append(i)
         # Routing table: table[u][l][d] = peer index or -1.
         self.table = np.full((n, self.depth, self.base), -1, dtype=np.int32)
-        self._row_filled = np.zeros(n, dtype=np.int64)
         for u in range(n):
             own = self._digits[u]
             for l in range(self.depth):
-                row_used = False
                 for d in range(self.base):
                     if d == own[l]:
                         continue
@@ -367,9 +365,6 @@ class OraclePastry(PastryOverlay):
                         continue
                     pick = candidates[int(rng.integers(len(candidates)))]
                     self.table[u, l, d] = pick
-                    row_used = True
-                if row_used:
-                    self._row_filled[u] += 1
 
 
 class OraclePGrid(PGridOverlay):

@@ -81,6 +81,34 @@ class TestBuildCSR:
                 is_long=np.array([False]),
             )
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])
+    def test_edge_targets_in_range_are_accepted(self, dtype):
+        indices = np.array([0, 2, 1], dtype=dtype)
+        csr = CSRAdjacency(
+            indptr=np.array([0, 2, 3, 3]), indices=indices, is_long=np.zeros(3, bool)
+        )
+        assert csr.indices is indices
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    @pytest.mark.parametrize("target", [-1, -128, 3, 127])
+    def test_edge_targets_below_zero_or_from_n_are_rejected(self, dtype, target):
+        """One max over the unsigned view catches both ends: a negative
+        target wraps above every n."""
+        with pytest.raises(ValueError, match="edge targets out of range"):
+            CSRAdjacency(
+                indptr=np.array([0, 2, 3, 3]),
+                indices=np.array([0, target, 1], dtype=dtype),
+                is_long=np.zeros(3, bool),
+            )
+
+    def test_edge_targets_must_be_integers(self):
+        with pytest.raises(ValueError, match="must be integers"):
+            CSRAdjacency(
+                indptr=np.array([0, 1], dtype=np.int64),
+                indices=np.array([0.0]),
+                is_long=np.array([False]),
+            )
+
 
 class TestVectorizedGraphHelpers:
     def test_out_degrees_match_loop(self, rng):

@@ -2,6 +2,7 @@
 health probes, the flight recorder, the monitor driver's determinism
 contract, and the scrape/dashboard surfaces."""
 
+import itertools
 import json
 import urllib.request
 
@@ -10,7 +11,8 @@ import pytest
 
 from repro import telemetry
 from repro.core import build_uniform_model
-from repro.core.builder import GraphConfig
+from repro.core.builder import GraphConfig, build_from_positions
+from repro.core.metric_routing import StreamFrontier
 from repro.monitor import (
     EwmaDetector,
     FlightRecorder,
@@ -28,7 +30,7 @@ from repro.monitor import (
     sample_mask,
     sparkline,
 )
-from repro.monitor.monitor import WINDOW_SERIES
+from repro.monitor.monitor import WINDOW_SERIES, _window_quantile
 from repro.serving import DemandModel, ServeConfig, ServingEngine
 
 
@@ -158,6 +160,17 @@ class TestAnomaly:
         assert by_name["cache_hit_rate"].breached
         assert not by_name["reason_chi2"].breached
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 4096])
+    def test_window_quantile_is_numpys_linear_quantile(self, n):
+        rng = np.random.default_rng(n)
+        for values in (
+            rng.exponential(size=n),
+            np.round(rng.exponential(size=n), 1),  # ties
+            np.full(n, 0.25),
+        ):
+            for q in (0.0, 0.01, 0.5, 0.99, 0.999, 1.0, rng.random()):
+                assert _window_quantile(values, q) == float(np.quantile(values, q))
+
     def test_evaluate_slo_skips_missing(self):
         verdicts = evaluate_slo(SloPolicy(latency_p99_ms_max=10.0), {})
         assert verdicts == []
@@ -244,7 +257,72 @@ class TestSampleMask:
         assert 0.5 / 64 < mask.mean() < 2.0 / 64
 
 
+def replay_rounds_one_by_one(engine, source: int, key: float) -> list[dict]:
+    """Oracle: re-route one query through a private single-walk frontier,
+    stepping it by hand and recording the node each round left from, its
+    candidate count and whether the walk moved."""
+    frontier = StreamFrontier(
+        engine.csr, engine.metric, max_hops=engine.max_hops, capacity=1
+    )
+    prepared = engine.metric.prepare(np.asarray([key], dtype=float))
+    frontier.admit(np.asarray([source], dtype=np.int64), prepared)
+    rounds: list[dict] = []
+    while frontier.active_count:
+        at_node = int(frontier.current[0])
+        hops_before = int(frontier.hops[0])
+        frontier.step()
+        rounds.append(
+            {
+                "round": frontier.rounds,
+                "node": at_node,
+                "candidates": frontier.last_round_candidates,
+                "moved": int(frontier.hops[0]) > hops_before,
+            }
+        )
+    return rounds
+
+
+def _assert_rounds_match_oracle(engine, recorder) -> set[str]:
+    """Every routed trace's rounds equal the per-lookup oracle's; returns
+    the retirement reasons seen."""
+    routed = [t for t in recorder.traces(verify=True) if not t.cache_hit]
+    assert routed
+    for trace in routed:
+        assert trace.rounds == replay_rounds_one_by_one(engine, trace.source, trace.key)
+    return {trace.reason for trace in routed}
+
+
 class TestFlightRecorder:
+    @pytest.mark.parametrize("max_hops", [None, 3, 0])
+    def test_batch_replay_matches_per_lookup_replay(self, graph, demand, max_hops):
+        engine = ServingEngine(
+            graph,
+            ServeConfig(admit_per_round=512, cache_capacity=256, max_hops=max_hops),
+        )
+        recorder = FlightRecorder(engine, sample_rate=8)
+        engine.attach_recorder(recorder)
+        engine.serve(demand, 4000, np.random.default_rng(37))
+        reasons = _assert_rounds_match_oracle(engine, recorder)
+        if max_hops is not None:
+            assert "max_hops" in reasons
+
+    def test_batch_replay_matches_per_lookup_replay_when_stuck(self):
+        """Peers on a dyadic grid and keys at the midpoints of neighbouring
+        ids: a walk that reaches the upper peer of a tie first (the owner
+        is the lower one) finds nothing strictly closer and retires stuck."""
+        n = 256
+        ids = np.arange(n) / n
+        grid = build_from_positions(
+            ids, ids, np.random.default_rng(3), GraphConfig(out_degree=3)
+        )
+        rng = np.random.default_rng(5)
+        engine = ServingEngine(grid, ServeConfig(admit_per_round=300))
+        recorder = FlightRecorder(engine, sample_rate=4)
+        engine.attach_recorder(recorder)
+        engine.submit(rng.integers(0, n, 2000), (rng.integers(0, n, 2000) + 0.5) / n)
+        engine.drain()
+        assert {"arrived", "stuck"} <= _assert_rounds_match_oracle(engine, recorder)
+
     def test_traces_replay_and_export(self, graph, demand, tmp_path):
         engine = ServingEngine(
             graph, ServeConfig(admit_per_round=512, cache_capacity=256)
@@ -294,10 +372,7 @@ class TestMonitorDeterminism:
         """Feeding doctored outcome columns through _emit_window flags a
         hop-inflation step and stays quiet while traffic is stationary."""
 
-        class _Log:
-            pass
-
-        class _Engine:
+        class _Results:
             pass
 
         class _Frontier:
@@ -307,15 +382,20 @@ class TestMonitorDeterminism:
         rng = np.random.default_rng(5)
         hops = rng.integers(4, 8, size=n_windows * w).astype(np.int64)
         hops[16 * w :] *= 6  # the step
-        log = _Log()
-        log.hops = hops
-        log.success = np.ones(n_windows * w, dtype=bool)
-        log.cache_hit = np.zeros(n_windows * w, dtype=bool)
-        log.reason_codes = np.zeros(n_windows * w, dtype=np.int8)
+        res = _Results()
+        res.hops = hops
+        res.success = np.ones(n_windows * w, dtype=bool)
+        res.cache_hit = np.zeros(n_windows * w, dtype=bool)
+        res.reason_codes = np.zeros(n_windows * w, dtype=np.int8)
+        res.latency_seconds = np.full(n_windows * w, 1e-3)
+
+        class _Engine:
+            _frontier = _Frontier()
+
+            def results(self):
+                return res
+
         engine = _Engine()
-        engine._log = log
-        engine._frontier = _Frontier()
-        engine._latency_q = None
         monitor = Monitor.__new__(Monitor)
         monitor.engine = engine
         monitor.config = MonitorConfig(
@@ -334,7 +414,6 @@ class TestMonitorDeterminism:
         monitor._baseline_reasons = None
         monitor._hop_baseline = 6.0
         monitor._probe = None
-        monitor._latency_p99_ms = lambda: 0.0
         for k in range(16):
             monitor._emit_window(k)
             monitor.windows_emitted += 1
@@ -345,6 +424,46 @@ class TestMonitorDeterminism:
         flagged_series = {a.series for a in monitor.alerts}
         assert "window.hops_mean" in flagged_series
         assert "window.hop_inflation" in flagged_series
+
+    def test_window_latency_p99_is_that_windows_own(self, graph, demand):
+        """Each window's p99 is np.quantile over its own latency slice;
+        the wall bank and the telemetry gauge carry the latest one, and
+        the wall bank reads 0.0 before the first window."""
+        engine = ServingEngine(
+            graph, ServeConfig(admit_per_round=512, cache_capacity=256)
+        )
+        ticks = itertools.count()
+        monitor = Monitor(
+            engine,
+            MonitorConfig(window=1024, probe_cadence_seconds=0, cadence_seconds=1),
+            clock=lambda: float(next(ticks)),
+        )
+        engine.attach_monitor(monitor)
+        latest = []
+        emit = monitor._emit_window
+
+        def record(k):
+            emit(k)
+            latest.append(monitor.last_window_stats["latency_p99_ms"])
+
+        monitor._emit_window = record
+        telemetry.enable()
+        try:
+            engine.serve(demand, 6144, np.random.default_rng(31))
+            gauge = telemetry.get_registry().snapshot()["gauges"][
+                "monitor.window.latency_p99_ms"
+            ]
+        finally:
+            telemetry.disable()
+        latency = engine.results().latency_seconds
+        assert len(latest) == monitor.windows_emitted == 6
+        for k, p99 in enumerate(latest):
+            window = latency[k * 1024 : (k + 1) * 1024]
+            assert p99 == float(np.quantile(window, 0.99)) * 1e3
+        assert gauge == latest[-1]
+        wall = monitor.wall_bank.series("wall.latency_p99_ms").values().tolist()
+        assert wall[0] == 0.0 and wall[-1] == latest[-1]
+        assert set(wall) <= {0.0, *latest}
 
     def test_health_verdict_shape(self, graph, demand):
         engine, monitor = _monitored_serve(graph, demand)

@@ -21,7 +21,6 @@ from repro.serving import (
     pareto_weights,
     zipf_weights,
 )
-from repro.serving.engine import _RingBuffer
 
 
 @pytest.fixture(scope="module")
@@ -294,33 +293,7 @@ class TestStreamFrontier:
         slots = frontier.admit(sources, metric.prepare(keys), tickets=tickets)
         while frontier.active_count:
             frontier.step()
-        assert np.array_equal(frontier.take(slots)["tickets"], tickets)
-
-
-class TestRingBuffer:
-    def test_fifo_across_wraparound(self):
-        ring = _RingBuffer(capacity=4)
-        pushed = popped = 0
-        for _ in range(10):
-            t = np.arange(pushed, pushed + 3, dtype=np.int64)
-            pushed += 3
-            ring.push(t, t / 100.0, t)
-            sources, keys, tickets = ring.pop(2)
-            assert tickets.tolist() == [popped, popped + 1]
-            assert np.array_equal(sources, tickets)
-            assert np.allclose(keys, tickets / 100.0)
-            popped += 2
-        _, _, rest = ring.pop(len(ring))
-        assert rest.tolist() == list(range(popped, pushed))
-        assert len(ring) == 0
-
-    def test_grows_past_capacity(self):
-        ring = _RingBuffer(capacity=2)
-        t = np.arange(100, dtype=np.int64)
-        ring.push(t, t.astype(float), t)
-        assert len(ring) == 100
-        _, _, popped = ring.pop(100)
-        assert np.array_equal(popped, t)
+        assert np.array_equal(frontier.tickets[slots], tickets)
 
 
 class TestServingEngine:
@@ -354,6 +327,75 @@ class TestServingEngine:
         # routed outcomes stay hop-identical to the batch replay
         routed = ~res.cache_hit
         assert np.array_equal(res.hops[routed], batch.hops[routed])
+
+    @pytest.mark.parametrize("cache_capacity", [0, 64])
+    def test_admission_takes_the_oldest_pending_tickets(self, graph, cache_capacity):
+        """Chunks submitted across pumps, micro-batches narrower than a
+        chunk: after every pump the admitted tickets (completed or in
+        flight) are a prefix of the submitted ones, and ``pending``
+        counts the rest."""
+        rng = np.random.default_rng(13)
+        n = 1500
+        sources = rng.integers(0, graph.n, size=n)
+        keys = rng.choice(rng.random(200), size=n)  # repeats, so the cache hits
+        engine = ServingEngine(
+            graph,
+            ServeConfig(admit_per_round=70, max_active=150, cache_capacity=cache_capacity),
+        )
+        frontier = engine._frontier
+        submitted = 0
+        for chunk in (300, 0, 450, 1, 749):
+            part = slice(submitted, submitted + chunk)
+            engine.submit(sources[part], keys[part])
+            submitted += chunk
+            for _ in range(4):
+                engine.pump()
+                res = engine.results()
+                in_flight = frontier.tickets[frontier.active]
+                assert len(in_flight) == engine.in_flight
+                admitted = np.union1d(np.flatnonzero(res.completed), in_flight)
+                assert np.array_equal(admitted, np.arange(submitted - engine.pending))
+        engine.drain()
+        assert engine.pending == 0 and engine.results().completed.all()
+        if cache_capacity:
+            assert engine.results().cache_hit.any()
+        routed = ~engine.results().cache_hit
+        batch = route_many(graph, sources, keys)
+        assert np.array_equal(engine.results().owners, batch.owners)
+        assert np.array_equal(engine.results().hops[routed], batch.hops[routed])
+
+    def test_report_is_exact_over_the_outcome_log(self, graph, demand):
+        """Quantiles, mean hops, success rate and reasons are numpy over
+        ``results()``: hops over routed tickets, the rest over all."""
+        engine = ServingEngine(
+            graph, ServeConfig(admit_per_round=512, cache_capacity=256, max_hops=3)
+        )
+        report = engine.serve(demand, 9000, np.random.default_rng(81))
+        res = engine.results()
+        assert len(res) == 9000 and res.completed.all()
+        routed = ~res.cache_hit
+        probs = (0.5, 0.99, 0.999)
+        assert [report.hops_p50, report.hops_p99, report.hops_p999] == (
+            np.quantile(res.hops[routed], probs).tolist()
+        )
+        assert [report.latency_p50_ms, report.latency_p99_ms, report.latency_p999_ms] == (
+            (np.quantile(res.latency_seconds, probs) * 1e3).tolist()
+        )
+        assert report.mean_hops == int(res.hops[routed].sum()) / int(routed.sum())
+        assert report.success_rate == res.success.mean()
+        assert report.reasons == {
+            label: int(np.count_nonzero(res.reason_codes == code))
+            for code, label in enumerate(("arrived", "stuck", "max_hops"))
+        }
+        assert 0 < report.reasons["max_hops"] < 9000  # the budget bit
+
+    def test_report_before_any_completion_reads_zero(self, graph):
+        engine = ServingEngine(graph, ServeConfig(cache_capacity=16))
+        engine.submit(np.array([1, 2]), np.array([0.25, 0.5]))
+        report = engine.report()
+        assert report.n_queries == 0 and report.success_rate == 0.0
+        assert (report.hops_p99, report.latency_p99_ms, report.mean_hops) == (0.0, 0.0, 0.0)
+        assert report.reasons == {"arrived": 0, "stuck": 0, "max_hops": 0}
 
     def test_backpressure_bounds_in_flight_walks(self, graph):
         sources, keys = _workload(graph, 2000, seed=41)
@@ -397,6 +439,9 @@ class TestServingEngine:
                 == 4000
             )
             assert counters["serving.cache.hits"] == engine.cache.hits
+            # report() computes the SLO quantiles from the outcome log;
+            # the registry carries no estimator of its own for them.
+            assert not any(name.startswith("serving.") for name in snap["quantiles"])
         finally:
             telemetry.disable()
 
