@@ -63,7 +63,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   step "persistent store smoke (graph round-trip parity + >=100x load gate + arena-cache gate, lifecycles timed in alternating pairs)" \
     python -m pytest benchmarks/bench_store.py -q -s
 
-  step "telemetry smoke (<=5% enabled overhead + shard-merge bit-identity)" \
+  step "telemetry smoke (<=5% enabled overhead, best CPU time of 8 alternating pairs + shard-merge bit-identity, merged hop histogram = serial run's)" \
     python -m pytest benchmarks/bench_telemetry.py -q -s
 
   step "kernel smoke (scalar-oracle parity on 3 graphs + skewed/uniform ns per candidate <=2x + search rounds: beat linear on sorted skewed rows, skewed/uniform ns per walk-round <=2x, churn-shaped picks >= linear)" \

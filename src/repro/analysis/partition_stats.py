@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import SmallWorldGraph
-from repro.core.partitions import partition_index
+from repro.core.partitions import partition_indices
 from repro.core.theory import n_partitions
 
 __all__ = ["link_partition_histogram", "partition_uniformity"]
@@ -33,11 +33,10 @@ def link_partition_histogram(graph: SmallWorldGraph) -> np.ndarray:
     Returns:
         Array of length ``m + 1`` with counts per partition index.
     """
-    m = n_partitions(graph.n)
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for length in graph.long_link_lengths(normalized=True):
-        counts[partition_index(float(length), graph.n)] += 1
-    return counts
+    return np.bincount(
+        partition_indices(graph.long_link_lengths(normalized=True), graph.n),
+        minlength=n_partitions(graph.n) + 1,
+    )
 
 
 def partition_uniformity(graph: SmallWorldGraph) -> float:

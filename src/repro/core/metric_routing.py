@@ -1598,7 +1598,7 @@ def _record_batch_telemetry(
 
     Per batch: walk/round counters, the full REASON-code histogram
     (zeros included — the stable-schema contract downstream dashboards
-    rely on), the hop-count P² estimator, a per-metric-family batch
+    rely on), the exact hop-count histogram, a per-metric-family batch
     timer, the frontier fill-ratio gauge (real candidates over a dense
     lane matrix's slot budget), and one ``routing.batch`` trace event.
     """
@@ -1610,7 +1610,7 @@ def _record_batch_telemetry(
     tally = np.bincount(reason_codes, minlength=len(_REASON_LABELS))
     for code, label in enumerate(_REASON_LABELS):
         registry.counter(f"routing.reason.{label}").inc(int(tally[code]))
-    registry.quantile("routing.hops").observe_batch(hops)
+    registry.histogram("routing.hops").add(hops)
     fill_ratio = (candidates / padded_slots) if padded_slots else 1.0
     registry.gauge("routing.frontier.fill_ratio").set(fill_ratio)
     telemetry.trace(

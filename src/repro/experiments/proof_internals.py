@@ -20,8 +20,7 @@ from repro.core import (
     advance_stats,
     build_uniform_model,
     partition_hops_bound,
-    sample_routes,
-    trace_partitions,
+    sample_batch,
 )
 from repro.experiments.report import Column, ResultTable
 
@@ -34,21 +33,7 @@ def run_e2(seed: int = 0, quick: bool = False) -> ResultTable:
     n = 512 if quick else 4096
     n_routes = 500 if quick else 4000
     graph = build_uniform_model(n=n, rng=rng)
-    routes = sample_routes(graph, n_routes, rng)
-    stats = advance_stats(graph, routes)
-
-    # Per-partition advance probability.
-    advances: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for result in routes:
-        trace = trace_partitions(graph, result)
-        for pos in range(len(trace) - 1):
-            j = trace[pos]
-            if j < 1:
-                continue
-            totals[j] = totals.get(j, 0) + 1
-            if trace[pos + 1] < j:
-                advances[j] = advances.get(j, 0) + 1
+    stats = advance_stats(graph, sample_batch(graph, n_routes, rng, record_paths=True))
 
     c = advance_probability_bound()
     table = ResultTable(
@@ -62,11 +47,11 @@ def run_e2(seed: int = 0, quick: bool = False) -> ResultTable:
             Column("bound_run", "bound (1-c)/c", ".3f"),
         ],
     )
-    for j in sorted(totals):
+    for j, steps in stats.per_partition_steps.items():
         table.add_row(
             partition=j,
-            hops=totals[j],
-            p_advance=advances.get(j, 0) / totals[j],
+            hops=steps,
+            p_advance=stats.per_partition_advance[j],
             bound_c=c,
             mean_run=stats.per_partition_hops.get(j, float("nan")),
             bound_run=partition_hops_bound(),

@@ -216,9 +216,11 @@ def _fold_shard_deltas(deltas: list) -> None:
     """Merge per-shard metric deltas into the owner's registry.
 
     Deltas fold in shard order (worker-count independent), so the merged
-    counters and P² quantile states are bit-identical for any worker
-    count; each shard's wall time is retained individually for
-    straggler analysis.  No-op when telemetry was disabled mid-flight.
+    counters and histogram counts are bit-identical for any worker
+    count, and a histogram such as ``routing.hops`` equals the serial
+    batch's (counts add); each shard's wall time is retained
+    individually for straggler analysis.  No-op when telemetry was
+    disabled mid-flight.
     """
     deltas = [delta for delta in deltas if delta is not None]
     registry = telemetry.active_registry()

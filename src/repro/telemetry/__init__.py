@@ -2,10 +2,11 @@
 
 The instrumentation substrate for the routing/parallel/store stack:
 process-local :class:`~repro.telemetry.registry.Counter` / ``Gauge`` /
-``Timer`` primitives plus a streaming P² quantile estimator, frontier
-trace spans (:mod:`~repro.telemetry.tracing`), deterministic shard
-merging for the worker pool (:mod:`~repro.telemetry.shard_merge`) and
-JSONL / Prometheus-text exports (:mod:`~repro.telemetry.export`).
+``Timer`` primitives plus an exact integer ``Histogram`` (the hop
+counts), frontier trace events (:mod:`~repro.telemetry.tracing`),
+deterministic shard merging for the worker pool
+(:mod:`~repro.telemetry.shard_merge`) and JSONL / Prometheus-text
+exports (:mod:`~repro.telemetry.export`).
 
 Disabled by default, and **cheap** when disabled: every module-level
 helper reads one module global and returns — no registry lookups, no
@@ -22,7 +23,7 @@ Instrumented call sites use the helpers directly::
     telemetry.count("routing.walks", len(sources))
     with telemetry.time_block("store.load_graph"):
         ...
-    telemetry.observe_batch("routing.hops", result.hops)
+    telemetry.trace("routing.batch", walks=len(sources))
 
 Worker processes never inherit the owner's enabled state (the pool uses
 spawn); the dispatch layer captures worker-side metrics explicitly with
@@ -37,15 +38,13 @@ import time
 from contextlib import contextmanager
 
 from repro.telemetry import export, shard_merge, tracing
-from repro.telemetry.export import render_text as _render_text
 from repro.telemetry.export import summary_table as _summary_table
 from repro.telemetry.registry import (
-    DEFAULT_QUANTILE_PROBS,
     DEFAULT_TRACE_CAP,
-    ENV_TRACE_CAP,
+    QUANTILE_PROBS,
     Counter,
     Gauge,
-    P2Quantile,
+    Histogram,
     Registry,
     Timer,
 )
@@ -67,28 +66,23 @@ __all__ = [
     "swap_registry",
     "count",
     "gauge_set",
-    "observe",
-    "observe_batch",
     "timer_observe",
     "time_block",
     "trace",
-    "span",
-    "render_text",
     "summary_table",
     "Registry",
     "Counter",
     "Gauge",
     "Timer",
-    "P2Quantile",
+    "Histogram",
     "TraceEvent",
     "MetricsDelta",
     "capture",
     "merge_deltas",
     "apply_delta",
-    "DEFAULT_QUANTILE_PROBS",
+    "QUANTILE_PROBS",
     "DEFAULT_TRACE_CAP",
     "ENV_TELEMETRY",
-    "ENV_TRACE_CAP",
     "export",
     "tracing",
     "shard_merge",
@@ -104,31 +98,20 @@ ENV_TELEMETRY = "REPRO_TELEMETRY"
 _ACTIVE: Registry | None = None
 
 
-def enable(
-    jsonl: str | os.PathLike | None = None,
-    trace_cap: int | None = None,
-) -> Registry:
+def enable(jsonl: str | os.PathLike | None = None) -> Registry:
     """Turn telemetry on for this process (idempotent).
 
     Args:
         jsonl: optional path; when given, trace events stream to it as
             JSONL for the lifetime of this enablement (closed with the
             final metrics snapshot by :func:`disable` / :func:`reset`).
-        trace_cap: optional bound on the buffered trace-event deque.
-            Defaults to ``REPRO_TELEMETRY_TRACE_CAP`` from the
-            environment, else :data:`DEFAULT_TRACE_CAP`.  When telemetry
-            is already enabled, re-enabling with a different cap rebinds
-            the buffer (newest events kept).  Evictions past the cap are
-            counted in the ``telemetry.events.dropped`` counter.
 
     Returns:
         The active :class:`Registry`.
     """
     global _ACTIVE
     if _ACTIVE is None:
-        _ACTIVE = Registry(max_events=trace_cap)
-    elif trace_cap is not None:
-        _ACTIVE.set_trace_cap(trace_cap)
+        _ACTIVE = Registry()
     if jsonl is not None and _ACTIVE.sink is None:
         _ACTIVE.sink = export.JsonlSink(jsonl)
     return _ACTIVE
@@ -198,20 +181,6 @@ def gauge_set(name: str, value: float) -> None:
         registry.gauge(name).set(value)
 
 
-def observe(name: str, value: float) -> None:
-    """Fold one observation into quantile estimator ``name``."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.quantile(name).observe(value)
-
-
-def observe_batch(name: str, values) -> None:
-    """Fold an array of observations into quantile estimator ``name``."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.quantile(name).observe_batch(values)
-
-
 def timer_observe(name: str, seconds: float) -> None:
     """Record an externally measured duration on timer ``name``."""
     registry = _ACTIVE
@@ -237,22 +206,6 @@ def trace(name: str, **fields) -> None:
     """Emit a trace event (see :func:`repro.telemetry.tracing.emit`)."""
     if _ACTIVE is not None:
         tracing.emit(name, **fields)
-
-
-def span(name: str, **fields):
-    """Timed trace span (see :func:`repro.telemetry.tracing.span`)."""
-    return tracing.span(name, **fields)
-
-
-def render_text() -> str:
-    """Prometheus-style exposition of the active registry.
-
-    Raises:
-        RuntimeError: when telemetry is disabled.
-    """
-    if _ACTIVE is None:
-        raise RuntimeError("telemetry is disabled; call telemetry.enable() first")
-    return _render_text(_ACTIVE)
 
 
 def summary_table() -> str:

@@ -3,13 +3,12 @@
 Three consumers, three formats:
 
 * **Dashboards / log pipelines** — :class:`JsonlSink` streams every
-  trace event as one JSON line while attached, and
-  :func:`write_jsonl` dumps the buffered events plus a final
-  ``metrics_snapshot`` line (the full registry state) to a path;
+  trace event as one JSON line while attached and ends the file with a
+  ``metrics_snapshot`` line (the full registry state);
 * **Scrapers** — :func:`render_text` emits the registry in the
   Prometheus text exposition format (``repro_``-prefixed, dots
-  mangled to underscores, timers as ``_count``/``_sum`` pairs,
-  quantile estimates labelled);
+  mangled to underscores, timers as ``_count``/``_sum`` pairs, each
+  histogram as a summary of its exact quantiles);
 * **Humans** — :func:`summary_table` renders the aligned ASCII table
   the CLI's ``--telemetry`` flag prints after a run.
 """
@@ -22,7 +21,7 @@ import re
 
 from repro.telemetry.registry import Registry
 
-__all__ = ["JsonlSink", "write_jsonl", "render_text", "summary_table"]
+__all__ = ["JsonlSink", "render_text", "summary_table"]
 
 _INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 _INVALID_LABEL_CHARS = re.compile(r"[^a-zA-Z0-9_]")
@@ -56,31 +55,6 @@ class JsonlSink:
                 + "\n"
             )
         self._fh.close()
-
-
-def write_jsonl(path: str | os.PathLike, registry: Registry) -> int:
-    """Dump buffered events + the metrics snapshot to ``path`` as JSONL.
-
-    The post-hoc twin of :class:`JsonlSink` for runs that did not stream:
-    every buffered :class:`~repro.telemetry.tracing.TraceEvent` becomes
-    one line, followed by one ``metrics_snapshot`` line.
-
-    Returns:
-        The number of lines written.
-    """
-    lines = 0
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        for event in registry.events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-            lines += 1
-        fh.write(
-            json.dumps(
-                {"event": "metrics_snapshot", **registry.snapshot()}, sort_keys=True
-            )
-            + "\n"
-        )
-        lines += 1
-    return lines
 
 
 def _mangle(name: str) -> str:
@@ -123,13 +97,14 @@ def render_text(registry: Registry) -> str:
         if timer.count:
             out.append(f'{metric}{{{_label("stat", "min")}}} {timer.min}')
             out.append(f'{metric}{{{_label("stat", "max")}}} {timer.max}')
-    for name, quantile in sorted(registry.quantiles.items()):
-        if not quantile.count:
+    for name, histogram in sorted(registry.histograms.items()):
+        count = histogram.count
+        if not count:
             continue
         metric = _mangle(name)
         out.append(f"# TYPE {metric} summary")
-        out.append(f"{metric}_count {quantile.count}")
-        for p, value in quantile.quantiles().items():
+        out.append(f"{metric}_count {count}")
+        for p, value in histogram.quantiles().items():
             out.append(f'{metric}{{{_label("quantile", f"{p:g}")}}} {value}')
     return "\n".join(out) + "\n"
 
@@ -153,13 +128,14 @@ def summary_table(registry: Registry) -> str:
                 f"min={timer.min * 1e3:.3f}ms max={timer.max * 1e3:.3f}ms",
             )
         )
-    for name, quantile in sorted(registry.quantiles.items()):
-        if not quantile.count:
+    for name, histogram in sorted(registry.histograms.items()):
+        count = histogram.count
+        if not count:
             continue
-        estimates = " ".join(
-            f"p{p * 100:g}={value:.2f}" for p, value in quantile.quantiles().items()
+        quantiles = " ".join(
+            f"p{p * 100:g}={value:.2f}" for p, value in histogram.quantiles().items()
         )
-        rows.append((name, "quantile", f"n={quantile.count} {estimates}"))
+        rows.append((name, "histogram", f"n={count} {quantiles}"))
     if not rows:
         return "telemetry: no metrics recorded\n"
     name_width = max(len(name) for name, _, _ in rows)

@@ -1,4 +1,4 @@
-"""Process-local metric primitives: counters, gauges, timers, quantiles.
+"""Process-local metric primitives: counters, gauges, timers, histograms.
 
 The registry is the storage layer of :mod:`repro.telemetry`: a flat map
 of dotted instrument names (``"routing.reason.arrived"``,
@@ -10,22 +10,20 @@ of dotted instrument names (``"routing.reason.arrived"``,
   counts);
 * :class:`Timer` — accumulated durations with count/total/min/max, fed
   by ``perf_counter`` spans;
-* :class:`P2Quantile` — a streaming percentile estimator (the extended
-  P² algorithm of Jain & Chlamtac, 1985) over an arbitrary probability
-  grid, with a batched update path for whole hop/latency arrays and a
-  deterministic state merge for the shard-merge layer
-  (:mod:`repro.telemetry.shard_merge`).
+* :class:`Histogram` — exact counts of small non-negative integers (hop
+  counts), whose quantiles are ``np.quantile``'s and whose merge is an
+  addition, so the shard-merge layer
+  (:mod:`repro.telemetry.shard_merge`) loses nothing.
 
-Everything here is dependency-free (numpy only) and never touched on
-the disabled fast path — the module-level helpers in
-:mod:`repro.telemetry` return before reaching the registry when
-telemetry is off.
+Each name belongs to one instrument type.  Everything here is
+dependency-free (numpy only) and never touched on the disabled fast
+path — the module-level helpers in :mod:`repro.telemetry` return before
+reaching the registry when telemetry is off.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import deque
 
@@ -35,51 +33,17 @@ __all__ = [
     "Counter",
     "Gauge",
     "Timer",
-    "P2Quantile",
+    "Histogram",
     "Registry",
-    "DEFAULT_QUANTILE_PROBS",
+    "QUANTILE_PROBS",
     "DEFAULT_TRACE_CAP",
-    "ENV_TRACE_CAP",
 ]
 
-#: Default bound on the buffered trace-event deque (oldest dropped).
+#: Bound on the buffered trace-event deque (oldest dropped, and counted).
 DEFAULT_TRACE_CAP = 65536
 
-#: Environment override for the trace-event bound; parsed once per
-#: :class:`Registry` construction so ``REPRO_TELEMETRY_TRACE_CAP=1000000``
-#: sizes a long flight-recorder session without code changes.
-ENV_TRACE_CAP = "REPRO_TELEMETRY_TRACE_CAP"
-
-
-def _resolve_trace_cap(max_events: int | None) -> int:
-    """Resolve the trace bound: explicit arg > env override > default.
-
-    Raises:
-        ValueError: for a bound below 1 (from either source).
-    """
-    if max_events is None:
-        raw = os.environ.get(ENV_TRACE_CAP, "").strip()
-        max_events = int(raw) if raw else DEFAULT_TRACE_CAP
-    max_events = int(max_events)
-    if max_events < 1:
-        raise ValueError(f"trace cap must be >= 1, got {max_events}")
-    return max_events
-
-#: Interior probabilities tracked by default — the percentile set the
-#: serving arc's SLO reporting reads (p50/p90/p95/p99/p999).
-DEFAULT_QUANTILE_PROBS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
-
-#: Marker-adjustment sweeps allowed per absorbed sub-batch.  Each sweep
-#: moves every interior marker the full (neighbour-clamped) distance to
-#: its desired position, so convergence typically takes one or two
-#: sweeps; the cap bounds the Python work per batch while staying a pure
-#: function of the data (determinism requires no wall-clock-dependent
-#: early exits).
-_MAX_SWEEPS = 8
-
-#: Batched observations are absorbed in sub-batches of this size so the
-#: marker lattice adjusts incrementally instead of once at the end.
-_SUB_BATCH = 1024
+#: The probabilities every histogram reports (p25 … p99.9).
+QUANTILE_PROBS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
 
 
 class Counter:
@@ -163,261 +127,119 @@ class Timer:
         )
 
 
-class P2Quantile:
-    """Streaming percentile estimator over an arbitrary probability grid.
+class Histogram:
+    """Exact counts of small non-negative integers, indexed by value.
 
-    The extended P² algorithm: one marker per tracked probability (plus
-    the min/max endpoints) whose heights converge to the quantile values
-    via piecewise-parabolic interpolation — O(1) memory, O(markers) per
-    observation, no sample retention.  Until the marker lattice fills
-    (``len(probs) + 2`` observations) samples are buffered verbatim and
-    quantile queries fall back to exact empirical quantiles.
-
-    Two extensions over the textbook single-observation update:
-
-    * :meth:`observe_batch` absorbs whole arrays (per-batch hop columns,
-      latency vectors) by bulk-incrementing marker positions with one
-      ``searchsorted``/``bincount`` pass per sub-batch, then running the
-      standard marker-adjustment rule in bounded sweeps.  The result is
-      a pure function of the input array — the property the shard-merge
-      determinism gate relies on.
-    * :meth:`merge` folds another estimator's state in deterministically
-      (exact while either side is still buffering; weighted marker
-      replay afterwards), so per-shard estimators combine into one
-      coherent view in shard order.
-
-    Args:
-        probs: strictly increasing interior probabilities in ``(0, 1)``.
-
-    Raises:
-        ValueError: for an empty, non-increasing or out-of-range grid.
+    Built for hop counts, which never exceed ``max_hops``: ``counts[v]``
+    is how many times ``v`` was added, so the array grows to the largest
+    value seen plus one.  Quantiles are exact, and merging two
+    histograms is adding their counts, so per-shard histograms fold
+    into the one a single serial pass would have built.
     """
 
-    __slots__ = ("probs", "n_markers", "count", "_heights", "_positions", "_buffer")
+    __slots__ = ("counts",)
 
-    def __init__(self, probs: tuple[float, ...] = DEFAULT_QUANTILE_PROBS):
-        probs = tuple(float(p) for p in probs)
-        if not probs:
-            raise ValueError("probs must be non-empty")
-        if any(not 0.0 < p < 1.0 for p in probs):
-            raise ValueError(f"probs must lie in (0, 1), got {probs}")
-        if any(b <= a for a, b in zip(probs, probs[1:])):
-            raise ValueError(f"probs must be strictly increasing, got {probs}")
-        self.probs = np.concatenate(([0.0], probs, [1.0]))
-        self.n_markers = len(self.probs)
-        self.count = 0
-        self._heights: np.ndarray | None = None
-        self._positions: np.ndarray | None = None
-        self._buffer: list[float] = []
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def observe(self, value: float) -> None:
-        """Fold a single observation into the estimator."""
-        self.observe_batch(np.asarray([value], dtype=float))
-
-    def observe_batch(self, values) -> None:
-        """Fold an array of observations into the estimator.
-
-        Deterministic: the post-state is a pure function of the prior
-        state and ``values`` (in order).
-        """
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            return
-        self.count += int(values.size)
-        if self._heights is None:
-            take = self.n_markers - len(self._buffer)
-            self._buffer.extend(float(v) for v in values[:take])
-            values = values[take:]
-            if len(self._buffer) < self.n_markers:
-                return
-            self._heights = np.sort(np.asarray(self._buffer, dtype=float))
-            self._positions = np.arange(1.0, self.n_markers + 1.0)
-            self._buffer = []
-            if values.size == 0:
-                return
-        for lo in range(0, len(values), _SUB_BATCH):
-            self._absorb(values[lo : lo + _SUB_BATCH])
-
-    def _absorb(self, values: np.ndarray) -> None:
-        """Bulk-update marker positions for one sub-batch, then adjust."""
-        heights, positions = self._heights, self._positions
-        low = float(values.min())
-        high = float(values.max())
-        if low < heights[0]:
-            heights[0] = low
-        if high > heights[-1]:
-            heights[-1] = high
-        # Each sample lands in the cell left of its insertion point and
-        # bumps the observed count of every marker above that cell —
-        # exactly the textbook per-sample rule, applied in one pass.
-        cells = np.clip(
-            np.searchsorted(heights, values, side="right") - 1, 0, self.n_markers - 2
-        )
-        positions += np.cumsum(np.bincount(cells + 1, minlength=self.n_markers))
-        self._adjust()
-
-    def _adjust(self) -> None:
-        """Move interior markers toward their desired positions.
-
-        The textbook rule moves a marker one position per observation;
-        after a bulk position update a marker can trail its desired
-        position by most of a sub-batch, so each sweep here moves it the
-        *whole* integer distance at once, clamped to keep the marker
-        strictly between its neighbours (the parabolic predictor takes
-        the generalised step; its height stays bracketed either way).
-        Sweeps repeat until no marker moves — convergence is typically
-        immediate because one sweep removes each marker's entire lag —
-        capped at :data:`_MAX_SWEEPS` per absorbed sub-batch.
-        """
-        heights, positions = self._heights, self._positions
-        desired = 1.0 + self.probs * (positions[-1] - 1.0)
-        for _ in range(_MAX_SWEEPS):
-            moved = False
-            for i in range(1, self.n_markers - 1):
-                delta = desired[i] - positions[i]
-                if delta >= 1.0 and positions[i + 1] - positions[i] > 1.0:
-                    step = min(int(delta), int(positions[i + 1] - positions[i]) - 1)
-                elif delta <= -1.0 and positions[i] - positions[i - 1] > 1.0:
-                    step = -min(int(-delta), int(positions[i] - positions[i - 1]) - 1)
-                else:
-                    continue
-                candidate = self._parabolic(i, float(step))
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, float(step))
-                positions[i] += step
-                moved = True
-            if not moved:
-                break
-
-    def _parabolic(self, i: int, step: float) -> float:
-        """Piecewise-parabolic height prediction for marker ``i``."""
-        h, n = self._heights, self._positions
-        term_a = (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-        term_b = (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        return h[i] + step * (term_a + term_b) / (n[i + 1] - n[i - 1])
-
-    def _linear(self, i: int, step: float) -> float:
-        """Linear interpolation toward the neighbour in the step direction
-        (the fallback when the parabolic prediction leaves the bracket)."""
-        h, n = self._heights, self._positions
-        j = i + (1 if step > 0 else -1)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def quantile(self, p: float) -> float:
-        """Estimate the ``p``-quantile by interpolating the marker grid.
+    def add(self, values) -> None:
+        """Fold an array of non-negative integers in (one ``bincount``).
 
         Raises:
-            ValueError: before any observation, or for ``p`` outside
+            ValueError: for a non-integer array or a negative value.
+        """
+        values = np.asarray(values).ravel()
+        if values.dtype.kind not in "iu":
+            raise ValueError(
+                f"histogram values must be integers, got dtype {values.dtype}"
+            )
+        if values.size and values.min() < 0:
+            raise ValueError("histogram values must be non-negative")
+        self._add_counts(
+            np.bincount(values.astype(np.intp, copy=False), minlength=len(self.counts))
+        )
+
+    def _add_counts(self, counts: np.ndarray) -> None:
+        if len(counts) > len(self.counts):
+            grown = np.zeros(len(counts), dtype=np.int64)
+            grown[: len(self.counts)] = self.counts
+            self.counts = grown
+        self.counts[: len(counts)] += counts
+
+    @property
+    def count(self) -> int:
+        """Number of values added."""
+        return int(self.counts.sum())
+
+    def quantile(self, p: float) -> float:
+        """``np.quantile`` over the added values, bit for bit.
+
+        Reads the two order statistics around the virtual index
+        ``(count - 1) * p`` off the cumulative counts and blends them
+        with numpy's default linear rule (including its ``t >= 0.5``
+        branch), so no value array is ever expanded.
+
+        Raises:
+            ValueError: before any value was added, or for ``p`` outside
                 ``[0, 1]``.
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        if self.count == 0:
-            raise ValueError("no observations yet")
-        if self._heights is None:
-            return float(np.quantile(np.asarray(self._buffer), p))
-        return float(np.interp(p, self.probs, self._heights))
+        n = self.count
+        if n == 0:
+            raise ValueError("no values added yet")
+        virtual = (n - 1) * p
+        if virtual >= n - 1:
+            return float(np.flatnonzero(self.counts)[-1])
+        below = math.floor(virtual)
+        lo, hi = np.searchsorted(
+            np.cumsum(self.counts), [below, below + 1], side="right"
+        ).tolist()
+        t = virtual - below
+        if t >= 0.5:
+            return float(hi - (hi - lo) * (1 - t))
+        return float(lo + (hi - lo) * t)
 
     def quantiles(self) -> dict[float, float]:
-        """Estimates for every tracked interior probability."""
-        return {float(p): self.quantile(float(p)) for p in self.probs[1:-1]}
+        """The :data:`QUANTILE_PROBS` quantiles, keyed by probability."""
+        return {p: self.quantile(p) for p in QUANTILE_PROBS}
 
-    # ------------------------------------------------------------------
-    # state / merge
-    # ------------------------------------------------------------------
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s counts to this histogram."""
+        self._add_counts(other.counts)
+
     def state(self) -> tuple:
-        """Serializable, comparable snapshot of the full estimator state."""
-        return (
-            tuple(float(p) for p in self.probs),
-            None if self._heights is None else tuple(float(h) for h in self._heights),
-            None
-            if self._positions is None
-            else tuple(float(x) for x in self._positions),
-            tuple(self._buffer),
-            self.count,
-        )
+        """Serializable, comparable snapshot: the counts."""
+        return tuple(int(c) for c in self.counts)
 
     @classmethod
-    def from_state(cls, state: tuple) -> "P2Quantile":
-        probs, heights, positions, buffer, count = state
-        estimator = cls(probs=tuple(probs[1:-1]))
-        estimator._heights = None if heights is None else np.asarray(heights, float)
-        estimator._positions = (
-            None if positions is None else np.asarray(positions, float)
-        )
-        estimator._buffer = list(buffer)
-        estimator.count = count
-        return estimator
-
-    def merge(self, other: "P2Quantile") -> None:
-        """Fold ``other``'s state into this estimator, deterministically.
-
-        Exact whenever either side is still buffering raw samples;
-        otherwise ``other``'s markers are replayed as weighted
-        pseudo-samples (each marker carries the integer observation mass
-        of its position gap, which the P² update keeps integral), giving
-        a deterministic approximate combination.  Used by the owner-side
-        shard merge, which folds per-shard estimators in shard order.
-
-        Raises:
-            ValueError: when the probability grids differ.
-        """
-        if self.n_markers != other.n_markers or not np.array_equal(
-            self.probs, other.probs
-        ):
-            raise ValueError("cannot merge estimators over different grids")
-        if other.count == 0:
-            return
-        if other._heights is None:
-            self.observe_batch(np.asarray(other._buffer, dtype=float))
-            return
-        if self._heights is None and not self._buffer:
-            # Adopt the other state wholesale — exact, and the common
-            # case for the owner's fresh fold accumulator.
-            self._heights = other._heights.copy()
-            self._positions = other._positions.copy()
-            self.count = other.count
-            return
-        # Weighted replay: marker i carries the mass that accumulated
-        # between its neighbour's position and its own.
-        weights = np.diff(np.concatenate(([0.0], other._positions))).astype(np.int64)
-        replay = np.repeat(other._heights, np.maximum(weights, 0))
-        self.observe_batch(replay)
-        # repeat() replays exactly other.count samples (positions end at
-        # the count), so self.count is already consistent.
+    def from_state(cls, state: tuple) -> "Histogram":
+        histogram = cls()
+        histogram.counts = np.asarray(state, dtype=np.int64)
+        return histogram
 
     def __repr__(self) -> str:
-        return f"P2Quantile(markers={self.n_markers}, count={self.count})"
+        return f"Histogram(count={self.count}, max={len(self.counts) - 1})"
 
 
 class Registry:
     """A flat, lazily-populated map of instrument names to primitives.
 
-    Instruments are created on first use; name collisions across types
-    raise.  Creation is locked; hot-path updates rely on CPython's
-    atomic attribute operations (single additions) and are deliberately
-    lock-free.
-
-    Args:
-        max_events: bound on the trace-event buffer (oldest dropped).
-            ``None`` resolves ``REPRO_TELEMETRY_TRACE_CAP`` from the
-            environment, falling back to :data:`DEFAULT_TRACE_CAP`.
+    Instruments are created on first use; a name held by one instrument
+    type cannot be taken by another (:class:`ValueError`), so every name
+    renders as one Prometheus metric.  Creation is locked and checks for
+    collisions; hot-path lookups are one dict hit and updates rely on
+    CPython's atomic attribute operations (single additions), lock-free.
+    The trace-event buffer keeps the newest :data:`DEFAULT_TRACE_CAP`
+    events and counts what it drops.
     """
 
-    def __init__(self, max_events: int | None = None):
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.timers: dict[str, Timer] = {}
-        self.quantiles: dict[str, P2Quantile] = {}
-        self.events: deque = deque(maxlen=_resolve_trace_cap(max_events))
+        self.histograms: dict[str, Histogram] = {}
+        self.events: deque = deque(maxlen=DEFAULT_TRACE_CAP)
         self.dropped_events: int = 0
         self.sink = None  # streaming event sink (see telemetry.export)
         self._lock = threading.Lock()
@@ -426,7 +248,15 @@ class Registry:
         instrument = table.get(name)
         if instrument is None:
             with self._lock:
-                instrument = table.setdefault(name, factory())
+                instrument = table.get(name)
+                if instrument is None:
+                    for other in (self.counters, self.gauges, self.timers, self.histograms):
+                        if other is not table and name in other:
+                            raise ValueError(
+                                f"telemetry name {name!r} already holds a "
+                                f"{type(other[name]).__name__.lower()}"
+                            )
+                    instrument = table[name] = factory()
         return instrument
 
     def counter(self, name: str) -> Counter:
@@ -438,27 +268,13 @@ class Registry:
     def timer(self, name: str) -> Timer:
         return self._get(self.timers, name, Timer)
 
-    def quantile(
-        self, name: str, probs: tuple[float, ...] = DEFAULT_QUANTILE_PROBS
-    ) -> P2Quantile:
-        return self._get(self.quantiles, name, lambda: P2Quantile(probs))
-
-    @property
-    def trace_cap(self) -> int:
-        return self.events.maxlen or 0
-
-    def set_trace_cap(self, max_events: int) -> None:
-        """Rebind the trace buffer to a new bound, keeping newest events."""
-        max_events = _resolve_trace_cap(max_events)
-        if max_events == self.events.maxlen:
-            return
-        with self._lock:
-            self.events = deque(self.events, maxlen=max_events)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(self.histograms, name, Histogram)
 
     def record_event(self, event) -> None:
         """Buffer a trace event, counting (instead of hiding) evictions."""
         events = self.events
-        if len(events) >= (events.maxlen or 0):
+        if len(events) == events.maxlen:
             self.dropped_events += 1
             self.counter("telemetry.events.dropped").inc(1)
         events.append(event)
@@ -480,17 +296,17 @@ class Registry:
             },
             "quantiles": {
                 name: {
-                    "count": q.count,
-                    **{f"p{p * 100:g}": v for p, v in q.quantiles().items()},
+                    "count": h.count,
+                    **{f"p{p * 100:g}": v for p, v in h.quantiles().items()},
                 }
-                for name, q in sorted(self.quantiles.items())
-                if q.count
+                for name, h in sorted(self.histograms.items())
+                if h.count
             },
         }
 
     def __repr__(self) -> str:
         return (
             f"Registry(counters={len(self.counters)}, gauges={len(self.gauges)}, "
-            f"timers={len(self.timers)}, quantiles={len(self.quantiles)}, "
+            f"timers={len(self.timers)}, histograms={len(self.histograms)}, "
             f"events={len(self.events)})"
         )

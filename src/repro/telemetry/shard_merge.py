@@ -13,14 +13,16 @@ telemetry registry.  This module closes that gap:
   :func:`apply_delta`.
 
 Determinism contract (gated by ``benchmarks/bench_telemetry.py``):
-counters and P² quantile states of the merged delta are bit-identical
-for any worker count, because every shard's observations are a pure
+counters and histogram counts of the merged delta are bit-identical for
+any worker count, because every shard's observations are a pure
 function of its (worker-count-independent) slice and the fold order is
-the shard order.  Timers and gauges carry wall-clock measurements and
-are deliberately outside the contract — per-shard wall times are
-*retained* (one :class:`~repro.telemetry.registry.Timer` observation
-and one trace event per shard) precisely because they differ run to
-run: that spread is the straggler signal.
+the shard order.  Histograms merge by adding counts, so a sharded
+batch's ``routing.hops`` also equals the serial batch's.  Timers and
+gauges carry wall-clock measurements and are deliberately outside the
+contract — per-shard wall times are *retained* (one
+:class:`~repro.telemetry.registry.Timer` observation and one trace event
+per shard) precisely because they differ run to run: that spread is the
+straggler signal.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.telemetry.registry import P2Quantile, Registry, Timer
+from repro.telemetry.registry import Histogram, Registry, Timer
 
 __all__ = ["MetricsDelta", "capture", "merge_deltas", "apply_delta"]
 
@@ -42,8 +44,8 @@ class MetricsDelta:
         counters: counter totals by name.
         gauges: last-written gauge values by name.
         timers: ``(count, total, min, max)`` timer states by name.
-        quantiles: P² estimator states by name (see
-            :meth:`~repro.telemetry.registry.P2Quantile.state`).
+        histograms: histogram counts by name (see
+            :meth:`~repro.telemetry.registry.Histogram.state`).
         wall_seconds: the shard's wall-clock execution time, when the
             capturing site measured one (straggler analysis).
     """
@@ -51,7 +53,7 @@ class MetricsDelta:
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     timers: dict[str, tuple] = field(default_factory=dict)
-    quantiles: dict[str, tuple] = field(default_factory=dict)
+    histograms: dict[str, tuple] = field(default_factory=dict)
     wall_seconds: float | None = None
 
     @classmethod
@@ -61,7 +63,7 @@ class MetricsDelta:
             counters={name: c.value for name, c in registry.counters.items()},
             gauges={name: g.value for name, g in registry.gauges.items()},
             timers={name: t.state() for name, t in registry.timers.items()},
-            quantiles={name: q.state() for name, q in registry.quantiles.items()},
+            histograms={name: h.state() for name, h in registry.histograms.items()},
         )
 
 
@@ -99,32 +101,23 @@ def capture():
 def merge_deltas(deltas: list[MetricsDelta]) -> MetricsDelta:
     """Fold shard deltas into one coherent view, in list (= shard) order.
 
-    Counters sum; timers merge count/total/min/max; gauges last-write-
-    wins in shard order; quantile states fold through
-    :meth:`P2Quantile.merge`.  Per-shard wall times are *not* collapsed
-    here — :func:`apply_delta` retains them individually.
+    Counters and histogram counts sum; timers merge count/total/min/max;
+    gauges last-write-wins in shard order.  Per-shard wall times are
+    *not* collapsed here — :func:`apply_delta` retains them individually.
     """
     merged = MetricsDelta()
     timers: dict[str, Timer] = {}
-    quantiles: dict[str, P2Quantile] = {}
+    histograms: dict[str, Histogram] = {}
     for delta in deltas:
         for name, value in delta.counters.items():
             merged.counters[name] = merged.counters.get(name, 0) + value
         merged.gauges.update(delta.gauges)
         for name, state in delta.timers.items():
-            timer = timers.get(name)
-            if timer is None:
-                timers[name] = Timer.from_state(state)
-            else:
-                timer.merge(Timer.from_state(state))
-        for name, state in delta.quantiles.items():
-            estimator = quantiles.get(name)
-            if estimator is None:
-                quantiles[name] = P2Quantile.from_state(state)
-            else:
-                estimator.merge(P2Quantile.from_state(state))
+            timers.setdefault(name, Timer()).merge(Timer.from_state(state))
+        for name, state in delta.histograms.items():
+            histograms.setdefault(name, Histogram()).merge(Histogram.from_state(state))
     merged.timers = {name: timer.state() for name, timer in timers.items()}
-    merged.quantiles = {name: q.state() for name, q in quantiles.items()}
+    merged.histograms = {name: h.state() for name, h in histograms.items()}
     return merged
 
 
@@ -150,13 +143,8 @@ def apply_delta(
         registry.gauge(name).set(value)
     for name, state in delta.timers.items():
         registry.timer(name).merge(Timer.from_state(state))
-    for name, state in delta.quantiles.items():
-        incoming = P2Quantile.from_state(state)
-        existing = registry.quantiles.get(name)
-        if existing is None:
-            registry.quantiles[name] = incoming
-        else:
-            existing.merge(incoming)
+    for name, state in delta.histograms.items():
+        registry.histogram(name).merge(Histogram.from_state(state))
     if shard_walls:
         wall_timer = registry.timer("parallel.shard_wall")
         for index, wall in enumerate(shard_walls):

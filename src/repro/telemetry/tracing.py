@@ -1,4 +1,4 @@
-"""Trace events and spans: structured, timestamped execution records.
+"""Trace events: structured, timestamped execution records.
 
 Counters answer "how much"; traces answer "when and in what shape".  A
 :class:`TraceEvent` is one structured record — a frontier round with its
@@ -8,25 +8,19 @@ active registry's bounded event buffer and, when a streaming sink is
 attached (see :mod:`repro.telemetry.export`), written through as one
 JSONL line.
 
-Two emission styles:
-
-* :func:`emit` — instantaneous event with arbitrary fields;
-* :func:`span` — context manager that times its body and emits the
-  event on exit with a ``seconds`` field, also folding the duration
-  into the same-named :class:`~repro.telemetry.registry.Timer`.
-
-Both are no-ops when telemetry is disabled; hot loops should still
-guard with :func:`repro.telemetry.enabled` when building the field dict
+:func:`emit` records one instantaneous event with arbitrary fields; a
+duration travels as a field (``seconds=...``) measured by the caller.
+It is a no-op when telemetry is disabled; hot loops should still guard
+with :func:`repro.telemetry.enabled` when building the field dict
 itself costs anything.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["TraceEvent", "emit", "span"]
+__all__ = ["TraceEvent", "emit"]
 
 
 @dataclass
@@ -59,31 +53,3 @@ def emit(name: str, **fields) -> None:
     if registry.sink is not None:
         registry.sink.emit(event)
     registry.record_event(event)
-
-
-@contextmanager
-def span(name: str, **fields):
-    """Time a block, emitting a trace event and feeding the named timer.
-
-    The event carries the caller's fields plus ``seconds``; the duration
-    also lands in ``registry.timer(name)`` so spans are queryable as
-    metrics without replaying the event stream.
-    """
-    from repro import telemetry
-
-    registry = telemetry.active_registry()
-    if registry is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds = time.perf_counter() - start
-        registry.timer(name).observe(seconds)
-        event = TraceEvent(
-            name=name, wall=time.time(), fields={**fields, "seconds": seconds}
-        )
-        if registry.sink is not None:
-            registry.sink.emit(event)
-        registry.record_event(event)

@@ -3,14 +3,16 @@
 The guarantees pinned here:
 
 * **primitives** — counters/gauges/timers accumulate and merge exactly;
-  the P² quantile estimator is exact while buffering, accurate on large
-  streams, and its batched update is a pure function of the input;
+  the integer histogram's quantiles are ``np.quantile``'s bit for bit
+  and its merge is one add; a name belongs to one instrument type;
 * **lifecycle** — helpers are no-ops while disabled, ``enable`` /
   ``disable`` / ``reset`` manage one process-wide registry, and the
   ``REPRO_TELEMETRY`` environment flag opts in at import time;
 * **shard merge** — worker deltas captured around a scoped registry
-  fold deterministically: merged counters and P² states are
-  bit-identical for workers {1, 2, 4} over one dispatch;
+  fold deterministically: merged counters and histograms are
+  bit-identical for workers {1, 2, 4} over one dispatch, and the merged
+  ``routing.hops`` equals a serial batch's and ``np.bincount`` of the
+  hops;
 * **instrumentation** — the routing kernel publishes the full
   REASON-code histogram (zeros included) and per-batch walk/round
   counters; :func:`summarize_lookups` carries the same stable schema;
@@ -27,6 +29,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import build_uniform_model, route_many, sample_routes
@@ -36,14 +40,14 @@ from repro.parallel import get_executor, route_many_parallel
 from repro.telemetry import (
     Counter,
     Gauge,
+    Histogram,
     MetricsDelta,
-    P2Quantile,
     Registry,
     Timer,
     capture,
     merge_deltas,
 )
-from repro.telemetry.export import render_text, summary_table, write_jsonl
+from repro.telemetry.export import render_text, summary_table
 
 PROBS = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
 
@@ -103,93 +107,186 @@ class TestPrimitives:
         r = Registry()
         assert r.counter("a.b") is r.counter("a.b")
         assert r.timer("t") is r.timer("t")
-        assert r.quantile("q") is r.quantile("q")
+        assert r.histogram("h") is r.histogram("h")
+
+    def test_names_are_unique_across_instrument_types(self):
+        r = Registry()
+        r.counter("x").inc()
+        for make in (r.gauge, r.timer, r.histogram):
+            with pytest.raises(ValueError, match="already holds a counter"):
+                make("x")
+        r.histogram("h")
+        with pytest.raises(ValueError, match="already holds a histogram"):
+            r.gauge("h")
+        assert r.counter("x").value == 1
+        assert "x" not in r.gauges and "h" not in r.gauges
+
+
+class TestHistogram:
+    @staticmethod
+    def _filled(*chunks) -> Histogram:
+        histogram = Histogram()
+        for chunk in chunks:
+            histogram.add(np.asarray(chunk, dtype=np.int64))
+        return histogram
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [[7]],  # one value
+            [[3, 3, 3, 3]],  # all ties
+            [[0, 0, 1, 5, 5, 5, 9]],  # ties, a gap, zero
+            [[4, 1], [1, 9, 9], [], [0]],  # adds split across calls
+            [list(range(20)), [19] * 5, [0] * 5],
+        ],
+    )
+    def test_quantiles_equal_numpy_on_edge_cases(self, chunks):
+        histogram = self._filled(*chunks)
+        values = np.concatenate([np.asarray(c, dtype=np.int64) for c in chunks])
+        assert histogram.count == len(values)
+        for p in (0.0, 1.0, *PROBS, 1 / 3):
+            assert histogram.quantile(p) == np.quantile(values, p)
+        assert list(histogram.quantiles()) == list(PROBS)
+
+    @given(
+        chunks=st.lists(
+            st.lists(st.integers(0, 40), max_size=50), min_size=1, max_size=4
+        ).filter(lambda chunks: any(chunks)),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_quantiles_equal_numpy(self, chunks, p):
+        histogram = self._filled(*chunks)
+        values = np.concatenate([np.asarray(c, dtype=np.int64) for c in chunks])
+        expanded = np.repeat(np.arange(len(histogram.counts)), histogram.counts)
+        assert np.array_equal(np.sort(values), expanded)
+        assert histogram.quantile(p) == np.quantile(values, p)
+        for q in PROBS:
+            assert histogram.quantile(q) == np.quantile(values, q)
+
+    def test_counts_grow_to_the_largest_value(self):
+        histogram = self._filled([2, 0, 2])
+        assert histogram.counts.tolist() == [1, 0, 2]
+        histogram.add(np.array([5], dtype=np.uint8))
+        assert histogram.counts.tolist() == [1, 0, 2, 0, 0, 1]
+        assert histogram.counts.dtype == np.int64
+
+    def test_merge_equals_one_add(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.integers(0, 12, 3000), rng.integers(4, 30, 500)
+        merged = self._filled(x)
+        merged.merge(self._filled(y))
+        assert merged.state() == self._filled(np.concatenate([x, y])).state()
+        empty = Histogram()
+        empty.merge(merged)
+        assert empty.state() == merged.state()
+        merged.merge(Histogram())
+        assert merged.state() == empty.state()
+
+    def test_state_roundtrip(self):
+        histogram = self._filled(np.random.default_rng(4).integers(0, 25, 500))
+        assert Histogram.from_state(histogram.state()).state() == histogram.state()
+        assert histogram.state() == tuple(histogram.counts.tolist())
+
+    @pytest.mark.parametrize(
+        "values", [[1, -1], np.array([0.0, 1.0]), np.array([True]), [2.5]]
+    )
+    def test_rejects_negative_and_float_input(self, values):
+        histogram = self._filled([1, 2])
+        with pytest.raises(ValueError):
+            histogram.add(values)
+        assert histogram.state() == (0, 1, 1)
+
+    def test_quantile_validation(self):
+        with pytest.raises(ValueError, match="no values"):
+            Histogram().quantile(0.5)
+        histogram = self._filled([1])
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="lie in"):
+                histogram.quantile(p)
 
 
 class TestP2Quantile:
+    """The guarantees the P² hop estimator was held to, which the
+    :class:`Histogram` that replaced it meets exactly, not within a
+    tolerance."""
+
     def test_exact_while_buffering(self):
-        q = P2Quantile(probs=(0.5,))
-        q.observe_batch([3.0, 1.0])
-        # 2 observations < 3 markers: exact empirical quantiles.
-        assert q.quantile(0.0) == 1.0
-        assert q.quantile(1.0) == 3.0
+        # P² was exact only below its marker count; the histogram is
+        # exact from the first value on.
+        histogram, seen = Histogram(), []
+        for value in (3, 1, 4, 1, 5):
+            histogram.add(np.array([value], dtype=np.int64))
+            seen.append(value)
+            for p in (0.0, 0.5, 1.0):
+                assert histogram.quantile(p) == np.quantile(seen, p)
+        assert histogram.quantile(0.0) == 1.0
+        assert histogram.quantile(1.0) == 5.0
 
     def test_accuracy_on_large_stream(self):
-        rng = np.random.default_rng(0)
-        data = rng.exponential(10.0, 100_000)
-        q = P2Quantile(probs=PROBS)
-        q.observe_batch(data)
-        for p in (0.5, 0.9, 0.99):
-            true = float(np.quantile(data, p))
-            assert q.quantile(p) == pytest.approx(true, rel=0.05)
+        data = np.random.default_rng(0).geometric(0.15, 100_000)
+        histogram = Histogram()
+        histogram.add(data)
+        assert histogram.count == len(data)
+        for p in (0.0, *PROBS, 1.0):
+            assert histogram.quantile(p) == np.quantile(data, p)
 
     def test_batch_update_is_deterministic(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(5.0, 2.0, 20_000)
-        a, b = P2Quantile(), P2Quantile()
-        a.observe_batch(data)
-        b.observe_batch(data)
+        data = np.random.default_rng(1).integers(0, 40, 20_000)
+        a, b = Histogram(), Histogram()
+        a.add(data)
+        b.add(data)
         assert a.state() == b.state()
+        assert a.quantiles() == b.quantiles()
 
     def test_batch_matches_chunked_feed(self):
-        # The state is a pure function of the absorbed sub-batches, so a
-        # chunked feed aligned with the internal sub-batch boundaries
-        # (the marker-lattice fill, then 1024-sample blocks) must land
-        # on the identical state.
-        rng = np.random.default_rng(2)
-        data = rng.random(5_000)
-        whole, chunked = P2Quantile(), P2Quantile()
-        whole.observe_batch(data)
-        fill = whole.n_markers
-        chunked.observe_batch(data[:fill])
-        for lo in range(fill, len(data), 1024):
-            chunked.observe_batch(data[lo : lo + 1024])
+        # Any split of the input lands on the state of one add, P²'s
+        # sub-batch alignment no longer matters.
+        data = np.random.default_rng(2).integers(0, 30, 5_000)
+        whole, chunked = Histogram(), Histogram()
+        whole.add(data)
+        for lo, hi in zip((0, 1, 1, 700, 2048), (1, 1, 700, 2048, len(data))):
+            chunked.add(data[lo:hi])
         assert whole.state() == chunked.state()
+        assert whole.quantiles() == chunked.quantiles()
 
     def test_merge_is_deterministic_and_sane(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(0.0, 1.0, 30_000)
-        y = rng.normal(4.0, 1.0, 30_000)
-        merged = []
-        for _ in range(2):
-            a, b = P2Quantile(), P2Quantile()
-            a.observe_batch(x)
-            b.observe_batch(y)
+        x, y = rng.integers(0, 20, 30_000), rng.integers(10, 40, 30_000)
+        states = []
+        for first, second in ((x, y), (x, y), (y, x)):
+            a, b = Histogram(), Histogram()
+            a.add(first)
+            b.add(second)
             a.merge(b)
-            merged.append(a)
-        assert merged[0].state() == merged[1].state()
-        true = float(np.quantile(np.concatenate([x, y]), 0.5))
-        assert merged[0].quantile(0.5) == pytest.approx(true, abs=0.5)
-        assert merged[0].count == 60_000
+            states.append(a.state())
+        assert states[0] == states[1] == states[2]
+        merged = Histogram.from_state(states[0])
+        both = np.concatenate([x, y])
+        assert merged.count == 60_000
+        for p in (0.0, *PROBS, 1.0):
+            assert merged.quantile(p) == np.quantile(both, p)
 
     def test_merge_into_empty_adopts_state(self):
-        src = P2Quantile()
-        src.observe_batch(np.arange(100.0))
-        dst = P2Quantile()
+        src = Histogram()
+        src.add(np.arange(100))
+        dst = Histogram()
         dst.merge(src)
         assert dst.state() == src.state()
+        # The merge copies counts: later adds to the source stay there.
+        src.add(np.array([7]))
+        assert dst.count == 100
 
     def test_merge_buffering_side_is_exact(self):
-        dst = P2Quantile(probs=(0.5,))
-        dst.observe_batch(np.arange(50.0))
-        src = P2Quantile(probs=(0.5,))
-        src.observe_batch([200.0, 300.0])  # still buffering
+        dst = Histogram()
+        dst.add(np.arange(50))
+        src = Histogram()
+        src.add(np.array([200, 300]))
         dst.merge(src)
         assert dst.count == 52
         assert dst.quantile(1.0) == 300.0
-
-    def test_state_roundtrip(self):
-        q = P2Quantile()
-        q.observe_batch(np.random.default_rng(4).random(500))
-        assert P2Quantile.from_state(q.state()).state() == q.state()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            P2Quantile(probs=())
-        with pytest.raises(ValueError, match="lie in"):
-            P2Quantile(probs=(0.0, 0.5))
-        with pytest.raises(ValueError, match="increasing"):
-            P2Quantile(probs=(0.5, 0.5))
+        both = np.concatenate([np.arange(50), [200, 300]])
+        for p in (0.5, 0.99, 0.999):
+            assert dst.quantile(p) == np.quantile(both, p)
 
 
 # ----------------------------------------------------------------------
@@ -200,12 +297,9 @@ class TestLifecycle:
         assert not telemetry.enabled()
         telemetry.count("x")
         telemetry.gauge_set("x", 1.0)
-        telemetry.observe("x", 1.0)
         telemetry.timer_observe("x", 1.0)
         telemetry.trace("x", a=1)
         with telemetry.time_block("x"):
-            pass
-        with telemetry.span("x"):
             pass
         assert telemetry.active_registry() is None
 
@@ -224,8 +318,6 @@ class TestLifecycle:
     def test_render_helpers_require_enabled(self):
         with pytest.raises(RuntimeError):
             telemetry.summary_table()
-        with pytest.raises(RuntimeError):
-            telemetry.render_text()
 
     def test_env_var_opt_in(self):
         code = (
@@ -252,12 +344,12 @@ class TestShardMerge:
         with capture() as box:
             telemetry.count("inner", 5)
             telemetry.timer_observe("inner.t", 0.5)
-            telemetry.observe_batch("inner.q", np.arange(100.0))
+            telemetry.get_registry().histogram("inner.h").add(np.arange(100))
         delta = box.delta
         assert isinstance(delta, MetricsDelta)
         assert delta.counters == {"inner": 5}
         assert "inner.t" in delta.timers
-        assert "inner.q" in delta.quantiles
+        assert delta.histograms == {"inner.h": (1,) * 100}
         assert delta.wall_seconds >= 0.0
         # The capture never leaked into the owner registry...
         registry = telemetry.get_registry()
@@ -280,6 +372,11 @@ class TestShardMerge:
         rng = np.random.default_rng(5)
         sources = rng.integers(0, graph.n, 6000).astype(np.int64)
         keys = rng.random(6000)
+        telemetry.enable()
+        serial = route_many(graph, sources, keys, workers=None)
+        serial_hops = telemetry.get_registry().histogram("routing.hops").state()
+        telemetry.disable()
+        assert serial_hops == tuple(np.bincount(serial.hops).tolist())
         views = {}
         for workers in (1, 2, 4):
             telemetry.reset()
@@ -293,11 +390,14 @@ class TestShardMerge:
                 for name, c in registry.counters.items()
                 if name.startswith(("routing.", "parallel.shards"))
             }
-            quantiles = {
-                name: q.state() for name, q in registry.quantiles.items()
+            histograms = {
+                name: h.state() for name, h in registry.histograms.items()
             }
-            views[workers] = (counters, quantiles, int(batch.hops.sum()))
+            views[workers] = (counters, histograms, int(batch.hops.sum()))
             telemetry.disable()
+            # Merged hop counts are the serial run's, not an estimate.
+            assert np.array_equal(batch.hops, serial.hops)
+            assert histograms == {"routing.hops": serial_hops}
         assert views[1][0]["routing.walks"] == 6000
         assert views[2] == views[1]
         assert views[4] == views[1]
@@ -330,7 +430,7 @@ class TestInstrumentation:
             for label in ("arrived", "stuck", "max_hops")
         )
         assert total == registry.counter("routing.walks").value == 200
-        assert registry.quantile("routing.hops").count == 200
+        assert registry.histogram("routing.hops").count == 200
 
     def test_summarize_lookups_batch_reasons_schema(self, graph):
         rng = np.random.default_rng(8)
@@ -361,7 +461,7 @@ class TestExports:
         registry = telemetry.enable()
         telemetry.count("routing.walks", 7)
         telemetry.timer_observe("parallel.publish", 0.125)
-        telemetry.observe_batch("routing.hops", np.arange(64.0))
+        registry.histogram("routing.hops").add(np.arange(64))
         telemetry.trace("routing.batch", walks=7)
         return registry
 
@@ -382,16 +482,6 @@ class TestExports:
     def test_summary_table_empty_registry(self):
         table = summary_table(Registry())
         assert "no metrics" in table
-
-    def test_write_jsonl(self, tmp_path):
-        registry = self._populated_registry()
-        path = tmp_path / "tel.jsonl"
-        lines_written = write_jsonl(path, registry)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) == lines_written
-        assert lines[0]["event"] == "routing.batch"
-        assert lines[-1]["event"] == "metrics_snapshot"
-        assert lines[-1]["counters"]["routing.walks"] == 7
 
     def test_jsonl_sink_streams_cli_run(self, tmp_path, capsys, graph):
         store = tmp_path / "snap"
@@ -425,51 +515,30 @@ class TestExports:
 
 
 class TestTraceCapAndSanitization:
-    """PR-10 guarantees: bounded trace buffers that count their drops,
-    and a Prometheus exposition that stays scrapeable for any name."""
+    """Bounded trace buffers that count their drops, and a Prometheus
+    exposition that stays scrapeable for any name."""
 
     def test_default_trace_cap(self):
         registry = telemetry.enable()
-        assert registry.trace_cap == telemetry.DEFAULT_TRACE_CAP
-
-    def test_enable_arg_sets_trace_cap(self):
-        registry = telemetry.enable(trace_cap=16)
-        assert registry.trace_cap == 16
-        # Re-enabling with a new cap rebinds the live buffer.
-        registry = telemetry.enable(trace_cap=8)
-        assert registry.trace_cap == 8
-
-    def test_env_var_sets_trace_cap(self, monkeypatch):
-        monkeypatch.setenv(telemetry.ENV_TRACE_CAP, "32")
-        registry = telemetry.enable()
-        assert registry.trace_cap == 32
-
-    def test_invalid_trace_cap_rejected(self):
-        with pytest.raises(ValueError):
-            telemetry.enable(trace_cap=0)
+        assert registry.events.maxlen == telemetry.DEFAULT_TRACE_CAP == 65536
 
     def test_eviction_counts_dropped_events(self):
-        registry = telemetry.enable(trace_cap=4)
-        for i in range(10):
+        registry = telemetry.enable()
+        cap = telemetry.DEFAULT_TRACE_CAP
+        for i in range(cap + 6):
             telemetry.trace("evt", i=i)
-        assert len(registry.events) == 4
+        assert len(registry.events) == cap
         assert registry.dropped_events == 6
         assert registry.counters["telemetry.events.dropped"].value == 6
         # The newest events are the ones retained.
-        assert [e.fields["i"] for e in registry.events] == [6, 7, 8, 9]
-
-    def test_shrinking_cap_keeps_newest(self):
-        registry = telemetry.enable(trace_cap=8)
-        for i in range(8):
-            telemetry.trace("evt", i=i)
-        registry.set_trace_cap(3)
-        assert [e.fields["i"] for e in registry.events] == [5, 6, 7]
+        assert registry.events[0].fields["i"] == 6
+        assert registry.events[-1].fields["i"] == cap + 5
 
     def test_summary_table_reports_drops(self):
-        registry = telemetry.enable(trace_cap=2)
-        for i in range(5):
+        registry = telemetry.enable()
+        for i in range(telemetry.DEFAULT_TRACE_CAP + 1):
             telemetry.trace("evt", i=i)
-        assert "dropped" in summary_table(registry)
+        assert "dropped: 1" in summary_table(registry)
 
     def test_gauges_render_with_type_line(self):
         registry = telemetry.enable()
