@@ -81,7 +81,6 @@ def workload():
 def _telemetry_off_after():
     yield
     telemetry.disable()
-    telemetry.reset()
 
 
 def _cpu_timed_batch(enabled: bool, graph, sources, keys):
@@ -176,7 +175,6 @@ def test_telemetry_shard_merge_bit_identity(workload):
 
     views = {}
     for workers in (1, 2, 4):
-        telemetry.reset()
         telemetry.enable()
         batch = route_many_parallel(
             graph, sources, keys, executor=get_executor(workers)

@@ -12,6 +12,9 @@ lives in ``BENCH_trajectory.json``: an append-mode list with one entry
 per consolidation run, keyed by git SHA and wall time, carrying every
 benchmark's latest per-kind measurements.  Overwriting the summary (or
 even wiping individual trajectories) no longer loses perf history.
+Each entry also says whether tracked files differed from that commit
+(``dirty``) and hashes the source that ran (``source_sha256``), so a
+run of a modified tree is never mistaken for the commit's own.
 
 Run directly (``python benchmarks/consolidate_bench.py``) or let
 ``ci.sh`` do it after the benchmark smokes.
@@ -19,6 +22,7 @@ Run directly (``python benchmarks/consolidate_bench.py``) or let
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -28,6 +32,7 @@ import sys
 import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SUMMARY = RESULTS_DIR / "BENCH_summary.json"
 TRAJECTORY = RESULTS_DIR / "BENCH_trajectory.json"
 
@@ -97,18 +102,47 @@ def _speedup_trend(entries: list[dict]) -> dict | None:
     }
 
 
-def git_sha() -> str | None:
-    """The working tree's HEAD SHA, or ``None`` outside a git checkout."""
+def _git(*args: str) -> str | None:
+    """Stdout of ``git args`` run in this checkout, or ``None`` outside one."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             capture_output=True, text=True, timeout=10,
             cwd=pathlib.Path(__file__).parent,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha() -> str | None:
+    """The working tree's HEAD SHA, or ``None`` outside a git checkout."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    return sha or None
+
+
+def git_dirty() -> bool | None:
+    """True when tracked files differ from HEAD; ``None`` outside git.
+
+    ``benchmarks/results/`` is left out: the smokes append to its
+    tracked trajectories and this script rewrites the summary before
+    asking, so counting them would mark every run dirty.
+    """
+    status = _git(
+        "status", "--porcelain", "--untracked-files=no",
+        "--", ":(top)", ":(top,exclude)benchmarks/results",
+    )
+    return None if status is None else bool(status.strip())
+
+
+def source_digest(src: pathlib.Path = SRC) -> str:
+    """SHA-256 over every ``.py`` file under ``src``, path then bytes
+    (the recipe of perfbench's ``source_sha256``)."""
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(str(path.relative_to(src)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def append_trajectory(
@@ -116,8 +150,9 @@ def append_trajectory(
 ) -> dict:
     """Append this run's per-kind latests to the cross-run trajectory.
 
-    Each entry records when the consolidation ran, on which commit, and
-    every benchmark's ``latest_by_kind`` measurements — enough to plot
+    Each entry records when the consolidation ran, on which commit,
+    whether the tree was dirty, the digest of its source, and every
+    benchmark's ``latest_by_kind`` measurements — enough to plot
     any gated number across PRs even though ``BENCH_summary.json`` is
     overwritten per run.  A corrupt trajectory file is preserved as
     ``.corrupt`` rather than silently clobbered.  Returns the appended
@@ -126,6 +161,8 @@ def append_trajectory(
     entry = {
         "generated_at": summary["generated_at"],
         "git_sha": git_sha(),
+        "dirty": git_dirty(),
+        "source_sha256": source_digest(),
         "host": summary["host"],
         "benchmarks": {
             name: doc.get("latest_by_kind", {})
@@ -198,8 +235,10 @@ def main() -> int:
     )
     entry = append_trajectory(summary)
     runs = len(json.loads(TRAJECTORY.read_text()))
-    sha = entry["git_sha"] or "no-git"
-    print(f"BENCH_trajectory.json: {runs} runs recorded (this run: {sha[:12]})")
+    sha = (entry["git_sha"] or "no-git")[:12]
+    if entry["dirty"]:
+        sha += " (dirty)"
+    print(f"BENCH_trajectory.json: {runs} runs recorded (this run: {sha})")
     return 0
 
 

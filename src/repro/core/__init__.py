@@ -57,7 +57,6 @@ from repro.core.partitions import (
     AdvanceStats,
     advance_stats,
     partition_index,
-    trace_partitions,
 )
 from repro.core.routing import RouteResult, greedy_route, lookahead_route, sample_routes
 from repro.core.theory import (
@@ -98,7 +97,6 @@ __all__ = [
     "sample_batch",
     "sample_routes",
     "partition_index",
-    "trace_partitions",
     "AdvanceStats",
     "advance_stats",
     "advance_probability_bound",

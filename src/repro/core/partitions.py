@@ -33,7 +33,6 @@ from repro.core.theory import n_partitions
 __all__ = [
     "partition_index",
     "partition_indices",
-    "trace_partitions",
     "AdvanceStats",
     "advance_stats",
 ]
@@ -87,12 +86,6 @@ def _path_partitions(
         graph.normalized_ids[nodes], np.repeat(targets, lengths)
     )
     return partition_indices(distances, graph.n), lengths
-
-
-def trace_partitions(graph: SmallWorldGraph, result: RouteResult) -> list[int]:
-    """Return the partition index at every node along a routed path."""
-    partitions, _ = _path_partitions(graph, [result.path], [result.target_key])
-    return partitions.tolist()
 
 
 @dataclass

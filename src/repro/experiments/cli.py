@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--monitor", action="store_true",
         help=(
             "attach the repro.monitor observatory: window series, anomaly "
-            "flags, health probes and an HTTP /metrics + /health scrape "
-            "endpoint (implies telemetry collection)"
+            "flags, a health probe of the graph and an HTTP /metrics + "
+            "/health scrape endpoint (implies telemetry collection)"
         ),
     )
     _add_monitor_args(serve_p)
@@ -240,7 +240,8 @@ def _add_monitor_args(p: argparse.ArgumentParser) -> None:
         "--trace-out", default=None, metavar="PATH",
         help=(
             "write the sampled flight-recorder traces as Chrome trace "
-            "JSON (Perfetto-loadable); .jsonl suffix writes JSONL instead"
+            "JSON (Perfetto-loadable); .jsonl suffix writes JSONL instead; "
+            "needs --trace-sample N >= 1"
         ),
     )
 
@@ -382,20 +383,14 @@ def _attach_observability(engine, args: argparse.Namespace):
     again (:func:`_detach_observability`) once the scrape endpoint stops.
     """
     from repro import telemetry
-    from repro.monitor import (
-        FlightRecorder,
-        Monitor,
-        MonitorConfig,
-        ScrapeServer,
-    )
+    from repro.monitor import FlightRecorder, Monitor, ScrapeServer
 
     telemetry.enable()
-    monitor = Monitor(engine, MonitorConfig(window=args.window))
+    monitor = Monitor(engine, window=args.window)
     engine.attach_monitor(monitor)
     recorder = None
     if args.trace_sample:
         recorder = FlightRecorder(engine, sample_rate=args.trace_sample)
-        engine.attach_recorder(recorder)
     scrape = ScrapeServer(monitor, port=args.monitor_port).start()
     print(
         f"[monitor] scraping at {scrape.url}/metrics "
@@ -530,7 +525,10 @@ def _telemetry_wrap(args: argparse.Namespace, command) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "trace_out", None) is not None and not args.trace_sample:
+        parser.error("--trace-out needs --trace-sample N with N >= 1")
     if args.command == "list":
         return _cmd_list()
     if args.command == "build":

@@ -13,16 +13,18 @@ Four pieces (see each module's docstring):
   wall-clock cadence samples;
 * **anomaly + SLO** (:mod:`~repro.monitor.anomaly`) — EWMA z-score
   flags per series, chi-square histogram drift, and burn rates against
-  a declarative :class:`SloPolicy` (hop inflation vs. the log²n paper
-  baseline first among them);
-* **health probes** (:mod:`~repro.monitor.probes`) — a fixed seeded
-  probe workload replayed out-of-band against the live overlay, scored
-  for reachability / partition suspicion / hop inflation / degree
-  drift;
+  two fixed SLO budgets (hop inflation vs. the log²n paper baseline,
+  and retirement-reason drift);
+* **health probe** (:mod:`~repro.monitor.probes`) — a fixed seeded
+  probe workload routed out-of-band over the overlay, scored for
+  reachability / partition suspicion / hop inflation / degree drift;
+  the serving graph never changes, so the monitor probes it once, at
+  construction;
 * **flight recorder** (:mod:`~repro.monitor.recorder`) — per-lookup
-  traces for a deterministic hash-sampled 1-in-N of queries, with
-  per-round spans reconstructed by bit-identical replay, exported as
-  JSONL or Perfetto-loadable Chrome trace JSON.
+  traces for a deterministic hash-sampled 1-in-N of queries, read
+  from the engine's outcome log, with per-round spans reconstructed
+  by bit-identical replay, exported as JSONL or Perfetto-loadable
+  Chrome trace JSON.
 
 Surfaces: :class:`ScrapeServer` (:mod:`~repro.monitor.scrape`) serves
 ``/metrics`` + ``/health`` + ``/series`` over stdlib HTTP, and
@@ -35,7 +37,6 @@ Attach to a serving engine::
     monitor = Monitor(engine)
     recorder = FlightRecorder(engine, sample_rate=64)
     engine.attach_monitor(monitor)
-    engine.attach_recorder(recorder)
     with ScrapeServer(monitor) as scrape:
         engine.serve(demand, 200_000, rng)
         print(render_dashboard(monitor))
@@ -45,14 +46,13 @@ Attach to a serving engine::
 from repro.monitor.anomaly import (
     AnomalyVerdict,
     EwmaDetector,
-    SloPolicy,
     SloVerdict,
     chi_square_distance,
     evaluate_slo,
     hop_baseline,
 )
 from repro.monitor.dashboard import render_dashboard, sparkline
-from repro.monitor.monitor import Alert, Monitor, MonitorConfig
+from repro.monitor.monitor import Alert, Monitor
 from repro.monitor.probes import HealthProbe, ProbeReport
 from repro.monitor.recorder import FlightRecorder, LookupTrace, sample_mask
 from repro.monitor.scrape import ScrapeServer
@@ -60,13 +60,11 @@ from repro.monitor.series import RingSeries, SeriesBank
 
 __all__ = [
     "Monitor",
-    "MonitorConfig",
     "Alert",
     "RingSeries",
     "SeriesBank",
     "EwmaDetector",
     "AnomalyVerdict",
-    "SloPolicy",
     "SloVerdict",
     "evaluate_slo",
     "chi_square_distance",

@@ -115,14 +115,13 @@ def render_dashboard(monitor, width: int = 32, clear: bool = False) -> str:
         lines.append("")
 
     probe = health["probe"]
-    if probe is not None:
-        lines.append(
-            "probe  "
-            f"reachability {_fmt(probe['reachability'])}  "
-            f"hop-inflation {_fmt(probe['hop_inflation'])}  "
-            f"degree-drift {_fmt(probe['degree_drift'])}  "
-            f"partition-suspicion {_fmt(probe['partition_suspicion'])}"
-        )
+    lines.append(
+        "probe  "
+        f"reachability {_fmt(probe['reachability'])}  "
+        f"hop-inflation {_fmt(probe['hop_inflation'])}  "
+        f"degree-drift {_fmt(probe['degree_drift'])}  "
+        f"partition-suspicion {_fmt(probe['partition_suspicion'])}"
+    )
     frame = "\n".join(lines).rstrip() + "\n"
     if clear:
         frame = "\x1b[H\x1b[2J" + frame

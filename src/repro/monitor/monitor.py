@@ -13,38 +13,42 @@ per pump.  It maintains two series banks:
   Window statistics: routed mean hops, success rate, cache hit-rate,
   stuck rate, hop inflation vs. the paper baseline, and the chi-square
   drift of the retirement-reason mix against the first window.
-* the **wall bank** — wall-clock cadence samples of live operational
-  state (throughput, in-flight, pending, frontier fill ratio, and the
-  latest window's latency p99, computed exactly from that window's
-  latencies).  Dashboard fuel, explicitly outside the determinism
-  contract — exactly like the telemetry layer's timers.
+* the **wall bank** — samples of live operational state taken every
+  :data:`WALL_CADENCE_SECONDS` of wall clock (throughput, in-flight,
+  pending, and the latest window's latency p99, computed exactly from
+  that window's latencies).  Dashboard fuel, explicitly outside the
+  determinism contract — exactly like the telemetry layer's timers.
 
 Each deterministic series feeds an EWMA z-score detector
 (:class:`~repro.monitor.anomaly.EwmaDetector`); flagged windows append
-to :attr:`Monitor.alerts`.  Window stats are also evaluated against an
-:class:`~repro.monitor.anomaly.SloPolicy` into burn rates, and a
-:class:`~repro.monitor.probes.HealthProbe` runs on a wall-clock
-cadence (``probe_cadence_seconds`` — probes are operational health
-checks, so they pace like one, not per ticket throughput).
-:meth:`Monitor.health` folds all of it into one JSON verdict (the
-scrape endpoint's ``/health`` body).
+to :attr:`Monitor.alerts`.  Window stats are also evaluated against the
+fixed SLO budgets (:func:`~repro.monitor.anomaly.evaluate_slo`) into
+burn rates.
 
-When telemetry is enabled, window stats and probe scores are mirrored
-into ``monitor.*`` gauges so the Prometheus exposition carries them.
+A serving engine never swaps its graph — ``engine.csr`` is fixed at
+construction, and a store-loaded CSR is read-only — so a
+:class:`~repro.monitor.probes.HealthProbe` of it scores the same every
+time.  The monitor runs it once, at construction, and keeps the report
+as :attr:`Monitor.probe`.  :meth:`Monitor.health` folds all of it into
+one JSON verdict (the scrape endpoint's ``/health`` body).
+
+When telemetry is enabled, window stats are mirrored into
+``monitor.window.*`` gauges as windows complete, and probe scores into
+``monitor.probe.*`` gauges when the probe runs, so the Prometheus
+exposition carries them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro.monitor.anomaly import (
     EwmaDetector,
-    SloPolicy,
     chi_square_distance,
     evaluate_slo,
     hop_baseline,
@@ -52,7 +56,7 @@ from repro.monitor.anomaly import (
 from repro.monitor.probes import HealthProbe
 from repro.monitor.series import SeriesBank
 
-__all__ = ["Monitor", "MonitorConfig", "Alert"]
+__all__ = ["Monitor", "Alert"]
 
 #: Deterministic per-window series names (the determinism-contract set).
 WINDOW_SERIES = (
@@ -63,6 +67,12 @@ WINDOW_SERIES = (
     "window.hop_inflation",
     "window.reason_chi2",
 )
+
+#: Ring capacity of every series.
+SERIES_CAPACITY = 512
+
+#: Wall-clock sampling period of the wall bank, in seconds.
+WALL_CADENCE_SECONDS = 0.25
 
 
 def _window_quantile(values: np.ndarray, q: float) -> float:
@@ -80,46 +90,6 @@ def _window_quantile(values: np.ndarray, q: float) -> float:
     t = pos - lo
     # numpy's lerp: from the nearer end, so t = 0 and t = 1 are exact.
     return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-
-
-@dataclass
-class MonitorConfig:
-    """Knobs for :class:`Monitor`.
-
-    Attributes:
-        window: ticket-window width W — deterministic series emit one
-            sample per W completed tickets.
-        series_capacity: ring capacity of every series.
-        cadence_seconds: wall-clock sampling period for the wall bank.
-        ewma_alpha / z_threshold / warmup_windows: anomaly detector
-            parameters (see :class:`~repro.monitor.anomaly.EwmaDetector`).
-        slo: SLO targets evaluated per window.
-        probe_cadence_seconds: wall-clock period of the health probe
-            (first probe fires one period in); 0 disables probing.
-            Probes cost real routing work, so they pace on the clock —
-            like a liveness check — never per ticket throughput.
-        probe_n: probe workload size.
-        probe_seed: probe workload seed.
-    """
-
-    window: int = 4096
-    series_capacity: int = 512
-    cadence_seconds: float = 0.25
-    ewma_alpha: float = 0.2
-    z_threshold: float = 4.0
-    warmup_windows: int = 8
-    slo: SloPolicy = field(default_factory=SloPolicy)
-    probe_cadence_seconds: float = 5.0
-    probe_n: int = 256
-    probe_seed: int = 0xC0FFEE
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.series_capacity < 1:
-            raise ValueError(
-                f"series_capacity must be >= 1, got {self.series_capacity}"
-            )
 
 
 @dataclass
@@ -145,30 +115,24 @@ class Monitor:
 
     Args:
         engine: the :class:`~repro.serving.engine.ServingEngine`.
-        config: see :class:`MonitorConfig`.
+        window: ticket-window width W — deterministic series emit one
+            sample per W completed tickets.
         clock: injectable wall clock for the wall bank (tests).
     """
 
-    def __init__(self, engine, config: MonitorConfig | None = None, *, clock=None):
+    def __init__(self, engine, window: int = 4096, *, clock=None):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.engine = engine
-        self.config = config or MonitorConfig()
+        self.window = window
         self._clock = clock if clock is not None else time.monotonic
-        cap = self.config.series_capacity
-        self.bank = SeriesBank(cap)
-        self.wall_bank = SeriesBank(cap)
-        self.detectors = {
-            name: EwmaDetector(
-                alpha=self.config.ewma_alpha,
-                z_threshold=self.config.z_threshold,
-                warmup=self.config.warmup_windows,
-            )
-            for name in WINDOW_SERIES
-        }
+        self.bank = SeriesBank(SERIES_CAPACITY)
+        self.wall_bank = SeriesBank(SERIES_CAPACITY)
+        self.detectors = {name: EwmaDetector() for name in WINDOW_SERIES}
         self.alerts: list[Alert] = []
         self.windows_emitted = 0
         self.last_window_stats: dict = {}
         self.last_slo: list = []
-        self.last_probe = None
         self._complete_prefix = 0
         self._baseline_reasons: np.ndarray | None = None
         self._hop_baseline = hop_baseline(
@@ -177,16 +141,13 @@ class Monitor:
             if engine.csr.n
             else 1.0,
         )
-        self._probe = (
-            HealthProbe.for_engine(
-                engine, n_probes=self.config.probe_n, seed=self.config.probe_seed
-            )
-            if self.config.probe_cadence_seconds > 0
-            else None
-        )
         self._last_wall_sample = float("-inf")
         self._last_wall_completed = 0
-        self._last_probe_at = self._clock()
+        self.probe = HealthProbe.for_engine(engine).run()
+        if telemetry.enabled():
+            for stat_key, value in self.probe.to_dict().items():
+                if isinstance(value, (int, float)) and math.isfinite(value):
+                    telemetry.gauge_set(f"monitor.probe.{stat_key}", float(value))
 
     # ------------------------------------------------------------------
     # pump hook
@@ -199,14 +160,8 @@ class Monitor:
         """
         emitted = self._advance_windows()
         now = self._clock()
-        if now - self._last_wall_sample >= self.config.cadence_seconds:
+        if now - self._last_wall_sample >= WALL_CADENCE_SECONDS:
             self._sample_wall(now)
-        if (
-            self._probe is not None
-            and now - self._last_probe_at >= self.config.probe_cadence_seconds
-        ):
-            self._last_probe_at = now
-            self.run_probe()
         return emitted
 
     def _advance_windows(self) -> int:
@@ -226,7 +181,7 @@ class Monitor:
             break
         self._complete_prefix = prefix
         emitted = 0
-        w = self.config.window
+        w = self.window
         while (self.windows_emitted + 1) * w <= prefix:
             self._emit_window(self.windows_emitted)
             self.windows_emitted += 1
@@ -237,7 +192,7 @@ class Monitor:
         """Compute window k's stats from ticket-ordered outcome columns."""
         from repro.core.metric_routing import _REASON_LABELS, REASON_STUCK
 
-        w = self.config.window
+        w = self.window
         res = self.engine.results()
         lo, hi = k * w, (k + 1) * w
         hops = res.hops[lo:hi]
@@ -274,12 +229,8 @@ class Monitor:
         # Wall-clock-dependent SLO inputs ride along for burn rates but
         # never enter the deterministic bank.
         latency_p99_ms = _window_quantile(res.latency_seconds[lo:hi], 0.99) * 1e3
-        self.last_window_stats = {
-            **stats,
-            "latency_p99_ms": latency_p99_ms,
-            "fill_ratio": self.engine._frontier.fill_ratio,
-        }
-        self.last_slo = evaluate_slo(self.config.slo, self.last_window_stats)
+        self.last_window_stats = {**stats, "latency_p99_ms": latency_p99_ms}
+        self.last_slo = evaluate_slo(self.last_window_stats)
         if telemetry.enabled():
             for stat_key, value in stats.items():
                 if stat_key != "window":
@@ -301,39 +252,21 @@ class Monitor:
         self.wall_bank.append(
             "wall.latency_p99_ms", self.last_window_stats.get("latency_p99_ms", 0.0)
         )
-        self.wall_bank.append("wall.fill_ratio", engine._frontier.fill_ratio)
         if telemetry.enabled():
             telemetry.gauge_set("monitor.wall.pending", float(engine.pending))
             telemetry.gauge_set("monitor.wall.in_flight", float(engine.in_flight))
 
     # ------------------------------------------------------------------
-    # probes and verdicts
+    # verdicts
     # ------------------------------------------------------------------
-    def run_probe(self):
-        """Run the health probe now; records and returns its report."""
-        if self._probe is None:
-            self._probe = HealthProbe.for_engine(
-                self.engine, n_probes=self.config.probe_n,
-                seed=self.config.probe_seed,
-            )
-        report = self._probe.run()
-        self.last_probe = report
-        self.wall_bank.append("probe.reachability", report.reachability)
-        self.wall_bank.append("probe.hop_inflation", report.hop_inflation)
-        self.wall_bank.append("probe.degree_drift", report.degree_drift)
-        if telemetry.enabled():
-            for stat_key, value in report.to_dict().items():
-                if isinstance(value, (int, float)) and math.isfinite(value):
-                    telemetry.gauge_set(f"monitor.probe.{stat_key}", float(value))
-        return report
-
     def health(self) -> dict:
         """One JSON verdict: status, burn rates, alerts, probe scores.
 
         ``status`` is ``"ok"`` (no breaches, no recent alerts),
         ``"degraded"`` (an SLO burn rate > 1 or an anomaly flagged in
         the last 8 windows) or ``"critical"`` (probe reachability below
-        0.99 or partition suspicion above 0.5).
+        0.99).  The probe's partition suspicion never exceeds
+        ``1 - reachability``, so it is reported but adds no clause.
         """
         breaches = [v for v in self.last_slo if v.breached]
         recent_floor = self.windows_emitted - 8
@@ -341,10 +274,7 @@ class Monitor:
         status = "ok"
         if breaches or recent_alerts:
             status = "degraded"
-        probe = self.last_probe
-        if probe is not None and (
-            probe.reachability < 0.99 or probe.partition_suspicion > 0.5
-        ):
+        if self.probe.reachability < 0.99:
             status = "critical"
         return {
             "status": status,
@@ -369,5 +299,5 @@ class Monitor:
             ],
             "alerts": [a.to_dict() for a in recent_alerts],
             "n_alerts_total": len(self.alerts),
-            "probe": probe.to_dict() if probe is not None else None,
+            "probe": self.probe.to_dict(),
         }

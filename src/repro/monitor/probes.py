@@ -1,25 +1,31 @@
 """Active health probes: deterministic synthetic lookups scored for health.
 
-A :class:`HealthProbe` owns a fixed probe workload — sources and keys
-drawn once from a seeded generator — and replays it on demand against
-the live overlay (the serving engine's graph, or any CSR + metric pair,
-including a churned :class:`repro.overlay.Network` snapshot).  Because
-the workload never changes, score movements between runs are pure
-overlay signal:
+A :class:`HealthProbe` owns a fixed probe workload — :data:`N_PROBES`
+sources and keys drawn once from a generator seeded with
+:data:`PROBE_SEED` — and routes it against an overlay (the serving
+engine's graph, or any CSR + metric pair, including a churned
+:class:`repro.overlay.Network` snapshot).  Because the workload never
+changes, score movements between overlays are pure overlay signal:
 
 * **reachability** — probe success rate; failures are clustered in key
   space to estimate *partition suspicion* (one contiguous unreachable
   arc smells like a partition; scattered failures smell like churn
-  noise).
+  noise).  Suspicion is the largest failure cluster's share of the
+  probes, so it never exceeds ``1 - reachability``.
 * **hop inflation** — mean probe hops over the paper's log²(n)/k
   baseline (:func:`repro.monitor.anomaly.hop_baseline`); the live
   watchdog for the source paper's central claim.
-* **degree drift** — chi-square distance of the current out-degree
-  histogram from the histogram captured at probe construction; rises
-  as churn or rewiring reshapes the overlay.
+* **degree drift** — chi-square distance of the probed overlay's
+  out-degree histogram from the one captured at probe construction;
+  rises as churn or rewiring reshapes the overlay, and reads 0.0 on
+  the construction-time overlay itself.
+
+A serving engine never swaps its graph, so :class:`repro.monitor.
+Monitor` runs its probe once, at construction; ``run(csr=, alive=)``
+scores another snapshot of the overlay against the same baseline.
 
 Probes route *out of band* through the batch kernel — they never enter
-a serving engine's admission ring, so ticket outcome columns stay
+a serving engine's outcome log, so ticket outcome columns stay
 workload-pure and the serving determinism contract is untouched.
 """
 
@@ -33,6 +39,11 @@ import numpy as np
 from repro.monitor.anomaly import chi_square_distance, hop_baseline
 
 __all__ = ["HealthProbe", "ProbeReport"]
+
+#: Probe workload size.
+N_PROBES = 256
+#: Probe workload seed — same seed, same probes, always.
+PROBE_SEED = 0xC0FFEE
 
 
 @dataclass
@@ -72,56 +83,36 @@ def _degree_histogram(csr) -> np.ndarray:
 class HealthProbe:
     """Deterministic probe workload over one overlay.
 
+    Each probe walk gets a hop budget of ``4 * log²n`` (at least 16),
+    tight enough that a broken overlay fails fast instead of wandering.
+
     Args:
         csr: the overlay's :class:`repro.core.adjacency.CSRAdjacency`.
         metric: the overlay's routing metric (as used by
             :func:`repro.core.metric_routing.frontier_route_many`).
         peer_keys: per-peer key coordinates (``graph.ids``), used to
             place unreached owners in key space for partition clustering.
-        n_probes: probe workload size.
-        seed: workload generator seed — same seed, same probes, always.
-        max_hops: per-probe hop budget (defaults to ``4 * log²n``, tight
-            enough that a broken overlay fails fast instead of wandering).
 
     Use :meth:`for_engine` to build one straight off a serving engine.
     """
 
-    def __init__(
-        self,
-        csr,
-        metric,
-        peer_keys: np.ndarray,
-        n_probes: int = 256,
-        seed: int = 0xC0FFEE,
-        max_hops: int | None = None,
-    ):
-        if n_probes < 1:
-            raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    def __init__(self, csr, metric, peer_keys: np.ndarray):
         self.csr = csr
         self.metric = metric
         self.peer_keys = np.asarray(peer_keys, dtype=float)
-        self.n_probes = int(n_probes)
         n = csr.n
-        if max_hops is None:
-            max_hops = max(16, int(4 * math.log2(max(n, 2)) ** 2))
-        self.max_hops = int(max_hops)
-        rng = np.random.default_rng(seed)
-        self.sources = rng.integers(0, n, size=self.n_probes, dtype=np.int64)
-        self.keys = rng.random(self.n_probes)
+        self.max_hops = max(16, int(4 * math.log2(max(n, 2)) ** 2))
+        rng = np.random.default_rng(PROBE_SEED)
+        self.sources = rng.integers(0, n, size=N_PROBES, dtype=np.int64)
+        self.keys = rng.random(N_PROBES)
         self._baseline_degrees = _degree_histogram(csr)
         degrees = np.asarray(csr.out_degrees(), dtype=float)
         self._mean_degree = float(degrees.mean()) if len(degrees) else 1.0
-        self.runs = 0
 
     @classmethod
-    def for_engine(
-        cls, engine, n_probes: int = 256, seed: int = 0xC0FFEE
-    ) -> "HealthProbe":
+    def for_engine(cls, engine) -> "HealthProbe":
         """Probe a :class:`~repro.serving.engine.ServingEngine`'s overlay."""
-        return cls(
-            engine.csr, engine.metric, engine.graph.ids,
-            n_probes=n_probes, seed=seed,
-        )
+        return cls(engine.csr, engine.metric, engine.graph.ids)
 
     def run(self, csr=None, alive: np.ndarray | None = None) -> ProbeReport:
         """Route the probe workload and score the overlay.
@@ -130,8 +121,8 @@ class HealthProbe:
             csr: override adjacency (e.g. a fresh ``network.snapshot()``
                 after churn); defaults to the construction-time one.
             alive: optional liveness mask forwarded to the router.  Dead
-                probe sources are re-homed to the nearest live peer so a
-                churned overlay stays probeable.
+                probe sources are re-homed to live peers so a churned
+                overlay stays probeable.
         """
         from repro.core.metric_routing import frontier_route_many
 
@@ -154,7 +145,6 @@ class HealthProbe:
             csr, self.metric, sources, self.keys,
             alive=alive, max_hops=self.max_hops,
         )
-        self.runs += 1
         reached = result.success
         n_unreached = int((~reached).sum())
         reachability = float(reached.mean())
@@ -167,7 +157,7 @@ class HealthProbe:
             self._baseline_degrees, _degree_histogram(csr)
         )
         return ProbeReport(
-            n_probes=self.n_probes,
+            n_probes=N_PROBES,
             reachability=reachability,
             partition_suspicion=suspicion,
             mean_hops=mean_hops,
@@ -191,7 +181,7 @@ class HealthProbe:
         n = max(self.csr.n, 1)
         keys = np.sort(self.peer_keys[np.asarray(unreached_owners, dtype=np.int64)])
         if len(keys) == 1:
-            return 1.0 / self.n_probes
+            return 1.0 / N_PROBES
         threshold = max(4.0 / n, 0.01)
         gaps = np.diff(keys)
         wrap_gap = (keys[0] + 1.0) - keys[-1]
@@ -204,4 +194,4 @@ class HealthProbe:
             sizes = np.diff(np.concatenate([[0], splits + 1, [len(keys)]]))
         else:
             sizes = np.asarray([len(keys)])
-        return float(sizes.max()) / self.n_probes
+        return float(sizes.max()) / N_PROBES

@@ -5,16 +5,17 @@ Sampling is a deterministic splitmix-style hash of each query's
 because the hash never looks at tickets or batching, the *same* queries
 are sampled however the stream is micro-batched.
 
-The recorder costs the serving hot path one vectorized hash per
-submitted chunk plus an append per sampled query.  Per-round detail
+The recorder reads the serving engine's outcome log, which holds every
+ticket's source and key, and hashes it only when traces are asked for,
+so it costs the serving hot path nothing.  Per-round detail
 (admission → cache consult → each frontier round with its candidate
 count → retirement reason) is reconstructed at export time by replaying
 the sampled routed queries as one
 :func:`~repro.core.metric_routing.frontier_route_many` batch with paths
 recorded — the kernel's bit-identity contract guarantees each replay
 takes exactly the hops its live walk took, which
-:meth:`FlightRecorder.traces` verifies against the engine's outcome
-log.  Round-span timestamps inside a lookup are
+:meth:`FlightRecorder.traces` checks against the engine's outcome
+log every time.  Round-span timestamps inside a lookup are
 therefore synthetic (evenly spaced across the measured latency); the
 lookup envelope itself uses the real enqueue time and latency.
 
@@ -77,43 +78,27 @@ class LookupTrace:
 
 
 class FlightRecorder:
-    """Record sampled lookups on a :class:`~repro.serving.engine.ServingEngine`.
-
-    Attach with ``engine.attach_recorder(recorder)``; the engine calls
-    :meth:`observe_admission` once per admitted micro-batch.
+    """Trace sampled lookups of a :class:`~repro.serving.engine.ServingEngine`.
 
     Args:
-        engine: the serving engine to trace.
+        engine: the serving engine whose outcome log is traced.
         sample_rate: trace 1 in this many queries (hash-based).
-        max_traces: stop recording new queries past this many sampled
-            (protects memory on unbounded streams); the drop count is
-            visible as :attr:`dropped`.
     """
 
-    def __init__(self, engine, sample_rate: int = 64, max_traces: int = 100_000):
+    def __init__(self, engine, sample_rate: int = 64):
         if sample_rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {sample_rate}")
         self.engine = engine
         self.sample_rate = int(sample_rate)
-        self.max_traces = int(max_traces)
-        self._tickets: list[int] = []
-        self.dropped = 0
+
+    def _sampled(self, res) -> np.ndarray:
+        """The sampled tickets of outcome log ``res``, ascending."""
+        return np.flatnonzero(sample_mask(res.sources, res.keys, self.sample_rate))
 
     @property
     def n_sampled(self) -> int:
-        return len(self._tickets)
-
-    def observe_admission(self, tickets, sources, keys) -> None:
-        """Mark the sampled queries of one admitted micro-batch (hot path)."""
-        mask = sample_mask(sources, keys, self.sample_rate)
-        if not mask.any():
-            return
-        picked = np.asarray(tickets)[mask]
-        room = self.max_traces - len(self._tickets)
-        if room < len(picked):
-            self.dropped += len(picked) - max(room, 0)
-            picked = picked[: max(room, 0)]
-        self._tickets.extend(picked.tolist())
+        """Sampled queries among every ticket submitted so far."""
+        return len(self._sampled(self.engine.results()))
 
     # ------------------------------------------------------------------
     # reconstruction
@@ -154,28 +139,26 @@ class FlightRecorder:
             out.append(rounds)
         return out, batch.hops
 
-    def traces(self, verify: bool = True) -> list[LookupTrace]:
+    def traces(self) -> list[LookupTrace]:
         """Reconstruct every sampled lookup that has completed.
 
-        The routed ones are replayed together in one batch.
-
-        Args:
-            verify: assert each replay's hop count equals the live
-                outcome recorded by the engine (cheap, on by default).
+        The routed ones are replayed together in one batch, and each
+        replay's hop count is checked against the live outcome the
+        engine recorded.
 
         Raises:
-            RuntimeError: when ``verify`` and a replay disagrees with
-                the engine's outcome log — a determinism violation.
+            RuntimeError: when a replay disagrees with the engine's
+                outcome log — a determinism violation.
         """
         res = self.engine.results()
-        tickets = np.asarray(self._tickets, dtype=np.int64)
+        tickets = self._sampled(res)
         tickets = tickets[res.completed[tickets]]
         routed = tickets[~res.cache_hit[tickets]]
         replayed: dict[int, list[dict]] = {}
         if len(routed):
             rounds, hops = self._replay_rounds(res.sources[routed], res.keys[routed])
             live = res.hops[routed]
-            if verify and (hops != live).any():
+            if (hops != live).any():
                 i = int(np.argmax(hops != live))
                 raise RuntimeError(
                     f"flight-recorder replay of ticket {routed[i]} took "
@@ -202,17 +185,15 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # exports
     # ------------------------------------------------------------------
-    def export_jsonl(self, path: str | os.PathLike, verify: bool = True) -> int:
+    def export_jsonl(self, path: str | os.PathLike) -> int:
         """Write one JSON line per sampled lookup; returns the line count."""
-        traces = self.traces(verify=verify)
+        traces = self.traces()
         with open(os.fspath(path), "w", encoding="utf-8") as fh:
             for trace in traces:
                 fh.write(json.dumps(trace.to_dict(), sort_keys=True) + "\n")
         return len(traces)
 
-    def export_chrome_trace(
-        self, path: str | os.PathLike, verify: bool = True
-    ) -> int:
+    def export_chrome_trace(self, path: str | os.PathLike) -> int:
         """Write the Chrome trace event format (Perfetto-loadable).
 
         Each sampled lookup becomes one complete ("ph": "X") event on
@@ -220,7 +201,7 @@ class FlightRecorder:
         frontier round as child events spaced evenly across the
         measured latency.  Returns the event count.
         """
-        traces = self.traces(verify=verify)
+        traces = self.traces()
         t0 = min((t.t_enqueue for t in traces), default=0.0)
         events: list[dict] = []
         for trace in traces:
@@ -285,7 +266,6 @@ class FlightRecorder:
             "otherData": {
                 "sample_rate": self.sample_rate,
                 "n_sampled": self.n_sampled,
-                "dropped": self.dropped,
             },
         }
         with open(os.fspath(path), "w", encoding="utf-8") as fh:

@@ -27,7 +27,7 @@ outside that determinism contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class ServeReport:
     reasons: dict[str, int]
     cache: dict[str, int | float] | None
     rounds: int = 0
-    extras: dict = field(default_factory=dict)
 
     def render(self) -> str:
         """Aligned ASCII SLO table."""
@@ -255,19 +254,14 @@ class ServingEngine:
         )
         self._busy_seconds = 0.0
         self.rounds = 0
-        # Observability hooks (repro.monitor): both default to None so
-        # the un-monitored hot path pays one attribute check per pump /
-        # admit and nothing else.
+        # The one observability hook (repro.monitor): None by default,
+        # so the un-monitored hot path pays one attribute check per pump.
+        # The flight recorder needs no hook — it reads the outcome log.
         self._monitor = None
-        self._recorder = None
 
     def attach_monitor(self, monitor) -> None:
         """Attach a :class:`repro.monitor.Monitor` (called every pump)."""
         self._monitor = monitor
-
-    def attach_recorder(self, recorder) -> None:
-        """Attach a :class:`repro.monitor.FlightRecorder` (sees admissions)."""
-        self._recorder = recorder
 
     @classmethod
     def from_store(cls, path, config: ServeConfig | None = None) -> "ServingEngine":
@@ -314,12 +308,6 @@ class ServingEngine:
         self._log.sources[tickets] = sources
         self._log.keys[tickets] = keys
         self._log.t_enqueue[tickets] = self._clock()
-        if self._recorder is not None:
-            # At submission (few large chunks) rather than admission
-            # (many small micro-batches): the sampled set is identical —
-            # the hash depends only on each (source, key) — and the
-            # vectorized hash amortizes over the whole chunk.
-            self._recorder.observe_admission(tickets, sources, keys)
         return tickets
 
     # ------------------------------------------------------------------
@@ -498,5 +486,4 @@ class ServingEngine:
             },
             cache=self.cache.stats() if self.cache is not None else None,
             rounds=self.rounds,
-            extras={"frontier_fill_ratio": self._frontier.fill_ratio},
         )

@@ -60,7 +60,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "reset",
     "get_registry",
     "active_registry",
     "swap_registry",
@@ -104,7 +103,7 @@ def enable(jsonl: str | os.PathLike | None = None) -> Registry:
     Args:
         jsonl: optional path; when given, trace events stream to it as
             JSONL for the lifetime of this enablement (closed with the
-            final metrics snapshot by :func:`disable` / :func:`reset`).
+            final metrics snapshot by :func:`disable`).
 
     Returns:
         The active :class:`Registry`.
@@ -128,17 +127,6 @@ def disable() -> None:
 def enabled() -> bool:
     """True when telemetry is collecting in this process."""
     return _ACTIVE is not None
-
-
-def reset() -> Registry | None:
-    """Drop all collected state, staying enabled if currently enabled."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        return None
-    if _ACTIVE.sink is not None:
-        _ACTIVE.sink.close(_ACTIVE)
-    _ACTIVE = Registry()
-    return _ACTIVE
 
 
 def get_registry() -> Registry:

@@ -148,7 +148,8 @@ def summary_table(registry: Registry) -> str:
         f"{name:<{name_width}}  {kind:<{kind_width}}  {value}"
         for name, kind, value in rows
     )
-    dropped = getattr(registry, "dropped_events", 0)
+    dropped_counter = registry.counters.get("telemetry.events.dropped")
+    dropped = dropped_counter.value if dropped_counter is not None else 0
     suffix = f", dropped: {dropped}" if dropped else ""
     lines.append(f"(trace events buffered: {len(registry.events)}{suffix})")
     return "\n".join(lines) + "\n"

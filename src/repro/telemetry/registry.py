@@ -240,7 +240,6 @@ class Registry:
         self.timers: dict[str, Timer] = {}
         self.histograms: dict[str, Histogram] = {}
         self.events: deque = deque(maxlen=DEFAULT_TRACE_CAP)
-        self.dropped_events: int = 0
         self.sink = None  # streaming event sink (see telemetry.export)
         self._lock = threading.Lock()
 
@@ -275,7 +274,6 @@ class Registry:
         """Buffer a trace event, counting (instead of hiding) evictions."""
         events = self.events
         if len(events) == events.maxlen:
-            self.dropped_events += 1
             self.counter("telemetry.events.dropped").inc(1)
         events.append(event)
 

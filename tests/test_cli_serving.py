@@ -86,3 +86,16 @@ def test_negative_sizes_fail_before_the_build(command, flag, value, no_build, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["serve", "monitor"])
+@pytest.mark.parametrize("sample", [[], ["--trace-sample", "0"]], ids=["unset", "zero"])
+def test_trace_out_needs_a_sample_rate(command, sample, no_build, tmp_path, capsys):
+    """Without a recorder there is nothing to export, so the flag is a
+    usage error rather than a silently missing file."""
+    path = tmp_path / "trace.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SMALL, *sample, "--trace-out", str(path)])
+    assert exc.value.code == 2
+    assert "--trace-out needs --trace-sample" in capsys.readouterr().err
+    assert not path.exists()

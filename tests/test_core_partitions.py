@@ -13,9 +13,19 @@ from repro.core import (
     partition_index,
     sample_batch,
     sample_routes,
-    trace_partitions,
 )
 from repro.core.partitions import partition_indices
+
+
+def trace_partitions(graph, result) -> list[int]:
+    """The partition index at every node along one routed path, measured
+    in normalised space from each visited peer to the target key."""
+    target = graph.normalized_key(float(result.target_key))
+    nodes = np.asarray(result.path, dtype=np.int64)
+    distances = graph.space.pairwise_distances(
+        graph.normalized_ids[nodes], np.full(len(nodes), target)
+    )
+    return partition_indices(distances, graph.n).tolist()
 
 
 def _loop_advance_stats(graph, routes):

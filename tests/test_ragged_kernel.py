@@ -320,7 +320,7 @@ class TestKernelPlumbing:
     def test_telemetry_counters_and_fill_gauge(self, rng):
         graph = build_uniform_model(n=256, rng=rng)
         wrng = np.random.default_rng(91)
-        telemetry.reset()
+        telemetry.disable()
         telemetry.enable()
         try:
             route_many(graph, wrng.integers(0, graph.n, 300), wrng.random(300))
