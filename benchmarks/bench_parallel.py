@@ -1,25 +1,28 @@
 """The sharded execution engine: parity everywhere, speedup where cores exist.
 
-Three layers, all over the same workload — route batches on a
-100k-peer uniform graph, the regime the ROADMAP's "thread-/process-
-parallel sharding of route batches" follow-up names:
+Four layers, all over the same workload — route batches on a
+100k-peer uniform graph, sharded over worker threads:
 
-* **parity** (always runs, any machine): 2- and 4-worker
-  :func:`repro.parallel.route_many_parallel` must be bit-identical to
-  serial :func:`repro.core.route_many` — hops, owners, reasons, the lot.
+* **parity** (always runs, any machine): ``route_many(workers=N)`` for
+  1, 2 and 4 worker threads must be bit-identical to serial
+  :func:`repro.core.route_many` — hops, owners, reasons, the lot.
   Speed means nothing before this holds.
 * **smoke gate** (``ci.sh`` runs ``-k smoke``): 2 workers must reach
   >= 1.2x serial throughput — skipped with an explicit message when the
-  host exposes fewer than 2 usable CPUs (a worker pool cannot beat
-  serial on one core; measured overhead there is ~1.4x, which the parity
-  layer still covers).
+  host exposes fewer than 2 usable CPUs (two threads cannot beat serial
+  on one core; the parity layer still covers them).
 * **full gate**: 4 workers must reach >= 2.5x aggregate route-batch
   throughput at n >= 1e5 — skipped below 4 usable CPUs.
+* **size sweep** (ungated): serial against 2 workers at
+  :data:`SWEEP_SIZES` routes, timed in :data:`SWEEP_PAIRS` alternating
+  pairs per size with parity asserted at each, so the trajectory shows
+  where sharding starts to pay on the host that runs it.
 
 Every layer appends its measurements to
 ``benchmarks/results/BENCH_parallel.json`` (cpu count, worker count,
-routes/sec, speedup, whether the gate ran), so the trajectory records
-what this machine could actually demonstrate.
+routes/sec, speedup, whether the gate ran; the sweep one row per size
+with its shard count and every pair), so the trajectory records what
+this machine could actually demonstrate.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_uniform_model, route_many
-from repro.parallel import get_executor, route_many_parallel
+from repro.parallel import shard_bounds
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_parallel.json"
@@ -43,6 +46,10 @@ N_ROUTES = 150_000
 
 SMOKE_WORKERS, SMOKE_GATE = 2, 1.2
 FULL_WORKERS, FULL_GATE = 4, 2.5
+
+SWEEP_SIZES = (4_096, 16_384, 65_536, 150_000)
+SWEEP_WORKERS = 2
+SWEEP_PAIRS = 5
 
 
 def _usable_cpus() -> int:
@@ -80,11 +87,10 @@ def serial_baseline(workload):
 
 
 def _timed_parallel(workload, workers: int):
-    """Warm the pool, then time one sharded batch (spawn cost excluded)."""
+    """Time one batch sharded over ``workers`` threads."""
     graph, sources, keys = workload
-    executor = get_executor(workers).warm()
     start = time.perf_counter()
-    result = route_many_parallel(graph, sources, keys, executor=executor)
+    result = route_many(graph, sources, keys, workers=workers)
     seconds = time.perf_counter() - start
     return result, seconds
 
@@ -146,9 +152,7 @@ def test_parallel_parity_all_worker_counts(workload, serial_baseline):
     serial, _ = serial_baseline
     graph, sources, keys = workload
     for workers in (1, 2, 4):
-        parallel = route_many_parallel(
-            graph, sources, keys, executor=get_executor(workers)
-        )
+        parallel = route_many(graph, sources, keys, workers=workers)
         _assert_identical(parallel, serial)
 
 
@@ -161,3 +165,47 @@ def test_parallel_speedup_4workers(workload, serial_baseline):
     """The PR gate: >= 2.5x aggregate at 4 workers, n >= 1e5."""
     assert N_PEERS >= 100_000
     _run_layer(workload, serial_baseline, FULL_WORKERS, FULL_GATE, "gate_4workers")
+
+
+def test_parallel_size_sweep(workload):
+    """Ungated: serial vs 2 workers at each sweep size, in alternating pairs."""
+    graph, sources, keys = workload
+    cpus = _usable_cpus()
+    print(f"\nparallel size sweep, n={N_PEERS}, {cpus} usable cpu(s):")
+    for routes in SWEEP_SIZES:
+        batch_sources, batch_keys = sources[:routes], keys[:routes]
+        serial = route_many(graph, batch_sources, batch_keys)
+        pairs = []
+        for pair in range(SWEEP_PAIRS):
+            seconds = {}
+            for workers in (1, SWEEP_WORKERS) if pair % 2 == 0 else (SWEEP_WORKERS, 1):
+                start = time.perf_counter()
+                result = route_many(graph, batch_sources, batch_keys, workers=workers)
+                seconds[workers] = time.perf_counter() - start
+                _assert_identical(result, serial)
+            pairs.append(
+                {
+                    "serial_seconds": round(seconds[1], 5),
+                    "parallel_seconds": round(seconds[SWEEP_WORKERS], 5),
+                }
+            )
+        ratios = sorted(p["serial_seconds"] / p["parallel_seconds"] for p in pairs)
+        shards = len(shard_bounds(routes))
+        print(
+            f"  {routes:>7} routes, {shards} shard(s): median speedup "
+            f"{ratios[len(ratios) // 2]:.2f}x over {SWEEP_PAIRS} pairs "
+            f"({ratios[0]:.2f}-{ratios[-1]:.2f}x)"
+        )
+        _record_trajectory(
+            {
+                "timestamp": time.time(),
+                "kind": f"size_sweep_{routes}",
+                "n": N_PEERS,
+                "routes": routes,
+                "shards": shards,
+                "cpus": cpus,
+                "workers": SWEEP_WORKERS,
+                "pairs": pairs,
+                "identical_to_serial": True,
+            }
+        )

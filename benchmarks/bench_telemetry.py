@@ -13,8 +13,10 @@ Two gates over the same 100k-peer workload the parallel gates use:
   the gated code runs in this one process), and the gate compares each
   side's best run.
 * **merge-determinism gate**: the shard-merged metrics of
-  :func:`repro.parallel.route_many_parallel` must be *bit-identical*
-  for workers {1, 2, 4} — same counters, same histogram counts — and
+  :func:`repro.parallel.frontier_route_many_parallel` (each shard
+  captured on its own thread, folded in shard order) must be
+  *bit-identical* for workers {1, 2, 4} — same counters, same histogram
+  counts — and
   the merged ``routing.hops`` must equal a serial ``route_many`` run's
   and ``np.bincount`` of the batch's hops.  Timers are wall-clock and
   deliberately outside the contract.
@@ -36,7 +38,8 @@ import pytest
 
 from repro import telemetry
 from repro.core import build_uniform_model, route_many
-from repro.parallel import get_executor, route_many_parallel
+from repro.core.metric_routing import GreedyValueMetric
+from repro.parallel import frontier_route_many_parallel
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = RESULTS_DIR / "BENCH_telemetry.json"
@@ -46,9 +49,7 @@ N_ROUTES = 150_000
 OVERHEAD_GATE = 1.05  # enabled may cost at most 5% over disabled
 OVERHEAD_PAIRS = 8  # alternating disabled/enabled pairs per gate run
 
-#: Counter prefixes under the shard-merge bit-identity contract.  The
-#: arena-cache and attach counters are owner-/process-local by design
-#: (a serial run never leases an arena) and are excluded on purpose.
+#: Counter prefixes under the shard-merge bit-identity contract.
 DETERMINISTIC_PREFIXES = ("routing.", "parallel.shards", "parallel.dispatches")
 
 
@@ -173,11 +174,14 @@ def test_telemetry_shard_merge_bit_identity(workload):
     telemetry.disable()
     assert serial_hops == tuple(np.bincount(serial.hops).tolist())
 
+    # The sharded front end shards even at one worker while telemetry is
+    # on, so every worker count folds the same shard structure.
+    metric = GreedyValueMetric(graph.ids, graph.space)
     views = {}
     for workers in (1, 2, 4):
         telemetry.enable()
-        batch = route_many_parallel(
-            graph, sources, keys, executor=get_executor(workers)
+        batch = frontier_route_many_parallel(
+            graph.adjacency, metric, sources, keys, workers=workers
         )
         views[workers] = _deterministic_view(telemetry.get_registry())
         telemetry.disable()

@@ -57,10 +57,10 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   step "baseline comparator smoke (scalar oracle vs batch frontier on six comparators, >=5x aggregate gate)" \
     python -m pytest benchmarks/bench_baselines.py -q -s -k speedup
 
-  step "parallel engine smoke (2-worker parity + >=1.2x gate where cores allow)" \
-    python -m pytest benchmarks/bench_parallel.py -q -s -k "parity or smoke"
+  step "parallel engine smoke (1/2/4-thread parity + 2-thread >=1.2x gate where cores allow + ungated serial-vs-2-thread size sweep)" \
+    python -m pytest benchmarks/bench_parallel.py -q -s -k "parity or smoke or sweep"
 
-  step "persistent store smoke (graph round-trip parity + >=100x load gate + arena-cache gate, lifecycles timed in alternating pairs)" \
+  step "persistent store smoke (graph round-trip parity + >=100x load gate)" \
     python -m pytest benchmarks/bench_store.py -q -s
 
   step "telemetry smoke (<=5% enabled overhead, best CPU time of 8 alternating pairs + shard-merge bit-identity, merged hop histogram = serial run's)" \

@@ -53,9 +53,9 @@ around that fact in four layers:
    loop the tests pin it against lives in ``tests/route_oracle.py``.
 3. **Bulk sampling** (:func:`sample_batch` / :func:`sample_routes`):
    experiments draw whole workloads at once and aggregate column-wise.
-4. **Sharded multi-core execution** (:mod:`repro.parallel`): route
-   batches split into deterministic shards over a persistent worker
-   pool that attaches the CSR arrays zero-copy through shared memory —
+4. **Sharded execution** (:mod:`repro.parallel`): route batches split
+   into deterministic shards routed on a shared thread pool, every
+   shard reading the caller's own CSR arrays —
    ``route_many(..., workers=N)`` and the CLI's ``--workers`` flag,
    bit-identical to serial for any worker count.
 """

@@ -123,13 +123,14 @@ def route_many(
         max_hops: per-route hop budget; defaults to ``n``.
         record_paths: also record every walk's visited-node list (costs
             memory proportional to total hops; off by default).
-        workers: shard the batch over this many worker processes via
-            :mod:`repro.parallel` (bit-identical to the serial result);
-            ``None`` defers to the configured default
+        workers: shard the batch over this many worker threads via
+            :func:`repro.parallel.dispatch.frontier_route_many_parallel`
+            (bit-identical to the serial result); ``None`` defers to the
+            configured default
             (:func:`repro.parallel.autotune.resolve_workers` — the CLI's
-            ``--workers`` flag / ``REPRO_WORKERS``), which is serial
-            unless explicitly raised.  Small batches stay serial even
-            with workers configured (dispatch overhead would dominate).
+            ``--workers`` flag), which is serial unless explicitly
+            raised.  A batch that fits one shard routes serially even
+            with workers configured.
 
     Raises:
         ValueError: on mismatched inputs, an invalid metric, an
@@ -139,27 +140,18 @@ def route_many(
     sources = np.asarray(sources, dtype=np.int64)
     from repro.parallel.autotune import should_parallelize
 
+    csr, bound = graph.adjacency, _graph_metric(graph, metric)
     if should_parallelize(workers, len(sources)):
-        from repro.parallel.dispatch import route_many_parallel
+        from repro.parallel.dispatch import frontier_route_many_parallel
 
-        return route_many_parallel(
-            graph,
-            sources,
-            target_keys,
-            metric=metric,
-            alive=alive,
-            max_hops=max_hops,
-            record_paths=record_paths,
+        return frontier_route_many_parallel(
+            csr, bound, sources, target_keys,
+            alive=alive, max_hops=max_hops, record_paths=record_paths,
             workers=workers,
         )
     return frontier_route_many(
-        graph.adjacency,
-        _graph_metric(graph, metric),
-        sources,
-        target_keys,
-        alive=alive,
-        max_hops=max_hops,
-        record_paths=record_paths,
+        csr, bound, sources, target_keys,
+        alive=alive, max_hops=max_hops, record_paths=record_paths,
     )
 
 
@@ -196,7 +188,7 @@ def sample_batch(
         alive: optional liveness mask applied to sources and routing.
         max_hops: per-route hop budget.
         record_paths: record visited-node lists (see :func:`route_many`).
-        workers: worker-process sharding, as in :func:`route_many` (the
+        workers: worker-thread sharding, as in :func:`route_many` (the
             workload draw itself always happens here, in one rng state).
 
     Raises:

@@ -693,9 +693,7 @@ class TorusZoneMetric(RoutingMetric):
         lo: ``(n, d)`` inclusive lower corners of the zones.
         hi: ``(n, d)`` exclusive upper corners.
         bsp: the ``(split_dim, split_at, low, high, zone)`` flat BSP
-            arrays for owner resolution (see :func:`torus_zone_lookup`);
-            optional for score-only metrics rebuilt in worker processes,
-            where ``prepare`` already ran owner-side.
+            arrays for owner resolution (see :func:`torus_zone_lookup`).
         max_depth: BSP descent bound (the builder's ``max_bsp_depth``).
     """
 
@@ -703,7 +701,7 @@ class TorusZoneMetric(RoutingMetric):
         self,
         lo: np.ndarray,
         hi: np.ndarray,
-        bsp: tuple | None = None,
+        bsp: tuple,
         max_depth: int = 96,
     ):
         self.lo = np.asarray(lo, dtype=float)
@@ -714,12 +712,6 @@ class TorusZoneMetric(RoutingMetric):
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
-        if self.bsp is None:
-            raise ValueError(
-                "this TorusZoneMetric carries no BSP tree (score-only "
-                "worker rebuild); prepare() must run on the owner-side "
-                "metric"
-            )
         points = torus_points(target_keys, self.dims)
         owners = torus_zone_lookup(points, self.bsp, self.max_depth)
         return PreparedTargets(owners=owners, targets=points)
@@ -1494,11 +1486,10 @@ def frontier_route_many(
         record_paths: also record every walk's visited-node list (costs
             memory proportional to total hops; off by default).
         prepared: a :class:`PreparedTargets` for this exact batch, when
-            :meth:`RoutingMetric.prepare` already ran elsewhere.  The
-            sharded execution engine (:mod:`repro.parallel`) prepares
-            once in the parent process — where the metric's key
-            transform / embedding callables live — and ships each worker
-            its slice, so workers never need those callables.
+            :meth:`RoutingMetric.prepare` already ran elsewhere.  A
+            sharded batch (:mod:`repro.parallel`) prepares the whole
+            batch once on the calling thread and routes each shard with
+            its slice.
 
     Raises:
         ValueError: on mismatched inputs, an out-of-range or dead source

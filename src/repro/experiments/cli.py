@@ -6,7 +6,7 @@ Subcommands:
 * ``run E1 [E5 ...]`` — run experiments and print their tables
   (``--quick`` for the reduced-size variants, ``--seed`` for
   reproducibility, ``--csv`` for machine-readable output,
-  ``--workers N`` to shard lookup batches over N worker processes);
+  ``--workers N`` to shard lookup batches over N worker threads);
 * ``run all`` — run the full suite in registry order;
 * ``build --store PATH`` — build a model graph and persist it as a
   :mod:`repro.store` snapshot;
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "shard lookup batches over N worker processes "
+            "shard lookup batches over N worker threads "
             "(repro.parallel; results are bit-identical to serial)"
         ),
     )
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     load_p.add_argument("--seed", type=int, default=0, help="random seed")
     load_p.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="shard the lookup batch over N worker processes",
+        help="shard the lookup batch over N worker threads",
     )
     _add_telemetry_flag(load_p)
 

@@ -70,7 +70,7 @@ def run_experiment(
         exp_id: registry id (``"E1"`` ... ``"E14"``).
         seed: random seed.
         quick: reduced-size variant.
-        workers: route lookup batches over this many worker processes
+        workers: route lookup batches over this many worker threads
             for the duration of the experiment (installed as the
             :mod:`repro.parallel` default, so every ``route_many`` in
             the sweep picks it up; results are bit-identical to serial).

@@ -157,9 +157,9 @@ def run_churn(
     ``repair_cost_model="ownership"``; configure ``"routed"`` to price
     repairs in routed hops.
 
-    ``workers`` shards the per-epoch lookup phase over worker processes
+    ``workers`` shards the per-epoch lookup phase over worker threads
     (:mod:`repro.parallel`; bit-identical results — the churn/repair
-    cohort passes themselves stay in-process).
+    cohort passes themselves stay on the calling thread).
 
     Raises:
         ValueError: if the network starts empty.

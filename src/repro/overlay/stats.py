@@ -118,7 +118,7 @@ def measure_network(
         targets: ``"peers"`` looks up existing peer identifiers;
             ``"uniform"`` looks up fresh uniform keys.
         workers: shard the batch-routed lookup phase over worker
-            processes (bit-identical results — see
+            threads (bit-identical results — see
             :func:`repro.core.route_many`).
 
     Raises:

@@ -1,26 +1,29 @@
-"""Sharded front-ends: batch workloads split over the worker pool.
+"""The sharded front-end: one route batch split over a thread pool.
 
-Every front-end follows the same shape:
-
-1. **prepare in the parent** — anything that needs unpicklable state
-   (key transforms, torus embeddings, owner resolution closures) runs
-   once in the owning process via :meth:`RoutingMetric.prepare`;
-2. **publish the operands** — CSR adjacency, coordinate vectors and
-   per-edge tag arrays go into a :class:`~repro.parallel.shm.SharedArena`
-   so workers attach zero-copy instead of unpickling graphs;
-3. **shard deterministically** — contiguous ranges from
+1. **prepare in the caller** — the batch is validated and
+   :meth:`RoutingMetric.prepare` resolves every key's owner and target
+   once; the one-time checks the search round needs (the metric's
+   positions check, the CSR's row scan) run here too, so no shard
+   repeats them;
+2. **shard deterministically** — contiguous ranges from
    :func:`repro.parallel.autotune.shard_bounds`, never a function of the
    worker count;
+3. **route each shard on a pool thread** — every shard is a
+   :func:`~repro.core.metric_routing.frontier_route_many` call over its
+   slice of the prepared targets, reading the caller's CSR, metric and
+   liveness mask (greedy walks only read the immutable graph, and numpy
+   releases the GIL in the kernel's large gathers, sorts and
+   reductions);
 4. **merge in shard order** — so results are bit-identical for any
-   worker count including 1.
-
-Both front-ends (:func:`frontier_route_many_parallel`,
-:func:`route_many_parallel`) are additionally bit-identical to their
-*serial* counterparts: greedy walks are independent per route, so a
-sharded batch is just the serial batch computed in pieces.
+   worker count including 1, and to the serial kernel: a sharded batch
+   is the serial batch computed in pieces.
 """
 
 from __future__ import annotations
+
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -28,212 +31,62 @@ from repro import telemetry
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import (
     BatchRouteResult,
-    ClockwiseMetric,
     GreedyValueMetric,
-    PrefixDigitMetric,
     PreparedTargets,
     RoutingMetric,
-    TorusZoneMetric,
-    TrieMetric,
     _check_sources,
     frontier_route_many,
 )
-from repro.parallel.arena_cache import lease_arena
-from repro.parallel.autotune import shard_bounds
-from repro.parallel.executor import ShardedExecutor, get_executor
-from repro.parallel.shm import ArenaHandle, attach_arena
+from repro.parallel.autotune import resolve_workers, shard_bounds
 
-__all__ = [
-    "frontier_route_many_parallel",
-    "route_many_parallel",
-    "arena_arrays",
-]
+__all__ = ["frontier_route_many_parallel", "get_executor"]
+
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 
 
-def arena_arrays(arena) -> dict[str, np.ndarray]:
-    """Resolve a published operand set inside a shard function.
+def get_executor(workers: int | None = None) -> ThreadPoolExecutor:
+    """Return the process-wide thread pool for a worker count.
 
-    Accepts either an :class:`~repro.parallel.shm.ArenaHandle` (pooled
-    execution — attach via shared memory, cached per process) or the
-    plain dict a serial executor's :meth:`publish` hands back.
-    """
-    if isinstance(arena, ArenaHandle):
-        return attach_arena(arena)
-    return arena
-
-
-# ----------------------------------------------------------------------
-# metric codec: rebuild routing rules worker-side without their closures
-# ----------------------------------------------------------------------
-
-def _encode_metric(
-    metric: RoutingMetric,
-) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Split a metric into (kind, small picklable params, big arrays).
-
-    Only the scoring state is shipped: ``prepare`` already ran in the
-    parent, so key transforms / embedding callables are deliberately
-    dropped.  Exact-type matching — an unknown subclass may score
-    differently and must not silently degrade to its base class.
+    One pool per distinct count, created on first use and shared by
+    every later dispatch; its threads start on the first shard and idle
+    between calls.
 
     Raises:
-        TypeError: for a metric family the codec does not know.
+        ValueError: for a worker count below 1.
     """
-    kind = type(metric)
-    if kind is GreedyValueMetric:
-        # The search-round check runs here, once per metric, and travels
-        # with the job: workers rebuild the metric on every call.
-        params = {"space": metric.space, "searchable": metric.searchable}
-        return "greedy", params, {"m:positions": metric.positions}
-    if kind is ClockwiseMetric:
-        params = {
-            "owner_rule": metric.owner_rule,
-            "terminal_owner_hop": metric.terminal_owner_hop,
-        }
-        return "clockwise", params, {"m:positions": metric.positions}
-    if kind is PrefixDigitMetric:
-        arrays = {
-            "m:positions": metric.positions,
-            "m:digits": metric.digits,
-            "m:tag_level": metric.tag_level,
-            "m:tag_digit": metric.tag_digit,
-        }
-        return "prefix", {"base": metric.base}, arrays
-    if kind is TrieMetric:
-        arrays = {
-            "m:positions": metric.positions,
-            "m:bits": metric.bits,
-            "m:tag_level": metric.tag_level,
-            "m:tag_rank": metric.tag_rank,
-            "m:cell_lefts": metric.cell_lefts,
-            "m:cell_order": metric.cell_order,
-        }
-        return "trie", {}, arrays
-    if kind is TorusZoneMetric:
-        return "torus", {}, {"m:lo": metric.lo, "m:hi": metric.hi}
-    raise TypeError(
-        f"cannot dispatch {kind.__name__} to worker processes; the parallel "
-        "codec supports the five shipped RoutingMetric families"
-    )
+    count = resolve_workers(workers)
+    pool = _POOLS.get(count)
+    if pool is None:
+        # Two first callers racing here both build a pool; setdefault is
+        # atomic, so both get the first one, and the other never started
+        # a thread.
+        pool = _POOLS.setdefault(
+            count, ThreadPoolExecutor(count, thread_name_prefix="repro-shard")
+        )
+    return pool
 
 
-def _rebuild_metric(kind: str, params: dict, arrays: dict) -> RoutingMetric:
-    """Worker-side inverse of :func:`_encode_metric`.
+def _fold_shard_registries(scopes: list, walls: list[float]) -> None:
+    """Fold each shard's captured registry into the caller's, in shard order.
 
-    The rebuilt metric only ever scores candidates (``prepare`` happened
-    in the parent), so transform/embedding slots are left empty.
+    Shard order is worker-count independent, so the folded counters and
+    histogram counts are bit-identical for any worker count, and a
+    histogram such as ``routing.hops`` equals the serial batch's (counts
+    add).  Each shard's wall time is kept as one ``parallel.shard_wall``
+    observation and one ``parallel.shard`` trace event (straggler
+    analysis).  No-op when telemetry was disabled mid-flight.
     """
-    if kind == "greedy":
-        metric = GreedyValueMetric(arrays["m:positions"], params["space"])
-        metric.__dict__["searchable"] = params["searchable"]
-        return metric
-    if kind == "clockwise":
-        return ClockwiseMetric(
-            arrays["m:positions"],
-            owner_rule=params["owner_rule"],
-            terminal_owner_hop=params["terminal_owner_hop"],
-        )
-    if kind == "prefix":
-        return PrefixDigitMetric(
-            arrays["m:positions"],
-            arrays["m:digits"],
-            arrays["m:tag_level"],
-            arrays["m:tag_digit"],
-            params["base"],
-        )
-    if kind == "trie":
-        return TrieMetric(
-            arrays["m:positions"],
-            arrays["m:bits"],
-            arrays["m:tag_level"],
-            arrays["m:tag_rank"],
-            arrays["m:cell_lefts"],
-            arrays["m:cell_order"],
-        )
-    if kind == "torus":
-        return TorusZoneMetric(arrays["m:lo"], arrays["m:hi"])
-    raise ValueError(f"unknown metric kind {kind!r}")  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# routing
-# ----------------------------------------------------------------------
-
-def _route_shard(job) -> tuple[BatchRouteResult, "telemetry.MetricsDelta | None"]:
-    """Worker body: one shard of routes over the published frontier.
-
-    The static operands (CSR + metric arrays) and the per-call liveness
-    mask arrive as *separate* arenas: the static arena is long-lived
-    (leased from the owner-side cache and reused across calls), while
-    the alive arena changes every call and must not invalidate the
-    worker's cached attachment of the static one.
-
-    ``tails_sorted`` is the owner's :attr:`CSRAdjacency.tails_sorted`
-    when a search round could use it (``None`` otherwise), seeded into
-    the rebuilt CSR so no worker rescans the edges.
-
-    Returns ``(result, delta)``: when the owner had telemetry enabled,
-    the shard runs under :func:`repro.telemetry.capture` (worker
-    processes never inherit the owner's enabled state across spawn) and
-    ships its accumulated metrics back for the owner-side merge;
-    otherwise ``delta`` is ``None``.
-    """
-    (
-        arena, alive_arena, kind, params, tails_sorted, sources, keys,
-        owners, targets, extra, max_hops, record_paths, tel_on,
-    ) = job
-
-    def run() -> BatchRouteResult:
-        arrays = arena_arrays(arena)
-        csr = CSRAdjacency(
-            indptr=arrays["csr:indptr"],
-            indices=arrays["csr:indices"],
-            is_long=arrays["csr:is_long"],
-        )
-        if tails_sorted is not None:
-            csr.__dict__["tails_sorted"] = tails_sorted
-        metric = _rebuild_metric(kind, params, arrays)
-        prepared = PreparedTargets(owners=owners, targets=targets, extra=extra)
-        alive = (
-            arena_arrays(alive_arena)["alive"] if alive_arena is not None else None
-        )
-        # Each shard's StreamFrontier owns its flat gather scratch, so
-        # the kernel's buffers are per-worker by construction.
-        return frontier_route_many(
-            csr, metric, sources, keys,
-            alive=alive, max_hops=max_hops, record_paths=record_paths,
-            prepared=prepared,
-        )
-
-    if not tel_on:
-        return run(), None
-    with telemetry.capture() as box:
-        result = run()
-    return result, box.delta
-
-
-def _fold_shard_deltas(deltas: list) -> None:
-    """Merge per-shard metric deltas into the owner's registry.
-
-    Deltas fold in shard order (worker-count independent), so the merged
-    counters and histogram counts are bit-identical for any worker
-    count, and a histogram such as ``routing.hops`` equals the serial
-    batch's (counts add); each shard's wall time is retained
-    individually for straggler analysis.  No-op when telemetry was
-    disabled mid-flight.
-    """
-    deltas = [delta for delta in deltas if delta is not None]
     registry = telemetry.active_registry()
-    if registry is None or not deltas:
+    if registry is None:
         return
-    merged = telemetry.merge_deltas(deltas)
-    telemetry.apply_delta(
-        merged,
-        registry,
-        shard_walls=[delta.wall_seconds for delta in deltas],
-    )
+    for scoped in scopes:
+        registry.merge(scoped)
+    wall_timer = registry.timer("parallel.shard_wall")
+    for index, wall in enumerate(walls):
+        wall_timer.observe(wall)
+        telemetry.trace("parallel.shard", shard=index, seconds=wall)
     telemetry.count("parallel.dispatches")
-    telemetry.count("parallel.shards", len(deltas))
+    telemetry.count("parallel.shards", len(scopes))
 
 
 def _merge_route_results(
@@ -241,14 +94,9 @@ def _merge_route_results(
     sources: np.ndarray,
     target_keys: np.ndarray,
 ) -> BatchRouteResult:
-    """Concatenate per-shard results back into one batch, in shard order.
-
-    ``target_keys`` is restored from the parent's originals — workers
-    route in transformed coordinates and must not leak them into the
-    result.
-    """
+    """Concatenate per-shard results back into one batch, in shard order."""
     paths = None
-    if parts and parts[0].paths is not None:
+    if parts[0].paths is not None:
         paths = [path for part in parts for path in part.paths]
     return BatchRouteResult(
         success=np.concatenate([part.success for part in parts]),
@@ -277,50 +125,40 @@ def frontier_route_many_parallel(
     max_hops: int | None = None,
     record_paths: bool = False,
     workers: int | None = None,
-    executor: ShardedExecutor | None = None,
-    reuse_arena: bool = True,
 ) -> BatchRouteResult:
     """Sharded :func:`repro.core.metric_routing.frontier_route_many`.
 
     Bit-identical to the serial kernel for every worker count: routes
     are independent walks, shards are contiguous slices, and the merge
-    preserves slice order.
+    preserves slice order.  A batch that fits one shard, or a serial
+    worker count, routes through the serial kernel directly — unless
+    telemetry is on, in which case the shards run inline on the
+    caller's thread, so the folded metrics have the same shard
+    structure for every worker count.  ``route_many(..., workers=N)``
+    calls this for batches of two or more shards.
 
     Args:
         csr: the overlay's flattened edge set.
-        metric: the overlay's routing rule (one of the five shipped
-            families; see :func:`_encode_metric`).
+        metric: the overlay's routing rule.
         sources: int array of originating peers.
         target_keys: float array of lookup keys, aligned with ``sources``.
         alive: optional boolean liveness mask.
         max_hops: per-route hop budget; defaults to ``csr.n``.
         record_paths: also record every walk's visited-node list.
-        workers: worker count; ``None`` resolves via
+        workers: thread count; ``None`` resolves via
             :func:`repro.parallel.autotune.resolve_workers`.
-        executor: reuse an existing executor instead of the shared one.
-        reuse_arena: lease the static operand arena from the owner-side
-            cache (:mod:`repro.parallel.arena_cache`) so repeated calls
-            over the same graph skip the republish; ``False`` restores
-            the publish-per-call lifecycle (each call creates and
-            unlinks its own arena).
 
     Raises:
-        ValueError: on mismatched inputs or an out-of-range/dead source.
-        TypeError: for an unsupported metric family (pooled path only).
+        ValueError: on mismatched inputs, an out-of-range or dead
+            source, or a worker count below 1.  An exception raised in
+            a shard re-raises here.
     """
-    sources = np.ascontiguousarray(np.asarray(sources, dtype=np.int64))
-    target_keys = np.ascontiguousarray(np.asarray(target_keys, dtype=float))
-    ex = executor if executor is not None else get_executor(workers)
+    sources = np.asarray(sources, dtype=np.int64)
+    target_keys = np.asarray(target_keys, dtype=float)
+    workers = resolve_workers(workers)
     bounds = shard_bounds(len(sources))
     tel_on = telemetry.enabled()
-    if (ex.workers <= 1 or len(bounds) <= 1) and not tel_on:
-        # Serial executors — and batches too small to split — skip the
-        # arena machinery outright: byte-for-byte the same computation,
-        # minus publish/slice/merge overhead.  With telemetry enabled
-        # the serial executor runs the sharded path inline instead
-        # (identical results — shards are independent slices), so the
-        # per-shard metric deltas have the same worker-count-independent
-        # shard structure for every worker count, including 1.
+    if (workers <= 1 or len(bounds) <= 1) and not tel_on:
         return frontier_route_many(
             csr, metric, sources, target_keys,
             alive=alive, max_hops=max_hops, record_paths=record_paths,
@@ -339,90 +177,38 @@ def frontier_route_many_parallel(
             raise ValueError(f"source peer {bad} is not alive")
 
     state = metric.prepare(target_keys, alive)
-    kind, params, metric_arrays = _encode_metric(metric)
-    # The row-order check reads every edge: run it once per CSR, here.
-    searchable = kind == "greedy" and alive is None and params["searchable"]
-    tails_sorted = csr.tails_sorted if searchable else None
+    # Both search-round checks are cached on their objects: run them
+    # once here rather than racing on them from every shard.
+    if alive is None and type(metric) is GreedyValueMetric and metric.searchable:
+        _ = csr.tails_sorted
     owners = np.asarray(state.owners)
     targets = np.asarray(state.targets)
-    extra = state.extra
-    if extra is not None:
-        extra = np.asarray(extra)
+    extra = None if state.extra is None else np.asarray(state.extra)
 
-    arrays = {
-        "csr:indptr": csr.indptr,
-        "csr:indices": csr.indices,
-        "csr:is_long": csr.is_long,
-        **metric_arrays,
-    }
-    # The static operands are stable per graph/overlay; the liveness
-    # mask changes per call.  They travel in separate arenas so the
-    # static one can be cached (owner side *and* worker side) while the
-    # alive arena keeps the publish-per-call lifecycle.  Serial
-    # executors hand plain dicts back from publish, so the telemetry-
-    # enabled inline path never touches shared memory.
-    leased = reuse_arena and ex.workers > 1
-    with telemetry.time_block("parallel.publish"):
-        if leased:
-            handle = lease_arena(arrays)  # cache-owned; never released here
-        else:
-            handle = ex.publish(arrays)
-        alive_handle = ex.publish({"alive": alive}) if alive is not None else None
-    try:
-        jobs = [
-            (
-                handle, alive_handle, kind, params, tails_sorted,
-                sources[lo:hi], target_keys[lo:hi],
-                owners[lo:hi], targets[lo:hi],
-                None if extra is None else extra[lo:hi],
-                max_hops, record_paths, tel_on,
+    def route_shard(bound: tuple[int, int]):
+        lo, hi = bound
+        prepared = PreparedTargets(
+            owners=owners[lo:hi],
+            targets=targets[lo:hi],
+            extra=None if extra is None else extra[lo:hi],
+        )
+        started = time.perf_counter()
+        with telemetry.capture() if tel_on else nullcontext() as scoped:
+            result = frontier_route_many(
+                csr, metric, sources[lo:hi], target_keys[lo:hi],
+                alive=alive, max_hops=max_hops, record_paths=record_paths,
+                prepared=prepared,
             )
-            for lo, hi in bounds
-        ]
-        parts = ex.map_shards(_route_shard, jobs)
-    finally:
-        if not leased:
-            ex.release(handle)
-        if alive_handle is not None:
-            ex.release(alive_handle)
-    results = [result for result, _ in parts]
+        return result, scoped, time.perf_counter() - started
+
+    if workers <= 1 or len(bounds) <= 1:
+        parts = [route_shard(bound) for bound in bounds]
+    else:
+        parts = list(get_executor(workers).map(route_shard, bounds))
     if tel_on:
-        _fold_shard_deltas([delta for _, delta in parts])
-    return _merge_route_results(results, sources, target_keys)
-
-
-def route_many_parallel(
-    graph,
-    sources: np.ndarray,
-    target_keys: np.ndarray,
-    metric: str = "key",
-    alive: np.ndarray | None = None,
-    max_hops: int | None = None,
-    record_paths: bool = False,
-    workers: int | None = None,
-    executor: ShardedExecutor | None = None,
-    reuse_arena: bool = True,
-) -> BatchRouteResult:
-    """Sharded :func:`repro.core.route_many` over a small-world graph.
-
-    The integrated entry point is ``route_many(..., workers=N)`` (or the
-    ``REPRO_WORKERS`` / CLI ``--workers`` defaults); call this directly
-    to pin an executor or to bypass the batch-size heuristic.
-
-    Args and raises as :func:`repro.core.route_many`, plus
-    ``reuse_arena`` as in :func:`frontier_route_many_parallel`.
-    """
-    from repro.core.batch_routing import _graph_metric
-
-    return frontier_route_many_parallel(
-        graph.adjacency,
-        _graph_metric(graph, metric),
-        sources,
-        target_keys,
-        alive=alive,
-        max_hops=max_hops,
-        record_paths=record_paths,
-        workers=workers,
-        executor=executor,
-        reuse_arena=reuse_arena,
+        _fold_shard_registries(
+            [scoped for _, scoped, _ in parts], [wall for _, _, wall in parts]
+        )
+    return _merge_route_results(
+        [result for result, _, _ in parts], sources, target_keys
     )

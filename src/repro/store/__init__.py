@@ -12,11 +12,6 @@ graph exposes.
   snapshots (identifier vectors + flat CSR edge set).
 * :class:`StoreError` — every failure mode (missing, corrupt,
   truncated, version/kind mismatch) surfaces as this one exception.
-
-Loaded arrays keep their file backing visible, so the parallel
-execution layer (:mod:`repro.parallel`) serves worker processes
-straight off the snapshot files instead of copying arrays into shared
-memory.
 """
 
 from repro.store.format import (

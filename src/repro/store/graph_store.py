@@ -7,8 +7,8 @@ per-peer ``long_links`` rows are a lazy
 :class:`~repro.core.graph.LongLinkRows` sequence of slices into the
 mapped ``indices`` array, and the identifier memmaps are reattached to
 the dataclass after construction (``__post_init__``'s ``np.asarray``
-would otherwise strip the ``np.memmap`` subclass and lose the
-file-backing metadata the zero-copy parallel path serves workers from).
+would otherwise strip the ``np.memmap`` subclass and hide that the
+arrays are views of the snapshot files).
 A load checks the row pointers and identifiers in O(n) vectorized
 passes (plus the CSR's own O(E) target range check) and raises
 :class:`~repro.store.format.StoreError` on a corrupt or hand-edited
@@ -116,9 +116,8 @@ def load_graph(
 ) -> SmallWorldGraph:
     """Map a saved graph back without rebuilding its edge set.
 
-    All arrays are read-only ``np.memmap`` views — mutation attempts
-    raise, and the parallel dispatch layer can serve workers straight
-    off the backing files with no copy.
+    All arrays are read-only ``np.memmap`` views of the snapshot files
+    — mutation attempts raise, and nothing is copied into memory.
 
     Args:
         path: snapshot directory written by :func:`save_graph`.

@@ -4,9 +4,8 @@ The instrumentation substrate for the routing/parallel/store stack:
 process-local :class:`~repro.telemetry.registry.Counter` / ``Gauge`` /
 ``Timer`` primitives plus an exact integer ``Histogram`` (the hop
 counts), frontier trace events (:mod:`~repro.telemetry.tracing`),
-deterministic shard merging for the worker pool
-(:mod:`~repro.telemetry.shard_merge`) and JSONL / Prometheus-text
-exports (:mod:`~repro.telemetry.export`).
+per-thread scoped capture for sharded batches (:func:`capture`) and
+JSONL / Prometheus-text exports (:mod:`~repro.telemetry.export`).
 
 Disabled by default, and **cheap** when disabled: every module-level
 helper reads one module global and returns — no registry lookups, no
@@ -25,19 +24,20 @@ Instrumented call sites use the helpers directly::
         ...
     telemetry.trace("routing.batch", walks=len(sources))
 
-Worker processes never inherit the owner's enabled state (the pool uses
-spawn); the dispatch layer captures worker-side metrics explicitly with
-:func:`repro.telemetry.shard_merge.capture` and merges the returned
-deltas owner-side, so ``workers=N`` reports one coherent view.
+A sharded batch (:mod:`repro.parallel`) routes each shard under
+:func:`capture` on its pool thread, into a fresh registry of its own;
+the caller folds those registries into its own in shard order, so
+``workers=N`` reports one coherent view.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 
-from repro.telemetry import export, shard_merge, tracing
+from repro.telemetry import export, tracing
 from repro.telemetry.export import summary_table as _summary_table
 from repro.telemetry.registry import (
     DEFAULT_TRACE_CAP,
@@ -48,12 +48,6 @@ from repro.telemetry.registry import (
     Registry,
     Timer,
 )
-from repro.telemetry.shard_merge import (
-    MetricsDelta,
-    apply_delta,
-    capture,
-    merge_deltas,
-)
 from repro.telemetry.tracing import TraceEvent
 
 __all__ = [
@@ -62,7 +56,7 @@ __all__ = [
     "enabled",
     "get_registry",
     "active_registry",
-    "swap_registry",
+    "capture",
     "count",
     "gauge_set",
     "timer_observe",
@@ -75,16 +69,11 @@ __all__ = [
     "Timer",
     "Histogram",
     "TraceEvent",
-    "MetricsDelta",
-    "capture",
-    "merge_deltas",
-    "apply_delta",
     "QUANTILE_PROBS",
     "DEFAULT_TRACE_CAP",
     "ENV_TELEMETRY",
     "export",
     "tracing",
-    "shard_merge",
 ]
 
 #: Environment opt-in: ``1``/``true``/``yes``/``on`` enables, any other
@@ -95,6 +84,15 @@ ENV_TELEMETRY = "REPRO_TELEMETRY"
 #: helpers check this one global and return immediately when unset —
 #: the no-op fast path the overhead gate measures.
 _ACTIVE: Registry | None = None
+
+
+class _Scope(threading.local):
+    """This thread's :func:`capture` target, read only while enabled."""
+
+    registry: Registry | None = None
+
+
+_SCOPE = _Scope()
 
 
 def enable(jsonl: str | os.PathLike | None = None) -> Registry:
@@ -130,25 +128,41 @@ def enabled() -> bool:
 
 
 def get_registry() -> Registry:
-    """Return the active registry, enabling telemetry if needed."""
-    return enable()
+    """Return this thread's registry, enabling telemetry if needed."""
+    registry = enable()
+    return _SCOPE.registry or registry
 
 
 def active_registry() -> Registry | None:
-    """The active registry, or ``None`` when disabled (no side effects)."""
-    return _ACTIVE
+    """This thread's registry, or ``None`` when disabled (no side effects).
 
-
-def swap_registry(registry: Registry | None) -> Registry | None:
-    """Install ``registry`` as the active one, returning the previous.
-
-    The scoped-capture hook used by
-    :func:`repro.telemetry.shard_merge.capture`; passing ``None``
-    disables collection.
+    Inside a :func:`capture` block that is the block's scoped registry.
     """
-    global _ACTIVE
-    previous, _ACTIVE = _ACTIVE, registry
-    return previous
+    if _ACTIVE is None:
+        return None
+    return _SCOPE.registry or _ACTIVE
+
+
+@contextmanager
+def capture():
+    """Collect this thread's telemetry from the block into a fresh registry.
+
+    Yields the scoped :class:`Registry`.  While telemetry is enabled,
+    every helper called on this thread inside the block records into it
+    instead of the active registry, which stays untouched until the
+    caller folds the scoped one in (:meth:`Registry.merge`); other
+    threads are unaffected.  On exit — also by an exception — the
+    thread's previous target is restored, so captures nest.  While
+    telemetry is disabled the helpers record nothing, inside a capture
+    or not.
+    """
+    scoped = Registry()
+    previous = _SCOPE.registry
+    _SCOPE.registry = scoped
+    try:
+        yield scoped
+    finally:
+        _SCOPE.registry = previous
 
 
 # ----------------------------------------------------------------------
@@ -159,21 +173,21 @@ def count(name: str, n: int | float = 1) -> None:
     """Increment counter ``name`` by ``n``."""
     registry = _ACTIVE
     if registry is not None:
-        registry.counter(name).inc(n)
+        (_SCOPE.registry or registry).counter(name).inc(n)
 
 
 def gauge_set(name: str, value: float) -> None:
     """Set gauge ``name`` to ``value``."""
     registry = _ACTIVE
     if registry is not None:
-        registry.gauge(name).set(value)
+        (_SCOPE.registry or registry).gauge(name).set(value)
 
 
 def timer_observe(name: str, seconds: float) -> None:
     """Record an externally measured duration on timer ``name``."""
     registry = _ACTIVE
     if registry is not None:
-        registry.timer(name).observe(seconds)
+        (_SCOPE.registry or registry).timer(name).observe(seconds)
 
 
 @contextmanager
@@ -183,6 +197,7 @@ def time_block(name: str):
     if registry is None:
         yield
         return
+    registry = _SCOPE.registry or registry
     start = time.perf_counter()
     try:
         yield

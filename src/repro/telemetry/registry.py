@@ -12,8 +12,8 @@ of dotted instrument names (``"routing.reason.arrived"``,
   by ``perf_counter`` spans;
 * :class:`Histogram` — exact counts of small non-negative integers (hop
   counts), whose quantiles are ``np.quantile``'s and whose merge is an
-  addition, so the shard-merge layer
-  (:mod:`repro.telemetry.shard_merge`) loses nothing.
+  addition, so folding a sharded batch's per-shard registries
+  (:meth:`Registry.merge`) loses nothing.
 
 Each name belongs to one instrument type.  Everything here is
 dependency-free (numpy only) and never touched on the disabled fast
@@ -269,6 +269,22 @@ class Registry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(self.histograms, name, Histogram)
+
+    def merge(self, other: "Registry") -> None:
+        """Fold ``other``'s instruments into this registry.
+
+        Counters and histogram counts add, timers merge
+        count/total/min/max and gauges take ``other``'s value.  Trace
+        events stay in ``other``.
+        """
+        for name, counter in other.counters.items():
+            self.counter(name).inc(counter.value)
+        for name, gauge in other.gauges.items():
+            self.gauge(name).set(gauge.value)
+        for name, timer in other.timers.items():
+            self.timer(name).merge(timer)
+        for name, histogram in other.histograms.items():
+            self.histogram(name).merge(histogram)
 
     def record_event(self, event) -> None:
         """Buffer a trace event, counting (instead of hiding) evictions."""

@@ -1,25 +1,30 @@
-"""The sharded execution engine: arenas, executor, dispatch, autotune.
+"""The sharded execution engine: thread pool, dispatch, autotune.
 
 The load-bearing guarantees pinned here:
 
-* **cross-worker determinism** — every dispatch front-end returns
+* **cross-worker determinism** — the sharded front end returns
   bit-identical results for workers ∈ {1, 2, 4} and matches its serial
   counterpart exactly, including hops, paths, reasons and owners, on
-  uniform *and* skewed key populations;
-* **shared-memory round trips** — arrays survive publish/attach intact
-  and the arena lifecycle is safe to close twice;
+  uniform *and* skewed key populations and on a store-loaded snapshot;
+* **real sharding** — every parity test narrows the shard width and
+  checks, through a spy on the per-shard kernel call, that its batch
+  ran as two or more shards, so a wider default width cannot turn it
+  into a serial run that passes trivially;
+* **the pool** — one shared thread pool per worker count; a shard that
+  raises re-raises in the caller and leaves the pool usable;
 * **heuristics** — shard boundaries never depend on the worker count,
   and the worker count resolves in the documented precedence.
-
-Pooled tests share the process-wide executors (:func:`get_executor`), so
-the spawn cost is paid once per worker count for the whole session.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.baselines import (
     CANOverlay,
     ChordOverlay,
@@ -35,26 +40,28 @@ from repro.core import (
     route_many,
     sample_batch,
 )
+from repro.core.metric_routing import GreedyValueMetric
 from repro.distributions import PowerLaw
 from repro.overlay import Network, measure_network
 from repro.parallel import (
-    ShardedExecutor,
-    SharedArena,
-    attach_arena,
+    autotune,
+    dispatch,
     frontier_route_many_parallel,
     get_executor,
     resolve_workers,
-    route_many_parallel,
     set_default_workers,
     shard_bounds,
     should_parallelize,
 )
-from repro.parallel import autotune
+from repro.store import load_graph, save_graph
 
 WORKER_COUNTS = (1, 2, 4)
 
-# Big enough to split into several shards (MIN_CHUNK = 2048).
 N_ROUTES = 5000
+
+#: The shard width the parity tests run at: each of their batches then
+#: splits into several shards, whatever the production width is.
+TEST_CHUNK = 16
 
 
 def _results_equal(a, b) -> None:
@@ -79,89 +86,116 @@ def graphs(session_rng):
     return {"uniform": uniform, "skewed": skewed}
 
 
-# ----------------------------------------------------------------------
-# shm
-# ----------------------------------------------------------------------
-class TestSharedArena:
-    def test_publish_attach_round_trip(self):
-        arrays = {
-            "a": np.arange(1000, dtype=np.int64),
-            "b": np.linspace(0, 1, 257),
-            "c": np.zeros((5, 7), dtype=bool),
-            "empty": np.empty(0, dtype=np.int64),
-        }
-        with SharedArena(arrays) as arena:
-            attached = attach_arena(arena.handle)
-            assert set(attached) == set(arrays)
-            for key, original in arrays.items():
-                assert attached[key].dtype == original.dtype
-                assert attached[key].shape == original.shape
-                assert np.array_equal(attached[key], original)
+@pytest.fixture
+def shards(monkeypatch):
+    """Narrow the shard width and record the thread of every shard routed.
 
-    def test_attach_is_cached_per_token(self):
-        with SharedArena({"x": np.arange(10)}) as arena:
-            first = attach_arena(arena.handle)
-            second = attach_arena(arena.handle)
-            assert first["x"] is second["x"]
+    The spy wraps the kernel call the dispatch makes per shard (only
+    shard calls pass ``prepared=``), so after a call ``len(shards)`` is
+    how many shards it really ran.
+    """
+    monkeypatch.setattr(autotune, "MIN_CHUNK", TEST_CHUNK)
+    seen: list[int] = []
+    kernel = dispatch.frontier_route_many
 
-    def test_close_is_idempotent(self):
-        arena = SharedArena({"x": np.arange(4)})
-        arena.close()
-        arena.close()
+    def spy(*args, **kwargs):
+        if kwargs.get("prepared") is not None:
+            seen.append(threading.get_ident())
+        return kernel(*args, **kwargs)
 
-    def test_handle_is_small_and_picklable(self):
-        import pickle
+    monkeypatch.setattr(dispatch, "frontier_route_many", spy)
+    return seen
 
-        with SharedArena({"big": np.zeros(100_000)}) as arena:
-            blob = pickle.dumps(arena.handle)
-            assert len(blob) < 2000  # the point: handles, not payloads
 
-    def test_repr_names_arrays(self):
-        with SharedArena({"x": np.arange(4)}) as arena:
-            assert "x" in repr(arena)
+def _sharded(shards: list, route):
+    """Return ``route()``, asserting that it ran two or more shards."""
+    shards.clear()
+    result = route()
+    assert len(shards) >= 2, f"expected a sharded run, got {len(shards)} shard(s)"
+    return result
 
 
 # ----------------------------------------------------------------------
-# executor
+# the pool
 # ----------------------------------------------------------------------
-def _square(x):  # module-level: shard functions must be picklable
-    return x * x
-
-
-def _die(_):  # simulates a worker lost to OOM kill / crash
-    import os
-
-    os._exit(1)
-
-
 class TestShardedExecutor:
-    def test_serial_runs_inline(self):
-        with ShardedExecutor(workers=1) as ex:
-            assert ex.map_shards(len, [[1, 2], [3]]) == [2, 1]
+    def test_serial_runs_inline(self, graphs, shards):
+        # With telemetry on, one worker still routes the shard structure,
+        # every shard on the caller's own thread.
+        graph = graphs["uniform"]
+        rng = np.random.default_rng(1)
+        sources, keys = rng.integers(graph.n, size=300), rng.random(300)
+        metric = GreedyValueMetric(graph.ids, graph.space)
+        telemetry.enable()
+        try:
+            result = _sharded(
+                shards,
+                lambda: frontier_route_many_parallel(
+                    graph.adjacency, metric, sources, keys, workers=1
+                ),
+            )
+        finally:
+            telemetry.disable()
+        assert set(shards) == {threading.get_ident()}
+        _results_equal(result, route_many(graph, sources, keys))
 
-    def test_pool_recovers_after_worker_death(self):
-        with ShardedExecutor(workers=2) as ex:
-            with pytest.raises(Exception):  # concurrent.futures BrokenProcessPool
-                ex.map_shards(_die, [1, 2])
-            # the broken pool must be rebuilt, not cached forever
-            assert ex.map_shards(_square, [1, 2, 3]) == [1, 4, 9]
+    def test_shard_error_reraises_and_pool_survives(self, graphs, shards, monkeypatch):
+        graph = graphs["uniform"]
+        rng = np.random.default_rng(2)
+        sources, keys = rng.integers(graph.n, size=300), rng.random(300)
+        second = keys[shard_bounds(len(keys))[1][0]]
+        spy = dispatch.frontier_route_many
 
-    def test_serial_publish_skips_shared_memory(self):
-        with ShardedExecutor(workers=1) as ex:
-            handle = ex.publish({"x": np.arange(3)})
-            assert isinstance(handle, dict)
-            assert np.array_equal(handle["x"], np.arange(3))
-            ex.release(handle)  # no-op, must not raise
+        def failing(csr, metric, shard_sources, shard_keys, **kwargs):
+            if shard_keys[0] == second:
+                raise RuntimeError("shard 1 failed")
+            return spy(csr, metric, shard_sources, shard_keys, **kwargs)
+
+        monkeypatch.setattr(dispatch, "frontier_route_many", failing)
+        with pytest.raises(RuntimeError, match="shard 1 failed"):
+            route_many(graph, sources, keys, workers=2)
+        monkeypatch.setattr(dispatch, "frontier_route_many", spy)
+        pool = get_executor(2)
+        _results_equal(
+            _sharded(shards, lambda: route_many(graph, sources, keys, workers=2)),
+            route_many(graph, sources, keys),
+        )
+        assert get_executor(2) is pool
+
+    def test_more_threads_than_cores_keep_parity_and_counts(self, graphs, shards):
+        # Eight threads switching every microsecond: a shard touching
+        # another's state, or a lost telemetry update, breaks the parity
+        # or the folded counts.
+        graph = graphs["skewed"]
+        rng = np.random.default_rng(3)
+        sources, keys = rng.integers(graph.n, size=N_ROUTES), rng.random(N_ROUTES)
+        metric = GreedyValueMetric(graph.ids, graph.space)
+        serial = route_many(graph, sources, keys, record_paths=True)
+        interval = sys.getswitchinterval()
+        registry = telemetry.enable()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                result = _sharded(
+                    shards,
+                    lambda: frontier_route_many_parallel(
+                        graph.adjacency, metric, sources, keys,
+                        record_paths=True, workers=8,
+                    ),
+                )
+                _results_equal(result, serial)
+        finally:
+            sys.setswitchinterval(interval)
+            telemetry.disable()
+        assert registry.counter("routing.walks").value == 3 * N_ROUTES
+        assert registry.counter("parallel.shards").value == 3 * len(shard_bounds(N_ROUTES))
+        assert registry.histogram("routing.hops").state() == tuple(
+            (3 * np.bincount(serial.hops)).tolist()
+        )
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=0)
-
-    def test_closed_executor_refuses_pool_work(self):
-        ex = ShardedExecutor(workers=2)
-        ex.close()
-        with pytest.raises(RuntimeError):
-            ex._ensure_pool()
+            get_executor(0)
 
     def test_get_executor_is_shared_per_count(self):
         assert get_executor(1) is get_executor(1)
@@ -173,16 +207,19 @@ class TestShardedExecutor:
 # ----------------------------------------------------------------------
 class TestAutotune:
     def test_shard_bounds_cover_exactly(self):
-        for n in (0, 1, 2047, 2048, 2049, 50_000):
+        width = autotune.MIN_CHUNK
+        for n in (0, 1, width - 1, width, width + 1, 50 * width):
             bounds = shard_bounds(n)
             assert bounds[0][0] == 0
             assert bounds[-1][1] == max(n, 0)
             for (_, hi), (lo2, _) in zip(bounds, bounds[1:]):
                 assert hi == lo2
+        with pytest.raises(ValueError):
+            shard_bounds(-1)
 
     def test_shard_bounds_never_depend_on_workers(self):
-        # The determinism contract: same workload, same shards, no
-        # matter what the configured worker count is.
+        # The determinism contract: same batch, same shards, no matter
+        # what the configured worker count is.
         try:
             set_default_workers(4)
             four = shard_bounds(100_000)
@@ -190,32 +227,25 @@ class TestAutotune:
             set_default_workers(None)
         assert four == shard_bounds(100_000)
 
-    def test_explicit_chunk_override(self):
-        assert shard_bounds(10, chunk=4) == [(0, 4), (4, 8), (8, 10)]
-        with pytest.raises(ValueError):
-            shard_bounds(10, chunk=0)
-        with pytest.raises(ValueError):
-            shard_bounds(-1)
-
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv(autotune.ENV_WORKERS, raising=False)
+    def test_resolve_precedence(self):
         assert resolve_workers() == 1
-        monkeypatch.setenv(autotune.ENV_WORKERS, "3")
-        assert resolve_workers() == 3
         try:
             set_default_workers(2)
-            assert resolve_workers() == 2  # config beats env
+            assert resolve_workers() == 2
+            assert resolve_workers(5) == 5  # explicit beats the default
         finally:
             set_default_workers(None)
-        assert resolve_workers(5) == 5  # explicit beats everything
         with pytest.raises(ValueError):
             resolve_workers(0)
-        monkeypatch.setenv(autotune.ENV_WORKERS, "zero")
-        with pytest.raises(ValueError):
-            resolve_workers()
 
     def test_should_parallelize_gates_on_size(self):
+        # Dispatch exactly when the batch splits into two or more shards.
+        width = autotune.MIN_CHUNK
         assert not should_parallelize(4, 10)
+        assert not should_parallelize(4, width)
+        assert len(shard_bounds(width)) == 1
+        assert should_parallelize(4, width + 1)
+        assert len(shard_bounds(width + 1)) == 2
         assert should_parallelize(4, 100_000)
         assert not should_parallelize(1, 100_000)
         assert not should_parallelize(None, 100_000)
@@ -226,30 +256,35 @@ class TestAutotune:
 # ----------------------------------------------------------------------
 class TestRoutingDeterminism:
     @pytest.mark.parametrize("model", ["uniform", "skewed"])
-    def test_bit_identical_across_worker_counts(self, graphs, model):
+    def test_bit_identical_across_worker_counts(self, graphs, model, shards):
         graph = graphs[model]
         rng = np.random.default_rng(21)
         sources = rng.integers(graph.n, size=N_ROUTES)
         keys = rng.random(N_ROUTES)
         serial = route_many(graph, sources, keys, record_paths=True)
-        for workers in WORKER_COUNTS:
-            parallel = route_many_parallel(
-                graph, sources, keys, record_paths=True, workers=workers
+        _results_equal(route_many(graph, sources, keys, record_paths=True, workers=1), serial)
+        for workers in WORKER_COUNTS[1:]:
+            parallel = _sharded(
+                shards,
+                lambda w=workers: route_many(
+                    graph, sources, keys, record_paths=True, workers=w
+                ),
             )
             _results_equal(parallel, serial)
 
-    def test_normalized_metric_parity(self, graphs):
+    def test_normalized_metric_parity(self, graphs, shards):
         graph = graphs["skewed"]
         rng = np.random.default_rng(22)
         sources = rng.integers(graph.n, size=3000)
         keys = rng.random(3000)
         serial = route_many(graph, sources, keys, metric="normalized")
-        parallel = route_many_parallel(
-            graph, sources, keys, metric="normalized", workers=2
+        parallel = _sharded(
+            shards,
+            lambda: route_many(graph, sources, keys, metric="normalized", workers=2),
         )
         _results_equal(parallel, serial)
 
-    def test_alive_mask_parity(self, graphs):
+    def test_alive_mask_parity(self, graphs, shards):
         graph = graphs["uniform"]
         rng = np.random.default_rng(23)
         alive = rng.random(graph.n) > 0.1
@@ -257,47 +292,71 @@ class TestRoutingDeterminism:
         sources = rng.choice(live, size=3000)
         keys = rng.random(3000)
         serial = route_many(graph, sources, keys, alive=alive)
-        parallel = route_many_parallel(graph, sources, keys, alive=alive, workers=2)
+        parallel = _sharded(
+            shards, lambda: route_many(graph, sources, keys, alive=alive, workers=2)
+        )
         _results_equal(parallel, serial)
 
-    def test_max_hops_parity(self, graphs):
+    def test_max_hops_parity(self, graphs, shards):
         graph = graphs["uniform"]
         rng = np.random.default_rng(24)
         sources = rng.integers(graph.n, size=3000)
         keys = rng.random(3000)
         serial = route_many(graph, sources, keys, max_hops=3)
-        parallel = route_many_parallel(graph, sources, keys, max_hops=3, workers=2)
+        parallel = _sharded(
+            shards, lambda: route_many(graph, sources, keys, max_hops=3, workers=2)
+        )
         _results_equal(parallel, serial)
 
-    def test_dead_source_raises_from_parallel_path(self, graphs):
+    def test_store_loaded_snapshot_parity(self, graphs, shards, tmp_path):
+        save_graph(graphs["skewed"], tmp_path / "graph")
+        loaded = load_graph(tmp_path / "graph")
+        rng = np.random.default_rng(27)
+        sources = rng.integers(loaded.n, size=3000)
+        keys = rng.random(3000)
+        serial = route_many(loaded, sources, keys, record_paths=True)
+        for workers in WORKER_COUNTS[1:]:
+            parallel = _sharded(
+                shards,
+                lambda w=workers: route_many(
+                    loaded, sources, keys, record_paths=True, workers=w
+                ),
+            )
+            _results_equal(parallel, serial)
+
+    def test_dead_source_raises_from_parallel_path(self, graphs, shards):
         graph = graphs["uniform"]
         alive = np.ones(graph.n, dtype=bool)
         alive[7] = False
         with pytest.raises(ValueError, match="not alive"):
-            route_many_parallel(
+            route_many(
                 graph,
                 np.full(3000, 7),
                 np.random.default_rng(0).random(3000),
                 alive=alive,
                 workers=2,
             )
+        assert not shards  # rejected before any shard ran
 
-    def test_route_many_workers_kwarg_dispatches_identically(self, graphs):
+    def test_route_many_workers_kwarg_dispatches_identically(self, graphs, shards):
         graph = graphs["uniform"]
         rng = np.random.default_rng(25)
         sources = rng.integers(graph.n, size=N_ROUTES)
         keys = rng.random(N_ROUTES)
-        assert N_ROUTES >= autotune.min_parallel_items()
         _results_equal(
-            route_many(graph, sources, keys, workers=2),
+            _sharded(shards, lambda: route_many(graph, sources, keys, workers=2)),
             route_many(graph, sources, keys),
         )
+        assert threading.get_ident() not in shards  # routed on pool threads
 
-    def test_sample_batch_forwards_workers(self, graphs):
+    def test_sample_batch_forwards_workers(self, graphs, shards):
         graph = graphs["uniform"]
         serial = sample_batch(graph, N_ROUTES, np.random.default_rng(26))
-        parallel = sample_batch(
-            graph, N_ROUTES, np.random.default_rng(26), workers=2
+        parallel = _sharded(
+            shards,
+            lambda: sample_batch(
+                graph, N_ROUTES, np.random.default_rng(26), workers=2
+            ),
         )
         _results_equal(parallel, serial)
 
@@ -307,7 +366,7 @@ class TestRoutingDeterminism:
 # ----------------------------------------------------------------------
 class TestOverlayDispatch:
     N = 512
-    ROUTES = 2600  # > one chunk (MIN_CHUNK = 2048)
+    ROUTES = 2600
 
     def _overlays(self):
         ids = np.sort(np.random.default_rng(31).random(self.N))
@@ -323,45 +382,42 @@ class TestOverlayDispatch:
             "can": (CANOverlay(ids, dims=2), None),  # torus metric
         }
 
-    def test_every_metric_family_routes_identically(self):
-        for name, (overlay, target_ids) in self._overlays().items():
+    def test_every_metric_family_routes_identically(self, shards):
+        overlays = self._overlays()
+        assert len(overlays) == 6
+        for name, (overlay, target_ids) in overlays.items():
             rng = np.random.default_rng(41)
             sources, keys = sample_overlay_lookups(
                 overlay, self.ROUTES, rng, target_ids=target_ids
             )
             serial = route_many_overlay(overlay, sources, keys, record_paths=True)
             csr, metric = overlay._frontier()
-            parallel = frontier_route_many_parallel(
-                csr, metric, sources, keys, record_paths=True, workers=2
+            parallel = _sharded(
+                shards,
+                lambda: frontier_route_many_parallel(
+                    csr, metric, sources, keys, record_paths=True, workers=2
+                ),
             )
             _results_equal(parallel, serial)
-
-    def test_unknown_metric_family_is_rejected(self, graphs):
-        from repro.core.metric_routing import GreedyValueMetric
-        from repro.parallel.dispatch import _encode_metric
-
-        class Exotic(GreedyValueMetric):
-            pass
-
-        graph = graphs["uniform"]
-        with pytest.raises(TypeError, match="Exotic"):
-            _encode_metric(Exotic(graph.ids, graph.space))
 
 
 # ----------------------------------------------------------------------
 # live-overlay integration points
 # ----------------------------------------------------------------------
 class TestLiveIntegration:
-    def test_measure_network_workers_matches_serial(self):
+    def test_measure_network_workers_matches_serial(self, shards):
         graph = build_uniform_model(n=2048, rng=np.random.default_rng(81))
         network = Network.from_graph(graph)
         serial = measure_network(network, 4500, np.random.default_rng(82))
-        parallel = measure_network(
-            network, 4500, np.random.default_rng(82), workers=2
+        parallel = _sharded(
+            shards,
+            lambda: measure_network(
+                network, 4500, np.random.default_rng(82), workers=2
+            ),
         )
         assert parallel == serial
 
-    def test_run_churn_workers_matches_serial(self):
+    def test_run_churn_workers_matches_serial(self, shards):
         from repro.distributions import Uniform
         from repro.overlay.churn import ChurnConfig, run_churn
 
@@ -374,4 +430,4 @@ class TestLiveIntegration:
                 workers=workers,
             )
 
-        assert history(None) == history(2)
+        assert history(None) == _sharded(shards, lambda: history(2))

@@ -17,7 +17,8 @@ search round and must still match the oracle.
 
 The checks that decide exactness run once per graph or CSR: not once
 per ``route_many`` call, which binds a fresh metric each time, and not
-once per ``repro.parallel`` shard, which rebuilds both from arrays.
+once per ``repro.parallel`` shard, which every pool thread routes over
+the caller's own CSR and metric.
 """
 
 from functools import cached_property
@@ -41,7 +42,6 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro import telemetry
 from repro.core import adjacency, metric_routing, route_many
 from repro.core.adjacency import CSRAdjacency, csr_from_flat_links
 from repro.core.builder import GraphConfig, build_uniform_model
@@ -53,8 +53,8 @@ from repro.core.metric_routing import (
     frontier_route_many,
 )
 from repro.keyspace import IntervalSpace, RingSpace
+from repro.parallel import autotune
 from repro.parallel.dispatch import frontier_route_many_parallel
-from repro.parallel.executor import ShardedExecutor
 
 #: Configurations a search round must serve.
 SEARCHED = "sorted"
@@ -463,8 +463,9 @@ def test_checks_run_once_per_graph(monkeypatch, forced):
 
 
 def test_checks_run_once_across_parallel_shards(monkeypatch):
-    """Shards rebuild the CSR and the metric from arrays on every call;
-    the owner's checks travel with the job instead of rerunning there."""
+    """Shards on two pool threads share the caller's CSR and metric; the
+    caller runs both checks before dispatch, so no shard reruns them."""
+    monkeypatch.setattr(autotune, "MIN_CHUNK", 1024)
     scans, positions = _count_checks(monkeypatch)
     rounds = []
     patches = _force_search(rounds)
@@ -473,19 +474,16 @@ def test_checks_run_once_across_parallel_shards(monkeypatch):
     csr, metric = graph.adjacency, GreedyValueMetric(graph.ids, graph.space)
     sources, keys = rng.integers(0, graph.n, size=4096), rng.random(4096)
     serial = frontier_route_many(csr, metric, sources, keys)
-    telemetry.enable()  # the serial executor then runs the shards inline
     for patch in patches:
         patch.start()
     try:
-        with ShardedExecutor(workers=1) as executor:
-            for _ in range(2):
-                sharded = frontier_route_many_parallel(
-                    csr, metric, sources, keys, executor=executor
-                )
-                np.testing.assert_array_equal(sharded.hops, serial.hops)
+        for _ in range(2):
+            sharded = frontier_route_many_parallel(
+                csr, metric, sources, keys, workers=2
+            )
+            np.testing.assert_array_equal(sharded.hops, serial.hops)
     finally:
         for patch in reversed(patches):
             patch.stop()
-        telemetry.disable()
     assert len({id(frontier) for frontier in rounds}) > 2  # several shards searched
     assert (len(scans), len(positions)) == (1, 1)

@@ -8,11 +8,12 @@ The guarantees pinned here:
 * **lifecycle** — helpers are no-ops while disabled, ``enable`` /
   ``disable`` manage one process-wide registry, and the
   ``REPRO_TELEMETRY`` environment flag opts in at import time;
-* **shard merge** — worker deltas captured around a scoped registry
-  fold deterministically: merged counters and histograms are
-  bit-identical for workers {1, 2, 4} over one dispatch, and the merged
-  ``routing.hops`` equals a serial batch's and ``np.bincount`` of the
-  hops;
+* **shard merge** — each shard's telemetry, captured per thread into a
+  scoped registry, folds deterministically: merged counters and
+  histograms are bit-identical for workers {1, 2, 4} over one dispatch,
+  and the merged ``routing.hops`` equals a serial batch's and
+  ``np.bincount`` of the hops; concurrent captures on two threads never
+  see each other's counts;
 * **instrumentation** — the routing kernel publishes the full
   REASON-code histogram (zeros included) and per-batch walk/round
   counters; :func:`summarize_lookups` carries the same stable schema;
@@ -26,6 +27,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,18 +36,17 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import build_uniform_model, route_many, sample_routes
+from repro.core.metric_routing import GreedyValueMetric
 from repro.experiments.cli import main as cli_main
 from repro.overlay.stats import summarize_lookups
-from repro.parallel import get_executor, route_many_parallel
+from repro.parallel import autotune, frontier_route_many_parallel
 from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    MetricsDelta,
     Registry,
     Timer,
     capture,
-    merge_deltas,
 )
 from repro.telemetry.export import render_text, summary_table
 
@@ -335,20 +336,33 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # shard merge
 # ----------------------------------------------------------------------
+def _sharded(graph, sources, keys, workers):
+    """Route through the sharded front end (which shards even at 1 worker
+    while telemetry is on)."""
+    metric = GreedyValueMetric(graph.ids, graph.space)
+    return frontier_route_many_parallel(
+        graph.adjacency, metric, sources, keys, workers=workers
+    )
+
+
 class TestShardMerge:
+    @pytest.fixture(autouse=True)
+    def _narrow_shards(self, monkeypatch):
+        # 6000-route batches split into three shards.
+        monkeypatch.setattr(autotune, "MIN_CHUNK", 2048)
+
     def test_capture_returns_scoped_delta(self):
         telemetry.enable()
         telemetry.count("outer", 1)
-        with capture() as box:
+        with capture() as scoped:
             telemetry.count("inner", 5)
             telemetry.timer_observe("inner.t", 0.5)
             telemetry.get_registry().histogram("inner.h").add(np.arange(100))
-        delta = box.delta
-        assert isinstance(delta, MetricsDelta)
-        assert delta.counters == {"inner": 5}
-        assert "inner.t" in delta.timers
-        assert delta.histograms == {"inner.h": (1,) * 100}
-        assert delta.wall_seconds >= 0.0
+            assert telemetry.active_registry() is scoped
+        assert isinstance(scoped, Registry)
+        assert {name: c.value for name, c in scoped.counters.items()} == {"inner": 5}
+        assert "inner.t" in scoped.timers
+        assert scoped.histograms["inner.h"].state() == (1,) * 100
         # The capture never leaked into the owner registry...
         registry = telemetry.get_registry()
         assert "inner" not in registry.counters
@@ -357,14 +371,60 @@ class TestShardMerge:
         assert registry.counter("outer").value == 2
 
     def test_merge_deltas_sums_counters_in_order(self):
-        deltas = []
+        telemetry.enable()
+        merged = Registry()
         for value in (2, 3, 5):
-            telemetry.enable()
-            with capture() as box:
+            with capture() as scoped:
                 telemetry.count("c", value)
-            deltas.append(box.delta)
-        merged = merge_deltas(deltas)
-        assert merged.counters == {"c": 10}
+                telemetry.gauge_set("g", value)
+            merged.merge(scoped)
+        assert merged.counter("c").value == 10
+        assert merged.gauge("g").value == 5.0  # the last shard's write
+        assert "c" not in telemetry.get_registry().counters
+
+    def test_threads_capture_only_their_own_counts(self):
+        registry = telemetry.enable()
+        both_inside = threading.Barrier(2)
+        scopes = {}
+
+        def shard(name, n):
+            with capture() as scoped:
+                telemetry.count(name, n)
+                both_inside.wait(timeout=10)
+                telemetry.count(name, n)
+            scopes[name] = scoped
+
+        threads = [
+            threading.Thread(target=shard, args=(name, n))
+            for name, n in (("a", 1), ("b", 10))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        for name, n in (("a", 1), ("b", 10)):
+            assert {k: c.value for k, c in scopes[name].counters.items()} == {name: 2 * n}
+        # The owner's registry is untouched until it folds the shards in.
+        assert registry.counters == {}
+        registry.merge(scopes["a"])
+        registry.merge(scopes["b"])
+        assert registry.counter("a").value == 2
+        assert registry.counter("b").value == 20
+
+    def test_capture_that_raises_restores_previous_target(self):
+        registry = telemetry.enable()
+        with capture() as outer:
+            with pytest.raises(RuntimeError):
+                with capture() as inner:
+                    telemetry.count("inner")
+                    raise RuntimeError("shard failed")
+            telemetry.count("outer")
+            assert telemetry.active_registry() is outer
+        telemetry.count("owner")
+        assert inner.counter("inner").value == 1
+        assert set(outer.counters) == {"outer"}
+        assert set(registry.counters) == {"owner"}
 
     def test_workers_124_merge_bit_identical(self, graph):
         rng = np.random.default_rng(5)
@@ -378,9 +438,7 @@ class TestShardMerge:
         views = {}
         for workers in (1, 2, 4):
             telemetry.enable()
-            batch = route_many_parallel(
-                graph, sources, keys, executor=get_executor(workers)
-            )
+            batch = _sharded(graph, sources, keys, workers)
             registry = telemetry.get_registry()
             counters = {
                 name: c.value
@@ -396,6 +454,7 @@ class TestShardMerge:
             assert np.array_equal(batch.hops, serial.hops)
             assert histograms == {"routing.hops": serial_hops}
         assert views[1][0]["routing.walks"] == 6000
+        assert views[1][0]["parallel.shards"] == 3
         assert views[2] == views[1]
         assert views[4] == views[1]
 
@@ -404,7 +463,7 @@ class TestShardMerge:
         sources = rng.integers(0, graph.n, 6000).astype(np.int64)
         keys = rng.random(6000)
         telemetry.enable()
-        route_many_parallel(graph, sources, keys, executor=get_executor(1))
+        _sharded(graph, sources, keys, 1)
         registry = telemetry.get_registry()
         shards = registry.counter("parallel.shards").value
         assert shards >= 2
@@ -457,7 +516,7 @@ class TestExports:
     def _populated_registry(self) -> Registry:
         registry = telemetry.enable()
         telemetry.count("routing.walks", 7)
-        telemetry.timer_observe("parallel.publish", 0.125)
+        telemetry.timer_observe("parallel.shard_wall", 0.125)
         registry.histogram("routing.hops").add(np.arange(64))
         telemetry.trace("routing.batch", walks=7)
         return registry
@@ -466,14 +525,14 @@ class TestExports:
         registry = self._populated_registry()
         text = render_text(registry)
         assert "repro_routing_walks_total 7" in text
-        assert "repro_parallel_publish_seconds_count 1" in text
+        assert "repro_parallel_shard_wall_seconds_count 1" in text
         assert 'repro_routing_hops{quantile="0.5"}' in text
 
     def test_summary_table_lists_every_instrument(self):
         registry = self._populated_registry()
         table = summary_table(registry)
         assert "routing.walks" in table
-        assert "parallel.publish" in table
+        assert "parallel.shard_wall" in table
         assert "routing.hops" in table
 
     def test_summary_table_empty_registry(self):
