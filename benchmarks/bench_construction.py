@@ -73,7 +73,7 @@ def test_bulk_speedup_over_scalar_build():
     # Same population, same budget: the engines must agree on shape
     # before speed means anything.
     assert graph_bulk.n == graph_scalar.n == N_GATE
-    assert "_adjacency" in graph_bulk.__dict__, "bulk graph must be born with CSR"
+    assert "adjacency" in graph_bulk.__dict__, "bulk graph must be born with CSR"
     assert graph_bulk.total_long_links() == graph_scalar.total_long_links()
     _record_trajectory(
         {
@@ -116,7 +116,7 @@ def test_bulk_million_peer_build(monkeypatch):
     seconds = time.perf_counter() - start
     cpu_seconds = time.process_time() - cpu_start
     assert graph.n == N_MILLION
-    assert "_adjacency" in graph.__dict__, "bulk graph must be born with CSR"
+    assert "adjacency" in graph.__dict__, "bulk graph must be born with CSR"
     csr = graph.adjacency
     assert csr.n == N_MILLION
     # round(log2(1e6)) = 20 long links per peer, all installed; even the

@@ -3,13 +3,16 @@
 Two layers over :mod:`repro.store`:
 
 * **parity** (always runs, any machine): a graph must route
-  bit-identically after a save/load round trip — hops, owners, paths,
-  the lot.  Snapshots that change routing are corruption, not
-  persistence.
+  bit-identically after a save/load round trip — hops, the
+  neighbour/long hop split (which the load derives, not reads),
+  termination reasons, owners and paths.  Snapshots that change
+  routing are corruption, not persistence.
 * **load-vs-build gate** (always enforced): memmapping a 1e6-peer
   snapshot back must beat rebuilding the same graph by >= 100x.  The
   load maps the arrays with ``np.load(mmap_mode="r")`` and reads the
   ids, the row pointers and every edge target once, for its checks.
+  The entry records the snapshot's bytes per array file, so the
+  format's size has a trajectory too.
 
 Every layer appends its measurements to
 ``benchmarks/results/BENCH_store.json`` so the trajectory records what
@@ -54,8 +57,8 @@ def test_store_parity_graph(tmp_path):
     keys = rng.random(N_ROUTES)
     a = route_many(graph, sources, keys, record_paths=True)
     b = route_many(loaded, sources, keys, record_paths=True)
-    assert np.array_equal(a.hops, b.hops)
-    assert np.array_equal(a.owners, b.owners)
+    for column in ("hops", "neighbor_hops", "long_hops", "reason_codes", "owners"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
     assert a.paths == b.paths
     _record_trajectory(
         {
@@ -78,6 +81,9 @@ def test_store_load_vs_build_1e6(tmp_path):
 
     path = tmp_path / "snapshot"
     save_graph(graph, path)
+    array_bytes = {
+        file.stem: file.stat().st_size for file in sorted((path / "arrays").glob("*.npy"))
+    }
 
     start = time.perf_counter()
     loaded = load_graph(path)
@@ -109,6 +115,8 @@ def test_store_load_vs_build_1e6(tmp_path):
             "gate": LOAD_GATE,
             "gate_enforced": True,
             "identical_to_built": True,
+            "snapshot_array_bytes": array_bytes,
+            "snapshot_bytes": sum(array_bytes.values()),
         }
     )
     assert speedup >= LOAD_GATE, (

@@ -60,7 +60,7 @@ if [[ "${1:-}" != "--no-smoke" ]]; then
   step "parallel engine smoke (1/2/4-thread parity + 2-thread >=1.2x gate where cores allow + ungated serial-vs-2-thread size sweep)" \
     python -m pytest benchmarks/bench_parallel.py -q -s -k "parity or smoke or sweep"
 
-  step "persistent store smoke (graph round-trip parity + >=100x load gate)" \
+  step "persistent store smoke (round-trip parity of hops, neighbour/long split, reasons, owners, paths + >=100x load gate)" \
     python -m pytest benchmarks/bench_store.py -q -s
 
   step "telemetry smoke (<=5% enabled overhead, best CPU time of 8 alternating pairs + shard-merge bit-identity, merged hop histogram = serial run's)" \

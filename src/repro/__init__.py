@@ -36,12 +36,13 @@ Performance architecture
 Greedy lookups are embarrassingly parallel, and the hot path is built
 around that fact in four layers:
 
-1. **CSR adjacency** (:mod:`repro.core.adjacency`): each graph lazily
-   flattens its implicit ring/interval neighbours plus long links into
-   ``indptr``/``indices``/``is_long`` int64 arrays, cached for the
-   graph's lifetime (graphs are immutable snapshots, so the cache never
-   invalidates).  Degree and link-length analytics read these arrays
-   directly.
+1. **CSR adjacency** (:mod:`repro.core.adjacency`): each graph is
+   born holding its edges as ``indptr``/``indices`` int64 arrays —
+   every row its ring/interval neighbours, then its long links — plus
+   one ``long_start`` boundary per row (graphs are immutable
+   snapshots).  Degree and link-length analytics, the per-peer
+   ``long_links`` views and the router's neighbour/long hop split all
+   read these arrays.
 2. **Batch routing** (:mod:`repro.core.batch_routing`):
    :func:`route_many` advances *all* active walks one hop per numpy
    step — frontier arrays of current node, distance and hop counters,

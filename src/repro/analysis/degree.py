@@ -18,11 +18,8 @@ def in_degrees(graph: SmallWorldGraph) -> np.ndarray:
     in-degree distribution is approximately Poisson with mean ``log2 N``
     — heavy in-degree concentration would signal a broken sampler.
     """
-    counts = np.zeros(graph.n, dtype=np.int64)
-    for links in graph.long_links:
-        for j in links:
-            counts[int(j)] += 1
-    return counts
+    csr = graph.adjacency
+    return np.bincount(csr.indices[csr.long_mask()], minlength=graph.n).astype(np.int64)
 
 
 @dataclass
@@ -48,7 +45,7 @@ class DegreeSummary:
 
 def degree_summary(graph: SmallWorldGraph) -> DegreeSummary:
     """Summarise long-link in/out degrees of ``graph``."""
-    outs = np.asarray([len(links) for links in graph.long_links], dtype=float)
+    outs = graph.long_degrees().astype(float)
     ins = in_degrees(graph).astype(float)
     mean_in = float(ins.mean()) if len(ins) else 0.0
     return DegreeSummary(

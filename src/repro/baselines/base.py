@@ -14,8 +14,10 @@ same form the core engine consumes:
   before long links for Symphony/Mercury, successor before fingers for
   Chord, leaf set before routing-table entries for Pastry), because the
   kernel's first-occurrence ``argmin`` tie-break is the routing rule's
-  first-strict-improvement scan.  ``is_long`` carries each family's
-  neighbour/long hop classification.
+  first-strict-improvement scan.  Each row's ``long_start`` carries
+  the family's neighbour/long hop split: every Chord, Pastry and P-Grid
+  hop counts as long, no CAN hop does, and Symphony's and Mercury's
+  rows put their two ring neighbours before the long links.
 * :attr:`BaselineOverlay.metric` — a declarative
   :class:`repro.core.metric_routing.RoutingMetric` (circular /
   clockwise-only / prefix-digit / trie / torus-L1) carrying the

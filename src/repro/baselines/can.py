@@ -287,11 +287,7 @@ class CANOverlay(BaselineOverlay):
             else np.empty(0, dtype=np.int64)
         )
         indptr, indices, _ = assemble_rows(n, [(counts, flat)])
-        csr = CSRAdjacency(
-            indptr=indptr,
-            indices=indices,
-            is_long=np.zeros(len(indices), dtype=bool),
-        )
+        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[1:])
         lo = np.asarray([zone.lo for zone in self.zones])
         hi = np.asarray([zone.hi for zone in self.zones])
         metric = TorusZoneMetric(

@@ -85,9 +85,7 @@ class ChordOverlay(BaselineOverlay):
         row[:, 1:] = self.fingers
         indptr = np.arange(n + 1, dtype=np.int64) * (m + 1)
         csr = CSRAdjacency(
-            indptr=indptr,
-            indices=row.reshape(-1),
-            is_long=np.ones(n * (m + 1), dtype=bool),
+            indptr=indptr, indices=row.reshape(-1), long_start=indptr[:-1]
         )
         metric = ClockwiseMetric(
             self.ids,

@@ -168,9 +168,7 @@ class PastryOverlay(BaselineOverlay):
         tag_digit = np.full(len(indices), -1, dtype=np.int32)
         tag_level[table_slots] = slot_idx // self.base
         tag_digit[table_slots] = slot_idx % self.base
-        csr = CSRAdjacency(
-            indptr=indptr, indices=indices, is_long=np.ones(len(indices), dtype=bool)
-        )
+        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
         metric = PrefixDigitMetric(
             self.ids,
             self._digit_matrix,

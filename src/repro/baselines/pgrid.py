@@ -207,9 +207,7 @@ class PGridOverlay(BaselineOverlay):
         tag_rank = np.full(len(indices), -1, dtype=np.int32)
         tag_level[ref_slots] = ref_levels
         tag_rank[ref_slots] = ref_ranks
-        csr = CSRAdjacency(
-            indptr=indptr, indices=indices, is_long=np.ones(len(indices), dtype=bool)
-        )
+        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
         metric = TrieMetric(
             self.ids,
             self._bit_matrix,

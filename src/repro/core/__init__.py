@@ -18,7 +18,7 @@ Public surface:
 * classic Kleinberg lattices for the Section 2 background experiments.
 """
 
-from repro.core.adjacency import CSRAdjacency, build_csr, csr_from_flat_links
+from repro.core.adjacency import CSRAdjacency, csr_from_flat_links
 from repro.core.batch_routing import (
     BatchRouteResult,
     route_many,
@@ -78,7 +78,6 @@ __all__ = [
     "RouteResult",
     "BatchRouteResult",
     "CSRAdjacency",
-    "build_csr",
     "csr_from_flat_links",
     "bulk_links",
     "bulk_exact_links",

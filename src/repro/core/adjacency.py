@@ -1,26 +1,27 @@
-"""Flat CSR adjacency over a small-world graph.
+"""Flat CSR adjacency: the one encoding of a graph's edges.
 
-:class:`SmallWorldGraph` stores its edges in the form the paper describes
-them: implicit ring/interval neighbour links plus a ragged per-peer list
-of long-range links.  That shape is convenient for construction but slow
-to traverse — every hop of a per-lookup loop re-materialises neighbour
-tuples and iterates Python loops over numpy scraps.
-
-This module flattens the whole edge set once into CSR (compressed sparse
-row) arrays:
+:class:`SmallWorldGraph` exposes its edges in the form the paper
+describes them — implicit ring/interval neighbour links plus per-peer
+long-range links — but stores them only as CSR (compressed sparse row)
+arrays:
 
 * ``indptr`` — ``(n + 1,)`` int64; peer ``i``'s out-edges live in the
   half-open slice ``indices[indptr[i]:indptr[i + 1]]``;
 * ``indices`` — ``(E,)`` int64 edge targets;
-* ``is_long`` — ``(E,)`` bool, ``True`` for long-range edges.
+* ``long_start`` — ``(n,)`` int64; row ``i``'s long links are the slots
+  ``[long_start[i], indptr[i + 1])``, its neighbours the slots before.
 
 **Row order contract:** within each row the ring/interval neighbours come
-first, in :meth:`SmallWorldGraph.neighbor_indices` order, followed by the
-long links in their stored order.  The greedy rule depends on this — it
-scans candidates in exactly that order and keeps the *first* strict
+first (left, then right), followed by the long links in their stored
+order, so the neighbour/long split is one boundary per row and is never
+stored per edge.  The greedy rule depends on the order too — it scans
+candidates in exactly that order and keeps the *first* strict
 improvement, which is ``np.argmin``'s first-occurrence tie-break over a
 CSR row (the per-lookup loop in ``tests/route_oracle.py`` scans the same
-order).
+order).  A baseline overlay's rows follow its own scan order, with a
+boundary of its own: every Chord, Pastry and P-Grid edge is long
+(``long_start == indptr[:-1]``) and no CAN edge is
+(``long_start == indptr[1:]``).
 
 Long links are stored ascending and distinct: the producers write
 them that way.  :meth:`repro.core.bulk_construction.PairAccumulator.split`
@@ -43,24 +44,19 @@ a live peer whose links were appended one at a time through its
 the linear round that scores every candidate.
 
 Graphs are immutable snapshots (damage/churn helpers always build new
-instances), so the CSR is built lazily once per graph and cached with no
-invalidation protocol; see :attr:`SmallWorldGraph.adjacency`.
+instances), and every graph is born holding its CSR; see
+:attr:`SmallWorldGraph.adjacency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.graph import SmallWorldGraph
-
 __all__ = [
     "CSRAdjacency",
-    "build_csr",
     "csr_from_flat_links",
     "neighbor_counts",
     "segment_offsets",
@@ -80,20 +76,25 @@ class CSRAdjacency:
         indptr: ``(n + 1,)`` int64 row pointers.
         indices: ``(E,)`` int64 edge targets, neighbours before long links
             within each row.
-        is_long: ``(E,)`` bool flags marking long-range edges.
+        long_start: ``(n,)`` int64; the slot where row ``i``'s long links
+            begin, inside ``[indptr[i], indptr[i + 1]]``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    is_long: np.ndarray
+    long_start: np.ndarray
 
     def __post_init__(self) -> None:
         if self.indptr.ndim != 1 or len(self.indptr) == 0:
             raise ValueError("indptr must be a non-empty 1-d array")
         if int(self.indptr[-1]) != len(self.indices):
             raise ValueError("indptr[-1] must equal the number of edges")
-        if len(self.indices) != len(self.is_long):
-            raise ValueError("indices and is_long must have equal length")
+        if len(self.long_start) != self.n:
+            raise ValueError("long_start must have one entry per row")
+        if np.any(self.long_start < self.indptr[:-1]) or np.any(
+            self.long_start > self.indptr[1:]
+        ):
+            raise ValueError("long_start must lie inside its row")
         if self.indices.dtype.kind not in "iu":
             raise ValueError(f"edge targets must be integers, got {self.indices.dtype}")
         # As unsigned, a negative target wraps above every n, so one max
@@ -116,17 +117,28 @@ class CSRAdjacency:
         """Per-peer total outdegree, as an int64 array."""
         return np.diff(self.indptr)
 
+    def long_degrees(self) -> np.ndarray:
+        """Per-peer long-link count, as an int64 array."""
+        return self.indptr[1:] - self.long_start
+
     def edge_sources(self) -> np.ndarray:
         """Source peer of every edge, aligned with :attr:`indices`."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
 
+    def long_mask(self) -> np.ndarray:
+        """A fresh ``(E,)`` bool mask of the long slots, aligned with :attr:`indices`.
+
+        Built from the row boundaries with only ``(n,)``-sized
+        temporaries; callers hold it only while they need it.
+        """
+        runs = np.empty((self.n, 2), dtype=np.int64)
+        np.subtract(self.long_start, self.indptr[:-1], out=runs[:, 0])
+        np.subtract(self.indptr[1:], self.long_start, out=runs[:, 1])
+        return np.repeat(np.tile(np.array([False, True]), self.n), runs.ravel())
+
     def row(self, i: int) -> np.ndarray:
         """Out-edge targets of peer ``i`` (neighbours first, then long)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
-    def row_is_long(self, i: int) -> np.ndarray:
-        """Long-link flags aligned with :meth:`row`."""
-        return self.is_long[self.indptr[i] : self.indptr[i + 1]]
 
     @cached_property
     def tails_sorted(self) -> bool:
@@ -178,8 +190,8 @@ def tails_ascending(indptr: np.ndarray, indices: np.ndarray) -> bool:
 def _neighbor_blocks(n: int, is_ring: bool) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(flat neighbour targets, per-peer neighbour counts)``.
 
-    Reproduces :meth:`SmallWorldGraph.neighbor_indices` for every peer at
-    once, preserving its (left, right) emission order.
+    Every peer's ring/interval neighbours at once, left before right (a
+    two-peer ring's single neighbour once).
     """
     counts = neighbor_counts(n, is_ring)
     if n <= 1:
@@ -197,7 +209,11 @@ def _neighbor_blocks(n: int, is_ring: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def neighbor_counts(n: int, is_ring: bool) -> np.ndarray:
-    """Return each peer's ring/interval neighbour count (the CSR row prefix)."""
+    """Return each peer's ring/interval neighbour count (the CSR row prefix).
+
+    The rule :func:`csr_from_flat_links` builds rows by and
+    :func:`repro.store.load_graph` derives a snapshot's ``long_start`` by.
+    """
     if n <= 1:
         return np.zeros(n, dtype=np.int64)
     if is_ring:
@@ -207,35 +223,18 @@ def neighbor_counts(n: int, is_ring: bool) -> np.ndarray:
     return counts
 
 
-def build_csr(graph: "SmallWorldGraph") -> CSRAdjacency:
-    """Flatten ``graph``'s implicit neighbours + long links into CSR form.
-
-    Pure function of the graph snapshot; callers normally go through the
-    cached :attr:`SmallWorldGraph.adjacency` property instead.
-    """
-    n = graph.n
-    long_counts = graph.long_degrees()
-    if long_counts.sum():
-        long_flat = np.concatenate(
-            [np.asarray(links, dtype=np.int64) for links in graph.long_links]
-        )
-    else:
-        long_flat = np.empty(0, dtype=np.int64)
-    return csr_from_flat_links(n, graph.space.is_ring, long_counts, long_flat)
-
-
 def csr_from_flat_links(
     n: int, is_ring: bool, long_counts: np.ndarray, long_flat: np.ndarray
 ) -> CSRAdjacency:
     """Assemble the full CSR directly from flat per-peer long-link rows.
 
-    This is the direct path used by the bulk construction engine
-    (:mod:`repro.core.bulk_construction`): peer ``i``'s long links are
-    ``long_flat[cum(long_counts)[i] : cum(long_counts)[i+1]]``, and the
-    implicit ring/interval neighbours are synthesised in place — no
+    This is the one path from link rows to a graph's edges
+    (:meth:`SmallWorldGraph.from_flat_links`): peer ``i``'s long links
+    are ``long_flat[cum(long_counts)[i] : cum(long_counts)[i+1]]``, and
+    the implicit ring/interval neighbours are synthesised in place — no
     ragged per-node arrays are ever materialised.  Long links are placed
-    through the ``is_long`` mask itself (every slot not holding a
-    neighbour), so the only edge-length arrays are the outputs.
+    through a temporary bool mask of the slots not holding a neighbour,
+    so the only int64 edge-length array is ``indices`` itself.
 
     Args:
         n: number of peers.
@@ -246,10 +245,12 @@ def csr_from_flat_links(
     nbr_flat, nbr_counts = _neighbor_blocks(n, is_ring)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(nbr_counts + np.asarray(long_counts, dtype=np.int64), out=indptr[1:])
-    is_long = np.ones(int(indptr[-1]), dtype=bool)
+    long_slot = np.ones(int(indptr[-1]), dtype=bool)
     nbr_slots = np.repeat(indptr[:-1], nbr_counts) + segment_offsets(nbr_counts)
-    is_long[nbr_slots] = False
-    indices = np.empty(len(is_long), dtype=np.int64)
+    long_slot[nbr_slots] = False
+    indices = np.empty(len(long_slot), dtype=np.int64)
     indices[nbr_slots] = nbr_flat
-    indices[is_long] = long_flat
-    return CSRAdjacency(indptr=indptr, indices=indices, is_long=is_long)
+    indices[long_slot] = long_flat
+    return CSRAdjacency(
+        indptr=indptr, indices=indices, long_start=indptr[:-1] + nbr_counts
+    )

@@ -3,7 +3,11 @@
 A :class:`SmallWorldGraph` is the directed graph ``G = (P, E)`` of
 Section 3: peers sorted by identifier, the implicit *neighbouring edges*
 (each peer links to its immediate left/right peer; on a ring the ends
-wrap), and explicit per-peer *long-range edges*.
+wrap), and explicit per-peer *long-range edges*.  Both kinds live in one
+:class:`~repro.core.adjacency.CSRAdjacency`: each row holds a peer's
+neighbours, then its long links, split at ``long_start``, and every
+per-peer view (:meth:`SmallWorldGraph.neighbor_indices`,
+:attr:`SmallWorldGraph.long_links`) is a slice of it.
 
 The graph also carries the *normalised* identifiers ``F(id)`` of
 Theorem 2's space transformation, because every analytic statement in the
@@ -17,6 +21,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,14 +57,6 @@ class LongLinkRows:
         """Rows ``flat[indptr[i]:indptr[i + 1]]``."""
         indptr = np.asarray(indptr, dtype=np.int64)
         return cls(flat, indptr[:-1], indptr[1:])
-
-    @classmethod
-    def from_csr(cls, csr: "CSRAdjacency", is_ring: bool) -> "LongLinkRows":
-        """The long links of ``csr``: each row minus its leading neighbours."""
-        from repro.core.adjacency import neighbor_counts
-
-        starts = csr.indptr[:-1] + neighbor_counts(csr.n, is_ring)
-        return cls(csr.indices, starts, csr.indptr[1:])
 
     def lengths(self) -> np.ndarray:
         """Per-row link counts, as an int64 array."""
@@ -101,10 +98,9 @@ class SmallWorldGraph:
         normalized_ids: ``F(ids)`` under the model's distribution — equal
             to ``ids`` for the uniform model and for the *naive* baseline
             (which deliberately ignores the skew).
-        long_links: ``long_links[i]`` holds the indices of peer ``i``'s
-            long-range neighbours — a list of arrays, or
-            :class:`LongLinkRows` views for graphs built from flat rows
-            or loaded from a snapshot.
+        adjacency: the graph's edge set, one CSR row per peer: its
+            ring/interval neighbours, then its long links (see
+            :mod:`repro.core.adjacency`).
         space: key-space geometry (interval or ring).
         normalize: the CDF used to map raw keys into normalised space;
             identity for the uniform/naive models.
@@ -115,7 +111,7 @@ class SmallWorldGraph:
 
     ids: np.ndarray
     normalized_ids: np.ndarray
-    long_links: list[np.ndarray] | LongLinkRows
+    adjacency: "CSRAdjacency"
     space: KeySpace = field(default_factory=IntervalSpace)
     normalize: Callable[[float], float] = float
     model: str = "uniform"
@@ -128,8 +124,8 @@ class SmallWorldGraph:
             raise ValueError("ids must be one-dimensional")
         if len(self.ids) != len(self.normalized_ids):
             raise ValueError("ids and normalized_ids must have equal length")
-        if len(self.long_links) != len(self.ids):
-            raise ValueError("long_links must have one entry per peer")
+        if self.adjacency.n != len(self.ids):
+            raise ValueError("adjacency must have one row per peer")
         if np.any(np.diff(self.ids) < 0):
             raise ValueError("ids must be sorted")
 
@@ -147,13 +143,13 @@ class SmallWorldGraph:
     ) -> "SmallWorldGraph":
         """Build a graph from CSR-style flat long-link rows.
 
-        This is the bulk construction engine's entry point
-        (:mod:`repro.core.bulk_construction`): peer ``i``'s long links
-        are ``long_flat[long_indptr[i]:long_indptr[i+1]]``.  The CSR
-        adjacency cache is populated directly from the flat rows, so the
-        graph is born with its edge arrays ready, and ``long_links`` is a
-        :class:`LongLinkRows` view of the CSR's long edges — no per-peer
-        arrays, and ``long_flat`` is not retained.
+        Every builder's entry point (:mod:`repro.core.bulk_construction`,
+        the live overlay's snapshot, the damage helpers): peer ``i``'s
+        long links are ``long_flat[long_indptr[i]:long_indptr[i+1]]``.
+        The CSR is assembled directly from the flat rows
+        (:func:`~repro.core.adjacency.csr_from_flat_links`) with the
+        ring/interval neighbours synthesised in front of each row;
+        ``long_flat`` is not retained.
         """
         from repro.core.adjacency import csr_from_flat_links
 
@@ -161,17 +157,15 @@ class SmallWorldGraph:
         csr = csr_from_flat_links(
             len(ids), space.is_ring, np.diff(long_indptr), long_flat
         )
-        graph = cls(
+        return cls(
             ids=ids,
             normalized_ids=normalized_ids,
-            long_links=LongLinkRows.from_csr(csr, space.is_ring),
+            adjacency=csr,
             space=space,
             normalize=normalize,
             model=model,
             cutoff_mass=cutoff_mass,
         )
-        graph.__dict__["_adjacency"] = csr
-        return graph
 
     # ------------------------------------------------------------------
     # basic shape
@@ -187,46 +181,25 @@ class SmallWorldGraph:
     # ------------------------------------------------------------------
     # adjacency
     # ------------------------------------------------------------------
+    @cached_property
+    def long_links(self) -> LongLinkRows:
+        """``long_links[i]``: peer ``i``'s long-range neighbours, a view of its CSR row."""
+        csr = self.adjacency
+        return LongLinkRows(csr.indices, csr.long_start, csr.indptr[1:])
+
     def neighbor_indices(self, idx: int) -> tuple[int, ...]:
         """Return the ring/interval neighbour indices of peer ``idx``.
 
-        On the interval the two endpoint peers have a single neighbour;
-        on the ring everyone has exactly two (for ``n >= 3``).
+        The slots of its CSR row before ``long_start``: on the interval
+        the two endpoint peers have a single neighbour; on the ring
+        everyone has exactly two (for ``n >= 3``).
         """
-        n = self.n
-        if n <= 1:
-            return ()
-        if self.space.is_ring:
-            left = (idx - 1) % n
-            right = (idx + 1) % n
-            return (left, right) if left != right else (left,)
-        out = []
-        if idx > 0:
-            out.append(idx - 1)
-        if idx < n - 1:
-            out.append(idx + 1)
-        return tuple(out)
+        csr = self.adjacency
+        return tuple(csr.indices[csr.indptr[idx] : csr.long_start[idx]].tolist())
 
     def out_links(self, idx: int) -> np.ndarray:
         """Return all outgoing edges of peer ``idx`` (neighbours + long links)."""
-        return np.concatenate(
-            [np.asarray(self.neighbor_indices(idx), dtype=np.int64), self.long_links[idx]]
-        )
-
-    @property
-    def adjacency(self) -> "CSRAdjacency":
-        """The graph's flat CSR edge set (built lazily, cached forever).
-
-        Graphs are immutable snapshots — every damage/churn helper builds
-        a new instance — so the cache never needs invalidation.
-        """
-        csr = self.__dict__.get("_adjacency")
-        if csr is None:
-            from repro.core.adjacency import build_csr
-
-            csr = build_csr(self)
-            self.__dict__["_adjacency"] = csr
-        return csr
+        return self.adjacency.row(idx)
 
     def out_degrees(self) -> np.ndarray:
         """Return the per-peer total outdegree (neighbour + long links)."""
@@ -234,10 +207,7 @@ class SmallWorldGraph:
 
     def long_degrees(self) -> np.ndarray:
         """Return the per-peer number of long links, as an int64 array."""
-        rows = self.long_links
-        if isinstance(rows, LongLinkRows):
-            return rows.lengths()
-        return np.fromiter((len(links) for links in rows), dtype=np.int64, count=self.n)
+        return self.adjacency.long_degrees()
 
     # ------------------------------------------------------------------
     # key handling
@@ -270,7 +240,7 @@ class SmallWorldGraph:
         """
         positions = self.normalized_ids if normalized else self.ids
         csr = self.adjacency
-        mask = csr.is_long
+        mask = csr.long_mask()
         sources = csr.edge_sources()[mask]
         targets = csr.indices[mask]
         return np.asarray(

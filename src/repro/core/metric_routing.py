@@ -1187,7 +1187,9 @@ class StreamFrontier:
         if total >= 2 * steps * w + _SEARCH_MIN_CANDIDATES and self._search_exact():
             best, slot = self._search(frontier, starts, degrees, max_degree)
             improves = best < self.current_score[frontier]
-            return self._commit(frontier, improves, slot[improves], best[improves])
+            return self._commit(
+                frontier, cur, improves, slot[improves], best[improves]
+            )
 
         # Walks with no candidates at all never reach the metric: they
         # retire as stuck below, and excluding them keeps every reduceat
@@ -1293,7 +1295,7 @@ class StreamFrontier:
             improves = np.zeros(w, dtype=bool)
             improves[sub] = improves_sub
         picked = choice[improves_sub]
-        return self._commit(frontier, improves, slots[picked], scores[picked])
+        return self._commit(frontier, cur, improves, slots[picked], scores[picked])
 
     def _search_exact(self) -> bool:
         """Whether search rounds pick exactly what linear rounds would.
@@ -1415,14 +1417,17 @@ class StreamFrontier:
     def _commit(
         self,
         frontier: np.ndarray,
+        cur: np.ndarray,
         improves: np.ndarray,
         slot: np.ndarray,
         score: np.ndarray,
     ) -> list[np.ndarray]:
         """Finish a round; return the cohorts it retired.
 
-        ``frontier[improves]`` step over CSR edges ``slot``, whose
-        targets' scores are ``score``; the rest of ``frontier`` is stuck.
+        ``frontier[improves]`` step from nodes ``cur[improves]`` over CSR
+        edges ``slot``, whose targets' scores are ``score``; the rest of
+        ``frontier`` is stuck.  A step is long when its slot lies at or
+        past its row's ``long_start``.
         """
         retired: list[np.ndarray] = []
         stuck = frontier[~improves]
@@ -1434,7 +1439,7 @@ class StreamFrontier:
         movers = frontier[improves]
         if movers.size:
             chosen = self.csr.indices[slot]
-            chosen_long = self.csr.is_long[slot]
+            chosen_long = slot >= self.csr.long_start[cur[improves]]
             self.current[movers] = chosen
             if self.metric.greedy:
                 self.current_score[movers] = score

@@ -63,7 +63,7 @@ def run_e13(seed: int = 0, quick: bool = False) -> ResultTable:
             variant=name,
             hops=stats.mean_hops,
             p95=stats.p95_hops,
-            links=float(np.mean([len(l) for l in graph.long_links])),
+            links=float(graph.long_degrees().mean()),
             success=stats.success_rate,
         )
         return stats
@@ -105,7 +105,7 @@ def run_e13(seed: int = 0, quick: bool = False) -> ResultTable:
         variant="NoN lookahead routing [ref 10]",
         hops=float(np.mean(hops)),
         p95=float(np.percentile(hops, 95)),
-        links=float(np.mean([len(l) for l in baseline_graph.long_links])),
+        links=float(baseline_graph.long_degrees().mean()),
         success=1.0,
     )
 

@@ -70,7 +70,7 @@ def run_e10(seed: int = 0, quick: bool = False) -> ResultTable:
         p95=offline_stats.p95_hops,
         success=offline_stats.success_rate,
         join_hops=float("nan"),
-        links=float(np.mean([len(l) for l in offline.long_links])),
+        links=float(offline.long_degrees().mean()),
     )
 
     known_net, known_receipts = bootstrap_network(dist, n, rng, protocol="known")

@@ -3,7 +3,10 @@
 The paper's load-balancing goal (Section 4.1) is a *balanced number of
 data objects per peer irrespective of the key distribution*.  These
 metrics quantify a key→peer assignment: per-peer key counts, the Gini
-coefficient, the max/mean ratio and the coefficient of variation.
+coefficient, the max/mean ratio and the coefficient of variation.  A
+key's owner is the one every router and the route cache resolve:
+:func:`repro.keyspace.nearest_indices` (closest identifier, ties to the
+lower one, wrapping on the ring).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.keyspace import IntervalSpace, KeySpace
+from repro.keyspace import IntervalSpace, KeySpace, nearest_indices
 
 __all__ = ["storage_loads", "gini", "LoadSummary", "summarize_loads"]
 
@@ -21,6 +24,10 @@ def storage_loads(
     peer_ids: np.ndarray, keys: np.ndarray, space: KeySpace | None = None
 ) -> np.ndarray:
     """Count the keys owned by each peer (closest-identifier ownership).
+
+    ``np.bincount`` of :func:`repro.keyspace.nearest_indices`, the owner
+    rule routing uses, so a key on a midpoint between two peers counts
+    for the lower one.
 
     Args:
         peer_ids: sorted peer identifiers.
@@ -39,26 +46,10 @@ def storage_loads(
     n = len(peer_ids)
     if n == 0:
         raise ValueError("need at least one peer")
-    if len(keys) == 0:
-        return np.zeros(n, dtype=np.int64)
     if np.any(np.diff(peer_ids) < 0):
         raise ValueError("peer_ids must be sorted")
-    # Ownership boundaries are the midpoints between consecutive peers.
-    mids = 0.5 * (peer_ids[1:] + peer_ids[:-1])
-    owners = np.searchsorted(mids, keys, side="right")
-    if space.is_ring:
-        # On the ring, keys beyond the outermost midpoints may wrap to the
-        # other end; resolve those boundary keys exactly.
-        first, last = float(peer_ids[0]), float(peer_ids[-1])
-        boundary = (keys < float(mids[0]) if n > 1 else np.ones(len(keys), bool)) | (
-            keys >= float(mids[-1]) if n > 1 else np.ones(len(keys), bool)
-        )
-        for i in np.flatnonzero(boundary):
-            d_first = space.distance(float(keys[i]), first)
-            d_last = space.distance(float(keys[i]), last)
-            owners[i] = 0 if d_first <= d_last else n - 1
-    counts = np.bincount(owners, minlength=n)
-    return counts.astype(np.int64)
+    owners = nearest_indices(peer_ids, keys, space)
+    return np.bincount(owners, minlength=n).astype(np.int64)
 
 
 def gini(values: np.ndarray) -> float:

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.loadbalance.metrics import storage_loads
+from repro.keyspace import IntervalSpace, nearest_indices
 
 __all__ = ["RebalanceResult", "rebalance_reorder"]
+
+_SPACE = IntervalSpace()
 
 
 @dataclass
@@ -42,6 +44,27 @@ class RebalanceResult:
     converged: bool
 
 
+def _owned_ranges(peer_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``bounds`` such that peer ``i`` owns ``keys[bounds[i]:bounds[i + 1]]``.
+
+    Owners (:func:`~repro.keyspace.nearest_indices` on the interval)
+    never decrease along the sorted ``keys``, so every peer's first key
+    is found by one bisection; the peers bisect together, one
+    ``nearest_indices`` call over ``n`` probe keys per step.
+    """
+    n, m = len(peer_ids), len(keys)
+    peers = np.arange(n)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, m, dtype=np.int64)
+    while np.any(lo < hi):
+        active = lo < hi
+        mid = (lo + hi) // 2
+        below = nearest_indices(peer_ids, keys[np.minimum(mid, m - 1)], _SPACE) < peers
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return np.append(lo, m)
+
+
 def _ratio(loads: np.ndarray) -> float:
     """Max over min load ratio, with +1 smoothing against empty peers."""
     return float((loads.max() + 1.0) / (loads.min() + 1.0))
@@ -57,9 +80,12 @@ def rebalance_reorder(
 
     One move: the globally lightest peer leaves (its keys merge into a
     neighbour's range) and re-inserts at the median key of the heaviest
-    peer's range, halving that peer's load.  This is the deterministic
-    core of Ganesan et al.'s *reorder* operation; with a constant
-    threshold it needs O(n log n) moves from any initial placement.
+    peer's keys, halving that peer's load.  Keys are owned as
+    :func:`~repro.loadbalance.storage_loads` counts them (the routers'
+    :func:`~repro.keyspace.nearest_indices` rule, on the interval).
+    This is the deterministic core of Ganesan et al.'s *reorder*
+    operation; with a constant threshold it needs O(n log n) moves from
+    any initial placement.
 
     Args:
         peer_ids: initial sorted peer identifiers.
@@ -82,18 +108,12 @@ def rebalance_reorder(
     if max_moves is None:
         max_moves = 8 * n
     moves = 0
-    loads = storage_loads(peer_ids, keys)
+    bounds = _owned_ranges(peer_ids, keys)
+    loads = np.diff(bounds)
     while _ratio(loads) > threshold and moves < max_moves:
         lightest = int(np.argmin(loads))
         heaviest = int(np.argmax(loads))
-        # Keys currently owned by the heaviest peer (midpoint boundaries).
-        lo = 0.5 * (peer_ids[heaviest - 1] + peer_ids[heaviest]) if heaviest > 0 else 0.0
-        hi = (
-            0.5 * (peer_ids[heaviest] + peer_ids[heaviest + 1])
-            if heaviest < n - 1
-            else 1.0
-        )
-        owned = keys[(keys >= lo) & (keys < hi)]
+        owned = keys[bounds[heaviest] : bounds[heaviest + 1]]
         if len(owned) < 2:
             break  # cannot split a near-empty range further
         split_at = float(np.median(owned))
@@ -102,7 +122,8 @@ def rebalance_reorder(
             split_at = np.nextafter(split_at, 1.0)
         new_ids = np.delete(peer_ids, lightest)
         peer_ids = np.sort(np.append(new_ids, split_at))
-        loads = storage_loads(peer_ids, keys)
+        bounds = _owned_ranges(peer_ids, keys)
+        loads = np.diff(bounds)
         moves += 1
     final = _ratio(loads)
     return RebalanceResult(

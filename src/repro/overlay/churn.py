@@ -6,7 +6,9 @@ worst poly-logarithmic given we have at least one long-range link and
 the neighboring links intact"):
 
 * *static failure injection* on snapshot graphs —
-  :func:`drop_long_links` removes a fraction of long-range edges,
+  :func:`drop_long_links` removes a fraction of long-range edges (one
+  draw over the CSR's long slots, rebuilt through
+  :meth:`SmallWorldGraph.from_flat_links`),
   :func:`kill_peers` marks a fraction of peers dead (routing then runs
   with the liveness mask) — the controlled setting of experiment E9;
 * *dynamic churn* on live networks — :func:`run_churn` alternates
@@ -53,17 +55,23 @@ def drop_long_links(
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    new_links = []
-    for links in graph.long_links:
-        if len(links) == 0 or fraction == 0.0:
-            new_links.append(links.copy())
-            continue
-        keep = rng.random(len(links)) >= fraction
-        new_links.append(links[keep])
-    return SmallWorldGraph(
-        ids=graph.ids.copy(),
-        normalized_ids=graph.normalized_ids.copy(),
-        long_links=new_links,
+    csr = graph.adjacency
+    flat = csr.indices[csr.long_mask()]
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(csr.long_degrees(), out=indptr[1:])
+    if fraction > 0.0:
+        # One draw over every long link in row order: the same numbers,
+        # leaving the same generator state, as one draw per row.
+        keep = rng.random(len(flat)) >= fraction
+        kept_before = np.zeros(len(flat) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        indptr = kept_before[indptr]
+        flat = flat[keep]
+    return SmallWorldGraph.from_flat_links(
+        graph.ids.copy(),
+        graph.normalized_ids.copy(),
+        indptr,
+        flat,
         space=graph.space,
         normalize=graph.normalize,
         model=graph.model,

@@ -248,7 +248,7 @@ class Network:
         net._link_hint = np.full((n, width), -1, dtype=np.int32)
         if counts.any():
             # Row i is slab row i, so a target's index is also its hint.
-            flat = csr.indices[csr.is_long]
+            flat = csr.indices[csr.long_mask()]
             lane = np.arange(width)[None, :] < counts[:, None]
             net._link_tg[lane] = ids[flat]
             net._link_hint[lane] = flat

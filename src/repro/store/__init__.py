@@ -9,7 +9,9 @@ routing through the same CSR + metric frontier contract the live
 graph exposes.
 
 * :func:`save_graph` / :func:`load_graph` — :class:`SmallWorldGraph`
-  snapshots (identifier vectors + flat CSR edge set).
+  snapshots (identifier vectors + the CSR's ``indptr``/``indices``;
+  format version 2 stores no neighbour/long flags, the load derives
+  each row's split from ``n`` and the key space).
 * :class:`StoreError` — every failure mode (missing, corrupt,
   truncated, version/kind mismatch) surfaces as this one exception.
 """

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "repro-store"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ARRAY_DIR = "arrays"
 _MANIFEST = "manifest.json"

@@ -1,7 +1,12 @@
 """Persist and reload :class:`SmallWorldGraph` snapshots.
 
-:func:`save_graph` writes the graph's identifier vectors and its full
-CSR edge set; :func:`load_graph` maps them back read-only without
+:func:`save_graph` writes four arrays: the graph's identifier vectors
+(``ids``, ``normalized_ids``) and its CSR edge set (``indptr``,
+``indices``).  The neighbour/long split is not stored: every graph row
+starts with its ring/interval neighbours (:mod:`repro.core.adjacency`),
+so :func:`load_graph` derives each row's ``long_start`` from ``n`` and
+the key space, and a snapshot cannot carry a second, disagreeing copy
+of it.  :func:`load_graph` maps the arrays back read-only without
 rebuilding anything — the CSR arrays come straight off disk, the
 per-peer ``long_links`` rows are a lazy
 :class:`~repro.core.graph.LongLinkRows` sequence of slices into the
@@ -30,7 +35,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.core.adjacency import CSRAdjacency, neighbor_counts
-from repro.core.graph import LongLinkRows, SmallWorldGraph
+from repro.core.graph import SmallWorldGraph
 from repro.keyspace import IntervalSpace, RingSpace, check_peer_ids
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
 
@@ -47,15 +52,18 @@ def space_from_name(name: str):
     return cls()
 
 
-def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> None:
-    """Reject row pointers or identifiers a router would silently misread.
+def _long_start(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> np.ndarray:
+    """Check the row pointers and identifiers; return each row's ``long_start``.
 
     The row pointers need ``n + 1`` entries, starting at 0, never
-    decreasing.  Every row must start with its ring/interval neighbours
-    (the lazy ``long_links`` rows skip exactly that many slots), so a
-    row shorter than its neighbour count is as corrupt as a decreasing
-    pointer.  The ids follow the builder's rule
-    (:func:`repro.keyspace.check_peer_ids`).
+    decreasing.  Every row starts with its ring/interval neighbours, so
+    its long links begin that many slots in, and a row shorter than its
+    neighbour count is as corrupt as a decreasing pointer.  The ids
+    follow the builder's rule (:func:`repro.keyspace.check_peer_ids`).
+
+    Raises:
+        StoreError: for row pointers or identifiers a router would
+            silently misread.
     """
     if len(indptr) != len(ids) + 1:
         raise StoreError("indptr must have one entry per peer plus one")
@@ -64,24 +72,29 @@ def _check_graph_arrays(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> N
     degrees = np.diff(indptr)
     if np.any(degrees < 0):
         raise StoreError("indptr must be non-decreasing")
-    if np.any(degrees < neighbor_counts(len(ids), is_ring)):
+    nbr_counts = neighbor_counts(len(ids), is_ring)
+    if np.any(degrees < nbr_counts):
         raise StoreError("a row is shorter than its ring/interval neighbour count")
     try:
         check_peer_ids(ids)
     except ValueError as exc:
         raise StoreError(str(exc)) from exc
+    return indptr[:-1] + nbr_counts
 
 
 def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:
     """Write ``graph`` as a versioned snapshot directory.
 
-    Persists the identifier vectors and the flattened CSR edge set (the
-    complete routing state); ``normalize`` callables are deliberately
-    not serialised (see module docstring).
+    Persists the identifier vectors and the CSR's ``indptr`` and
+    ``indices`` (the complete routing state; the neighbour/long split is
+    derived on load); ``normalize`` callables are deliberately not
+    serialised (see module docstring).
 
     Raises:
         StoreError: for a key space outside the shipped interval/ring
-            geometries.
+            geometries, or rows whose long links do not begin right
+            after their ring/interval neighbours (a split the load could
+            not derive back).
     """
     from repro import telemetry
 
@@ -90,6 +103,12 @@ def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:
             f"cannot persist graphs over key space {graph.space.name!r}"
         )
     csr = graph.adjacency
+    nbr_counts = neighbor_counts(graph.n, graph.space.is_ring)
+    if not np.array_equal(csr.long_start - csr.indptr[:-1], nbr_counts):
+        raise StoreError(
+            "cannot persist rows whose long links do not start after their "
+            "ring/interval neighbours"
+        )
     with telemetry.time_block("store.save_graph"):
         write_snapshot(
             path,
@@ -105,7 +124,6 @@ def save_graph(graph: SmallWorldGraph, path: str | os.PathLike) -> None:
                 "normalized_ids": graph.normalized_ids,
                 "indptr": csr.indptr,
                 "indices": csr.indices,
-                "is_long": csr.is_long,
             },
         )
 
@@ -135,19 +153,19 @@ def load_graph(
         payload = manifest["payload"]
         arrays = open_arrays(path, manifest)
     space = space_from_name(payload["space"])
-    _check_graph_arrays(arrays["ids"], arrays["indptr"], space.is_ring)
+    long_start = _long_start(arrays["ids"], arrays["indptr"], space.is_ring)
     try:
         csr = CSRAdjacency(
             indptr=arrays["indptr"],
             indices=arrays["indices"],
-            is_long=arrays["is_long"],
+            long_start=long_start,
         )
     except ValueError as exc:
         raise StoreError(f"corrupt edge arrays: {exc}") from exc
     graph = SmallWorldGraph(
         ids=arrays["ids"],
         normalized_ids=arrays["normalized_ids"],
-        long_links=LongLinkRows.from_csr(csr, space.is_ring),
+        adjacency=csr,
         space=space,
         normalize=normalize,
         model=payload["model"],
@@ -158,5 +176,4 @@ def load_graph(
     # file backing (shape/dtype/data are identical either way).
     graph.ids = arrays["ids"]
     graph.normalized_ids = arrays["normalized_ids"]
-    graph.__dict__["_adjacency"] = csr
     return graph

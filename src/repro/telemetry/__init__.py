@@ -10,9 +10,8 @@ JSONL / Prometheus-text exports (:mod:`~repro.telemetry.export`).
 Disabled by default, and **cheap** when disabled: every module-level
 helper reads one module global and returns — no registry lookups, no
 allocation.  Enable per process with :func:`enable` (optionally with a
-streaming JSONL sink), via the CLI's ``--telemetry`` flag, or by
-exporting ``REPRO_TELEMETRY=1`` (any other non-empty value is taken as
-a JSONL path).  The gate in ``benchmarks/bench_telemetry.py`` holds
+streaming JSONL sink) or via the CLI's ``--telemetry[=PATH]`` flag.
+The gate in ``benchmarks/bench_telemetry.py`` holds
 *enabled* batch routing within 5% of disabled throughput at n=1e5.
 
 Instrumented call sites use the helpers directly::
@@ -71,14 +70,9 @@ __all__ = [
     "TraceEvent",
     "QUANTILE_PROBS",
     "DEFAULT_TRACE_CAP",
-    "ENV_TELEMETRY",
     "export",
     "tracing",
 ]
-
-#: Environment opt-in: ``1``/``true``/``yes``/``on`` enables, any other
-#: non-empty value enables *and* streams events to that path as JSONL.
-ENV_TELEMETRY = "REPRO_TELEMETRY"
 
 #: The active registry, or ``None`` when telemetry is disabled.  Module
 #: helpers check this one global and return immediately when unset —
@@ -220,16 +214,3 @@ def summary_table() -> str:
     if _ACTIVE is None:
         raise RuntimeError("telemetry is disabled; call telemetry.enable() first")
     return _summary_table(_ACTIVE)
-
-
-def _env_opt_in() -> None:
-    raw = os.environ.get(ENV_TELEMETRY, "").strip()
-    if not raw or raw == "0" or raw.lower() in ("false", "no", "off"):
-        return
-    if raw == "1" or raw.lower() in ("true", "yes", "on"):
-        enable()
-    else:
-        enable(jsonl=raw)
-
-
-_env_opt_in()

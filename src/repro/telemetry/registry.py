@@ -110,16 +110,6 @@ class Timer:
         if other.max > self.max:
             self.max = other.max
 
-    def state(self) -> tuple:
-        """Serializable ``(count, total, min, max)`` snapshot."""
-        return (self.count, self.total, self.min, self.max)
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "Timer":
-        timer = cls()
-        timer.count, timer.total, timer.min, timer.max = state
-        return timer
-
     def __repr__(self) -> str:
         return (
             f"Timer(count={self.count}, total={self.total:.6f}, "
@@ -209,14 +199,8 @@ class Histogram:
         self._add_counts(other.counts)
 
     def state(self) -> tuple:
-        """Serializable, comparable snapshot: the counts."""
+        """Comparable snapshot: the counts."""
         return tuple(int(c) for c in self.counts)
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "Histogram":
-        histogram = cls()
-        histogram.counts = np.asarray(state, dtype=np.int64)
-        return histogram
 
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, max={len(self.counts) - 1})"

@@ -290,8 +290,9 @@ def build_per_peer(
     The reference for :func:`repro.core.build_from_positions`: same
     out-degree, cutoff, space, dedupe, retry and ``bidirectional``
     settings from ``config`` (whose ``sampler`` field is ignored), with
-    ``kind`` naming the per-peer sampler.  The graph assembles its CSR
-    lazily from ``long_links``, as it did before the bulk engine.
+    ``kind`` naming the per-peer sampler.  The per-peer rows are joined
+    into flat rows and the graph assembles its CSR from them, as every
+    builder's graph does.
     """
     config = config or GraphConfig()
     order = np.argsort(np.asarray(ids, dtype=float), kind="stable")
@@ -304,33 +305,23 @@ def build_per_peer(
     long_links = [
         sampler.sample(normalized_ids, i, k, cutoff, config.space, rng) for i in range(n)
     ]
+    counts = np.fromiter((len(links) for links in long_links), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    flat = np.concatenate([np.asarray(links, dtype=np.int64) for links in long_links])
     if config.bidirectional:
-        long_links = _symmetrize(long_links, n)
-    return SmallWorldGraph(
-        ids=ids,
-        normalized_ids=normalized_ids,
-        long_links=long_links,
+        # Install the reverse of every long link (deduplicated, self-free).
+        sources = np.repeat(np.arange(n, dtype=np.int64), counts)
+        indptr, flat = symmetrize_flat(sources, flat, n)
+    return SmallWorldGraph.from_flat_links(
+        ids,
+        normalized_ids,
+        indptr,
+        flat,
         space=config.space,
+        model="uniform",
         cutoff_mass=cutoff,
     )
-
-
-def _symmetrize(long_links: list[np.ndarray], n: int) -> LongLinkRows:
-    """Install the reverse of every long link (deduplicated, self-free).
-
-    Vectorized CSR transpose-merge: concatenate the edge list with its
-    transpose, key-sort and unique into flat rows, viewed per peer — no
-    per-edge Python loop, so ``bidirectional=True`` stays cheap at scale.
-    """
-    counts = np.fromiter((len(links) for links in long_links), dtype=np.int64, count=n)
-    sources = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if int(counts.sum()):
-        targets = np.concatenate(
-            [np.asarray(links, dtype=np.int64) for links in long_links]
-        )
-    else:
-        targets = np.empty(0, dtype=np.int64)
-    return LongLinkRows.from_indptr(*symmetrize_flat(sources, targets, n))
 
 
 # ----------------------------------------------------------------------

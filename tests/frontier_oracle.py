@@ -72,7 +72,7 @@ def _one_walk(state: PreparedTargets, walk: int) -> PreparedTargets:
 
 def oracle_walk(csr, metric, state, walk, source, alive=None, max_hops=None):
     """Route walk ``walk`` of a prepared batch from ``source`` (module doc)."""
-    indptr, indices, is_long = csr.indptr, csr.indices, csr.is_long
+    indptr, indices, long_start = csr.indptr, csr.indices, csr.long_start
     max_hops = csr.n if max_hops is None else max_hops
     mine = _one_walk(state, walk)
     node = int(source)
@@ -108,9 +108,10 @@ def oracle_walk(csr, metric, state, walk, source, alive=None, max_hops=None):
         else:
             out.reason = REASON_STUCK
             return out
+        long_hop = slots[pick] >= long_start[node]
         node = int(candidates[pick])
         out.hops += 1
-        if is_long[slots[pick]]:
+        if long_hop:
             out.long_hops += 1
         else:
             out.neighbor_hops += 1

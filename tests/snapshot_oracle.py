@@ -34,7 +34,7 @@ def dangling_count(net) -> int:
 
 
 def snapshot_arrays(net) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(ids, indptr, indices, is_long)`` of ``net``'s snapshot, by search only."""
+    """``(ids, indptr, indices, long_start)`` of ``net``'s snapshot, by search only."""
     ids = net.ids_array().copy()
     n = len(ids)
     targets, sources = _live_rows(net)
@@ -46,15 +46,12 @@ def snapshot_arrays(net) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(nbr_counts + long_counts, out=indptr[1:])
     indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    is_long = np.zeros(len(indices), dtype=bool)
+    long_start = indptr[:-1] + nbr_counts
     nbr_slots = np.repeat(indptr[:-1], nbr_counts) + segment_offsets(nbr_counts)
-    long_slots = (
-        np.repeat(indptr[:-1] + nbr_counts, long_counts) + segment_offsets(long_counts)
-    )
+    long_slots = np.repeat(long_start, long_counts) + segment_offsets(long_counts)
     indices[nbr_slots] = nbr_flat
     indices[long_slots] = long_flat
-    is_long[long_slots] = True
-    return ids, indptr, indices, is_long
+    return ids, indptr, indices, long_start
 
 
 def assert_snapshot_matches(net, snap=None) -> None:
@@ -63,7 +60,7 @@ def assert_snapshot_matches(net, snap=None) -> None:
     snap = net.snapshot() if snap is None else snap
     csr = snap.adjacency
     expected = snapshot_arrays(net)
-    for got, want in zip((snap.ids, csr.indptr, csr.indices, csr.is_long), expected):
+    for got, want in zip((snap.ids, csr.indptr, csr.indices, csr.long_start), expected):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert net.dangling_link_count() == dangling_count(net)

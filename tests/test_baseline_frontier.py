@@ -324,8 +324,7 @@ class TestFrontierContract:
         for i in (0, 17, n - 1):
             row = csr.row(i)
             assert row[0] == (i - 1) % n and row[1] == (i + 1) % n
-            assert not csr.row_is_long(i)[:2].any()
-            assert csr.row_is_long(i)[2:].all()
+            assert csr.long_start[i] == csr.indptr[i] + 2
 
     def test_measurement_paths_share_workloads(self, rng):
         """Same seed => the batch measurement sees the drawn pairs, and its

@@ -13,10 +13,13 @@ import pytest
 import route_oracle
 
 from repro.core import (
+    CSRAdjacency,
     GraphConfig,
+    SmallWorldGraph,
     build_skewed_model,
     build_uniform_model,
     greedy_route,
+    metric_routing,
     route_many,
     sample_batch,
     sample_routes,
@@ -88,6 +91,30 @@ class TestScalarEquivalence:
                 graph, batch, sources, keys, max_hops=budget
             )
             assert (batch.hops <= budget).all()
+
+    @pytest.mark.parametrize("round_kind", ["linear", "search"])
+    def test_hop_split_under_random_row_boundaries(self, rng, round_kind, monkeypatch):
+        """The kernel counts a hop as long exactly when the oracle's row
+        split does, wherever each row's boundary lies: the same rows and
+        paths, a different neighbour/long split."""
+        graph = build_uniform_model(n=400, rng=rng, config=GraphConfig(bidirectional=True))
+        csr = graph.adjacency
+        long_start = rng.integers(csr.indptr[:-1], csr.indptr[1:], endpoint=True)
+        moved = SmallWorldGraph(
+            graph.ids,
+            graph.normalized_ids,
+            CSRAdjacency(csr.indptr, csr.indices, long_start),
+            graph.space,
+        )
+        if round_kind == "search":
+            monkeypatch.setattr(metric_routing, "_SEARCH_MIN_CANDIDATES", -(1 << 62))
+        sources = rng.integers(graph.n, size=200)
+        keys = rng.random(200)
+        batch = route_many(moved, sources, keys, record_paths=True)
+        _assert_matches_scalar(moved, batch, sources, keys)
+        intact = route_many(graph, sources, keys, record_paths=True)
+        assert batch.paths == intact.paths
+        assert (batch.long_hops != intact.long_hops).any()
 
     def test_negative_hop_budget_rejected(self, rng):
         graph = build_uniform_model(n=512, rng=rng)

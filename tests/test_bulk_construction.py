@@ -13,9 +13,9 @@ from builder_oracle import ExactSampler, FastSampler, build_per_peer, make_sampl
 
 from repro.analysis import ks_two_sample
 from repro.core import (
+    CSRAdjacency,
     GraphConfig,
     SmallWorldGraph,
-    build_csr,
     build_from_positions,
     build_skewed_model,
     build_uniform_model,
@@ -218,16 +218,22 @@ class TestBulkScalarEquivalence:
 class TestDirectCSRAssembly:
     def test_graph_born_with_adjacency(self, rng):
         graph = build_uniform_model(n=512, rng=rng)
-        assert "_adjacency" in graph.__dict__
+        assert isinstance(graph.__dict__["adjacency"], CSRAdjacency)
 
     def test_cached_csr_equals_rebuilt(self, rng):
+        """The CSR rebuilt from the graph's long-link rows is the CSR."""
         for config in (GraphConfig(), GraphConfig(space=RingSpace())):
             graph = build_uniform_model(n=512, rng=rng, config=config)
             cached = graph.adjacency
-            fresh = build_csr(graph)
+            indptr = np.zeros(graph.n + 1, dtype=np.int64)
+            np.cumsum(graph.long_degrees(), out=indptr[1:])
+            flat = np.concatenate(list(graph.long_links))
+            fresh = SmallWorldGraph.from_flat_links(
+                graph.ids, graph.normalized_ids, indptr, flat, space=config.space
+            ).adjacency
             assert np.array_equal(cached.indptr, fresh.indptr)
             assert np.array_equal(cached.indices, fresh.indices)
-            assert np.array_equal(cached.is_long, fresh.is_long)
+            assert np.array_equal(cached.long_start, fresh.long_start)
 
     def test_from_flat_links_views(self, rng):
         ids = np.sort(rng.random(8))
@@ -236,12 +242,6 @@ class TestDirectCSRAssembly:
         graph = SmallWorldGraph.from_flat_links(ids, ids.copy(), indptr, flat)
         assert [l.tolist() for l in graph.long_links[:3]] == [[2, 3], [], [0]]
         assert graph.adjacency.n == 8
-
-    def test_scalar_path_has_no_precached_adjacency(self, rng):
-        ids = np.sort(rng.random(64))
-        graph = build_per_peer(ids, ids.copy(), rng, kind="fast")
-        assert "_adjacency" not in graph.__dict__
-        assert graph.adjacency.n == 64  # lazy build still works
 
 
 class TestSymmetrize:

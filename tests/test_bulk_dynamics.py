@@ -171,7 +171,7 @@ class OverlayParityMachine(RuleBasedStateMachine):
         assert net.dangling_link_count() == ref.dangling_link_count()
         assert net.mean_long_degree() == ref.mean_long_degree()
         got, want = net.snapshot().adjacency, ref.snapshot().adjacency
-        for column in ("indptr", "indices", "is_long"):
+        for column in ("indptr", "indices", "long_start"):
             assert np.array_equal(getattr(got, column), getattr(want, column))
         probe = np.random.default_rng(self.checks)
         self.checks += 1

@@ -6,10 +6,18 @@ import pytest
 from repro.core import (
     CSRAdjacency,
     GraphConfig,
-    build_csr,
     build_uniform_model,
 )
 from repro.keyspace import IntervalSpace, RingSpace
+
+
+def _expected_neighbors(graph, i):
+    """Peer ``i``'s ring/interval neighbours, left before right."""
+    n = graph.n
+    if not graph.space.is_ring:
+        return [j for j in (i - 1, i + 1) if 0 <= j < n]
+    left, right = (i - 1) % n, (i + 1) % n
+    return [] if n == 1 else [left] if left == right else [left, right]
 
 
 def _graphs_for(rng):
@@ -28,28 +36,31 @@ def _graphs_for(rng):
 
 class TestBuildCSR:
     def test_rows_match_out_links_order(self, rng):
-        """Each CSR row = neighbour_indices order, then long links in order."""
+        """Each CSR row = ring/interval neighbours, then long links in order."""
         for graph in _graphs_for(rng):
             csr = graph.adjacency
             for i in range(graph.n):
-                expected = list(graph.neighbor_indices(i)) + [
+                expected = _expected_neighbors(graph, i) + [
                     int(j) for j in graph.long_links[i]
                 ]
                 assert csr.row(i).tolist() == expected, (graph, i)
+                assert list(graph.neighbor_indices(i)) == _expected_neighbors(graph, i)
 
-    def test_is_long_flags(self, rng):
+    def test_long_start_after_neighbours(self, rng):
         for graph in _graphs_for(rng):
             csr = graph.adjacency
+            mask = csr.long_mask()
             for i in range(graph.n):
-                n_nbrs = len(graph.neighbor_indices(i))
-                flags = csr.row_is_long(i)
+                n_nbrs = len(_expected_neighbors(graph, i))
+                assert csr.long_start[i] == csr.indptr[i] + n_nbrs
+                flags = mask[csr.indptr[i] : csr.indptr[i + 1]]
                 assert not flags[:n_nbrs].any()
                 assert flags[n_nbrs:].all()
 
     def test_edge_totals(self, rng):
         for graph in _graphs_for(rng):
             csr = graph.adjacency
-            assert int(csr.is_long.sum()) == graph.total_long_links()
+            assert int(csr.long_mask().sum()) == graph.total_long_links()
             assert csr.n == graph.n
             assert csr.n_edges == int(csr.indptr[-1])
 
@@ -63,29 +74,55 @@ class TestBuildCSR:
     def test_cached_once_per_graph(self, rng):
         graph = build_uniform_model(n=30, rng=rng)
         assert graph.adjacency is graph.adjacency
-        rebuilt = build_csr(graph)
-        assert rebuilt is not graph.adjacency
-        assert np.array_equal(rebuilt.indices, graph.adjacency.indices)
+        assert graph.long_links is graph.long_links
 
     def test_validation_rejects_garbage(self):
         with pytest.raises(ValueError):
             CSRAdjacency(
                 indptr=np.array([0, 2], dtype=np.int64),
                 indices=np.array([0], dtype=np.int64),
-                is_long=np.array([False]),
+                long_start=np.array([0]),
             )
         with pytest.raises(ValueError):
             CSRAdjacency(
                 indptr=np.array([0, 1], dtype=np.int64),
                 indices=np.array([5], dtype=np.int64),  # out of range for n=1
-                is_long=np.array([False]),
+                long_start=np.array([0]),
             )
+
+    @pytest.mark.parametrize(
+        "long_start", [[-1, 2, 3], [0, 1, 3], [3, 2, 3], [0, 4, 3], [0, 2, 4]]
+    )
+    def test_long_start_outside_its_row_is_rejected(self, long_start):
+        with pytest.raises(ValueError, match="long_start must lie inside its row"):
+            CSRAdjacency(
+                indptr=np.array([0, 2, 3, 3]),
+                indices=np.array([1, 2, 0]),
+                long_start=np.array(long_start),
+            )
+
+    def test_long_start_needs_one_entry_per_row(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            CSRAdjacency(
+                indptr=np.array([0, 2, 3, 3]),
+                indices=np.array([1, 2, 0]),
+                long_start=np.array([0, 2]),
+            )
+
+    def test_long_mask_and_degrees_follow_the_boundaries(self):
+        csr = CSRAdjacency(
+            indptr=np.array([0, 3, 3, 5, 6]),
+            indices=np.array([1, 2, 3, 0, 1, 2]),
+            long_start=np.array([1, 3, 5, 5]),
+        )
+        assert csr.long_mask().tolist() == [False, True, True, False, False, True]
+        assert csr.long_degrees().tolist() == [2, 0, 0, 1]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])
     def test_edge_targets_in_range_are_accepted(self, dtype):
         indices = np.array([0, 2, 1], dtype=dtype)
         csr = CSRAdjacency(
-            indptr=np.array([0, 2, 3, 3]), indices=indices, is_long=np.zeros(3, bool)
+            indptr=np.array([0, 2, 3, 3]), indices=indices, long_start=np.array([0, 2, 3])
         )
         assert csr.indices is indices
 
@@ -98,7 +135,7 @@ class TestBuildCSR:
             CSRAdjacency(
                 indptr=np.array([0, 2, 3, 3]),
                 indices=np.array([0, target, 1], dtype=dtype),
-                is_long=np.zeros(3, bool),
+                long_start=np.array([0, 2, 3]),
             )
 
     def test_edge_targets_must_be_integers(self):
@@ -106,7 +143,7 @@ class TestBuildCSR:
             CSRAdjacency(
                 indptr=np.array([0, 1], dtype=np.int64),
                 indices=np.array([0.0]),
-                is_long=np.array([False]),
+                long_start=np.array([0]),
             )
 
 

@@ -5,20 +5,25 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import GraphConfig, SmallWorldGraph, build_uniform_model
+from repro.core import CSRAdjacency, GraphConfig, SmallWorldGraph, build_uniform_model
 from repro.core.graph import LongLinkRows
 from repro.keyspace import IntervalSpace, RingSpace
 
 
 def make_graph(space=None, n=5):
     ids = np.linspace(0.1, 0.9, n)
-    links = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    links[0] = np.array([3], dtype=np.int64)
-    return SmallWorldGraph(
-        ids=ids,
-        normalized_ids=ids.copy(),
-        long_links=links,
-        space=space or IntervalSpace(),
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = 1  # peer 0's one long link
+    return SmallWorldGraph.from_flat_links(
+        ids, ids.copy(), indptr, np.array([3], dtype=np.int64), space=space
+    )
+
+
+def edgeless(n):
+    return CSRAdjacency(
+        indptr=np.zeros(n + 1, dtype=np.int64),
+        indices=np.empty(0, dtype=np.int64),
+        long_start=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -28,7 +33,7 @@ class TestConstruction:
             SmallWorldGraph(
                 ids=np.array([0.5, 0.2]),
                 normalized_ids=np.array([0.5, 0.2]),
-                long_links=[np.empty(0, int), np.empty(0, int)],
+                adjacency=edgeless(2),
             )
 
     def test_validates_matching_lengths(self):
@@ -36,15 +41,15 @@ class TestConstruction:
             SmallWorldGraph(
                 ids=np.array([0.1, 0.2]),
                 normalized_ids=np.array([0.1]),
-                long_links=[np.empty(0, int), np.empty(0, int)],
+                adjacency=edgeless(2),
             )
 
-    def test_validates_links_per_peer(self):
-        with pytest.raises(ValueError):
+    def test_validates_rows_per_peer(self):
+        with pytest.raises(ValueError, match="one row per peer"):
             SmallWorldGraph(
                 ids=np.array([0.1, 0.2]),
                 normalized_ids=np.array([0.1, 0.2]),
-                long_links=[np.empty(0, int)],
+                adjacency=edgeless(1),
             )
 
     def test_len_and_n(self):
@@ -69,11 +74,8 @@ class TestNeighbors:
 
     def test_two_peer_ring_single_neighbor(self):
         ids = np.array([0.2, 0.7])
-        graph = SmallWorldGraph(
-            ids=ids,
-            normalized_ids=ids.copy(),
-            long_links=[np.empty(0, int)] * 2,
-            space=RingSpace(),
+        graph = SmallWorldGraph.from_flat_links(
+            ids, ids.copy(), np.zeros(3, np.int64), np.empty(0, np.int64), RingSpace()
         )
         assert graph.neighbor_indices(0) == (1,)
 
@@ -187,5 +189,7 @@ class TestLongLinkRows:
         assert isinstance(graph.long_links, LongLinkRows)
         csr = graph.adjacency
         for i in (0, 1, 100, 199):
-            np.testing.assert_array_equal(graph.long_links[i], csr.row(i)[csr.row_is_long(i)])
-        assert graph.total_long_links() == int(csr.is_long.sum())
+            n_nbrs = 1 if i in (0, 199) and not space.is_ring else 2
+            np.testing.assert_array_equal(graph.long_links[i], csr.row(i)[n_nbrs:])
+        neighbour_edges = 2 * graph.n if space.is_ring else 2 * graph.n - 2
+        assert graph.total_long_links() == csr.n_edges - neighbour_edges

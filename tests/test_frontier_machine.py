@@ -66,7 +66,10 @@ def _random_csr(n, uniform, rng):
     degrees[rng.choice(np.arange(1, n), size=max(1, n // 8), replace=False)] = 0
     keep = np.repeat(degrees > 0, np.diff(csr.indptr))
     indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    return CSRAdjacency(indptr=indptr, indices=csr.indices[keep], is_long=csr.is_long[keep])
+    head = np.where(degrees > 0, csr.long_start - csr.indptr[:-1], 0)
+    return CSRAdjacency(
+        indptr=indptr, indices=csr.indices[keep], long_start=indptr[:-1] + head
+    )
 
 
 def _metric(kind, n, rng):

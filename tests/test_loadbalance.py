@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.distributions import PowerLaw, Uniform
-from repro.keyspace import RingSpace
+from repro.keyspace import IntervalSpace, RingSpace, nearest_indices
 from repro.loadbalance import (
     density_tracking_placement,
     gini,
@@ -15,6 +17,7 @@ from repro.loadbalance import (
     summarize_loads,
     uniform_placement,
 )
+from repro.loadbalance.rebalance import _owned_ranges
 
 
 class TestStorageLoads:
@@ -50,6 +53,43 @@ class TestStorageLoads:
     def test_rejects_unsorted_peers(self, rng):
         with pytest.raises(ValueError):
             storage_loads(np.array([0.7, 0.3]), rng.random(10))
+
+
+def _edge_keys(peers):
+    """Every midpoint between neighbouring peers (the ring's wrap
+    midpoint included), 0 and the float just below 1."""
+    mids = 0.5 * (peers[1:] + peers[:-1])
+    wrap = (0.5 * (peers[-1] + peers[0] + 1.0)) % 1.0
+    return np.concatenate([mids, [wrap, 0.0, np.nextafter(1.0, 0.0)]])
+
+
+class TestStorageOwnerRule:
+    """Storage loads count the owners every router resolves."""
+
+    @staticmethod
+    def _check(peers, keys):
+        for space in (IntervalSpace(), RingSpace()):
+            expected = np.bincount(nearest_indices(peers, keys, space), minlength=len(peers))
+            np.testing.assert_array_equal(storage_loads(peers, keys, space), expected)
+        # rebalance_reorder's owned ranges over sorted keys: the same owners.
+        bounds = _owned_ranges(peers, np.sort(keys))
+        np.testing.assert_array_equal(np.diff(bounds), storage_loads(peers, keys))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_midpoints_and_ends(self, n):
+        rng = np.random.default_rng(n)
+        peers = np.sort(rng.random(n))
+        self._check(peers, np.concatenate([_edge_keys(peers), rng.random(100)]))
+
+    @given(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12, unique=True
+        ),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    def test_equals_bincount_of_nearest_indices(self, peers, keys):
+        peers = np.sort(np.asarray(peers))
+        self._check(peers, np.concatenate([_edge_keys(peers), keys]))
 
 
 class TestGini:

@@ -59,7 +59,7 @@ def oracle_lookahead(graph, source, key, metric="key", max_hops=None):
             reason = "stuck"
             break
         pick = order[0]
-        long_hops += int(csr.is_long[row][pick])
+        long_hops += int(csr.indptr[node] + pick >= csr.long_start[node])
         node = int(cand[pick])
         path.append(node)
     hops = len(path) - 1

@@ -168,10 +168,7 @@ class TestSkewDegreeParity:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         indices = rng.integers(0, n, size=int(indptr[-1])).astype(np.int64)
-        csr = CSRAdjacency(
-            indptr=indptr, indices=indices,
-            is_long=np.zeros(len(indices), dtype=bool),
-        )
+        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[1:])
         metric = GreedyValueMetric(ids, RingSpace())
         sources = np.arange(n, dtype=np.int64)  # every row, empty ones included
         keys = rng.random(n)
@@ -249,13 +246,14 @@ class TestTerminalOwnerHop:
         rng = np.random.default_rng(37)
         n = 64
         # Random rows without ring neighbours: a stalled walk's successor
-        # owner is often out of reach, and sometimes one hop away.
+        # owner is often out of reach, and sometimes one hop away.  Each
+        # row's neighbour/long boundary falls anywhere in it.
         degrees = rng.integers(1, 4, size=n)
         indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
         csr = CSRAdjacency(
             indptr=indptr,
             indices=rng.integers(0, n, size=int(indptr[-1])).astype(np.int64),
-            is_long=rng.random(int(indptr[-1])) < 0.5,
+            long_start=rng.integers(indptr[:-1], indptr[1:], endpoint=True),
         )
         positions = np.sort(rng.random(n))
         sources = rng.integers(0, n, size=200).astype(np.int64)
@@ -361,7 +359,7 @@ class TestKernelPlumbing:
         n = 8
         indptr = np.asarray([0, 2, 4, 4, 4, 6, 8, 10, 12], dtype=np.int64)
         indices = np.asarray([1, 7, 2, 0, 5, 3, 6, 4, 7, 5, 0, 6], dtype=np.int64)
-        csr = CSRAdjacency(indptr=indptr, indices=indices, is_long=np.zeros(12, bool))
+        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[1:])
         metric = GreedyValueMetric(np.arange(n) / n, RingSpace())
 
         def labels(sources, keys, max_hops=None):

@@ -154,7 +154,10 @@ def _sorted_csr(n, ring, rng, pool):
     slot_in_row = np.arange(csr.n_edges) - np.repeat(csr.indptr[:-1], degrees)
     keep = slot_in_row < np.repeat(kept, degrees)
     indptr = np.concatenate([[0], np.cumsum(kept)]).astype(np.int64)
-    return CSRAdjacency(indptr=indptr, indices=csr.indices[keep], is_long=csr.is_long[keep])
+    head = np.minimum(csr.long_start - csr.indptr[:-1], kept)
+    return CSRAdjacency(
+        indptr=indptr, indices=csr.indices[keep], long_start=indptr[:-1] + head
+    )
 
 
 def _unsort(csr):
@@ -164,7 +167,7 @@ def _unsort(csr):
     indices = csr.indices.copy()
     a = csr.indptr[row] + 2
     indices[[a, a + 1]] = indices[[a + 1, a]]
-    return CSRAdjacency(indptr=csr.indptr, indices=indices, is_long=csr.is_long)
+    return CSRAdjacency(indptr=csr.indptr, indices=indices, long_start=csr.long_start)
 
 
 def _setup(mode, n, ring, layout, rng):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from frontier_oracle import assert_batch_matches, oracle_batch
 
-from repro.core import metric_routing, route_many
+from repro.core import CSRAdjacency, SmallWorldGraph, metric_routing, route_many
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.builder import GraphConfig, build_skewed_model, build_uniform_model
 from repro.distributions import PowerLaw
+from repro.keyspace import IntervalSpace, RingSpace
 from repro.store import StoreError, load_graph, save_graph, write_snapshot
 
 N = 1024
@@ -41,8 +42,28 @@ class TestGraphRoundTrip:
         np.testing.assert_array_equal(a.hops, b.hops)
         np.testing.assert_array_equal(a.neighbor_hops, b.neighbor_hops)
         np.testing.assert_array_equal(a.long_hops, b.long_hops)
+        np.testing.assert_array_equal(a.reason_codes, b.reason_codes)
         np.testing.assert_array_equal(a.owners, b.owners)
         assert a.paths == b.paths
+
+    @pytest.mark.parametrize("space", [IntervalSpace(), RingSpace()])
+    def test_hop_split_is_derived_on_load(self, space, rng, tmp_path):
+        """The snapshot stores ids and the CSR's indptr/indices only; the
+        loaded rows' long_start is the built graph's, on either space."""
+        graph = build_uniform_model(300, rng, GraphConfig(out_degree=4, space=space))
+        save_graph(graph, tmp_path / "split")
+        manifest = json.loads((tmp_path / "split" / "manifest.json").read_text())
+        assert sorted(manifest["arrays"]) == ["ids", "indices", "indptr", "normalized_ids"]
+        loaded = load_graph(tmp_path / "split")
+        np.testing.assert_array_equal(
+            loaded.adjacency.long_start, graph.adjacency.long_start
+        )
+        sources = rng.integers(0, graph.n, N_ROUTES)
+        keys = rng.random(N_ROUTES)
+        a = route_many(graph, sources, keys)
+        b = route_many(loaded, sources, keys)
+        np.testing.assert_array_equal(a.neighbor_hops, b.neighbor_hops)
+        np.testing.assert_array_equal(a.long_hops, b.long_hops)
 
     def test_skewed_model_round_trips(self, rng, tmp_path):
         graph = build_skewed_model(
@@ -119,6 +140,38 @@ class TestCorruption:
         manifest["version"] = 99
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match="version"):
+            load_graph(path)
+
+    def test_save_refuses_a_split_the_load_cannot_derive(self, rng, tmp_path):
+        graph = build_uniform_model(64, rng, GraphConfig(out_degree=2))
+        csr = graph.adjacency
+        moved = SmallWorldGraph(
+            graph.ids,
+            graph.normalized_ids,
+            CSRAdjacency(csr.indptr, csr.indices, csr.indptr[1:]),  # no long links
+        )
+        with pytest.raises(StoreError, match="long links do not start"):
+            save_graph(moved, tmp_path / "moved")
+        assert not (tmp_path / "moved").exists()
+
+    def test_version_one_snapshot_is_refused(self, rng, tmp_path):
+        """A version-1 snapshot (it also stored a per-edge is_long array)
+        raises naming its version instead of being half-read."""
+        graph = build_uniform_model(64, rng, GraphConfig(out_degree=2))
+        path = tmp_path / "v1"
+        csr = graph.adjacency
+        write_snapshot(
+            path, "graph",
+            payload={"n": graph.n, "space": "interval", "model": "uniform",
+                     "cutoff_mass": graph.cutoff_mass},
+            arrays={"ids": graph.ids, "normalized_ids": graph.normalized_ids,
+                    "indptr": csr.indptr, "indices": csr.indices,
+                    "is_long": csr.long_mask()},
+        )
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["version"] = 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="snapshot version 1 is not supported"):
             load_graph(path)
 
     def test_not_a_store(self, tmp_path):

@@ -5,9 +5,8 @@ The guarantees pinned here:
 * **primitives** — counters/gauges/timers accumulate and merge exactly;
   the integer histogram's quantiles are ``np.quantile``'s bit for bit
   and its merge is one add; a name belongs to one instrument type;
-* **lifecycle** — helpers are no-ops while disabled, ``enable`` /
-  ``disable`` manage one process-wide registry, and the
-  ``REPRO_TELEMETRY`` environment flag opts in at import time;
+* **lifecycle** — helpers are no-ops while disabled, and ``enable`` /
+  ``disable`` manage one process-wide registry;
 * **shard merge** — each shard's telemetry, captured per thread into a
   scoped registry, folds deterministically: merged counters and
   histograms are bit-identical for workers {1, 2, 4} over one dispatch,
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -96,12 +93,6 @@ class TestPrimitives:
         assert a.max == pytest.approx(0.3)
         assert a.mean == pytest.approx(0.2)
 
-    def test_timer_state_roundtrip(self):
-        t = Timer()
-        t.observe(0.25)
-        t.observe(0.75)
-        assert Timer.from_state(t.state()).state() == t.state()
-
     def test_registry_instruments_are_singletons(self):
         r = Registry()
         assert r.counter("a.b") is r.counter("a.b")
@@ -167,6 +158,7 @@ class TestHistogram:
         assert histogram.counts.tolist() == [1, 0, 2]
         histogram.add(np.array([5], dtype=np.uint8))
         assert histogram.counts.tolist() == [1, 0, 2, 0, 0, 1]
+        assert histogram.state() == (1, 0, 2, 0, 0, 1)
         assert histogram.counts.dtype == np.int64
 
     def test_merge_equals_one_add(self):
@@ -180,11 +172,6 @@ class TestHistogram:
         assert empty.state() == merged.state()
         merged.merge(Histogram())
         assert merged.state() == empty.state()
-
-    def test_state_roundtrip(self):
-        histogram = self._filled(np.random.default_rng(4).integers(0, 25, 500))
-        assert Histogram.from_state(histogram.state()).state() == histogram.state()
-        assert histogram.state() == tuple(histogram.counts.tolist())
 
     @pytest.mark.parametrize(
         "values", [[1, -1], np.array([0.0, 1.0]), np.array([True]), [2.5]]
@@ -259,7 +246,7 @@ class TestP2Quantile:
             a.merge(b)
             states.append(a.state())
         assert states[0] == states[1] == states[2]
-        merged = Histogram.from_state(states[0])
+        merged = a  # y merged with x: the state every order reached
         both = np.concatenate([x, y])
         assert merged.count == 60_000
         for p in (0.0, *PROBS, 1.0):
@@ -317,20 +304,6 @@ class TestLifecycle:
     def test_render_helpers_require_enabled(self):
         with pytest.raises(RuntimeError):
             telemetry.summary_table()
-
-    def test_env_var_opt_in(self):
-        code = (
-            "from repro import telemetry; "
-            "print(telemetry.enabled())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PYTHONPATH": "src", "REPRO_TELEMETRY": "1", "PATH": "/usr/bin"},
-            capture_output=True,
-            text=True,
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent),
-        )
-        assert out.stdout.strip() == "True", out.stderr
 
 
 # ----------------------------------------------------------------------
