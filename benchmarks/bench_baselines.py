@@ -80,7 +80,6 @@ def test_batch_comparator_speedup_over_scalar(rng):
             overlay, N_ROUTES, np.random.default_rng(42),
             targets=targets, target_ids=target_ids,
         )
-        overlay.to_csr()  # build the frontier once, outside the timed region
         oracle = scalar_twin(overlay)
         # Warm both engines (allocator, caches) before the timed passes;
         # best-of-3 keeps the tiny (few-ms) timed regions noise-resistant
@@ -141,8 +140,6 @@ def test_batch_comparator_speedup_over_scalar(rng):
 def test_batch_comparator_kernels(benchmark, rng):
     """Kernel: 1200 batched lookups over each of the six baselines."""
     overlays = _overlays(rng)
-    for _, overlay, __ in overlays:
-        overlay.to_csr()
 
     def run_all():
         out = []

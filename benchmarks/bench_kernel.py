@@ -146,7 +146,7 @@ def _skewed_workload(rng, sort_rows=False):
 
 def _pastry_workload(rng):
     overlay = PastryOverlay(np.sort(rng.random(N_PASTRY)), rng)
-    csr, metric = overlay._frontier()
+    csr, metric = overlay.csr, overlay.metric
     sources, keys = sample_overlay_lookups(overlay, N_ROUTES, rng, targets="uniform")
 
     def check():

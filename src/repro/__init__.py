@@ -57,8 +57,9 @@ around that fact in four layers:
 4. **Sharded execution** (:mod:`repro.parallel`): route batches split
    into deterministic shards routed on a shared thread pool, every
    shard reading the caller's own CSR arrays —
-   ``route_many(..., workers=N)`` and the CLI's ``--workers`` flag,
-   bit-identical to serial for any worker count.
+   ``route_many(..., workers=N)`` and the CLI's ``--workers`` flag;
+   outcome columns are bit-identical to serial for any worker count,
+   while round counts sum over the shards.
 """
 
 from repro.core import (

@@ -7,10 +7,12 @@ extra state), Symphony (the constant-degree trade-off), Mercury (the
 sampling heuristic Theorem 2 formalises) and CAN (no hop guarantee
 under arbitrary partitioning).
 
-All six expose the CSR + metric frontier contract
-(:meth:`BaselineOverlay.to_csr` / :attr:`BaselineOverlay.metric`), so
-whole comparator workloads batch-route through the shared kernel via
-:func:`route_many_overlay` / :func:`measure_overlay_batch`, and a single
+Each of the six is born holding what it routes: its ``__init__`` ends
+by setting :attr:`BaselineOverlay.csr` (the edge set, rows in the
+family's scan order) and :attr:`BaselineOverlay.metric` (its routing
+rule, owner rule and key check), so whole comparator workloads
+batch-route through the shared kernel via :func:`route_many_overlay` /
+:func:`measure_overlay_batch`, and a single
 :meth:`BaselineOverlay.route` is a batch of one.  The per-lookup loops
 the kernel is held to hop for hop live in ``tests/route_oracle.py``.
 """
@@ -21,7 +23,7 @@ from repro.baselines.base import (
     route_many_overlay,
     sample_overlay_lookups,
 )
-from repro.baselines.can import CANOverlay, Zone
+from repro.baselines.can import CANOverlay
 from repro.baselines.chord import ChordOverlay
 from repro.baselines.mercury import MercuryOverlay
 from repro.baselines.pastry import PastryOverlay
@@ -39,5 +41,4 @@ __all__ = [
     "SymphonyOverlay",
     "MercuryOverlay",
     "CANOverlay",
-    "Zone",
 ]

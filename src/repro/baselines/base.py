@@ -5,10 +5,10 @@ Mercury, CAN) is implemented behind
 :class:`BaselineOverlay`, so the experiment harness can measure hops,
 success and routing-state size with one code path.
 
-**The CSR + metric contract.**  Each overlay exposes its topology in the
-same form the core engine consumes:
+**What an overlay holds.**  Each ``__init__`` ends by setting the two
+attributes the core engine consumes, built once:
 
-* :meth:`BaselineOverlay.to_csr` — the full edge set flattened into a
+* :attr:`BaselineOverlay.csr` — the full edge set as a
   :class:`repro.core.adjacency.CSRAdjacency`.  Within each row, edges
   appear in the overlay's candidate scan order (e.g. ring neighbours
   before long links for Symphony/Mercury, successor before fingers for
@@ -43,14 +43,13 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.adjacency import segment_offsets
+from repro.core.adjacency import CSRAdjacency, segment_offsets
 from repro.core.metric_routing import (
     BatchRouteResult,
     RoutingMetric,
     frontier_route_many,
 )
 from repro.core.routing import RouteResult
-from repro.keyspace import mix_hash_array
 from repro.overlay.stats import LookupStats, summarize_lookups
 from repro.workloads import point_queries
 
@@ -60,22 +59,7 @@ __all__ = [
     "route_many_overlay",
     "sample_overlay_lookups",
     "assemble_rows",
-    "hash_keys",
 ]
-
-
-def hash_keys(keys: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`repro.keyspace.mix_hash` over an array of keys.
-
-    The hashed overlays' key transform (:func:`repro.keyspace.mix_hash_array`):
-    every key hashes to exactly the value :func:`repro.keyspace.mix_hash`
-    gives it.  The store recognises this function object when it saves
-    an overlay's metric.
-
-    Raises:
-        ValueError: for keys outside ``[0, 1)``.
-    """
-    return mix_hash_array(keys)
 
 
 def assemble_rows(
@@ -88,7 +72,7 @@ def assemble_rows(
     candidate scan order).  Returns the row pointers, the flat edge targets,
     and — per block — the edge positions its entries landed in, so
     callers can scatter aligned per-edge tag arrays (Pastry's
-    ``(level, digit)``, P-Grid's ``(level, rank)``).
+    ``(level, digit)``, P-Grid's level).
 
     Args:
         n: number of peers (rows).
@@ -116,24 +100,28 @@ def assemble_rows(
 class BaselineOverlay(ABC):
     """A static overlay snapshot with indexable peers and greedy lookup.
 
-    Subclasses implement the frontier contract :meth:`_build_frontier`
-    (see module docstring); the frontier pair is built lazily once and
-    cached — overlays are immutable snapshots.  :meth:`route` and
-    :meth:`owner_of` run on that pair, so every family has one routing
-    rule, one owner rule and one key check.
+    Every subclass's ``__init__`` ends by setting :attr:`csr` and
+    :attr:`metric` (see module docstring); overlays are immutable
+    snapshots.  :meth:`route` and :meth:`owner_of` run on that pair, so
+    every family has one routing rule, one owner rule and one key check.
     """
 
     #: Overlay family name used in experiment tables.
     name: str = "baseline"
+
+    #: The overlay's edge set, rows in its candidate scan order.
+    csr: CSRAdjacency
+    #: The overlay's declarative routing rule, owner rule and key check.
+    metric: RoutingMetric
 
     @property
     @abstractmethod
     def n(self) -> int:
         """Number of peers."""
 
-    @abstractmethod
     def table_sizes(self) -> np.ndarray:
-        """Return the per-peer routing-state size (entries kept per peer)."""
+        """Return the per-peer routing-state size: the peer's CSR row length."""
+        return self.csr.out_degrees()
 
     def route(self, source: int, key: float, max_hops: int | None = None) -> RouteResult:
         """Route a lookup for ``key`` from peer index ``source``.
@@ -162,33 +150,6 @@ class BaselineOverlay(ABC):
         """
         return int(self.metric.prepare(np.asarray([key], dtype=float)).owners[0])
 
-    def _build_frontier(self):
-        """Return this overlay's ``(CSRAdjacency, RoutingMetric)`` pair.
-
-        The CSR rows follow the family's candidate scan order and the
-        metric encodes its routing rule, owner rule and key check
-        declaratively.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose the batch frontier contract"
-        )
-
-    def _frontier(self):
-        cache = getattr(self, "_frontier_cache", None)
-        if cache is None:
-            cache = self._build_frontier()
-            self._frontier_cache = cache
-        return cache
-
-    def to_csr(self):
-        """Return the overlay's edge set as a cached :class:`CSRAdjacency`."""
-        return self._frontier()[0]
-
-    @property
-    def metric(self) -> RoutingMetric:
-        """Return the overlay's declarative routing metric (cached)."""
-        return self._frontier()[1]
-
     def mean_table_size(self) -> float:
         """Return the mean routing-state size across peers."""
         sizes = self.table_sizes()
@@ -209,7 +170,7 @@ def route_many_overlay(
 
     The comparator twin of :func:`repro.core.route_many`: whole lookup
     batches advance through the shared frontier kernel over the overlay's
-    CSR + metric pair.
+    :attr:`~BaselineOverlay.csr` and :attr:`~BaselineOverlay.metric`.
 
     Args:
         overlay: the overlay under test.
@@ -221,9 +182,8 @@ def route_many_overlay(
     Raises:
         ValueError: on mismatched inputs or out-of-range sources/keys.
     """
-    csr, metric = overlay._frontier()
     return frontier_route_many(
-        csr, metric, sources, target_keys,
+        overlay.csr, overlay.metric, sources, target_keys,
         max_hops=max_hops, record_paths=record_paths,
     )
 

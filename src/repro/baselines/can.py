@@ -18,15 +18,13 @@ The 1-d key space embeds into the torus via bit de-interleaving
 zone partition genuinely adapts to key skew.
 
 Construction splits every populated zone of a BSP level in one numpy
-round and keeps the split tree as five flat arrays, the form owner
-resolution and :mod:`repro.store` read; it reproduces the literal
-one-insert-at-a-time loop exactly, which ``tests/builder_oracle.py``
-keeps as its test oracle.
+round, keeps the zones as ``(n, d)`` corner arrays and the split tree as
+five flat arrays (the form owner resolution reads), and reproduces the
+literal one-insert-at-a-time loop exactly, which
+``tests/builder_oracle.py`` keeps as its test oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,51 +32,15 @@ from repro.baselines.base import BaselineOverlay, assemble_rows
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import TorusZoneMetric, torus_points
 
-__all__ = ["Zone", "CANOverlay"]
-
-
-@dataclass
-class Zone:
-    """An axis-aligned hyper-rectangular zone of the CAN torus.
-
-    Attributes:
-        lo: inclusive lower corner per dimension.
-        hi: exclusive upper corner per dimension.
-        depth: number of splits that produced this zone (drives the
-            round-robin split dimension).
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    depth: int = 0
-
-    def contains(self, point: np.ndarray) -> bool:
-        """Return True when ``point`` lies inside the zone."""
-        return bool(np.all(point >= self.lo) and np.all(point < self.hi))
-
-    def center(self) -> np.ndarray:
-        """Return the zone's midpoint."""
-        return 0.5 * (self.lo + self.hi)
-
-    def volume(self) -> float:
-        """Return the zone's volume (its share of the key-space measure)."""
-        return float(np.prod(self.hi - self.lo))
-
-    def split(self) -> tuple["Zone", "Zone"]:
-        """Halve along the round-robin dimension; return (kept, new)."""
-        dim = self.depth % len(self.lo)
-        mid = 0.5 * (self.lo[dim] + self.hi[dim])
-        left_hi = self.hi.copy()
-        left_hi[dim] = mid
-        right_lo = self.lo.copy()
-        right_lo[dim] = mid
-        left = Zone(self.lo.copy(), left_hi, self.depth + 1)
-        right = Zone(right_lo, self.hi.copy(), self.depth + 1)
-        return left, right
+__all__ = ["CANOverlay"]
 
 
 class CANOverlay(BaselineOverlay):
     """A built CAN overlay: one zone per peer.
+
+    Peer ``i``'s zone is the box ``[zone_lo[i], zone_hi[i])`` of the
+    torus, cut by ``zone_depth[i]`` splits; its face neighbours are its
+    CSR row.
 
     Args:
         keys: arrival points in the 1-d key space ``[0, 1)``, one per
@@ -121,16 +83,24 @@ class CANOverlay(BaselineOverlay):
         self.dims = dims
         self.max_bsp_depth = max_bsp_depth
         self.keys = np.sort(keys)
-        self.zones, self._bsp = self._build_zones()
-        self._compute_neighbors()
+        self.zone_lo, self.zone_hi, self.zone_depth, bsp = self._build_zones()
+        # CSR of face neighbours + the torus-L1 zone-distance metric.
+        # Rows keep the ascending neighbour order as the scan order; all
+        # hops count as neighbour hops, as CAN counts them.
+        indptr, indices, _ = assemble_rows(self.n, [self._face_neighbors()])
+        self.csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[1:])
+        self.metric = TorusZoneMetric(
+            self.zone_lo, self.zone_hi, bsp=bsp, max_depth=max_bsp_depth
+        )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build_zones(self) -> tuple[list[Zone], tuple]:
+    def _build_zones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
         """Whole-population batch BSP construction.
 
-        Returns the zone list and the flat ``(split_dim, split_at, low,
+        Returns the zones' ``(n, d)`` lower and upper corners, their
+        ``(n,)`` split depths, and the flat ``(split_dim, split_at, low,
         high, zone)`` BSP arrays (node 0 is the root; see
         :func:`repro.core.metric_routing.torus_zone_lookup`).
 
@@ -156,7 +126,7 @@ class CANOverlay(BaselineOverlay):
         """
         n = len(self.keys)
         dims = self.dims
-        points = self._points_of(self.keys)
+        points = torus_points(self.keys, dims)
         zone_lo = np.empty((n, dims))
         zone_hi = np.empty((n, dims))
         zone_depth = np.zeros(n, dtype=np.int64)
@@ -225,7 +195,6 @@ class CANOverlay(BaselineOverlay):
                 "CAN batch BSP construction failed to converge within "
                 f"max_bsp_depth={self.max_bsp_depth} rounds"
             )
-        zones = [Zone(zone_lo[i], zone_hi[i], int(zone_depth[i])) for i in range(n)]
         bsp = (
             node_split_dim[:nodes_used],
             node_split_at[:nodes_used],
@@ -233,14 +202,17 @@ class CANOverlay(BaselineOverlay):
             node_high[:nodes_used],
             node_zone[:nodes_used],
         )
-        return zones, bsp
+        return zone_lo, zone_hi, zone_depth, bsp
 
-    def _compute_neighbors(self) -> None:
-        """Vectorised face-adjacency over all zone pairs (torus wrap included)."""
-        z = len(self.zones)
-        lo = np.asarray([zone.lo for zone in self.zones])  # (z, d)
-        hi = np.asarray([zone.hi for zone in self.zones])
-        neighbors: list[np.ndarray] = []
+    def _face_neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face adjacency over all zone pairs (torus wrap included).
+
+        Returns one row block ``(counts, flat)``: zone ``i``'s face
+        neighbours, ascending, are its ``counts[i]`` entries of ``flat``.
+        """
+        lo, hi = self.zone_lo, self.zone_hi
+        z = len(lo)
+        rows: list[np.ndarray] = []
         for i in range(z):
             # Per-dimension: faces touch (directly or across the wrap)?
             touch = (
@@ -260,52 +232,13 @@ class CANOverlay(BaselineOverlay):
                         others &= overlap[:, j]
                 adjacent |= touch[:, k] & others
             adjacent[i] = False
-            neighbors.append(np.flatnonzero(adjacent).astype(np.int64))
-        self.neighbors = neighbors
-
-    def _points_of(self, keys: np.ndarray) -> np.ndarray:
-        """Embed keys as ``(w, d)`` torus points.
-
-        Delegates to :func:`repro.core.metric_routing.torus_points`
-        (identity embedding at ``dims == 1``, Morton spread otherwise —
-        bit-for-bit :func:`repro.keyspace.morton_spread`).
-        """
-        return torus_points(keys, self.dims)
-
-    def _build_frontier(self):
-        """CSR of face neighbours + the torus-L1 zone-distance metric.
-
-        Rows keep the stored (ascending) neighbour order as the scan
-        order; all hops count as neighbour hops, as CAN counts them.
-        """
-        n = self.n
-        counts = np.fromiter(
-            (len(nb) for nb in self.neighbors), dtype=np.int64, count=n
-        )
-        flat = (
-            np.concatenate(self.neighbors) if counts.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        indptr, indices, _ = assemble_rows(n, [(counts, flat)])
-        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[1:])
-        lo = np.asarray([zone.lo for zone in self.zones])
-        hi = np.asarray([zone.hi for zone in self.zones])
-        metric = TorusZoneMetric(
-            lo, hi, bsp=self._bsp, max_depth=self.max_bsp_depth
-        )
-        return csr, metric
+            rows.append(np.flatnonzero(adjacent))
+        counts = np.fromiter((len(row) for row in rows), dtype=np.int64, count=z)
+        return counts, np.concatenate(rows)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
-        return len(self.zones)
-
-    def table_sizes(self) -> np.ndarray:
-        """Per-peer neighbour counts (CAN's entire routing state)."""
-        return np.asarray([len(nb) for nb in self.neighbors], dtype=np.int64)
-
-    def zone_volumes(self) -> np.ndarray:
-        """Per-zone volumes — the load-balance signal of the partition."""
-        return np.asarray([zone.volume() for zone in self.zones])
+        return len(self.keys)

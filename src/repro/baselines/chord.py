@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.baselines.base import BaselineOverlay, hash_keys
+from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import ClockwiseMetric
 from repro.keyspace import mix_hash_array, successor_indices
@@ -55,6 +55,24 @@ class ChordOverlay(BaselineOverlay):
         self.ids = np.sort(ids)
         self.m = max(1, math.ceil(math.log2(len(self.ids))))
         self._build_fingers()
+        # CSR + clockwise metric: Chord's finger rule.  Each row holds the
+        # ring successor first, then the fingers in table order —
+        # minimising the remaining clockwise distance over that row is
+        # exactly "closest preceding finger" (overshooting candidates can
+        # never improve), and the metric's terminal owner hop covers the
+        # one stuck state (key between a peer and its owning successor).
+        # All hops count as long, as Chord counts them.
+        n, m = self.n, self.m
+        row = np.empty((n, m + 1), dtype=np.int64)
+        row[:, 0] = (np.arange(n, dtype=np.int64) + 1) % n
+        row[:, 1:] = self.fingers
+        indptr = np.arange(n + 1, dtype=np.int64) * (m + 1)
+        self.csr = CSRAdjacency(
+            indptr=indptr, indices=row.reshape(-1), long_start=indptr[:-1]
+        )
+        self.metric = ClockwiseMetric(
+            self.ids, transform=mix_hash_array if hashed else None
+        )
 
     def _build_fingers(self) -> None:
         """Resolve all ``n·m`` fingers in one bulk successor pass.
@@ -67,33 +85,6 @@ class ChordOverlay(BaselineOverlay):
         offsets = 2.0 ** (-np.arange(1, self.m + 1))  # 1/2, 1/4, ..., 2^-m
         points = (self.ids[:, None] + offsets[None, :]) % 1.0
         self.fingers = successor_indices(self.ids, points.ravel()).reshape(n, self.m)
-
-    def _build_frontier(self):
-        """CSR + clockwise metric: Chord's finger rule.
-
-        Each row holds the ring successor first, then the fingers in
-        table order — minimising the remaining clockwise distance over
-        that row is exactly "closest preceding finger" (overshooting
-        candidates can never improve), and the metric's terminal owner
-        hop covers the one stuck state (key between a peer and its
-        owning successor).  All hops count as long, as Chord counts
-        them.
-        """
-        n, m = self.n, self.m
-        row = np.empty((n, m + 1), dtype=np.int64)
-        row[:, 0] = (np.arange(n, dtype=np.int64) + 1) % n
-        row[:, 1:] = self.fingers
-        indptr = np.arange(n + 1, dtype=np.int64) * (m + 1)
-        csr = CSRAdjacency(
-            indptr=indptr, indices=row.reshape(-1), long_start=indptr[:-1]
-        )
-        metric = ClockwiseMetric(
-            self.ids,
-            owner_rule="successor",
-            transform=hash_keys if self.hashed else None,
-            terminal_owner_hop=True,
-        )
-        return csr, metric
 
     @property
     def n(self) -> int:

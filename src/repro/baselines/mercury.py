@@ -38,7 +38,6 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import PairAccumulator
-from repro.core.graph import LongLinkRows
 from repro.core.metric_routing import GreedyValueMetric
 from repro.core.theory import default_out_degree
 from repro.keyspace import RingSpace, bucket_index, successor_indices
@@ -104,11 +103,13 @@ class _RowEmpiricals:
 class MercuryOverlay(BaselineOverlay):
     """A built Mercury ring over a (possibly skewed) value space.
 
+    Each peer keeps ``log2 N`` long links
+    (:func:`repro.core.theory.default_out_degree`, Mercury's recommended
+    budget for log-hop routing).
+
     Args:
         ids: peer identifiers — raw attribute values, *not* hashed.
         rng: random source.
-        k: long links per peer; ``None`` uses ``log2 N`` (Mercury's
-            recommended budget for log-hop routing).
         sample_size: identifiers each peer samples to build its local
             CDF estimate.
 
@@ -118,26 +119,24 @@ class MercuryOverlay(BaselineOverlay):
 
     name = "mercury"
 
-    def __init__(
-        self,
-        ids,
-        rng: np.random.Generator,
-        k: int | None = None,
-        sample_size: int = 64,
-    ):
+    def __init__(self, ids, rng: np.random.Generator, sample_size: int = 64):
         ids = np.sort(np.asarray(ids, dtype=float))
         if len(ids) < 3:
             raise ValueError("Mercury needs at least 3 peers")
         if sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         self.ids = ids
-        self.k = k if k is not None else default_out_degree(len(ids))
+        self.k = default_out_degree(len(ids))
         self.sample_size = sample_size
         self.space = RingSpace()
-        self._build_links(rng)
+        # Ring neighbours first, then the long links, scored by circular
+        # value distance with the nearest-peer ownership rule.
+        indptr, flat = self._build_links(rng)
+        self.csr = csr_from_flat_links(self.n, True, np.diff(indptr), flat)
+        self.metric = GreedyValueMetric(self.ids, self.space)
 
-    def _build_links(self, rng: np.random.Generator) -> None:
-        """Draw every peer's rank-harmonic links in whole-population rounds.
+    def _build_links(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw every peer's rank-harmonic links; return the rows ``(indptr, flat)``.
 
         One gossip-sample matrix, row-wise empirical estimates, then the
         :func:`repro.core.bulk_construction.bulk_links` retry scheme:
@@ -175,24 +174,8 @@ class MercuryOverlay(BaselineOverlay):
             ok = targets != rows
             links.add(rows[ok], targets[ok])
             need = self.k - links.counts
-        self._set_links(*links.split())
-
-    def _set_links(self, indptr: np.ndarray, flat: np.ndarray) -> None:
-        """Keep the flat link rows; ``long_links`` views them per peer."""
-        self._long_flat = flat
-        self.long_links = LongLinkRows.from_indptr(indptr, flat)
-
-    def _build_frontier(self):
-        """CSR (ring neighbours first, then links) + circular value metric."""
-        csr = csr_from_flat_links(
-            self.n, True, self.long_links.lengths(), self._long_flat
-        )
-        return csr, GreedyValueMetric(self.ids, self.space)
+        return links.split()
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def table_sizes(self) -> np.ndarray:
-        """Long links plus the two ring neighbours."""
-        return self.long_links.lengths() + 2

@@ -29,26 +29,27 @@ import math
 
 import numpy as np
 
-from repro.baselines.base import BaselineOverlay, assemble_rows, hash_keys
+from repro.baselines.base import BaselineOverlay, assemble_rows
 from repro.core.adjacency import CSRAdjacency
 from repro.core.metric_routing import PrefixDigitMetric
-from repro.keyspace import digit_rows, mix_hash_array
+from repro.keyspace import digit_rows
 
 __all__ = ["PastryOverlay"]
 
 _MAX_TOTAL_BITS = 48
+#: ``b``: routing digits are base ``2^b`` = 16.
+_BITS_PER_DIGIT = 4
+#: Leaf-set size, half on each side of a peer.
+_LEAF_SIZE = 8
 
 
 class PastryOverlay(BaselineOverlay):
-    """A built Pastry overlay.
+    """A built Pastry overlay over raw (order-preserving) identifiers.
 
     Args:
-        ids: peer identifiers (raw; hashed internally when requested).
+        ids: peer identifiers.
         rng: random source for routing-table entry selection (Pastry
             fills each slot with an arbitrary qualifying peer).
-        bits_per_digit: ``b``; digits are base ``2^b`` (default 4 → 16).
-        leaf_size: total leaf-set size (half on each side).
-        hashed: operate in hashed id space (classic deployment).
 
     Raises:
         ValueError: for fewer than 2 peers, or identifiers too densely
@@ -56,35 +57,41 @@ class PastryOverlay(BaselineOverlay):
     """
 
     name = "pastry"
+    #: The digit base ``2^b``.
+    base = 2**_BITS_PER_DIGIT
 
-    def __init__(
-        self,
-        ids,
-        rng: np.random.Generator,
-        bits_per_digit: int = 4,
-        leaf_size: int = 8,
-        hashed: bool = False,
-    ):
+    def __init__(self, ids, rng: np.random.Generator):
         ids = np.asarray(ids, dtype=float)
         if len(ids) < 2:
             raise ValueError("Pastry needs at least 2 peers")
-        if bits_per_digit < 1:
-            raise ValueError(f"bits_per_digit must be >= 1, got {bits_per_digit}")
-        if leaf_size < 2:
-            raise ValueError(f"leaf_size must be >= 2, got {leaf_size}")
-        self.hashed = hashed
-        if hashed:
-            ids = mix_hash_array(ids)
         self.ids = np.sort(ids)
-        self.base = 2**bits_per_digit
-        self.bits_per_digit = bits_per_digit
-        self.leaf_size = leaf_size
         self.depth = self._required_depth()
         # Whole-population digit expansion (bit-identical to the scalar
         # repro.keyspace.digits recurrence).
         self._digit_matrix = digit_rows(self.ids, self.base, self.depth)
-        self._build_leaf_sets()
         self._build_tables(rng)
+        # CSR (leaf set first, then table entries) + prefix-digit metric.
+        # The row order is Pastry's known-peer fallback scan (leafs, then
+        # the table in ravel order); each table edge carries its
+        # ``(row, digit)`` tag so the metric can recognise the primary
+        # prefix-extension edge per lookup.  All hops count as long, as
+        # Pastry counts them.
+        n = self.n
+        flat_table = self.table.reshape(n, -1)
+        mask = flat_table >= 0
+        _, slot_idx = np.nonzero(mask)  # row-major: ravel (level, digit) order
+        table_block = (mask.sum(axis=1), flat_table[mask].astype(np.int64))
+        indptr, indices, (_, table_slots) = assemble_rows(
+            n, [self._leaf_block(), table_block]
+        )
+        tag_level = np.full(len(indices), -1, dtype=np.int32)
+        tag_digit = np.full(len(indices), -1, dtype=np.int32)
+        tag_level[table_slots] = slot_idx // self.base
+        tag_digit[table_slots] = slot_idx % self.base
+        self.csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
+        self.metric = PrefixDigitMetric(
+            self.ids, self._digit_matrix, tag_level, tag_digit, self.base
+        )
 
     def _required_depth(self) -> int:
         """Digits needed so all peers have distinct digit strings."""
@@ -94,25 +101,28 @@ class PastryOverlay(BaselineOverlay):
             raise ValueError("all identifiers identical; cannot build digit strings")
         min_gap = float(gaps.min())
         depth = math.ceil(math.log(1.0 / min_gap, self.base)) + 1
-        max_depth = _MAX_TOTAL_BITS // self.bits_per_digit
+        max_depth = _MAX_TOTAL_BITS // _BITS_PER_DIGIT
         if depth > max_depth:
             raise ValueError(
                 f"identifiers too dense: need depth {depth} > {max_depth} digits"
             )
         return max(depth, 1)
 
-    def _build_leaf_sets(self) -> None:
-        """Leaf sets: numerically closest peers on each side (ring order)."""
+    def _leaf_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf sets as one row block: numerically closest peers each side.
+
+        Returns ``(counts, flat)``: peer ``i``'s leaf set, ascending in
+        ring-index order, is its ``counts[i]`` entries of ``flat``.
+        """
         n = self.n
-        half = self.leaf_size // 2
+        half = _LEAF_SIZE // 2
         offs = np.asarray(
             [off for off in range(-half, half + 1) if off != 0], dtype=np.int64
         )
         around = np.sort((np.arange(n, dtype=np.int64)[:, None] + offs[None, :]) % n, axis=1)
         keep = np.ones(around.shape, dtype=bool)
         keep[:, 1:] = around[:, 1:] != around[:, :-1]
-        counts = keep.sum(axis=1)
-        self.leaf_sets = np.split(around[keep], np.cumsum(counts)[:-1])
+        return keep.sum(axis=1), around[keep]
 
     def _build_tables(self, rng: np.random.Generator) -> None:
         """Fill every routing-table row in one vectorized pass per level.
@@ -142,49 +152,6 @@ class PastryOverlay(BaselineOverlay):
             self.table[:, level, :] = entries
             codes = child
 
-    def _build_frontier(self):
-        """CSR (leaf set first, then table entries) + prefix-digit metric.
-
-        The row order is Pastry's known-peer fallback scan (leafs, then
-        the table in ravel order); each table edge carries its
-        ``(row, digit)`` tag so the metric can recognise the primary
-        prefix-extension edge per lookup.  All hops count as long, as
-        Pastry counts them.
-        """
-        n = self.n
-        leaf_counts = np.fromiter(
-            (len(ls) for ls in self.leaf_sets), dtype=np.int64, count=n
-        )
-        leaf_flat = np.concatenate(self.leaf_sets)
-        flat_table = self.table.reshape(n, -1)
-        mask = flat_table >= 0
-        table_counts = mask.sum(axis=1)
-        _, slot_idx = np.nonzero(mask)  # row-major: ravel (level, digit) order
-        table_flat = flat_table[mask].astype(np.int64)
-        indptr, indices, (_, table_slots) = assemble_rows(
-            n, [(leaf_counts, leaf_flat), (table_counts, table_flat)]
-        )
-        tag_level = np.full(len(indices), -1, dtype=np.int32)
-        tag_digit = np.full(len(indices), -1, dtype=np.int32)
-        tag_level[table_slots] = slot_idx // self.base
-        tag_digit[table_slots] = slot_idx % self.base
-        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
-        metric = PrefixDigitMetric(
-            self.ids,
-            self._digit_matrix,
-            tag_level,
-            tag_digit,
-            self.base,
-            transform=hash_keys if self.hashed else None,
-        )
-        return csr, metric
-
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def table_sizes(self) -> np.ndarray:
-        """Filled routing-table slots plus the leaf set."""
-        filled = (self.table >= 0).sum(axis=(1, 2))
-        leaf = np.asarray([len(ls) for ls in self.leaf_sets])
-        return (filled + leaf).astype(np.int64)

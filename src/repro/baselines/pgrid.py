@@ -2,8 +2,8 @@
 
 P-Grid partitions the key space by recursive halving until every leaf
 cell holds one peer; a peer's *path* is its leaf's bit string.  For each
-level ``l`` of its path the peer keeps references to random peers in the
-*complementary* subtree (prefix ``path[:l] + ~path[l]``).  Routing
+level ``l`` of its path the peer keeps a reference to a random peer in
+the *complementary* subtree (prefix ``path[:l] + ~path[l]``).  Routing
 resolves one differing bit per hop.
 
 The construction adapts to arbitrary key skew — the partition simply
@@ -16,8 +16,8 @@ skew).  Experiment E6 measures both effects.
 References are drawn in one vectorized pass per trie level: members of
 a complementary subtree occupy a contiguous range of the sorted-id order
 (the subtree *is* a dyadic cell of the key space, and trie paths are
-prefix-free), so every reference is a ``searchsorted`` range plus
-broadcast ``rng.integers`` draws — distribution-identical to the
+prefix-free), so every reference is a ``searchsorted`` range plus one
+broadcast ``rng.integers`` draw — distribution-identical to the
 per-peer ``rng.choice`` loop that ``tests/builder_oracle.py`` keeps as
 its test oracle.
 """
@@ -36,13 +36,11 @@ _MAX_DEPTH = 50
 
 
 class PGridOverlay(BaselineOverlay):
-    """A built P-Grid trie overlay.
+    """A built P-Grid trie overlay: one reference per trie level.
 
     Args:
         ids: distinct peer identifiers.
         rng: random source for reference selection.
-        refs_per_level: references kept per trie level (default 1; more
-            buys robustness at linear state cost).
 
     Raises:
         ValueError: for fewer than 2 peers, duplicate identifiers, or a
@@ -52,21 +50,13 @@ class PGridOverlay(BaselineOverlay):
 
     name = "pgrid"
 
-    def __init__(
-        self,
-        ids,
-        rng: np.random.Generator,
-        refs_per_level: int = 1,
-    ):
+    def __init__(self, ids, rng: np.random.Generator):
         ids = np.sort(np.asarray(ids, dtype=float))
         if len(ids) < 2:
             raise ValueError("P-Grid needs at least 2 peers")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("P-Grid requires distinct identifiers")
-        if refs_per_level < 1:
-            raise ValueError(f"refs_per_level must be >= 1, got {refs_per_level}")
         self.ids = ids
-        self.refs_per_level = refs_per_level
         self.paths: list[tuple[int, ...]] = [()] * len(ids)
         self.cells: list[tuple[float, float]] = [(0.0, 1.0)] * len(ids)
         self._split(np.arange(len(ids)), (), 0.0, 1.0, 0.0, 1.0)
@@ -81,6 +71,32 @@ class PGridOverlay(BaselineOverlay):
         order = np.argsort([c[0] for c in self.cells])
         self._cell_order = order
         self._cell_lefts = np.asarray([self.cells[i][0] for i in order])
+        # CSR (references first, then index neighbours) + trie metric.
+        # Reference edges carry their level; the two value-order
+        # neighbour edges (``i - 1``, ``i + 1``; absent at the interval
+        # ends) are tagged level ``-1`` for the metric's fallback rule.
+        # All hops count as long, as P-Grid counts them.
+        n = self.n
+        mask = self.refs >= 0
+        _, ref_levels = np.nonzero(mask)  # row-major: level order
+        nbr_pairs = np.stack(
+            [np.arange(n, dtype=np.int64) - 1, np.arange(n, dtype=np.int64) + 1],
+            axis=1,
+        )
+        nbr_valid = (nbr_pairs >= 0) & (nbr_pairs < n)
+        indptr, indices, (ref_slots, _) = assemble_rows(
+            n,
+            [
+                (mask.sum(axis=1), self.refs[mask]),
+                (nbr_valid.sum(axis=1), nbr_pairs[nbr_valid]),
+            ],
+        )
+        tag_level = np.full(len(indices), -1, dtype=np.int32)
+        tag_level[ref_slots] = ref_levels
+        self.csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
+        self.metric = TrieMetric(
+            self.ids, self._bit_matrix, tag_level, self._cell_lefts, self._cell_order
+        )
 
     # ------------------------------------------------------------------
     # trie construction
@@ -129,29 +145,22 @@ class PGridOverlay(BaselineOverlay):
     def _build_refs(self, rng: np.random.Generator) -> np.ndarray:
         """Draw every peer's references in vectorized level passes.
 
-        Returns the ``(n, depth, refs_per_level)`` reference array: peer
-        ``i``'s level-``l`` references ascending in ``refs[i, l]``,
-        padded with ``-1`` (a level with an empty complement, or beyond
-        the peer's path, holds none).
+        Returns the ``(n, depth)`` reference array: peer ``i``'s
+        level-``l`` reference is ``refs[i, l]``, ``-1`` where the level
+        has an empty complement or lies beyond the peer's path.
 
         A level-``l + 1`` complementary subtree is the dyadic key-space
         cell of the complement prefix, and — trie paths being prefix-free
         — its members are exactly the peers whose identifiers fall in
         that cell: a contiguous ``searchsorted`` range of the sorted ids.
-        Each range yields ``take = min(refs_per_level, size)`` distinct members
-        by Floyd's algorithm, one broadcast ``rng.integers`` draw per
-        round: round ``t`` draws an offset uniform on
-        ``[0, size - take + t]`` and, when an earlier round already took
-        it, takes ``size - take + t`` instead.  That is a uniform draw
-        without replacement, matching a per-peer
-        ``rng.choice(size, take, replace=False)``; at one reference per
-        level it is a single uniform pick per range.
+        One broadcast ``rng.integers`` draw per level picks a uniform
+        member of every active peer's range (an empty range still draws,
+        over one value, and keeps no reference).
         """
-        n, r = self.n, self.refs_per_level
+        n = self.n
         max_depth = self._bit_matrix.shape[1]
-        refs = np.full((n, max_depth, r), -1, dtype=np.int64)
+        refs = np.full((n, max_depth), -1, dtype=np.int64)
         codes = np.zeros(n, dtype=np.int64)
-        rank = np.arange(r)
         for level in range(max_depth):
             active = self._path_lengths > level
             if not active.any():
@@ -164,59 +173,10 @@ class PGridOverlay(BaselineOverlay):
             lo = np.searchsorted(self.ids, cell_lo, side="left")
             hi = np.searchsorted(self.ids, cell_hi, side="left")
             sizes = hi - lo
-            take = np.minimum(sizes, r)
-            picks = np.empty((len(sizes), r), dtype=np.int64)
-            for t in range(r):
-                top = sizes - take + t
-                pick = rng.integers(0, np.maximum(top + 1, 1))
-                taken = (picks[:, :t] == pick[:, None]).any(axis=1)
-                picks[:, t] = np.where(taken, top, pick)
-            kept = rank < take[:, None]
-            picks = np.sort(np.where(kept, picks, sizes[:, None]), axis=1)
-            refs[active, level] = np.where(kept, lo[:, None] + picks, -1)
+            pick = rng.integers(0, np.maximum(sizes, 1))
+            refs[active, level] = np.where(sizes > 0, lo + pick, -1)
             codes = codes * 2 + np.where(active, bits, 0)
         return refs
-
-    def _build_frontier(self):
-        """CSR (references first, then index neighbours) + trie metric.
-
-        Reference edges carry their ``(level, rank)`` tag; the two
-        value-order neighbour edges (``i - 1``, ``i + 1``; absent at the
-        interval ends) are tagged level ``-1`` for the metric's fallback
-        rule.  All hops count as long, as P-Grid counts them.
-        """
-        n, r = self.n, self.refs_per_level
-        refs = self.refs.reshape(n, -1)
-        mask = refs >= 0
-        ref_counts = mask.sum(axis=1).astype(np.int64)
-        _, slot_idx = np.nonzero(mask)  # row-major: (level, rank) order
-        ref_flat = refs[mask]
-        ref_levels = (slot_idx // r).astype(np.int32)
-        ref_ranks = (slot_idx % r).astype(np.int32)
-        nbr_pairs = np.stack(
-            [np.arange(n, dtype=np.int64) - 1, np.arange(n, dtype=np.int64) + 1],
-            axis=1,
-        )
-        nbr_valid = (nbr_pairs >= 0) & (nbr_pairs < n)
-        nbr_counts = nbr_valid.sum(axis=1).astype(np.int64)
-        nbr_flat = nbr_pairs[nbr_valid]
-        indptr, indices, (ref_slots, _) = assemble_rows(
-            n, [(ref_counts, ref_flat), (nbr_counts, nbr_flat)]
-        )
-        tag_level = np.full(len(indices), -1, dtype=np.int32)
-        tag_rank = np.full(len(indices), -1, dtype=np.int32)
-        tag_level[ref_slots] = ref_levels
-        tag_rank[ref_slots] = ref_ranks
-        csr = CSRAdjacency(indptr=indptr, indices=indices, long_start=indptr[:-1])
-        metric = TrieMetric(
-            self.ids,
-            self._bit_matrix,
-            tag_level,
-            tag_rank,
-            self._cell_lefts,
-            self._cell_order,
-        )
-        return csr, metric
 
     # ------------------------------------------------------------------
     # queries
@@ -231,4 +191,4 @@ class PGridOverlay(BaselineOverlay):
 
     def table_sizes(self) -> np.ndarray:
         """Total references per peer (plus the two value-order neighbours)."""
-        return (self.refs >= 0).sum(axis=(1, 2)).astype(np.int64) + 2
+        return (self.refs >= 0).sum(axis=1).astype(np.int64) + 2

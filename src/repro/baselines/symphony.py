@@ -22,37 +22,28 @@ import numpy as np
 from repro.baselines.base import BaselineOverlay
 from repro.core.adjacency import csr_from_flat_links
 from repro.core.bulk_construction import PairAccumulator
-from repro.core.graph import LongLinkRows
-from repro.core.metric_routing import ClockwiseMetric, GreedyValueMetric
+from repro.core.metric_routing import GreedyValueMetric
 from repro.keyspace import RingSpace, bucket_index, successor_indices
 
 __all__ = ["SymphonyOverlay"]
 
 
 class SymphonyOverlay(BaselineOverlay):
-    """A built Symphony ring.
+    """A built Symphony ring, routed greedily in both directions.
 
     Args:
         ids: peer identifiers (Symphony's own assumption is that these
             are uniform; pass skewed ids to reproduce the failure mode).
         rng: random source for link sampling.
         k: constant number of long links per peer (Symphony's default 4).
-        bidirectional: route greedily in both directions (Symphony's
-            optimisation) instead of clockwise-only.
 
     Raises:
-        ValueError: for fewer than 3 peers or non-positive ``k``.
+        ValueError: for fewer than 3 peers or negative ``k``.
     """
 
     name = "symphony"
 
-    def __init__(
-        self,
-        ids,
-        rng: np.random.Generator,
-        k: int = 4,
-        bidirectional: bool = True,
-    ):
+    def __init__(self, ids, rng: np.random.Generator, k: int = 4):
         ids = np.sort(np.asarray(ids, dtype=float))
         if len(ids) < 3:
             raise ValueError("Symphony needs at least 3 peers")
@@ -60,12 +51,15 @@ class SymphonyOverlay(BaselineOverlay):
             raise ValueError(f"k must be >= 0, got {k}")
         self.ids = ids
         self.k = k
-        self.bidirectional = bidirectional
         self.space = RingSpace()
-        self._build_links(rng)
+        # Ring neighbours first, then the long links, scored by circular
+        # distance with the nearest-peer ownership rule.
+        indptr, flat = self._build_links(rng)
+        self.csr = csr_from_flat_links(self.n, True, np.diff(indptr), flat)
+        self.metric = GreedyValueMetric(self.ids, self.space)
 
-    def _build_links(self, rng: np.random.Generator) -> None:
-        """Draw every peer's harmonic links in whole-population rounds.
+    def _build_links(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Draw every peer's harmonic links; return the rows ``(indptr, flat)``.
 
         Same primitives as :func:`repro.core.bulk_construction.bulk_links`:
         draw all outstanding spans at once (``x = N^(q-1)`` lands in
@@ -97,33 +91,11 @@ class SymphonyOverlay(BaselineOverlay):
             ok = targets != rows
             links.add(rows[ok], targets[ok])
             need = self.k - links.counts
-        indptr, self._long_flat = links.split()
-        self.long_links = LongLinkRows.from_indptr(indptr, self._long_flat)
-
-    def _build_frontier(self):
-        """CSR (ring neighbours first, then links) + value-space metric.
-
-        Ring neighbours are scanned before long links, and the metric is
-        the circular distance (bidirectional) or the clockwise-only
-        remaining distance — both with Symphony's nearest-peer ownership
-        rule.
-        """
-        csr = csr_from_flat_links(
-            self.n, True, self.long_links.lengths(), self._long_flat
-        )
-        if self.bidirectional:
-            metric = GreedyValueMetric(self.ids, self.space)
-        else:
-            metric = ClockwiseMetric(self.ids, owner_rule="nearest")
-        return csr, metric
+        return links.split()
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def table_sizes(self) -> np.ndarray:
-        """Long links plus the two ring neighbours."""
-        return self.long_links.lengths() + 2
 
     @staticmethod
     def expected_hops(n: int, k: int) -> float:

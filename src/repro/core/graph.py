@@ -26,7 +26,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.keyspace import IntervalSpace, KeySpace, check_unit_keys, nearest_index
+from repro.keyspace import (
+    IntervalSpace,
+    KeySpace,
+    check_peer_ids,
+    check_unit_keys,
+    nearest_index,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.adjacency import CSRAdjacency
@@ -51,12 +57,6 @@ class LongLinkRows:
         self._values = values
         self._starts = np.asarray(starts, dtype=np.int64)
         self._ends = np.asarray(ends, dtype=np.int64)
-
-    @classmethod
-    def from_indptr(cls, indptr: np.ndarray, flat: np.ndarray) -> "LongLinkRows":
-        """Rows ``flat[indptr[i]:indptr[i + 1]]``."""
-        indptr = np.asarray(indptr, dtype=np.int64)
-        return cls(flat, indptr[:-1], indptr[1:])
 
     def lengths(self) -> np.ndarray:
         """Per-row link counts, as an int64 array."""
@@ -93,8 +93,13 @@ class LongLinkRows:
 class SmallWorldGraph:
     """A built overlay: sorted peers, ring/interval edges, long-range edges.
 
+    The constructor holds ``ids`` to the peer-id rule
+    (:func:`repro.keyspace.check_peer_ids`: strictly increasing inside
+    ``[0, 1)``) and raises ``ValueError`` otherwise, so every graph —
+    built, snapshotted from a live overlay or loaded — obeys it.
+
     Attributes:
-        ids: sorted peer identifiers in ``[0, 1)``.
+        ids: strictly increasing peer identifiers in ``[0, 1)``.
         normalized_ids: ``F(ids)`` under the model's distribution — equal
             to ``ids`` for the uniform model and for the *naive* baseline
             (which deliberately ignores the skew).
@@ -126,8 +131,7 @@ class SmallWorldGraph:
             raise ValueError("ids and normalized_ids must have equal length")
         if self.adjacency.n != len(self.ids):
             raise ValueError("adjacency must have one row per peer")
-        if np.any(np.diff(self.ids) < 0):
-            raise ValueError("ids must be sorted")
+        check_peer_ids(self.ids)
 
     @classmethod
     def from_flat_links(

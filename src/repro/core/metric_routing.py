@@ -61,9 +61,9 @@ The shipped metric families cover every baseline routing rule the paper
 compares against:
 
 * :class:`GreedyValueMetric` — symmetric circular/interval distance
-  (the small-world model, Symphony bidirectional, Mercury);
+  (the small-world model, Symphony, Mercury);
 * :class:`ClockwiseMetric` — clockwise-only remaining distance
-  (Chord's closest-preceding-finger rule, Symphony unidirectional);
+  (Chord's closest-preceding-finger rule);
 * :class:`PrefixDigitMetric` — Pastry's prefix-extension rule with the
   numerically-closer fallback scan;
 * :class:`TrieMetric` — P-Grid's resolve-one-bit rule with the
@@ -71,9 +71,9 @@ compares against:
 * :class:`TorusZoneMetric` — CAN's greedy zone walk under torus L1
   distance.
 
-Every metric is constructed by its overlay's
-:meth:`repro.baselines.base.BaselineOverlay._build_frontier` alongside
-the matching CSR (and per-edge tag arrays where the rule needs them).
+Every comparator's ``__init__`` (:mod:`repro.baselines`) builds its
+metric once, alongside the matching CSR (and per-edge tag arrays where
+the rule needs them), as ``overlay.csr`` and ``overlay.metric``.
 This kernel is the only implementation of each rule: a single
 :meth:`~repro.baselines.base.BaselineOverlay.route` or
 :func:`repro.core.greedy_route` is a batch of one.  The per-lookup loops
@@ -346,10 +346,10 @@ class RoutingMetric(ABC):
 class GreedyValueMetric(RoutingMetric):
     """Symmetric greedy distance descent over scalar peer coordinates.
 
-    The rule shared by the small-world model, Symphony (bidirectional)
-    and Mercury: move to the candidate minimising ``space.distance`` to
-    the target, only if strictly closer.  Owners resolve to the nearest
-    peer (lower-id tie-break), optionally restricted to live peers.
+    The rule shared by the small-world model, Symphony and Mercury: move
+    to the candidate minimising ``space.distance`` to the target, only
+    if strictly closer.  Owners resolve to the nearest peer (lower-id
+    tie-break), optionally restricted to live peers.
 
     Args:
         positions: sorted peer coordinates the metric measures in.
@@ -404,38 +404,26 @@ class GreedyValueMetric(RoutingMetric):
 
 
 class ClockwiseMetric(RoutingMetric):
-    """Clockwise-only remaining distance ``(key - position) mod 1``.
+    """Chord's rule: clockwise-only remaining distance ``(key - position) mod 1``.
 
-    With ``owner_rule="successor"`` and ``terminal_owner_hop=True`` this
-    is exactly Chord's closest-preceding-finger rule: minimising the
-    remaining clockwise distance among candidates that do not overshoot
-    is the same ordering as maximising the clockwise advance, overshooting
-    candidates can never improve, and the one stuck state (the key lies
-    between a peer and its successor, who owns it) resolves by the final
-    hop onto the owner candidate.  With ``owner_rule="nearest"`` it is
-    Symphony's unidirectional routing option.
+    Owners are successors, and the terminal owner hop is always granted.
+    That is exactly Chord's closest-preceding-finger rule: minimising
+    the remaining clockwise distance among candidates that do not
+    overshoot is the same ordering as maximising the clockwise advance,
+    overshooting candidates can never improve, and the one stuck state
+    (the key lies between a peer and its successor, who owns it)
+    resolves by the final hop onto the owner candidate.
 
     Args:
         positions: sorted peer coordinates on the unit ring.
-        owner_rule: ``"successor"`` (Chord ownership) or ``"nearest"``.
         transform: optional vectorised key transform (hashing).
-        terminal_owner_hop: grant the final hop onto an owner candidate.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        owner_rule: str = "nearest",
-        transform=None,
-        terminal_owner_hop: bool = False,
-    ):
-        if owner_rule not in ("nearest", "successor"):
-            raise ValueError(f"unknown owner rule {owner_rule!r}")
+    terminal_owner_hop = True
+
+    def __init__(self, positions: np.ndarray, transform=None):
         self.positions = np.asarray(positions, dtype=float)
-        self.owner_rule = owner_rule
         self.transform = transform
-        self.terminal_owner_hop = terminal_owner_hop
-        self._space = RingSpace()
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
@@ -444,10 +432,7 @@ class ClockwiseMetric(RoutingMetric):
             self.transform(target_keys) if self.transform is not None else target_keys
         )
         targets = np.asarray(targets, dtype=float)
-        if self.owner_rule == "successor":
-            owners = successor_indices(self.positions, targets)
-        else:
-            owners = nearest_indices(self.positions, targets, self._space)
+        owners = successor_indices(self.positions, targets)
         return PreparedTargets(owners=owners, targets=targets)
 
     def initial_scores(self, nodes, state):
@@ -477,7 +462,7 @@ class PrefixDigitMetric(RoutingMetric):
     edge's ``(tag_level, tag_digit)`` pair is fused into one int32 code
     at construction (``level * base + digit``, ``-1`` for leaf edges),
     so the primary-edge test is one gather and one compare per
-    candidate; the two tag arrays stay the persisted form.
+    candidate.
 
     Args:
         positions: sorted peer coordinates on the unit ring.
@@ -485,7 +470,6 @@ class PrefixDigitMetric(RoutingMetric):
         tag_level: per-edge routing-table row, ``-1`` for leaf-set edges.
         tag_digit: per-edge routing-table column, ``-1`` for leaf edges.
         base: the digit base ``2^b``.
-        transform: optional vectorised key transform (hashing).
     """
 
     greedy = False
@@ -497,27 +481,20 @@ class PrefixDigitMetric(RoutingMetric):
         tag_level: np.ndarray,
         tag_digit: np.ndarray,
         base: int,
-        transform=None,
     ):
         self.positions = np.asarray(positions, dtype=float)
         self.digits = np.asarray(digit_matrix)
-        self.tag_level = np.asarray(tag_level)
-        self.tag_digit = np.asarray(tag_digit)
         self.base = base
         self.depth = self.digits.shape[1]
-        self.transform = transform
         self._space = RingSpace()
-        level = self.tag_level.astype(np.int64)
-        digit = self.tag_digit.astype(np.int64)
+        level = np.asarray(tag_level, dtype=np.int64)
+        digit = np.asarray(tag_digit, dtype=np.int64)
         table = (level >= 0) & (level < self.depth) & (digit >= 0) & (digit < base)
         self._tag_code = np.where(table, level * base + digit, -1).astype(np.int32)
 
     def prepare(self, target_keys, alive=None) -> PreparedTargets:
         self._no_alive(alive)
-        targets = (
-            self.transform(target_keys) if self.transform is not None else target_keys
-        )
-        targets = np.asarray(targets, dtype=float)
+        targets = np.asarray(target_keys, dtype=float)
         owners = nearest_indices(self.positions, targets, self._space)
         # digit_rows rejects NaN keys and keys outside [0, 1), as
         # repro.keyspace.digits does.
@@ -574,17 +551,16 @@ class TrieMetric(RoutingMetric):
     """P-Grid's rule: resolve one differing bit, else step in value order.
 
     Per hop, with ``l = cpl(current_path, key_bits)``: take the level-``l``
-    reference (the first one — rank 0) when the trie has one; otherwise
-    step to the index neighbour toward the key's value (``+1`` when
-    ``key > ids[current]``, ``-1`` otherwise; stepping off the interval
-    end goes stuck).
+    reference when the trie has one; otherwise step to the index
+    neighbour toward the key's value (``+1`` when ``key > ids[current]``,
+    ``-1`` otherwise; stepping off the interval end goes stuck).
 
     Args:
         positions: sorted peer identifiers.
         bit_matrix: ``(n, max_depth)`` trie paths, padded with ``-1``.
-        tag_level: per-edge trie level of reference edges, ``-1`` for
-            the value-order neighbour edges.
-        tag_rank: per-edge rank within the level's reference list.
+        tag_level: per-edge trie level of reference edges (at most one
+            edge of a row per level), ``-1`` for the value-order
+            neighbour edges.
         cell_lefts: sorted left edges of the leaf cells (ownership).
         cell_order: peer index owning each sorted cell.
     """
@@ -596,14 +572,12 @@ class TrieMetric(RoutingMetric):
         positions: np.ndarray,
         bit_matrix: np.ndarray,
         tag_level: np.ndarray,
-        tag_rank: np.ndarray,
         cell_lefts: np.ndarray,
         cell_order: np.ndarray,
     ):
         self.positions = np.asarray(positions, dtype=float)
         self.bits = np.asarray(bit_matrix)
         self.tag_level = np.asarray(tag_level)
-        self.tag_rank = np.asarray(tag_rank)
         self.cell_lefts = np.asarray(cell_lefts, dtype=float)
         self.cell_order = np.asarray(cell_order, dtype=np.int64)
         self.max_depth = self.bits.shape[1]
@@ -628,7 +602,7 @@ class TrieMetric(RoutingMetric):
         neq = self.bits[current] != key_bits
         cpl = np.where(neq.any(axis=1), neq.argmax(axis=1), self.max_depth)
         tag_level = self.tag_level[slots]
-        primary = (tag_level == np.repeat(cpl, counts)) & (self.tag_rank[slots] == 0)
+        primary = tag_level == np.repeat(cpl, counts)
         want = np.where(
             state.targets[walks] > self.positions[current], current + 1, current - 1
         )
@@ -685,9 +659,8 @@ class TorusZoneMetric(RoutingMetric):
     """CAN's greedy zone walk: torus L1 distance from point to zone box.
 
     Fully declarative — the zone geometry *and* the ownership structure
-    (the flat BSP split tree) are plain arrays, so the metric can be
-    serialized by :mod:`repro.store` and rebuilt without any overlay
-    object behind it.
+    (the flat BSP split tree) are plain arrays, so the metric needs no
+    overlay object behind it.
 
     Args:
         lo: ``(n, d)`` inclusive lower corners of the zones.

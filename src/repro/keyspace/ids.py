@@ -106,10 +106,12 @@ def check_unit_keys(keys) -> np.ndarray:
 def check_peer_ids(ids: np.ndarray) -> None:
     """Check a sorted peer-id array: strictly increasing, inside ``[0, 1)``.
 
-    The rule both graph boundaries share — :func:`repro.core.build_from_positions`
-    and :func:`repro.store.load_graph`.  A repeated id would make two
-    peers own one key range and strand lookups between them; the strict
-    diff also rejects NaN, which fails every comparison.
+    The rule every :class:`repro.core.SmallWorldGraph` is constructed
+    under: :func:`repro.core.build_from_positions` also checks it before
+    building any links, and :func:`repro.store.load_graph` reports it as
+    a ``StoreError``.  A repeated id would make two peers own one key
+    range and strand lookups between them; the strict diff also rejects
+    NaN, which fails every comparison.
 
     Raises:
         ValueError: on a repeated, NaN or out-of-order id, or an id

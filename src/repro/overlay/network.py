@@ -220,18 +220,11 @@ class Network:
         long link, read off the graph's CSR, becomes an identifier-valued
         live link whose hint is its target's slab row.  This is how
         churn experiments start from a Theorem-2 construction without
-        paying per-peer joins.
-
-        Raises:
-            ValueError: for duplicate identifiers in the snapshot.
+        paying per-peer joins.  The graph's ids already obey the peer-id
+        rule (:func:`repro.keyspace.check_peer_ids`): its constructor
+        checks them.
         """
         ids = np.asarray(graph.ids, dtype=float)
-        if len(ids) and (
-            not np.all(np.isfinite(ids)) or ids[0] < 0.0 or ids[-1] >= 1.0
-        ):
-            raise ValueError("snapshot identifiers must lie in [0, 1)")
-        if np.any(np.diff(ids) <= 0):
-            raise ValueError("snapshot identifiers must be sorted and distinct")
         net = cls(space=graph.space)
         n = len(ids)
         csr = graph.adjacency

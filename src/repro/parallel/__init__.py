@@ -20,8 +20,13 @@ batch of two or more shards), ``sample_batch``, ``measure_network``,
 
 **Determinism contract.**  Shard boundaries depend only on the batch
 size (never the worker count), and merges happen in shard order — so
-every front end returns bit-identical results for any worker count
-including 1, and bit-identical to its serial counterpart.
+every front end returns bit-identical outcome columns (success, hops
+and their split, reasons, owners, paths) for any worker count
+including 1, and bit-identical to its serial counterpart, as are
+``candidates_seen`` and the ``routing.walks``, ``routing.reason.*``
+and ``routing.hops`` telemetry.  ``rounds`` and ``routing.rounds``
+are sums over the shards, so a sharded batch counts more rounds than
+the same batch routed serially.
 """
 
 from importlib import import_module

@@ -6,8 +6,8 @@ is a *correctness* property, not a style choice:
 * **How many shards does a batch split into?**
   (:func:`shard_bounds` / :func:`chunk_size`) — a pure function of the
   batch size.  Shard boundaries must **never** depend on the worker
-  count, because the engine promises bit-identical results for any
-  worker count including 1.
+  count, because the engine promises bit-identical outcome columns for
+  any worker count including 1.
 
 * **How many threads route those shards?**
   (:func:`resolve_workers`) — an explicit argument, then the

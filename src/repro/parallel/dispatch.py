@@ -14,9 +14,11 @@
    liveness mask (greedy walks only read the immutable graph, and numpy
    releases the GIL in the kernel's large gathers, sorts and
    reductions);
-4. **merge in shard order** — so results are bit-identical for any
-   worker count including 1, and to the serial kernel: a sharded batch
-   is the serial batch computed in pieces.
+4. **merge in shard order** — so outcome columns are bit-identical for
+   any worker count including 1, and to the serial kernel: a sharded
+   batch is the serial batch computed in pieces.  ``rounds`` and the
+   ``routing.rounds`` counter are sums over the pieces, so they exceed
+   a serial batch's.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ def _fold_shard_registries(scopes: list, walls: list[float]) -> None:
     """Fold each shard's captured registry into the caller's, in shard order.
 
     Shard order is worker-count independent, so the folded counters and
-    histogram counts are bit-identical for any worker count, and a
-    histogram such as ``routing.hops`` equals the serial batch's (counts
-    add).  Each shard's wall time is kept as one ``parallel.shard_wall``
+    histogram counts are bit-identical for any worker count that shards,
+    and a histogram such as ``routing.hops`` equals the serial batch's
+    (counts add); ``routing.rounds`` is the shards' sum, more than one
+    serial batch counts.  Each shard's wall time is kept as one ``parallel.shard_wall``
     observation and one ``parallel.shard`` trace event (straggler
     analysis).  No-op when telemetry was disabled mid-flight.
     """
@@ -108,8 +111,9 @@ def _merge_route_results(
         target_keys=target_keys,
         owners=np.concatenate([part.owners for part in parts]),
         paths=paths,
-        # Order-independent totals: the sum over shards is the same for
-        # any worker count because shard boundaries are too.
+        # Sums over the shards: the same for any worker count that
+        # shards, because shard boundaries are; ``rounds`` exceeds a
+        # serial batch's.
         rounds=sum(part.rounds for part in parts),
         candidates_seen=sum(part.candidates_seen for part in parts),
         padded_slots_seen=sum(part.padded_slots_seen for part in parts),
@@ -128,14 +132,17 @@ def frontier_route_many_parallel(
 ) -> BatchRouteResult:
     """Sharded :func:`repro.core.metric_routing.frontier_route_many`.
 
-    Bit-identical to the serial kernel for every worker count: routes
-    are independent walks, shards are contiguous slices, and the merge
-    preserves slice order.  A batch that fits one shard, or a serial
+    Outcome columns are bit-identical to the serial kernel for every
+    worker count: routes are independent walks, shards are contiguous
+    slices, and the merge preserves slice order.  ``rounds`` is the sum
+    of the shards' rounds.  A batch that fits one shard, or a serial
     worker count, routes through the serial kernel directly — unless
     telemetry is on, in which case the shards run inline on the
-    caller's thread, so the folded metrics have the same shard
-    structure for every worker count.  ``route_many(..., workers=N)``
-    calls this for batches of two or more shards.
+    caller's thread, so this function's folded metrics have the same
+    shard structure for every worker count.  ``route_many(...,
+    workers=N)`` calls this only for batches of two or more shards at
+    ``N >= 2``, so its ``workers=1`` runs one serial batch and counts
+    fewer rounds.
 
     Args:
         csr: the overlay's flattened edge set.

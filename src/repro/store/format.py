@@ -148,7 +148,7 @@ def open_array(
             data, or a dtype/shape that disagrees with the manifest.
     """
     root = Path(path)
-    declared = manifest["arrays"].get(key)
+    declared = manifest.get("arrays", {}).get(key)
     if declared is None:
         raise StoreError(f"snapshot at {root} declares no array {key!r}")
     file = _array_path(root, key)
@@ -167,9 +167,16 @@ def open_array(
     return array
 
 
-def open_arrays(path: str | os.PathLike, manifest: dict) -> dict[str, np.ndarray]:
-    """Memory-map every declared array read-only (see :func:`open_array`)."""
+def open_arrays(
+    path: str | os.PathLike, manifest: dict, keys: tuple[str, ...]
+) -> dict[str, np.ndarray]:
+    """Memory-map the named arrays read-only (see :func:`open_array`).
+
+    Raises:
+        StoreError: as :func:`open_array`, naming the first array the
+            manifest does not declare.
+    """
     from repro import telemetry
 
     with telemetry.time_block("store.mmap_attach"):
-        return {key: open_array(path, manifest, key) for key in manifest["arrays"]}
+        return {key: open_array(path, manifest, key) for key in keys}

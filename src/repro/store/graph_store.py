@@ -14,8 +14,10 @@ mapped ``indices`` array, and the identifier memmaps are reattached to
 the dataclass after construction (``__post_init__``'s ``np.asarray``
 would otherwise strip the ``np.memmap`` subclass and hide that the
 arrays are views of the snapshot files).
-A load checks the row pointers and identifiers in O(n) vectorized
-passes (plus the CSR's own O(E) target range check) and raises
+A load checks that the manifest holds the four arrays and the payload
+keys a graph needs, then the row pointers and identifiers in O(n)
+vectorized passes (plus the CSR's own O(E) target range check; the ids
+pass is the graph constructor's) and raises
 :class:`~repro.store.format.StoreError` on a corrupt or hand-edited
 snapshot instead of routing wrong.
 
@@ -36,12 +38,16 @@ import numpy as np
 
 from repro.core.adjacency import CSRAdjacency, neighbor_counts
 from repro.core.graph import SmallWorldGraph
-from repro.keyspace import IntervalSpace, RingSpace, check_peer_ids
+from repro.keyspace import IntervalSpace, RingSpace
 from repro.store.format import StoreError, open_arrays, read_manifest, write_snapshot
 
 __all__ = ["save_graph", "load_graph"]
 
 _SPACES = {"interval": IntervalSpace, "ring": RingSpace}
+
+#: What every graph snapshot holds: its arrays and its payload keys.
+_ARRAYS = ("ids", "normalized_ids", "indptr", "indices")
+_PAYLOAD = ("n", "space", "model", "cutoff_mass")
 
 
 def space_from_name(name: str):
@@ -53,17 +59,15 @@ def space_from_name(name: str):
 
 
 def _long_start(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> np.ndarray:
-    """Check the row pointers and identifiers; return each row's ``long_start``.
+    """Check the row pointers; return each row's ``long_start``.
 
     The row pointers need ``n + 1`` entries, starting at 0, never
     decreasing.  Every row starts with its ring/interval neighbours, so
     its long links begin that many slots in, and a row shorter than its
-    neighbour count is as corrupt as a decreasing pointer.  The ids
-    follow the builder's rule (:func:`repro.keyspace.check_peer_ids`).
+    neighbour count is as corrupt as a decreasing pointer.
 
     Raises:
-        StoreError: for row pointers or identifiers a router would
-            silently misread.
+        StoreError: for row pointers a router would silently misread.
     """
     if len(indptr) != len(ids) + 1:
         raise StoreError("indptr must have one entry per peer plus one")
@@ -75,10 +79,6 @@ def _long_start(ids: np.ndarray, indptr: np.ndarray, is_ring: bool) -> np.ndarra
     nbr_counts = neighbor_counts(len(ids), is_ring)
     if np.any(degrees < nbr_counts):
         raise StoreError("a row is shorter than its ring/interval neighbour count")
-    try:
-        check_peer_ids(ids)
-    except ValueError as exc:
-        raise StoreError(str(exc)) from exc
     return indptr[:-1] + nbr_counts
 
 
@@ -143,15 +143,22 @@ def load_graph(
             routing is needed (not persisted; defaults to identity).
 
     Raises:
-        StoreError: missing/corrupt snapshot, version/kind mismatch, or
-            row pointers/identifiers that violate the CSR invariants.
+        StoreError: missing/corrupt snapshot, version/kind mismatch, a
+            manifest without one of the four arrays or payload keys a
+            graph needs, row pointers that violate the CSR invariants,
+            or identifiers that break the peer-id rule
+            (:func:`repro.keyspace.check_peer_ids`, which the graph's
+            constructor runs).
     """
     from repro import telemetry
 
     with telemetry.time_block("store.load_graph"):
         manifest = read_manifest(path, kind="graph")
-        payload = manifest["payload"]
-        arrays = open_arrays(path, manifest)
+        payload = manifest.get("payload", {})
+        for key in _PAYLOAD:
+            if key not in payload:
+                raise StoreError(f"snapshot at {path} has no payload key {key!r}")
+        arrays = open_arrays(path, manifest, _ARRAYS)
     space = space_from_name(payload["space"])
     long_start = _long_start(arrays["ids"], arrays["indptr"], space.is_ring)
     try:
@@ -162,15 +169,18 @@ def load_graph(
         )
     except ValueError as exc:
         raise StoreError(f"corrupt edge arrays: {exc}") from exc
-    graph = SmallWorldGraph(
-        ids=arrays["ids"],
-        normalized_ids=arrays["normalized_ids"],
-        adjacency=csr,
-        space=space,
-        normalize=normalize,
-        model=payload["model"],
-        cutoff_mass=payload["cutoff_mass"],
-    )
+    try:
+        graph = SmallWorldGraph(
+            ids=arrays["ids"],
+            normalized_ids=arrays["normalized_ids"],
+            adjacency=csr,
+            space=space,
+            normalize=normalize,
+            model=payload["model"],
+            cutoff_mass=payload["cutoff_mass"],
+        )
+    except ValueError as exc:
+        raise StoreError(str(exc)) from exc
     # __post_init__'s np.asarray demoted the memmaps to plain ndarray
     # views; reattach the originals so downstream layers can see the
     # file backing (shape/dtype/data are identical either way).

@@ -55,7 +55,6 @@ from repro.baselines import (
     PGridOverlay,
     SymphonyOverlay,
 )
-from repro.baselines.can import Zone
 from repro.baselines.mercury import _RowEmpiricals
 from repro.core import GraphConfig, SmallWorldGraph
 from repro.core.bulk_construction import (
@@ -64,7 +63,6 @@ from repro.core.bulk_construction import (
     bulk_harmonic_positions,
     outward_candidate_indices,
 )
-from repro.core.graph import LongLinkRows
 from repro.distributions import Empirical
 from repro.keyspace import (
     KeySpace,
@@ -368,35 +366,22 @@ class OraclePGrid(PGridOverlay):
         for i, path in enumerate(self.paths):
             for l in range(len(path) + 1):
                 by_prefix.setdefault(path[:l], []).append(i)
-        refs: list[list[np.ndarray]] = []
+        packed = np.full((self.n, self._bit_matrix.shape[1]), -1, dtype=np.int64)
         for i in range(self.n):
             path = self.paths[i]
-            levels = []
             for l in range(len(path)):
                 complement = path[:l] + (1 - path[l],)
                 candidates = by_prefix.get(complement, [])
                 if candidates:
-                    k = min(self.refs_per_level, len(candidates))
-                    picks = rng.choice(len(candidates), size=k, replace=False)
-                    levels.append(
-                        np.asarray(sorted(candidates[p] for p in picks), dtype=np.int64)
-                    )
-                else:
-                    levels.append(np.empty(0, dtype=np.int64))
-            refs.append(levels)
-        packed = np.full(
-            (self.n, self._bit_matrix.shape[1], self.refs_per_level), -1, dtype=np.int64
-        )
-        for i, levels in enumerate(refs):
-            for l, members in enumerate(levels):
-                packed[i, l, : len(members)] = members
+                    (pick,) = rng.choice(len(candidates), size=1, replace=False)
+                    packed[i, l] = candidates[pick]
         return packed
 
 
 class OracleMercury(MercuryOverlay):
     """Mercury whose peers estimate and draw one at a time."""
 
-    def _build_links(self, rng: np.random.Generator) -> None:
+    def _build_links(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Per-peer reference loop: one estimator and draw loop per peer."""
         n = self.n
         keys: list[int] = []
@@ -417,7 +402,35 @@ class OracleMercury(MercuryOverlay):
                 if target != u:
                     chosen.add(target)
             keys.extend(u * n + target for target in sorted(chosen))
-        self._set_links(*split_rows(np.asarray(keys, dtype=np.int64), n))
+        return split_rows(np.asarray(keys, dtype=np.int64), n)
+
+
+@dataclass
+class _Zone:
+    """An axis-aligned box of the CAN torus, as the insertion loop keeps it.
+
+    Attributes:
+        lo: inclusive lower corner per dimension.
+        hi: exclusive upper corner per dimension.
+        depth: number of splits that produced this zone (drives the
+            round-robin split dimension).
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    depth: int = 0
+
+    def split(self) -> tuple[_Zone, _Zone]:
+        """Halve along the round-robin dimension; return (kept, new)."""
+        dim = self.depth % len(self.lo)
+        mid = 0.5 * (self.lo[dim] + self.hi[dim])
+        left_hi = self.hi.copy()
+        left_hi[dim] = mid
+        right_lo = self.lo.copy()
+        right_lo[dim] = mid
+        left = _Zone(self.lo.copy(), left_hi, self.depth + 1)
+        right = _Zone(right_lo, self.hi.copy(), self.depth + 1)
+        return left, right
 
 
 @dataclass
@@ -439,17 +452,22 @@ class OracleCAN(CANOverlay):
     #: One key's scalar torus embedding, shared with the route oracle.
     _point_of = ScalarCAN._point_of
 
-    def _build_zones(self) -> tuple[list[Zone], tuple]:
-        """Sequential insertion loop, then the tree flattened to BSP arrays."""
-        first = Zone(np.zeros(self.dims), np.ones(self.dims), depth=0)
-        self.zones = [first]
+    def _build_zones(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """Sequential insertion loop, then the zones and the tree as arrays."""
+        first = _Zone(np.zeros(self.dims), np.ones(self.dims), depth=0)
+        self._zones = [first]
         self._root = _BSPNode(
             zone_index=0, bounds_lo=first.lo.copy(), bounds_hi=first.hi.copy()
         )
         for key in self.keys[1:]:
             point = self._point_of(float(key))
             self._insert(point)
-        return self.zones, self._flatten()
+        return (
+            np.asarray([zone.lo for zone in self._zones]),
+            np.asarray([zone.hi for zone in self._zones]),
+            np.asarray([zone.depth for zone in self._zones], dtype=np.int64),
+            self._flatten(),
+        )
 
     def _insert(self, point: np.ndarray) -> None:
         """Split the zone containing ``point``; the new half joins the list.
@@ -463,7 +481,7 @@ class OracleCAN(CANOverlay):
         while node.zone_index < 0:
             node = node.low if point[node.split_dim] < node.split_at else node.high
         zone_idx = node.zone_index
-        zone = self.zones[zone_idx]
+        zone = self._zones[zone_idx]
         if zone.depth >= self.max_bsp_depth:
             raise RuntimeError(
                 f"CAN BSP split depth {zone.depth} reached max_bsp_depth="
@@ -473,9 +491,9 @@ class OracleCAN(CANOverlay):
             )
         kept, new = zone.split()
         dim = zone.depth % self.dims
-        self.zones[zone_idx] = kept
-        new_index = len(self.zones)
-        self.zones.append(new)
+        self._zones[zone_idx] = kept
+        new_index = len(self._zones)
+        self._zones.append(new)
         low_leaf = _BSPNode(
             zone_index=zone_idx, bounds_lo=kept.lo.copy(), bounds_hi=kept.hi.copy()
         )
@@ -902,7 +920,7 @@ def _resolve_links(
 class RoundsSymphony(SymphonyOverlay):
     """Symphony whose link rounds merge and recount every round."""
 
-    def _build_links(self, rng: np.random.Generator) -> None:
+    def _build_links(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw every peer's harmonic links in whole-population rounds.
 
         Same primitives as :func:`repro.core.bulk_construction.bulk_links`:
@@ -932,14 +950,13 @@ class RoundsSymphony(SymphonyOverlay):
             ok = targets != rows
             accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
             need = self.k - row_counts(accepted, n)
-        indptr, self._long_flat = split_rows(accepted, n)
-        self.long_links = LongLinkRows.from_indptr(indptr, self._long_flat)
+        return split_rows(accepted, n)
 
 
 class RoundsMercury(MercuryOverlay):
     """Mercury whose link rounds merge and recount every round."""
 
-    def _build_links(self, rng: np.random.Generator) -> None:
+    def _build_links(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Draw every peer's rank-harmonic links in whole-population rounds.
 
         One gossip-sample matrix, row-wise empirical estimates, then the
@@ -975,4 +992,4 @@ class RoundsMercury(MercuryOverlay):
             ok = targets != rows
             accepted = merge_row_pairs(accepted, rows[ok], targets[ok], n)
             need = self.k - row_counts(accepted, n)
-        self._set_links(*split_rows(accepted, n))
+        return split_rows(accepted, n)

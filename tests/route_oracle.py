@@ -18,13 +18,17 @@ their bodies unchanged:
   :class:`ScalarMercury` and :class:`ScalarCAN`.  What only these loops
   read came along: Pastry's per-peer digit tuples and ring geometry,
   CAN's one-key torus embedding ``_point_of`` (``builder_oracle.OracleCAN``
-  borrows it) and its per-point BSP descent ``zone_of_point``.
+  borrows it) and its per-point BSP descent ``zone_of_point``.  They
+  read each overlay's tables where it keeps them: Symphony's and
+  Mercury's long links and Pastry's leaf sets from the overlay's CSR
+  rows, P-Grid's references from ``refs``, and CAN's zones from its
+  corner arrays and its split tree from ``metric.bsp``.
 
 :func:`scalar_twin` re-classes a built overlay as its oracle subclass over
 the same arrays, so both sides route over one set of tables.  The loops
 differ from production in two ways the parity tests avoid: they do not
 check keys (a NaN or out-of-range key walks instead of raising
-``ValueError``), and hashed Chord and Pastry report the hashed key as
+``ValueError``), and hashed Chord reports the hashed key as
 ``target_key`` where production reports the key looked up.  Nothing
 under ``src/`` imports this file.
 """
@@ -44,8 +48,8 @@ from repro.baselines import (
     PGridOverlay,
     SymphonyOverlay,
 )
-from repro.baselines.can import Zone
-from repro.core.graph import SmallWorldGraph
+from repro.core.adjacency import CSRAdjacency
+from repro.core.graph import LongLinkRows, SmallWorldGraph
 from repro.core.routing import RouteResult, _positions_and_target
 from repro.keyspace import (
     RingSpace,
@@ -166,6 +170,11 @@ def greedy_route(
 # ----------------------------------------------------------------------
 
 
+def long_link_rows(csr: CSRAdjacency) -> LongLinkRows:
+    """Each row's long links: the slots of its CSR row from ``long_start`` on."""
+    return LongLinkRows(csr.indices, csr.long_start, csr.indptr[1:])
+
+
 def greedy_value_route(
     ids: np.ndarray,
     long_links: list[np.ndarray],
@@ -174,14 +183,12 @@ def greedy_value_route(
     key: float,
     owner: int,
     max_hops: int | None = None,
-    unidirectional: bool = False,
 ) -> RouteResult:
     """Greedy value-space routing over ring neighbours plus long links.
 
     The common routing rule shared by Symphony and Mercury: among the two
     ring neighbours and the peer's long links, move to the peer that most
-    reduces the distance to ``key`` — circular distance by default, or
-    clockwise-only remaining distance when ``unidirectional``.
+    reduces the circular distance to ``key``.
 
     Args:
         ids: sorted peer identifiers.
@@ -191,7 +198,6 @@ def greedy_value_route(
         key: lookup key.
         owner: index of the peer that owns ``key`` (the stop condition).
         max_hops: hop budget; defaults to the population size.
-        unidirectional: measure progress clockwise only.
     """
     n = len(ids)
     if not 0 <= source < n:
@@ -200,8 +206,6 @@ def greedy_value_route(
         max_hops = n
 
     def metric(peer: int) -> float:
-        if unidirectional:
-            return (key - float(ids[peer])) % 1.0
         return space.distance(float(ids[peer]), key)
 
     current = source
@@ -309,12 +313,9 @@ class ScalarPastry(PastryOverlay):
         """Each peer's digit string as a tuple, as the scalar loop reads it."""
         return [tuple(row) for row in self._digit_matrix.tolist()]
 
-    def _key(self, key: float) -> float:
-        return mix_hash(key) if self.hashed else key
-
     def owner_of(self, key: float) -> int:
         """Pastry's owner: numerically closest peer (ring metric)."""
-        return nearest_index(self.ids, self._key(key), self.space)
+        return nearest_index(self.ids, key, self.space)
 
     def _cpl(self, u: int, key_digits: tuple[int, ...]) -> int:
         own = self._digits[u]
@@ -332,7 +333,6 @@ class ScalarPastry(PastryOverlay):
             raise ValueError(f"source index {source} out of range for {n} peers")
         if max_hops is None:
             max_hops = n
-        key = self._key(key)
         key_digits = digits(key, self.base, self.depth)
         owner = nearest_index(self.ids, key, self.space)
         current = source
@@ -366,9 +366,10 @@ class ScalarPastry(PastryOverlay):
         current_dist = self.space.distance(float(self.ids[current]), key)
         best = None
         best_rank = (l, -current_dist)
-        known = list(self.leaf_sets[current]) + [
-            int(x) for x in self.table[current].ravel() if x >= 0
-        ]
+        # The CSR row is the leaf set, then the filled table entries.
+        table_entries = [int(x) for x in self.table[current].ravel() if x >= 0]
+        row = self.csr.row(current)
+        known = row[: len(row) - len(table_entries)].tolist() + table_entries
         for cand in known:
             cand_l = self._cpl(cand, key_digits)
             cand_dist = self.space.distance(float(self.ids[cand]), key)
@@ -418,8 +419,8 @@ class ScalarPGrid(PGridOverlay):
             peer_path = self.paths[current]
             l = self._cpl(peer_path, key_bits)
             nxt = None
-            if l < len(peer_path) and self.refs[current, l, 0] >= 0:
-                nxt = int(self.refs[current, l, 0])
+            if l < len(peer_path) and self.refs[current, l] >= 0:
+                nxt = int(self.refs[current, l])
             else:
                 # Gap in the trie (empty complement) or key inside our own
                 # prefix cell: step toward the owner in value order.
@@ -448,13 +449,12 @@ class ScalarSymphony(SymphonyOverlay):
         """Greedy ring routing over neighbours and harmonic links."""
         return greedy_value_route(
             self.ids,
-            self.long_links,
+            long_link_rows(self.csr),
             self.space,
             source,
             key,
             self.owner_of(key),
             max_hops=max_hops,
-            unidirectional=not self.bidirectional,
         )
 
 
@@ -469,7 +469,7 @@ class ScalarMercury(MercuryOverlay):
         """Greedy value-space routing (identical rule to Symphony's)."""
         return greedy_value_route(
             self.ids,
-            self.long_links,
+            long_link_rows(self.csr),
             self.space,
             source,
             key,
@@ -495,7 +495,7 @@ class ScalarCAN(CANOverlay):
             RuntimeError: when the descent exceeds ``max_bsp_depth``
                 levels (corrupt split tree; construction caps the depth).
         """
-        split_dim, split_at, low, high, zone = self._bsp
+        split_dim, split_at, low, high, zone = self.metric.bsp
         point = np.asarray(point, dtype=float)
         node = 0
         for _ in range(self.max_bsp_depth + 1):
@@ -526,10 +526,11 @@ class ScalarCAN(CANOverlay):
         )
         return min(direct, wrapped)
 
-    def _zone_distance(self, point: np.ndarray, zone: Zone) -> float:
+    def _zone_distance(self, point: np.ndarray, zone: int) -> float:
+        lo, hi = self.zone_lo[zone], self.zone_hi[zone]
         return float(
             sum(
-                self._axis_distance(float(point[k]), float(zone.lo[k]), float(zone.hi[k]))
+                self._axis_distance(float(point[k]), float(lo[k]), float(hi[k]))
                 for k in range(self.dims)
             )
         )
@@ -544,7 +545,7 @@ class ScalarCAN(CANOverlay):
         point = self._point_of(key)
         owner = self.zone_of_point(point)
         current = source
-        current_dist = self._zone_distance(point, self.zones[current])
+        current_dist = self._zone_distance(point, current)
         path = [current]
         while current != owner:
             if len(path) - 1 >= max_hops:
@@ -554,9 +555,9 @@ class ScalarCAN(CANOverlay):
                 )
             best = None
             best_dist = current_dist
-            for cand in self.neighbors[current]:
+            for cand in self.csr.row(current):
                 cand = int(cand)
-                dist = self._zone_distance(point, self.zones[cand])
+                dist = self._zone_distance(point, cand)
                 if dist < best_dist:
                     best, best_dist = cand, dist
             if best is None:

@@ -3,20 +3,19 @@
 Four layers, mirroring ``tests/test_bulk_dynamics.py``:
 
 * **hop-for-hop parity** — for every baseline (and every routing
-  variant: hashed, unidirectional, alternate dimensions), the batch
+  variant: hashed Chord, alternate CAN dimensions), the batch
   frontier kernel and the batch-of-one ``route`` must reproduce the
   scalar walk of ``route_oracle.py`` exactly: success, hops,
   neighbour/long split, owner, reason, and the full visited path, on
   uniform and skewed populations.
 * **builder equivalence** — the bulk whole-population builders
   (Mercury's row-wise estimators, Pastry's prefix-range tables,
-  P-Grid's dyadic-cell references, one or several per level) must be
-  statistically indistinguishable from the per-peer loops in
-  ``builder_oracle.py``: KS on hop distributions at n = 2048, uniform
-  and skewed.
-* **contract invariants** — cached frontier identity, vectorized owner
-  resolution agreeing with the oracle's owner rule, and workload
-  determinism of the batch measurement path.
+  P-Grid's dyadic-cell references) must be statistically
+  indistinguishable from the per-peer loops in ``builder_oracle.py``:
+  KS on hop distributions at n = 2048, uniform and skewed.
+* **contract invariants** — every overlay born holding its CSR and
+  metric, vectorized owner resolution agreeing with the oracle's owner
+  rule, and workload determinism of the batch measurement path.
 * **key checks** — every public route and owner entry point rejects a
   NaN, infinite or out-of-range key with ``ValueError``.
 """
@@ -38,7 +37,7 @@ from repro.baselines import (
     route_many_overlay,
     sample_overlay_lookups,
 )
-from repro.core import build_uniform_model, greedy_route
+from repro.core import CSRAdjacency, RoutingMetric, build_uniform_model, greedy_route
 from repro.distributions import PowerLaw
 from repro.overlay import summarize_lookups
 
@@ -63,16 +62,10 @@ def _make(name: str, ids, rng):
         return ChordOverlay(ids, hashed=True)
     if name == "pastry":
         return PastryOverlay(ids, rng)
-    if name == "pastry-hashed":
-        return PastryOverlay(ids, rng, hashed=True)
     if name == "pgrid":
         return PGridOverlay(ids, rng)
-    if name == "pgrid-refs2":
-        return PGridOverlay(ids, rng, refs_per_level=2)
     if name == "symphony":
         return SymphonyOverlay(ids, rng, k=4)
-    if name == "symphony-unidirectional":
-        return SymphonyOverlay(ids, rng, k=4, bidirectional=False)
     if name == "mercury":
         return MercuryOverlay(ids, rng, sample_size=32)
     if name == "can-2d":
@@ -82,8 +75,7 @@ def _make(name: str, ids, rng):
     raise KeyError(name)
 
 ALL_VARIANTS = [
-    "chord", "chord-hashed", "pastry", "pastry-hashed", "pgrid", "pgrid-refs2",
-    "symphony", "symphony-unidirectional", "mercury", "can-2d", "can-1d",
+    "chord", "chord-hashed", "pastry", "pgrid", "symphony", "mercury", "can-2d", "can-1d",
 ]
 
 
@@ -94,8 +86,8 @@ SINGLE_ROUTES = 40
 def _assert_route_matches(result, ref, key):
     """One ``route()`` result equals the oracle's, field for field.
 
-    ``target_key`` is the key looked up: the hashed oracles report the
-    hashed key there, so it is compared with ``key`` instead.
+    ``target_key`` is the key looked up: the hashed Chord oracle reports
+    the hashed key there, so it is compared with ``key`` instead.
     """
     assert (result.success, result.hops, result.neighbor_hops, result.long_hops) == (
         ref.success, ref.hops, ref.neighbor_hops, ref.long_hops
@@ -156,7 +148,6 @@ class TestHopForHopParity:
             OracleMercury(ids, rng, sample_size=32),
             OraclePastry(ids, rng),
             OraclePGrid(ids, rng),
-            OraclePGrid(ids, rng, refs_per_level=2),
         ):
             _assert_parity(overlay, seed=11)
 
@@ -248,65 +239,26 @@ class TestBuilderEquivalence:
         pgrid = PGridOverlay(_skewed_ids(512, 64), rng)
         for i in range(0, pgrid.n, 13):
             path = pgrid.paths[i]
-            for level, refs in enumerate(pgrid.refs[i]):
-                for ref in refs[refs >= 0]:
+            for level, ref in enumerate(pgrid.refs[i]):
+                if ref >= 0:
                     ref_path = pgrid.paths[int(ref)]
                     assert ref_path[:level] == path[:level]
                     assert ref_path[level] == 1 - path[level]
 
-    @pytest.mark.parametrize("ids_factory", [_uniform_ids, _skewed_ids])
-    def test_pgrid_multi_refs_match_scalar(self, ids_factory):
-        ids = ids_factory(self.N, 66)
-        bulk = PGridOverlay(ids, np.random.default_rng(1), refs_per_level=2)
-        scalar = OraclePGrid(ids, np.random.default_rng(2), refs_per_level=2)
-        ks = ks_two_sample(self._hops(bulk, 3), self._hops(scalar, 4))
-        assert ks.p_value > 0.01, (ks.statistic, ks.p_value)
-        assert np.array_equal(bulk.refs >= 0, scalar.refs >= 0)
-
-    @pytest.mark.parametrize("r", [2, 3, 5])
-    def test_pgrid_multi_refs_fill_their_complement_cell(self, r):
-        """Each (peer, level) holds min(r, subtree size) distinct members of
-        its complement subtree, ascending and packed before the padding."""
-        pgrid = PGridOverlay(_skewed_ids(600, 67), np.random.default_rng(5), r)
-        members: dict[tuple[int, ...], set[int]] = {}
-        for j, path in enumerate(pgrid.paths):
-            for l in range(len(path) + 1):
-                members.setdefault(path[:l], set()).add(j)
-        depth = pgrid.refs.shape[1]
-        for i, path in enumerate(pgrid.paths):
-            for level in range(depth):
-                row = pgrid.refs[i, level]
-                refs = row[row >= 0]
-                cell = (
-                    members.get(path[:level] + (1 - path[level],), set())
-                    if level < len(path) else set()
-                )
-                assert len(refs) == min(r, len(cell)), (i, level)
-                assert np.all(row[len(refs):] == -1)
-                assert np.all(np.diff(refs) > 0)  # ascending, so distinct
-                assert set(refs.tolist()) <= cell
-
-    def test_pgrid_multi_refs_cover_small_cells_uniformly(self):
-        """Draws without replacement: every pair of a 3-member cell is
-        equally likely when two references are kept."""
-        ids = np.asarray([0.1, 0.6, 0.7, 0.8])  # peer 0's level-0 cell: 3 peers
-        counts: dict[tuple[int, ...], int] = {}
-        for seed in range(600):
-            row = PGridOverlay(ids, np.random.default_rng(seed), 2).refs[0, 0]
-            counts[tuple(row.tolist())] = counts.get(tuple(row.tolist()), 0) + 1
-        assert set(counts) == {(1, 2), (1, 3), (2, 3)}
-        assert min(counts.values()) > 150
-
     def test_symphony_k_budget_respected_by_bulk(self, rng):
         symphony = SymphonyOverlay(_uniform_ids(512, 65), rng, k=4)
-        assert max(len(links) for links in symphony.long_links) <= 4
+        assert symphony.csr.long_degrees().max() <= 4
 
 
 class TestFrontierContract:
-    def test_frontier_is_cached(self, rng):
-        overlay = SymphonyOverlay(_uniform_ids(128, 71), rng, k=4)
-        assert overlay.to_csr() is overlay.to_csr()
-        assert overlay.metric is overlay.metric
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
+    def test_overlay_is_born_holding_its_frontier(self, name, rng):
+        """``__init__`` sets the CSR and metric; nothing is built later."""
+        overlay = _make(name, _uniform_ids(128, 71), rng)
+        held = vars(overlay)
+        assert isinstance(held["csr"], CSRAdjacency)
+        assert isinstance(held["metric"], RoutingMetric)
+        assert held["csr"].n == overlay.n
 
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_vectorized_owners_match_scalar(self, name, rng):
@@ -319,7 +271,7 @@ class TestFrontierContract:
 
     def test_symphony_row_order_neighbors_first(self, rng):
         overlay = SymphonyOverlay(_uniform_ids(64, 74), rng, k=4)
-        csr = overlay.to_csr()
+        csr = overlay.csr
         n = overlay.n
         for i in (0, 17, n - 1):
             row = csr.row(i)

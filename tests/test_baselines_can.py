@@ -5,30 +5,47 @@ import pytest
 from builder_oracle import OracleCAN
 from route_oracle import scalar_twin
 
-from repro.baselines import CANOverlay, Zone, measure_overlay_batch
+from repro.baselines import CANOverlay, measure_overlay_batch
 from repro.core.metric_routing import torus_zone_lookup
 from repro.distributions import PowerLaw
 
 
+def _volumes(can):
+    return np.prod(can.zone_hi - can.zone_lo, axis=1)
+
+
+def _holders(can, point):
+    """Zones whose box ``[lo, hi)`` holds ``point``."""
+    inside = (can.zone_lo <= point) & (point < can.zone_hi)
+    return np.flatnonzero(inside.all(axis=1))
+
+
 class TestZone:
     def test_contains(self):
-        zone = Zone(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        assert zone.contains(np.array([0.25, 0.25]))
-        assert not zone.contains(np.array([0.75, 0.25]))
-        assert not zone.contains(np.array([0.5, 0.25]))  # hi is exclusive
+        """Zones are half-open boxes: a split line belongs to the upper zone."""
+        can = CANOverlay([0.0, 0.5], dims=2)  # one split at x = 0.5
+        np.testing.assert_array_equal(can.zone_hi[0], [0.5, 1.0])
+        np.testing.assert_array_equal(can.zone_lo[1], [0.5, 0.0])
+        assert _holders(can, np.array([0.25, 0.25])).tolist() == [0]
+        assert _holders(can, np.array([0.75, 0.25])).tolist() == [1]
+        assert _holders(can, np.array([0.5, 0.25])).tolist() == [1]  # hi is exclusive
 
-    def test_split_halves_volume(self):
-        zone = Zone(np.array([0.0, 0.0]), np.array([1.0, 1.0]), depth=0)
-        left, right = zone.split()
-        assert left.volume() == pytest.approx(0.5)
-        assert right.volume() == pytest.approx(0.5)
-        assert left.depth == right.depth == 1
+    def test_split_halves_volume(self, rng):
+        can = CANOverlay(rng.random(200), dims=2)
+        np.testing.assert_array_equal(_volumes(can), 2.0 ** -can.zone_depth)
+        two = CANOverlay([0.0, 0.5], dims=2)
+        np.testing.assert_array_equal(_volumes(two), [0.5, 0.5])
+        assert two.zone_depth.tolist() == [1, 1]
 
-    def test_split_alternates_dimensions(self):
-        zone = Zone(np.array([0.0, 0.0]), np.array([1.0, 1.0]), depth=1)
-        left, right = zone.split()  # depth 1 -> split along dim 1
-        assert left.hi[1] == pytest.approx(0.5)
-        assert left.hi[0] == pytest.approx(1.0)
+    def test_split_alternates_dimensions(self, rng):
+        """Split ``t`` of a zone halves dimension ``t % dims``."""
+        for dims in (2, 3):
+            can = CANOverlay(rng.random(300), dims=dims)
+            for k in range(dims):
+                splits = (can.zone_depth - k + dims - 1) // dims
+                np.testing.assert_array_equal(
+                    can.zone_hi[:, k] - can.zone_lo[:, k], 2.0 ** -splits
+                )
 
 
 class TestConstruction:
@@ -38,30 +55,29 @@ class TestConstruction:
 
     def test_zones_partition_space(self, rng):
         can = CANOverlay(rng.random(128), dims=2)
-        assert float(can.zone_volumes().sum()) == pytest.approx(1.0)
+        assert float(_volumes(can).sum()) == pytest.approx(1.0)
 
     def test_every_point_locatable(self, rng):
         can = CANOverlay(rng.random(64), dims=2)
         points = rng.random((50, 2))
-        owners = torus_zone_lookup(points, can._bsp, can.max_bsp_depth)
+        owners = torus_zone_lookup(points, can.metric.bsp, can.max_bsp_depth)
         for point, idx in zip(points, owners):
-            assert can.zones[int(idx)].contains(point)
+            assert _holders(can, point).tolist() == [idx]
 
     def test_neighbors_symmetric(self, rng):
         can = CANOverlay(rng.random(64), dims=2)
         for i in range(can.n):
-            for j in can.neighbors[i]:
-                assert i in set(can.neighbors[int(j)].tolist())
+            for j in can.csr.row(i):
+                assert i in set(can.csr.row(int(j)).tolist())
 
     def test_neighbors_nonempty(self, rng):
         can = CANOverlay(rng.random(64), dims=2)
-        for i in range(can.n):
-            assert len(can.neighbors[i]) >= 1
+        assert can.csr.out_degrees().min() >= 1
 
     def test_skewed_keys_make_uneven_zones(self, rng):
         skewed = PowerLaw(alpha=2.0, shift=1e-4).sample(256, rng)
         can = CANOverlay(skewed, dims=2)
-        volumes = can.zone_volumes()
+        volumes = _volumes(can)
         assert volumes.max() / volumes.min() > 16
 
     def test_one_dimensional_can(self, rng):
@@ -97,7 +113,7 @@ class TestRouting:
 
         for key in (0.1, 0.42, 0.9):
             owner = can.owner_of(key)
-            assert can.zones[owner].contains(np.asarray(morton_spread(key, 2)))
+            assert _holders(can, np.asarray(morton_spread(key, 2))).tolist() == [owner]
 
     def test_invalid_source(self, rng):
         can = CANOverlay(rng.random(16), dims=2)
@@ -135,7 +151,7 @@ class TestBSPDepthCap:
 
     def test_normal_populations_stay_far_below_cap(self, rng):
         can = CANOverlay(rng.random(2048), dims=2)
-        deepest = max(zone.depth for zone in can.zones)
+        deepest = int(can.zone_depth.max())
         assert deepest < 40  # ~2·log2(n); nowhere near the 96 cap
         # and the vectorised owner descent still resolves everything
         owners = can.metric.prepare(rng.random(256)).owners
@@ -168,12 +184,11 @@ class TestBulkBuilder:
         bulk = CANOverlay(keys, dims=dims)
         scalar = OracleCAN(keys, dims=dims)
         _assert_same_tree(bulk.metric.bsp, scalar.metric.bsp)
-        for zb, zs in zip(bulk.zones, scalar.zones):
-            np.testing.assert_array_equal(zb.lo, zs.lo)
-            np.testing.assert_array_equal(zb.hi, zs.hi)
-            assert zb.depth == zs.depth
-        for nb, ns in zip(bulk.neighbors, scalar.neighbors):
-            np.testing.assert_array_equal(np.sort(np.asarray(nb)), np.sort(np.asarray(ns)))
+        np.testing.assert_array_equal(bulk.zone_lo, scalar.zone_lo)
+        np.testing.assert_array_equal(bulk.zone_hi, scalar.zone_hi)
+        np.testing.assert_array_equal(bulk.zone_depth, scalar.zone_depth)
+        np.testing.assert_array_equal(bulk.csr.indptr, scalar.csr.indptr)
+        np.testing.assert_array_equal(bulk.csr.indices, scalar.csr.indices)
 
     def test_bulk_routes_match_scalar(self, rng):
         """The bulk-built overlay's route() walks the per-insertion oracle
@@ -193,9 +208,8 @@ class TestBulkBuilder:
         bulk = CANOverlay(keys, dims=2)
         scalar = OracleCAN(keys, dims=2)
         _assert_same_tree(bulk.metric.bsp, scalar.metric.bsp)
-        for zb, zs in zip(bulk.zones, scalar.zones):
-            np.testing.assert_array_equal(zb.lo, zs.lo)
-            np.testing.assert_array_equal(zb.hi, zs.hi)
+        np.testing.assert_array_equal(bulk.zone_lo, scalar.zone_lo)
+        np.testing.assert_array_equal(bulk.zone_hi, scalar.zone_hi)
 
     def test_bulk_depth_cap_raises(self):
         keys = np.arange(110.0) * 1e-40

@@ -120,24 +120,9 @@ class TestPastry:
         stats = measure_overlay_batch(pastry, 150, rng, target_ids=pastry.ids)
         assert stats.success_rate == 1.0
 
-    def test_hashed_mode(self, skewed_ids, rng):
-        pastry = PastryOverlay(skewed_ids, rng, hashed=True)
-        stats = measure_overlay_batch(pastry, 150, rng, target_ids=skewed_ids)
-        assert stats.success_rate == 1.0
-
-    def test_custom_base(self, uniform_ids, rng):
-        pastry = PastryOverlay(uniform_ids, rng, bits_per_digit=2)
-        assert pastry.base == 4
-        stats = measure_overlay_batch(pastry, 100, rng, target_ids=pastry.ids)
-        assert stats.success_rate == 1.0
-
-    def test_rejects_bad_parameters(self, uniform_ids, rng):
+    def test_rejects_bad_parameters(self, rng):
         with pytest.raises(ValueError):
             PastryOverlay([0.5], rng)
-        with pytest.raises(ValueError):
-            PastryOverlay(uniform_ids, rng, bits_per_digit=0)
-        with pytest.raises(ValueError):
-            PastryOverlay(uniform_ids, rng, leaf_size=1)
 
     def test_rejects_identical_ids(self, rng):
         with pytest.raises(ValueError):

@@ -76,8 +76,8 @@ class TestTrieConstruction:
         pgrid = PGridOverlay(uniform_ids, rng)
         for i in range(0, pgrid.n, 13):
             path = pgrid.paths[i]
-            for level, refs in enumerate(pgrid.refs[i]):
-                for ref in refs[refs >= 0]:
+            for level, ref in enumerate(pgrid.refs[i]):
+                if ref >= 0:
                     ref_path = pgrid.paths[int(ref)]
                     assert ref_path[:level] == path[:level]
                     assert ref_path[level] == 1 - path[level]
@@ -112,12 +112,6 @@ class TestRouting:
         pgrid = PGridOverlay(skewed_ids, rng)
         stats = measure_overlay_batch(pgrid, 200, rng, target_ids=pgrid.ids)
         assert stats.mean_hops < 2 * math.log2(len(skewed_ids))
-
-    def test_multiple_refs_per_level(self, uniform_ids, rng):
-        pgrid = PGridOverlay(uniform_ids, rng, refs_per_level=2)
-        sizes = pgrid.table_sizes()
-        single = PGridOverlay(uniform_ids, rng, refs_per_level=1).table_sizes()
-        assert float(np.mean(sizes)) > float(np.mean(single))
 
     def test_invalid_source(self, uniform_ids, rng):
         pgrid = PGridOverlay(uniform_ids, rng)

@@ -47,11 +47,6 @@ class TestSymphony:
         assert hops_k8 < hops_k2 * 0.7
         assert hops_k2 < SymphonyOverlay.expected_hops(n, 2) * 2
 
-    def test_unidirectional_mode_still_succeeds(self, uniform_ids, rng):
-        symphony = SymphonyOverlay(uniform_ids, rng, k=4, bidirectional=False)
-        stats = measure_overlay_batch(symphony, 150, rng, target_ids=symphony.ids)
-        assert stats.success_rate == 1.0
-
     def test_expected_hops_validation(self):
         with pytest.raises(ValueError):
             SymphonyOverlay.expected_hops(1, 1)

@@ -10,6 +10,7 @@ primitives.
 import numpy as np
 import pytest
 from builder_oracle import ExactSampler, FastSampler, build_per_peer, make_sampler
+from route_oracle import long_link_rows
 
 from repro.analysis import ks_two_sample
 from repro.core import (
@@ -285,9 +286,9 @@ class TestBaselineBulkBuilders:
         from repro.baselines import SymphonyOverlay
 
         overlay = SymphonyOverlay(rng.random(1024), rng, k=4)
-        degrees = [len(links) for links in overlay.long_links]
+        degrees = overlay.csr.long_degrees()
         assert np.mean(degrees) > 3.5  # budget met nearly everywhere
-        for u, links in enumerate(overlay.long_links):
+        for u, links in enumerate(long_link_rows(overlay.csr)):
             assert len(links) <= 4
             assert u not in links
             assert len(set(links.tolist())) == len(links)
@@ -298,7 +299,7 @@ class TestBaselineBulkBuilders:
         n = 4096
         overlay = SymphonyOverlay(np.sort(rng.random(n)), rng, k=4)
         spans = []
-        for u, links in enumerate(overlay.long_links):
+        for u, links in enumerate(long_link_rows(overlay.csr)):
             for j in links:
                 spans.append((overlay.ids[j] - overlay.ids[u]) % 1.0)
         # Harmonic draws on [1/N, 1]: median log-span sits midway.

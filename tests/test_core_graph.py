@@ -152,8 +152,9 @@ class TestLongLinkRows:
 
     @pytest.fixture
     def rows(self):
-        return LongLinkRows.from_indptr(
-            np.array([0, 2, 2, 5]), np.array([4, 7, 1, 2, 3], dtype=np.int64)
+        indptr = np.array([0, 2, 2, 5])
+        return LongLinkRows(
+            np.array([4, 7, 1, 2, 3], dtype=np.int64), indptr[:-1], indptr[1:]
         )
 
     def test_len_lengths_and_indexing(self, rows):

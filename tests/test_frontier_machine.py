@@ -75,7 +75,7 @@ def _random_csr(n, uniform, rng):
 def _metric(kind, n, rng):
     positions = np.sort(rng.random(n))
     if kind == "chord":
-        return ClockwiseMetric(positions, owner_rule="successor", terminal_owner_hop=True)
+        return ClockwiseMetric(positions)
     return GreedyValueMetric(positions, RingSpace())
 
 

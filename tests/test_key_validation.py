@@ -25,6 +25,7 @@ from repro.baselines import (
     route_many_overlay,
 )
 from repro.core import (
+    SmallWorldGraph,
     build_naive_model,
     build_skewed_model,
     build_uniform_model,
@@ -88,6 +89,29 @@ class TestBuildIds:
         match = r"\[0, 1\)" if case == "above_one" else "strictly increasing"
         with pytest.raises(ValueError, match=match):
             BUILDERS[model](_bad_ids(case), np.random.default_rng(4))
+
+
+class TestGraphConstructorIds:
+    """``from_flat_links([0.1, 0.1, 0.5], ...)`` built a graph that only
+    ``Network.from_graph``'s own copy of the rule refused; the graph
+    constructor now runs the rule itself."""
+
+    @pytest.mark.parametrize(
+        "ids, match",
+        [
+            ([0.1, 0.1, 0.5], "strictly increasing"),
+            ([0.5, 0.1, 0.7], "strictly increasing"),
+            ([0.1, np.nan, 0.5], "strictly increasing"),
+            ([0.1, 0.5, 1.0], r"\[0, 1\)"),
+            ([-0.1, 0.5, 0.7], r"\[0, 1\)"),
+        ],
+    )
+    def test_rejects_bad_ids(self, ids, match):
+        ids = np.asarray(ids)
+        with pytest.raises(ValueError, match=match):
+            SmallWorldGraph.from_flat_links(
+                ids, ids, np.zeros(len(ids) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+            )
 
 
 class TestRouteMany:

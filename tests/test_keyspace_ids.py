@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines.base import hash_keys
 from repro.keyspace import (
     binary_digits,
     bit_string,
@@ -159,6 +158,7 @@ class TestVectorizedMixHash:
         expected = np.array([_reference_mix_hash(float(x)) for x in keys])
         assert hashed.dtype == np.float64
         np.testing.assert_array_equal(hashed, expected)
+        assert mix_hash_array(np.empty(0)).shape == (0,)
         for x in self.EDGES + [0.123, 0.987654321]:
             assert mix_hash(x) == _reference_mix_hash(x)
 
@@ -173,13 +173,6 @@ class TestVectorizedMixHash:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError, match="outside"):
             mix_hash_array(np.array([0.5, bad]))
-        with pytest.raises(ValueError, match="outside"):
-            hash_keys(np.array([bad]))
-
-    def test_hash_keys_is_the_vectorized_mixer(self):
-        keys = np.random.default_rng(2).random(500)
-        np.testing.assert_array_equal(hash_keys(keys), mix_hash_array(keys))
-        assert hash_keys(np.empty(0)).shape == (0,)
 
 
 class TestMorton:

@@ -193,6 +193,50 @@ class TestShardedExecutor:
             (3 * np.bincount(serial.hops)).tolist()
         )
 
+    def test_telemetry_through_route_many_across_worker_counts(self, graphs, shards):
+        """What telemetry and the round counts promise for workers 1 and 2.
+
+        ``route_many(workers=1)`` routes one serial batch and
+        ``workers=2`` a sharded one.  Outcome columns, ``candidates_seen``,
+        ``routing.walks``, every ``routing.reason.*`` and ``routing.hops``
+        are equal; ``rounds`` and ``routing.rounds`` count each shard's
+        rounds, so they sum over the shards and are not.
+        """
+        graph = graphs["uniform"]
+        rng = np.random.default_rng(4)
+        sources, keys = rng.integers(graph.n, size=N_ROUTES), rng.random(N_ROUTES)
+        results, registries = {}, {}
+        for workers in (1, 2):
+            registries[workers] = telemetry.enable()
+            try:
+                shards.clear()
+                results[workers] = route_many(graph, sources, keys, workers=workers)
+            finally:
+                telemetry.disable()
+            assert len(shards) == (0 if workers == 1 else len(shard_bounds(N_ROUTES)))
+        serial, sharded = results[1], results[2]
+        _results_equal(sharded, serial)
+        assert sharded.candidates_seen == serial.candidates_seen
+        counters = {w: r.snapshot()["counters"] for w, r in registries.items()}
+        equal = ["routing.walks"] + [
+            name for name in counters[1] if name.startswith("routing.reason.")
+        ]
+        assert len(equal) == 4
+        assert {name: counters[2][name] for name in equal} == {
+            name: counters[1][name] for name in equal
+        }
+        assert (
+            registries[2].histogram("routing.hops").state()
+            == registries[1].histogram("routing.hops").state()
+        )
+        per_shard = [
+            route_many(graph, sources[lo:hi], keys[lo:hi]).rounds
+            for lo, hi in shard_bounds(N_ROUTES)
+        ]
+        assert serial.rounds < sharded.rounds == sum(per_shard)
+        for workers, result in results.items():
+            assert counters[workers]["routing.rounds"] == result.rounds
+
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             get_executor(0)
@@ -391,11 +435,11 @@ class TestOverlayDispatch:
                 overlay, self.ROUTES, rng, target_ids=target_ids
             )
             serial = route_many_overlay(overlay, sources, keys, record_paths=True)
-            csr, metric = overlay._frontier()
             parallel = _sharded(
                 shards,
                 lambda: frontier_route_many_parallel(
-                    csr, metric, sources, keys, record_paths=True, workers=2
+                    overlay.csr, overlay.metric, sources, keys,
+                    record_paths=True, workers=2,
                 ),
             )
             _results_equal(parallel, serial)

@@ -83,8 +83,7 @@ def _make_family(name, ids, rng):
 
 def _check_overlay(overlay, sources, keys):
     batch = route_many_overlay(overlay, sources, keys, record_paths=True)
-    csr, metric = overlay._frontier()
-    assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
+    assert_batch_matches(batch, oracle_batch(overlay.csr, overlay.metric, sources, keys))
     return batch
 
 
@@ -240,6 +239,12 @@ class TestExactTies:
         assert (batch.hops[0], batch.neighbor_hops[0], batch.long_hops[0]) == (1, 1, 0)
 
 
+class _NoTerminalHop(ClockwiseMetric):
+    """Chord's rule without the terminal owner hop: a stalled walk is stuck."""
+
+    terminal_owner_hop = False
+
+
 class TestTerminalOwnerHop:
     def test_only_onto_an_owner_candidate(self):
         """A stalled Chord-rule walk hops only when its owner is a candidate."""
@@ -259,10 +264,9 @@ class TestTerminalOwnerHop:
         sources = rng.integers(0, n, size=200).astype(np.int64)
         keys = rng.random(len(sources))
         routed = {}
-        for terminal in (True, False):
-            metric = ClockwiseMetric(
-                positions, owner_rule="successor", terminal_owner_hop=terminal
-            )
+        for terminal, metric_class in ((True, ClockwiseMetric), (False, _NoTerminalHop)):
+            metric = metric_class(positions)
+            assert metric.terminal_owner_hop is terminal
             batch = frontier_route_many(csr, metric, sources, keys, record_paths=True)
             assert_batch_matches(batch, oracle_batch(csr, metric, sources, keys))
             routed[terminal] = batch

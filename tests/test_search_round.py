@@ -188,7 +188,7 @@ def _setup(mode, n, ring, layout, rng):
         positions = positions.copy()
         positions[n // 2] = positions[n // 2 - 1]
     if mode == "clockwise":
-        chord = ClockwiseMetric(positions, owner_rule="successor", terminal_owner_hop=True)
+        chord = ClockwiseMetric(positions)
         return csr, chord, alive
     if mode == "subclass":
         return csr, _Exotic(positions, space), alive

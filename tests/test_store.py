@@ -174,6 +174,23 @@ class TestCorruption:
         with pytest.raises(StoreError, match="snapshot version 1 is not supported"):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("arrays", key) for key in ("ids", "normalized_ids", "indptr", "indices")]
+        + [("payload", key) for key in ("n", "space", "model", "cutoff_mass")],
+    )
+    def test_manifest_without_a_key_is_refused(self, tmp_path, section, key):
+        """A manifest edited to drop one array or payload key raised a bare
+        ``KeyError``; it must raise ``StoreError`` naming the key."""
+        graph = build_uniform_model(256, np.random.default_rng(9), GraphConfig(out_degree=4))
+        path = tmp_path / "dropped"
+        save_graph(graph, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        del manifest[section][key]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"'{key}'"):
+            load_graph(path)
+
     def test_not_a_store(self, tmp_path):
         path = tmp_path / "junk"
         path.mkdir()
